@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hashstash_cache::{GcConfig, HtManager, StoredHt, TaggedRow};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, ExecContext, TempTableCache};
+use hashstash_exec::{default_parallelism, execute, ExecContext, TempTableCache, WorkerPool};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Region, ReuseCase};
 use hashstash_storage::{Catalog, TableBuilder};
@@ -52,6 +52,9 @@ fn fresh_plan() -> PhysicalPlan {
 }
 
 fn benches(c: &mut Criterion) {
+    // `ExecContext::new` takes its worker count from `PARALLELISM`; give it
+    // the pool workers to match.
+    let pool = WorkerPool::new(default_parallelism() - 1);
     let mut group = c.benchmark_group("fig9/join");
     for &n in &[10_000i64, 50_000] {
         let cat = synth(n);
@@ -60,7 +63,7 @@ fn benches(c: &mut Criterion) {
             b.iter(|| {
                 let htm = HtManager::new(GcConfig::default());
                 let temps = TempTableCache::unbounded();
-                let mut ctx = ExecContext::new(&cat, &htm, &temps);
+                let mut ctx = ExecContext::new(&cat, &htm, &temps).with_pool(&pool);
                 execute(&plan, &mut ctx).unwrap().1.len()
             });
         });
@@ -94,7 +97,7 @@ fn benches(c: &mut Criterion) {
                         publish: None,
                     };
                     let temps = TempTableCache::unbounded();
-                    let mut ctx = ExecContext::new(&cat, &htm, &temps);
+                    let mut ctx = ExecContext::new(&cat, &htm, &temps).with_pool(&pool);
                     execute(&plan, &mut ctx).unwrap().1.len()
                 },
                 criterion::BatchSize::LargeInput,

@@ -135,7 +135,7 @@ fn seed_join_cache(db: &Database, c: f64) {
         aggregates: vec![],
         tagged: false,
     };
-    db.with_cache(|htm| htm.publish(fp, schema, StoredHt::Join(ht)));
+    db.cache().publish(fp, schema, StoredHt::Join(ht));
 }
 
 fn agg_query(id: u32) -> QuerySpec {
@@ -190,7 +190,7 @@ fn seed_agg_cache(db: &Database, c: f64) {
         aggregates: aggs,
         tagged: false,
     };
-    db.with_cache(|htm| htm.publish(fp, schema, StoredHt::Agg(ht)));
+    db.cache().publish(fp, schema, StoredHt::Agg(ht));
 }
 
 fn run_once(

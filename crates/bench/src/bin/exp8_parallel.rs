@@ -126,7 +126,7 @@ fn assert_engine_shard_routing() {
 /// `(cold, warm)` — the first submission after the pool spawns, then the
 /// steady-state mean.
 fn measure_pool_dispatch(workers: usize, iters: u32) -> (f64, f64) {
-    let pool = WorkerPool::new(workers.saturating_sub(1), false);
+    let pool = WorkerPool::new(workers.saturating_sub(1));
     let sched = Scheduler {
         parallelism: workers,
         pool: Some(&pool),
@@ -213,7 +213,7 @@ fn main() {
     // engine's execution model (a Database owns one pool for all sessions).
     // Sized for the largest count in the sweep (the caller participates,
     // so W workers need W-1 pool threads).
-    let pool = WorkerPool::new(worker_counts.iter().max().unwrap() - 1, false);
+    let pool = WorkerPool::new(worker_counts.iter().max().unwrap() - 1);
 
     // Warm the cache once: the exact-reuse and subsuming-reuse legs of the
     // mix probe this table (read-only shared checkouts, any worker count).

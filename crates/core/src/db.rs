@@ -154,7 +154,7 @@ pub enum BatchMode {
 /// let db = Database::builder(generate(TpchConfig::new(0.01, 42)))
 ///     .strategy(EngineStrategy::Materialized)
 ///     .gc(GcConfig::default())
-///     .temp_budget(64 << 20)
+///     .gc_budget(64 << 20)
 ///     .build();
 /// assert_eq!(db.policy().name(), "materialized");
 /// ```
@@ -163,15 +163,12 @@ pub struct EngineBuilder {
     catalog: Catalog,
     policy: Arc<dyn ReusePolicy>,
     gc: GcConfig,
-    temp_budget: Option<usize>,
     avg_rewrite: bool,
     additional_attributes: bool,
     benefit_join_order: bool,
     benefit_epsilon: f64,
     calibrate: bool,
     parallelism: usize,
-    vectorize: bool,
-    pin_workers: bool,
     data_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
     persist_min_benefit: f64,
@@ -184,15 +181,12 @@ impl EngineBuilder {
             catalog,
             policy: Arc::new(CostBasedReuse),
             gc: GcConfig::default(),
-            temp_budget: None,
             avg_rewrite: true,
             additional_attributes: true,
             benefit_join_order: true,
             benefit_epsilon: 0.1,
             calibrate: false,
             parallelism: hashstash_exec::engine_default_parallelism(),
-            vectorize: hashstash_exec::default_vectorize(),
-            pin_workers: false,
             data_dir: None,
             fsync: FsyncPolicy::default(),
             persist_min_benefit: 0.0,
@@ -247,17 +241,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Kept for callers predating the unified reuse store: hash tables and
-    /// temp tables now share **one** byte budget, so this folds into the
-    /// shared cap at [`EngineBuilder::build`] — added on top of any
-    /// [`EngineBuilder::gc_budget`] (the old total allowance was the two
-    /// caps combined), or used alone when no GC budget is set. Call order
-    /// relative to `gc_budget`/`gc` does not matter.
-    pub fn temp_budget(mut self, bytes: impl Into<Option<usize>>) -> Self {
-        self.temp_budget = bytes.into();
-        self
-    }
-
     /// Benefit-oriented `AVG → SUM,COUNT` rewrite (paper §3.4). Default on.
     pub fn avg_rewrite(mut self, on: bool) -> Self {
         self.avg_rewrite = on;
@@ -297,28 +280,6 @@ impl EngineBuilder {
     /// all available cores.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Run the hot operator loops (scan filtering, probe key extraction,
-    /// aggregate folds) over columnar selection vectors instead of
-    /// materialized rows. Results, metrics and published tables are
-    /// bit-identical either way; `false` keeps the row-at-a-time
-    /// interpreter as a differential oracle. Default: the `HS_VECTORIZE`
-    /// environment variable (`0` disables), otherwise on.
-    pub fn vectorize(mut self, on: bool) -> Self {
-        self.vectorize = on;
-        self
-    }
-
-    /// Pin each pool worker thread to a core (`worker id % cores`) at
-    /// spawn — placement scaffolding for NUMA-aware scheduling. Best
-    /// effort: a sandboxed container may refuse the affinity syscall, in
-    /// which case the workers simply run unpinned
-    /// ([`hashstash_exec::WorkerPool::pinned_workers`] reports how many
-    /// pins took). Default off.
-    pub fn pin_workers(mut self, on: bool) -> Self {
-        self.pin_workers = on;
         self
     }
 
@@ -422,24 +383,16 @@ impl EngineBuilder {
         }
         // The optimizer must price probe/scan phases the way the executor
         // will actually run them.
-        .with_parallelism(self.parallelism)
-        .with_vectorized(self.vectorize);
+        .with_parallelism(self.parallelism);
         // One budget for both reuse caches: hash tables and temp tables
-        // draw on the same byte limit and compete in one eviction loop. A
-        // legacy temp_budget is folded in additively, so configuring both
-        // caps yields the old total allowance regardless of call order.
-        let mut gc = self.gc;
-        if let Some(t) = self.temp_budget {
-            gc.budget_bytes = Some(gc.budget_bytes.map_or(t, |b| b.saturating_add(t)));
-        }
-        let budget = ReuseBudget::new(gc);
+        // draw on the same byte limit and compete in one eviction loop.
+        let budget = ReuseBudget::new(self.gc);
         let db = Arc::new(Database {
             catalog,
             stats,
             cost,
             policy: self.policy,
             parallelism: self.parallelism,
-            vectorize: self.vectorize,
             avg_rewrite: self.avg_rewrite,
             additional_attributes: self.additional_attributes,
             benefit_join_order: self.benefit_join_order,
@@ -450,7 +403,7 @@ impl EngineBuilder {
             // The submitting session thread is always a phase participant,
             // so `parallelism`-way execution needs `parallelism - 1` pool
             // workers. One pool serves every session of this database.
-            pool: WorkerPool::new(self.parallelism.saturating_sub(1), self.pin_workers),
+            pool: WorkerPool::new(self.parallelism.saturating_sub(1)),
             totals: Mutex::new(SessionStats::default()),
             tenants: Mutex::new(Vec::new()),
             flush_error: FlushErrorSlot::default(),
@@ -539,7 +492,6 @@ pub struct Database {
     cost: CostModel,
     policy: Arc<dyn ReusePolicy>,
     parallelism: usize,
-    vectorize: bool,
     avg_rewrite: bool,
     additional_attributes: bool,
     benefit_join_order: bool,
@@ -667,12 +619,6 @@ impl Database {
         self.parallelism
     }
 
-    /// Whether sessions execute the columnar selection-vector paths
-    /// (`HS_VECTORIZE` / [`EngineBuilder::vectorize`]).
-    pub fn vectorize(&self) -> bool {
-        self.vectorize
-    }
-
     /// The persistent worker pool parallel phases of every session run on.
     pub fn worker_pool(&self) -> &WorkerPool {
         &self.pool
@@ -721,12 +667,6 @@ impl Database {
     /// inspect the cache through this.
     pub fn cache(&self) -> &HtManager {
         &self.htm
-    }
-
-    /// Run `f` against the Hash Table Manager (kept for callers predating
-    /// [`Database::cache`]; the manager no longer needs `&mut`).
-    pub fn with_cache<R>(&self, f: impl FnOnce(&HtManager) -> R) -> R {
-        f(&self.htm)
     }
 
     /// Whether this database persists to a data directory.
@@ -940,7 +880,6 @@ impl Session {
         let t1 = Instant::now();
         let mut ctx = ExecContext::new(&db.catalog, &db.htm, &db.temps)
             .with_parallelism(db.parallelism)
-            .with_vectorize(db.vectorize)
             .with_pool(&db.pool)
             .with_tenant(self.tenant);
         for co in pins {
@@ -1080,7 +1019,6 @@ impl Session {
                     let t1 = Instant::now();
                     let mut ctx = ExecContext::new(&db.catalog, &db.htm, &db.temps)
                         .with_parallelism(db.parallelism)
-                        .with_vectorize(db.vectorize)
                         .with_pool(&db.pool)
                         .with_tenant(self.tenant);
                     let shared_results = execute_shared(&spec, &mut ctx)?;
@@ -1332,6 +1270,9 @@ mod tests {
     #[test]
     fn gc_budget_limits_footprint() {
         let db = Database::builder(catalog()).gc_budget(64 * 1024).build();
+        // The hash-table and temp-table caches share the one budget.
+        assert_eq!(db.cache().gc_config().budget_bytes, Some(64 * 1024));
+        assert_eq!(db.reuse_budget().gc_config().budget_bytes, Some(64 * 1024));
         let mut session = db.session();
         for i in 0..6 {
             let ship = format!("199{}-0{}-01", 3 + i % 5, 1 + i % 9);
@@ -1339,35 +1280,6 @@ mod tests {
         }
         assert!(db.cache_stats().bytes <= 64 * 1024);
         assert!(db.cache_stats().evictions > 0);
-    }
-
-    /// The legacy `temp_budget` folds into the shared cap additively and
-    /// order-independently: both caps configured yields the old *total*
-    /// allowance, never a silent last-write-wins shrink.
-    #[test]
-    fn temp_budget_folds_into_the_shared_budget() {
-        let a = Database::builder(catalog())
-            .gc_budget(1 << 30)
-            .temp_budget(64 << 20)
-            .build();
-        assert_eq!(
-            a.cache().gc_config().budget_bytes,
-            Some((1 << 30) + (64 << 20))
-        );
-        let b = Database::builder(catalog())
-            .temp_budget(64 << 20)
-            .gc_budget(1 << 30)
-            .build();
-        assert_eq!(
-            b.cache().gc_config().budget_bytes,
-            a.cache().gc_config().budget_bytes,
-            "call order does not matter"
-        );
-        // temp_budget alone caps the shared pool.
-        let c = Database::builder(catalog()).temp_budget(64 << 20).build();
-        assert_eq!(c.cache().gc_config().budget_bytes, Some(64 << 20));
-        // The temp cache is governed by the same budget object.
-        assert_eq!(c.reuse_budget().gc_config().budget_bytes, Some(64 << 20));
     }
 
     #[test]

@@ -54,9 +54,6 @@
 //! the first queries after a reboot reuse work done before it (see
 //! [`hashstash_durability`] for formats and recovery semantics, and
 //! [`db::Database::flush`] for the crash-vs-clean-exit contract).
-//!
-//! (The pre-0.2 single-session `Engine`/`EngineConfig` shim, deprecated in
-//! 0.2, has been removed; use [`Database::builder`] + [`Session`].)
 
 pub mod db;
 pub mod materialized;

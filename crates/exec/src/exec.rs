@@ -22,6 +22,7 @@
 //! delta inserts stay serial (they extend existing chain history); the cost
 //! model prices both regimes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -91,11 +92,11 @@ impl ExecMetrics {
         self.rows_filtered_vectorized += other.rows_filtered_vectorized;
     }
 
-    /// The counters with the same meaning under both execution regimes:
-    /// everything except the two vectorization-only counters (which are
-    /// definitionally zero on the row interpreter). Differential tests
-    /// compare `semantic()` across `HS_VECTORIZE` settings; within one
-    /// regime the full struct is still worker-count-invariant.
+    /// The counters that do not depend on which arm a scan took:
+    /// everything except the two columnar-only counters (which are
+    /// definitionally zero on the row-at-a-time fallback). Differential
+    /// tests compare `semantic()` against the row oracle; within one arm
+    /// the full struct is still worker-count-invariant.
     pub fn semantic(&self) -> ExecMetrics {
         ExecMetrics {
             batches_processed: 0,
@@ -120,16 +121,14 @@ pub struct ExecContext<'a> {
     /// interpreter; any value produces bit-identical output (morsel-order
     /// concatenation), so this is purely a throughput knob.
     pub parallelism: usize,
-    /// Whether scans, filters, probes and aggregate folds run over columnar
-    /// selection vectors ([`crate::vector`]) instead of materialized rows.
-    /// Output, metrics (`semantic()`), and published tables are identical
-    /// either way; the row interpreter stays available as the differential
-    /// oracle (`HS_VECTORIZE=0`).
-    pub vectorize: bool,
     /// The persistent worker pool parallel phases borrow workers from.
     /// Engines pass their `Database`-owned pool (shared across sessions);
-    /// `None` falls back to the process-wide ambient pool.
+    /// without one, every phase runs inline on the calling thread.
     pool: Option<&'a WorkerPool>,
+    /// Differential-test hook: send every scan down the row-at-a-time
+    /// fallback arm (see [`ExecContext::with_row_oracle`]).
+    #[cfg(any(test, feature = "oracle"))]
+    row_oracle: bool,
     /// The tenant this execution publishes on behalf of: every hash table
     /// or temp table materialized by the plan is owned by this tenant in
     /// the reuse caches ([`TenantId::DEFAULT`] for single-tenant
@@ -154,8 +153,9 @@ impl<'a> ExecContext<'a> {
             temps,
             metrics: ExecMetrics::default(),
             parallelism: default_parallelism(),
-            vectorize: crate::vector::default_vectorize(),
             pool: None,
+            #[cfg(any(test, feature = "oracle"))]
+            row_oracle: false,
             tenant: TenantId::DEFAULT,
             checkouts: HashMap::new(),
         }
@@ -167,14 +167,19 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Enable or disable the columnar selection-vector paths (`true` by
-    /// default, subject to `HS_VECTORIZE`).
-    pub fn with_vectorize(mut self, vectorize: bool) -> Self {
-        self.vectorize = vectorize;
+    /// Force every scan onto the row-at-a-time arm — the executor's live
+    /// fallback for index access paths, cross-type bounds and operator
+    /// outputs — so downstream filters, probes and folds all see
+    /// materialized rows. Output, `semantic()` metrics and published
+    /// tables are identical to the columnar arm by construction; the
+    /// differential tests hold them to it. Test builds only.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn with_row_oracle(mut self) -> Self {
+        self.row_oracle = true;
         self
     }
 
-    /// Run parallel phases on `pool` instead of the ambient fallback.
+    /// Run parallel phases on `pool` instead of inline on the caller.
     /// Engines pass their `Database`-owned pool so every session of the
     /// database shares one set of workers.
     pub fn with_pool(mut self, pool: &'a WorkerPool) -> Self {
@@ -535,6 +540,131 @@ fn materialize_pipe(pipe: Pipe, ctx: &mut ExecContext<'_>) -> Vec<Row> {
     }
 }
 
+/// What the probe and the aggregate fold need from their input tuples,
+/// bound to the key columns they hash. Implemented for materialized rows
+/// and for a columnar batch; both consumers are generic over it (static
+/// dispatch — nothing dynamic in the per-tuple loops), so the two pipe
+/// arms build bit-identical tables and output by construction.
+///
+/// `col` arguments are positions in the pipe's output schema.
+trait Tuples: Sync {
+    /// Number of tuples.
+    fn len(&self) -> usize;
+    /// The key columns the source is bound to.
+    fn key_cols(&self) -> &[usize];
+    /// 64-bit hash of tuple `i` over the key columns.
+    fn key64(&self, i: usize) -> u64;
+    /// Whether column `col` of tuple `i` equals `v` (values of different
+    /// types are never equal).
+    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool;
+    /// Column `col` of tuple `i`.
+    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value>;
+    /// Tuple `i` as a row.
+    fn row(&self, i: usize) -> Cow<'_, Row>;
+    /// Columns `cols` of tuple `i` as a row.
+    fn project(&self, i: usize, cols: &[usize]) -> Row {
+        Row::new(cols.iter().map(|&c| self.cell(i, c).into_owned()).collect())
+    }
+}
+
+/// Materialized rows, hashed over `key_cols`.
+struct RowTuples<'a> {
+    rows: &'a [Row],
+    key_cols: &'a [usize],
+}
+
+impl Tuples for RowTuples<'_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn key_cols(&self) -> &[usize] {
+        self.key_cols
+    }
+
+    #[inline]
+    fn key64(&self, i: usize) -> u64 {
+        self.rows[i].key64(self.key_cols)
+    }
+
+    #[inline]
+    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
+        self.rows[i].get(col) == v
+    }
+
+    #[inline]
+    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
+        Cow::Borrowed(self.rows[i].get(col))
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, Row> {
+        Cow::Borrowed(&self.rows[i])
+    }
+}
+
+/// A columnar batch read in place: keys come off the key columns through
+/// monomorphized kernels, cells compare against stored values without
+/// boxing, and a row materializes only when a consumer asks for one.
+struct BatchTuples<'a> {
+    batch: &'a ColumnarBatch,
+    key_cols: &'a [usize],
+    kernels: Vec<KeyKernel<'a>>,
+}
+
+impl<'a> BatchTuples<'a> {
+    fn new(batch: &'a ColumnarBatch, key_cols: &'a [usize]) -> Self {
+        let kernels = key_cols
+            .iter()
+            .map(|&c| vector::key_kernel(batch.table.column(batch.proj[c])))
+            .collect();
+        BatchTuples {
+            batch,
+            key_cols,
+            kernels,
+        }
+    }
+
+    #[inline]
+    fn rid(&self, i: usize) -> usize {
+        self.batch.sel[i] as usize
+    }
+
+    #[inline]
+    fn column(&self, col: usize) -> &Column {
+        self.batch.table.column(self.batch.proj[col])
+    }
+}
+
+impl Tuples for BatchTuples<'_> {
+    fn len(&self) -> usize {
+        self.batch.sel.len()
+    }
+
+    fn key_cols(&self) -> &[usize] {
+        self.key_cols
+    }
+
+    #[inline]
+    fn key64(&self, i: usize) -> u64 {
+        vector::group_key64(&self.kernels, self.rid(i))
+    }
+
+    #[inline]
+    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
+        self.column(col).cmp_row(self.rid(i), v) == Some(std::cmp::Ordering::Equal)
+    }
+
+    #[inline]
+    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
+        Cow::Owned(self.column(col).get(self.rid(i)))
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, Row> {
+        let (table, proj) = (&self.batch.table, &self.batch.proj);
+        Cow::Owned(table.row_projected(self.rid(i), proj))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scans
 // ---------------------------------------------------------------------------
@@ -560,11 +690,10 @@ fn run_scan_batch(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema,
     if spec.region.is_empty() {
         return Ok((out_schema, Pipe::Rows(Vec::new())));
     }
-    let lowered = if ctx.vectorize {
-        lower_region(&table, &qualified, spec)?
-    } else {
-        None
-    };
+    let lowered = lower_region(&table, &qualified, spec)?;
+    // Differential tests take the row arm even where the region lowers.
+    #[cfg(any(test, feature = "oracle"))]
+    let lowered = lowered.filter(|_| !ctx.row_oracle);
     match lowered {
         Some(per_box) => {
             let mut sel: Vec<u32> = Vec::new();
@@ -599,10 +728,10 @@ fn run_scan_batch(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema,
 type LoweredBoxes = Vec<Vec<(usize, RangeKernel)>>;
 
 /// Lower every box of a scan's region onto per-column [`RangeKernel`]s.
-/// Returns `None` — the whole scan keeps the row interpreter — when any box
-/// would take the (metric-visible) index access path or carries a
+/// Returns `None` — the whole scan takes the row-at-a-time arm — when any
+/// box would take the (metric-visible) index access path or carries a
 /// constraint that cannot lower (cross-type bounds), so access-path choice
-/// and metrics never depend on the vectorization setting.
+/// and metrics never depend on which arm ran.
 fn lower_region(
     table: &Table,
     qualified: &Schema,
@@ -610,14 +739,8 @@ fn lower_region(
 ) -> Result<Option<LoweredBoxes>> {
     let mut per_box = Vec::new();
     for pbox in spec.region.boxes() {
-        let mut checks: Vec<(usize, hashstash_plan::Interval)> = Vec::new();
-        for (attr, iv) in pbox.constrained() {
-            checks.push((qualified.index_of(attr)?, iv.clone()));
-        }
-        if checks
-            .iter()
-            .any(|(col, iv)| table.has_index(*col) && !iv.is_all() && bounded_for_index(iv))
-        {
+        let checks = BoxEval::bind(pbox, qualified)?.checks;
+        if index_access_path(table, &checks).is_some() {
             return Ok(None);
         }
         let mut lowered = Vec::with_capacity(checks.len());
@@ -734,77 +857,48 @@ fn scan_box(
     ctx: &mut ExecContext<'_>,
     out: &mut Vec<Row>,
 ) -> Result<()> {
-    // Bind all constraints to column indices.
-    let mut checks: Vec<(usize, hashstash_plan::Interval)> = Vec::new();
-    for (attr, iv) in pbox.constrained() {
-        checks.push((qualified.index_of(attr)?, iv.clone()));
-    }
-    // Prefer an indexed, bounded attribute as the access path.
-    let indexed = checks
-        .iter()
-        .position(|(col, iv)| table.has_index(*col) && !iv.is_all() && bounded_for_index(iv));
-    match indexed {
+    let checks = BoxEval::bind(pbox, qualified)?.checks;
+    // With an index access path its hits replace the row-id range, and the
+    // residual filter skips the constraint the index already answered.
+    let via_index = index_access_path(table, &checks);
+    let ids = match via_index {
         Some(pos) => {
-            let (col, iv) = checks[pos].clone();
-            let name = &table.schema().field_at(col).name;
+            let (col, iv) = &checks[pos];
+            let name = &table.schema().field_at(*col).name;
             let index = table
                 .index_on(name)
                 .ok_or_else(|| HsError::ExecError(format!("index on {name} vanished")))?;
-            let ids = index.range(as_lo_bound(iv.lo()), as_hi_bound(iv.hi()));
+            let ids = index.range(iv.lo().as_ref(), iv.hi().as_ref());
             ctx.metrics.index_rows += ids.len() as u64;
-            ctx.metrics.rows_scanned += ids.len() as u64;
-            let checks = &checks;
-            let mut rows =
-                collect_morsels(ctx.sched(), ids.len(), |range| {
-                    let mut buf = Vec::new();
-                    for &rid in &ids[range] {
-                        let rid = rid as usize;
-                        if checks.iter().enumerate().all(|(i, (c, v))| {
-                            i == pos || v.contains_value(&table.column(*c).get(rid))
-                        }) {
-                            buf.push(table.row_projected(rid, proj));
-                        }
-                    }
-                    buf
-                });
-            out.append(&mut rows);
+            Some(ids)
         }
-        None => {
-            let n = table.row_count();
-            ctx.metrics.rows_scanned += n as u64;
-            let checks = &checks;
-            let mut rows = collect_morsels(ctx.sched(), n, |range| {
-                let mut buf = Vec::new();
-                for rid in range {
-                    if checks
-                        .iter()
-                        .all(|(c, v)| v.contains_value(&table.column(*c).get(rid)))
-                    {
-                        buf.push(table.row_projected(rid, proj));
-                    }
-                }
-                buf
-            });
-            out.append(&mut rows);
+        None => None,
+    };
+    let n = ids.map_or(table.row_count(), <[u32]>::len);
+    ctx.metrics.rows_scanned += n as u64;
+    let checks = &checks;
+    let mut rows = collect_morsels(ctx.sched(), n, |range| {
+        let mut buf = Vec::new();
+        for i in range {
+            let rid = ids.map_or(i, |ids| ids[i] as usize);
+            if checks.iter().enumerate().all(|(c, (col, iv))| {
+                Some(c) == via_index || iv.contains_value(&table.column(*col).get(rid))
+            }) {
+                buf.push(table.row_projected(rid, proj));
+            }
         }
-    }
+        buf
+    });
+    out.append(&mut rows);
     Ok(())
 }
 
-fn bounded_for_index(iv: &hashstash_plan::Interval) -> bool {
-    !matches!((iv.lo(), iv.hi()), (Bound::Unbounded, Bound::Unbounded))
-}
-
-fn as_lo_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Unbounded => Bound::Unbounded,
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-    }
-}
-
-fn as_hi_bound(b: &Bound<Value>) -> Bound<&Value> {
-    as_lo_bound(b)
+/// The constraint a box's scan would use as its index access path: the
+/// first one on an indexed column with at least one bound.
+fn index_access_path(table: &Table, checks: &[(usize, hashstash_plan::Interval)]) -> Option<usize> {
+    checks
+        .iter()
+        .position(|(col, iv)| table.has_index(*col) && !iv.is_all())
 }
 
 // ---------------------------------------------------------------------------
@@ -957,64 +1051,16 @@ fn run_hash_join(
     }
     ctx.metrics.ht_probes += probe_pipe.len() as u64;
     let ht = source.probe_table();
-    let post_filters = &post_filters;
+    let key_cols = &[probe_key_idx];
     let out = match &probe_pipe {
-        Pipe::Rows(probe_rows) => {
-            let probe_rows_ref = &probe_rows;
-            collect_morsels(ctx.sched(), probe_rows.len(), |range| {
-                let mut buf = Vec::new();
-                for prow in &probe_rows_ref[range] {
-                    let key = prow.key64(&[probe_key_idx]);
-                    let pval = prow.get(probe_key_idx);
-                    for tagged in ht.probe_readonly(key) {
-                        // Verify the actual key (hash keys may collide).
-                        if tagged.row.get(build_key_idx) != pval {
-                            continue;
-                        }
-                        if !post_filters.iter().all(|pf| pf.eval(&tagged.row)) {
-                            continue;
-                        }
-                        buf.push(prow.concat(&tagged.row));
-                    }
-                }
-                buf
-            })
+        Pipe::Rows(rows) => {
+            let input = RowTuples { rows, key_cols };
+            probe_tuples(ctx.sched(), &input, ht, build_key_idx, &post_filters)
         }
         Pipe::Columnar(batch) => {
-            // Vectorized probe: keys come straight off the key column
-            // through a monomorphized kernel; the probe row materializes
-            // lazily, once, only when it has at least one match.
             ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
-            let table = &batch.table;
-            let proj = &batch.proj;
-            let sel = &batch.sel;
-            let key_col = table.column(proj[probe_key_idx]);
-            let kernel = vector::key_kernel(key_col);
-            let kernel = &kernel;
-            collect_morsels(ctx.sched(), sel.len(), |range| {
-                let mut buf = Vec::new();
-                for &rid in &sel[range] {
-                    let rid = rid as usize;
-                    let key = kernel.key64(rid);
-                    let mut prow: Option<Row> = None;
-                    for tagged in ht.probe_readonly(key) {
-                        // Verify the actual key (hash keys may collide);
-                        // `cmp_row` mismatching types is never equal, same
-                        // as the boxed comparison above.
-                        if key_col.cmp_row(rid, tagged.row.get(build_key_idx))
-                            != Some(std::cmp::Ordering::Equal)
-                        {
-                            continue;
-                        }
-                        if !post_filters.iter().all(|pf| pf.eval(&tagged.row)) {
-                            continue;
-                        }
-                        let prow = prow.get_or_insert_with(|| table.row_projected(rid, proj));
-                        buf.push(prow.concat(&tagged.row));
-                    }
-                }
-                buf
-            })
+            let input = BatchTuples::new(batch, key_cols);
+            probe_tuples(ctx.sched(), &input, ht, build_key_idx, &post_filters)
         }
     };
 
@@ -1036,6 +1082,38 @@ fn run_hash_join(
     }
 
     Ok((probe_schema.concat(&build_schema), out))
+}
+
+/// Probe `ht` with every input tuple on its (single) key column,
+/// morsel-parallel, emitting `probe ++ build` rows in input order. The
+/// probe row materializes lazily, once, only when the tuple has at least
+/// one match.
+fn probe_tuples<T: Tuples>(
+    sched: Scheduler<'_>,
+    input: &T,
+    ht: &ExtendibleHashTable<TaggedRow>,
+    build_key_idx: usize,
+    post_filters: &[BoxEval],
+) -> Vec<Row> {
+    let probe_key_idx = input.key_cols()[0];
+    collect_morsels(sched, input.len(), |range| {
+        let mut buf = Vec::new();
+        for i in range {
+            let mut prow: Option<Cow<'_, Row>> = None;
+            for tagged in ht.probe_readonly(input.key64(i)) {
+                // Verify the actual key (hash keys may collide).
+                if !input.cell_eq(i, probe_key_idx, tagged.row.get(build_key_idx)) {
+                    continue;
+                }
+                if !post_filters.iter().all(|pf| pf.eval(&tagged.row)) {
+                    continue;
+                }
+                let prow = prow.get_or_insert_with(|| input.row(i));
+                buf.push(prow.concat(&tagged.row));
+            }
+        }
+        buf
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1105,20 +1183,13 @@ fn run_hash_agg(
             (co.schema.clone(), AggSource::Reused(co))
         }
         None => {
-            let width: usize = {
-                // Group attrs + one 8-byte accumulator per aggregate.
-                let mut w = aggs.len() * 8;
-                for g in group_by {
-                    w += crate::plan::lookup_attr_type(ctx.catalog, g)?.payload_width();
-                }
-                w
-            };
+            // Group attrs + one 8-byte accumulator per aggregate.
+            let mut width = aggs.len() * 8;
             let mut fields = Vec::new();
             for g in group_by {
-                fields.push(hashstash_types::Field::new(
-                    g.to_string(),
-                    crate::plan::lookup_attr_type(ctx.catalog, g)?,
-                ));
+                let dtype = crate::plan::lookup_attr_type(ctx.catalog, g)?;
+                width += dtype.payload_width();
+                fields.push(hashstash_types::Field::new(g.to_string(), dtype));
             }
             (
                 Schema::new(fields),
@@ -1144,25 +1215,21 @@ fn run_hash_agg(
             }
             let parallel_build =
                 reuse.is_none() && ctx.parallelism > 1 && pipe.len() >= MIN_PARALLEL_BUILD_ROWS;
-            let (inserts, updates) = match pipe {
-                Pipe::Columnar(batch) => fold_batch(
-                    ctx,
-                    &mut source,
-                    &batch,
-                    &group_idx,
-                    &agg_idx,
-                    aggs,
-                    parallel_build,
-                )?,
-                Pipe::Rows(rows) => fold_rows(
-                    ctx,
-                    &mut source,
-                    rows,
-                    &group_idx,
-                    &agg_idx,
-                    aggs,
-                    parallel_build,
-                )?,
+            let ht = source.write_table()?;
+            let sched = ctx.sched();
+            let (inserts, updates) = match &pipe {
+                Pipe::Rows(rows) => {
+                    let input = RowTuples {
+                        rows,
+                        key_cols: &group_idx,
+                    };
+                    fold_tuples(sched, ht, &input, &agg_idx, aggs, parallel_build)
+                }
+                Pipe::Columnar(batch) => {
+                    ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
+                    let input = BatchTuples::new(batch, &group_idx);
+                    fold_tuples(sched, ht, &input, &agg_idx, aggs, parallel_build)
+                }
             };
             ctx.metrics.ht_inserts += inserts;
             ctx.metrics.ht_updates += updates;
@@ -1197,201 +1264,70 @@ fn run_hash_agg(
     )
 }
 
-/// Fold materialized input rows into the aggregate table — the row
-/// interpreter's fold, parallel (partitioned) or serial.
-fn fold_rows(
-    ctx: &mut ExecContext<'_>,
-    source: &mut AggSource<'_>,
-    rows: Vec<Row>,
-    group_idx: &[usize],
+/// Fold the input tuples into the aggregate table, grouped on their key
+/// columns, in input order, and return the (insert, update) counts. Group membership compares cells
+/// against stored group rows in place and only the first tuple of each
+/// *group* projects a row (the hash-table payload — a pipeline edge), so
+/// no per-tuple row is allocated on either pipe arm.
+///
+/// With `parallel_build`, hashing fans out over morsels and folding over
+/// key partitions (each group's accumulators are updated in global input
+/// order, so even floating-point sums are bitwise serial); the structural
+/// history is then replayed serially — one `touch` (lazy-split freshen)
+/// per tuple, one `insert` per group-creating tuple — which is exactly
+/// what the serial `upsert_where` loop does to the table.
+fn fold_tuples<T: Tuples>(
+    sched: Scheduler<'_>,
+    ht: &mut ExtendibleHashTable<AggPayload>,
+    input: &T,
     agg_idx: &[usize],
     aggs: &[hashstash_plan::AggExpr],
     parallel_build: bool,
-) -> Result<(u64, u64)> {
-    let ht = source.write_table()?;
-    let mut inserts = 0u64;
-    let mut updates = 0u64;
-    if parallel_build {
-        // Partitioned parallel aggregate build: hashing/projection
-        // fans out over morsels, folding over key partitions (each
-        // group's accumulators are updated in global row order, so
-        // even floating-point sums are bitwise serial), then the
-        // structural history is replayed serially — one `touch`
-        // (lazy-split freshen) per row, one `insert` per
-        // group-creating row — which is exactly what the serial
-        // `upsert_where` loop below does to the table.
-        let rows_ref = &rows;
-        let group_idx_ref = group_idx;
-        // Keys only — the group row is projected lazily, once per
-        // *group* (in `init`), not once per input row: materializing
-        // a projected `Row` per row costs two heap allocations each
-        // and dominates the whole build for low-cardinality groups.
-        let keys: Vec<u64> = collect_morsels(ctx.sched(), rows.len(), |range| {
-            rows_ref[range]
+) -> (u64, u64) {
+    let group_idx = input.key_cols();
+    let matches = |i: usize, p: &AggPayload| {
+        p.group.len() == group_idx.len()
+            && group_idx
                 .iter()
-                .map(|row| row.key64(group_idx_ref))
-                .collect()
-        });
-        let fold = |i: usize, p: &mut AggPayload| {
-            for (accum, &ai) in p.accums.iter_mut().zip(agg_idx) {
-                accum.update(rows_ref[i].get(ai));
-            }
-        };
-        let gb = build_grouped_partitioned(
-            ctx.sched(),
-            &keys,
-            // Allocation-free equivalent of `p.group == row.project(..)`.
-            |i: usize, p: &AggPayload| {
-                p.group.len() == group_idx_ref.len()
-                    && group_idx_ref
-                        .iter()
-                        .enumerate()
-                        .all(|(c, &gi)| *p.group.get(c) == *rows_ref[i].get(gi))
-            },
-            |i: usize| {
-                let mut p = AggPayload::new(rows_ref[i].project(group_idx_ref), aggs);
-                fold(i, &mut p);
-                p
-            },
-            |i: usize, p: &mut AggPayload| fold(i, p),
-        );
-        inserts = gb.inserts;
-        updates = gb.updates;
-        let mut merged = gb.groups.into_iter().peekable();
-        for (i, &key) in keys.iter().enumerate() {
-            if let Some(g) = merged.next_if(|g| g.first_row == i) {
-                ht.touch(g.key);
-                ht.insert(g.key, g.payload);
-            } else {
-                ht.touch(key);
-            }
-        }
-        debug_assert!(merged.peek().is_none(), "all groups replayed");
-    } else {
-        for row in rows {
-            let key = row.key64(group_idx);
-            let group_row = row.project(group_idx);
-            let created = ht.upsert_where(
-                key,
-                |p: &AggPayload| p.group == group_row,
-                || {
-                    // First tuple of a missing group: pay the insert
-                    // and fold the row into the fresh accumulators.
-                    let mut p = AggPayload::new(group_row.clone(), aggs);
-                    for (accum, &ai) in p.accums.iter_mut().zip(agg_idx) {
-                        accum.update(row.get(ai));
-                    }
-                    p
-                },
-                |p| {
-                    for (accum, &ai) in p.accums.iter_mut().zip(agg_idx) {
-                        accum.update(row.get(ai));
-                    }
-                },
-            );
-            if created {
-                inserts += 1;
-            } else {
-                updates += 1;
-            }
-        }
-    }
-    Ok((inserts, updates))
-}
-
-/// Fold a columnar batch into the aggregate table without materializing
-/// input rows: keys come off the group columns through monomorphized
-/// kernels, group membership tests compare column cells against stored
-/// group rows in place, and only the first tuple of each *group* projects a
-/// row (the hash-table payload — a pipeline edge). Insert/update order
-/// follows the selection vector, which is the row interpreter's input
-/// order, so the resulting table (including accumulator fold order and
-/// chain layout) is bit-identical to the row fold.
-fn fold_batch(
-    ctx: &mut ExecContext<'_>,
-    source: &mut AggSource<'_>,
-    batch: &ColumnarBatch,
-    group_idx: &[usize],
-    agg_idx: &[usize],
-    aggs: &[hashstash_plan::AggExpr],
-    parallel_build: bool,
-) -> Result<(u64, u64)> {
-    ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
-    let table = &batch.table;
-    let sel = &batch.sel;
-    // Input-schema positions → base-table column positions.
-    let group_cols: Vec<usize> = group_idx.iter().map(|&i| batch.proj[i]).collect();
-    let agg_cols: Vec<usize> = agg_idx.iter().map(|&i| batch.proj[i]).collect();
-    let kernels: Vec<KeyKernel<'_>> = group_cols
-        .iter()
-        .map(|&c| vector::key_kernel(table.column(c)))
-        .collect();
-    let matches = |rid: usize, p: &AggPayload| {
-        p.group.len() == group_cols.len()
-            && group_cols.iter().enumerate().all(|(c, &gc)| {
-                table.column(gc).cmp_row(rid, p.group.get(c)) == Some(std::cmp::Ordering::Equal)
-            })
+                .enumerate()
+                .all(|(c, &gi)| input.cell_eq(i, gi, p.group.get(c)))
     };
-    let fold = |rid: usize, p: &mut AggPayload| {
-        for (accum, &ac) in p.accums.iter_mut().zip(&agg_cols) {
-            accum.update(&table.column(ac).get(rid));
+    let update = |i: usize, p: &mut AggPayload| {
+        for (accum, &ai) in p.accums.iter_mut().zip(agg_idx) {
+            accum.update(&input.cell(i, ai));
         }
     };
-    let init = |rid: usize| {
-        let mut p = AggPayload::new(table.row_projected(rid, &group_cols), aggs);
-        fold(rid, &mut p);
+    let init = |i: usize| {
+        let mut p = AggPayload::new(input.project(i, group_idx), aggs);
+        update(i, &mut p);
         p
     };
-    let ht = source.write_table()?;
-    let mut inserts = 0u64;
-    let mut updates = 0u64;
-    if parallel_build {
-        // Same partitioned build as the row fold, driven by selection
-        // indices instead of materialized rows.
-        let kernels = &kernels;
-        let keys: Vec<u64> = collect_morsels(ctx.sched(), sel.len(), |range| {
-            sel[range]
-                .iter()
-                .map(|&rid| vector::group_key64(kernels, rid as usize))
-                .collect()
-        });
-        let gb = build_grouped_partitioned(
-            ctx.sched(),
-            &keys,
-            |i: usize, p: &AggPayload| matches(sel[i] as usize, p),
-            |i: usize| init(sel[i] as usize),
-            |i: usize, p: &mut AggPayload| fold(sel[i] as usize, p),
-        );
-        inserts = gb.inserts;
-        updates = gb.updates;
-        let mut merged = gb.groups.into_iter().peekable();
-        for (i, &key) in keys.iter().enumerate() {
-            if let Some(g) = merged.next_if(|g| g.first_row == i) {
-                ht.touch(g.key);
-                ht.insert(g.key, g.payload);
-            } else {
-                ht.touch(key);
-            }
-        }
-        debug_assert!(merged.peek().is_none(), "all groups replayed");
-    } else {
-        for &rid in sel {
-            let rid = rid as usize;
-            let key = vector::group_key64(&kernels, rid);
+    if !parallel_build {
+        let mut inserts = 0u64;
+        for i in 0..input.len() {
             let created = ht.upsert_where(
-                key,
-                |p: &AggPayload| matches(rid, p),
-                || init(rid),
-                |p| fold(rid, p),
+                input.key64(i),
+                |p: &AggPayload| matches(i, p),
+                || init(i),
+                |p| update(i, p),
             );
-            if created {
-                inserts += 1;
-            } else {
-                updates += 1;
-            }
+            inserts += u64::from(created);
+        }
+        return (inserts, input.len() as u64 - inserts);
+    }
+    let keys: Vec<u64> = collect_morsels(sched, input.len(), |range| {
+        range.map(|i| input.key64(i)).collect()
+    });
+    let gb = build_grouped_partitioned(sched, &keys, matches, init, update);
+    let mut merged = gb.groups.into_iter().peekable();
+    for (i, &key) in keys.iter().enumerate() {
+        ht.touch(key);
+        if let Some(g) = merged.next_if(|g| g.first_row == i) {
+            ht.insert(g.key, g.payload);
         }
     }
-    Ok((inserts, updates))
+    debug_assert!(merged.peek().is_none(), "all groups replayed");
+    (gb.inserts, gb.updates)
 }
 
 /// The output phase of a hash aggregate: post-filter + finalize the stored
@@ -2110,6 +2046,129 @@ mod tests {
             execute(&stale, &mut ctx2),
             Err(HsError::CacheError(_))
         ));
+    }
+
+    /// The same tuples as both pipe arms: a strided selection of a
+    /// synthetic table (large enough that the morsel fan-out engages) under
+    /// a column-reordering projection. Output schema: `s, f, k, d`.
+    fn both_arms() -> (Vec<Row>, ColumnarBatch) {
+        let n = crate::MORSEL_ROWS * (crate::min_parallel_morsels() + 2) + 5;
+        let mut t = hashstash_storage::TableBuilder::with_capacity(
+            "t",
+            vec![
+                ("k", DataType::Int),
+                ("f", DataType::Float),
+                ("d", DataType::Date),
+                ("s", DataType::Str),
+            ],
+            n,
+        );
+        for i in 0..n as i64 {
+            t.push_row(vec![
+                Value::Int(i * 7 % 701),
+                Value::float((i % 13) as f64 * 0.1),
+                Value::Date((i % 29) as i32),
+                Value::str(["ash", "birch", "cedar", "fir", "oak"][(i % 5) as usize]),
+            ]);
+        }
+        let table = Arc::new(t.finish());
+        let proj = vec![3, 1, 0, 2];
+        let sel: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 1).collect();
+        let rows = sel
+            .iter()
+            .map(|&r| table.row_projected(r as usize, &proj))
+            .collect();
+        (rows, ColumnarBatch { table, proj, sel })
+    }
+
+    /// Serial, and four-way on `pool`.
+    fn serial_and_pooled(pool: &WorkerPool) -> [Scheduler<'_>; 2] {
+        [1, 4].map(|parallelism| Scheduler {
+            parallelism,
+            pool: Some(pool),
+        })
+    }
+
+    /// The generic fold builds the same table — layout, accumulator bits
+    /// and counts — from either tuple source, serial or partitioned.
+    #[test]
+    fn fold_is_tuple_source_invariant() {
+        fn folded<T: Tuples>(
+            sched: Scheduler<'_>,
+            input: &T,
+            partitioned: bool,
+        ) -> (ExtendibleHashTable<AggPayload>, (u64, u64)) {
+            let aggs = [
+                AggExpr::new(AggFunc::Sum, "t.f"),
+                AggExpr::new(AggFunc::Min, "t.d"),
+            ];
+            let mut ht = ExtendibleHashTable::new(24);
+            let counts = fold_tuples(sched, &mut ht, input, &[1, 3], &aggs, partitioned);
+            (ht, counts)
+        }
+        const GROUP: [usize; 2] = [0, 2];
+        let (rows, batch) = both_arms();
+        let from_rows = RowTuples {
+            rows: &rows,
+            key_cols: &GROUP,
+        };
+        let from_batch = BatchTuples::new(&batch, &GROUP);
+        let pool = WorkerPool::new(3);
+        let [serial, pooled] = serial_and_pooled(&pool);
+        let (want, want_counts) = folded(serial, &from_rows, false);
+        assert_eq!(want_counts.0 as usize, want.len());
+        assert_eq!((want_counts.0 + want_counts.1) as usize, rows.len());
+        for (label, (got, counts)) in [
+            ("rows, partitioned", folded(pooled, &from_rows, true)),
+            ("batch, serial", folded(serial, &from_batch, false)),
+            ("batch, partitioned", folded(pooled, &from_batch, true)),
+        ] {
+            assert!(got.layout_eq(&want), "{label}");
+            assert_eq!(counts, want_counts, "{label}");
+        }
+    }
+
+    /// The generic probe emits the same rows in the same order from either
+    /// tuple source, serial or morsel-parallel, on an int and on a
+    /// dictionary-string key.
+    #[test]
+    fn probe_is_tuple_source_invariant() {
+        let (rows, batch) = both_arms();
+        let pool = WorkerPool::new(3);
+        let [serial, pooled] = serial_and_pooled(&pool);
+        for probe_key in [2usize, 0] {
+            // Build side: `(key, d)` of the first 60 tuples, duplicates
+            // included, so chains hold several matches per key.
+            let mut ht = ExtendibleHashTable::new(12);
+            for row in &rows[..60] {
+                let build_row = row.project(&[probe_key, 3]);
+                ht.insert(build_row.key64(&[0]), TaggedRow::untagged(build_row));
+            }
+            let key_cols = [probe_key];
+            let from_rows = RowTuples {
+                rows: &rows,
+                key_cols: &key_cols,
+            };
+            let from_batch = BatchTuples::new(&batch, &key_cols);
+            let want = probe_tuples(serial, &from_rows, &ht, 0, &[]);
+            assert!(!want.is_empty() && want.len() != rows.len());
+            for (label, got) in [
+                (
+                    "rows, pooled",
+                    probe_tuples(pooled, &from_rows, &ht, 0, &[]),
+                ),
+                (
+                    "batch, serial",
+                    probe_tuples(serial, &from_batch, &ht, 0, &[]),
+                ),
+                (
+                    "batch, pooled",
+                    probe_tuples(pooled, &from_batch, &ht, 0, &[]),
+                ),
+            ] {
+                assert_eq!(got, want, "{label}, key column {probe_key}");
+            }
+        }
     }
 
     /// Parallel execution is bit-identical (unsorted, row for row) to the

@@ -21,15 +21,15 @@
 //!   space, per-participant output buffers concatenated in morsel-index
 //!   order.
 //! * [`pool`] — the persistent [`pool::WorkerPool`] those phases run on:
-//!   spawned once per `Database` (or lazily process-wide), shared across
-//!   phases, queries, and sessions, joined on drop.
+//!   spawned once per `Database`, shared across phases, queries, and
+//!   sessions, joined on drop.
 //! * [`temp`] — the temp-table cache of the materialization-based reuse
 //!   baseline (Nagel-style: exact + subsuming reuse of *operator outputs*,
 //!   paid for by extra materialization work during execution).
 //! * [`vector`] — selection-vector kernels for the columnar hot paths:
 //!   vectorized scans, filters, probe key extraction and aggregate folds
 //!   that run over `Column` slices and materialize rows only at pipeline
-//!   edges, bit-identical to the row interpreter (`HS_VECTORIZE=0`).
+//!   edges, bit-identical to the row-at-a-time fallback.
 //! * [`shared`] — reuse-aware shared plans: shared scans, SRHJ and SRHA with
 //!   query-id tagging and re-tagging (paper §4).
 
@@ -50,4 +50,4 @@ pub use plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 pub use pool::WorkerPool;
 pub use shared::{SharedPlanSpec, SharedReuse};
 pub use temp::{TempTableCache, TempTableStats};
-pub use vector::{default_vectorize, ColumnarBatch, KeyKernel};
+pub use vector::{ColumnarBatch, KeyKernel};

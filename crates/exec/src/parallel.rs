@@ -31,19 +31,9 @@
 //! fan-out width is clamped to the machine's core count
 //! ([`effective_parallelism`], floor two): CPU-bound morsels gain nothing
 //! from oversubscription, and every output is participant-count-invariant
-//! so the clamp is invisible to results.
-//!
-//! # Locality
-//!
-//! The claim space is split into one contiguous index segment per
-//! participant. Each participant starts claiming from its *preferred*
-//! segment — the segment that thread last touched if it has one, else a
-//! stable function of its worker id — and only probes neighbouring
-//! segments once its own drains. On today's 1-core container this is pure
-//! scaffolding; on real hardware it keeps a worker walking the column
-//! ranges it last pulled into cache, and gives a NUMA-aware scheduler the
-//! hook it needs (segment → socket). Because the output is reassembled in
-//! index order, preference is invisible to results.
+//! so the clamp is invisible to results. A [`Scheduler`] without a pool has
+//! no workers to borrow: its phases keep their partitioned shape but every
+//! index runs inline on the caller, with the same output.
 //!
 //! # Builds
 //!
@@ -57,7 +47,6 @@
 //! bit-identical to the serial build at any worker count (pinned by
 //! `tests/build_equivalence.rs` and `tests/parallel_determinism.rs`).
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,7 +54,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 use hashstash_hashtable::{bucket_ranges, partition_chains, ExtendibleHashTable};
 
-use crate::pool::{WorkerPool, CALLER_SLOT};
+use crate::pool::WorkerPool;
 
 /// Rows per morsel. Large enough that per-morsel dispatch (one atomic
 /// fetch-add plus a buffer push) is noise; small enough that a handful of
@@ -94,6 +83,14 @@ pub fn min_parallel_morsels() -> usize {
     rows.div_ceil(MORSEL_ROWS).max(2)
 }
 
+/// The `PARALLELISM` environment variable, if it holds a worker count.
+fn parallelism_from_env() -> Option<usize> {
+    std::env::var("PARALLELISM")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+}
+
 /// Worker count taken from the `PARALLELISM` environment variable, falling
 /// back to `1` (the serial interpreter). [`ExecContext::new`] uses this so
 /// a whole test suite can be re-run under N-way execution by exporting
@@ -104,27 +101,17 @@ pub fn default_parallelism() -> usize {
     // Cached: this runs once per ExecContext, i.e. on the per-query hot
     // path, and the variable cannot meaningfully change mid-process.
     static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PARALLELISM")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+    *CACHED.get_or_init(|| parallelism_from_env().unwrap_or(1))
 }
 
 /// Worker count for an engine: the `PARALLELISM` environment variable if
 /// set, otherwise every core the OS reports.
 pub fn engine_default_parallelism() -> usize {
-    std::env::var("PARALLELISM")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    parallelism_from_env().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Most participants a phase can productively use on this machine: every
@@ -147,139 +134,48 @@ pub fn effective_parallelism(requested: usize) -> usize {
     requested.min(limit)
 }
 
-/// Where a phase runs: how many participants, and on which pool.
-///
-/// `From<usize>` keeps the historical call shape working — a bare worker
-/// count schedules onto the process-wide [`WorkerPool::ambient`] pool —
-/// while engine execution passes `ExecContext::sched()`, which carries the
+/// Where a phase runs: how many participants, and on which pool. Engine
+/// execution passes `ExecContext::sched()`, which carries the
 /// `Database`-owned pool so concurrent sessions share workers.
 #[derive(Clone, Copy)]
 pub struct Scheduler<'p> {
     /// Total participants per phase: the submitting thread plus up to
-    /// `parallelism - 1` pool workers. `<= 1` is the serial interpreter.
+    /// `parallelism - 1` pool workers. `<= 1` is the serial interpreter,
+    /// byte for byte; the fan-out *width* is this clamped by
+    /// [`effective_parallelism`].
     pub parallelism: usize,
-    /// Pool to borrow workers from; `None` resolves to the ambient pool.
+    /// Pool to borrow workers from; `None` runs every phase inline on the
+    /// submitting thread.
     pub pool: Option<&'p WorkerPool>,
-}
-
-impl From<usize> for Scheduler<'static> {
-    fn from(parallelism: usize) -> Scheduler<'static> {
-        Scheduler {
-            parallelism,
-            pool: None,
-        }
-    }
-}
-
-impl<'p> Scheduler<'p> {
-    /// Participants a phase actually fans out to: the requested
-    /// parallelism clamped by [`effective_parallelism`]. The *serial or
-    /// not* decision keys off the raw `parallelism` (so a `parallelism =
-    /// 1` scheduler is byte-identically the serial interpreter); the
-    /// fan-out width keys off this.
-    fn effective(&self) -> usize {
-        effective_parallelism(self.parallelism)
-    }
-
-    fn pool(&self) -> &'p WorkerPool {
-        match self.pool {
-            Some(pool) => pool,
-            None => WorkerPool::ambient(),
-        }
-    }
-}
-
-thread_local! {
-    /// Index segment this thread last claimed from, for locality-preferring
-    /// claims across phases (`usize::MAX` = none yet). Thread-local rather
-    /// than pool state so the submitting session thread participates too.
-    static LAST_SEGMENT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// The claim space of one phase: indices `0..count` split into one
-/// contiguous segment per expected participant. Participants drain their
-/// preferred segment first, then steal from neighbours round-robin — every
-/// index is claimed exactly once regardless of who shows up.
-struct ClaimSpace {
-    /// Next unclaimed index per segment (monotonic; may overshoot its end).
-    cursors: Vec<AtomicUsize>,
-    /// Exclusive end of each segment.
-    ends: Vec<usize>,
-}
-
-impl ClaimSpace {
-    fn new(count: usize, segments: usize) -> ClaimSpace {
-        let segments = segments.max(1).min(count.max(1));
-        let base = count / segments;
-        let extra = count % segments;
-        let mut cursors = Vec::with_capacity(segments);
-        let mut ends = Vec::with_capacity(segments);
-        let mut start = 0;
-        for s in 0..segments {
-            let len = base + usize::from(s < extra);
-            cursors.push(AtomicUsize::new(start));
-            start += len;
-            ends.push(start);
-        }
-        ClaimSpace { cursors, ends }
-    }
-
-    fn segments(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Claim the next index, preferring segment `preferred`; returns the
-    /// index and the segment it came from.
-    fn claim(&self, preferred: usize) -> Option<(usize, usize)> {
-        let k = self.segments();
-        for probe in 0..k {
-            let s = (preferred + probe) % k;
-            let i = self.cursors[s].fetch_add(1, Ordering::Relaxed);
-            if i < self.ends[s] {
-                return Some((i, s));
-            }
-        }
-        None
-    }
-}
-
-/// Segment a participant starts claiming from: the segment its thread last
-/// touched if still valid, else a stable spread by worker id (the caller
-/// takes segment 0 — it starts first, so it gets the front of the input).
-fn preferred_segment(slot: usize, segments: usize) -> usize {
-    let last = LAST_SEGMENT.with(Cell::get);
-    if last < segments {
-        last
-    } else if slot == CALLER_SLOT {
-        0
-    } else {
-        slot % segments
-    }
 }
 
 /// Run `f(i)` for every `i in 0..count` as one pool phase and return the
 /// outputs **in index order** — the shared primitive under [`run_morsels`]
-/// and the partitioned builds. Serial (`parallelism <= 1` or a single
-/// index) runs inline with zero scheduling machinery.
+/// and the partitioned builds. Participants claim indices off one atomic
+/// cursor, so every index runs exactly once regardless of who shows up.
+/// Serial (`parallelism <= 1`, a single index, or no pool) runs inline
+/// with zero scheduling machinery.
 fn run_indexed<T, F>(sched: Scheduler<'_>, count: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if sched.parallelism <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let participants = sched.effective().min(count);
-    let claims = ClaimSpace::new(count, participants);
+    let pool = match sched.pool {
+        Some(pool) if sched.parallelism > 1 && count > 1 => pool,
+        _ => return (0..count).map(f).collect(),
+    };
+    let participants = effective_parallelism(sched.parallelism).min(count);
+    let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
-    sched.pool().run_phase(participants - 1, &|slot| {
-        let mut seg = preferred_segment(slot, claims.segments());
+    pool.run_phase(participants - 1, &|| {
         let mut local = Vec::new();
-        while let Some((i, s)) = claims.claim(seg) {
-            seg = s;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
             local.push((i, f(i)));
         }
-        LAST_SEGMENT.with(|c| c.set(seg));
         if !local.is_empty() {
             results
                 .lock()
@@ -317,13 +213,11 @@ fn morsel_range(index: usize, total: usize) -> Range<usize> {
 /// A panic inside any participant is propagated to the caller with its
 /// original payload after the phase quiesces (no detached threads, no
 /// poisoned pool — see `crate::pool`).
-pub fn run_morsels<'p, S, T, F>(sched: S, total: usize, f: F) -> Vec<T>
+pub fn run_morsels<T, F>(sched: Scheduler<'_>, total: usize, f: F) -> Vec<T>
 where
-    S: Into<Scheduler<'p>>,
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let sched = sched.into();
     let morsels = morsel_count(total);
     if morsels == 0 {
         return Vec::new();
@@ -367,16 +261,12 @@ pub const MIN_PARALLEL_BUILD_ROWS: usize = MORSEL_ROWS * 4;
 /// the plain serial loop: they extend a table with existing history.
 ///
 /// [`insert`]: ExtendibleHashTable::insert
-pub fn build_multimap_partitioned<'p, S, V>(
-    sched: S,
+pub fn build_multimap_partitioned<V: Send>(
+    sched: Scheduler<'_>,
     table: &mut ExtendibleHashTable<V>,
     keys: Vec<u64>,
     values: Vec<V>,
-) where
-    S: Into<Scheduler<'p>>,
-    V: Send,
-{
-    let sched = sched.into();
+) {
     assert_eq!(keys.len(), values.len(), "one key per value");
     table.reserve(keys.len());
     if sched.parallelism <= 1 || keys.len() < 2 {
@@ -388,7 +278,7 @@ pub fn build_multimap_partitioned<'p, S, V>(
     let dir_len = table.bucket_count();
     // Every partition scans the full key column, so the partition count is
     // clamped to the machine — the chains are partition-count-invariant.
-    let ranges = bucket_ranges(dir_len, sched.effective());
+    let ranges = bucket_ranges(dir_len, effective_parallelism(sched.parallelism));
     let keys_ref = &keys;
     let ranges_ref = &ranges;
     let parts = run_indexed(sched, ranges.len(), |i| {
@@ -478,25 +368,23 @@ type PreHashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PreHashed>>
 ///
 /// [`touch`]: ExtendibleHashTable::touch
 /// [`insert`]: ExtendibleHashTable::insert
-pub fn build_grouped_partitioned<'p, S, P, M, I, U>(
-    sched: S,
+pub fn build_grouped_partitioned<P, M, I, U>(
+    sched: Scheduler<'_>,
     keys: &[u64],
     matches: M,
     init: I,
     update: U,
 ) -> GroupedBuild<P>
 where
-    S: Into<Scheduler<'p>>,
     P: Send,
     M: Fn(usize, &P) -> bool + Sync,
     I: Fn(usize) -> P + Sync,
     U: Fn(usize, &mut P) + Sync,
 {
-    let sched = sched.into();
     // Clamped like the multimap build: every partition scans (and
     // owner-filters) the full key column, and the merged result is
     // partition-count-invariant.
-    let workers = sched.effective().max(1);
+    let workers = effective_parallelism(sched.parallelism).max(1);
     let fold_partition = |w: usize| {
         let mut groups: Vec<MergedGroup<P>> = Vec::new();
         // key → most recent group with that key; earlier same-key groups
@@ -584,9 +472,8 @@ where
 
 /// [`run_morsels`] for the common case of producing rows: flattens the
 /// per-morsel buffers (still in morsel order) into one output vector.
-pub fn collect_morsels<'p, S, T, F>(sched: S, total: usize, f: F) -> Vec<T>
+pub fn collect_morsels<T, F>(sched: Scheduler<'_>, total: usize, f: F) -> Vec<T>
 where
-    S: Into<Scheduler<'p>>,
     T: Send,
     F: Fn(Range<usize>) -> Vec<T> + Sync,
 {
@@ -606,6 +493,22 @@ where
 mod tests {
     use super::*;
 
+    /// `parallelism` participants with no pool: partitioned, but inline.
+    fn inline(parallelism: usize) -> Scheduler<'static> {
+        Scheduler {
+            parallelism,
+            pool: None,
+        }
+    }
+
+    /// `parallelism` participants on `pool`.
+    fn on(pool: &WorkerPool, parallelism: usize) -> Scheduler<'_> {
+        Scheduler {
+            parallelism,
+            pool: Some(pool),
+        }
+    }
+
     /// Smallest row count that engages the pool (at least
     /// `min_parallel_morsels()` morsels), plus a ragged tail.
     fn engaged_total(tail: usize) -> usize {
@@ -622,7 +525,7 @@ mod tests {
     #[test]
     fn empty_input_runs_nothing() {
         let calls = AtomicUsize::new(0);
-        let out: Vec<Vec<u32>> = run_morsels(4, 0, |_| {
+        let out: Vec<Vec<u32>> = run_morsels(inline(4), 0, |_| {
             calls.fetch_add(1, Ordering::Relaxed);
             Vec::new()
         });
@@ -632,8 +535,9 @@ mod tests {
 
     #[test]
     fn small_input_stays_on_caller_thread() {
+        let pool = WorkerPool::new(7);
         let caller = std::thread::current().id();
-        let out = run_morsels(8, MORSEL_ROWS, |r| {
+        let out = run_morsels(on(&pool, 8), MORSEL_ROWS, |r| {
             assert_eq!(std::thread::current().id(), caller);
             r.len()
         });
@@ -642,34 +546,41 @@ mod tests {
 
     #[test]
     fn morsel_order_is_deterministic_for_any_worker_count() {
+        let pool = WorkerPool::new(7);
         let total = engaged_total(123);
-        let serial: Vec<usize> = collect_morsels(1, total, |r| r.collect());
+        let serial: Vec<usize> = collect_morsels(inline(1), total, |r| r.collect());
         assert_eq!(serial, (0..total).collect::<Vec<_>>());
         for workers in [2, 3, 4, 8, 64] {
-            let parallel: Vec<usize> = collect_morsels(workers, total, |r| r.collect());
+            let parallel: Vec<usize> = collect_morsels(on(&pool, workers), total, |r| r.collect());
             assert_eq!(parallel, serial, "{workers} workers");
         }
     }
 
     #[test]
-    fn explicit_pool_matches_ambient_pool_output() {
-        let pool = WorkerPool::new(3, false);
+    fn pool_less_scheduler_runs_inline_with_pooled_output() {
+        let pool = WorkerPool::new(3);
         let total = engaged_total(7);
-        let sched = Scheduler {
-            parallelism: 4,
-            pool: Some(&pool),
-        };
-        let on_private: Vec<usize> = collect_morsels(sched, total, |r| r.collect());
-        let on_ambient: Vec<usize> = collect_morsels(4, total, |r| r.collect());
-        assert_eq!(on_private, on_ambient);
-        assert!(pool.jobs_dispatched() >= 1, "the private pool was used");
+        let pooled: Vec<usize> = collect_morsels(on(&pool, 4), total, |r| r.collect());
+        let caller = std::thread::current().id();
+        let chunks = run_morsels(inline(4), total, |r| {
+            assert_eq!(std::thread::current().id(), caller);
+            r.collect::<Vec<usize>>()
+        });
+        assert_eq!(
+            chunks.len(),
+            morsel_count(total),
+            "still one chunk per morsel"
+        );
+        assert_eq!(chunks.concat(), pooled);
+        assert!(pool.jobs_dispatched() >= 1, "the pool was used");
         pool.assert_quiesced();
     }
 
     #[test]
     fn ranges_tile_the_input_exactly() {
+        let pool = WorkerPool::new(3);
         let total = engaged_total(1);
-        let ranges = run_morsels(4, total, |r| r);
+        let ranges = run_morsels(on(&pool, 4), total, |r| r);
         assert_eq!(ranges.len(), morsel_count(total));
         let mut expect_start = 0;
         for r in &ranges {
@@ -684,11 +595,12 @@ mod tests {
         let n = MORSEL_ROWS * 5 + 77;
         let keys: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(31) % 997).collect();
         let values = || (0..n as u64).collect::<Vec<_>>();
+        let pool = WorkerPool::new(7);
         let mut serial = ExtendibleHashTable::new(16);
-        build_multimap_partitioned(1, &mut serial, keys.clone(), values());
+        build_multimap_partitioned(inline(1), &mut serial, keys.clone(), values());
         for workers in [2, 3, 4, 8] {
             let mut par = ExtendibleHashTable::new(16);
-            build_multimap_partitioned(workers, &mut par, keys.clone(), values());
+            build_multimap_partitioned(on(&pool, workers), &mut par, keys.clone(), values());
             assert!(par.layout_eq(&serial), "{workers} workers");
         }
     }
@@ -698,9 +610,10 @@ mod tests {
         // The payload is a running f64 sum: any change in per-group fold
         // order shows up as a bit difference.
         let keys: Vec<u64> = (0..5000u64).map(|i| (i * i) % 13).collect();
+        let pool = WorkerPool::new(7);
         let run = |workers: usize| {
             build_grouped_partitioned(
-                workers,
+                on(&pool, workers),
                 &keys,
                 |_i, _p: &f64| true,
                 |i| (i as f64) * 0.1,
@@ -735,7 +648,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates_with_original_payload() {
-        run_morsels(2, engaged_total(0), |r| {
+        let pool = WorkerPool::new(1);
+        run_morsels(on(&pool, 2), engaged_total(0), |r| {
             if r.start >= MORSEL_ROWS {
                 panic!("boom");
             }
@@ -745,9 +659,10 @@ mod tests {
 
     #[test]
     fn sub_threshold_inputs_run_inline_as_one_chunk() {
+        let pool = WorkerPool::new(7);
         let caller = std::thread::current().id();
         let total = MORSEL_ROWS * (min_parallel_morsels() - 1);
-        let out = run_morsels(8, total, |r| {
+        let out = run_morsels(on(&pool, 8), total, |r| {
             assert_eq!(std::thread::current().id(), caller);
             r
         });

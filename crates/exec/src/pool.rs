@@ -11,11 +11,11 @@
 //!
 //! # Submission protocol
 //!
-//! A phase calls [`WorkerPool::run_phase`] with a *participant closure*
-//! `task: Fn(slot)`. The closure wraps a claim loop over shared atomic
-//! cursors (see `parallel::ClaimSpace`): every participant — pool workers
-//! *and the submitting caller* — claims morsel indices until none remain,
-//! then returns. `run_phase`:
+//! A phase calls [`WorkerPool::run_phase`] with a *participant closure*.
+//! The closure wraps a claim loop over one shared atomic cursor (see
+//! `parallel::run_indexed`): every participant — pool workers *and the
+//! submitting caller* — claims morsel indices until none remain, then
+//! returns. `run_phase`:
 //!
 //! 1. enqueues the job and wakes up to `cap` parked workers,
 //! 2. runs `task` on the calling thread (the caller is always the first
@@ -52,35 +52,16 @@
 //! job, the surviving participants drain the remaining morsels, and the
 //! caller re-raises the payload after the job quiesces — the queue, the
 //! workers, and other sessions' jobs are untouched.
-//!
-//! # Placement scaffolding
-//!
-//! Worker ids are stable for the pool's lifetime (assigned at spawn, never
-//! reused), each participant's claim loop prefers the index segment that
-//! thread last touched (locality hint now, NUMA-ready later), and
-//! [`WorkerPool::new`] takes a core-pinning knob that best-effort pins
-//! worker `i` to core `i % cores` via a raw `sched_setaffinity` syscall
-//! (the offline container bans new dependencies, so no `libc`).
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-
-/// The slot id [`WorkerPool::run_phase`] passes to the submitting caller's
-/// own participation (pool workers get their stable worker id instead).
-pub const CALLER_SLOT: usize = usize::MAX;
-
-/// Most workers the shared fallback pool ([`WorkerPool::ambient`]) will
-/// grow to. Contexts without an engine-owned pool (unit tests, benches,
-/// direct `ExecContext` users) share it; capping keeps a stray
-/// `parallelism=64` test from pinning 63 threads for the process lifetime.
-const AMBIENT_MAX_WORKERS: usize = 16;
 
 /// A phase's participant closure, lifetime-erased. See the module docs for
 /// the protocol that keeps the pointer valid while workers hold it.
-struct RawTask(*const (dyn Fn(usize) + Sync + 'static));
+struct RawTask(*const (dyn Fn() + Sync + 'static));
 
 // SAFETY: the pointee is `Sync` (so `&`-calls from several threads are
 // fine) and the submission protocol guarantees it outlives every
@@ -99,9 +80,6 @@ struct JobCore {
     /// Pool workers currently inside `task`. Incremented/decremented under
     /// the queue lock — the caller's quiesce wait reads it there.
     active: AtomicUsize,
-    /// A participant returned normally, i.e. found the claim space empty;
-    /// the job no longer attracts workers.
-    exhausted: AtomicBool,
     /// First panic payload raised by a pool worker's participation.
     // lock-order: 13 (pool job panic payload; leaf)
     panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -124,11 +102,6 @@ struct PoolShared {
     work_cv: Condvar,
     /// Callers waiting for their job to quiesce park here.
     done_cv: Condvar,
-    /// Workers spawned so far (mirrors `handles.len()`; lock-free read on
-    /// the submit path).
-    spawned: AtomicUsize,
-    /// Workers that successfully pinned themselves to a core.
-    pinned: AtomicUsize,
     /// Phases ever submitted (includes inline `cap == 0` runs).
     dispatched: AtomicU64,
 }
@@ -141,84 +114,49 @@ impl PoolShared {
 
 /// A long-lived pool of morsel workers. `Database` owns one sized
 /// `parallelism - 1` (the submitting session thread is the remaining
-/// participant); contexts without an engine share [`WorkerPool::ambient`].
-/// Dropping the pool shuts the workers down and **joins** them — no
-/// detached threads outlive the owner.
+/// participant). Dropping the pool shuts the workers down and **joins**
+/// them — no thread outlives its owner.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    // lock-order: 14 (pool worker join handles; leaf)
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Upper bound on workers (`new` spawns them eagerly; `ambient` grows
-    /// on demand up to this).
-    max_workers: usize,
-    /// Builder knob: pin worker `i` to core `i % cores` at spawn.
-    pin_workers: bool,
+    /// Spawned once in [`WorkerPool::new`], drained by `Drop`.
+    handles: Vec<JoinHandle<()>>,
 }
 
+// A panicking phase leaves the pool fully usable (module docs, "Panic
+// containment"), and the join handles are touched only by `Drop`, so a
+// `&WorkerPool` may cross a `catch_unwind` boundary.
+impl std::panic::RefUnwindSafe for WorkerPool {}
+
 impl WorkerPool {
-    /// A pool with exactly `workers` eagerly spawned workers (ids
-    /// `0..workers`, stable for the pool's lifetime). With
-    /// `pin_workers`, each worker best-effort pins itself to core
-    /// `id % cores` at spawn — placement scaffolding for NUMA-aware
-    /// scheduling; see [`WorkerPool::pinned_workers`] for how many pins
-    /// actually took.
-    pub fn new(workers: usize, pin_workers: bool) -> WorkerPool {
+    /// A pool with exactly `workers` eagerly spawned workers. A failed OS
+    /// spawn degrades to a smaller pool instead of failing construction.
+    pub fn new(workers: usize) -> WorkerPool {
         clamp_malloc_arenas_for_single_core();
-        let pool = WorkerPool::with_limit(workers, pin_workers);
-        pool.ensure_workers(workers);
-        pool
-    }
-
-    fn with_limit(max_workers: usize, pin_workers: bool) -> WorkerPool {
-        WorkerPool {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(QueueState {
-                    jobs: Vec::new(),
-                    idle: 0,
-                    shutdown: false,
-                }),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-                spawned: AtomicUsize::new(0),
-                pinned: AtomicUsize::new(0),
-                dispatched: AtomicU64::new(0),
+        let shared = Arc::new(PoolShared {
+            queue: Mutex::new(QueueState {
+                jobs: Vec::new(),
+                idle: 0,
+                shutdown: false,
             }),
-            handles: Mutex::new(Vec::new()),
-            max_workers,
-            pin_workers,
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            dispatched: AtomicU64::new(0),
+        });
+        let mut handles = Vec::with_capacity(workers);
+        for id in 0..workers {
+            let shared = Arc::clone(&shared);
+            let builder = std::thread::Builder::new().name(format!("hs-worker-{id}"));
+            match builder.spawn(move || worker_main(shared)) {
+                Ok(h) => handles.push(h),
+                Err(_) => break, // thread exhaustion: run with fewer workers
+            }
         }
+        WorkerPool { shared, handles }
     }
 
-    /// The process-wide fallback pool for schedulers that were not handed
-    /// an engine-owned pool (unit tests, benches, direct `ExecContext`
-    /// construction). Grows on demand up to [`AMBIENT_MAX_WORKERS`] and
-    /// lives for the process — it is never dropped, so its workers are the
-    /// one intentional exception to the joined-on-drop rule.
-    pub fn ambient() -> &'static WorkerPool {
-        static AMBIENT: OnceLock<WorkerPool> = OnceLock::new();
-        AMBIENT.get_or_init(|| WorkerPool::with_limit(AMBIENT_MAX_WORKERS, false))
-    }
-
-    /// Workers spawned so far (equals the constructor count for
-    /// [`WorkerPool::new`] pools; grows on demand for the ambient pool).
+    /// Workers this pool owns.
     pub fn worker_count(&self) -> usize {
-        self.shared.spawned.load(Ordering::Acquire)
-    }
-
-    /// Upper bound on workers this pool will ever spawn.
-    pub fn max_workers(&self) -> usize {
-        self.max_workers
-    }
-
-    /// Whether the core-pinning knob is on.
-    pub fn pins_workers(&self) -> bool {
-        self.pin_workers
-    }
-
-    /// Workers whose `sched_setaffinity` pin succeeded (0 unless the
-    /// pinning knob is on; best-effort — a sandbox may reject the syscall).
-    pub fn pinned_workers(&self) -> usize {
-        self.shared.pinned.load(Ordering::Relaxed)
+        self.handles.len()
     }
 
     /// Phases ever submitted to this pool (inline `parallelism <= 1` runs
@@ -241,66 +179,33 @@ impl WorkerPool {
         );
     }
 
-    /// Spawn workers up to `min(wanted, max_workers)`. Worker ids are
-    /// assigned monotonically and never reused. A failed OS spawn degrades
-    /// to a smaller pool instead of failing the phase.
-    fn ensure_workers(&self, wanted: usize) {
-        let wanted = wanted.min(self.max_workers);
-        if self.shared.spawned.load(Ordering::Acquire) >= wanted {
-            return;
-        }
-        // Also covers the ambient pool, which grows here on demand
-        // without passing through `WorkerPool::new`.
-        clamp_malloc_arenas_for_single_core();
-        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-        while handles.len() < wanted {
-            let id = handles.len();
-            let shared = Arc::clone(&self.shared);
-            let pin_to = self.pin_workers.then(|| {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                id % cores
-            });
-            let builder = std::thread::Builder::new().name(format!("hs-worker-{id}"));
-            match builder.spawn(move || worker_main(shared, id, pin_to)) {
-                Ok(h) => handles.push(h),
-                Err(_) => break, // thread exhaustion: run with fewer workers
-            }
-        }
-        self.shared.spawned.store(handles.len(), Ordering::Release);
-    }
-
     /// Run one phase: enqueue `task` for up to `pool_workers_wanted` pool
     /// workers, participate on the calling thread, and return once every
     /// participant has left the closure. Panics from any participant are
     /// re-raised here with their original payload (caller's own first)
     /// after the job quiesces.
-    pub(crate) fn run_phase(&self, pool_workers_wanted: usize, task: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run_phase(&self, pool_workers_wanted: usize, task: &(dyn Fn() + Sync)) {
         self.shared.dispatched.fetch_add(1, Ordering::Relaxed);
-        let cap = pool_workers_wanted.min(self.max_workers);
+        let cap = pool_workers_wanted.min(self.handles.len());
         if cap == 0 {
             // No pool workers configured (serial engine): the phase is the
             // caller's claim loop alone.
-            task(CALLER_SLOT);
+            task();
             return;
         }
-        self.ensure_workers(cap);
-        let raw: *const (dyn Fn(usize) + Sync) = task;
+        let raw: *const (dyn Fn() + Sync) = task;
         // SAFETY: lifetime erasure only — the vtable and data pointer are
         // unchanged. The submission protocol (module docs) guarantees the
         // closure outlives every dereference: the drop guard below removes
         // the job and waits for `active == 0` before this frame can die.
         let raw = unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(raw)
+            std::mem::transmute::<*const (dyn Fn() + Sync), *const (dyn Fn() + Sync + 'static)>(raw)
         };
         let job = Arc::new(JobCore {
             task: RawTask(raw),
             cap,
             joined: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
-            exhausted: AtomicBool::new(false),
             panic: Mutex::new(None),
         });
         {
@@ -318,7 +223,7 @@ impl WorkerPool {
         };
         // The caller is a participant too — the phase makes progress even
         // if every worker is busy with other sessions' jobs.
-        let caller_outcome = catch_unwind(AssertUnwindSafe(|| task(CALLER_SLOT)));
+        let caller_outcome = catch_unwind(AssertUnwindSafe(task));
         // Retire the job and wait out straggler workers (also runs on the
         // unwind path if the catch above ever stops covering it).
         drop(guard);
@@ -360,20 +265,13 @@ impl Drop for PhaseGuard<'_> {
     }
 }
 
-fn worker_main(shared: Arc<PoolShared>, id: usize, pin_to: Option<usize>) {
-    if let Some(cpu) = pin_to {
-        if pin_current_thread(cpu) {
-            shared.pinned.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+fn worker_main(shared: Arc<PoolShared>) {
     let mut q = shared.lock_queue();
     loop {
         let job = q
             .jobs
             .iter()
-            .find(|j| {
-                !j.exhausted.load(Ordering::Relaxed) && j.joined.load(Ordering::Relaxed) < j.cap
-            })
+            .find(|j| j.joined.load(Ordering::Relaxed) < j.cap)
             .cloned();
         match job {
             Some(job) => {
@@ -386,15 +284,14 @@ fn worker_main(shared: Arc<PoolShared>, id: usize, pin_to: Option<usize>) {
                 // SAFETY: `active > 0` pins the closure (module docs) —
                 // the submitting frame cannot return until we decrement.
                 let task = unsafe { &*job.task.0 };
-                let outcome = catch_unwind(AssertUnwindSafe(|| task(id)));
+                let outcome = catch_unwind(AssertUnwindSafe(task));
                 q = shared.lock_queue();
                 match outcome {
                     Ok(()) => {
-                        // A normal return means the claim space is drained;
-                        // stop attracting workers and retire the entry (the
-                        // submitter's guard also removes it — whichever
-                        // runs first wins).
-                        job.exhausted.store(true, Ordering::Relaxed);
+                        // A normal return means the claim space is drained:
+                        // retire the entry so it stops attracting workers
+                        // (the submitter's guard also removes it —
+                        // whichever runs first wins).
                         q.jobs.retain(|j| !Arc::ptr_eq(j, &job));
                     }
                     Err(payload) => {
@@ -435,65 +332,10 @@ impl Drop for WorkerPool {
             q.shutdown = true;
         }
         self.shared.work_cv.notify_all();
-        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-        for h in handles.drain(..) {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
-}
-
-/// Best-effort: pin the calling thread to `cpu`. Raw `sched_setaffinity`
-/// syscall — the offline container has no `libc` crate, and the pinning
-/// knob must not grow a dependency. Returns whether the kernel accepted
-/// the mask (a seccomp sandbox may reject it; callers treat `false` as
-/// "run unpinned").
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn pin_current_thread(cpu: usize) -> bool {
-    // A fixed 1024-bit mask, matching glibc's default cpu_set_t width.
-    let mut mask = [0u64; 16];
-    mask[(cpu / 64) % mask.len()] |= 1u64 << (cpu % 64);
-    #[cfg(target_arch = "x86_64")]
-    const SYS_SCHED_SETAFFINITY: usize = 203;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_SCHED_SETAFFINITY: usize = 122;
-    let ret: isize;
-    // SAFETY: sched_setaffinity(0, len, mask) reads `len` bytes from
-    // `mask` and affects only the calling thread's scheduling; no memory
-    // is written and no Rust invariant is involved.
-    unsafe {
-        #[cfg(target_arch = "x86_64")]
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_SCHED_SETAFFINITY => ret,
-            in("rdi") 0usize,
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack, readonly),
-        );
-        #[cfg(target_arch = "aarch64")]
-        std::arch::asm!(
-            "svc 0",
-            in("x8") SYS_SCHED_SETAFFINITY,
-            inlateout("x0") 0usize => ret,
-            in("x1") std::mem::size_of_val(&mask),
-            in("x2") mask.as_ptr(),
-            options(nostack, readonly),
-        );
-    }
-    ret == 0
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-fn pin_current_thread(_cpu: usize) -> bool {
-    false
 }
 
 /// On a **single-core** host, clamp glibc to one malloc arena
@@ -515,6 +357,7 @@ fn pin_current_thread(_cpu: usize) -> bool {
 /// threads never trigger creation of an arena past the clamp.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 fn clamp_malloc_arenas_for_single_core() {
+    use std::sync::OnceLock;
     static ONCE: OnceLock<()> = OnceLock::new();
     ONCE.get_or_init(|| {
         let single_core = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
@@ -544,8 +387,8 @@ mod tests {
         next: &'a AtomicUsize,
         count: usize,
         hits: &'a AtomicU32,
-    ) -> impl Fn(usize) + Sync + 'a {
-        move |_slot| loop {
+    ) -> impl Fn() + Sync + 'a {
+        move || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= count {
                 return;
@@ -556,7 +399,7 @@ mod tests {
 
     #[test]
     fn phase_runs_every_index_exactly_once() {
-        let pool = WorkerPool::new(3, false);
+        let pool = WorkerPool::new(3);
         for _ in 0..50 {
             let next = AtomicUsize::new(0);
             let hits = AtomicU32::new(0);
@@ -569,7 +412,7 @@ mod tests {
 
     #[test]
     fn zero_worker_pool_runs_inline() {
-        let pool = WorkerPool::new(0, false);
+        let pool = WorkerPool::new(0);
         let next = AtomicUsize::new(0);
         let hits = AtomicU32::new(0);
         pool.run_phase(4, &counting_task(&next, 10, &hits));
@@ -579,10 +422,10 @@ mod tests {
 
     #[test]
     fn panicking_phase_poisons_only_itself() {
-        let pool = WorkerPool::new(2, false);
+        let pool = WorkerPool::new(2);
         let boom = catch_unwind(AssertUnwindSafe(|| {
             let next = AtomicUsize::new(0);
-            pool.run_phase(2, &|_slot| loop {
+            pool.run_phase(2, &|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= 8 {
                     return;
@@ -607,7 +450,7 @@ mod tests {
     fn drop_joins_all_workers() {
         // Deterministic from the pool's side: Drop joins the handles, so
         // returning at all proves no worker outlives the pool.
-        let pool = WorkerPool::new(4, false);
+        let pool = WorkerPool::new(4);
         let next = AtomicUsize::new(0);
         let hits = AtomicU32::new(0);
         pool.run_phase(4, &counting_task(&next, 32, &hits));
@@ -615,22 +458,8 @@ mod tests {
     }
 
     #[test]
-    fn pinning_knob_records_intent_and_still_computes() {
-        let pool = WorkerPool::new(2, true);
-        assert!(pool.pins_workers());
-        // Best-effort: the sandbox may refuse the syscall, but pinned
-        // workers can never exceed spawned workers…
-        assert!(pool.pinned_workers() <= pool.worker_count());
-        // …and pinned or not, phases still drain.
-        let next = AtomicUsize::new(0);
-        let hits = AtomicU32::new(0);
-        pool.run_phase(2, &counting_task(&next, 100, &hits));
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
     fn concurrent_submitters_share_one_pool() {
-        let pool = WorkerPool::new(3, false);
+        let pool = WorkerPool::new(3);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

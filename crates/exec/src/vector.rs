@@ -17,25 +17,17 @@
 //! Determinism: selection vectors are built with [`collect_morsels`], so
 //! row-id order (and therefore every downstream row order, accumulator fold
 //! order, and published hash-table layout) is identical to the serial
-//! row-at-a-time interpreter at any worker count. `HS_VECTORIZE=0` disables
-//! the columnar paths entirely, keeping the row interpreter available as a
-//! differential oracle.
+//! row-at-a-time fallback (index access path, cross-type bounds, operator
+//! outputs) at any worker count — which is what lets the tests force that
+//! fallback everywhere and use it as the differential oracle.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use hashstash_storage::{Column, RangeKernel, Table};
 use hashstash_types::{key64_combine, key64_date, key64_float, key64_int, key64_str, KEY64_SEED};
 
 use crate::parallel::{collect_morsels, Scheduler};
-
-/// Whether columnar execution is enabled by default: the `HS_VECTORIZE`
-/// environment variable, with `0` selecting the row-at-a-time oracle and
-/// anything else (including unset) selecting the vectorized paths.
-pub fn default_vectorize() -> bool {
-    static VECTORIZE: OnceLock<bool> = OnceLock::new();
-    *VECTORIZE.get_or_init(|| std::env::var("HS_VECTORIZE").map_or(true, |v| v != "0"))
-}
 
 /// A batch flowing between columnar operators: a base table plus the
 /// projection the consumer sees and the row ids that survived filtering so
@@ -177,6 +169,11 @@ mod tests {
     use hashstash_storage::{ColumnBuilder, TableBuilder};
     use hashstash_types::{DataType, Row};
 
+    const SERIAL: Scheduler<'static> = Scheduler {
+        parallelism: 1,
+        pool: None,
+    };
+
     fn sample_table() -> Table {
         let mut b = TableBuilder::new(
             "t",
@@ -238,10 +235,10 @@ mod tests {
                 },
             ),
         ];
-        let sel = select_rows(Scheduler::from(1usize), &t, &checks, t.row_count());
+        let sel = select_rows(SERIAL, &t, &checks, t.row_count());
         assert_eq!(sel, vec![2, 4, 6, 8]);
         // No checks: everything survives in order.
-        let all = select_rows(Scheduler::from(1usize), &t, &[], t.row_count());
+        let all = select_rows(SERIAL, &t, &[], t.row_count());
         assert_eq!(all, (0..10).collect::<Vec<u32>>());
     }
 
@@ -249,13 +246,7 @@ mod tests {
     fn refine_selection_counts_filtered_rows() {
         let t = sample_table();
         let mut sel: Vec<u32> = (0..10).collect();
-        let dropped = refine_selection(
-            Scheduler::from(1usize),
-            &t,
-            0,
-            &RangeKernel::Int { lo: 5, hi: 7 },
-            &mut sel,
-        );
+        let dropped = refine_selection(SERIAL, &t, 0, &RangeKernel::Int { lo: 5, hi: 7 }, &mut sel);
         assert_eq!(sel, vec![5, 6, 7]);
         assert_eq!(dropped, 7);
     }

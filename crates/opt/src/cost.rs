@@ -26,8 +26,6 @@ use crate::policy::AdmissionScore;
 /// Scalar cost constants besides the calibrated grid.
 #[derive(Debug, Clone, Copy)]
 pub struct CostParams {
-    /// Sequential scan cost per tuple (ns).
-    pub scan_ns: f64,
     /// Random index lookup cost per fetched tuple (ns).
     pub index_ns: f64,
     /// Post-filter check per tuple (ns).
@@ -70,15 +68,8 @@ pub struct CostParams {
     /// a parallel build never gets cheaper than `rows ·
     /// build_merge_ns_per_row`.
     pub build_merge_ns_per_row: f64,
-    /// Whether the executor's columnar selection-vector paths are on
-    /// (`hashstash_exec::default_vectorize`, i.e. `HS_VECTORIZE`). When
-    /// set, sequential scans are priced with the vectorized per-tuple
-    /// cost + per-batch overhead instead of the row-interpreter
-    /// [`CostParams::scan_ns`].
-    pub vectorized: bool,
-    /// Vectorized filter cost per tuple (ns): one typed-slice compare in a
-    /// monomorphized kernel, no boxed scalar materialization. Replaces
-    /// [`CostParams::scan_ns`] on the vectorized scan path.
+    /// Sequential scan cost per tuple (ns): one typed-slice compare in a
+    /// monomorphized kernel, no boxed scalar materialization.
     pub vec_scan_ns: f64,
     /// Fixed per-batch overhead of a vectorized scan (ns): selection-vector
     /// allocation and kernel dispatch, paid once per morsel-sized batch.
@@ -88,7 +79,6 @@ pub struct CostParams {
 impl Default for CostParams {
     fn default() -> Self {
         CostParams {
-            scan_ns: 2.0,
             index_ns: 18.0,
             filter_ns: 1.5,
             materialize_ns: 8.0,
@@ -100,7 +90,6 @@ impl Default for CostParams {
             morsel_overhead_ns: 400.0,
             parallel_dispatch_ns: hashstash_exec::PHASE_DISPATCH_NS as f64,
             build_merge_ns_per_row: 1.5,
-            vectorized: hashstash_exec::default_vectorize(),
             vec_scan_ns: 0.5,
             vec_batch_ns: 60.0,
         }
@@ -203,15 +192,6 @@ impl CostModel {
         &self.grid
     }
 
-    /// The same model pricing scans for the columnar selection-vector
-    /// executor (`true`) or the row interpreter (`false`). Engines set this
-    /// from their vectorize knob so reuse-vs-recompute decisions price the
-    /// scans that will actually run; the default follows `HS_VECTORIZE`.
-    pub fn with_vectorized(mut self, vectorized: bool) -> Self {
-        self.params.vectorized = vectorized;
-        self
-    }
-
     /// Serial cost of a **vectorized** scan over `rows` tuples: a tight
     /// typed-slice kernel per tuple plus a fixed overhead per morsel-sized
     /// batch (selection-vector bookkeeping). The admission scores and
@@ -224,16 +204,9 @@ impl CostModel {
     }
 
     /// Cost of scanning `rows` tuples sequentially (filter + projection
-    /// fan out over morsels). Priced with the vectorized kernel term when
-    /// the engine runs columnar ([`CostParams::vectorized`]), the
-    /// row-interpreter per-tuple cost otherwise.
+    /// fan out over morsels), priced with the vectorized kernel term.
     pub fn scan(&self, rows: f64) -> f64 {
-        let serial = if self.params.vectorized {
-            self.vectorized(rows)
-        } else {
-            rows * self.params.scan_ns
-        };
-        self.parallel(serial, rows)
+        self.parallel(self.vectorized(rows), rows)
     }
 
     /// Cost of fetching `rows` tuples through a secondary index (the
@@ -657,21 +630,9 @@ mod tests {
 
     #[test]
     fn vectorized_scan_pricing() {
-        let vec = CostModel::synthetic().with_vectorized(true);
-        let row = CostModel::synthetic().with_vectorized(false);
-        // The kernel term beats the row interpreter on big scans (this is
-        // the speedup exp11 measures)…
-        assert!(vec.scan(1_000_000.0) < row.scan(1_000_000.0));
-        // …but the per-batch overhead keeps tiny scans from being priced
-        // as free.
-        assert!(vec.scan(1.0) >= vec.params().vec_batch_ns);
-        // The vectorized term never changes index-scan pricing: the index
-        // path stays row-at-a-time in the executor.
-        assert_eq!(vec.index_scan(10_000.0), row.index_scan(10_000.0));
-        // Admission benefit for scan-independent builds is unaffected.
-        let v = vec.admission_score_join(100_000.0, 32.0);
-        let r = row.admission_score_join(100_000.0, 32.0);
-        assert_eq!(v.predicted_benefit_ns, r.predicted_benefit_ns);
+        // The per-batch overhead keeps tiny scans from being priced as free.
+        let m = model();
+        assert!(m.scan(1.0) >= m.params().vec_batch_ns);
     }
 
     #[test]

@@ -14,10 +14,23 @@
 //! properties pin the parallel helpers against the executor's ground truth.
 
 use hashstash_exec::parallel::{build_grouped_partitioned, build_multimap_partitioned};
+use hashstash_exec::{Scheduler, WorkerPool};
 use hashstash_hashtable::ExtendibleHashTable;
 use proptest::prelude::*;
 
 const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
+
+/// A pool big enough for every entry of [`WORKER_COUNTS`].
+fn pool() -> WorkerPool {
+    WorkerPool::new(7)
+}
+
+fn on(pool: &WorkerPool, parallelism: usize) -> Scheduler<'_> {
+    Scheduler {
+        parallelism,
+        pool: Some(pool),
+    }
+}
 
 /// Random key sequences covering the shapes that stress different parts of
 /// the layout machinery: dense distinct keys, heavy duplicates (long
@@ -54,9 +67,10 @@ proptest! {
         for (k, v) in keys.iter().copied().zip(values_of(&keys)) {
             serial.insert(k, v);
         }
+        let pool = pool();
         for workers in WORKER_COUNTS {
             let mut par = ExtendibleHashTable::new(width);
-            build_multimap_partitioned(workers, &mut par, keys.clone(), values_of(&keys));
+            build_multimap_partitioned(on(&pool, workers), &mut par, keys.clone(), values_of(&keys));
             prop_assert!(
                 par.layout_eq(&serial),
                 "join build diverged at {} workers (n={}, width={}, serial stats {:?} vs {:?})",
@@ -74,9 +88,10 @@ proptest! {
         for (k, v) in keys.iter().copied().zip(values_of(&keys)) {
             serial.insert(k, v);
         }
+        let pool = pool();
         for workers in WORKER_COUNTS {
             let mut par = ExtendibleHashTable::with_capacity(width, keys.len());
-            build_multimap_partitioned(workers, &mut par, keys.clone(), values_of(&keys));
+            build_multimap_partitioned(on(&pool, workers), &mut par, keys.clone(), values_of(&keys));
             prop_assert!(
                 par.layout_eq(&serial),
                 "shared tagged build diverged at {} workers (n={}, width={})",
@@ -128,9 +143,10 @@ proptest! {
         }
 
         let keys: Vec<u64> = rows.iter().map(|&(k, _)| k).collect();
+        let pool = pool();
         for workers in WORKER_COUNTS {
             let gb = build_grouped_partitioned(
-                workers,
+                on(&pool, workers),
                 &keys,
                 |i: usize, p: &(u64, f64, u64)| p.0 == rows[i].1,
                 |i: usize| (rows[i].1, val(i), 1),

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use hashstash_cache::{GcConfig, HtManager};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, ExecContext, TempTableCache, MIN_PARALLEL_BUILD_ROWS};
+use hashstash_exec::{execute, ExecContext, TempTableCache, WorkerPool, MIN_PARALLEL_BUILD_ROWS};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase};
 use hashstash_storage::{Catalog, TableBuilder};
 use hashstash_types::{DataType, HsError, Row, Value};
@@ -131,12 +131,16 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
         ..GcConfig::default()
     });
     let temps = TempTableCache::unbounded();
+    // One pool shared by every racing thread, as sessions share a
+    // database's.
+    let pool = WorkerPool::new(WORKERS - 1);
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let cat = &cat;
             let htm = &htm;
             let temps = &temps;
+            let pool = &pool;
             let reference = Arc::clone(&reference);
             s.spawn(move || {
                 for round in 0..ROUNDS {
@@ -167,14 +171,17 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                         ),
                         None => fresh_plan(v),
                     };
-                    let mut ctx = ExecContext::new(cat, htm, temps).with_parallelism(WORKERS);
+                    let mut ctx = ExecContext::new(cat, htm, temps)
+                        .with_parallelism(WORKERS)
+                        .with_pool(pool);
                     let rows = match execute(&plan, &mut ctx) {
                         Ok((_, rows)) => rows,
                         Err(HsError::CacheError(_)) => {
                             // Candidate vanished or got writer-locked:
                             // re-plan as a fresh build.
-                            let mut ctx =
-                                ExecContext::new(cat, htm, temps).with_parallelism(WORKERS);
+                            let mut ctx = ExecContext::new(cat, htm, temps)
+                                .with_parallelism(WORKERS)
+                                .with_pool(pool);
                             execute(&fresh_plan(v), &mut ctx)
                                 .expect("replan executes")
                                 .1
@@ -203,7 +210,9 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                             }),
                             None,
                         );
-                        let mut ctx = ExecContext::new(cat, htm, temps).with_parallelism(WORKERS);
+                        let mut ctx = ExecContext::new(cat, htm, temps)
+                            .with_parallelism(WORKERS)
+                            .with_pool(pool);
                         // Catalog error once the checkout is held; cache
                         // error if the entry was evicted/locked first —
                         // either way it must fail and release the guard.
@@ -222,7 +231,9 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                         None,
                         Some(fp.clone()),
                     );
-                    let mut ctx = ExecContext::new(cat, htm, temps).with_parallelism(WORKERS);
+                    let mut ctx = ExecContext::new(cat, htm, temps)
+                        .with_parallelism(WORKERS)
+                        .with_pool(pool);
                     assert!(
                         execute(&bad_probe, &mut ctx).is_err(),
                         "probe of a missing table must fail"

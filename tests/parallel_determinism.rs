@@ -19,7 +19,7 @@ use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::shared::{
     execute_shared, SharedGroupSpec, SharedJoinStep, SharedOutput, SharedPlanSpec,
 };
-use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache};
+use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, Region, ReuseCase,
 };
@@ -77,9 +77,12 @@ fn join_publishing(lo: i64, hi: i64, fp: &HtFingerprint) -> PhysicalPlan {
 fn run_sequence(cat: &Catalog, parallelism: usize) -> Vec<(Schema, Vec<Row>, ExecMetrics)> {
     let htm = HtManager::unbounded();
     let temps = TempTableCache::unbounded();
+    let pool = WorkerPool::new(parallelism - 1);
     let mut results = Vec::new();
     let mut run = |plan: &PhysicalPlan| {
-        let mut ctx = ExecContext::new(cat, &htm, &temps).with_parallelism(parallelism);
+        let mut ctx = ExecContext::new(cat, &htm, &temps)
+            .with_parallelism(parallelism)
+            .with_pool(&pool);
         let (schema, rows) = execute(plan, &mut ctx).expect("plan executes");
         results.push((schema, rows, ctx.metrics));
     };
@@ -249,7 +252,10 @@ fn parallel_shared_plan_matches_serial() {
     let run = |parallelism: usize| {
         let htm = HtManager::unbounded();
         let temps = TempTableCache::unbounded();
-        let mut ctx = ExecContext::new(&cat, &htm, &temps).with_parallelism(parallelism);
+        let pool = WorkerPool::new(parallelism - 1);
+        let mut ctx = ExecContext::new(&cat, &htm, &temps)
+            .with_parallelism(parallelism)
+            .with_pool(&pool);
         let results = execute_shared(&spec, &mut ctx).unwrap();
         (
             results
@@ -365,9 +371,12 @@ struct BuildRun {
 fn run_build_sequence(cat: &Catalog, parallelism: usize) -> BuildRun {
     let htm = HtManager::unbounded();
     let temps = TempTableCache::unbounded();
+    let pool = WorkerPool::new(parallelism - 1);
     let mut results = Vec::new();
     let mut run = |plan: &PhysicalPlan| {
-        let mut ctx = ExecContext::new(cat, &htm, &temps).with_parallelism(parallelism);
+        let mut ctx = ExecContext::new(cat, &htm, &temps)
+            .with_parallelism(parallelism)
+            .with_pool(&pool);
         let (schema, rows) = execute(plan, &mut ctx).expect("plan executes");
         results.push((schema, rows, ctx.metrics));
     };
@@ -608,13 +617,16 @@ fn parallel_shared_build_phase_matches_serial() {
     let run = |parallelism: usize| {
         let htm = HtManager::unbounded();
         let temps = TempTableCache::unbounded();
+        let pool = WorkerPool::new(parallelism - 1);
         // Batch 1: wide predicates → >11k-row tagged build, published.
         let spec1 = mk_spec(
             vec![mk_query(1, 0, 500), mk_query(2, 250, 750)],
             None,
             Some(tagged_fp.clone()),
         );
-        let mut ctx = ExecContext::new(&cat, &htm, &temps).with_parallelism(parallelism);
+        let mut ctx = ExecContext::new(&cat, &htm, &temps)
+            .with_parallelism(parallelism)
+            .with_pool(&pool);
         let r1 = execute_shared(&spec1, &mut ctx).unwrap();
         let cand = htm.candidates(&tagged_fp).remove(0);
         // Batch 2: subsuming reuse of the parallel-built tagged table, with

@@ -1,8 +1,9 @@
 //! The SQL front end must be **downstream-indistinguishable** from the
 //! fluent [`QueryBuilder`]: a query written as text and the same query
 //! assembled by hand lower to the same `QuerySpec`, and two engines fed
-//! the two forms produce identical rows, semantic metrics, reuse
-//! decisions and cache counters — in both vectorize regimes.
+//! the two forms produce identical rows, metrics, reuse decisions and cache
+//! counters. (Lowering is upstream of the executor, so one engine
+//! configuration covers it.)
 //!
 //! This is the umbrella-level differential check behind the serving front
 //! end: if it holds, every guarantee the engine-level suites establish for
@@ -93,51 +94,40 @@ fn workload() -> Vec<(String, QuerySpec)> {
     ]
 }
 
-fn fresh_db(vectorize: bool) -> std::sync::Arc<Database> {
+fn fresh_db() -> std::sync::Arc<Database> {
     Database::builder(generate(TpchConfig::new(0.005, 1234)))
         .parallelism(2)
-        .vectorize(vectorize)
         .build()
 }
 
 #[test]
 fn sql_and_builder_queries_are_indistinguishable() {
-    for vectorize in [false, true] {
-        let sql_db = fresh_db(vectorize);
-        let hand_db = fresh_db(vectorize);
-        let mut sql_session = sql_db.session();
-        let mut hand_session = hand_db.session();
+    let sql_db = fresh_db();
+    let hand_db = fresh_db();
+    let mut sql_session = sql_db.session();
+    let mut hand_session = hand_db.session();
 
-        for (i, (sql, hand)) in workload().into_iter().enumerate() {
-            let parsed = parse_query(&sql, hand.id.0, &CatalogSchema(sql_db.catalog()))
-                .unwrap_or_else(|e| panic!("{sql}: {}", e.render(&sql)));
-            // Strongest form first: the lowered spec *is* the built spec.
-            assert_eq!(parsed, hand, "vectorize={vectorize} query {i}: spec");
+    for (i, (sql, hand)) in workload().into_iter().enumerate() {
+        let parsed = parse_query(&sql, hand.id.0, &CatalogSchema(sql_db.catalog()))
+            .unwrap_or_else(|e| panic!("{sql}: {}", e.render(&sql)));
+        // Strongest form first: the lowered spec *is* the built spec.
+        assert_eq!(parsed, hand, "query {i}: spec");
 
-            let a = sql_session.execute(&parsed).expect("sql-path query");
-            let b = hand_session.execute(&hand).expect("hand-path query");
-            let label = format!("vectorize={vectorize} query {i}");
-            assert_eq!(a.schema, b.schema, "{label}: schema");
-            assert_eq!(a.rows, b.rows, "{label}: rows (order included)");
-            assert_eq!(
-                a.metrics.semantic(),
-                b.metrics.semantic(),
-                "{label}: semantic metrics"
-            );
-            assert_eq!(a.decisions, b.decisions, "{label}: reuse decisions");
-        }
-
-        // The engines saw identical work, so the caches must agree on
-        // every counter — publishes, reuses, bytes, entries.
-        let (s, h) = (sql_db.cache_stats(), hand_db.cache_stats());
-        assert_eq!(s.publishes, h.publishes, "vectorize={vectorize}: publishes");
-        assert_eq!(s.reuses, h.reuses, "vectorize={vectorize}: reuses");
-        assert_eq!(s.evictions, h.evictions, "vectorize={vectorize}: evictions");
-        assert_eq!(s.bytes, h.bytes, "vectorize={vectorize}: cached bytes");
-        assert_eq!(
-            s.entries, h.entries,
-            "vectorize={vectorize}: cached entries"
-        );
-        assert!(s.reuses > 0, "workload produced no reuse; test is vacuous");
+        let a = sql_session.execute(&parsed).expect("sql-path query");
+        let b = hand_session.execute(&hand).expect("hand-path query");
+        assert_eq!(a.schema, b.schema, "query {i}: schema");
+        assert_eq!(a.rows, b.rows, "query {i}: rows (order included)");
+        assert_eq!(a.metrics, b.metrics, "query {i}: metrics");
+        assert_eq!(a.decisions, b.decisions, "query {i}: reuse decisions");
     }
+
+    // The engines saw identical work, so the caches must agree on
+    // every counter — publishes, reuses, bytes, entries.
+    let (s, h) = (sql_db.cache_stats(), hand_db.cache_stats());
+    assert_eq!(s.publishes, h.publishes, "publishes");
+    assert_eq!(s.reuses, h.reuses, "reuses");
+    assert_eq!(s.evictions, h.evictions, "evictions");
+    assert_eq!(s.bytes, h.bytes, "cached bytes");
+    assert_eq!(s.entries, h.entries, "cached entries");
+    assert!(s.reuses > 0, "workload produced no reuse; test is vacuous");
 }

@@ -15,8 +15,12 @@
 //! 3. Tight-GC-budget stress: a deterministic publish/reuse/evict sequence
 //!    must make byte-for-byte identical eviction decisions in both regimes
 //!    (footprints are only comparable if the tables are), plus a threaded
-//!    engine-level race against the no-reuse reference with vectorization
-//!    on and off.
+//!    engine-level race against the no-reuse reference, under a tight and
+//!    an unbounded budget.
+//!
+//! The "row-at-a-time interpreter" is the executor's own fallback arm,
+//! forced onto every scan through `ExecContext::with_row_oracle` — a hook
+//! that exists only under `hashstash-exec`'s dev-only `oracle` feature.
 
 use std::sync::Arc;
 
@@ -25,7 +29,7 @@ use proptest::prelude::*;
 use hashstash::{Database, EngineStrategy};
 use hashstash_cache::{AggPayload, GcConfig, HtManager, StoredHt, TaggedRow};
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache};
+use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, Region, ReuseCase,
 };
@@ -192,14 +196,33 @@ struct RunOutput {
     agg_stats: (usize, usize, usize, usize),
 }
 
+/// A context at `parallelism` on `pool`, on the columnar arm or forced
+/// onto the row oracle.
+fn context<'a>(
+    cat: &'a Catalog,
+    htm: &'a HtManager,
+    temps: &'a TempTableCache,
+    pool: &'a WorkerPool,
+    vectorize: bool,
+    parallelism: usize,
+) -> ExecContext<'a> {
+    let ctx = ExecContext::new(cat, htm, temps)
+        .with_parallelism(parallelism)
+        .with_pool(pool);
+    if vectorize {
+        ctx
+    } else {
+        ctx.with_row_oracle()
+    }
+}
+
 fn run_all(cat: &Catalog, pred: &PredBox, vectorize: bool, parallelism: usize) -> RunOutput {
     let htm = HtManager::unbounded();
     let temps = TempTableCache::unbounded();
+    let pool = WorkerPool::new(parallelism - 1);
     let mut out = Vec::new();
     for plan in plans(pred) {
-        let mut ctx = ExecContext::new(cat, &htm, &temps)
-            .with_parallelism(parallelism)
-            .with_vectorize(vectorize);
+        let mut ctx = context(cat, &htm, &temps, &pool, vectorize, parallelism);
         let (schema, rows) = execute(&plan, &mut ctx).expect("plan executes");
         out.push((schema, rows, ctx.metrics));
     }
@@ -433,6 +456,7 @@ fn tight_gc_budget_sequence_is_regime_invariant() {
             ..GcConfig::default()
         });
         let temps = TempTableCache::unbounded();
+        let pool = WorkerPool::new(parallelism - 1);
         let mut decisions = Vec::new();
         let mut results = Vec::new();
         // Visit each range twice back to back: the immediate revisit is
@@ -474,9 +498,7 @@ fn tight_gc_budget_sequence_is_regime_invariant() {
                         publish: Some(fp.clone()),
                     },
                 };
-                let mut ctx = ExecContext::new(&cat, &htm, &temps)
-                    .with_parallelism(parallelism)
-                    .with_vectorize(vectorize);
+                let mut ctx = context(&cat, &htm, &temps, &pool, vectorize, parallelism);
                 let (schema, rows) = execute(&plan, &mut ctx).expect("survives eviction");
                 results.push((schema, rows, ctx.metrics.semantic()));
             }
@@ -503,8 +525,9 @@ fn tight_gc_budget_sequence_is_regime_invariant() {
     }
 }
 
-/// Engine-level race: parallel sessions under a tight budget with
-/// vectorization on and off must both match the serial no-reuse reference.
+/// Engine-level race: parallel sessions under a tight budget (tables are
+/// evicted out from under running queries) and under an unbounded one must
+/// both match the serial no-reuse reference.
 #[test]
 fn vectorized_engine_races_eviction_correctly() {
     let mk_query = |id: u32, k: i64| {
@@ -535,13 +558,11 @@ fn vectorized_engine_races_eviction_correctly() {
         })
         .collect();
     let expected = Arc::new(expected);
-    for vectorize in [true, false] {
+    for budget in [Some(128 * 1024), None] {
         let db = Database::builder(big_catalog())
-            .gc_budget(128 * 1024)
+            .gc_budget(budget)
             .parallelism(4)
-            .vectorize(vectorize)
             .build();
-        assert_eq!(db.vectorize(), vectorize);
         std::thread::scope(|s| {
             for t in 0..3u32 {
                 let db = Arc::clone(&db);
@@ -553,14 +574,14 @@ fn vectorized_engine_races_eviction_correctly() {
                         let q = mk_query(t * 100 + round, k as i64);
                         let mut rows = session.execute(&q).expect("query survives eviction").rows;
                         rows.sort();
-                        assert_eq!(rows, expected[k], "vectorize={vectorize} t={t} r={round}");
+                        assert_eq!(rows, expected[k], "budget={budget:?} t={t} r={round}");
                     }
                 });
             }
         });
         let (audit_bytes, audit_entries) = db.cache().audit();
         let stats = db.cache_stats();
-        assert_eq!(stats.bytes, audit_bytes, "vectorize={vectorize}: audit");
+        assert_eq!(stats.bytes, audit_bytes, "budget={budget:?}: audit");
         assert_eq!(stats.entries, audit_entries);
     }
 }

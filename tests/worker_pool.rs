@@ -1,6 +1,6 @@
 //! Lifecycle tests for the persistent worker pool: one pool per
-//! `Database`, reused across sequential queries, panic containment at the
-//! phase boundary, and the core-pinning knob. (Thread-join-on-drop has its
+//! `Database`, reused across sequential queries, and panic containment at
+//! the phase boundary. (Thread-join-on-drop has its
 //! own single-test binary, `tests/pool_shutdown.rs`, so nothing else
 //! creates threads while it counts them.)
 
@@ -90,7 +90,7 @@ fn serial_database_keeps_an_empty_pool() {
 /// next phase — including one submitted by a different "session" thread.
 #[test]
 fn phase_panic_leaves_the_pool_serving_others() {
-    let pool = WorkerPool::new(3, false);
+    let pool = WorkerPool::new(3);
     let sched = Scheduler {
         parallelism: 4,
         pool: Some(&pool),
@@ -117,24 +117,4 @@ fn phase_panic_leaves_the_pool_serving_others() {
     });
     assert_eq!(next, (0..total).collect::<Vec<_>>());
     pool.assert_quiesced();
-}
-
-/// The pinning knob is best-effort: results are identical either way, and
-/// the pin counter never exceeds the worker count (a sandbox may refuse
-/// the affinity syscall — that must not fail the build or the query).
-#[test]
-fn pinned_pool_is_a_pure_throughput_knob() {
-    let baseline = Database::builder(catalog()).parallelism(4).build();
-    let pinned = Database::builder(catalog())
-        .parallelism(4)
-        .pin_workers(true)
-        .build();
-    assert!(pinned.worker_pool().pins_workers());
-    assert!(!baseline.worker_pool().pins_workers());
-    assert!(pinned.worker_pool().pinned_workers() <= pinned.worker_pool().worker_count());
-
-    let a = baseline.session().execute(&q_age(1, 20, 60)).unwrap();
-    let b = pinned.session().execute(&q_age(1, 20, 60)).unwrap();
-    assert_eq!(a.schema, b.schema);
-    assert_eq!(a.rows, b.rows, "pinning cannot change results");
 }
