@@ -1,5 +1,10 @@
 //! Criterion version of the paper's Figure 3 micro-benchmarks: per-tuple
-//! insert / probe / update costs across hash-table sizes and tuple widths.
+//! insert / probe / update costs across hash-table sizes and tuple widths,
+//! plus a probe group with a hit-rate axis — Fig. 3 probes only keys that
+//! are present, which says nothing about the selective probes (a filtered
+//! dimension probed by a whole fact table) the directory's tag filter is
+//! for. `cargo bench --bench fig3_calibration -- fig3/probe_hit_rate` runs
+//! that group alone; add `--test` for a one-sample smoke run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hashstash_hashtable::ExtendibleHashTable;
@@ -64,7 +69,66 @@ fn bench_width<const W: usize>(c: &mut Criterion) {
     group.finish();
 }
 
+/// Read-only probes of `PROBES` keys, of which a given share is present,
+/// against tables of 2^8 / 2^14 / 2^18 entries: per key as
+/// `probe_readonly` (what `hsbench`'s `hashtable.probe_ns_per_row` times),
+/// and as the executor's probe spine does it — `filter_keys` over the
+/// batch, then `probe_readonly` for the admitted keys only.
+fn bench_probe_hit_rate(c: &mut Criterion) {
+    const PROBES: usize = 1 << 16;
+    let mut group = c.benchmark_group("fig3/probe_hit_rate");
+    group.throughput(Throughput::Elements(PROBES as u64));
+    for log2_entries in [8u32, 14, 18] {
+        let mut seed = 0xfeed_f00du64;
+        let mut ht = ExtendibleHashTable::with_capacity(16, 1 << log2_entries);
+        let keys: Vec<u64> = (0..1usize << log2_entries)
+            .map(|_| splitmix(&mut seed))
+            .collect();
+        for &k in &keys {
+            ht.insert(k, k);
+        }
+        for hit_pct in [0u64, 1, 10, 100] {
+            // Absent keys are fresh 64-bit draws: they collide with a
+            // present key with probability 2^-46 at worst.
+            let probes: Vec<u64> = (0..PROBES)
+                .map(|_| {
+                    let r = splitmix(&mut seed);
+                    if r % 100 < hit_pct {
+                        keys[(r >> 8) as usize % keys.len()]
+                    } else {
+                        splitmix(&mut seed)
+                    }
+                })
+                .collect();
+            let param = format!("2^{log2_entries}/{hit_pct}pct");
+            group.bench_with_input(BenchmarkId::new("per_key", &param), &probes, |b, p| {
+                b.iter(|| {
+                    p.iter()
+                        .map(|&k| ht.probe_readonly(k).count())
+                        .sum::<usize>()
+                });
+            });
+            group.bench_with_input(BenchmarkId::new("spine", &param), &probes, |b, p| {
+                let mut admitted = Vec::with_capacity(1024);
+                b.iter(|| {
+                    let mut hits = 0usize;
+                    for chunk in p.chunks(1024) {
+                        admitted.clear();
+                        ht.filter_keys(chunk, &mut admitted);
+                        for &j in &admitted {
+                            hits += ht.probe_readonly(chunk[j as usize]).count();
+                        }
+                    }
+                    hits
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 fn benches(c: &mut Criterion) {
+    bench_probe_hit_rate(c);
     bench_width::<8>(c);
     bench_width::<64>(c);
     bench_width::<256>(c);

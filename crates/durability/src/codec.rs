@@ -569,7 +569,7 @@ fn encode_ht<V>(w: &mut Writer, ht: &ExtendibleHashTable<V>, enc: impl Fn(&mut W
     for &head in l.directory {
         w.put_u32(head);
     }
-    for &d in l.depth {
+    for d in l.depths() {
         w.put_u8(d);
     }
     w.put_count(ht.len());

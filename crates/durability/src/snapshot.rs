@@ -297,6 +297,40 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A snapshot whose checksum is good but whose table image has one
+    /// chain link flipped into a cycle is discarded whole (recovery falls
+    /// back exactly as for a CRC mismatch) — not rehydrated into a table
+    /// the first probe spins on.
+    #[test]
+    fn cyclic_chain_snapshot_rejected() {
+        let path = tmp("cyclic.snap");
+        let (cat, mut entries) = sample();
+        let PersistedPayload::Ht(StoredHt::Join(ht)) = &mut entries[0].payload else {
+            panic!("sample holds a join table");
+        };
+        // A second entry under key 1, chained onto the first.
+        ht.insert(1, TaggedRow::untagged(Row::new(vec![Value::Int(1)])));
+        write_snapshot(&path, &cat, &entries, false).unwrap();
+        assert!(read_snapshot(&path).is_ok());
+
+        // The older entry `(key 1, next NIL)` ends the chain; point it back
+        // at the newer one and re-seal the file.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let tail: Vec<u8> = [1u64.to_le_bytes().as_slice(), &u32::MAX.to_le_bytes()].concat();
+        let at = bytes
+            .windows(tail.len())
+            .position(|w| w == tail)
+            .expect("chain tail in the image");
+        bytes[at + 8..at + 12].copy_from_slice(&1u32.to_le_bytes());
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[SNAP_MAGIC.len()..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_snapshot(&path).expect_err("cyclic image must be discarded");
+        assert!(err.contains("inconsistent hash-table layout"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn benefit_score_scales() {
         assert_eq!(benefit_score(0, 1024), 0.0);

@@ -24,7 +24,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use hashstash_types::{f64_order_key, DataType, HsError, HtId, Result, Row, Schema, Value};
@@ -36,12 +36,12 @@ use hashstash_storage::{Catalog, Column, RangeKernel, Table};
 
 use crate::parallel::{
     build_grouped_partitioned, build_multimap_partitioned, collect_morsels, default_parallelism,
-    morsel_count, Scheduler, MIN_PARALLEL_BUILD_ROWS,
+    morsel_count, Scheduler, MIN_PARALLEL_BUILD_ROWS, MORSEL_ROWS,
 };
 use crate::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use crate::pool::WorkerPool;
 use crate::temp::TempTableCache;
-use crate::vector::{self, ColumnarBatch, KeyKernel};
+use crate::vector::{self, ColumnarBatch, KeyKernel, Selection};
 
 /// Operation counters collected during execution. These are the observables
 /// the paper's cost models predict (tuples inserted / probed / updated,
@@ -472,7 +472,7 @@ fn run_batch(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, 
         PhysicalPlan::Scan(spec) => run_scan_batch(spec, ctx),
         PhysicalPlan::Filter { input, predicate } => {
             let (schema, pipe) = run_batch(input, ctx)?;
-            let mut batch = match pipe {
+            let batch = match pipe {
                 Pipe::Columnar(batch) => batch,
                 Pipe::Rows(rows) => {
                     let evaluator = BoxEval::bind(predicate, &schema)?;
@@ -501,17 +501,15 @@ fn run_batch(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, 
                 let rows = rows.into_iter().filter(|r| evaluator.eval(r)).collect();
                 return Ok((schema, Pipe::Rows(rows)));
             }
+            let ColumnarBatch { table, proj, sel } = batch;
+            let mut sel = sel.into_rows();
             for (col, kernel) in &lowered {
-                ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
-                ctx.metrics.rows_filtered_vectorized += vector::refine_selection(
-                    ctx.sched(),
-                    &batch.table,
-                    *col,
-                    kernel,
-                    &mut batch.sel,
-                );
+                ctx.metrics.batches_processed += morsel_count(sel.len()) as u64;
+                ctx.metrics.rows_filtered_vectorized +=
+                    vector::refine_selection(ctx.sched(), &table, *col, kernel, &mut sel);
             }
-            Ok((schema, Pipe::Columnar(batch)))
+            let sel = Selection::Rows(sel);
+            Ok((schema, Pipe::Columnar(ColumnarBatch { table, proj, sel })))
         }
         other => {
             let (schema, rows) = run(other, ctx)?;
@@ -531,9 +529,8 @@ fn materialize_pipe(pipe: Pipe, ctx: &mut ExecContext<'_>) -> Vec<Row> {
             let proj = &batch.proj;
             let sel = &batch.sel;
             collect_morsels(ctx.sched(), sel.len(), |range| {
-                sel[range]
-                    .iter()
-                    .map(|&rid| table.row_projected(rid as usize, proj))
+                range
+                    .map(|i| table.row_projected(sel.rid(i), proj))
                     .collect()
             })
         }
@@ -554,6 +551,10 @@ trait Tuples: Sync {
     fn key_cols(&self) -> &[usize];
     /// 64-bit hash of tuple `i` over the key columns.
     fn key64(&self, i: usize) -> u64;
+    /// Append the `key64` of tuples `range`, in order, to `out`.
+    fn keys_into(&self, range: Range<usize>, out: &mut Vec<u64>) {
+        out.extend(range.map(|i| self.key64(i)));
+    }
     /// Whether column `col` of tuple `i` equals `v` (values of different
     /// types are never equal).
     fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool;
@@ -626,7 +627,7 @@ impl<'a> BatchTuples<'a> {
 
     #[inline]
     fn rid(&self, i: usize) -> usize {
-        self.batch.sel[i] as usize
+        self.batch.sel.rid(i)
     }
 
     #[inline]
@@ -647,6 +648,10 @@ impl Tuples for BatchTuples<'_> {
     #[inline]
     fn key64(&self, i: usize) -> u64 {
         vector::group_key64(&self.kernels, self.rid(i))
+    }
+
+    fn keys_into(&self, range: Range<usize>, out: &mut Vec<u64>) {
+        vector::gather_keys(&self.kernels, &self.batch.sel, range, out);
     }
 
     #[inline]
@@ -696,15 +701,23 @@ fn run_scan_batch(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema,
     let lowered = lowered.filter(|_| !ctx.row_oracle);
     match lowered {
         Some(per_box) => {
-            let mut sel: Vec<u32> = Vec::new();
             let n = table.row_count();
-            for checks in &per_box {
-                ctx.metrics.rows_scanned += n as u64;
-                let mut box_sel = vector::select_rows(ctx.sched(), &table, checks, n);
-                ctx.metrics.batches_processed += morsel_count(n) as u64;
-                ctx.metrics.rows_filtered_vectorized += (n - box_sel.len()) as u64;
-                sel.append(&mut box_sel);
-            }
+            ctx.metrics.rows_scanned += (n * per_box.len()) as u64;
+            ctx.metrics.batches_processed += (morsel_count(n) * per_box.len()) as u64;
+            let sel = match per_box.as_slice() {
+                // One unconstrained box: every row survives, in order. The
+                // consumers read the dense range; no selection pass runs.
+                [checks] if checks.is_empty() => Selection::Dense(n),
+                _ => {
+                    let mut sel: Vec<u32> = Vec::new();
+                    for checks in &per_box {
+                        let mut box_sel = vector::select_rows(ctx.sched(), &table, checks, n);
+                        ctx.metrics.rows_filtered_vectorized += (n - box_sel.len()) as u64;
+                        sel.append(&mut box_sel);
+                    }
+                    Selection::Rows(sel)
+                }
+            };
             Ok((
                 out_schema,
                 Pipe::Columnar(ColumnarBatch {
@@ -1085,9 +1098,12 @@ fn run_hash_join(
 }
 
 /// Probe `ht` with every input tuple on its (single) key column,
-/// morsel-parallel, emitting `probe ++ build` rows in input order. The
-/// probe row materializes lazily, once, only when the tuple has at least
-/// one match.
+/// morsel-parallel, emitting `probe ++ build` rows in input order. Per
+/// morsel-sized chunk: gather the keys (one typed loop for a columnar
+/// source), tag-test them against the directory into a candidate list (one
+/// 2-byte load per key — where a selective probe ends for almost every
+/// tuple), then walk chains for the candidates only. The probe row
+/// materializes lazily, once, only when the tuple has at least one match.
 fn probe_tuples<T: Tuples>(
     sched: Scheduler<'_>,
     input: &T,
@@ -1098,18 +1114,27 @@ fn probe_tuples<T: Tuples>(
     let probe_key_idx = input.key_cols()[0];
     collect_morsels(sched, input.len(), |range| {
         let mut buf = Vec::new();
-        for i in range {
-            let mut prow: Option<Cow<'_, Row>> = None;
-            for tagged in ht.probe_readonly(input.key64(i)) {
-                // Verify the actual key (hash keys may collide).
-                if !input.cell_eq(i, probe_key_idx, tagged.row.get(build_key_idx)) {
-                    continue;
+        let mut keys: Vec<u64> = Vec::with_capacity(MORSEL_ROWS);
+        let mut candidates: Vec<u32> = Vec::with_capacity(MORSEL_ROWS);
+        for start in range.clone().step_by(MORSEL_ROWS) {
+            keys.clear();
+            candidates.clear();
+            input.keys_into(start..(start + MORSEL_ROWS).min(range.end), &mut keys);
+            ht.filter_keys(&keys, &mut candidates);
+            for &c in &candidates {
+                let i = start + c as usize;
+                let mut prow: Option<Cow<'_, Row>> = None;
+                for tagged in ht.probe_readonly(keys[c as usize]) {
+                    // Verify the actual key (hash keys may collide).
+                    if !input.cell_eq(i, probe_key_idx, tagged.row.get(build_key_idx)) {
+                        continue;
+                    }
+                    if !post_filters.iter().all(|pf| pf.eval(&tagged.row)) {
+                        continue;
+                    }
+                    let prow = prow.get_or_insert_with(|| input.row(i));
+                    buf.push(prow.concat(&tagged.row));
                 }
-                if !post_filters.iter().all(|pf| pf.eval(&tagged.row)) {
-                    continue;
-                }
-                let prow = prow.get_or_insert_with(|| input.row(i));
-                buf.push(prow.concat(&tagged.row));
             }
         }
         buf
@@ -1316,7 +1341,9 @@ fn fold_tuples<T: Tuples>(
         return (inserts, input.len() as u64 - inserts);
     }
     let keys: Vec<u64> = collect_morsels(sched, input.len(), |range| {
-        range.map(|i| input.key64(i)).collect()
+        let mut keys = Vec::with_capacity(range.len());
+        input.keys_into(range, &mut keys);
+        keys
     });
     let gb = build_grouped_partitioned(sched, &keys, matches, init, update);
     let mut merged = gb.groups.into_iter().peekable();
@@ -2073,12 +2100,16 @@ mod tests {
         }
         let table = Arc::new(t.finish());
         let proj = vec![3, 1, 0, 2];
-        let sel: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 1).collect();
-        let rows = sel
-            .iter()
-            .map(|&r| table.row_projected(r as usize, &proj))
-            .collect();
-        (rows, ColumnarBatch { table, proj, sel })
+        let sel = Selection::Rows((0..n as u32).filter(|r| r % 3 != 1).collect());
+        let batch = ColumnarBatch { table, proj, sel };
+        (batch_rows(&batch), batch)
+    }
+
+    /// The batch's tuples as materialized rows.
+    fn batch_rows(batch: &ColumnarBatch) -> Vec<Row> {
+        (0..batch.sel.len())
+            .map(|i| batch.table.row_projected(batch.sel.rid(i), &batch.proj))
+            .collect()
     }
 
     /// Serial, and four-way on `pool`.
@@ -2130,43 +2161,72 @@ mod tests {
 
     /// The generic probe emits the same rows in the same order from either
     /// tuple source, serial or morsel-parallel, on an int and on a
-    /// dictionary-string key.
+    /// dictionary-string key — for a strided selection and for the dense
+    /// range an unfiltered scan hands on, and against a build side that
+    /// ≈ 1 % of the tuples hit (the tag filter rejects most of the rest
+    /// before any chain walk).
     #[test]
     fn probe_is_tuple_source_invariant() {
-        let (rows, batch) = both_arms();
+        let (_, strided) = both_arms();
+        let dense = ColumnarBatch {
+            sel: Selection::Dense(strided.table.row_count()),
+            ..strided.clone()
+        };
         let pool = WorkerPool::new(3);
         let [serial, pooled] = serial_and_pooled(&pool);
-        for probe_key in [2usize, 0] {
-            // Build side: `(key, d)` of the first 60 tuples, duplicates
-            // included, so chains hold several matches per key.
-            let mut ht = ExtendibleHashTable::new(12);
-            for row in &rows[..60] {
-                let build_row = row.project(&[probe_key, 3]);
-                ht.insert(build_row.key64(&[0]), TaggedRow::untagged(build_row));
-            }
-            let key_cols = [probe_key];
-            let from_rows = RowTuples {
-                rows: &rows,
-                key_cols: &key_cols,
-            };
-            let from_batch = BatchTuples::new(&batch, &key_cols);
-            let want = probe_tuples(serial, &from_rows, &ht, 0, &[]);
-            assert!(!want.is_empty() && want.len() != rows.len());
-            for (label, got) in [
-                (
-                    "rows, pooled",
-                    probe_tuples(pooled, &from_rows, &ht, 0, &[]),
-                ),
-                (
-                    "batch, serial",
-                    probe_tuples(serial, &from_batch, &ht, 0, &[]),
-                ),
-                (
-                    "batch, pooled",
-                    probe_tuples(pooled, &from_batch, &ht, 0, &[]),
-                ),
-            ] {
-                assert_eq!(got, want, "{label}, key column {probe_key}");
+        for (batch, shape) in [(&strided, "strided"), (&dense, "dense")] {
+            let rows = batch_rows(batch);
+            // Build sides of `(key, d)` rows. The first 60 tuples on the int
+            // key (60 of its 701 values) and on the string key (all 5
+            // values, so chains hold several matches per key); and, twice
+            // over, one row per int key value, shifted out of the probe
+            // domain unless it is a multiple of 100 — 8 of 701 values hit.
+            let selective = (0..701i64).chain(0..701).map(|k| {
+                let key = if k % 100 == 0 { k } else { k + 1_000_000 };
+                Row::new(vec![Value::Int(key), Value::Date((k % 29) as i32)])
+            });
+            let builds: [(usize, Vec<Row>); 3] = [
+                (2, rows[..60].iter().map(|r| r.project(&[2, 3])).collect()),
+                (0, rows[..60].iter().map(|r| r.project(&[0, 3])).collect()),
+                (2, selective.collect()),
+            ];
+            for (b, (probe_key, build_rows)) in builds.iter().enumerate() {
+                let mut ht = ExtendibleHashTable::new(12);
+                for build_row in build_rows {
+                    ht.insert(
+                        build_row.key64(&[0]),
+                        TaggedRow::untagged(build_row.clone()),
+                    );
+                }
+                let key_cols = [*probe_key];
+                let from_rows = RowTuples {
+                    rows: &rows,
+                    key_cols: &key_cols,
+                };
+                let from_batch = BatchTuples::new(batch, &key_cols);
+                let want = probe_tuples(serial, &from_rows, &ht, 0, &[]);
+                assert!(!want.is_empty() && want.len() != rows.len());
+                if b == 2 {
+                    // Every hit key is in the build side twice.
+                    let per_cent = want.len() / 2 * 100 / rows.len();
+                    assert_eq!(per_cent, 1, "selective build side: {} rows", want.len());
+                }
+                for (label, got) in [
+                    (
+                        "rows, pooled",
+                        probe_tuples(pooled, &from_rows, &ht, 0, &[]),
+                    ),
+                    (
+                        "batch, serial",
+                        probe_tuples(serial, &from_batch, &ht, 0, &[]),
+                    ),
+                    (
+                        "batch, pooled",
+                        probe_tuples(pooled, &from_batch, &ht, 0, &[]),
+                    ),
+                ] {
+                    assert_eq!(got, want, "{label}, {shape}, build side {b}");
+                }
             }
         }
     }

@@ -50,4 +50,4 @@ pub use plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 pub use pool::WorkerPool;
 pub use shared::{SharedPlanSpec, SharedReuse};
 pub use temp::{TempTableCache, TempTableStats};
-pub use vector::{ColumnarBatch, KeyKernel};
+pub use vector::{ColumnarBatch, KeyKernel, Selection};

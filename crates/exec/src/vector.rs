@@ -5,8 +5,11 @@
 //! surviving row ids per morsel instead of materialized rows, filters refine
 //! that vector in place, and the probe / aggregate key extraction reads the
 //! key column through a monomorphized [`KeyKernel`] — no per-row scalar
-//! boxing anywhere in the loop. Rows are materialized only at pipeline
-//! edges (operator outputs, hash-table payloads).
+//! boxing anywhere in the loop. A scan with nothing to check hands on a
+//! dense [`Selection`] (a row count, no vector at all), and the probe
+//! gathers a whole morsel's keys in one typed loop ([`gather_keys`]) before
+//! it touches the hash table. Rows are materialized only at pipeline edges
+//! (operator outputs, hash-table payloads).
 //!
 //! Everything here is deliberately scalar-free: this module never touches
 //! the boxed scalar type, only typed slices and the `key64_*` primitives of
@@ -29,6 +32,50 @@ use hashstash_types::{key64_combine, key64_date, key64_float, key64_int, key64_s
 
 use crate::parallel::{collect_morsels, Scheduler};
 
+/// The row ids of a batch, in scan order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Selection {
+    /// Every row `0..n` of the base table: what a scan whose region lowers
+    /// to no checks produces. Nothing is written out; consumers index the
+    /// columns directly.
+    Dense(usize),
+    /// Explicit surviving row ids, ascending per region box.
+    Rows(Vec<u32>),
+}
+
+impl Selection {
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Selection::Dense(n) => *n,
+            Selection::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// Whether no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row id at position `i`.
+    #[inline]
+    pub fn rid(&self, i: usize) -> usize {
+        match self {
+            Selection::Dense(_) => i,
+            Selection::Rows(rows) => rows[i] as usize,
+        }
+    }
+
+    /// The explicit row-id vector, for refinement; a dense range is
+    /// written out.
+    pub fn into_rows(self) -> Vec<u32> {
+        match self {
+            Selection::Dense(n) => (0..n as u32).collect(),
+            Selection::Rows(rows) => rows,
+        }
+    }
+}
+
 /// A batch flowing between columnar operators: a base table plus the
 /// projection the consumer sees and the row ids that survived filtering so
 /// far. This is the *only* intermediate representation on the vectorized
@@ -41,7 +88,7 @@ pub struct ColumnarBatch {
     /// Output column positions (into `table`), in output-schema order.
     pub proj: Vec<usize>,
     /// Surviving row ids, in ascending scan order per region box.
-    pub sel: Vec<u32>,
+    pub sel: Selection,
 }
 
 /// A monomorphized key-extraction kernel over one column: `key64(rid)`
@@ -68,6 +115,19 @@ impl KeyKernel<'_> {
             KeyKernel::Float(v) => key64_float(v[rid]),
             KeyKernel::Date(v) => key64_date(v[rid]),
             KeyKernel::Dict { codes, key_by_code } => key_by_code[codes[rid] as usize],
+        }
+    }
+
+    /// Append `key64(rid)` for every `rid` of `rids` to `out`: the kernel
+    /// dispatch happens once, outside a loop over one typed slice.
+    fn gather(&self, rids: impl Iterator<Item = usize>, out: &mut Vec<u64>) {
+        match self {
+            KeyKernel::Int(v) => out.extend(rids.map(|r| key64_int(v[r]))),
+            KeyKernel::Float(v) => out.extend(rids.map(|r| key64_float(v[r]))),
+            KeyKernel::Date(v) => out.extend(rids.map(|r| key64_date(v[r]))),
+            KeyKernel::Dict { codes, key_by_code } => {
+                out.extend(rids.map(|r| key_by_code[codes[r] as usize]))
+            }
         }
     }
 }
@@ -107,6 +167,22 @@ pub fn group_key64(kernels: &[KeyKernel<'_>], rid: usize) -> u64 {
             }
             h
         }
+    }
+}
+
+/// Append the [`group_key64`] of positions `range` of `sel` to `out`, in
+/// order. The single-key case (every join probe) runs one typed loop per
+/// selection shape; composite keys combine per row.
+pub fn gather_keys(
+    kernels: &[KeyKernel<'_>],
+    sel: &Selection,
+    range: Range<usize>,
+    out: &mut Vec<u64>,
+) {
+    match (kernels, sel) {
+        ([k], Selection::Dense(_)) => k.gather(range, out),
+        ([k], Selection::Rows(rows)) => k.gather(rows[range].iter().map(|&r| r as usize), out),
+        _ => out.extend(range.map(|i| group_key64(kernels, sel.rid(i)))),
     }
 }
 
@@ -221,6 +297,33 @@ mod tests {
             assert_eq!(group_key64(&kernels, rid), t.row(rid).key64(&[0, 3]));
         }
         assert_eq!(group_key64(&[], 5), Row::new(vec![]).key64(&[]));
+    }
+
+    #[test]
+    fn gathered_keys_match_per_row_keys() {
+        let t = sample_table();
+        let strided = Selection::Rows(vec![1, 4, 5, 9]);
+        let dense = Selection::Dense(t.row_count());
+        for cols in [&[0usize][..], &[1], &[2], &[3], &[0, 3], &[]] {
+            let kernels: Vec<KeyKernel<'_>> =
+                cols.iter().map(|&c| key_kernel(t.column(c))).collect();
+            for sel in [&strided, &dense] {
+                let mut got = vec![7];
+                gather_keys(&kernels, sel, 1..sel.len(), &mut got);
+                let want: Vec<u64> = std::iter::once(7)
+                    .chain((1..sel.len()).map(|i| group_key64(&kernels, sel.rid(i))))
+                    .collect();
+                assert_eq!(got, want, "cols {cols:?}, {sel:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_selection_materializes_the_identity() {
+        let sel = Selection::Dense(4);
+        assert_eq!((sel.len(), sel.rid(3)), (4, 3));
+        assert_eq!(sel.into_rows(), vec![0, 1, 2, 3]);
+        assert!(Selection::Dense(0).is_empty());
     }
 
     #[test]

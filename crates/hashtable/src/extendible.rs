@@ -1,11 +1,16 @@
-//! Extendible hashing with lazily split, index-linked collision chains.
+//! Extendible hashing with lazily split, index-linked collision chains and
+//! a tag filter in every directory slot.
 //!
 //! # Layout
 //!
 //! ```text
-//! directory: [head: u32; 2^g]     (g = global depth)
-//! depth:     [u8; 2^g]            (per-bucket local depth, <= g)
-//! arena:     Vec<Entry<V>>        (contiguous; u32 next-links)
+//! heads: [u32; 2^g]     arena index of each bucket's newest chain entry
+//!                       (g = global depth; NIL = empty)
+//! meta:  [u16; 2^g]     bits 0..5   local depth (<= g < 32) the bucket's
+//!                                   chain was last rebuilt at
+//!                       bits 5..16  tags: one bit per chained key, picked
+//!                                   by a multiplicative mix of the key
+//! arena: Vec<Entry<V>>  contiguous; u32 next-links
 //! ```
 //!
 //! A key hashes to bucket `key & (2^g - 1)`. When the average chain length
@@ -18,11 +23,68 @@
 //! description: "instead of re-hashing all entries, only the bucket array
 //! needs to get resized and entries can be assigned to the new buckets
 //! lazily."
+//!
+//! # Lookup
+//!
+//! Every lookup — `probe`, `probe_readonly`, `get_mut`, `upsert_where` and
+//! the is-this-key-new walk of `insert` — first loads the bucket's `meta`
+//! word and tests the key's tag bit against its tags. A clear bit proves no
+//! chained entry carries the key: a probe that misses costs that one 2-byte
+//! load and touches neither `heads` nor the arena (the paper prices a probe
+//! as `cl(htSize, tWidth)`, the data it moves). A set bit reads the head —
+//! the same word says at which depth, so of which family root — and walks
+//! the chain comparing full keys; a stale bucket mirrors its root's tags,
+//! the union over the un-split chain. The tags are derived state: `insert`,
+//! `freshen`, `retain` and the partitioned fill keep them exact,
+//! `from_layout` rebuilds them, and neither [`HtLayout`] nor `layout_eq`
+//! sees them.
 
 const NIL: u32 = u32::MAX;
 
 /// Average chain length that triggers a directory doubling.
 const MAX_AVG_CHAIN: usize = 2;
+
+/// Bits of a [`Meta`] word that hold the depth (directories stay below
+/// 2^32 slots); the other 11 are tags.
+const DEPTH_BITS: u32 = 5;
+
+/// Tag bit, in [`Meta`] position, for each value of a 5-bit hash: 32 values
+/// spread over the 11 tag bits as evenly as they go (3 or 2 each). A table
+/// load is cheaper in the per-key loops than scaling and shifting.
+const TAG_OF: [u16; 32] = {
+    let mut tags = [0; 32];
+    let mut h = 0;
+    while h < 32 {
+        tags[h] = 1 << (DEPTH_BITS as usize + h * (16 - DEPTH_BITS as usize) / 32);
+        h += 1;
+    }
+    tags
+};
+
+/// The tag-filter bit of `key`: picked by the top bits of a multiplicative
+/// mix, so it does not follow the low bits the bucket index uses (integer
+/// keys are their own hash keys).
+#[inline]
+pub(crate) fn tag_bit(key: u64) -> u16 {
+    TAG_OF[(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59) as usize]
+}
+
+/// A bucket's lazy-split depth and the tag filter of its chained keys.
+#[derive(Debug, Clone, Copy)]
+struct Meta(u16);
+
+impl Meta {
+    #[inline]
+    fn depth(self) -> u8 {
+        (self.0 & ((1 << DEPTH_BITS) - 1)) as u8
+    }
+
+    /// Whether the chain may hold `key` (no false negatives).
+    #[inline]
+    fn admits(self, key: u64) -> bool {
+        self.0 & tag_bit(key) != 0
+    }
+}
 
 /// One arena slot: a key, the chain link and the payload.
 #[derive(Debug, Clone)]
@@ -60,8 +122,8 @@ pub struct HtStats {
 /// for string keys; integer/date keys are injective into `u64`).
 #[derive(Debug, Clone)]
 pub struct ExtendibleHashTable<V> {
-    directory: Vec<u32>,
-    depth: Vec<u8>,
+    heads: Vec<u32>,
+    meta: Vec<Meta>,
     arena: Vec<Entry<V>>,
     global_depth: u8,
     distinct_keys: usize,
@@ -88,8 +150,8 @@ impl<V> ExtendibleHashTable<V> {
         let buckets = (capacity / MAX_AVG_CHAIN + 1).next_power_of_two().max(2);
         let global_depth = buckets.trailing_zeros() as u8;
         ExtendibleHashTable {
-            directory: vec![NIL; buckets],
-            depth: vec![global_depth; buckets],
+            heads: vec![NIL; buckets],
+            meta: vec![Meta(global_depth.into()); buckets],
             arena: Vec::with_capacity(capacity),
             global_depth,
             distinct_keys: 0,
@@ -119,7 +181,7 @@ impl<V> ExtendibleHashTable<V> {
     /// Number of directory slots (2^global_depth).
     #[inline]
     pub fn bucket_count(&self) -> usize {
-        self.directory.len()
+        self.heads.len()
     }
 
     /// Logical tuple width in bytes (the cost model's `tWidth`).
@@ -129,15 +191,16 @@ impl<V> ExtendibleHashTable<V> {
     }
 
     /// Logical memory footprint in bytes (the cost model's `htSize`):
-    /// directory slots plus per-entry header and logical payload.
+    /// directory slots (4 of head, 2 of depth + tags) plus per-entry header
+    /// and logical payload.
     pub fn logical_bytes(&self) -> usize {
-        self.directory.len() * 5 + self.arena.len() * (12 + self.tuple_width)
+        self.heads.len() * 6 + self.arena.len() * (12 + self.tuple_width)
     }
 
     /// Actual heap footprint in bytes of the directory and arena.
     pub fn heap_bytes(&self) -> usize {
-        self.directory.capacity() * std::mem::size_of::<u32>()
-            + self.depth.capacity()
+        self.heads.capacity() * std::mem::size_of::<u32>()
+            + self.meta.capacity() * std::mem::size_of::<Meta>()
             + self.arena.capacity() * std::mem::size_of::<Entry<V>>()
     }
 
@@ -162,50 +225,103 @@ impl<V> ExtendibleHashTable<V> {
         (key & Self::mask(self.global_depth)) as usize
     }
 
+    /// The one lookup prologue: the head of the chain holding `key`'s
+    /// entries, or `NIL` when the bucket's tag filter proves there are none
+    /// — decided from the `meta` word alone. A stale bucket mirrors its
+    /// family root's tags and is answered from the root's chain.
+    #[inline]
+    fn chain_head(&self, key: u64) -> u32 {
+        let i = self.bucket_of(key);
+        let meta = self.meta[i];
+        if meta.admits(key) {
+            self.heads[i & Self::mask(meta.depth()) as usize]
+        } else {
+            NIL
+        }
+    }
+
+    /// Arena index of the first entry under `key` whose value satisfies
+    /// `matches`, read-only (a stale bucket is searched at its family root).
+    #[inline]
+    fn find(&self, key: u64, matches: impl Fn(&V) -> bool) -> Option<usize> {
+        let mut node = self.chain_head(key);
+        while node != NIL {
+            let e = &self.arena[node as usize];
+            if e.key == key && matches(&e.value) {
+                return Some(node as usize);
+            }
+            node = e.next;
+        }
+        None
+    }
+
     /// Bring bucket `i`'s chain up to the current global depth by splitting
     /// its family root. Amortized O(1) per entry per doubling.
     fn freshen(&mut self, i: usize) {
-        let d = self.depth[i];
+        let d = self.meta[i].depth();
         if d == self.global_depth {
             return;
         }
         let root = i & Self::mask(d) as usize;
         // Detach the family chain from the root.
-        let mut node = self.directory[root];
-        self.directory[root] = NIL;
-        // Mark the whole family fresh. Family members are root + k*2^d.
+        let mut node = std::mem::replace(&mut self.heads[root], NIL);
+        // Mark the whole family fresh, with no tags yet (stale members only
+        // mirrored the root's). Family members are root + k*2^d.
         let family = 1usize << (self.global_depth - d);
         for k in 0..family {
             let member = root + (k << d);
-            self.depth[member] = self.global_depth;
-            debug_assert!(member == root || self.directory[member] == NIL);
+            debug_assert!(self.heads[member] == NIL);
+            self.meta[member] = Meta(self.global_depth.into());
         }
         // Redistribute the chain by the low `global_depth` bits of each key.
         while node != NIL {
-            let next = self.arena[node as usize].next;
-            let target = self.bucket_of(self.arena[node as usize].key);
-            self.arena[node as usize].next = self.directory[target];
-            self.directory[target] = node;
+            let e = &mut self.arena[node as usize];
+            let target = (e.key & Self::mask(self.global_depth)) as usize;
+            self.meta[target].0 |= tag_bit(e.key);
+            let next = std::mem::replace(&mut e.next, self.heads[target]);
+            self.heads[target] = node;
             node = next;
         }
     }
 
     /// Double the directory. Entries are *not* moved — new slots inherit the
-    /// family depth of their lower half and are split lazily on first touch.
+    /// family depth (and mirror the tags) of their lower half and are split
+    /// lazily on first touch.
     fn grow_directory(&mut self) {
-        let old = self.directory.len();
-        assert!(old.checked_mul(2).is_some(), "directory overflow");
-        self.directory.resize(old * 2, NIL);
-        self.depth.extend_from_within(0..old);
+        let old = self.heads.len();
+        // Depths are stored in `DEPTH_BITS` bits (and heads index a u32 arena).
+        assert!(
+            u32::from(self.global_depth) + 1 < u32::BITS,
+            "directory overflow"
+        );
+        self.heads.resize(old * 2, NIL);
+        self.meta.extend_from_within(0..old);
         self.global_depth += 1;
         self.resizes += 1;
     }
 
     #[inline]
     fn maybe_grow(&mut self) {
-        if self.arena.len() >= self.directory.len() * MAX_AVG_CHAIN {
+        if self.arena.len() >= self.heads.len() * MAX_AVG_CHAIN {
             self.grow_directory();
         }
+    }
+
+    /// Chain a new entry under `key`, whose bucket must be fresh. Returns
+    /// `true` if the key was not present before.
+    fn link(&mut self, key: u64, value: V) -> bool {
+        let new_key = self.find(key, |_| true).is_none();
+        let b = self.bucket_of(key);
+        let idx = self.arena.len() as u32;
+        self.arena.push(Entry {
+            key,
+            next: self.heads[b],
+            value,
+        });
+        self.heads[b] = idx;
+        self.meta[b].0 |= tag_bit(key);
+        self.distinct_keys += usize::from(new_key);
+        new_key
     }
 
     /// Insert a `(key, value)` pair, allowing duplicate keys (multi-map).
@@ -214,69 +330,48 @@ impl<V> ExtendibleHashTable<V> {
     /// distinct-key statistic).
     pub fn insert(&mut self, key: u64, value: V) -> bool {
         self.maybe_grow();
-        let b = self.bucket_of(key);
-        self.freshen(b);
-        // Walk the chain once to learn whether the key is new.
-        let mut node = self.directory[b];
-        let mut new_key = true;
-        while node != NIL {
-            let e = &self.arena[node as usize];
-            if e.key == key {
-                new_key = false;
-                break;
-            }
-            node = e.next;
-        }
-        let idx = self.arena.len() as u32;
-        self.arena.push(Entry {
-            key,
-            next: self.directory[b],
-            value,
-        });
-        self.directory[b] = idx;
-        if new_key {
-            self.distinct_keys += 1;
-        }
-        new_key
+        self.touch(key);
+        self.link(key, value)
     }
 
     /// Iterate over the values stored under `key`.
     pub fn probe(&mut self, key: u64) -> ProbeIter<'_, V> {
-        let b = self.bucket_of(key);
-        self.freshen(b);
+        self.touch(key);
+        self.probe_readonly(key)
+    }
+
+    /// Probe without freshening (read-only). A stale bucket is answered from
+    /// its family root's chain, so it never misses.
+    #[inline]
+    pub fn probe_readonly(&self, key: u64) -> ProbeIter<'_, V> {
         ProbeIter {
             arena: &self.arena,
-            node: self.directory[b],
+            node: self.chain_head(key),
             key,
         }
     }
 
-    /// Probe without freshening (read-only). Falls back to scanning the
-    /// family root chain when the bucket is stale, so it never misses.
-    pub fn probe_readonly(&self, key: u64) -> ProbeIter<'_, V> {
-        let i = self.bucket_of(key);
-        let d = self.depth[i];
-        let root = i & Self::mask(d) as usize;
-        ProbeIter {
-            arena: &self.arena,
-            node: self.directory[root],
-            key,
+    /// Append to `out` the positions in `keys` of the keys the tag filter
+    /// admits — the only ones a probe can match — in order. One `meta` load
+    /// per key and no arena access: the batch form of the lookup prologue,
+    /// for consumers that probe many keys of which few hit.
+    pub fn filter_keys(&self, keys: &[u64], out: &mut Vec<u32>) {
+        // Branch-free: write every position, advance past the admitted ones.
+        let base = out.len();
+        out.resize(base + keys.len(), 0);
+        let mut n = base;
+        for (j, &key) in keys.iter().enumerate() {
+            out[n] = j as u32;
+            n += usize::from(self.meta[self.bucket_of(key)].admits(key));
         }
+        out.truncate(n);
     }
 
     /// Mutable access to the first entry with `key`, if any.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        let b = self.bucket_of(key);
-        self.freshen(b);
-        let mut node = self.directory[b];
-        while node != NIL {
-            let e = &self.arena[node as usize];
-            if e.key == key {
-                return Some(&mut self.arena[node as usize].value);
-            }
-            node = e.next;
-        }
-        None
+        self.touch(key);
+        let i = self.find(key, |_| true)?;
+        Some(&mut self.arena[i].value)
     }
 
     /// Aggregate-style access: update the entry under `key`, inserting it
@@ -288,13 +383,7 @@ impl<V> ExtendibleHashTable<V> {
         I: FnOnce() -> V,
         U: FnOnce(&mut V),
     {
-        if let Some(v) = self.get_mut(key) {
-            update(v);
-            false
-        } else {
-            self.insert(key, init());
-            true
-        }
+        self.upsert_where(key, |_| true, init, update)
     }
 
     /// Like [`upsert`](Self::upsert) but verifies candidate entries with
@@ -306,19 +395,17 @@ impl<V> ExtendibleHashTable<V> {
         I: FnOnce() -> V,
         U: FnOnce(&mut V),
     {
-        let b = self.bucket_of(key);
-        self.freshen(b);
-        let mut node = self.directory[b];
-        while node != NIL {
-            let e = &self.arena[node as usize];
-            if e.key == key && matches(&e.value) {
-                update(&mut self.arena[node as usize].value);
-                return false;
+        self.touch(key);
+        match self.find(key, matches) {
+            Some(i) => {
+                update(&mut self.arena[i].value);
+                false
             }
-            node = e.next;
+            None => {
+                self.insert(key, init());
+                true
+            }
         }
-        self.insert(key, init());
-        true
     }
 
     /// Iterate over all `(key, value)` pairs in arena order.
@@ -343,41 +430,17 @@ impl<V> ExtendibleHashTable<V> {
 
     /// Keep only entries whose `(key, value)` satisfies the predicate.
     ///
-    /// Rebuilds the arena and all chains; used by the fine-grained GC mode
-    /// and by tests. O(n).
+    /// Rebuilds the arena, all chains and their tags; used by the
+    /// fine-grained GC mode and by tests. O(n).
     pub fn retain(&mut self, mut pred: impl FnMut(u64, &V) -> bool) {
         let old = std::mem::take(&mut self.arena);
-        for h in self.directory.iter_mut() {
-            *h = NIL;
-        }
-        for d in self.depth.iter_mut() {
-            *d = self.global_depth;
-        }
+        self.heads.fill(NIL);
+        self.meta.fill(Meta(self.global_depth.into()));
         self.distinct_keys = 0;
         for e in old {
             if pred(e.key, &e.value) {
-                // Re-insert without growth checks: directory is already
-                // large enough.
-                let b = self.bucket_of(e.key);
-                let mut node = self.directory[b];
-                let mut new_key = true;
-                while node != NIL {
-                    if self.arena[node as usize].key == e.key {
-                        new_key = false;
-                        break;
-                    }
-                    node = self.arena[node as usize].next;
-                }
-                let idx = self.arena.len() as u32;
-                self.arena.push(Entry {
-                    key: e.key,
-                    next: self.directory[b],
-                    value: e.value,
-                });
-                self.directory[b] = idx;
-                if new_key {
-                    self.distinct_keys += 1;
-                }
+                // No growth check: the directory is already large enough.
+                self.link(e.key, e.value);
             }
         }
     }
@@ -388,7 +451,7 @@ impl<V> ExtendibleHashTable<V> {
     pub fn reserve(&mut self, additional: usize) {
         let needed = self.arena.len() + additional;
         self.arena.reserve(additional);
-        while self.directory.len() * MAX_AVG_CHAIN < needed {
+        while self.heads.len() * MAX_AVG_CHAIN < needed {
             self.grow_directory();
         }
     }
@@ -439,7 +502,7 @@ impl<V> ExtendibleHashTable<V> {
             "fill_from_partitions: table not empty"
         );
         assert!(
-            self.directory.len() * MAX_AVG_CHAIN >= keys.len(),
+            self.heads.len() * MAX_AVG_CHAIN >= keys.len(),
             "fill_from_partitions: reserve() the table for {} rows first",
             keys.len()
         );
@@ -463,21 +526,22 @@ impl<V> ExtendibleHashTable<V> {
                     part.rows[link as usize]
                 };
             }
-            for (off, &head) in part.heads.iter().enumerate() {
+            for (off, (&head, &tags)) in part.heads.iter().zip(&part.tags).enumerate() {
                 if head == PART_NIL {
                     continue;
                 }
                 let bucket = part.buckets.start + off;
                 // Replay the serial build's insert-time freshen (empty-table
-                // bookkeeping only — chains are installed below).
+                // bookkeeping only), then install the chain and its tags.
                 self.freshen(bucket);
-                self.directory[bucket] = part.rows[head as usize];
+                self.heads[bucket] = part.rows[head as usize];
+                self.meta[bucket].0 |= tags;
             }
             self.distinct_keys += part.distinct;
         }
         assert_eq!(
             next_tile,
-            self.directory.len(),
+            self.heads.len(),
             "partitions must cover the directory"
         );
         for (i, (&key, value)) in keys.iter().zip(values).enumerate() {
@@ -501,8 +565,8 @@ impl<V> ExtendibleHashTable<V> {
             global_depth: self.global_depth,
             resizes: self.resizes,
             distinct_keys: self.distinct_keys,
-            directory: &self.directory,
-            depth: &self.depth,
+            directory: &self.heads,
+            meta: &self.meta,
         }
     }
 
@@ -514,13 +578,17 @@ impl<V> ExtendibleHashTable<V> {
         self.arena.iter().map(|e| (e.key, e.next, &e.value))
     }
 
-    /// Rebuild a table from a previously exported layout.
+    /// Rebuild a table from a previously exported layout, tag filter
+    /// included (it is recomputed from the chains, never stored).
     ///
-    /// Returns `None` if the parts are structurally inconsistent (directory
-    /// and depth length must equal `2^global_depth`, local depths must not
-    /// exceed the global depth, and every chain link must stay inside the
-    /// arena) — a corrupt or torn persisted image must never produce a
-    /// table that panics on probe.
+    /// Returns `None` if the parts are structurally inconsistent: directory
+    /// and depth length must equal `2^global_depth`; local depths must not
+    /// exceed the global depth and must agree across each lazy-split family,
+    /// whose chain hangs off the family root alone; every chain link must
+    /// stay inside the arena; and the chains must reach every arena entry
+    /// exactly once (no cycle, no shared tail, no orphan). A corrupt or torn
+    /// persisted image must never produce a table that panics or spins on
+    /// probe.
     #[allow(clippy::too_many_arguments)]
     pub fn from_layout(
         tuple_width: usize,
@@ -538,27 +606,50 @@ impl<V> ExtendibleHashTable<V> {
         if directory.len() != buckets || depth.len() != buckets {
             return None;
         }
-        let n = arena.len();
-        let in_range = |link: u32| link == NIL || (link as usize) < n;
-        if !directory.iter().all(|&h| in_range(h)) {
+        if !depth.iter().all(|&d| d <= global_depth) || distinct_keys > arena.len() {
             return None;
         }
-        if !depth.iter().all(|&d| d <= global_depth) {
-            return None;
+        let arena: Vec<Entry<V>> = arena
+            .into_iter()
+            .map(|(key, next, value)| Entry { key, next, value })
+            .collect();
+        // Walk every chain once: rebuilds the tags and proves termination.
+        let mut meta: Vec<Meta> = Vec::with_capacity(buckets);
+        let mut reached = vec![false; arena.len()];
+        let mut family_slots = 0usize;
+        for (i, (&head, &d)) in directory.iter().zip(&depth).enumerate() {
+            let root = i & Self::mask(d) as usize;
+            if root != i {
+                // A stale member: chained at its root (already rebuilt,
+                // root < i), whose depth it shares and whose tags it mirrors.
+                if head != NIL || meta[root].depth() != d {
+                    return None;
+                }
+                meta.push(meta[root]);
+                continue;
+            }
+            family_slots += 1usize << (global_depth - d);
+            let mut tags = 0;
+            let mut node = head;
+            while node != NIL {
+                let e = arena.get(node as usize)?;
+                if std::mem::replace(&mut reached[node as usize], true) {
+                    return None;
+                }
+                tags |= tag_bit(e.key);
+                node = e.next;
+            }
+            meta.push(Meta(tags | u16::from(d)));
         }
-        if !arena.iter().all(|&(_, next, _)| in_range(next)) {
-            return None;
-        }
-        if distinct_keys > n {
+        // Families that exactly tile the directory are disjoint: every slot
+        // agreed with its root above.
+        if reached.contains(&false) || family_slots != buckets {
             return None;
         }
         Some(ExtendibleHashTable {
-            directory,
-            depth,
-            arena: arena
-                .into_iter()
-                .map(|(key, next, value)| Entry { key, next, value })
-                .collect(),
+            heads: directory,
+            meta,
+            arena,
             global_depth,
             distinct_keys,
             tuple_width,
@@ -579,8 +670,8 @@ impl<V> ExtendibleHashTable<V> {
             && self.distinct_keys == other.distinct_keys
             && self.tuple_width == other.tuple_width
             && self.resizes == other.resizes
-            && self.directory == other.directory
-            && self.depth == other.depth
+            && self.heads == other.heads
+            && self.layout().depths().eq(other.layout().depths())
             && self.arena.len() == other.arena.len()
             && self
                 .arena
@@ -606,8 +697,14 @@ pub struct HtLayout<'a> {
     pub distinct_keys: usize,
     /// Directory: bucket heads as arena indices (`u32::MAX` = empty).
     pub directory: &'a [u32],
-    /// Per-bucket lazy-split local depths.
-    pub depth: &'a [u8],
+    meta: &'a [Meta],
+}
+
+impl<'a> HtLayout<'a> {
+    /// Per-bucket lazy-split local depths, one per directory slot.
+    pub fn depths(&self) -> impl ExactSizeIterator<Item = u8> + 'a {
+        self.meta.iter().map(|m| m.depth())
+    }
 }
 
 /// Iterator over values matching a probe key.
@@ -832,23 +929,28 @@ mod tests {
         assert_eq!(s.bytes, ht.logical_bytes());
     }
 
+    /// `layout()` → `from_layout`.
+    fn relayout<V: Copy>(ht: &ExtendibleHashTable<V>) -> ExtendibleHashTable<V> {
+        let l = ht.layout();
+        ExtendibleHashTable::from_layout(
+            l.tuple_width,
+            l.global_depth,
+            l.resizes,
+            l.distinct_keys,
+            l.directory.to_vec(),
+            l.depths().collect(),
+            ht.arena_entries().map(|(k, n, v)| (k, n, *v)).collect(),
+        )
+        .expect("exported layout is consistent")
+    }
+
     #[test]
     fn layout_roundtrip_is_layout_eq() {
         let mut ht = ExtendibleHashTable::new(16);
         for i in 0..100u64 {
             ht.insert(i % 37, i as u32);
         }
-        let l = ht.layout();
-        let rebuilt = ExtendibleHashTable::from_layout(
-            l.tuple_width,
-            l.global_depth,
-            l.resizes,
-            l.distinct_keys,
-            l.directory.to_vec(),
-            l.depth.to_vec(),
-            ht.arena_entries().map(|(k, n, v)| (k, n, *v)).collect(),
-        )
-        .expect("exported layout is consistent");
+        let rebuilt = relayout(&ht);
         assert!(ht.layout_eq(&rebuilt));
         assert_eq!(
             rebuilt.probe_readonly(5).copied().collect::<Vec<_>>(),
@@ -891,5 +993,72 @@ mod tests {
             Vec::new()
         )
         .is_none());
+    }
+
+    /// Links that are in range but do not form terminating, disjoint chains
+    /// covering the arena would make `probe` spin (or lose entries).
+    #[test]
+    fn from_layout_rejects_chains_that_do_not_tile_the_arena() {
+        let build = |directory: Vec<u32>, depth: Vec<u8>, links: [u32; 3]| {
+            let arena = vec![(0u64, links[0], 0u32), (2, links[1], 1), (4, links[2], 2)];
+            ExtendibleHashTable::from_layout(8, 1, 0, 3, directory, depth, arena)
+        };
+        let mut ok = build(vec![2, NIL], vec![1, 1], [NIL, 0, 1]).expect("one sound chain");
+        assert_eq!(ok.probe(2).copied().collect::<Vec<_>>(), vec![1]);
+        assert!(ok.probe(6).next().is_none());
+        // An entry linked to itself.
+        assert!(build(vec![2, NIL], vec![1, 1], [0, 0, 1]).is_none());
+        // A longer cycle.
+        assert!(build(vec![2, NIL], vec![1, 1], [2, 0, 1]).is_none());
+        // Two heads sharing a tail.
+        assert!(build(vec![2, 1], vec![1, 1], [NIL, 0, 0]).is_none());
+        // An entry no chain reaches.
+        assert!(build(vec![1, NIL], vec![1, 1], [NIL, 0, NIL]).is_none());
+        // A chain hanging off a stale non-root slot: probes would never see it.
+        assert!(build(vec![1, 2], vec![0, 0], [NIL, 0, NIL]).is_none());
+        // A slot that disowns the lazy-split family its root claims.
+        assert!(build(vec![2, NIL], vec![0, 1], [NIL, 0, 1]).is_none());
+    }
+
+    /// The tags are exact — a pure function of the chains — however the
+    /// table got its layout, and stale slots mirror their family root.
+    #[test]
+    fn tags_are_exact_on_every_construction_path() {
+        fn assert_exact<V>(ht: &ExtendibleHashTable<V>, what: &str) {
+            for (i, meta) in ht.meta.iter().enumerate() {
+                let root = i & ExtendibleHashTable::<V>::mask(meta.depth()) as usize;
+                let mut want = u16::from(meta.depth());
+                let mut node = ht.heads[root];
+                while node != NIL {
+                    want |= tag_bit(ht.arena[node as usize].key);
+                    node = ht.arena[node as usize].next;
+                }
+                assert_eq!(meta.0, want, "{what}: slot {i}");
+            }
+        }
+        let keys: Vec<u64> = (0..600u64).map(|i| i.wrapping_mul(0x9e37) % 211).collect();
+        let mut ht = ExtendibleHashTable::new(8);
+        for (i, &k) in keys.iter().enumerate() {
+            ht.insert(k, i);
+            if i == 300 {
+                ht.reserve(5_000);
+                assert_exact(&ht, "stale after reserve");
+            }
+        }
+        assert_exact(&ht, "incremental inserts");
+        let rebuilt = relayout(&ht);
+        assert_exact(&rebuilt, "from_layout");
+        ht.retain(|k, _| k % 3 != 0);
+        assert_exact(&ht, "retain");
+
+        let mut filled = ExtendibleHashTable::new(8);
+        filled.reserve(keys.len());
+        let dir_len = filled.bucket_count();
+        let parts = crate::bucket_ranges(dir_len, 3)
+            .into_iter()
+            .map(|r| crate::partition_chains(&keys, dir_len, r))
+            .collect();
+        filled.fill_from_partitions(&keys, (0..keys.len()).collect(), parts);
+        assert_exact(&filled, "partitioned fill");
     }
 }

@@ -16,11 +16,13 @@
 //!
 //! Because every bucket is owned by exactly one partition and each partition
 //! observes rows in row order, the assembled chains are *identical* to the
-//! serial build's — same arena order, same next-links, same directory heads,
-//! same lazy-split bookkeeping — for any partition count. The test battery
+//! serial build's — same arena order, same next-links, same directory heads
+//! and tag filters, same lazy-split bookkeeping — for any partition count. The test battery
 //! (`tests/build_equivalence.rs`) pins this byte for byte.
 
 use std::ops::Range;
+
+use crate::extendible::tag_bit;
 
 /// Sentinel for "no entry" in partition chain links (mirrors the table's
 /// internal NIL).
@@ -37,6 +39,8 @@ pub struct ChainPartition {
     pub(crate) buckets: Range<usize>,
     /// Per bucket in `buckets`: position into `rows` of the chain head.
     pub(crate) heads: Vec<u32>,
+    /// Per bucket in `buckets`: the tag-filter bits of its chained keys.
+    pub(crate) tags: Vec<u16>,
     /// Global row indices owned by this partition, in ascending row order.
     pub(crate) rows: Vec<u32>,
     /// Chain link per `rows` slot: position (into `rows`) of the previous
@@ -70,6 +74,7 @@ pub fn partition_chains(keys: &[u64], dir_len: usize, range: Range<usize>) -> Ch
     assert!(range.end <= dir_len);
     let mask = (dir_len - 1) as u64;
     let mut heads = vec![PART_NIL; range.len()];
+    let mut tags = vec![0u16; range.len()];
     let mut rows: Vec<u32> = Vec::new();
     let mut links: Vec<u32> = Vec::new();
     let mut distinct = 0usize;
@@ -97,10 +102,12 @@ pub fn partition_chains(keys: &[u64], dir_len: usize, range: Range<usize>) -> Ch
         rows.push(i as u32);
         links.push(head);
         heads[b - range.start] = pos;
+        tags[b - range.start] |= tag_bit(key);
     }
     ChainPartition {
         buckets: range,
         heads,
+        tags,
         rows,
         links,
         distinct,

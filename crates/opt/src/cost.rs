@@ -224,7 +224,7 @@ impl CostModel {
     /// `width` bytes (mirrors `ExtendibleHashTable::logical_bytes`).
     pub fn ht_size(&self, entries: f64, width: f64) -> f64 {
         let buckets = (entries / 2.0).max(2.0);
-        buckets * 5.0 + entries * (12.0 + width)
+        buckets * 6.0 + entries * (12.0 + width)
     }
 
     /// `c_RHJ` for building a *fresh* join table of `build_rows` tuples of
