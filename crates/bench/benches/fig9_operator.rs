@@ -3,7 +3,7 @@
 //! The exact-reuse path must win by roughly the build-side cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hashstash_cache::{GcConfig, HtManager, StoredHt, TaggedRow};
+use hashstash_cache::{GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{default_parallelism, execute, ExecContext, TempTableCache, WorkerPool};
 use hashstash_hashtable::ExtendibleHashTable;
@@ -36,7 +36,6 @@ fn fingerprint() -> HtFingerprint {
         key_attrs: vec![Arc::from("dim.d_key")],
         payload_attrs: vec![Arc::from("dim.d_key")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
@@ -71,13 +70,13 @@ fn benches(c: &mut Criterion) {
             // Pre-build the cached table once.
             let mut ht = ExtendibleHashTable::with_capacity(8, n as usize);
             for i in 0..n {
-                ht.insert(i as u64, TaggedRow::untagged(Row::new(vec![Value::Int(i)])));
+                ht.insert(i as u64, Row::new(vec![Value::Int(i)]));
             }
             let schema = Schema::new(vec![Field::new("dim.d_key", DataType::Int)]);
             b.iter_batched(
                 || {
                     let htm = HtManager::new(GcConfig::default());
-                    let id = htm.publish(fingerprint(), schema.clone(), StoredHt::Join(ht.clone()));
+                    let id = htm.publish(fingerprint(), schema.clone(), StoredHt::Rows(ht.clone()));
                     (htm, id)
                 },
                 |(htm, id)| {

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use hashstash::{Database, EngineStrategy};
 use hashstash_bench::common::{header, ms};
-use hashstash_cache::{AggPayload, StoredHt, TaggedRow};
+use hashstash_cache::{AggPayload, StoredHt};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, QuerySpec, Region,
@@ -91,17 +91,13 @@ fn seed_join_cache(db: &Database, c: f64) {
     for i in 0..keep {
         ht.insert(
             i as u64,
-            TaggedRow::untagged(Row::new(vec![Value::Int(i), Value::Int(i), Value::Int(1)])),
+            Row::new(vec![Value::Int(i), Value::Int(i), Value::Int(1)]),
         );
     }
     for i in 0..junk {
         ht.insert(
             (h + i) as u64,
-            TaggedRow::untagged(Row::new(vec![
-                Value::Int(h + i),
-                Value::Int(i),
-                Value::Int(0),
-            ])),
+            Row::new(vec![Value::Int(h + i), Value::Int(i), Value::Int(0)]),
         );
     }
     let mut region = Region::empty();
@@ -133,9 +129,8 @@ fn seed_join_cache(db: &Database, c: f64) {
         key_attrs: vec![Arc::from("buildt.bt_key")],
         payload_attrs: payload.iter().map(|p| Arc::from(*p)).collect(),
         aggregates: vec![],
-        tagged: false,
     };
-    db.cache().publish(fp, schema, StoredHt::Join(ht));
+    db.cache().publish(fp, schema, StoredHt::Rows(ht));
 }
 
 fn agg_query(id: u32) -> QuerySpec {
@@ -188,7 +183,6 @@ fn seed_agg_cache(db: &Database, c: f64) {
         key_attrs: vec![Arc::from("buildt.bt_sel"), Arc::from("buildt.bt_key")],
         payload_attrs: vec![Arc::from("buildt.bt_sel"), Arc::from("buildt.bt_key")],
         aggregates: aggs,
-        tagged: false,
     };
     db.cache().publish(fp, schema, StoredHt::Agg(ht));
 }

@@ -82,7 +82,6 @@ fn dim_fingerprint(region: Region) -> HtFingerprint {
         key_attrs: vec![Arc::from("dim.d_key")],
         payload_attrs: vec![Arc::from("dim.d_key"), Arc::from("dim.d_attr")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
@@ -106,7 +105,6 @@ fn assert_engine_shard_routing() {
         key_attrs: vec![Arc::from("customer.c_custkey")],
         payload_attrs: vec![Arc::from("customer.c_age")],
         aggregates: vec![],
-        tagged: false,
     };
     let h = ShapeKey::of(&fp).stable_hash();
     assert_eq!(

@@ -12,9 +12,9 @@
 //!   shared/exclusive checkout guards with copy-on-write mutation (and a
 //!   sole-reference in-place fast path), identical-lineage publish dedup,
 //!   per-table TTL expiry, statistics.
-//! * [`payload`] — the payload types: [`payload::StoredHt`] (join rows,
-//!   optionally qid-tagged; aggregate accumulator states; raw grouped rows
-//!   for shared aggregates) and [`payload::MaterializedRows`] (the
+//! * [`payload`] — the payload types: [`payload::StoredHt`] (plain rows —
+//!   join build sides and the raw grouped rows of shared aggregates — or
+//!   aggregate accumulator states) and [`payload::MaterializedRows`] (the
 //!   temp-table baseline's row vectors).
 //! * [`manager::HtManager`] — the hash-table facade: publish / candidates /
 //!   checkout / checkin / release life-cycle, all methods `&self`.
@@ -37,7 +37,7 @@ pub mod recycle;
 pub mod store;
 
 pub use manager::{Candidate, CheckedOut, HtManager};
-pub use payload::{AggAccum, AggPayload, MaterializedRows, StoredHt, TaggedRow};
+pub use payload::{AggAccum, AggPayload, MaterializedRows, StoredHt};
 pub use recycle::RecycleGraph;
 pub use store::{
     CacheStats, Checkout, EvictionPolicy, GcConfig, ReuseBudget, ReusePayload, ReuseStore,

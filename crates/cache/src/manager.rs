@@ -17,9 +17,9 @@
 //!   and subsuming): clones the handle, so any number of queries can probe
 //!   the same table concurrently. No lock is held while the table is in use.
 //! * [`HtManager::checkout_mut`] — *exclusive* checkout for mutating reuse
-//!   (partial/overlapping delta insertion, shared-plan re-tagging). Only one
-//!   writer per table at a time — the paper's single-reuser rule (§2.2) is
-//!   enforced exactly where mutation happens. Writers copy-on-write via
+//!   (partial/overlapping delta insertion). Only one writer per table at a
+//!   time — the paper's single-reuser rule (§2.2) is enforced exactly where
+//!   mutation happens. Writers copy-on-write via
 //!   `Arc::make_mut` — or, when no reader snapshot is outstanding, take the
 //!   sole-reference in-place fast path that skips the O(table) copy — so
 //!   concurrent readers always keep probing their immutable snapshot; the
@@ -190,8 +190,8 @@ impl HtManager {
     }
 
     /// Check a table out for mutating reuse (partial/overlapping delta
-    /// insertion, shared-plan re-tagging). At most one mutating checkout per
-    /// table — the paper's single-reuser rule, enforced only where mutation
+    /// insertion). At most one mutating checkout per table — the paper's
+    /// single-reuser rule, enforced only where mutation
     /// actually happens. Mutation is copy-on-write (with a sole-reference
     /// in-place fast path): concurrent readers keep their snapshot until
     /// [`CheckedOut::checkin`] publishes the new version.
@@ -320,7 +320,6 @@ impl HtManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::TaggedRow;
     use hashstash_hashtable::ExtendibleHashTable;
     use hashstash_plan::{HtKind, Interval, PredBox, Region};
     use hashstash_types::{DataType, Field, HsError, Row, Value};
@@ -337,7 +336,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_age")],
             aggregates: Vec::new(),
-            tagged: false,
         }
     }
 
@@ -348,9 +346,9 @@ mod tests {
     fn table(n: usize) -> StoredHt {
         let mut ht = ExtendibleHashTable::new(8);
         for i in 0..n as u64 {
-            ht.insert(i, TaggedRow::untagged(Row::new(vec![Value::Int(i as i64)])));
+            ht.insert(i, Row::new(vec![Value::Int(i as i64)]));
         }
-        StoredHt::Join(ht)
+        StoredHt::Rows(ht)
     }
 
     #[test]
@@ -477,11 +475,11 @@ mod tests {
         let reader = m.checkout(id).unwrap();
         let mut writer = m.checkout_mut(id).unwrap();
         {
-            let StoredHt::Join(t) = writer.table_mut().unwrap() else {
+            let StoredHt::Rows(t) = writer.table_mut().unwrap() else {
                 panic!("join table")
             };
             for i in 100..110u64 {
-                t.insert(i, TaggedRow::untagged(Row::new(vec![Value::Int(i as i64)])));
+                t.insert(i, Row::new(vec![Value::Int(i as i64)]));
             }
         }
         writer.fingerprint.region = fp(10, 30).region;
@@ -507,10 +505,10 @@ mod tests {
         };
         let mut writer = m.checkout_mut(id).unwrap();
         {
-            let StoredHt::Join(t) = writer.table_mut().unwrap() else {
+            let StoredHt::Rows(t) = writer.table_mut().unwrap() else {
                 panic!("join table")
             };
-            t.insert(500, TaggedRow::untagged(Row::new(vec![Value::Int(500)])));
+            t.insert(500, Row::new(vec![Value::Int(500)]));
         }
         writer.fingerprint.region = fp(10, 30).region;
         writer.checkin().unwrap();
@@ -554,10 +552,10 @@ mod tests {
         let id = m.publish(fp(20, 30), schema(), table(10));
         {
             let mut writer = m.checkout_mut(id).unwrap();
-            let StoredHt::Join(t) = writer.table_mut().unwrap() else {
+            let StoredHt::Rows(t) = writer.table_mut().unwrap() else {
                 panic!("join table")
             };
-            t.insert(999, TaggedRow::untagged(Row::new(vec![Value::Int(999)])));
+            t.insert(999, Row::new(vec![Value::Int(999)]));
             // Simulated executor error: dropped without checkin.
         }
         assert!(!m.is_available(id), "half-mutated entry dropped");

@@ -1,38 +1,18 @@
 //! Value types stored inside cached hash tables — and the payloads the
 //! generic [`crate::store::ReuseStore`] accepts ([`StoredHt`] for the Hash
 //! Table Manager, [`MaterializedRows`] for the temp-table baseline).
+//!
+//! Cached tables hold plain rows or aggregate states and nothing else: no
+//! per-entry query tag. Shared plans decide which query of a batch a stored
+//! row belongs to by evaluating that query's predicates when they read it
+//! (see `hashstash_exec::shared`), so a cached table never has to be
+//! rewritten before it is reused.
 
-use hashstash_types::{QidSet, Row, Value};
+use hashstash_types::{Row, Value};
 
 use hashstash_plan::{AggExpr, AggFunc};
 
 use crate::store::ReusePayload;
-
-/// A row with a query-id tag.
-///
-/// Non-shared operators leave the tag [`QidSet::EMPTY`]; shared operators
-/// (SRHJ / SRHA) use it to track which queries of the batch each tuple
-/// qualifies for (Data-Query model, paper §4.1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaggedRow {
-    pub row: Row,
-    pub tag: QidSet,
-}
-
-impl TaggedRow {
-    /// An untagged row.
-    pub fn untagged(row: Row) -> Self {
-        TaggedRow {
-            row,
-            tag: QidSet::EMPTY,
-        }
-    }
-
-    /// A tagged row.
-    pub fn tagged(row: Row, tag: QidSet) -> Self {
-        TaggedRow { row, tag }
-    }
-}
 
 /// One aggregate accumulator state.
 ///
@@ -163,22 +143,22 @@ impl AggPayload {
     }
 }
 
-/// A cached hash table, typed by what produced it.
+/// A cached hash table, typed by what it stores. Which operator produced
+/// it (join build or shared grouping phase) is the fingerprint's `HtKind`.
 #[derive(Debug, Clone)]
 pub enum StoredHt {
-    /// Join build side: multi-map join-key → tagged rows.
-    Join(hashstash_hashtable::ExtendibleHashTable<TaggedRow>),
+    /// Join build side (multi-map join-key → rows) or shared grouping phase
+    /// (multi-map group-key → raw rows).
+    Rows(hashstash_hashtable::ExtendibleHashTable<Row>),
     /// Aggregate: group-key → accumulator states.
     Agg(hashstash_hashtable::ExtendibleHashTable<AggPayload>),
-    /// Shared grouping phase: group-key → raw tagged rows.
-    SharedGroup(hashstash_hashtable::ExtendibleHashTable<TaggedRow>),
 }
 
 impl StoredHt {
     /// Logical footprint in bytes (the cost model's `htSize`).
     pub fn logical_bytes(&self) -> usize {
         match self {
-            StoredHt::Join(ht) | StoredHt::SharedGroup(ht) => ht.logical_bytes(),
+            StoredHt::Rows(ht) => ht.logical_bytes(),
             StoredHt::Agg(ht) => ht.logical_bytes(),
         }
     }
@@ -186,7 +166,7 @@ impl StoredHt {
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         match self {
-            StoredHt::Join(ht) | StoredHt::SharedGroup(ht) => ht.len(),
+            StoredHt::Rows(ht) => ht.len(),
             StoredHt::Agg(ht) => ht.len(),
         }
     }
@@ -199,7 +179,7 @@ impl StoredHt {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         match self {
-            StoredHt::Join(ht) | StoredHt::SharedGroup(ht) => ht.distinct_keys(),
+            StoredHt::Rows(ht) => ht.distinct_keys(),
             StoredHt::Agg(ht) => ht.distinct_keys(),
         }
     }
@@ -207,7 +187,7 @@ impl StoredHt {
     /// Logical tuple width in bytes.
     pub fn tuple_width(&self) -> usize {
         match self {
-            StoredHt::Join(ht) | StoredHt::SharedGroup(ht) => ht.tuple_width(),
+            StoredHt::Rows(ht) => ht.tuple_width(),
             StoredHt::Agg(ht) => ht.tuple_width(),
         }
     }
@@ -230,7 +210,7 @@ impl ReusePayload for StoredHt {
             k
         };
         match self {
-            StoredHt::Join(t) | StoredHt::SharedGroup(t) => t.retain(|_, _| keep_it()),
+            StoredHt::Rows(t) => t.retain(|_, _| keep_it()),
             StoredHt::Agg(t) => t.retain(|_, _| keep_it()),
         }
     }
@@ -374,9 +354,9 @@ mod tests {
     #[test]
     fn stored_ht_accessors() {
         let mut ht = hashstash_hashtable::ExtendibleHashTable::new(16);
-        ht.insert(1, TaggedRow::untagged(Row::new(vec![Value::Int(1)])));
-        ht.insert(1, TaggedRow::untagged(Row::new(vec![Value::Int(2)])));
-        let stored = StoredHt::Join(ht);
+        ht.insert(1, Row::new(vec![Value::Int(1)]));
+        ht.insert(1, Row::new(vec![Value::Int(2)]));
+        let stored = StoredHt::Rows(ht);
         assert_eq!(stored.len(), 2);
         assert_eq!(stored.distinct_keys(), 1);
         assert_eq!(stored.tuple_width(), 16);

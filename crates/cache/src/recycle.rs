@@ -204,7 +204,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_age")],
             aggregates: Vec::new(),
-            tagged: false,
         }
     }
 

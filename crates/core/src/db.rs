@@ -43,8 +43,8 @@ use hashstash_durability::{
 };
 use hashstash_exec::shared::execute_shared;
 use hashstash_exec::{
-    acquire_plan_checkouts, execute, ExecContext, ExecMetrics, TempTableCache, TempTableStats,
-    WorkerPool,
+    acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics, TempTableCache,
+    TempTableStats, WorkerPool,
 };
 use hashstash_opt::multi::{plan_batch, BatchUnit};
 use hashstash_opt::optimizer::{OptimizedQuery, Optimizer, OptimizerConfig};
@@ -1016,11 +1016,17 @@ impl Session {
                     if fresh == 0 {
                         continue; // completed before a batch re-plan
                     }
+                    // Pin the join chain's and the grouping tables' reuse
+                    // candidates before any work, exactly as a single query.
+                    let pins = acquire_checkouts(&spec.reuse_specs(), &db.htm)?;
                     let t1 = Instant::now();
                     let mut ctx = ExecContext::new(&db.catalog, &db.htm, &db.temps)
                         .with_parallelism(db.parallelism)
                         .with_pool(&db.pool)
                         .with_tenant(self.tenant);
+                    for co in pins {
+                        ctx.adopt_checkout(co);
+                    }
                     let shared_results = execute_shared(&spec, &mut ctx)?;
                     let wall = t1.elapsed();
                     let metrics = ctx.metrics;
@@ -1041,7 +1047,7 @@ impl Session {
                             optimize_time,
                             est_cost_ns: est_cost_ns / indices.len() as f64,
                             metrics,
-                            decisions: vec![("shared".to_string(), None)],
+                            decisions: spec.reuse_decisions(slot),
                         });
                     }
                 }

@@ -18,9 +18,9 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use hashstash_types::{DataType, Field, QidSet, Row, Schema, Value};
+use hashstash_types::{DataType, Field, Row, Schema, Value};
 
-use hashstash_cache::{AggAccum, AggPayload, MaterializedRows, StoredHt, TaggedRow};
+use hashstash_cache::{AggAccum, AggPayload, MaterializedRows, StoredHt};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, JoinEdge, PredBox, Region,
@@ -430,7 +430,6 @@ pub fn encode_fingerprint(w: &mut Writer, fp: &HtFingerprint) {
         w.put_u8(func_tag(a.func));
         w.put_str(&a.attr);
     }
-    w.put_u8(fp.tagged as u8);
 }
 
 /// Decode a fingerprint.
@@ -460,7 +459,6 @@ pub fn decode_fingerprint(r: &mut Reader<'_>) -> DecodeResult<HtFingerprint> {
         let attr = r.get_str()?;
         aggregates.push(AggExpr::new(func, attr.as_str()));
     }
-    let tagged = r.get_u8()? != 0;
     Ok(HtFingerprint {
         kind,
         tables,
@@ -469,23 +467,11 @@ pub fn decode_fingerprint(r: &mut Reader<'_>) -> DecodeResult<HtFingerprint> {
         key_attrs,
         payload_attrs,
         aggregates,
-        tagged,
     }
     .normalized())
 }
 
 // ---------------------------------------------------------------- payloads
-
-fn encode_tagged_row(w: &mut Writer, t: &TaggedRow) {
-    encode_row(w, &t.row);
-    w.put_u64(t.tag.0);
-}
-
-fn decode_tagged_row(r: &mut Reader<'_>) -> DecodeResult<TaggedRow> {
-    let row = decode_row(r)?;
-    let tag = QidSet(r.get_u64()?);
-    Ok(TaggedRow { row, tag })
-}
 
 fn encode_accum(w: &mut Writer, a: &AggAccum) {
     match a {
@@ -619,17 +605,13 @@ fn decode_ht<V>(
 /// Encode a cached hash table, physical layout included.
 pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
     match ht {
-        StoredHt::Join(t) => {
+        StoredHt::Rows(t) => {
             w.put_u8(0);
-            encode_ht(w, t, encode_tagged_row);
+            encode_ht(w, t, encode_row);
         }
         StoredHt::Agg(t) => {
             w.put_u8(1);
             encode_ht(w, t, encode_agg_payload);
-        }
-        StoredHt::SharedGroup(t) => {
-            w.put_u8(2);
-            encode_ht(w, t, encode_tagged_row);
         }
     }
 }
@@ -637,9 +619,8 @@ pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
 /// Decode a cached hash table.
 pub fn decode_stored_ht(r: &mut Reader<'_>) -> DecodeResult<StoredHt> {
     Ok(match r.get_u8()? {
-        0 => StoredHt::Join(decode_ht(r, decode_tagged_row)?),
+        0 => StoredHt::Rows(decode_ht(r, decode_row)?),
         1 => StoredHt::Agg(decode_ht(r, decode_agg_payload)?),
-        2 => StoredHt::SharedGroup(decode_ht(r, decode_tagged_row)?),
         t => return Err(format!("unknown stored-ht tag {t}")),
     })
 }
@@ -889,7 +870,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
             aggregates: vec![],
-            tagged: false,
         }
         .normalized()
     }
@@ -907,15 +887,26 @@ mod tests {
     fn stored_ht_roundtrip_layout_eq() {
         let mut ht = ExtendibleHashTable::new(16);
         for i in 0..64u64 {
-            ht.insert(
-                i % 7,
-                TaggedRow::untagged(Row::new(vec![Value::Int(i as i64), Value::str("p")])),
-            );
+            ht.insert(i % 7, Row::new(vec![Value::Int(i as i64), Value::str("p")]));
         }
-        let stored = StoredHt::Join(ht);
+        // The image is the header, the directory (4 B head + 1 B depth per
+        // slot) and per entry its key, chain link and row — no query tag.
+        let dir = ht.layout().directory.len();
+        let rows: usize = ht
+            .iter()
+            .map(|(_, row)| {
+                let mut w = Writer::new();
+                encode_row(&mut w, row);
+                w.len()
+            })
+            .sum();
+        let stored = StoredHt::Rows(ht);
+        let mut w = Writer::new();
+        encode_stored_ht(&mut w, &stored);
+        assert_eq!(w.len(), 1 + 25 + 4 + dir * 5 + 4 + 64 * 12 + rows);
         let out = roundtrip(&stored, encode_stored_ht, decode_stored_ht);
         match (&stored, &out) {
-            (StoredHt::Join(a), StoredHt::Join(b)) => assert!(a.layout_eq(b)),
+            (StoredHt::Rows(a), StoredHt::Rows(b)) => assert!(a.layout_eq(b)),
             _ => panic!("kind preserved"),
         }
         assert_eq!(out.logical_bytes(), stored.logical_bytes());

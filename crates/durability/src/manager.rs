@@ -284,6 +284,7 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SNAP_MAGIC;
     use hashstash_storage::TableBuilder;
     use hashstash_types::{DataType, Value};
 
@@ -363,6 +364,35 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&snap, &bytes).unwrap();
+        let (_d, rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
+        assert!(!rec.snapshot_used);
+        assert_eq!(rec.catalog.len(), 1);
+        assert!(rec.catalog.get("b").is_ok());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot in the previous format (`HSSNAP01`: a query tag per row
+    /// and a tag flag per fingerprint) is skipped exactly like a corrupt one —
+    /// its checksum is intact, only the magic differs — and recovery falls
+    /// back to the WAL.
+    #[test]
+    fn previous_format_snapshot_falls_back_to_wal() {
+        let dir = fresh_dir("oldmagic");
+        {
+            let (d, _rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
+            d.log_table_load(&tiny("a", 3)).unwrap();
+            let mut cat = Catalog::new();
+            cat.register(tiny("a", 3));
+            d.flush_snapshot(&cat, &[]).unwrap();
+            d.log_table_load(&tiny("b", 1)).unwrap();
+            d.sync().unwrap();
+        }
+        let snap = snap_path(&dir, 1);
+        let mut bytes = fs::read(&snap).unwrap();
+        assert_eq!(&bytes[..SNAP_MAGIC.len()], SNAP_MAGIC);
+        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP01");
+        fs::write(&snap, &bytes).unwrap();
+        assert_eq!(read_snapshot(&snap).unwrap_err(), "bad snapshot magic");
         let (_d, rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
         assert!(!rec.snapshot_used);
         assert_eq!(rec.catalog.len(), 1);

@@ -4,14 +4,16 @@
 //! # On-disk format
 //!
 //! ```text
-//! [magic "HSSNAP01"][body][crc32(body): u32 LE]
+//! [magic "HSSNAP02"][body][crc32(body): u32 LE]
 //! ```
 //!
 //! The body is: catalog table count + tables, then cache-entry count +
 //! entries. Each entry carries its lineage fingerprint, schema, use count,
 //! byte footprint, the benefit score it was admitted with, and the payload
 //! (a cached hash table with exact physical layout, or materialized
-//! temp-table rows).
+//! temp-table rows). Version `02` stores plain rows: format `01` carried an
+//! 8-byte query tag per row and a tag-flag byte per fingerprint, and its
+//! files are rejected by the magic check like any other invalid snapshot.
 //!
 //! # Atomicity
 //!
@@ -45,7 +47,7 @@ use crate::codec::{
 use crate::crc::crc32;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP01";
+pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP02";
 
 /// Benefit-per-byte score of one cache entry: checkouts per KiB of
 /// footprint. The snapshot writer persists entries whose score clears the
@@ -222,7 +224,6 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_cache::TaggedRow;
     use hashstash_hashtable::ExtendibleHashTable;
     use hashstash_plan::{HtKind, Region};
     use hashstash_storage::TableBuilder;
@@ -243,7 +244,7 @@ mod tests {
         cat.register(b.finish());
 
         let mut ht = ExtendibleHashTable::new(8);
-        ht.insert(1, TaggedRow::untagged(Row::new(vec![Value::Int(1)])));
+        ht.insert(1, Row::new(vec![Value::Int(1)]));
         let fp = HtFingerprint {
             kind: HtKind::JoinBuild,
             tables: std::iter::once(Arc::from("t")).collect(),
@@ -252,7 +253,6 @@ mod tests {
             key_attrs: vec![Arc::from("t.x")],
             payload_attrs: vec![Arc::from("t.x")],
             aggregates: vec![],
-            tagged: false,
         };
         let entries = vec![PersistedEntry {
             fingerprint: fp,
@@ -260,7 +260,7 @@ mod tests {
             use_count: 3,
             bytes: 64,
             score: benefit_score(3, 64),
-            payload: PersistedPayload::Ht(StoredHt::Join(ht)),
+            payload: PersistedPayload::Ht(StoredHt::Rows(ht)),
         }];
         (cat, entries)
     }
@@ -305,11 +305,11 @@ mod tests {
     fn cyclic_chain_snapshot_rejected() {
         let path = tmp("cyclic.snap");
         let (cat, mut entries) = sample();
-        let PersistedPayload::Ht(StoredHt::Join(ht)) = &mut entries[0].payload else {
+        let PersistedPayload::Ht(StoredHt::Rows(ht)) = &mut entries[0].payload else {
             panic!("sample holds a join table");
         };
         // A second entry under key 1, chained onto the first.
-        ht.insert(1, TaggedRow::untagged(Row::new(vec![Value::Int(1)])));
+        ht.insert(1, Row::new(vec![Value::Int(1)]));
         write_snapshot(&path, &cat, &entries, false).unwrap();
         assert!(read_snapshot(&path).is_ok());
 

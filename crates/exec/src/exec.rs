@@ -22,14 +22,14 @@
 //! delta inserts stay serial (they extend existing chain history); the cost
 //! model prices both regimes.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use hashstash_types::{f64_order_key, DataType, HsError, HtId, Result, Row, Schema, Value};
 
-use hashstash_cache::{AggPayload, CheckedOut, HtManager, StoredHt, TaggedRow, TenantId};
+use hashstash_cache::{AggPayload, CheckedOut, HtManager, StoredHt, TenantId};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::PredBox;
 use hashstash_storage::{Catalog, Column, RangeKernel, Table};
@@ -210,7 +210,7 @@ impl<'a> ExecContext<'a> {
     /// Acquire the guard for a reuse directive: a pre-acquired guard if the
     /// session pinned one of the matching mode, otherwise a direct
     /// (validated) checkout.
-    fn checkout_for(&mut self, spec: &ReuseSpec) -> Result<CheckedOut<'a>> {
+    pub(crate) fn checkout_for(&mut self, spec: &ReuseSpec) -> Result<CheckedOut<'a>> {
         if let Some(co) = self.checkouts.remove(&spec.id) {
             if co.is_exclusive() == spec.case.needs_delta() {
                 return Ok(co);
@@ -232,7 +232,16 @@ pub fn acquire_plan_checkouts<'a>(
     plan: &PhysicalPlan,
     htm: &'a HtManager,
 ) -> Result<Vec<CheckedOut<'a>>> {
-    let specs = plan.reuse_specs();
+    acquire_checkouts(&plan.reuse_specs(), htm)
+}
+
+/// [`acquire_plan_checkouts`] over an explicit list of reuse directives —
+/// e.g. a shared plan's join chain plus its grouping tables
+/// ([`crate::shared::SharedPlanSpec::reuse_specs`]).
+pub fn acquire_checkouts<'a>(
+    specs: &[&ReuseSpec],
+    htm: &'a HtManager,
+) -> Result<Vec<CheckedOut<'a>>> {
     // The same table may legitimately serve two *read-only* operators (one
     // guard suffices; operators past the first fall back to a direct shared
     // checkout). A duplicate involving mutation cannot work — the first
@@ -249,7 +258,7 @@ pub fn acquire_plan_checkouts<'a>(
         }
     }
     let mut out = Vec::new();
-    for spec in specs {
+    for &spec in specs {
         if out.iter().any(|co: &CheckedOut<'_>| co.id == spec.id) {
             continue;
         }
@@ -420,12 +429,12 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
 }
 
 /// A predicate box bound to row indices for fast per-row evaluation.
-struct BoxEval {
+pub(crate) struct BoxEval {
     checks: Vec<(usize, hashstash_plan::Interval)>,
 }
 
 impl BoxEval {
-    fn bind(pred: &PredBox, schema: &Schema) -> Result<Self> {
+    pub(crate) fn bind(pred: &PredBox, schema: &Schema) -> Result<Self> {
         let mut checks = Vec::new();
         for (attr, iv) in pred.constrained() {
             checks.push((schema.index_of(attr)?, iv.clone()));
@@ -433,7 +442,7 @@ impl BoxEval {
         Ok(BoxEval { checks })
     }
 
-    fn eval(&self, row: &Row) -> bool {
+    pub(crate) fn eval(&self, row: &Row) -> bool {
         self.checks
             .iter()
             .all(|(idx, iv)| iv.contains_value(row.get(*idx)))
@@ -544,7 +553,7 @@ fn materialize_pipe(pipe: Pipe, ctx: &mut ExecContext<'_>) -> Vec<Row> {
 /// arms build bit-identical tables and output by construction.
 ///
 /// `col` arguments are positions in the pipe's output schema.
-trait Tuples: Sync {
+pub(crate) trait Tuples: Sync {
     /// Number of tuples.
     fn len(&self) -> usize;
     /// The key columns the source is bound to.
@@ -568,13 +577,14 @@ trait Tuples: Sync {
     }
 }
 
-/// Materialized rows, hashed over `key_cols`.
-struct RowTuples<'a> {
-    rows: &'a [Row],
-    key_cols: &'a [usize],
+/// Materialized rows (owned, or borrowed from a cached table), hashed over
+/// `key_cols`.
+pub(crate) struct RowTuples<'a, R = Row> {
+    pub(crate) rows: &'a [R],
+    pub(crate) key_cols: &'a [usize],
 }
 
-impl Tuples for RowTuples<'_> {
+impl<R: Borrow<Row> + Sync> Tuples for RowTuples<'_, R> {
     fn len(&self) -> usize {
         self.rows.len()
     }
@@ -585,21 +595,21 @@ impl Tuples for RowTuples<'_> {
 
     #[inline]
     fn key64(&self, i: usize) -> u64 {
-        self.rows[i].key64(self.key_cols)
+        self.rows[i].borrow().key64(self.key_cols)
     }
 
     #[inline]
     fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        self.rows[i].get(col) == v
+        self.rows[i].borrow().get(col) == v
     }
 
     #[inline]
     fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        Cow::Borrowed(self.rows[i].get(col))
+        Cow::Borrowed(self.rows[i].borrow().get(col))
     }
 
     fn row(&self, i: usize) -> Cow<'_, Row> {
-        Cow::Borrowed(&self.rows[i])
+        Cow::Borrowed(self.rows[i].borrow())
     }
 }
 
@@ -918,27 +928,80 @@ fn index_access_path(table: &Table, checks: &[(usize, hashstash_plan::Interval)]
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// The build side of a hash join: either a freshly built local table or an
-/// RAII guard over a reused cached table (shared snapshot for read-only
-/// reuse, copy-on-write for delta insertion).
-enum JoinBuild<'m> {
-    Fresh(ExtendibleHashTable<TaggedRow>),
+/// A row table — the build side of a hash join, or a shared plan's
+/// grouping table: either a freshly built local table or an RAII guard over
+/// a reused cached table (shared snapshot for read-only reuse,
+/// copy-on-write for delta insertion).
+pub(crate) enum RowTable<'m> {
+    Fresh(ExtendibleHashTable<Row>),
     Reused(CheckedOut<'m>),
     /// A mutating reuse that has already been checked back in: the writer
-    /// pin is released and the probe phase reads this immutable snapshot.
+    /// pin is released and readers see this immutable snapshot.
     Snapshot(Arc<StoredHt>),
 }
 
-impl JoinBuild<'_> {
-    fn probe_table(&self) -> &ExtendibleHashTable<TaggedRow> {
+impl<'m> RowTable<'m> {
+    /// Check out the table a reuse directive names, verifying it holds rows.
+    pub(crate) fn checkout(ctx: &mut ExecContext<'m>, spec: &ReuseSpec) -> Result<CheckedOut<'m>> {
+        let co = ctx.checkout_for(spec)?;
+        ctx.metrics.reused_tables += 1;
+        if !matches!(co.table(), StoredHt::Rows(_)) {
+            return Err(HsError::ExecError(format!(
+                "{} is not a row hash table",
+                spec.id
+            )));
+        }
+        Ok(co)
+    }
+
+    pub(crate) fn read_table(&self) -> &ExtendibleHashTable<Row> {
         let stored = match self {
-            JoinBuild::Fresh(t) => return t,
-            JoinBuild::Reused(co) => co.table(),
-            JoinBuild::Snapshot(s) => s,
+            RowTable::Fresh(t) => return t,
+            RowTable::Reused(co) => co.table(),
+            RowTable::Snapshot(s) => s,
         };
         match stored {
-            StoredHt::Join(t) => t,
+            StoredHt::Rows(t) => t,
             _ => unreachable!("kind verified at checkout"),
+        }
+    }
+
+    pub(crate) fn write_table(&mut self) -> Result<&mut ExtendibleHashTable<Row>> {
+        match self {
+            RowTable::Fresh(t) => Ok(t),
+            RowTable::Reused(co) => match co.table_mut()? {
+                StoredHt::Rows(t) => Ok(t),
+                _ => unreachable!("kind verified at checkout"),
+            },
+            RowTable::Snapshot(_) => unreachable!("mutation precedes check-in"),
+        }
+    }
+
+    /// Hand the table back to the manager: a fresh table is published under
+    /// `publish` (if any); dropping a read-only guard releases its pin, and
+    /// a mutating reuse was already checked in.
+    pub(crate) fn finish(
+        self,
+        ctx: &ExecContext<'_>,
+        publish: Option<&hashstash_plan::HtFingerprint>,
+        schema: Schema,
+    ) {
+        if let (RowTable::Fresh(ht), Some(fp)) = (self, publish) {
+            ctx.htm
+                .publish_as(ctx.tenant, fp.clone(), schema, StoredHt::Rows(ht));
+        }
+    }
+
+    /// After a mutating reuse inserted its delta: publish the new version
+    /// (widened lineage) right away so the writer pin is not held while the
+    /// table is read, and keep a cheap snapshot of it. Other states pass
+    /// through unchanged.
+    pub(crate) fn checked_in(self, spec: &ReuseSpec) -> Result<Self> {
+        match self {
+            RowTable::Reused(co) if spec.case.needs_delta() => Ok(RowTable::Snapshot(
+                co.checkin_widened(&spec.request_region)?,
+            )),
+            other => Ok(other),
         }
     }
 }
@@ -957,18 +1020,11 @@ fn run_hash_join(
     let mut recovery_filter: Option<PredBox> = None;
     let (build_schema, mut source) = match reuse {
         Some(spec) => {
-            let co = ctx.checkout_for(spec)?;
-            ctx.metrics.reused_tables += 1;
-            if !matches!(co.table(), StoredHt::Join(_)) {
-                return Err(HsError::ExecError(format!(
-                    "{} is not a join hash table",
-                    spec.id
-                )));
-            }
+            let co = RowTable::checkout(ctx, spec)?;
             if !spec.case.needs_delta() {
                 recovery_filter = widened_recovery_filter(spec, &co)?;
             }
-            (co.schema.clone(), JoinBuild::Reused(co))
+            (co.schema.clone(), RowTable::Reused(co))
         }
         None => {
             let build_plan = build.as_ref().ok_or_else(|| {
@@ -976,7 +1032,7 @@ fn run_hash_join(
             })?;
             let schema = build_plan.schema(ctx.catalog)?;
             let ht = ExtendibleHashTable::new(schema.tuple_width());
-            (schema, JoinBuild::Fresh(ht))
+            (schema, RowTable::Fresh(ht))
         }
     };
     let build_key_idx = build_schema.index_of(build_key)?;
@@ -993,14 +1049,7 @@ fn run_hash_join(
                 )));
             }
             ctx.metrics.ht_inserts += rows.len() as u64;
-            let target = match &mut source {
-                JoinBuild::Fresh(t) => t,
-                JoinBuild::Reused(co) => match co.table_mut()? {
-                    StoredHt::Join(t) => t,
-                    _ => unreachable!("kind verified at checkout"),
-                },
-                JoinBuild::Snapshot(_) => unreachable!("mutation precedes check-in"),
-            };
+            let target = source.write_table()?;
             if reuse.is_none() && ctx.parallelism > 1 && rows.len() >= MIN_PARALLEL_BUILD_ROWS {
                 // Partitioned parallel build of the fresh table: key
                 // extraction fans out over morsels, chain construction over
@@ -1015,15 +1064,14 @@ fn run_hash_join(
                         .map(|row| row.key64(&[build_key_idx]))
                         .collect()
                 });
-                let values: Vec<TaggedRow> = rows.into_iter().map(TaggedRow::untagged).collect();
-                build_multimap_partitioned(ctx.sched(), target, keys, values);
+                build_multimap_partitioned(ctx.sched(), target, keys, rows);
             } else {
                 // Serial build — also the only path for mutating-reuse
                 // deltas, which extend a table with existing chain history.
                 target.reserve(rows.len());
                 for row in rows {
                     let key = row.key64(&[build_key_idx]);
-                    target.insert(key, TaggedRow::untagged(row));
+                    target.insert(key, row);
                 }
             }
             if reuse.is_none() {
@@ -1036,18 +1084,9 @@ fn run_hash_join(
         ));
     }
 
-    // A mutating reuse is complete once the delta is inserted: publish the
-    // new version (widened lineage) immediately so the writer pin is not
-    // held across the probe phase, and keep probing a cheap snapshot.
+    // A mutating reuse is complete once the delta is inserted.
     if let Some(spec) = reuse {
-        if spec.case.needs_delta() {
-            source = match source {
-                JoinBuild::Reused(co) => {
-                    JoinBuild::Snapshot(co.checkin_widened(&spec.request_region)?)
-                }
-                other => other,
-            };
-        }
+        source = source.checked_in(spec)?;
     }
 
     // --- Probe phase (read-only: no lock, shared with other sessions) ------
@@ -1063,7 +1102,7 @@ fn run_hash_join(
         post_filters.push(BoxEval::bind(rf, &build_schema)?);
     }
     ctx.metrics.ht_probes += probe_pipe.len() as u64;
-    let ht = source.probe_table();
+    let ht = source.read_table();
     let key_cols = &[probe_key_idx];
     let out = match &probe_pipe {
         Pipe::Rows(rows) => {
@@ -1077,24 +1116,9 @@ fn run_hash_join(
         }
     };
 
-    // --- Hand the table back to the manager --------------------------------
-    match source {
-        // Read-only reuse: dropping the guard releases the shared pin.
-        // Mutating reuse was already checked in before the probe.
-        JoinBuild::Reused(_) | JoinBuild::Snapshot(_) => {}
-        JoinBuild::Fresh(ht) => {
-            if let Some(fp) = publish {
-                ctx.htm.publish_as(
-                    ctx.tenant,
-                    fp.clone(),
-                    build_schema.clone(),
-                    StoredHt::Join(ht),
-                );
-            }
-        }
-    }
-
-    Ok((probe_schema.concat(&build_schema), out))
+    let out_schema = probe_schema.concat(&build_schema);
+    source.finish(ctx, publish.as_ref(), build_schema);
+    Ok((out_schema, out))
 }
 
 /// Probe `ht` with every input tuple on its (single) key column,
@@ -1107,7 +1131,7 @@ fn run_hash_join(
 fn probe_tuples<T: Tuples>(
     sched: Scheduler<'_>,
     input: &T,
-    ht: &ExtendibleHashTable<TaggedRow>,
+    ht: &ExtendibleHashTable<Row>,
     build_key_idx: usize,
     post_filters: &[BoxEval],
 ) -> Vec<Row> {
@@ -1124,16 +1148,16 @@ fn probe_tuples<T: Tuples>(
             for &c in &candidates {
                 let i = start + c as usize;
                 let mut prow: Option<Cow<'_, Row>> = None;
-                for tagged in ht.probe_readonly(keys[c as usize]) {
+                for brow in ht.probe_readonly(keys[c as usize]) {
                     // Verify the actual key (hash keys may collide).
-                    if !input.cell_eq(i, probe_key_idx, tagged.row.get(build_key_idx)) {
+                    if !input.cell_eq(i, probe_key_idx, brow.get(build_key_idx)) {
                         continue;
                     }
-                    if !post_filters.iter().all(|pf| pf.eval(&tagged.row)) {
+                    if !post_filters.iter().all(|pf| pf.eval(brow)) {
                         continue;
                     }
                     let prow = prow.get_or_insert_with(|| input.row(i));
-                    buf.push(prow.concat(&tagged.row));
+                    buf.push(prow.concat(brow));
                 }
             }
         }
@@ -1146,7 +1170,7 @@ fn probe_tuples<T: Tuples>(
 // ---------------------------------------------------------------------------
 
 /// The state of a hash aggregate: fresh local table or reused guard.
-enum AggSource<'m> {
+pub(crate) enum AggSource<'m> {
     Fresh(ExtendibleHashTable<AggPayload>),
     Reused(CheckedOut<'m>),
     /// A mutating reuse that has already been checked back in: the writer
@@ -1301,7 +1325,7 @@ fn run_hash_agg(
 /// history is then replayed serially — one `touch` (lazy-split freshen)
 /// per tuple, one `insert` per group-creating tuple — which is exactly
 /// what the serial `upsert_where` loop does to the table.
-fn fold_tuples<T: Tuples>(
+pub(crate) fn fold_tuples<T: Tuples>(
     sched: Scheduler<'_>,
     ht: &mut ExtendibleHashTable<AggPayload>,
     input: &T,
@@ -1361,7 +1385,7 @@ fn fold_tuples<T: Tuples>(
 /// groups (optionally re-grouping on a subset of the group-by attributes),
 /// assemble the output schema, and hand the table back to the manager.
 #[allow(clippy::too_many_arguments)]
-fn produce_agg_output(
+pub(crate) fn produce_agg_output(
     ctx: &mut ExecContext<'_>,
     source: AggSource<'_>,
     recovery_filter: &Option<PredBox>,
@@ -1656,7 +1680,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
             aggregates: vec![],
-            tagged: false,
         };
         let build = PhysicalPlan::Scan(
             ScanSpec::full("customer").project(&["customer.c_custkey", "customer.c_age"]),
@@ -1714,7 +1737,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
             aggregates: vec![],
-            tagged: false,
         };
         let first = PhysicalPlan::HashJoin {
             probe: Box::new(scan_all("orders")),
@@ -1790,7 +1812,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
             aggregates: vec![],
-            tagged: false,
         };
         let first = PhysicalPlan::HashJoin {
             probe: Box::new(scan_all("orders")),
@@ -1930,7 +1951,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
             aggregates: vec![],
-            tagged: false,
         };
         let first = PhysicalPlan::HashJoin {
             probe: Box::new(scan_all("orders")),
@@ -1975,14 +1995,14 @@ mod tests {
             let table = cat.get("customer").unwrap();
             let key = table.schema().index_of("c_custkey").unwrap();
             let age = table.schema().index_of("c_age").unwrap();
-            let StoredHt::Join(ht) = w.table_mut().unwrap() else {
+            let StoredHt::Rows(ht) = w.table_mut().unwrap() else {
                 panic!("join table")
             };
             for rid in 0..table.row_count() {
                 let a = table.column(age).get(rid).as_int().unwrap();
                 if (30..40).contains(&a) {
                     let row = table.row_projected(rid, &[key, age]);
-                    ht.insert(row.key64(&[0]), TaggedRow::untagged(row));
+                    ht.insert(row.key64(&[0]), row);
                 }
             }
             w.checkin_widened(&widened).unwrap();
@@ -2032,7 +2052,6 @@ mod tests {
             // Payload does NOT store c_age: no recovery filter possible.
             payload_attrs: vec![Arc::from("customer.c_custkey")],
             aggregates: vec![],
-            tagged: false,
         };
         let first = PhysicalPlan::HashJoin {
             probe: Box::new(scan_all("orders")),
@@ -2193,10 +2212,7 @@ mod tests {
             for (b, (probe_key, build_rows)) in builds.iter().enumerate() {
                 let mut ht = ExtendibleHashTable::new(12);
                 for build_row in build_rows {
-                    ht.insert(
-                        build_row.key64(&[0]),
-                        TaggedRow::untagged(build_row.clone()),
-                    );
+                    ht.insert(build_row.key64(&[0]), build_row.clone());
                 }
                 let key_cols = [*probe_key];
                 let from_rows = RowTuples {

@@ -30,8 +30,9 @@
 //!   vectorized scans, filters, probe key extraction and aggregate folds
 //!   that run over `Column` slices and materialize rows only at pipeline
 //!   edges, bit-identical to the row-at-a-time fallback.
-//! * [`shared`] — reuse-aware shared plans: shared scans, SRHJ and SRHA with
-//!   query-id tagging and re-tagging (paper §4).
+//! * [`shared`] — reuse-aware shared plans (paper §4): the batch's joins
+//!   run as an ordinary plan through [`exec`]; the module adds per-query
+//!   qualification, the SRHA grouping phase and per-query aggregation.
 
 pub mod exec;
 pub mod parallel;
@@ -41,13 +42,13 @@ pub mod shared;
 pub mod temp;
 pub mod vector;
 
-pub use exec::{acquire_plan_checkouts, execute, ExecContext, ExecMetrics};
+pub use exec::{acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics};
 pub use parallel::{
     default_parallelism, effective_parallelism, engine_default_parallelism, min_parallel_morsels,
     Scheduler, MIN_PARALLEL_BUILD_ROWS, MORSEL_ROWS, PHASE_DISPATCH_NS,
 };
 pub use plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 pub use pool::WorkerPool;
-pub use shared::{SharedPlanSpec, SharedReuse};
+pub use shared::SharedPlanSpec;
 pub use temp::{TempTableCache, TempTableStats};
 pub use vector::{ColumnarBatch, KeyKernel, Selection};

@@ -1,84 +1,46 @@
 //! Reuse-aware shared plans (paper §4).
 //!
 //! A shared plan executes a *batch* of queries with the same join graph in
-//! one pass using the Data-Query model: every tuple carries a [`QidSet`] tag
-//! naming the queries it qualifies for. Scans evaluate all queries'
-//! predicates at once; shared hash joins (SRHJ) AND-combine tags during
-//! probing; shared hash aggregates (SRHA) group *raw tuples* first and run
-//! each query's aggregation over its tagged subset — which is why an
-//! SRHA-built table can later serve a different aggregate function.
+//! one pass. Its joins are not special: they are an ordinary
+//! [`PhysicalPlan::HashJoin`] chain over the union of the batch's predicate
+//! regions, run by the single-query executor ([`crate::exec::execute`]) with
+//! its partitioned builds, its probe spine and its reuse directives — so a
+//! shared batch and a single query reuse each other's join tables, and exact
+//! or subsuming reuse is a read-only `Arc` checkout.
 //!
-//! Reuse inside shared plans:
-//! * an SRHJ may reuse a cached **tagged** join table after *re-tagging* all
-//!   stored tuples with the current batch's predicates (stale tags from a
-//!   previous batch would corrupt results — paper §4.1);
-//! * an SRHA may reuse a cached shared-group table the same way; missing
-//!   tuples (partial/overlapping reuse) are produced by re-running the join
-//!   pipeline restricted to the delta region.
+//! What is shared-specific lives here:
 //!
-//! Re-tagging mutates the table, so shared reuse always takes an
-//! *exclusive* checkout and copies-on-write; the retagged (and
-//! delta-extended) version is checked in as soon as it is complete, and the
-//! rest of the batch keeps probing a cheap `Arc` snapshot of it — the
-//! cached entry is writer-locked only while tags are being rewritten.
+//! * **Per-query qualification.** Each query's predicate box is bound once
+//!   to the schema it reads and evaluated per row, when the row is read.
+//! * **The SRHA grouping phase.** Queries with identical group-by share one
+//!   table of *raw* rows grouped by key, which is why a cached grouping table
+//!   can later serve a different aggregate function. Reusing it is
+//!   read-only unless a delta (partial/overlapping reuse) must be folded in.
+//! * **Per-query aggregation** over the grouping table's qualifying rows,
+//!   through the executor's aggregate fold.
 //!
-//! The executor here implements a *probe pipeline*: one driver table streams
-//! through a chain of single-table build sides — the shape of the paper's
-//! Figure 5 (per-table selections feeding shared joins).
+//! The paper's Data-Query model instead tags every stored tuple with the
+//! set of queries it qualifies for and re-tags a cached table before reusing
+//! it. Evaluating qualification at read time gives the same answers, stores
+//! plain rows, and never rewrites a cached table.
 
-use std::sync::Arc;
+use hashstash_types::{Field, QueryId, Result, Row, Schema};
 
-use hashstash_types::{HsError, QidSet, QueryId, Result, Row, Schema, Value};
-
-use hashstash_cache::{AggPayload, StoredHt, TaggedRow};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{AggExpr, HtFingerprint, QuerySpec, Region, ReuseCase};
 
-use crate::exec::ExecContext;
-use crate::plan::lookup_attr_type;
-
-/// Reuse directive for a shared operator.
-#[derive(Debug, Clone)]
-pub struct SharedReuse {
-    /// Cached (tagged) hash table to check out.
-    pub id: hashstash_types::HtId,
-    /// Classification of cached region vs. the batch's union region.
-    pub case: ReuseCase,
-    /// Delta region (batch union minus cached region), empty unless
-    /// partial/overlapping.
-    pub delta_region: Region,
-    /// Union region of the requesting batch (for lineage widening).
-    pub request_region: Region,
-    /// Region of the cached table at batch-planning time; re-validated at
-    /// checkout (a concurrent widening makes `delta_region` stale and the
-    /// batch re-plans).
-    pub cached_region: Region,
-}
-
-/// One shared join step: build a tagged hash table over a single base table
-/// and probe it with the accumulated pipeline rows.
-#[derive(Debug, Clone)]
-pub struct SharedJoinStep {
-    /// Build-side base table.
-    pub table: Arc<str>,
-    /// Join key attribute on the accumulated (probe) side.
-    pub probe_attr: Arc<str>,
-    /// Join key attribute on the build table.
-    pub build_key: Arc<str>,
-    /// Payload attributes to store (qualified, from `table`).
-    pub payload: Vec<Arc<str>>,
-    /// Reuse directive for this step's hash table.
-    pub reuse: Option<SharedReuse>,
-    /// Publish fingerprint for a freshly built table.
-    pub publish: Option<HtFingerprint>,
-}
+use crate::exec::{
+    fold_tuples, produce_agg_output, AggSource, BoxEval, ExecContext, RowTable, RowTuples,
+};
+use crate::parallel::{collect_morsels, MIN_PARALLEL_BUILD_ROWS};
+use crate::plan::{lookup_attr_type, OutputAgg, PhysicalPlan, ReuseSpec};
 
 /// Output required by one query of the batch.
 #[derive(Debug, Clone)]
 pub enum SharedOutput {
-    /// SPJ: project the tagged pipeline rows.
-    Projection(Vec<Arc<str>>),
-    /// SPJA: aggregate the query's tagged subset of a shared grouping table.
+    /// SPJ: project the join pipeline rows the query qualifies for.
+    Projection(Vec<std::sync::Arc<str>>),
+    /// SPJA: aggregate the query's qualifying rows of a grouping table.
     Aggregate {
         /// Index into [`SharedPlanSpec::group_specs`].
         group_spec: usize,
@@ -91,13 +53,14 @@ pub enum SharedOutput {
 #[derive(Debug, Clone)]
 pub struct SharedGroupSpec {
     /// Group-by attributes.
-    pub group_by: Vec<Arc<str>>,
-    /// Attributes stored per grouped tuple (must cover group-by, every
-    /// sharing query's aggregate inputs and predicate attributes for
-    /// re-tagging).
-    pub stored_attrs: Vec<Arc<str>>,
-    /// Reuse directive for the shared-group table.
-    pub reuse: Option<SharedReuse>,
+    pub group_by: Vec<std::sync::Arc<str>>,
+    /// Attributes stored per grouped row: the group-by, and every sharing
+    /// query's aggregate inputs and predicate attributes (qualification is
+    /// evaluated on stored rows).
+    pub stored_attrs: Vec<std::sync::Arc<str>>,
+    /// Reuse directive for the grouping table; its `request_region` is the
+    /// batch's union region. `post_filter` is unused: qualification filters.
+    pub reuse: Option<ReuseSpec>,
     /// Publish fingerprint for a fresh table.
     pub publish: Option<HtFingerprint>,
 }
@@ -107,16 +70,43 @@ pub struct SharedGroupSpec {
 pub struct SharedPlanSpec {
     /// The batch; slot `i` is query `queries[i]`.
     pub queries: Vec<QuerySpec>,
-    /// Driver (probe pipeline) table.
-    pub driver: Arc<str>,
-    /// Attributes scanned from the driver.
-    pub driver_attrs: Vec<Arc<str>>,
-    /// Join steps in probe order.
-    pub steps: Vec<SharedJoinStep>,
+    /// The join pipeline: the driver scan probed through a hash-join chain,
+    /// with ordinary reuse/publish directives. `None` when no output needs
+    /// it (every grouping phase is covered by a cached table).
+    pub join: Option<PhysicalPlan>,
     /// Shared grouping phases.
     pub group_specs: Vec<SharedGroupSpec>,
     /// Per-query outputs, aligned with `queries`.
     pub outputs: Vec<SharedOutput>,
+}
+
+impl SharedPlanSpec {
+    /// Every reuse directive of the plan — the join chain's, then the
+    /// grouping tables' — for the session to pin before execution.
+    pub fn reuse_specs(&self) -> Vec<&ReuseSpec> {
+        let mut out = self
+            .join
+            .as_ref()
+            .map(PhysicalPlan::reuse_specs)
+            .unwrap_or_default();
+        out.extend(self.group_specs.iter().filter_map(|g| g.reuse.as_ref()));
+        out
+    }
+
+    /// The reuse decisions behind query `slot`'s result (paper Table 8b):
+    /// the join chain's, if it runs, plus its grouping phase as `agg`.
+    pub fn reuse_decisions(&self, slot: usize) -> Vec<(String, Option<ReuseCase>)> {
+        let mut out = self
+            .join
+            .as_ref()
+            .map(PhysicalPlan::reuse_decisions)
+            .unwrap_or_default();
+        if let Some(SharedOutput::Aggregate { group_spec, .. }) = self.outputs.get(slot) {
+            let reuse = self.group_specs[*group_spec].reuse.as_ref();
+            out.push(("agg".to_string(), reuse.map(|r| r.case)));
+        }
+        out
+    }
 }
 
 /// Result of one query in the batch.
@@ -127,613 +117,184 @@ pub struct SharedQueryResult {
     pub rows: Vec<Row>,
 }
 
-/// A tagged table a shared plan works on: freshly built this batch, or an
-/// immutable snapshot of a reused cached table (already retagged, checked
-/// in, and released back to the manager).
-enum SharedTable {
-    Fresh(ExtendibleHashTable<TaggedRow>),
-    Snapshot(std::sync::Arc<StoredHt>),
-}
-
-impl SharedTable {
-    fn tagged(&self) -> &ExtendibleHashTable<TaggedRow> {
-        match self {
-            SharedTable::Fresh(t) => t,
-            SharedTable::Snapshot(s) => match &**s {
-                StoredHt::Join(t) | StoredHt::SharedGroup(t) => t,
-                StoredHt::Agg(_) => unreachable!("shared plans never snapshot aggregate tables"),
-            },
-        }
-    }
-}
-
-/// Evaluate which queries of the batch a row qualifies for.
-fn tag_row(queries: &[QuerySpec], schema: &Schema, row: &Row) -> QidSet {
-    let lookup =
-        |attr: &str| -> Option<Value> { schema.index_of(attr).ok().map(|i| row.get(i).clone()) };
-    let mut tag = QidSet::EMPTY;
-    for (slot, q) in queries.iter().enumerate() {
-        if q.predicates.matches(lookup) {
-            tag.insert(slot);
-        }
-    }
-    tag
-}
-
-/// Execute a shared plan, returning per-query results.
+/// Execute a shared plan, returning per-query results in batch order.
 pub fn execute_shared(
     spec: &SharedPlanSpec,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Vec<SharedQueryResult>> {
-    // ------------------------------------------------------------------
-    // 1. Build (or reuse + re-tag) the tagged hash table of every join step.
-    // ------------------------------------------------------------------
-    let mut step_tables: Vec<(SharedTable, Schema, usize)> = Vec::new();
-    for step in &spec.steps {
-        let (ht, schema) = build_shared_join_table(spec, step, ctx)?;
-        let key_idx = schema.index_of(&step.build_key)?;
-        step_tables.push((ht, schema, key_idx));
-    }
-
-    // ------------------------------------------------------------------
-    // 2. Decide which pipeline region each consumer needs.
-    // ------------------------------------------------------------------
-    // Union of every query's predicate box — the shared scan region.
-    let full_region = spec
+    let (pschema, prows) = match &spec.join {
+        Some(plan) => crate::exec::execute(plan, ctx)?,
+        None => (Schema::new(Vec::new()), Vec::new()),
+    };
+    let union = spec
         .queries
         .iter()
         .fold(Region::empty(), |acc, q| acc.union(&q.region()));
-    // Grouping phases: reused tables only need their delta.
-    let group_needs: Vec<Option<Region>> = spec
-        .group_specs
-        .iter()
-        .map(|g| match &g.reuse {
-            Some(r) if !r.case.needs_delta() => None, // fully covered
-            Some(r) => Some(r.delta_region.clone()),
-            None => Some(full_region.clone()),
-        })
-        .collect();
-    // SPJ outputs always need the full pipeline.
-    let spj_needs_full = spec
-        .outputs
-        .iter()
-        .any(|o| matches!(o, SharedOutput::Projection(_)));
-    let mut pipeline_region = if spj_needs_full {
-        full_region.clone()
-    } else {
-        Region::empty()
-    };
-    for need in group_needs.iter().flatten() {
-        pipeline_region = pipeline_region.union(need);
+    let mut groups = Vec::with_capacity(spec.group_specs.len());
+    for g in &spec.group_specs {
+        groups.push(run_grouping_phase(g, &union, &pschema, &prows, ctx)?);
     }
 
-    // ------------------------------------------------------------------
-    // 3. Stream the driver through the probe pipeline (if anything needs it).
-    // ------------------------------------------------------------------
-    let driver_region = project_region_to_table(&pipeline_region, &spec.driver);
-    let scan = crate::plan::ScanSpec {
-        table: spec.driver.clone(),
-        region: driver_region,
-        projection: spec.driver_attrs.clone(),
-    };
-    let mut pipeline_rows: Vec<(Row, QidSet)> = Vec::new();
-    let mut pipeline_schema = {
-        let table = ctx.catalog.get(&spec.driver)?;
-        let q = table.qualified_schema();
-        if spec.driver_attrs.is_empty() {
-            q
-        } else {
-            let names: Vec<&str> = spec.driver_attrs.iter().map(|a| a.as_ref()).collect();
-            q.project(&names)?
-        }
-    };
-    if !pipeline_region.is_empty() {
-        let (schema, rows) = crate::exec::execute(&crate::plan::PhysicalPlan::Scan(scan), ctx)?;
-        pipeline_schema = schema;
-        for row in rows {
-            pipeline_rows.push((row, QidSet::EMPTY));
-        }
-        // Probe through every step, narrowing tags by the build side's tags.
-        // Probing is read-only: reused tables are immutable snapshots, so
-        // no cache lock is held here — each step fans out over row-range
-        // morsels (concatenated in morsel order, so the pipeline is
-        // bit-identical to the serial interpreter).
-        for (step, (ht, build_schema, build_key_idx)) in spec.steps.iter().zip(step_tables.iter()) {
-            let probe_idx = pipeline_schema.index_of(&step.probe_attr)?;
-            ctx.metrics.ht_probes += pipeline_rows.len() as u64;
-            let input = &pipeline_rows;
-            let next =
-                crate::parallel::collect_morsels(ctx.sched(), pipeline_rows.len(), |range| {
-                    let mut buf = Vec::new();
-                    for (row, _) in &input[range] {
-                        let key = row.key64(&[probe_idx]);
-                        let pval = row.get(probe_idx);
-                        for tagged in ht.tagged().probe_readonly(key) {
-                            if tagged.row.get(*build_key_idx) != pval {
-                                continue;
-                            }
-                            buf.push((row.concat(&tagged.row), tagged.tag));
-                        }
-                    }
-                    buf
-                });
-            pipeline_schema = pipeline_schema.concat(build_schema);
-            pipeline_rows = next;
-        }
-        // Final tags: per-query predicate evaluation over the full row,
-        // intersected with the tags accumulated from build sides. The
-        // per-row evaluation is independent, so it fans out as well.
-        let schema_ref = &pipeline_schema;
-        let rows_ref = &pipeline_rows;
-        let tags: Vec<QidSet> =
-            crate::parallel::collect_morsels(ctx.sched(), pipeline_rows.len(), |range| {
-                rows_ref[range]
-                    .iter()
-                    .map(|(row, _)| tag_row(&spec.queries, schema_ref, row))
-                    .collect()
-            });
-        for ((_, tag), full) in pipeline_rows.iter_mut().zip(tags) {
-            *tag = full;
-        }
-        pipeline_rows.retain(|(_, tag)| !tag.is_empty());
-    }
-
-    // ------------------------------------------------------------------
-    // 4. Run grouping phases (reuse/retag + delta folding).
-    // ------------------------------------------------------------------
-    let mut group_tables: Vec<(SharedTable, Schema)> = Vec::new();
-    for (gi, gspec) in spec.group_specs.iter().enumerate() {
-        let (ht, schema) = run_grouping_phase(
-            spec,
-            gspec,
-            &group_needs[gi],
-            &pipeline_schema,
-            &pipeline_rows,
-            ctx,
-        )?;
-        group_tables.push((ht, schema));
-    }
-
-    // ------------------------------------------------------------------
-    // 5. Per-query aggregation / projection.
-    // ------------------------------------------------------------------
     let mut results = Vec::with_capacity(spec.queries.len());
-    for (slot, (q, output)) in spec.queries.iter().zip(&spec.outputs).enumerate() {
-        match output {
+    for (q, output) in spec.queries.iter().zip(&spec.outputs) {
+        let (schema, rows) = match output {
             SharedOutput::Projection(attrs) => {
-                let idx: Vec<usize> = attrs
+                let qualifies = BoxEval::bind(&q.predicates, &pschema)?;
+                let idx = attrs
                     .iter()
-                    .map(|a| pipeline_schema.index_of(a))
+                    .map(|a| pschema.index_of(a))
                     .collect::<Result<Vec<_>>>()?;
                 let names: Vec<&str> = attrs.iter().map(|a| a.as_ref()).collect();
-                let schema = pipeline_schema.project(&names)?;
-                let rows: Vec<Row> = pipeline_rows
-                    .iter()
-                    .filter(|(_, tag)| tag.contains(slot))
-                    .map(|(row, _)| row.project(&idx))
-                    .collect();
-                results.push(SharedQueryResult {
-                    query: q.id,
-                    schema,
-                    rows,
+                let rows = collect_morsels(ctx.sched(), prows.len(), |range| {
+                    prows[range]
+                        .iter()
+                        .filter(|r| qualifies.eval(r))
+                        .map(|r| r.project(&idx))
+                        .collect()
                 });
+                (pschema.project(&names)?, rows)
             }
             SharedOutput::Aggregate { group_spec, aggs } => {
-                let (gtable, gschema) = &group_tables[*group_spec];
-                let gspec = &spec.group_specs[*group_spec];
-                let result =
-                    aggregate_for_query(q, slot, gspec, gtable.tagged(), gschema, aggs, ctx)?;
-                results.push(result);
+                let (table, gschema) = &groups[*group_spec];
+                aggregate_for_query(q, aggs, table.read_table(), gschema, ctx)?
             }
-        }
+        };
+        results.push(SharedQueryResult {
+            query: q.id,
+            schema,
+            rows,
+        });
     }
 
-    // ------------------------------------------------------------------
-    // 6. Publish freshly built tables (reused ones were checked in the
-    //    moment their retag/delta mutation completed).
-    // ------------------------------------------------------------------
-    for (step, (ht, schema, _)) in spec.steps.iter().zip(step_tables) {
-        finish_table(step.publish.as_ref(), ht, schema, false, ctx);
+    for (g, (table, schema)) in spec.group_specs.iter().zip(groups) {
+        table.finish(ctx, g.publish.as_ref(), schema);
     }
-    for (gspec, (ht, schema)) in spec.group_specs.iter().zip(group_tables) {
-        finish_table(gspec.publish.as_ref(), ht, schema, true, ctx);
-    }
-
     Ok(results)
 }
 
-/// Build (or reuse) the tagged hash table for one join step.
-fn build_shared_join_table(
-    spec: &SharedPlanSpec,
-    step: &SharedJoinStep,
-    ctx: &mut ExecContext<'_>,
-) -> Result<(SharedTable, Schema)> {
-    let table = ctx.catalog.get(&step.table)?;
-    let qualified = table.qualified_schema();
-    let names: Vec<&str> = step.payload.iter().map(|a| a.as_ref()).collect();
-    let schema = qualified.project(&names)?;
-
-    match &step.reuse {
-        Some(reuse) => {
-            // Re-tagging mutates the table: exclusive checkout, COW. The
-            // checkout re-validates the lineage the batch was planned
-            // against; a concurrent widening surfaces as `CacheError` and
-            // the batch re-plans.
-            let mut co = ctx
-                .htm
-                .checkout_mut_expecting(reuse.id, &reuse.cached_region)?;
-            ctx.metrics.reused_tables += 1;
-            if !matches!(co.table(), StoredHt::Join(_)) {
-                return Err(HsError::ExecError(format!(
-                    "{} is not a join hash table",
-                    reuse.id
-                )));
-            }
-            let co_schema = co.schema.clone();
-            // Re-tag every stored tuple with the current batch's predicates
-            // (paper §4.1: stale tags would corrupt results).
-            {
-                let StoredHt::Join(ht) = co.table_mut()? else {
-                    unreachable!("kind verified above")
-                };
-                let queries = &spec.queries;
-                let mut retag_updates = 0u64;
-                ht.for_each_mut(|_, tagged| {
-                    tagged.tag = tag_row(queries, &co_schema, &tagged.row);
-                    retag_updates += 1;
-                });
-                ctx.metrics.ht_updates += retag_updates;
-            }
-            // Add missing tuples for partial/overlapping reuse *before*
-            // check-in, so the cached version really covers the widened
-            // region it claims.
-            if reuse.case.needs_delta() && !reuse.delta_region.is_empty() {
-                let delta = project_region_to_table(&reuse.delta_region, &step.table);
-                let scan = crate::plan::ScanSpec {
-                    table: step.table.clone(),
-                    region: delta,
-                    projection: step.payload.clone(),
-                };
-                let (dschema, rows) =
-                    crate::exec::execute(&crate::plan::PhysicalPlan::Scan(scan), ctx)?;
-                let key_idx = dschema.index_of(&step.build_key)?;
-                ctx.metrics.ht_inserts += rows.len() as u64;
-                let StoredHt::Join(ht) = co.table_mut()? else {
-                    unreachable!("kind verified above")
-                };
-                ht.reserve(rows.len());
-                for row in rows {
-                    let tag = tag_row(&spec.queries, &dschema, &row);
-                    let key = row.key64(&[key_idx]);
-                    ht.insert(key, TaggedRow::tagged(row, tag));
-                }
-            }
-            // Check the retagged version in immediately (releasing the
-            // writer lock) and keep probing a cheap snapshot of it.
-            let snapshot = if reuse.case.needs_delta() {
-                co.checkin_widened(&reuse.request_region)?
-            } else {
-                let snapshot = co.snapshot();
-                co.checkin()?;
-                snapshot
-            };
-            Ok((SharedTable::Snapshot(snapshot), co_schema))
+/// Acquire (fresh or reused) the grouping table of one phase and fold in
+/// the pipeline rows it still lacks: the batch's whole union region for a
+/// fresh table, the delta region for partial/overlapping reuse, nothing for
+/// exact/subsuming reuse (a read-only checkout).
+fn run_grouping_phase<'m>(
+    g: &SharedGroupSpec,
+    union: &Region,
+    pschema: &Schema,
+    prows: &[Row],
+    ctx: &mut ExecContext<'m>,
+) -> Result<(RowTable<'m>, Schema)> {
+    let (schema, mut table, need) = match &g.reuse {
+        Some(r) => {
+            let co = RowTable::checkout(ctx, r)?;
+            let need = r
+                .case
+                .needs_delta()
+                .then(|| r.request_region.difference(&r.cached_region));
+            (co.schema.clone(), RowTable::Reused(co), need)
         }
         None => {
-            // Fresh build: scan the table's union region across queries.
-            let union_region = spec.queries.iter().fold(Region::empty(), |acc, q| {
-                acc.union(&Region::from_box(q.predicates.project_table(&step.table)))
-            });
-            let scan = crate::plan::ScanSpec {
-                table: step.table.clone(),
-                region: union_region,
-                projection: step.payload.clone(),
-            };
-            let (dschema, rows) =
-                crate::exec::execute(&crate::plan::PhysicalPlan::Scan(scan), ctx)?;
-            let key_idx = dschema.index_of(&step.build_key)?;
-            let mut ht: ExtendibleHashTable<TaggedRow> =
-                ExtendibleHashTable::with_capacity(schema.tuple_width(), rows.len());
-            ctx.metrics.ht_inserts += rows.len() as u64;
-            ctx.metrics.built_tables += 1;
-            if ctx.parallelism > 1 && rows.len() >= crate::parallel::MIN_PARALLEL_BUILD_ROWS {
-                // Tagging (evaluating every query's predicates per row)
-                // dominates this build; it fans out over morsels and the
-                // chain construction over bucket partitions, stitched
-                // bit-identically to the serial loop below — so a tagged
-                // table published from a parallel build re-tags and reuses
-                // exactly like a serially built one.
-                let rows_ref = &rows;
-                let queries = &spec.queries;
-                let meta: Vec<(u64, QidSet)> =
-                    crate::parallel::collect_morsels(ctx.sched(), rows.len(), |range| {
-                        rows_ref[range]
-                            .iter()
-                            .map(|row| (row.key64(&[key_idx]), tag_row(queries, &dschema, row)))
-                            .collect()
-                    });
-                let (keys, tags): (Vec<u64>, Vec<QidSet>) = meta.into_iter().unzip();
-                let values: Vec<TaggedRow> = tags
-                    .into_iter()
-                    .zip(rows)
-                    .map(|(tag, row)| TaggedRow::tagged(row, tag))
-                    .collect();
-                crate::parallel::build_multimap_partitioned(ctx.sched(), &mut ht, keys, values);
-            } else {
-                for row in rows {
-                    let tag = tag_row(&spec.queries, &dschema, &row);
-                    let key = row.key64(&[key_idx]);
-                    ht.insert(key, TaggedRow::tagged(row, tag));
-                }
-            }
-            Ok((SharedTable::Fresh(ht), dschema))
-        }
-    }
-}
-
-/// Run one shared grouping phase: reuse + retag + delta folding, check-in,
-/// then return the table for the per-query aggregation passes.
-fn run_grouping_phase(
-    spec: &SharedPlanSpec,
-    gspec: &SharedGroupSpec,
-    need: &Option<Region>,
-    pipeline_schema: &Schema,
-    pipeline_rows: &[(Row, QidSet)],
-    ctx: &mut ExecContext<'_>,
-) -> Result<(SharedTable, Schema)> {
-    match &gspec.reuse {
-        Some(reuse) => {
-            // Re-tagging mutates the table: exclusive checkout, COW. The
-            // checkout re-validates the lineage the batch was planned
-            // against; a concurrent widening surfaces as `CacheError` and
-            // the batch re-plans.
-            let mut co = ctx
-                .htm
-                .checkout_mut_expecting(reuse.id, &reuse.cached_region)?;
-            ctx.metrics.reused_tables += 1;
-            if !matches!(co.table(), StoredHt::SharedGroup(_)) {
-                return Err(HsError::ExecError(format!(
-                    "{} is not a shared-group hash table",
-                    reuse.id
-                )));
-            }
-            let co_schema = co.schema.clone();
-            {
-                let StoredHt::SharedGroup(ht) = co.table_mut()? else {
-                    unreachable!("kind verified above")
-                };
-                let queries = &spec.queries;
-                let mut retag_updates = 0u64;
-                ht.for_each_mut(|_, tagged| {
-                    tagged.tag = tag_row(queries, &co_schema, &tagged.row);
-                    retag_updates += 1;
-                });
-                ctx.metrics.ht_updates += retag_updates;
-                // Fold the delta rows *before* check-in, so the cached
-                // version really contains the region its widened lineage
-                // claims.
-                if let Some(need_region) = need {
-                    fold_pipeline_rows(
-                        ht,
-                        gspec,
-                        need_region,
-                        pipeline_schema,
-                        pipeline_rows,
-                        &mut ctx.metrics,
-                    )?;
-                }
-            }
-            // Publish the retagged + extended version immediately
-            // (releasing the writer lock) and keep an immutable snapshot
-            // for the per-query aggregation passes.
-            let snapshot = if reuse.case.needs_delta() {
-                co.checkin_widened(&reuse.request_region)?
-            } else {
-                let snapshot = co.snapshot();
-                co.checkin()?;
-                snapshot
-            };
-            Ok((SharedTable::Snapshot(snapshot), co_schema))
-        }
-        None => {
-            let mut fields = Vec::new();
-            for a in &gspec.stored_attrs {
-                fields.push(hashstash_types::Field::new(
-                    a.to_string(),
-                    lookup_attr_type(ctx.catalog, a)?,
-                ));
-            }
-            let schema = Schema::new(fields);
-            let mut ht = ExtendibleHashTable::new(schema.tuple_width());
-            if let Some(need_region) = need {
-                fold_pipeline_rows(
-                    &mut ht,
-                    gspec,
-                    need_region,
-                    pipeline_schema,
-                    pipeline_rows,
-                    &mut ctx.metrics,
-                )?;
-            }
-            Ok((SharedTable::Fresh(ht), schema))
-        }
-    }
-}
-
-/// Fold the pipeline rows a grouping phase still needs into its table
-/// (everything for a fresh table, only the delta region for reuse).
-fn fold_pipeline_rows(
-    ht: &mut ExtendibleHashTable<TaggedRow>,
-    gspec: &SharedGroupSpec,
-    need_region: &Region,
-    pipeline_schema: &Schema,
-    pipeline_rows: &[(Row, QidSet)],
-    metrics: &mut crate::exec::ExecMetrics,
-) -> Result<()> {
-    let stored_idx: Vec<usize> = gspec
-        .stored_attrs
-        .iter()
-        .map(|a| pipeline_schema.index_of(a))
-        .collect::<Result<Vec<_>>>()?;
-    // Map group attrs to positions inside the stored projection.
-    let gkey_idx: Vec<usize> = gspec
-        .group_by
-        .iter()
-        .map(|g| {
-            gspec
+            let fields = g
                 .stored_attrs
                 .iter()
-                .position(|a| a == g)
-                .ok_or_else(|| {
-                    HsError::ExecError(format!("group attr {g} missing from stored projection"))
-                })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    for (row, tag) in pipeline_rows {
-        if tag.is_empty() {
-            continue;
+                .map(|a| Ok(Field::new(a.to_string(), lookup_attr_type(ctx.catalog, a)?)))
+                .collect::<Result<Vec<_>>>()?;
+            let schema = Schema::new(fields);
+            ctx.metrics.built_tables += 1;
+            let ht = ExtendibleHashTable::new(schema.tuple_width());
+            (schema, RowTable::Fresh(ht), Some(union.clone()))
         }
-        // Only fold rows inside the region this grouping phase needs
-        // (a reused table already covers the rest).
-        if !region_matches_row(need_region, pipeline_schema, row) {
-            continue;
+    };
+    if let Some(need) = need {
+        // Store rows in the table's own layout, keyed on its group-by.
+        let stored_idx = schema
+            .fields()
+            .iter()
+            .map(|f| pschema.index_of(&f.name))
+            .collect::<Result<Vec<_>>>()?;
+        let key_idx = g
+            .group_by
+            .iter()
+            .map(|a| schema.index_of(a))
+            .collect::<Result<Vec<_>>>()?;
+        let need = need
+            .boxes()
+            .iter()
+            .map(|b| BoxEval::bind(b, pschema))
+            .collect::<Result<Vec<_>>>()?;
+        let ht = table.write_table()?;
+        for row in prows.iter().filter(|r| need.iter().any(|b| b.eval(r))) {
+            let stored = row.project(&stored_idx);
+            ht.insert(stored.key64(&key_idx), stored);
+            ctx.metrics.ht_inserts += 1;
         }
-        let stored = row.project(&stored_idx);
-        let key = stored.key64(&gkey_idx);
-        ht.insert(key, TaggedRow::tagged(stored, *tag));
-        metrics.ht_inserts += 1;
     }
-    Ok(())
+    if let Some(r) = &g.reuse {
+        table = table.checked_in(r)?;
+    }
+    Ok((table, schema))
 }
 
-/// Aggregation phase for one query over a shared grouping table.
+/// Aggregate the rows of a grouping table that query `q` qualifies for.
+/// The grouping table's inserts are the SRHA's hash-table inserts; this
+/// phase counts one accumulator update per qualifying row.
 fn aggregate_for_query(
     q: &QuerySpec,
-    slot: usize,
-    gspec: &SharedGroupSpec,
-    gtable: &ExtendibleHashTable<TaggedRow>,
-    gschema: &Schema,
     aggs: &[AggExpr],
+    table: &ExtendibleHashTable<Row>,
+    schema: &Schema,
     ctx: &mut ExecContext<'_>,
-) -> Result<SharedQueryResult> {
-    let group_idx: Vec<usize> = q
+) -> Result<(Schema, Vec<Row>)> {
+    let qualifies = BoxEval::bind(&q.predicates, schema)?;
+    let rows: Vec<&Row> = collect_morsels(ctx.sched(), table.len(), |range| {
+        table
+            .iter_range(range)
+            .map(|(_, r)| r)
+            .filter(|r| qualifies.eval(r))
+            .collect()
+    });
+    let group_idx = q
         .group_by
         .iter()
-        .map(|g| gschema.index_of(g))
+        .map(|a| schema.index_of(a))
         .collect::<Result<Vec<_>>>()?;
-    let agg_idx: Vec<usize> = aggs
+    let agg_idx = aggs
         .iter()
-        .map(|a| gschema.index_of(&a.attr))
+        .map(|a| schema.index_of(&a.attr))
         .collect::<Result<Vec<_>>>()?;
-    let mut result: ExtendibleHashTable<AggPayload> = ExtendibleHashTable::new(64);
-    for (_, tagged) in gtable.iter() {
-        if !tagged.tag.contains(slot) {
-            continue;
-        }
-        let row = &tagged.row;
-        let group_row = row.project(&group_idx);
-        let key = group_row.key64(&(0..group_idx.len()).collect::<Vec<_>>());
-        let created = result.upsert_where(
-            key,
-            |p: &AggPayload| p.group == group_row,
-            || {
-                let mut p = AggPayload::new(group_row.clone(), aggs);
-                for (accum, &ai) in p.accums.iter_mut().zip(&agg_idx) {
-                    accum.update(row.get(ai));
-                }
-                p
-            },
-            |p| {
-                for (accum, &ai) in p.accums.iter_mut().zip(&agg_idx) {
-                    accum.update(row.get(ai));
-                }
-            },
-        );
-        if created {
-            ctx.metrics.ht_inserts += 1;
-        } else {
-            ctx.metrics.ht_updates += 1;
-        }
-    }
-    let _ = gspec;
-    // Output schema: group attrs + aggregates.
-    let mut fields = Vec::new();
-    for g in &q.group_by {
-        fields.push(hashstash_types::Field::new(
-            g.to_string(),
-            gschema.field(g)?.dtype,
-        ));
-    }
-    for (i, a) in aggs.iter().enumerate() {
-        let dtype = match a.func {
-            hashstash_plan::AggFunc::Count => hashstash_types::DataType::Int,
-            hashstash_plan::AggFunc::Min | hashstash_plan::AggFunc::Max => {
-                gschema.field(&a.attr)?.dtype
-            }
-            _ => hashstash_types::DataType::Float,
-        };
-        fields.push(hashstash_types::Field::new(format!("agg_{i}"), dtype));
-    }
-    let schema = Schema::new(fields);
-    let rows: Vec<Row> = result
-        .iter()
-        .map(|(_, p)| {
-            let mut values: Vec<Value> = p.group.values().to_vec();
-            for a in &p.accums {
-                values.push(a.finalize());
-            }
-            Row::new(values)
-        })
-        .collect();
-    Ok(SharedQueryResult {
-        query: q.id,
-        schema,
-        rows,
-    })
-}
-
-/// Publish a freshly built tagged table (reused ones were checked in
-/// immediately after their retag/delta mutation completed).
-fn finish_table(
-    publish: Option<&HtFingerprint>,
-    table: SharedTable,
-    schema: Schema,
-    shared_group: bool,
-    ctx: &mut ExecContext<'_>,
-) {
-    if let (SharedTable::Fresh(ht), Some(fp)) = (table, publish) {
-        let stored = if shared_group {
-            StoredHt::SharedGroup(ht)
-        } else {
-            StoredHt::Join(ht)
-        };
-        ctx.htm.publish_as(ctx.tenant, fp.clone(), schema, stored);
-    }
-}
-
-/// Restrict a region to the attributes of one table (projection — a
-/// conservative superset of the true region for scanning purposes).
-fn project_region_to_table(region: &Region, table: &str) -> Region {
-    let mut out = Region::empty();
-    for b in region.boxes() {
-        out = out.union(&Region::from_box(b.project_table(table)));
-    }
-    out
-}
-
-/// Evaluate a region against a row bound to a schema.
-fn region_matches_row(region: &Region, schema: &Schema, row: &Row) -> bool {
-    region.matches(|attr| schema.index_of(attr).ok().map(|i| row.get(i).clone()))
+    let input = RowTuples {
+        rows: &rows,
+        key_cols: &group_idx,
+    };
+    let parallel = ctx.parallelism > 1 && rows.len() >= MIN_PARALLEL_BUILD_ROWS;
+    let mut ht = ExtendibleHashTable::new(schema.tuple_width());
+    let (inserts, updates) = fold_tuples(ctx.sched(), &mut ht, &input, &agg_idx, aggs, parallel);
+    ctx.metrics.ht_updates += inserts + updates;
+    let outputs: Vec<OutputAgg> = (0..aggs.len()).map(OutputAgg::Direct).collect();
+    produce_agg_output(
+        ctx,
+        AggSource::Fresh(ht),
+        &None,
+        schema.clone(),
+        &q.group_by,
+        aggs,
+        &outputs,
+        &None,
+        &None,
+        &None,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ScanSpec;
     use crate::temp::TempTableCache;
     use hashstash_cache::HtManager;
-    use hashstash_plan::{AggFunc, Interval, QueryBuilder};
+    use hashstash_plan::{AggFunc, HtKind, Interval, PredBox, QueryBuilder};
     use hashstash_storage::tpch::{generate, TpchConfig};
     use hashstash_storage::Catalog;
+    use hashstash_types::Value;
+    use std::sync::Arc;
 
     fn setup() -> (Catalog, HtManager, TempTableCache) {
         (
@@ -761,7 +322,43 @@ mod tests {
             .unwrap()
     }
 
-    fn mk_spec(queries: Vec<QuerySpec>) -> SharedPlanSpec {
+    fn ages(lo: i64, hi: i64) -> Region {
+        Region::from_box(PredBox::all().with(
+            "customer.c_age",
+            Interval::closed(Value::Int(lo), Value::Int(hi)),
+        ))
+    }
+
+    /// orders ⋈ customer over the batch's customer region, building (or
+    /// reusing) the customer table.
+    fn customer_join(
+        queries: &[QuerySpec],
+        reuse: Option<ReuseSpec>,
+        publish: Option<HtFingerprint>,
+    ) -> PhysicalPlan {
+        let region = queries
+            .iter()
+            .fold(Region::empty(), |acc, q| acc.union(&q.region()))
+            .project_table("customer");
+        PhysicalPlan::HashJoin {
+            probe: Box::new(PhysicalPlan::Scan(
+                ScanSpec::full("orders").project(&["orders.o_orderkey", "orders.o_custkey"]),
+            )),
+            build: reuse.is_none().then(|| {
+                Box::new(PhysicalPlan::Scan(ScanSpec {
+                    table: "customer".into(),
+                    region,
+                    projection: vec!["customer.c_age".into(), "customer.c_custkey".into()],
+                }))
+            }),
+            probe_key: "orders.o_custkey".into(),
+            build_key: "customer.c_custkey".into(),
+            reuse,
+            publish,
+        }
+    }
+
+    fn mk_spec(queries: Vec<QuerySpec>, join: PhysicalPlan) -> SharedPlanSpec {
         let outputs = queries
             .iter()
             .map(|q| SharedOutput::Aggregate {
@@ -771,16 +368,7 @@ mod tests {
             .collect();
         SharedPlanSpec {
             queries,
-            driver: "orders".into(),
-            driver_attrs: vec!["orders.o_orderkey".into(), "orders.o_custkey".into()],
-            steps: vec![SharedJoinStep {
-                table: "customer".into(),
-                probe_attr: "orders.o_custkey".into(),
-                build_key: "customer.c_custkey".into(),
-                payload: vec!["customer.c_custkey".into(), "customer.c_age".into()],
-                reuse: None,
-                publish: None,
-            }],
+            join: Some(join),
             group_specs: vec![SharedGroupSpec {
                 group_by: vec!["customer.c_age".into()],
                 stored_attrs: vec!["customer.c_age".into(), "orders.o_orderkey".into()],
@@ -791,22 +379,30 @@ mod tests {
         }
     }
 
+    fn customer_fp(region: Region) -> HtFingerprint {
+        HtFingerprint {
+            kind: HtKind::JoinBuild,
+            tables: std::iter::once(Arc::from("customer")).collect(),
+            edges: vec![],
+            region,
+            key_attrs: vec![Arc::from("customer.c_custkey")],
+            payload_attrs: vec![Arc::from("customer.c_age"), Arc::from("customer.c_custkey")],
+            aggregates: vec![],
+        }
+    }
+
     /// Reference: run one query through the single-query executor.
     fn reference(q: &QuerySpec, cat: &Catalog) -> Vec<Row> {
         let htm = HtManager::unbounded();
         let temps = TempTableCache::unbounded();
-        let plan = crate::plan::PhysicalPlan::HashAggregate {
-            input: Some(Box::new(crate::plan::PhysicalPlan::HashJoin {
-                probe: Box::new(crate::plan::PhysicalPlan::Scan(
-                    crate::plan::ScanSpec::full("orders")
-                        .project(&["orders.o_orderkey", "orders.o_custkey"]),
+        let plan = PhysicalPlan::HashAggregate {
+            input: Some(Box::new(PhysicalPlan::HashJoin {
+                probe: Box::new(PhysicalPlan::Scan(
+                    ScanSpec::full("orders").project(&["orders.o_orderkey", "orders.o_custkey"]),
                 )),
-                build: Some(Box::new(crate::plan::PhysicalPlan::Scan(
-                    crate::plan::ScanSpec::filtered(
-                        "customer",
-                        q.predicates.project_table("customer"),
-                    )
-                    .project(&["customer.c_custkey", "customer.c_age"]),
+                build: Some(Box::new(PhysicalPlan::Scan(
+                    ScanSpec::filtered("customer", q.predicates.project_table("customer"))
+                        .project(&["customer.c_custkey", "customer.c_age"]),
                 ))),
                 probe_key: "orders.o_custkey".into(),
                 build_key: "customer.c_custkey".into(),
@@ -815,7 +411,7 @@ mod tests {
             })),
             group_by: vec!["customer.c_age".into()],
             aggs: q.aggregates.clone(),
-            output_aggs: vec![crate::plan::OutputAgg::Direct(0)],
+            output_aggs: vec![OutputAgg::Direct(0)],
             reuse: None,
             publish: None,
             post_group_by: None,
@@ -834,7 +430,7 @@ mod tests {
             mk_query(2, 30, 60),
             mk_query(3, 50, 80),
         ];
-        let spec = mk_spec(queries.clone());
+        let spec = mk_spec(queries.clone(), customer_join(&queries, None, None));
         let mut ctx = ExecContext::new(&cat, &htm, &temps);
         let results = execute_shared(&spec, &mut ctx).unwrap();
         assert_eq!(results.len(), 3);
@@ -847,73 +443,51 @@ mod tests {
     }
 
     #[test]
-    fn shared_plan_publishes_tagged_tables() {
+    fn shared_plan_publishes_join_tables() {
         let (cat, htm, temps) = setup();
         let queries = vec![mk_query(1, 20, 40), mk_query(2, 30, 60)];
-        let mut spec = mk_spec(queries.clone());
-        let fp = HtFingerprint {
-            kind: hashstash_plan::HtKind::JoinBuild,
-            tables: std::iter::once(Arc::from("customer")).collect(),
-            edges: vec![],
-            region: Region::from_box(hashstash_plan::PredBox::all().with(
-                "customer.c_age",
-                Interval::closed(Value::Int(20), Value::Int(60)),
-            )),
-            key_attrs: vec![Arc::from("customer.c_custkey")],
-            payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
-            aggregates: vec![],
-            tagged: true,
-        };
-        spec.steps[0].publish = Some(fp.clone());
+        let fp = customer_fp(ages(20, 60));
+        let spec = mk_spec(
+            queries.clone(),
+            customer_join(&queries, None, Some(fp.clone())),
+        );
         let mut ctx = ExecContext::new(&cat, &htm, &temps);
         execute_shared(&spec, &mut ctx).unwrap();
         let cands = htm.candidates(&fp);
         assert_eq!(cands.len(), 1);
-        assert!(cands[0].fingerprint.tagged);
+        assert!(cands[0].fingerprint.same_lineage(&fp));
     }
 
     #[test]
-    fn shared_join_reuse_with_retag_matches_fresh_run() {
+    fn shared_join_reuse_matches_fresh_run() {
         let (cat, htm, temps) = setup();
-        // Batch 1 publishes a tagged customer table over ages [20, 60].
+        // Batch 1 publishes the customer table over ages [20, 60].
         let batch1 = vec![mk_query(1, 20, 40), mk_query(2, 30, 60)];
-        let mut spec1 = mk_spec(batch1);
-        let fp = HtFingerprint {
-            kind: hashstash_plan::HtKind::JoinBuild,
-            tables: std::iter::once(Arc::from("customer")).collect(),
-            edges: vec![],
-            region: Region::from_box(hashstash_plan::PredBox::all().with(
-                "customer.c_age",
-                Interval::closed(Value::Int(20), Value::Int(60)),
-            )),
-            key_attrs: vec![Arc::from("customer.c_custkey")],
-            payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
-            aggregates: vec![],
-            tagged: true,
-        };
-        spec1.steps[0].publish = Some(fp.clone());
+        let fp = customer_fp(ages(20, 60));
+        let spec1 = mk_spec(
+            batch1.clone(),
+            customer_join(&batch1, None, Some(fp.clone())),
+        );
         let mut ctx = ExecContext::new(&cat, &htm, &temps);
         execute_shared(&spec1, &mut ctx).unwrap();
-        let cands = htm.candidates(&fp);
-        let cand_id = cands[0].id;
+        let cand = htm.candidates(&fp).remove(0);
 
-        // Batch 2 (subset ages) reuses the tagged table with re-tagging.
+        // Batch 2 (subset ages) reuses it read-only, without a post-filter:
+        // per-query qualification drops the stored rows it does not need.
         let batch2 = vec![mk_query(10, 25, 35), mk_query(11, 40, 55)];
-        let mut spec2 = mk_spec(batch2.clone());
-        let request = Region::from_box(hashstash_plan::PredBox::all().with(
-            "customer.c_age",
-            Interval::closed(Value::Int(25), Value::Int(55)),
-        ));
-        spec2.steps[0].reuse = Some(SharedReuse {
-            id: cand_id,
+        let reuse = ReuseSpec {
+            id: cand.id,
             case: ReuseCase::Subsuming,
-            delta_region: Region::empty(),
-            request_region: request,
+            post_filter: None,
+            request_region: ages(25, 55),
             cached_region: fp.region.clone(),
-        });
+            schema: cand.schema.clone(),
+        };
+        let spec2 = mk_spec(batch2.clone(), customer_join(&batch2, Some(reuse), None));
         let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
         let results = execute_shared(&spec2, &mut ctx2).unwrap();
-        assert!(ctx2.metrics.ht_updates > 0, "re-tagging happened");
+        assert_eq!(ctx2.metrics.reused_tables, 1);
+        assert_eq!(ctx2.metrics.built_tables, 1, "only the grouping table");
         for (q, res) in batch2.iter().zip(&results) {
             let mut got = res.rows.clone();
             got.sort();
@@ -938,18 +512,10 @@ mod tests {
             .project(&["orders.o_orderkey", "customer.c_age"])
             .build()
             .unwrap();
+        let queries = vec![q];
         let spec = SharedPlanSpec {
-            queries: vec![q.clone()],
-            driver: "orders".into(),
-            driver_attrs: vec!["orders.o_orderkey".into(), "orders.o_custkey".into()],
-            steps: vec![SharedJoinStep {
-                table: "customer".into(),
-                probe_attr: "orders.o_custkey".into(),
-                build_key: "customer.c_custkey".into(),
-                payload: vec!["customer.c_custkey".into(), "customer.c_age".into()],
-                reuse: None,
-                publish: None,
-            }],
+            join: Some(customer_join(&queries, None, None)),
+            queries,
             group_specs: vec![],
             outputs: vec![SharedOutput::Projection(vec![
                 "orders.o_orderkey".into(),

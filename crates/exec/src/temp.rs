@@ -273,7 +273,6 @@ mod tests {
             key_attrs: vec![std::sync::Arc::from("t.k")],
             payload_attrs: vec![std::sync::Arc::from("t.k")],
             aggregates: vec![],
-            tagged: false,
         }
     }
 

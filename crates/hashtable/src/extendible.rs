@@ -114,8 +114,8 @@ pub struct HtStats {
 /// * Join build sides insert duplicates ([`insert`](Self::insert)) and scan
 ///   matches with [`probe`](Self::probe).
 /// * Aggregations keep one entry per key via [`upsert`](Self::upsert).
-/// * Shared/reuse-aware operators post-process entries in place with
-///   [`for_each_mut`](Self::for_each_mut) / [`retain`](Self::retain).
+/// * Fine-grained GC prunes entries in place with
+///   [`retain`](Self::retain).
 ///
 /// The `u64` key is a *hash key*: callers that need exact key semantics embed
 /// the full key in `V` and verify on probe (the engine's operators do this
@@ -419,13 +419,6 @@ impl<V> ExtendibleHashTable<V> {
     /// ranges in order reproduces [`iter`](Self::iter) exactly.
     pub fn iter_range(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = (u64, &V)> {
         self.arena[range].iter().map(|e| (e.key, &e.value))
-    }
-
-    /// Mutate every value in place (shared-plan re-tagging, paper §4.1).
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(u64, &mut V)) {
-        for e in &mut self.arena {
-            f(e.key, &mut e.value);
-        }
     }
 
     /// Keep only entries whose `(key, value)` satisfies the predicate.
@@ -840,18 +833,6 @@ mod tests {
         }
         assert_eq!(tiled, serial);
         assert_eq!(ht.iter_range(0..0).count(), 0);
-    }
-
-    #[test]
-    fn for_each_mut_touches_everything() {
-        let mut ht = ExtendibleHashTable::new(8);
-        for i in 0..100u64 {
-            ht.insert(i, 0u64);
-        }
-        ht.for_each_mut(|k, v| *v = k + 1);
-        for i in 0..100u64 {
-            assert_eq!(ht.probe(i).copied().collect::<Vec<_>>(), vec![i + 1]);
-        }
     }
 
     #[test]

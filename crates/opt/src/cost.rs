@@ -32,8 +32,6 @@ pub struct CostParams {
     pub filter_ns: f64,
     /// Materializing one tuple into a temp table (ns) — baseline cost.
     pub materialize_ns: f64,
-    /// Re-tagging one stored tuple in a shared reuse (ns).
-    pub retag_ns: f64,
     /// Emitting one output row (ns).
     pub output_ns: f64,
     /// Per-bucket directory resize cost (ns).
@@ -82,7 +80,6 @@ impl Default for CostParams {
             index_ns: 18.0,
             filter_ns: 1.5,
             materialize_ns: 8.0,
-            retag_ns: 6.0,
             output_ns: 4.0,
             resize_ns_per_slot: 0.6,
             cow_ns_per_byte: 0.08,
@@ -398,12 +395,6 @@ impl CostModel {
         }
     }
 
-    /// Cost of re-tagging every stored tuple of a reused table in a shared
-    /// plan (paper §4.1: mandatory before an SRHJ/SRHA executes).
-    pub fn retag(&self, entries: f64) -> f64 {
-        entries * self.params.retag_ns
-    }
-
     /// Cost of emitting `rows` result rows.
     pub fn output(&self, rows: f64) -> f64 {
         rows * self.params.output_ns
@@ -641,7 +632,6 @@ mod tests {
         assert!(m.scan(100.0) > 0.0);
         assert!(m.index_scan(100.0) > m.scan(100.0));
         assert!(m.materialize(100.0) > 0.0);
-        assert!(m.retag(100.0) > 0.0);
         assert!(m.output(10.0) > 0.0);
         assert!(m.ht_size(1000.0, 32.0) > 1000.0 * 32.0);
     }

@@ -71,11 +71,6 @@ impl Matcher {
         stats: &DbStats,
     ) -> Option<MatchRewrite> {
         let fp = &candidate.fingerprint;
-        // Shared operators may only reuse tagged tables and vice versa
-        // (paper §4.1).
-        if fp.tagged != request.tagged {
-            return None;
-        }
         // Key compatibility.
         let mut needs_post_group = false;
         match request.kind {
@@ -189,7 +184,7 @@ fn restrict_to_tables(pred: &PredBox, tables: &std::collections::BTreeSet<Arc<st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_cache::{GcConfig, StoredHt, TaggedRow};
+    use hashstash_cache::{GcConfig, StoredHt};
     use hashstash_hashtable::ExtendibleHashTable;
     use hashstash_plan::{AggFunc, Interval};
     use hashstash_storage::tpch::{generate, TpchConfig};
@@ -199,7 +194,7 @@ mod tests {
         DbStats::from_catalog(&generate(TpchConfig::new(0.002, 13)))
     }
 
-    fn join_fp(lo: i64, hi: i64, tagged: bool) -> HtFingerprint {
+    fn join_fp(lo: i64, hi: i64) -> HtFingerprint {
         HtFingerprint {
             kind: HtKind::JoinBuild,
             tables: std::iter::once(Arc::from("customer")).collect(),
@@ -211,17 +206,13 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
             aggregates: vec![],
-            tagged,
         }
     }
 
     fn publish_join(htm: &HtManager, fp: &HtFingerprint, entries: usize) {
         let mut ht = ExtendibleHashTable::new(12);
         for i in 0..entries as u64 {
-            ht.insert(
-                i,
-                TaggedRow::untagged(Row::new(vec![Value::Int(i as i64), Value::Int(30)])),
-            );
+            ht.insert(i, Row::new(vec![Value::Int(i as i64), Value::Int(30)]));
         }
         htm.publish(
             fp.clone(),
@@ -229,7 +220,7 @@ mod tests {
                 Field::new("customer.c_custkey", DataType::Int),
                 Field::new("customer.c_age", DataType::Int),
             ]),
-            StoredHt::Join(ht),
+            StoredHt::Rows(ht),
         );
     }
 
@@ -245,10 +236,10 @@ mod tests {
         let st = stats();
         let m = Matcher;
         let htm = HtManager::new(GcConfig::default());
-        publish_join(&htm, &join_fp(30, 60, false), 100);
+        publish_join(&htm, &join_fp(30, 60), 100);
 
         let mk_req = |lo: i64, hi: i64| {
-            let mut fp = join_fp(lo, hi, false);
+            let mut fp = join_fp(lo, hi);
             fp.region = Region::from_box(request_box(lo, hi));
             fp
         };
@@ -294,28 +285,15 @@ mod tests {
     }
 
     #[test]
-    fn tagged_mismatch_rejected() {
-        let st = stats();
-        let m = Matcher;
-        let htm = HtManager::new(GcConfig::default());
-        publish_join(&htm, &join_fp(30, 60, false), 10);
-        let mut req = join_fp(30, 60, true);
-        req.tagged = true;
-        assert!(m
-            .find_matches(&htm, &req, &request_box(30, 60), &st)
-            .is_empty());
-    }
-
-    #[test]
     fn missing_post_filter_attr_rejected() {
         let st = stats();
         let m = Matcher;
         let htm = HtManager::new(GcConfig::default());
         // Candidate payload lacks c_age ⇒ subsuming reuse impossible.
-        let mut fp = join_fp(30, 60, false);
+        let mut fp = join_fp(30, 60);
         fp.payload_attrs = vec![Arc::from("customer.c_custkey")];
         publish_join(&htm, &fp, 10);
-        let mut req = join_fp(40, 50, false);
+        let mut req = join_fp(40, 50);
         req.payload_attrs = vec![Arc::from("customer.c_custkey")];
         let matches = m.find_matches(&htm, &req, &request_box(40, 50), &st);
         assert!(
@@ -343,7 +321,6 @@ mod tests {
                 Arc::from("customer.c_nationkey"),
             ],
             aggregates: vec![AggExpr::new(AggFunc::Sum, "customer.c_acctbal")],
-            tagged: false,
         };
         let mut ht = ExtendibleHashTable::new(24);
         ht.insert(
@@ -400,7 +377,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_age")],
             payload_attrs: vec![Arc::from("customer.c_age")],
             aggregates: vec![AggExpr::new(AggFunc::Sum, "customer.c_acctbal")],
-            tagged: false,
         };
         let ht: ExtendibleHashTable<hashstash_cache::AggPayload> = ExtendibleHashTable::new(16);
         htm.publish(

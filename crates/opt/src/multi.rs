@@ -7,6 +7,15 @@
 //! a separate single-query plan. At every level the configuration with the
 //! minimal estimated total runtime survives; evaluated group costs are
 //! memoized (paper Figure 6).
+//!
+//! A shared group's joins are planned like a single query's: one hash-join
+//! chain from the driver (largest) table over the batch's union region,
+//! each build side matched against the cache by the same [`Matcher`] and
+//! priced by the same cost terms. No post-filter is attached to a reused
+//! build side — the executor qualifies every row per query — so the chain
+//! runs unchanged through `hashstash_exec::execute`, and single queries and
+//! shared batches reuse each other's join tables. Grouping tables (the SRHA
+//! raw-row tables) are matched the same way under `HtKind::SharedGroup`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,14 +23,13 @@ use std::sync::Arc;
 use hashstash_types::{HsError, Result};
 
 use hashstash_cache::HtManager;
-use hashstash_exec::shared::{
-    SharedGroupSpec, SharedJoinStep, SharedOutput, SharedPlanSpec, SharedReuse,
-};
+use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
+use hashstash_exec::shared::{SharedGroupSpec, SharedOutput, SharedPlanSpec};
 use hashstash_plan::{HtFingerprint, HtKind, PredBox, QuerySpec, Region};
 use hashstash_storage::Catalog;
 
-use crate::cost::CostModel;
-use crate::matching::Matcher;
+use crate::cost::{CandidateShape, CostModel};
+use crate::matching::{MatchRewrite, Matcher};
 use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::stats::DbStats;
 
@@ -40,7 +48,7 @@ pub enum BatchUnit {
         /// Indices into the batch, in slot order.
         indices: Vec<usize>,
         /// The executable shared plan.
-        spec: SharedPlanSpec,
+        spec: Box<SharedPlanSpec>,
         /// Estimated cost.
         est_cost_ns: f64,
     },
@@ -72,13 +80,6 @@ pub fn plan_batch(
             est_cost_ns: 0.0,
         });
     }
-    if queries.len() > hashstash_types::QidSet::CAPACITY {
-        return Err(HsError::PlanError(format!(
-            "batch of {} queries exceeds the {}-query tag capacity",
-            queries.len(),
-            hashstash_types::QidSet::CAPACITY
-        )));
-    }
     let policy = config.policy.clone();
     let optimizer = Optimizer::new(catalog, stats, cost, config);
     let mut single_cost: Vec<f64> = Vec::with_capacity(queries.len());
@@ -99,7 +100,9 @@ pub fn plan_batch(
                 return c;
             }
             let qs: Vec<&QuerySpec> = g.iter().map(|&i| &queries[i]).collect();
-            let c = estimate_shared_cost(&qs, stats, cost, htm);
+            // A group that cannot run as one join chain never merges.
+            let c = derive_shared_spec(&qs, stats, cost, htm, policy.as_ref())
+                .map_or(f64::INFINITY, |(_, c)| c);
             group_cost_memo.insert(g.clone(), c);
             c
         };
@@ -142,14 +145,12 @@ pub fn plan_batch(
                 est_cost_ns: c,
             });
         } else {
-            let qs: Vec<QuerySpec> = g.iter().map(|&i| queries[i].clone()).collect();
-            let refs: Vec<&QuerySpec> = qs.iter().collect();
-            let c = estimate_shared_cost(&refs, stats, cost, htm);
-            let spec = derive_shared_spec(&qs, catalog, stats, htm, policy.as_ref())?;
+            let qs: Vec<&QuerySpec> = g.iter().map(|&i| &queries[i]).collect();
+            let (spec, c) = derive_shared_spec(&qs, stats, cost, htm, policy.as_ref())?;
             total += c;
             units.push(BatchUnit::Shared {
                 indices: g,
-                spec,
+                spec: Box::new(spec),
                 est_cost_ns: c,
             });
         }
@@ -167,342 +168,304 @@ fn union_region(queries: &[&QuerySpec]) -> Region {
         .fold(Region::empty(), |acc, q| acc.union(&q.region()))
 }
 
-/// Estimated runtime of one shared plan over a group of queries.
-fn estimate_shared_cost(
-    queries: &[&QuerySpec],
-    stats: &DbStats,
-    cost: &CostModel,
-    htm: &HtManager,
-) -> f64 {
-    let q0 = queries[0];
-    let union = union_region(queries);
-    let (driver, others) = split_driver(q0, stats);
-
-    // Driver scan over the union region.
-    let driver_rows = stats.filtered_rows(&driver, &union);
-    let mut total = cost
-        .scan(stats.table_rows(&driver) as f64)
-        .min(cost.index_scan(driver_rows));
-
-    // Build (or retag) one tagged table per non-driver table.
-    let matcher = Matcher;
-    for t in &others {
-        let table_region = project_region(&union, t);
-        let build_rows = stats.filtered_rows(t, &table_region);
-        // Probe volume: the pipeline stream (approximated by driver rows).
-        let fresh = cost.rhj_fresh(build_rows.max(1.0), 24.0, driver_rows);
-        // A tagged candidate lets us pay re-tag instead of build.
-        let request = tagged_join_fingerprint(q0, t, &table_region);
-        let request_box = q0.predicates.project_table(t);
-        let candidates = matcher.find_matches(htm, &request, &request_box, stats);
-        let reuse = candidates
-            .iter()
-            .map(|m| {
-                cost.retag(m.candidate.entries as f64)
-                    + cost.rhj_fresh(build_rows * (1.0 - m.contr), 24.0, driver_rows)
-            })
-            .fold(f64::INFINITY, f64::min);
-        total += fresh.min(reuse);
-    }
-
-    // Grouping phase: one insert per joined row; aggregation per query.
-    let joined = stats.join_rows(q0.tables.iter().map(|t| t.as_ref()), &q0.joins, &union);
-    total += cost.rha_fresh(joined, joined, 48.0) * 0.5; // grouping inserts
-    for q in queries {
-        let rows_q = stats.join_rows(q.tables.iter().map(|t| t.as_ref()), &q.joins, &q.region());
-        let groups = stats.distinct_combinations(&q.group_by, rows_q.max(1.0));
-        total += cost.rha_fresh(rows_q, groups, 48.0) * 0.5 + cost.output(groups);
-    }
-    total
-}
-
-/// Pick the driver (largest) table; the rest become build sides.
-fn split_driver(q: &QuerySpec, stats: &DbStats) -> (Arc<str>, Vec<Arc<str>>) {
-    let driver = q
-        .tables
+/// The driver (probe pipeline) table: the query's largest.
+fn driver_table(q: &QuerySpec, stats: &DbStats) -> Arc<str> {
+    q.tables
         .iter()
         .max_by_key(|t| stats.table_rows(t))
         .expect("query has tables")
-        .clone();
-    let others = q.tables.iter().filter(|t| **t != driver).cloned().collect();
-    (driver, others)
+        .clone()
 }
 
-fn project_region(region: &Region, table: &str) -> Region {
-    let mut out = Region::empty();
-    for b in region.boxes() {
-        out = out.union(&Region::from_box(b.project_table(table)));
+/// One build side of a shared plan's join chain.
+struct JoinStep {
+    table: Arc<str>,
+    /// Join key on the accumulated (probe) side.
+    probe_key: Arc<str>,
+    /// The table a fresh build publishes: keyed on the build-side join
+    /// key, over the batch's union region projected to `table`.
+    request: HtFingerprint,
+}
+
+/// The join chain of a batch, in probe order: breadth-first from the
+/// driver along the shared join graph.
+fn join_steps(queries: &[&QuerySpec], driver: &Arc<str>, union: &Region) -> Result<Vec<JoinStep>> {
+    let q0 = queries[0];
+    let mut covered: Vec<Arc<str>> = vec![driver.clone()];
+    let mut remaining: Vec<Arc<str>> = q0.tables.iter().filter(|t| *t != driver).cloned().collect();
+    let mut steps = Vec::new();
+    while !remaining.is_empty() {
+        let next = remaining.iter().enumerate().find_map(|(ri, t)| {
+            q0.joins.iter().find_map(|e| {
+                if e.left_table == *t && covered.contains(&e.right_table) {
+                    Some((ri, e.right_col.clone(), e.left_col.clone()))
+                } else if e.right_table == *t && covered.contains(&e.left_table) {
+                    Some((ri, e.left_col.clone(), e.right_col.clone()))
+                } else {
+                    None
+                }
+            })
+        });
+        let Some((ri, probe_key, build_key)) = next else {
+            return Err(HsError::PlanError(
+                "shared plan: join graph is not connected from the driver".into(),
+            ));
+        };
+        let table = remaining.remove(ri);
+        let request = HtFingerprint {
+            kind: HtKind::JoinBuild,
+            tables: std::iter::once(table.clone()).collect(),
+            edges: vec![],
+            region: union.project_table(&table),
+            key_attrs: vec![build_key],
+            payload_attrs: shared_required_attrs(queries, &table),
+            aggregates: vec![],
+        };
+        covered.push(table.clone());
+        steps.push(JoinStep {
+            table,
+            probe_key,
+            request,
+        });
     }
-    out
+    Ok(steps)
 }
 
-fn tagged_join_fingerprint(q: &QuerySpec, table: &Arc<str>, region: &Region) -> HtFingerprint {
-    HtFingerprint {
-        kind: HtKind::JoinBuild,
-        tables: std::iter::once(table.clone()).collect(),
-        edges: vec![],
-        region: region.clone(),
-        key_attrs: q
-            .joins
-            .iter()
-            .find_map(|e| e.col_of(table))
-            .map(|c| vec![c.clone()])
-            .unwrap_or_default(),
-        payload_attrs: shared_required_attrs(std::slice::from_ref(q), table),
-        aggregates: vec![],
-        tagged: true,
-    }
-}
-
-/// Attributes a shared build side must carry for a set of queries: join
-/// keys, predicate attributes (for re-tagging) and group/agg inputs.
-fn shared_required_attrs(queries: &[QuerySpec], table: &str) -> Vec<Arc<str>> {
+/// Attributes a shared plan must carry from one table for a set of
+/// queries: join keys, predicate attributes (for per-query qualification)
+/// and group/aggregate/projection inputs.
+fn shared_required_attrs(queries: &[&QuerySpec], table: &str) -> Vec<Arc<str>> {
     let prefix = format!("{table}.");
     let mut out: Vec<Arc<str>> = Vec::new();
-    let add = |a: &Arc<str>, out: &mut Vec<Arc<str>>| {
-        if a.starts_with(&prefix) && !out.contains(a) {
-            out.push(a.clone());
-        }
-    };
     for q in queries {
-        for e in &q.joins {
-            if let Some(c) = e.col_of(table) {
-                if !out.contains(c) {
-                    out.push(c.clone());
-                }
-            }
-        }
-        for (a, _) in q.predicates.constrained() {
-            add(a, &mut out);
-        }
-        for g in &q.group_by {
-            add(g, &mut out);
-        }
-        for agg in &q.aggregates {
-            add(&agg.attr, &mut out);
-        }
-        for p in &q.projection {
-            add(p, &mut out);
-        }
+        out.extend(q.joins.iter().filter_map(|e| e.col_of(table)).cloned());
+        let used = q
+            .predicates
+            .constrained()
+            .map(|(a, _)| a)
+            .chain(&q.group_by)
+            .chain(q.aggregates.iter().map(|a| &a.attr))
+            .chain(&q.projection);
+        out.extend(used.filter(|a| a.starts_with(&prefix)).cloned());
     }
     out.sort();
     out.dedup();
     out
 }
 
+/// A base-table scan of `region` projected to `attrs`.
+fn scan(table: &Arc<str>, region: Region, attrs: Vec<Arc<str>>) -> PhysicalPlan {
+    PhysicalPlan::Scan(ScanSpec {
+        table: table.clone(),
+        region,
+        projection: attrs,
+    })
+}
+
+/// A reuse directive for a matched candidate. No post-filter: shared plans
+/// qualify every row per query.
+fn reuse_spec(m: &MatchRewrite, request: &HtFingerprint) -> ReuseSpec {
+    ReuseSpec {
+        id: m.candidate.id,
+        case: m.case,
+        post_filter: None,
+        request_region: request.region.clone(),
+        cached_region: m.candidate.fingerprint.region.clone(),
+        schema: m.candidate.schema.clone(),
+    }
+}
+
 /// Derive an executable [`SharedPlanSpec`] for a mergeable group, making
-/// reuse decisions against the current cache state. The policy filters
-/// reuse candidates and gates which tagged tables are admitted (published)
-/// into the cache.
+/// reuse decisions against the current cache state, and its estimated
+/// runtime. The policy filters reuse candidates and gates which fresh
+/// tables are admitted (published) into the cache.
 pub fn derive_shared_spec(
-    queries: &[QuerySpec],
-    catalog: &Catalog,
+    queries: &[&QuerySpec],
     stats: &DbStats,
+    cost: &CostModel,
     htm: &HtManager,
     policy: &dyn crate::policy::ReusePolicy,
-) -> Result<SharedPlanSpec> {
-    let q0 = &queries[0];
-    let (driver, _) = split_driver(q0, stats);
-    let union = union_region(queries.iter().collect::<Vec<_>>().as_slice());
-    let matcher = Matcher;
-
-    // BFS join order from the driver.
-    let mut covered: Vec<Arc<str>> = vec![driver.clone()];
-    let mut steps: Vec<SharedJoinStep> = Vec::new();
-    let mut remaining: Vec<Arc<str>> = q0
-        .tables
-        .iter()
-        .filter(|t| **t != driver)
-        .cloned()
-        .collect();
-    while !remaining.is_empty() {
-        let mut advanced = false;
-        for (ri, t) in remaining.iter().enumerate() {
-            let edge = q0.joins.iter().find(|e| {
-                (e.left_table == *t && covered.contains(&e.right_table))
-                    || (e.right_table == *t && covered.contains(&e.left_table))
-            });
-            let Some(edge) = edge else { continue };
-            let (probe_attr, build_key) = if edge.left_table == *t {
-                (edge.right_col.clone(), edge.left_col.clone())
-            } else {
-                (edge.left_col.clone(), edge.right_col.clone())
-            };
-            let payload = shared_required_attrs(queries, t);
-            let table_region = project_region(&union, t);
-            let request = HtFingerprint {
-                kind: HtKind::JoinBuild,
-                tables: std::iter::once(t.clone()).collect(),
-                edges: vec![],
-                region: table_region.clone(),
-                key_attrs: vec![build_key.clone()],
-                payload_attrs: payload.clone(),
-                aggregates: vec![],
-                tagged: true,
-            };
-            let request_box = boxes_union_box(queries, t);
-            let m = if policy.wants_candidates() {
-                policy.candidates(
-                    &request,
-                    matcher.find_matches(htm, &request, &request_box, stats),
-                )
-            } else {
-                Vec::new()
-            };
-            let m = m.into_iter().max_by(|a, b| {
-                a.contr
-                    .partial_cmp(&b.contr)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let reuse = m.map(|m| SharedReuse {
-                id: m.candidate.id,
-                case: m.case,
-                delta_region: m.delta_region,
-                request_region: table_region.clone(),
-                cached_region: m.candidate.fingerprint.region.clone(),
-            });
-            steps.push(SharedJoinStep {
-                table: t.clone(),
-                probe_attr,
-                build_key,
-                payload,
-                reuse: reuse.clone(),
-                publish: (policy.admit(&request) && reuse.is_none()).then(|| request.clone()),
-            });
-            covered.push(t.clone());
-            remaining.remove(ri);
-            advanced = true;
-            break;
+) -> Result<(SharedPlanSpec, f64)> {
+    let q0 = queries[0];
+    let driver = driver_table(q0, stats);
+    let union = union_region(queries);
+    let joined =
+        |region: &Region| stats.join_rows(q0.tables.iter().map(|t| t.as_ref()), &q0.joins, region);
+    let candidates = |request: &HtFingerprint| -> Vec<MatchRewrite> {
+        if !policy.wants_candidates() {
+            return Vec::new();
         }
-        if !advanced {
-            return Err(HsError::PlanError(
-                "shared plan: join graph is not connected from the driver".into(),
-            ));
-        }
-    }
+        let found = Matcher.find_matches(htm, request, &PredBox::all(), stats);
+        policy.candidates(request, found)
+    };
+    let best = |ms: Vec<MatchRewrite>| ms.into_iter().max_by(|a, b| a.contr.total_cmp(&b.contr));
+    let mut total = 0.0;
 
     // Shared grouping phases: one per distinct group-by list.
     let mut group_specs: Vec<SharedGroupSpec> = Vec::new();
     let mut outputs: Vec<SharedOutput> = Vec::new();
-    for q in queries {
-        if q.is_aggregate() {
-            let gi = match group_specs.iter().position(|g| g.group_by == q.group_by) {
-                Some(gi) => gi,
-                None => {
-                    // Stored attrs: everything any sharing query needs.
-                    let sharing: Vec<QuerySpec> = queries
-                        .iter()
-                        .filter(|p| p.group_by == q.group_by && p.is_aggregate())
-                        .cloned()
-                        .collect();
-                    let mut stored: Vec<Arc<str>> = q.group_by.clone();
-                    for s in &sharing {
-                        for a in &s.aggregates {
-                            if !stored.contains(&a.attr) {
-                                stored.push(a.attr.clone());
-                            }
-                        }
-                        for (a, _) in s.predicates.constrained() {
-                            if !stored.contains(a) {
-                                stored.push(a.clone());
-                            }
-                        }
-                    }
-                    stored.sort();
-                    stored.dedup();
-                    let request = HtFingerprint {
-                        kind: HtKind::SharedGroup,
-                        tables: q0.tables.clone(),
-                        edges: {
-                            let mut e = q0.joins.clone();
-                            e.sort();
-                            e
-                        },
-                        region: union.clone(),
-                        key_attrs: q.group_by.clone(),
-                        payload_attrs: stored.clone(),
-                        aggregates: vec![],
-                        tagged: true,
-                    };
-                    let request_box = whole_union_box(queries);
-                    let m = if policy.wants_candidates() {
-                        policy.candidates(
-                            &request,
-                            matcher.find_matches(htm, &request, &request_box, stats),
-                        )
-                    } else {
-                        Vec::new()
-                    };
-                    let m = m
-                        .into_iter()
-                        .filter(|m| !m.needs_post_group)
-                        .max_by(|a, b| {
-                            a.contr
-                                .partial_cmp(&b.contr)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        });
-                    let reuse = m.map(|m| SharedReuse {
-                        id: m.candidate.id,
-                        case: m.case,
-                        delta_region: m.delta_region,
-                        request_region: union.clone(),
-                        cached_region: m.candidate.fingerprint.region.clone(),
-                    });
-                    group_specs.push(SharedGroupSpec {
-                        group_by: q.group_by.clone(),
-                        stored_attrs: stored,
-                        reuse: reuse.clone(),
-                        publish: (policy.admit(&request) && reuse.is_none()).then_some(request),
-                    });
-                    group_specs.len() - 1
-                }
-            };
-            outputs.push(SharedOutput::Aggregate {
-                group_spec: gi,
-                aggs: q.aggregates.clone(),
-            });
-        } else {
+    for &q in queries {
+        if !q.is_aggregate() {
             let attrs = if q.projection.is_empty() {
-                shared_required_attrs(std::slice::from_ref(q), &driver)
+                shared_required_attrs(&[q], &driver)
             } else {
                 q.projection.clone()
             };
             outputs.push(SharedOutput::Projection(attrs));
+            continue;
         }
+        // Per-query aggregation over the grouping table.
+        let rows_q = joined(&q.region());
+        let groups = stats.distinct_combinations(&q.group_by, rows_q.max(1.0));
+        total += cost.rha_fresh(rows_q, groups, 48.0) * 0.5 + cost.output(groups);
+        let group_spec = match group_specs.iter().position(|g| g.group_by == q.group_by) {
+            Some(gi) => gi,
+            None => {
+                // Stored attrs: everything any sharing query needs.
+                let mut stored: Vec<Arc<str>> = q.group_by.clone();
+                for s in queries
+                    .iter()
+                    .filter(|p| p.group_by == q.group_by && p.is_aggregate())
+                {
+                    stored.extend(s.aggregates.iter().map(|a| a.attr.clone()));
+                    stored.extend(s.predicates.constrained().map(|(a, _)| a.clone()));
+                }
+                stored.sort();
+                stored.dedup();
+                let request = HtFingerprint {
+                    kind: HtKind::SharedGroup,
+                    tables: q0.tables.clone(),
+                    edges: {
+                        let mut e = q0.joins.clone();
+                        e.sort();
+                        e
+                    },
+                    region: union.clone(),
+                    key_attrs: q.group_by.clone(),
+                    payload_attrs: stored.clone(),
+                    aggregates: vec![],
+                };
+                // A delta is folded in the cached table's own layout, so
+                // that layout — and the delta region — must be made of
+                // attributes the pipeline carries.
+                let foldable = |m: &MatchRewrite| {
+                    let carried = |a: &Arc<str>| stored.contains(a);
+                    !m.case.needs_delta()
+                        || (m.candidate.fingerprint.payload_attrs.iter().all(carried)
+                            && m.delta_region.attrs().iter().all(carried))
+                };
+                let m = best(
+                    candidates(&request)
+                        .into_iter()
+                        .filter(|m| !m.needs_post_group && foldable(m))
+                        .collect(),
+                );
+                // Grouping inserts: every joined row, or the delta's.
+                let inserted = match &m {
+                    None => joined(&union),
+                    Some(m) => joined(&m.delta_region),
+                };
+                total += cost.rha_fresh(inserted, inserted, 48.0) * 0.5;
+                let reuse = m.map(|m| reuse_spec(&m, &request));
+                group_specs.push(SharedGroupSpec {
+                    group_by: q.group_by.clone(),
+                    stored_attrs: stored,
+                    publish: (policy.admit(&request) && reuse.is_none()).then_some(request),
+                    reuse,
+                });
+                group_specs.len() - 1
+            }
+        };
+        outputs.push(SharedOutput::Aggregate {
+            group_spec,
+            aggs: q.aggregates.clone(),
+        });
     }
 
-    let driver_attrs = shared_required_attrs(queries, &driver);
-    let _ = catalog;
-    Ok(SharedPlanSpec {
-        queries: queries.to_vec(),
-        driver,
-        driver_attrs,
-        steps,
+    // The join pipeline runs only for the rows some output still needs:
+    // projections and fresh grouping tables need the union region, a
+    // partially reused grouping table its delta.
+    let pipeline_region = outputs
+        .iter()
+        .filter_map(|o| match o {
+            SharedOutput::Projection(_) => Some(union.clone()),
+            SharedOutput::Aggregate { group_spec, .. } => match &group_specs[*group_spec].reuse {
+                None => Some(union.clone()),
+                Some(r) if r.case.needs_delta() => {
+                    Some(r.request_region.difference(&r.cached_region))
+                }
+                Some(_) => None,
+            },
+        })
+        .reduce(|a, b| a.union(&b));
+    let join = if let Some(pipeline_region) = pipeline_region {
+        let driver_region = pipeline_region.project_table(&driver);
+        let driver_rows = stats.filtered_rows(&driver, &driver_region);
+        total += cost
+            .scan(stats.table_rows(&driver) as f64)
+            .min(cost.index_scan(driver_rows));
+        let mut plan = scan(
+            &driver,
+            driver_region,
+            shared_required_attrs(queries, &driver),
+        );
+        for step in join_steps(queries, &driver, &union)? {
+            let build_rows = stats.filtered_rows(&step.table, &step.request.region);
+            let m = best(candidates(&step.request));
+            // Probe volume: the pipeline stream (approximated by driver rows).
+            total += match &m {
+                None => cost.rhj_fresh(build_rows.max(1.0), 24.0, driver_rows),
+                Some(m) => {
+                    let shape = CandidateShape {
+                        entries: m.candidate.entries as f64,
+                        bytes: m.candidate.bytes as f64,
+                        tuple_width: m.candidate.tuple_width as f64,
+                        contr: m.contr,
+                        overh: m.overh,
+                    };
+                    cost.rhj_reuse(&shape, build_rows, driver_rows, driver_rows)
+                }
+            };
+            let build = match &m {
+                None => Some(scan(
+                    &step.table,
+                    step.request.region.clone(),
+                    step.request.payload_attrs.clone(),
+                )),
+                // The delta lands in the cached table: scan it in that layout.
+                Some(m) if m.case.needs_delta() => {
+                    let attrs = m
+                        .candidate
+                        .schema
+                        .fields()
+                        .iter()
+                        .map(|f| f.name.as_str().into());
+                    Some(scan(&step.table, m.delta_region.clone(), attrs.collect()))
+                }
+                Some(_) => None,
+            };
+            let reuse = m.map(|m| reuse_spec(&m, &step.request));
+            plan = PhysicalPlan::HashJoin {
+                probe: Box::new(plan),
+                probe_key: step.probe_key,
+                build_key: step.request.key_attrs[0].clone(),
+                build: build.map(Box::new),
+                publish: (policy.admit(&step.request) && reuse.is_none()).then_some(step.request),
+                reuse,
+            };
+        }
+        Some(plan)
+    } else {
+        None
+    };
+
+    let spec = SharedPlanSpec {
+        queries: queries.iter().map(|&q| q.clone()).collect(),
+        join,
         group_specs,
         outputs,
-    })
-}
-
-/// The smallest single box covering the union of the queries' predicates on
-/// one table (used as a representative post-filter box for matching).
-fn boxes_union_box(queries: &[QuerySpec], table: &str) -> PredBox {
-    let mut out = PredBox::all();
-    // Conservative: intersect nothing — matching only uses this for
-    // post-filter attr coverage, and re-tagging supersedes post-filters in
-    // shared plans. Keep the attrs visible.
-    for q in queries {
-        if let Some((a, iv)) = q.predicates.project_table(table).constrained().next() {
-            out.constrain(a.clone(), iv.clone());
-        }
-    }
-    out
-}
-
-fn whole_union_box(queries: &[QuerySpec]) -> PredBox {
-    queries
-        .first()
-        .map(|q| q.predicates.clone())
-        .unwrap_or_default()
+    };
+    Ok((spec, total))
 }
 
 #[cfg(test)]
@@ -513,7 +476,7 @@ mod tests {
     use hashstash_exec::{ExecContext, TempTableCache};
     use hashstash_plan::{AggExpr, AggFunc, Interval, QueryBuilder};
     use hashstash_storage::tpch::{generate, TpchConfig};
-    use hashstash_types::Value;
+    use hashstash_types::{Row, Value};
 
     fn setup() -> (Catalog, DbStats, CostModel) {
         let cat = generate(TpchConfig::new(0.002, 31));
@@ -605,54 +568,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn derived_shared_spec_executes_correctly() {
-        let (cat, stats, _cost) = setup();
-        let htm = HtManager::new(GcConfig::default());
-        let queries = vec![mk(1, 20, 40), mk(2, 30, 60)];
-        let spec = derive_shared_spec(&queries, &cat, &stats, &htm, &crate::policy::CostBasedReuse)
-            .unwrap();
+    /// Execute a planned batch unit by unit, returning each query's rows
+    /// (sorted) in batch order.
+    fn run_batch(
+        plan: BatchPlan,
+        queries: &[QuerySpec],
+        cat: &Catalog,
+        htm: &HtManager,
+    ) -> Vec<Vec<Row>> {
+        let stats = DbStats::from_catalog(cat);
+        let cost = CostModel::synthetic();
+        let opt = Optimizer::new(cat, &stats, &cost, OptimizerConfig::default());
         let temps = TempTableCache::unbounded();
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
-        let results = execute_shared(&spec, &mut ctx).unwrap();
-        assert_eq!(results.len(), 2);
-        // Cross-check one query against the single-query path.
+        let mut out: Vec<Vec<Row>> = vec![Vec::new(); queries.len()];
+        for unit in plan.units {
+            let mut ctx = ExecContext::new(cat, htm, &temps);
+            match unit {
+                BatchUnit::Single { index, .. } => {
+                    let oq = opt.optimize(&queries[index], htm).unwrap();
+                    out[index] = hashstash_exec::execute(&oq.plan, &mut ctx).unwrap().1;
+                }
+                BatchUnit::Shared { indices, spec, .. } => {
+                    for (i, r) in indices
+                        .into_iter()
+                        .zip(execute_shared(&spec, &mut ctx).unwrap())
+                    {
+                        out[i] = r.rows;
+                    }
+                }
+            }
+        }
+        for rows in &mut out {
+            rows.sort();
+        }
+        out
+    }
+
+    /// Reference answers: every query alone, without reuse.
+    fn one_at_a_time(queries: &[QuerySpec], cat: &Catalog) -> Vec<Vec<Row>> {
+        let stats = DbStats::from_catalog(cat);
         let cost = CostModel::synthetic();
         let opt = Optimizer::new(
-            &cat,
+            cat,
             &stats,
             &cost,
             OptimizerConfig::with_policy(std::sync::Arc::new(crate::policy::NoReuse)),
         );
-        let htm2 = HtManager::new(GcConfig::default());
-        let oq = opt.optimize(&queries[0], &htm2).unwrap();
-        let temps2 = TempTableCache::unbounded();
-        let mut ctx2 = ExecContext::new(&cat, &htm2, &temps2);
-        let (_, mut expect) = hashstash_exec::execute(&oq.plan, &mut ctx2).unwrap();
-        expect.sort();
-        let mut got = results[0].rows.clone();
-        got.sort();
-        assert_eq!(got.len(), expect.len());
-        for (a, b) in got.iter().zip(&expect) {
-            assert_eq!(a.get(0), b.get(0));
-        }
+        let htm = HtManager::new(GcConfig::default());
+        let temps = TempTableCache::unbounded();
+        queries
+            .iter()
+            .map(|q| {
+                let oq = opt.optimize(q, &htm).unwrap();
+                let mut ctx = ExecContext::new(cat, &htm, &temps);
+                let mut rows = hashstash_exec::execute(&oq.plan, &mut ctx).unwrap().1;
+                rows.sort();
+                rows
+            })
+            .collect()
     }
 
     #[test]
-    fn oversized_batch_rejected() {
+    fn derived_shared_spec_executes_correctly() {
         let (cat, stats, cost) = setup();
         let htm = HtManager::new(GcConfig::default());
-        let queries: Vec<QuerySpec> = (0..65).map(|i| mk(i, 20, 40)).collect();
-        assert!(plan_batch(
+        let queries = vec![mk(1, 20, 40), mk(2, 30, 60)];
+        let refs: Vec<&QuerySpec> = queries.iter().collect();
+        let (spec, _) =
+            derive_shared_spec(&refs, &stats, &cost, &htm, &crate::policy::CostBasedReuse).unwrap();
+        let temps = TempTableCache::unbounded();
+        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let results = execute_shared(&spec, &mut ctx).unwrap();
+        assert_eq!(results.len(), 2);
+        let expect = one_at_a_time(&queries, &cat);
+        for (r, want) in results.into_iter().zip(expect) {
+            let mut got = r.rows;
+            got.sort();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// A batch wider than the paper's 64-bit query tag plans into shared
+    /// units and answers exactly like one-at-a-time execution.
+    #[test]
+    fn batch_of_65_queries_matches_one_at_a_time() {
+        let (cat, stats, cost) = setup();
+        let htm = HtManager::new(GcConfig::default());
+        let queries: Vec<QuerySpec> = (0..65)
+            .map(|i| mk(i, 20 + i64::from(i % 30), 40 + i64::from(i % 45)))
+            .collect();
+        let plan = plan_batch(
             &queries,
             &cat,
             &stats,
             &cost,
             OptimizerConfig::default(),
             &htm,
-            true
+            true,
         )
-        .is_err());
+        .unwrap();
+        assert!(plan
+            .units
+            .iter()
+            .any(|u| matches!(u, BatchUnit::Shared { indices, .. } if indices.len() > 1)));
+        assert_eq!(
+            run_batch(plan, &queries, &cat, &htm),
+            one_at_a_time(&queries, &cat)
+        );
     }
 
     #[test]

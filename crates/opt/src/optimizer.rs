@@ -660,7 +660,6 @@ impl<'a> Optimizer<'a> {
             key_attrs: q.group_by.clone(),
             payload_attrs: q.group_by.clone(),
             aggregates: storage_aggs.clone(),
-            tagged: false,
         };
         let groups = self
             .stats
@@ -942,7 +941,6 @@ impl<'a> Optimizer<'a> {
             key_attrs: vec![build_key.clone()],
             payload_attrs: payload,
             aggregates: vec![],
-            tagged: false,
         }
     }
 

@@ -345,7 +345,6 @@ mod tests {
             key_attrs: vec![],
             payload_attrs: vec![],
             aggregates: vec![],
-            tagged: false,
         }
     }
 

@@ -61,8 +61,6 @@ pub struct HtFingerprint {
     /// Aggregate expressions (post `AVG → SUM,COUNT` rewrite) for
     /// `Aggregate` tables; empty otherwise.
     pub aggregates: Vec<AggExpr>,
-    /// Whether tuples carry query-id tags (required for shared-plan reuse).
-    pub tagged: bool,
 }
 
 impl HtFingerprint {
@@ -89,7 +87,7 @@ impl HtFingerprint {
     }
 
     /// Whether two fingerprints describe the *same* lineage: same shape,
-    /// same payload and aggregates, same tagging, and set-equal predicate
+    /// same payload and aggregates, and set-equal predicate
     /// regions. Base tables are immutable, so same lineage implies
     /// identical table content — the caches use this to deduplicate
     /// re-publishes (e.g. a re-planned retry re-running an operator whose
@@ -98,7 +96,6 @@ impl HtFingerprint {
         self.same_shape(other)
             && self.payload_attrs == other.payload_attrs
             && self.aggregates == other.aggregates
-            && self.tagged == other.tagged
             && self.region.set_eq(&other.region)
     }
 
@@ -167,7 +164,6 @@ mod tests {
             key_attrs: vec![Arc::from("customer.c_custkey")],
             payload_attrs: vec![Arc::from("customer.c_age"), Arc::from("customer.c_acctbal")],
             aggregates: Vec::new(),
-            tagged: false,
         }
         .normalized()
     }

@@ -314,6 +314,14 @@ impl Region {
         attrs.dedup();
         attrs
     }
+
+    /// The region restricted to the attributes of one table: a superset of
+    /// the tuples of `table` that can take part in a row of `self`.
+    pub fn project_table(&self, table: &str) -> Region {
+        self.boxes.iter().fold(Region::empty(), |acc, b| {
+            acc.union(&Region::from_box(b.project_table(table)))
+        })
+    }
 }
 
 impl std::fmt::Display for Region {

@@ -1,4 +1,4 @@
-//! Strongly-typed identifiers and the query-id bitset of the Data-Query model.
+//! Strongly-typed identifiers.
 
 use std::fmt;
 
@@ -31,156 +31,5 @@ impl fmt::Display for QueryId {
 impl fmt::Display for HtId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "HT{}", self.0)
-    }
-}
-
-/// A set of query ids, represented as a 64-bit mask.
-///
-/// The paper's Data-Query model (§4.1, Figure 5) tags every tuple flowing
-/// through a shared plan with the ids of the queries it qualifies for. The
-/// paper's batches have at most 64 queries, so a single machine word
-/// suffices; members are *batch-local* slots `0..64`, not global query ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct QidSet(pub u64);
-
-impl QidSet {
-    /// The empty set.
-    pub const EMPTY: QidSet = QidSet(0);
-
-    /// Maximum number of queries a batch may contain.
-    pub const CAPACITY: usize = 64;
-
-    /// Singleton set containing the batch-local slot `slot`.
-    #[inline]
-    pub fn single(slot: usize) -> Self {
-        assert!(slot < Self::CAPACITY, "qid slot {slot} out of range");
-        QidSet(1u64 << slot)
-    }
-
-    /// Set containing slots `0..n`.
-    #[inline]
-    pub fn first_n(n: usize) -> Self {
-        assert!(n <= Self::CAPACITY, "batch of {n} queries exceeds capacity");
-        if n == Self::CAPACITY {
-            QidSet(u64::MAX)
-        } else {
-            QidSet((1u64 << n) - 1)
-        }
-    }
-
-    /// Whether the set contains no queries.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Whether slot `slot` is a member.
-    #[inline]
-    pub fn contains(self, slot: usize) -> bool {
-        slot < Self::CAPACITY && self.0 & (1u64 << slot) != 0
-    }
-
-    /// Insert slot `slot`.
-    #[inline]
-    pub fn insert(&mut self, slot: usize) {
-        assert!(slot < Self::CAPACITY, "qid slot {slot} out of range");
-        self.0 |= 1u64 << slot;
-    }
-
-    /// Number of member queries.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// Set intersection — the core operation of shared join probing.
-    #[inline]
-    pub fn and(self, other: QidSet) -> QidSet {
-        QidSet(self.0 & other.0)
-    }
-
-    /// Set union.
-    #[inline]
-    pub fn or(self, other: QidSet) -> QidSet {
-        QidSet(self.0 | other.0)
-    }
-
-    /// Iterate over the member slots in increasing order.
-    pub fn iter(self) -> impl Iterator<Item = usize> {
-        let mut bits = self.0;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                None
-            } else {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(slot)
-            }
-        })
-    }
-}
-
-impl fmt::Display for QidSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, slot) in self.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "Q{slot}")?;
-        }
-        write!(f, "}}")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn singleton_and_membership() {
-        let s = QidSet::single(3);
-        assert!(s.contains(3));
-        assert!(!s.contains(2));
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-        assert!(QidSet::EMPTY.is_empty());
-    }
-
-    #[test]
-    fn first_n_edges() {
-        assert_eq!(QidSet::first_n(0), QidSet::EMPTY);
-        assert_eq!(QidSet::first_n(3).len(), 3);
-        assert_eq!(QidSet::first_n(64).len(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn slot_out_of_range_panics() {
-        let _ = QidSet::single(64);
-    }
-
-    #[test]
-    fn and_or_iter() {
-        let a = QidSet::single(0).or(QidSet::single(2));
-        let b = QidSet::single(2).or(QidSet::single(5));
-        assert_eq!(a.and(b), QidSet::single(2));
-        assert_eq!(a.or(b).iter().collect::<Vec<_>>(), vec![0, 2, 5]);
-    }
-
-    #[test]
-    fn display() {
-        let a = QidSet::single(1).or(QidSet::single(3));
-        assert_eq!(a.to_string(), "{Q1,Q3}");
-        assert_eq!(QidSet::EMPTY.to_string(), "{}");
-    }
-
-    #[test]
-    fn insert_accumulates() {
-        let mut s = QidSet::EMPTY;
-        s.insert(0);
-        s.insert(63);
-        assert!(s.contains(0) && s.contains(63));
-        assert_eq!(s.len(), 2);
     }
 }

@@ -7,8 +7,6 @@
 //! * [`DataType`] / [`Schema`] — column metadata used by the storage layer,
 //!   the planner and the executor.
 //! * [`Row`] — an owned tuple of values flowing between operators.
-//! * [`QidSet`] — the query-id bitmap of the Data-Query model used by shared
-//!   plans (paper §4.1).
 //! * [`date`] — proleptic-Gregorian day arithmetic so TPC-H dates can be
 //!   stored as plain `i32` days and compared as integers.
 //! * [`HsError`] — the crate-spanning error type.
@@ -21,7 +19,7 @@ pub mod schema;
 pub mod value;
 
 pub use error::{HsError, Result};
-pub use ids::{ColId, HtId, QidSet, QueryId, TableId};
+pub use ids::{ColId, HtId, QueryId, TableId};
 pub use row::Row;
 pub use schema::{Field, Schema};
 pub use value::{

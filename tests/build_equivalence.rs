@@ -8,9 +8,8 @@
 //! output order) would silently change with the `PARALLELISM` knob.
 //!
 //! Serial references are built through the *real* serial code paths the
-//! executor uses (`reserve` + `insert` loop for joins, `with_capacity` +
-//! `insert` loop for shared tagged builds, `upsert_where` loop for
-//! aggregates), not through the helper's own one-worker arm — so these
+//! executor uses (`reserve` + `insert` loop for joins, `upsert_where` loop
+//! for aggregates), not through the helper's own one-worker arm — so these
 //! properties pin the parallel helpers against the executor's ground truth.
 
 use hashstash_exec::parallel::{build_grouped_partitioned, build_multimap_partitioned};
@@ -75,27 +74,6 @@ proptest! {
                 par.layout_eq(&serial),
                 "join build diverged at {} workers (n={}, width={}, serial stats {:?} vs {:?})",
                 workers, keys.len(), width, serial.stats(), par.stats()
-            );
-        }
-    }
-
-    // Shared-plan tagged-build path (`shared.rs`): `with_capacity` +
-    // row-order inserts (no explicit reserve) vs. the partitioned build on
-    // an identically constructed table.
-    #[test]
-    fn shared_build_partitioned_is_byte_identical(keys in key_vecs(), width in 8usize..64) {
-        let mut serial = ExtendibleHashTable::with_capacity(width, keys.len());
-        for (k, v) in keys.iter().copied().zip(values_of(&keys)) {
-            serial.insert(k, v);
-        }
-        let pool = pool();
-        for workers in WORKER_COUNTS {
-            let mut par = ExtendibleHashTable::with_capacity(width, keys.len());
-            build_multimap_partitioned(on(&pool, workers), &mut par, keys.clone(), values_of(&keys));
-            prop_assert!(
-                par.layout_eq(&serial),
-                "shared tagged build diverged at {} workers (n={}, width={})",
-                workers, keys.len(), width
             );
         }
     }

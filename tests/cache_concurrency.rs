@@ -15,7 +15,7 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt, TaggedRow};
+use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{execute, ExecContext, TempTableCache};
 use hashstash_hashtable::ExtendibleHashTable;
@@ -35,19 +35,15 @@ fn customer_fp(lo: i64, hi: i64) -> HtFingerprint {
         key_attrs: vec![Arc::from("customer.c_custkey")],
         payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
 fn join_table(n: u64) -> StoredHt {
     let mut ht = ExtendibleHashTable::new(16);
     for i in 0..n {
-        ht.insert(
-            i,
-            TaggedRow::untagged(Row::new(vec![Value::Int(i as i64), Value::Int(30)])),
-        );
+        ht.insert(i, Row::new(vec![Value::Int(i as i64), Value::Int(30)]));
     }
-    StoredHt::Join(ht)
+    StoredHt::Rows(ht)
 }
 
 fn join_schema() -> Schema {
@@ -189,7 +185,7 @@ fn shared_checkouts_of_one_table_coexist_across_threads() {
                 let co = htm.checkout(id).expect("shared checkout never blocks");
                 // Every thread holds its guard here simultaneously.
                 barrier.wait();
-                let StoredHt::Join(t) = co.table() else {
+                let StoredHt::Rows(t) = co.table() else {
                     panic!("join table")
                 };
                 let mut hits = 0usize;
@@ -234,7 +230,6 @@ fn shard_contention_stress_no_lost_bytes() {
             key_attrs: vec![key.clone()],
             payload_attrs: vec![key],
             aggregates: vec![],
-            tagged: false,
         }
     }
 
@@ -268,14 +263,11 @@ fn shard_contention_stress_no_lost_bytes() {
                         if i % 3 == 0 {
                             // Partial-style mutating reuse: COW, widen, publish.
                             if let Ok(mut co) = htm.checkout_mut(c.id) {
-                                if let Ok(StoredHt::Join(tab)) = co.table_mut() {
+                                if let Ok(StoredHt::Rows(tab)) = co.table_mut() {
                                     let base = 1000 + i as u64;
                                     tab.insert(
                                         base,
-                                        TaggedRow::untagged(Row::new(vec![
-                                            Value::Int(base as i64),
-                                            Value::Int(30),
-                                        ])),
+                                        Row::new(vec![Value::Int(base as i64), Value::Int(30)]),
                                     );
                                 }
                                 co.fingerprint.region = co.fingerprint.region.union(&fp.region);

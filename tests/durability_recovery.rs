@@ -195,7 +195,6 @@ fn golden_hashes_are_stable_across_processes() {
         key_attrs: vec![std::sync::Arc::from("customer.c_custkey")],
         payload_attrs: vec![std::sync::Arc::from("customer.c_age")],
         aggregates: vec![],
-        tagged: false,
     };
     assert_eq!(ShapeKey::of(&fp).stable_hash(), 0x6894_58a4_d0e0_8586);
 }
@@ -312,19 +311,13 @@ fn restart_with_ttl_keeps_warm_cache_until_actually_idle() {
         key_attrs: vec![Arc::from("customer.c_custkey")],
         payload_attrs: vec![Arc::from("customer.c_custkey")],
         aggregates: vec![],
-        tagged: false,
     };
     let warm_ht = || {
         let mut t = hashstash_hashtable::ExtendibleHashTable::new(16);
         for i in 0..32u64 {
-            t.insert(
-                i,
-                hashstash_cache::TaggedRow::untagged(hashstash_types::Row::new(vec![Value::Int(
-                    i as i64,
-                )])),
-            );
+            t.insert(i, hashstash_types::Row::new(vec![Value::Int(i as i64)]));
         }
-        hashstash_cache::StoredHt::Join(t)
+        hashstash_cache::StoredHt::Rows(t)
     };
     let warm_schema = hashstash_types::Schema::new(vec![hashstash_types::Field::new(
         "customer.c_custkey",

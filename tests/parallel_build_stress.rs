@@ -63,7 +63,6 @@ fn fp_of(variant: usize) -> HtFingerprint {
         key_attrs: vec![Arc::from("dim.d_key")],
         payload_attrs: vec![Arc::from("dim.d_key"), Arc::from("dim.d_attr")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 

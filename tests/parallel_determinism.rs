@@ -16,9 +16,7 @@ use std::sync::Arc;
 use hashstash::{Database, EngineStrategy};
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::shared::{
-    execute_shared, SharedGroupSpec, SharedJoinStep, SharedOutput, SharedPlanSpec,
-};
+use hashstash_exec::shared::{execute_shared, SharedGroupSpec, SharedOutput, SharedPlanSpec};
 use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, Region, ReuseCase,
@@ -47,7 +45,6 @@ fn customer_fp(lo: i64, hi: i64) -> HtFingerprint {
         key_attrs: vec![Arc::from("customer.c_custkey")],
         payload_attrs: vec![Arc::from("customer.c_custkey"), Arc::from("customer.c_age")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
@@ -223,32 +220,21 @@ fn parallel_shared_plan_matches_serial() {
                 .unwrap()
         })
         .collect();
-    let spec = SharedPlanSpec {
-        queries: queries.clone(),
-        driver: "orders".into(),
-        driver_attrs: vec!["orders.o_orderkey".into(), "orders.o_custkey".into()],
-        steps: vec![SharedJoinStep {
+    let join = PhysicalPlan::HashJoin {
+        probe: Box::new(PhysicalPlan::Scan(
+            ScanSpec::full("orders").project(&["orders.o_orderkey", "orders.o_custkey"]),
+        )),
+        build: Some(Box::new(PhysicalPlan::Scan(ScanSpec {
             table: "customer".into(),
-            probe_attr: "orders.o_custkey".into(),
-            build_key: "customer.c_custkey".into(),
-            payload: vec!["customer.c_custkey".into(), "customer.c_age".into()],
-            reuse: None,
-            publish: None,
-        }],
-        group_specs: vec![SharedGroupSpec {
-            group_by: vec!["customer.c_age".into()],
-            stored_attrs: vec!["customer.c_age".into(), "orders.o_orderkey".into()],
-            reuse: None,
-            publish: None,
-        }],
-        outputs: queries
-            .iter()
-            .map(|q| SharedOutput::Aggregate {
-                group_spec: 0,
-                aggs: q.aggregates.clone(),
-            })
-            .collect(),
+            region: union_region(&queries).project_table("customer"),
+            projection: vec!["customer.c_custkey".into(), "customer.c_age".into()],
+        }))),
+        probe_key: "orders.o_custkey".into(),
+        build_key: "customer.c_custkey".into(),
+        reuse: None,
+        publish: None,
     };
+    let spec = shared_spec(queries, join, "customer.c_age", "orders.o_orderkey");
     let run = |parallelism: usize| {
         let htm = HtManager::unbounded();
         let temps = TempTableCache::unbounded();
@@ -320,7 +306,6 @@ fn dim_join_fp(lo: i64, hi: i64) -> HtFingerprint {
         key_attrs: vec![Arc::from("dim.d_key")],
         payload_attrs: vec![Arc::from("dim.d_key"), Arc::from("dim.d_attr")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
@@ -470,7 +455,6 @@ fn run_build_sequence(cat: &Catalog, parallelism: usize) -> BuildRun {
         key_attrs: vec![Arc::from("dim.d_attr")],
         payload_attrs: vec![Arc::from("dim.d_attr")],
         aggregates: aggs.clone(),
-        tagged: false,
     };
     let agg_plan = |reuse: Option<ReuseSpec>, publish: Option<HtFingerprint>, input: bool| {
         PhysicalPlan::HashAggregate {
@@ -556,10 +540,10 @@ fn parallel_build_phase_matches_serial_end_to_end() {
     }
 }
 
-/// Shared plans with a build side above the fan-out threshold: the tagged
-/// table is parallel-built in batch 1, published, then *reused with
-/// re-tagging* by batch 2 — results and metrics must match the serial
-/// interpreter at every worker count.
+/// Shared plans with a build side above the fan-out threshold: the join
+/// table is parallel-built in batch 1, published, then reused read-only by
+/// batch 2 — results and metrics must match the serial interpreter at every
+/// worker count.
 #[test]
 fn parallel_shared_build_phase_matches_serial() {
     let cat = big_catalog();
@@ -576,38 +560,28 @@ fn parallel_shared_build_phase_matches_serial() {
             .unwrap()
     };
     let mk_spec = |queries: Vec<hashstash_plan::QuerySpec>,
-                   reuse: Option<hashstash_exec::SharedReuse>,
+                   reuse: Option<ReuseSpec>,
                    publish: Option<HtFingerprint>| {
-        let outputs = queries
-            .iter()
-            .map(|q| SharedOutput::Aggregate {
-                group_spec: 0,
-                aggs: q.aggregates.clone(),
-            })
-            .collect();
-        SharedPlanSpec {
-            queries,
-            driver: "fact".into(),
-            driver_attrs: vec!["fact.f_key".into()],
-            steps: vec![SharedJoinStep {
+        let build = reuse.is_none().then(|| {
+            Box::new(PhysicalPlan::Scan(ScanSpec {
                 table: "dim".into(),
-                probe_attr: "fact.f_key".into(),
-                build_key: "dim.d_key".into(),
-                payload: vec!["dim.d_key".into(), "dim.d_attr".into()],
-                reuse,
-                publish,
-            }],
-            group_specs: vec![SharedGroupSpec {
-                group_by: vec!["dim.d_attr".into()],
-                stored_attrs: vec!["dim.d_attr".into(), "fact.f_key".into()],
-                reuse: None,
-                publish: None,
-            }],
-            outputs,
-        }
+                region: union_region(&queries).project_table("dim"),
+                projection: vec!["dim.d_key".into(), "dim.d_attr".into()],
+            }))
+        });
+        let join = PhysicalPlan::HashJoin {
+            probe: Box::new(PhysicalPlan::Scan(
+                ScanSpec::full("fact").project(&["fact.f_key"]),
+            )),
+            build,
+            probe_key: "fact.f_key".into(),
+            build_key: "dim.d_key".into(),
+            reuse,
+            publish,
+        };
+        shared_spec(queries, join, "dim.d_attr", "fact.f_key")
     };
-    let tagged_fp = HtFingerprint {
-        tagged: true,
+    let published_fp = HtFingerprint {
         region: Region::from_box(PredBox::all().with(
             "dim.d_attr",
             Interval::closed(Value::Int(0), Value::Int(750)),
@@ -618,31 +592,31 @@ fn parallel_shared_build_phase_matches_serial() {
         let htm = HtManager::unbounded();
         let temps = TempTableCache::unbounded();
         let pool = WorkerPool::new(parallelism - 1);
-        // Batch 1: wide predicates → >11k-row tagged build, published.
+        // Batch 1: wide predicates → >11k-row build, published.
         let spec1 = mk_spec(
             vec![mk_query(1, 0, 500), mk_query(2, 250, 750)],
             None,
-            Some(tagged_fp.clone()),
+            Some(published_fp.clone()),
         );
         let mut ctx = ExecContext::new(&cat, &htm, &temps)
             .with_parallelism(parallelism)
             .with_pool(&pool);
         let r1 = execute_shared(&spec1, &mut ctx).unwrap();
-        let cand = htm.candidates(&tagged_fp).remove(0);
-        // Batch 2: subsuming reuse of the parallel-built tagged table, with
-        // the mandatory re-tag pass.
+        let cand = htm.candidates(&published_fp).remove(0);
+        // Batch 2: subsuming, read-only reuse of the parallel-built table.
         let request = Region::from_box(PredBox::all().with(
             "dim.d_attr",
             Interval::closed(Value::Int(100), Value::Int(600)),
         ));
         let spec2 = mk_spec(
             vec![mk_query(10, 100, 400), mk_query(11, 300, 600)],
-            Some(hashstash_exec::SharedReuse {
+            Some(ReuseSpec {
                 id: cand.id,
                 case: ReuseCase::Subsuming,
-                delta_region: Region::empty(),
+                post_filter: None,
                 request_region: request,
-                cached_region: tagged_fp.region.clone(),
+                cached_region: published_fp.region.clone(),
+                schema: cand.schema.clone(),
             }),
             None,
         );
@@ -665,8 +639,42 @@ fn parallel_shared_build_phase_matches_serial() {
         assert_eq!(metrics, serial_metrics, "{workers} workers");
         assert_eq!(
             cand, serial_cand,
-            "{workers} workers: published tagged table stats"
+            "{workers} workers: published join table stats"
         );
+    }
+}
+
+fn union_region(queries: &[hashstash_plan::QuerySpec]) -> Region {
+    queries
+        .iter()
+        .fold(Region::empty(), |acc, q| acc.union(&q.region()))
+}
+
+/// A shared plan over `join` with one grouping phase on `group_by` whose
+/// every query counts `counted`.
+fn shared_spec(
+    queries: Vec<hashstash_plan::QuerySpec>,
+    join: PhysicalPlan,
+    group_by: &str,
+    counted: &str,
+) -> SharedPlanSpec {
+    let outputs = queries
+        .iter()
+        .map(|q| SharedOutput::Aggregate {
+            group_spec: 0,
+            aggs: q.aggregates.clone(),
+        })
+        .collect();
+    SharedPlanSpec {
+        queries,
+        join: Some(join),
+        group_specs: vec![SharedGroupSpec {
+            group_by: vec![group_by.into()],
+            stored_attrs: vec![group_by.into(), counted.into()],
+            reuse: None,
+            publish: None,
+        }],
+        outputs,
     }
 }
 

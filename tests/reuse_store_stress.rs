@@ -7,9 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use hashstash_cache::payload::row_bytes;
-use hashstash_cache::{
-    EvictionPolicy, GcConfig, HtManager, ReuseBudget, StoredHt, TaggedRow, DEFAULT_SHARDS,
-};
+use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, ReuseBudget, StoredHt, DEFAULT_SHARDS};
 use hashstash_exec::TempTableCache;
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
@@ -30,16 +28,15 @@ fn fp(table: &str, lo: i64, hi: i64) -> HtFingerprint {
         key_attrs: vec![key.clone()],
         payload_attrs: vec![key],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
 fn ht(n: u64) -> StoredHt {
     let mut t = ExtendibleHashTable::new(16);
     for i in 0..n {
-        t.insert(i, TaggedRow::untagged(Row::new(vec![Value::Int(i as i64)])));
+        t.insert(i, Row::new(vec![Value::Int(i as i64)]));
     }
-    StoredHt::Join(t)
+    StoredHt::Rows(t)
 }
 
 fn rows(n: usize) -> Vec<Row> {
@@ -103,14 +100,9 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
                         if let Some(c) = cands.first() {
                             if i % 6 == 0 {
                                 if let Ok(mut co) = htm.checkout_mut(c.id) {
-                                    if let Ok(StoredHt::Join(tab)) = co.table_mut() {
+                                    if let Ok(StoredHt::Rows(tab)) = co.table_mut() {
                                         let base = 1000 + i as u64;
-                                        tab.insert(
-                                            base,
-                                            TaggedRow::untagged(Row::new(vec![Value::Int(
-                                                base as i64,
-                                            )])),
-                                        );
+                                        tab.insert(base, Row::new(vec![Value::Int(base as i64)]));
                                     }
                                     co.fingerprint.region = co
                                         .fingerprint

@@ -41,7 +41,6 @@ fn fingerprint() -> HtFingerprint {
         key_attrs: vec![Arc::from("orders.o_orderkey")],
         payload_attrs: vec![Arc::from("orders.o_orderkey"), Arc::from("customer.c_age")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use hashstash_cache::{
-    EvictionPolicy, GcConfig, HtManager, ReuseBudget, StoredHt, TaggedRow, TenantId, DEFAULT_SHARDS,
+    EvictionPolicy, GcConfig, HtManager, ReuseBudget, StoredHt, TenantId, DEFAULT_SHARDS,
 };
 use hashstash_exec::TempTableCache;
 use hashstash_hashtable::ExtendibleHashTable;
@@ -34,16 +34,15 @@ fn fp(table: &str, lo: i64, hi: i64) -> HtFingerprint {
         key_attrs: vec![key.clone()],
         payload_attrs: vec![key],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
 fn ht(n: u64) -> StoredHt {
     let mut t = ExtendibleHashTable::new(16);
     for i in 0..n {
-        t.insert(i, TaggedRow::untagged(Row::new(vec![Value::Int(i as i64)])));
+        t.insert(i, Row::new(vec![Value::Int(i as i64)]));
     }
-    StoredHt::Join(t)
+    StoredHt::Rows(t)
 }
 
 fn rows(n: usize) -> Vec<Row> {

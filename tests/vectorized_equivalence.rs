@@ -27,7 +27,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use hashstash::{Database, EngineStrategy};
-use hashstash_cache::{AggPayload, GcConfig, HtManager, StoredHt, TaggedRow};
+use hashstash_cache::{AggPayload, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool};
 use hashstash_plan::{
@@ -111,7 +111,6 @@ fn join_fp() -> HtFingerprint {
         key_attrs: vec![Arc::from("dim.d_key")],
         payload_attrs: vec![Arc::from("dim.d_key"), Arc::from("dim.d_tag")],
         aggregates: vec![],
-        tagged: false,
     }
 }
 
@@ -132,7 +131,6 @@ fn agg_fp(pred: &PredBox) -> HtFingerprint {
         key_attrs: vec![Arc::from("t.a"), Arc::from("t.s")],
         payload_attrs: vec![Arc::from("t.a"), Arc::from("t.s")],
         aggregates: agg_exprs(),
-        tagged: false,
     }
 }
 
@@ -229,8 +227,8 @@ fn run_all(cat: &Catalog, pred: &PredBox, vectorize: bool, parallelism: usize) -
     let jc = htm.candidates(&join_fp()).remove(0);
     let join_co = htm.checkout(jc.id).unwrap();
     let join_table = match join_co.table() {
-        StoredHt::Join(ht) => {
-            let pairs: Vec<(u64, TaggedRow)> = ht.iter().map(|(k, v)| (k, v.clone())).collect();
+        StoredHt::Rows(ht) => {
+            let pairs: Vec<(u64, Row)> = ht.iter().map(|(k, v)| (k, v.clone())).collect();
             format!("{pairs:?}")
         }
         other => panic!("join fingerprint stored {other:?}"),
