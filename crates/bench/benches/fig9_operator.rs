@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hashstash_cache::{GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{default_parallelism, execute, ExecContext, TempTableCache, WorkerPool};
+use hashstash_exec::{default_parallelism, execute, ExecContext, WorkerPool};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Region, ReuseCase};
 use hashstash_storage::{Catalog, TableBuilder};
@@ -61,8 +61,7 @@ fn benches(c: &mut Criterion) {
             let plan = fresh_plan();
             b.iter(|| {
                 let htm = HtManager::new(GcConfig::default());
-                let temps = TempTableCache::unbounded();
-                let mut ctx = ExecContext::new(&cat, &htm, &temps).with_pool(&pool);
+                let mut ctx = ExecContext::new(&cat, &htm).with_pool(&pool);
                 execute(&plan, &mut ctx).unwrap().1.len()
             });
         });
@@ -95,8 +94,7 @@ fn benches(c: &mut Criterion) {
                         }),
                         publish: None,
                     };
-                    let temps = TempTableCache::unbounded();
-                    let mut ctx = ExecContext::new(&cat, &htm, &temps).with_pool(&pool);
+                    let mut ctx = ExecContext::new(&cat, &htm).with_pool(&pool);
                     execute(&plan, &mut ctx).unwrap().1.len()
                 },
                 criterion::BatchSize::LargeInput,

@@ -37,7 +37,7 @@ fn main() {
         };
         let (t_mat, mat_stats) = {
             let (t, db) = run_trace(catalog(), EngineStrategy::Materialized, &trace);
-            (t, db.temp_stats())
+            (t, db.cache_stats())
         };
         let (t_hs, hs_stats) = {
             let (t, db) = run_trace(catalog(), EngineStrategy::HashStash, &trace);

@@ -48,7 +48,6 @@ fn main() {
                     budget_bytes: Some((peak as f64 * frac) as usize),
                     policy: Default::default(),
                     fine_grained: fine,
-                    ..GcConfig::default()
                 })
                 .build();
             let mut session = db.session();

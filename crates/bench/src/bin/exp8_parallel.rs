@@ -41,7 +41,7 @@ use hashstash_cache::{GcConfig, HtManager, DEFAULT_SHARDS};
 use hashstash_exec::parallel::{morsel_count, run_morsels};
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{
-    execute, min_parallel_morsels, ExecContext, Scheduler, TempTableCache, WorkerPool, MORSEL_ROWS,
+    execute, min_parallel_morsels, ExecContext, Scheduler, WorkerPool, MORSEL_ROWS,
 };
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, JoinEdge, PredBox, Region, ReuseCase,
@@ -206,7 +206,6 @@ fn main() {
 
     let cat = synth(n);
     let htm = HtManager::new(GcConfig::default());
-    let temps = TempTableCache::unbounded();
     // One persistent pool shared by every worker count below — exactly the
     // engine's execution model (a Database owns one pool for all sessions).
     // Sized for the largest count in the sweep (the caller participates,
@@ -229,7 +228,7 @@ fn main() {
             reuse: None,
             publish: Some(fp.clone()),
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps).with_parallelism(1);
+        let mut ctx = ExecContext::new(&cat, &htm).with_parallelism(1);
         execute(&warm, &mut ctx).expect("warm-up");
     }
     let cand = htm.candidates(&fp).remove(0);
@@ -367,7 +366,7 @@ fn main() {
             let mut digests = Vec::with_capacity(mix.len());
             for (name, build_bound, plan) in &mix {
                 let t0 = Instant::now();
-                let mut ctx = ExecContext::new(&cat, &htm, &temps)
+                let mut ctx = ExecContext::new(&cat, &htm)
                     .with_parallelism(workers)
                     .with_pool(&pool);
                 let (_, rows) = execute(plan, &mut ctx).expect(name);

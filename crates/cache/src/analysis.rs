@@ -4,16 +4,16 @@
 //! Two checkers:
 //!
 //! * a **thread-local lock-order tracker**: every lock acquisition inside
-//!   the store declares its level (the same levels the `// lock-order:`
+//!   the cache declares its level (the same levels the `// lock-order:`
 //!   annotations pin and the `lock-discipline` tidy lint cross-checks), and
 //!   acquiring a level ≤ one already held on the thread panics. The
-//!   store's protocol never *intends* to nest its locks, so the asserted
+//!   cache's protocol never *intends* to nest its locks, so the asserted
 //!   rule is the strictest one: strictly increasing levels per thread —
 //!   any accidental nesting introduced by a future change trips it, in
 //!   whatever stress test first executes that path.
-//! * a **pin-leak detector** ([`ReuseStore::assert_quiesced`]
-//!   (crate::store::ReuseStore::assert_quiesced)): checkout guards
-//!   increment a per-store counter that `release`/`commit_checkin`
+//! * a **pin-leak detector** ([`HtManager::assert_quiesced`]
+//!   (crate::HtManager::assert_quiesced)): checkout guards
+//!   increment a per-cache counter that `release`/`commit_checkin`
 //!   decrement; at a quiesce point the counter must be zero and every
 //!   entry unpinned, so a leaked (forgotten) guard fails the suite instead
 //!   of silently pinning an entry against eviction forever.
@@ -23,7 +23,7 @@
 
 use std::cell::RefCell;
 
-pub use crate::store::{LEVEL_BUDGET_GC, LEVEL_BUDGET_STORES, LEVEL_SHARD};
+pub use crate::manager::{LEVEL_GC, LEVEL_SHARD, LEVEL_TENANT_FLOORS};
 
 thread_local! {
     /// Levels currently held by this thread, in acquisition order.
@@ -70,13 +70,13 @@ mod tests {
 
     #[test]
     fn increasing_levels_are_accepted() {
-        acquire(LEVEL_BUDGET_STORES);
+        acquire(LEVEL_TENANT_FLOORS);
         acquire(LEVEL_SHARD);
-        acquire(LEVEL_BUDGET_GC);
+        acquire(LEVEL_GC);
         assert_eq!(held_count(), 3);
-        release(LEVEL_BUDGET_GC);
+        release(LEVEL_GC);
         release(LEVEL_SHARD);
-        release(LEVEL_BUDGET_STORES);
+        release(LEVEL_TENANT_FLOORS);
         assert_eq!(held_count(), 0);
     }
 
@@ -99,7 +99,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn descending_nesting_panics() {
-        acquire(LEVEL_BUDGET_GC);
+        acquire(LEVEL_GC);
         acquire(LEVEL_SHARD); // gc (30) then shard (20): descends
     }
 }

@@ -1,6 +1,6 @@
-//! Value types stored inside cached hash tables — and the payloads the
-//! generic [`crate::store::ReuseStore`] accepts ([`StoredHt`] for the Hash
-//! Table Manager, [`MaterializedRows`] for the temp-table baseline).
+//! What the Hash Table Manager caches: [`StoredHt`] — a hash table of rows
+//! or aggregate states, or a temp table of [`MaterializedRows`] for the
+//! materialization baseline — and the value types stored inside.
 //!
 //! Cached tables hold plain rows or aggregate states and nothing else: no
 //! per-entry query tag. Shared plans decide which query of a batch a stored
@@ -11,8 +11,6 @@
 use hashstash_types::{Row, Value};
 
 use hashstash_plan::{AggExpr, AggFunc};
-
-use crate::store::ReusePayload;
 
 /// One aggregate accumulator state.
 ///
@@ -143,8 +141,9 @@ impl AggPayload {
     }
 }
 
-/// A cached hash table, typed by what it stores. Which operator produced
-/// it (join build or shared grouping phase) is the fingerprint's `HtKind`.
+/// A cached table, typed by what it stores. Which operator produced it
+/// (join build, aggregate or shared grouping phase) is the fingerprint's
+/// `HtKind`.
 #[derive(Debug, Clone)]
 pub enum StoredHt {
     /// Join build side (multi-map join-key → rows) or shared grouping phase
@@ -152,6 +151,9 @@ pub enum StoredHt {
     Rows(hashstash_hashtable::ExtendibleHashTable<Row>),
     /// Aggregate: group-key → accumulator states.
     Agg(hashstash_hashtable::ExtendibleHashTable<AggPayload>),
+    /// A temp table of the materialization baseline: an operator's output
+    /// rows, no hash table. Only the baseline's lookups see these.
+    Materialized(MaterializedRows),
 }
 
 impl StoredHt {
@@ -160,14 +162,16 @@ impl StoredHt {
         match self {
             StoredHt::Rows(ht) => ht.logical_bytes(),
             StoredHt::Agg(ht) => ht.logical_bytes(),
+            StoredHt::Materialized(rows) => rows.bytes,
         }
     }
 
-    /// Number of stored entries.
+    /// Number of stored entries (rows, for a temp table).
     pub fn len(&self) -> usize {
         match self {
             StoredHt::Rows(ht) => ht.len(),
             StoredHt::Agg(ht) => ht.len(),
+            StoredHt::Materialized(rows) => rows.len(),
         }
     }
 
@@ -176,33 +180,32 @@ impl StoredHt {
         self.len() == 0
     }
 
-    /// Number of distinct keys.
+    /// Number of distinct keys (a temp table has no key: every row counts).
     pub fn distinct_keys(&self) -> usize {
         match self {
             StoredHt::Rows(ht) => ht.distinct_keys(),
             StoredHt::Agg(ht) => ht.distinct_keys(),
+            StoredHt::Materialized(rows) => rows.len(),
         }
     }
 
-    /// Logical tuple width in bytes.
+    /// Logical tuple width in bytes (a temp table's average row size).
     pub fn tuple_width(&self) -> usize {
         match self {
             StoredHt::Rows(ht) => ht.tuple_width(),
             StoredHt::Agg(ht) => ht.tuple_width(),
+            StoredHt::Materialized(rows) => rows.bytes / rows.len().max(1),
         }
     }
-}
 
-impl ReusePayload for StoredHt {
-    fn logical_bytes(&self) -> usize {
-        StoredHt::logical_bytes(self)
+    /// Whether this is a temp table of the materialization baseline.
+    pub fn is_materialized(&self) -> bool {
+        matches!(self, StoredHt::Materialized(_))
     }
 
-    fn len(&self) -> usize {
-        StoredHt::len(self)
-    }
-
-    fn retain_mask(&mut self, keep: &[bool]) {
+    /// Keep exactly the elements whose position is `true` in `keep`
+    /// (fine-grained pruning). Positions beyond `keep.len()` are dropped.
+    pub(crate) fn retain_mask(&mut self, keep: &[bool]) {
         let mut idx = 0usize;
         let mut keep_it = || {
             let k = keep.get(idx).copied().unwrap_or(false);
@@ -212,6 +215,10 @@ impl ReusePayload for StoredHt {
         match self {
             StoredHt::Rows(t) => t.retain(|_, _| keep_it()),
             StoredHt::Agg(t) => t.retain(|_, _| keep_it()),
+            StoredHt::Materialized(m) => {
+                m.rows.retain(|_| keep_it());
+                m.bytes = m.rows.iter().map(row_bytes).sum();
+            }
         }
     }
 }
@@ -228,9 +235,9 @@ pub fn row_bytes(row: &Row) -> usize {
         + 24
 }
 
-/// A materialized intermediate result: the payload type of the temp-table
-/// baseline (plain row vectors, Nagel et al. style). Byte accounting is
-/// precomputed so budget checks never re-walk the rows.
+/// A materialized intermediate result: the temp table of the
+/// materialization baseline (plain row vectors, Nagel et al. style). Byte
+/// accounting is precomputed so budget checks never re-walk the rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaterializedRows {
     rows: Vec<Row>,
@@ -255,26 +262,6 @@ impl std::ops::Deref for MaterializedRows {
 
     fn deref(&self) -> &[Row] {
         &self.rows
-    }
-}
-
-impl ReusePayload for MaterializedRows {
-    fn logical_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn retain_mask(&mut self, keep: &[bool]) {
-        let mut idx = 0usize;
-        self.rows.retain(|_| {
-            let k = keep.get(idx).copied().unwrap_or(false);
-            idx += 1;
-            k
-        });
-        self.bytes = self.rows.iter().map(row_bytes).sum();
     }
 }
 

@@ -92,32 +92,20 @@ impl ShapeKey {
 /// One node of the recycle graph: a materializing operator plus the cached
 /// hash tables produced by structurally identical sub-plans.
 #[derive(Debug, Clone)]
-struct RecycleNode<Id> {
+struct RecycleNode {
     /// Cached tables with this shape (they differ in predicate region).
-    hts: Vec<Id>,
+    hts: Vec<HtId>,
     /// How many times this node matched a request (graph-level statistics).
     lookups: u64,
 }
 
-/// The merged lineage graph of all cached hash tables.
-///
-/// Generic over the cached-table id so the same index serves every payload
-/// kind of the generic reuse store; defaults to [`HtId`] for the classic
-/// hash-table use.
-#[derive(Debug)]
-pub struct RecycleGraph<Id = HtId> {
-    nodes: HashMap<ShapeKey, RecycleNode<Id>>,
+/// The merged lineage graph of all cached tables.
+#[derive(Debug, Default)]
+pub struct RecycleGraph {
+    nodes: HashMap<ShapeKey, RecycleNode>,
 }
 
-impl<Id> Default for RecycleGraph<Id> {
-    fn default() -> Self {
-        RecycleGraph {
-            nodes: HashMap::new(),
-        }
-    }
-}
-
-impl<Id: Copy + PartialEq> RecycleGraph<Id> {
+impl RecycleGraph {
     /// Empty graph.
     pub fn new() -> Self {
         RecycleGraph::default()
@@ -125,7 +113,7 @@ impl<Id: Copy + PartialEq> RecycleGraph<Id> {
 
     /// Merge the producing sub-plan of a newly cached hash table into the
     /// graph. Structurally identical sub-plans collapse into one node.
-    pub fn add(&mut self, fp: &HtFingerprint, id: Id) {
+    pub fn add(&mut self, fp: &HtFingerprint, id: HtId) {
         match self.nodes.entry(ShapeKey::of(fp)) {
             Entry::Occupied(mut e) => e.get_mut().hts.push(id),
             Entry::Vacant(e) => {
@@ -138,7 +126,7 @@ impl<Id: Copy + PartialEq> RecycleGraph<Id> {
     }
 
     /// Remove a hash table (evicted or dropped).
-    pub fn remove(&mut self, fp: &HtFingerprint, id: Id) {
+    pub fn remove(&mut self, fp: &HtFingerprint, id: HtId) {
         let key = ShapeKey::of(fp);
         if let Some(node) = self.nodes.get_mut(&key) {
             node.hts.retain(|&h| h != id);
@@ -151,7 +139,7 @@ impl<Id: Copy + PartialEq> RecycleGraph<Id> {
     /// Candidate hash tables whose producing sub-plan is structurally
     /// identical to the requesting fingerprint. This is the §3.3 pruning:
     /// only nodes referring to cached hash tables are visited.
-    pub fn candidates(&mut self, request: &HtFingerprint) -> Vec<Id> {
+    pub fn candidates(&mut self, request: &HtFingerprint) -> Vec<HtId> {
         match self.nodes.get_mut(&ShapeKey::of(request)) {
             Some(node) => {
                 node.lookups += 1;

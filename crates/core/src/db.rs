@@ -4,8 +4,10 @@
 //!
 //! The immutable query infrastructure — catalog, statistics, cost model and
 //! the configured [`ReusePolicy`] — lives in the [`Database`] and is read
-//! lock-free by every session. The Hash Table Manager is itself concurrent
-//! (sharded by fingerprint shape, `Arc`-backed tables): a session takes a
+//! lock-free by every session. The Hash Table Manager is the database's one
+//! reuse cache — hash tables and, for the materialized baseline, temp
+//! tables under one budget — and is itself concurrent (sharded by
+//! fingerprint shape, `Arc`-backed tables): a session takes a
 //! shard lock only for candidate lookup, checkout pinning, and
 //! publish/check-in. **Execution runs lock-free** on cloned table handles,
 //! so sessions executing non-conflicting queries — in particular, read-only
@@ -37,14 +39,13 @@ use std::time::{Duration, Instant};
 
 use hashstash_types::{HsError, QueryId, Result, Row, Schema};
 
-use hashstash_cache::{CacheStats, GcConfig, HtManager, ReuseBudget, TenantId, DEFAULT_SHARDS};
+use hashstash_cache::{CacheStats, GcConfig, HtManager, TenantId};
 use hashstash_durability::{
-    benefit_score, Durability, DurabilityConfig, FsyncPolicy, PersistedEntry, PersistedPayload,
+    benefit_score, Durability, DurabilityConfig, FsyncPolicy, PersistedEntry,
 };
 use hashstash_exec::shared::execute_shared;
 use hashstash_exec::{
-    acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics, TempTableCache,
-    TempTableStats, WorkerPool,
+    acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics, WorkerPool,
 };
 use hashstash_opt::multi::{plan_batch, BatchUnit};
 use hashstash_opt::optimizer::{OptimizedQuery, Optimizer, OptimizerConfig};
@@ -197,7 +198,7 @@ impl EngineBuilder {
     /// Register a tenant at build time with an anti-starvation budget
     /// floor (`0` = no floor): while the tenant's combined cache footprint
     /// is at or below `floor_bytes`, other tenants' churn cannot evict its
-    /// entries (see [`ReuseBudget::set_tenant_floor`]). Tenants can also be
+    /// entries (see [`HtManager::set_tenant_floor`]). Tenants can also be
     /// added after build via [`Database::register_tenant`].
     pub fn tenant(mut self, name: impl Into<String>, floor_bytes: usize) -> Self {
         self.tenants.push((name.into(), floor_bytes));
@@ -223,19 +224,17 @@ impl EngineBuilder {
         self.policy_handle(strategy.policy())
     }
 
-    /// Reuse-cache GC configuration (budget, eviction policy, per-table
-    /// TTL, fine-grained mode). One configuration governs **both** payload
-    /// kinds — cached hash tables and materialized temp tables share the
-    /// byte budget, and the eviction loop ranks them together. Default:
-    /// unbounded, LRU.
+    /// Reuse-cache GC configuration (budget, eviction policy, fine-grained
+    /// mode). The one cache holds hash tables and the materialized
+    /// baseline's temp tables alike, so one budget and one eviction loop
+    /// govern both. Default: unbounded, LRU.
     pub fn gc(mut self, gc: GcConfig) -> Self {
         self.gc = gc;
         self
     }
 
-    /// Shorthand: cap the shared reuse-cache budget (hash tables **and**
-    /// temp tables) at `bytes` (pass `None` to disable eviction, the
-    /// default).
+    /// Shorthand: cap the reuse-cache budget at `bytes` (pass `None` to
+    /// disable eviction, the default).
     pub fn gc_budget(mut self, bytes: impl Into<Option<usize>>) -> Self {
         self.gc.budget_bytes = bytes.into();
         self
@@ -293,9 +292,10 @@ impl EngineBuilder {
     /// [`Database::builder`]. On first boot the builder's catalog is
     /// authoritative and every table is logged to the WAL before the
     /// database opens. Persisted reuse-cache entries are **rehydrated** by
-    /// re-publishing them through the caches' normal admission path, so
-    /// budgets, shard accounting and `stats == audit()` hold exactly as if
-    /// the entries had been built by queries.
+    /// re-publishing them through the cache's normal admission path, least
+    /// recently used first, so budgets, shard accounting, `stats ==
+    /// audit()` and the LRU order hold exactly as if the entries had been
+    /// built by queries.
     ///
     /// # Crash vs clean exit
     ///
@@ -384,9 +384,6 @@ impl EngineBuilder {
         // The optimizer must price probe/scan phases the way the executor
         // will actually run them.
         .with_parallelism(self.parallelism);
-        // One budget for both reuse caches: hash tables and temp tables
-        // draw on the same byte limit and compete in one eviction loop.
-        let budget = ReuseBudget::new(self.gc);
         let db = Arc::new(Database {
             catalog,
             stats,
@@ -397,9 +394,7 @@ impl EngineBuilder {
             additional_attributes: self.additional_attributes,
             benefit_join_order: self.benefit_join_order,
             benefit_epsilon: self.benefit_epsilon,
-            htm: HtManager::with_budget(Arc::clone(&budget), DEFAULT_SHARDS),
-            temps: TempTableCache::with_budget(Arc::clone(&budget), DEFAULT_SHARDS),
-            budget,
+            htm: HtManager::new(self.gc),
             // The submitting session thread is always a phase participant,
             // so `parallelism`-way execution needs `parallelism - 1` pool
             // workers. One pool serves every session of this database.
@@ -411,44 +406,17 @@ impl EngineBuilder {
         });
         for (name, floor) in self.tenants {
             let t = db.register_tenant(&name);
-            db.budget.set_tenant_floor(t, floor);
+            db.htm.set_tenant_floor(t, floor);
         }
-        // Warm restart: re-publish persisted entries through the caches'
+        // Warm restart: re-publish persisted entries through the cache's
         // normal admission path, so budget enforcement, shard accounting
-        // and the stats == audit() invariant hold by construction. Entries
-        // get fresh ids (cache ids are never stable across restarts).
-        let rehydrated = !recovered.is_empty();
-        let gc = db.budget.gc_config();
-        if rehydrated && gc.ttl_ticks.is_some() {
-            // Every re-publish below ticks the shared clock, so a snapshot
-            // larger than the TTL leaves its earliest entries "idle" purely
-            // from rehydration order — the sweep elected mid-replay would
-            // expire the warm cache the restart is paying to rebuild.
-            // Suspend TTL expiry for the replay (byte-budget enforcement
-            // stays on: admission control is real), restamp, then restore.
-            db.budget.set_gc_config(GcConfig {
-                ttl_ticks: None,
-                ..gc
-            });
-        }
+        // and the stats == audit() invariant hold by construction. The
+        // snapshot lists entries least recently used first, so publishing
+        // them in file order restores the LRU order. Entries get fresh ids
+        // (cache ids are never stable across restarts).
         for entry in recovered {
-            match entry.payload {
-                PersistedPayload::Ht(ht) => {
-                    db.htm.publish(entry.fingerprint, entry.schema, ht);
-                }
-                PersistedPayload::Temp(rows) => {
-                    db.temps.publish(entry.fingerprint, entry.schema, rows);
-                }
-            }
-        }
-        if rehydrated {
-            // Restamp everything with one fresh tick — idleness starts
-            // now, not at an arbitrary point of the replay order — and
-            // restart the sweep throttle from the restamp tick.
-            db.htm.freshen_all();
-            db.temps.freshen_all();
-            db.budget.set_gc_config(gc);
-            db.budget.mark_swept();
+            let payload = Arc::unwrap_or_clone(entry.payload);
+            db.htm.publish(entry.fingerprint, entry.schema, payload);
         }
         Ok(db)
     }
@@ -483,7 +451,7 @@ impl FlushErrorSlot {
 }
 
 /// A shareable main-memory database: catalog, statistics, cost model, the
-/// configured [`ReusePolicy`] and the reuse caches. Many threads hold one
+/// configured [`ReusePolicy`] and the reuse cache. Many threads hold one
 /// `Arc<Database>` and drive queries through per-thread [`Session`]s; hash
 /// tables published by any session are reused by all of them.
 pub struct Database {
@@ -497,8 +465,6 @@ pub struct Database {
     benefit_join_order: bool,
     benefit_epsilon: f64,
     htm: HtManager,
-    temps: TempTableCache,
-    budget: Arc<ReuseBudget>,
     /// Persistent morsel workers shared by every session of this database
     /// (spawned once at build, joined on drop).
     pool: WorkerPool,
@@ -536,7 +502,7 @@ impl Database {
     }
 
     /// Open a session on behalf of a tenant: everything its queries publish
-    /// into the reuse caches is owned by `tenant` (budget-floor protection,
+    /// into the reuse cache is owned by `tenant` (budget-floor protection,
     /// per-tenant statistics). Reuse across tenants still works — lineages
     /// only match on identical base data, and all tenants share one
     /// catalog.
@@ -572,30 +538,17 @@ impl Database {
     }
 
     /// Set (or clear, with `0`) a tenant's anti-starvation budget floor —
-    /// see [`ReuseBudget::set_tenant_floor`].
+    /// see [`HtManager::set_tenant_floor`].
     pub fn set_tenant_floor(&self, tenant: TenantId, floor_bytes: usize) {
-        self.budget.set_tenant_floor(tenant, floor_bytes);
+        self.htm.set_tenant_floor(tenant, floor_bytes);
     }
 
-    /// One tenant's combined statistics across both reuse caches (hash
-    /// tables + temp tables). `candidate_lookups` is always `0` here — a
-    /// lookup serves whichever tenants' entries match, so it stays
-    /// global-only; `peak_bytes` is the sum of the two caches' per-tenant
-    /// high-water marks (an upper bound on the tenant's true combined
-    /// peak).
+    /// One tenant's reuse-cache statistics (hash tables and temp tables).
+    /// `candidate_lookups` is always `0` here — a lookup serves whichever
+    /// tenants' entries match, so it stays global-only; `peak_bytes` is the
+    /// tenant's exact high-water mark.
     pub fn tenant_cache_stats(&self, tenant: TenantId) -> CacheStats {
-        let ht = self.htm.tenant_stats_for(tenant);
-        let tmp = self.temps.tenant_stats_for(tenant);
-        CacheStats {
-            publishes: ht.publishes + tmp.publishes,
-            publish_dedups: ht.publish_dedups + tmp.publish_dedups,
-            reuses: ht.reuses + tmp.reuses,
-            evictions: ht.evictions + tmp.evictions,
-            candidate_lookups: 0,
-            bytes: ht.bytes + tmp.bytes,
-            entries: ht.entries + tmp.entries,
-            peak_bytes: ht.peak_bytes + tmp.peak_bytes,
-        }
+        self.htm.tenant_stats_for(tenant)
     }
 
     /// The catalog.
@@ -626,23 +579,16 @@ impl Database {
 
     /// Assert every background facility is idle: no queued or in-flight
     /// pool phases, and (under `--features analysis`) no leaked cache
-    /// checkouts in either reuse cache. Stress tests call this after
-    /// joining their clients.
+    /// checkouts. Stress tests call this after joining their clients.
     #[cfg(feature = "analysis")]
     pub fn assert_quiesced(&self) {
         self.pool.assert_quiesced();
         self.htm.assert_quiesced();
-        self.temps.assert_quiesced();
     }
 
-    /// Hash-table cache statistics.
+    /// Reuse-cache statistics (hash tables and temp tables).
     pub fn cache_stats(&self) -> CacheStats {
         self.htm.stats()
-    }
-
-    /// Temp-table cache statistics (materialized baseline).
-    pub fn temp_stats(&self) -> TempTableStats {
-        self.temps.stats()
     }
 
     /// Totals accumulated across every session of this database.
@@ -650,19 +596,13 @@ impl Database {
         *self.totals.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current reuse-cache memory footprint in bytes: the combined
-    /// footprint of every payload kind under the shared budget (hash
-    /// tables *and* temp tables — whichever the policy populates).
+    /// Current reuse-cache memory footprint in bytes (hash tables and temp
+    /// tables alike).
     pub fn reuse_memory_bytes(&self) -> usize {
-        self.budget.bytes()
+        self.htm.stats().bytes
     }
 
-    /// The shared budget governing both reuse caches.
-    pub fn reuse_budget(&self) -> &Arc<ReuseBudget> {
-        &self.budget
-    }
-
-    /// The Hash Table Manager. It is safe to use directly from any thread
+    /// The Hash Table Manager, the database's one reuse cache. It is safe to use directly from any thread
     /// (all its methods take `&self`); tests and experiments seed or
     /// inspect the cache through this.
     pub fn cache(&self) -> &HtManager {
@@ -696,7 +636,7 @@ impl Database {
     /// call `flush` explicitly when you need the error as a return value.
     ///
     /// Snapshotting is safe against live queries: entries are cloned under
-    /// the caches' shard locks via the same guards that protect checkout,
+    /// the cache's shard locks via the same guards that protect checkout,
     /// and entries currently write-locked (mid-mutation) are skipped —
     /// they re-qualify at the next flush.
     pub fn flush(&self) -> Result<()> {
@@ -724,33 +664,22 @@ impl Database {
             return Ok(());
         };
         let bar = d.persist_min_benefit();
-        let mut entries = Vec::new();
-        for e in self.htm.snapshot_entries() {
-            let score = benefit_score(e.use_count, e.bytes);
-            if score >= bar {
-                entries.push(PersistedEntry {
+        let entries: Vec<PersistedEntry> = self
+            .htm
+            .snapshot_entries()
+            .into_iter()
+            .filter_map(|e| {
+                let score = benefit_score(e.use_count, e.bytes);
+                (score >= bar).then_some(PersistedEntry {
                     fingerprint: e.fingerprint,
                     schema: e.schema,
                     use_count: e.use_count,
                     bytes: e.bytes as u64,
                     score,
-                    payload: PersistedPayload::Ht((*e.payload).clone()),
-                });
-            }
-        }
-        for e in self.temps.snapshot_entries() {
-            let score = benefit_score(e.use_count, e.bytes);
-            if score >= bar {
-                entries.push(PersistedEntry {
-                    fingerprint: e.fingerprint,
-                    schema: e.schema,
-                    use_count: e.use_count,
-                    bytes: e.bytes as u64,
-                    score,
-                    payload: PersistedPayload::Temp(e.payload.rows().to_vec()),
-                });
-            }
-        }
+                    payload: e.payload,
+                })
+            })
+            .collect();
         d.flush_snapshot(&self.catalog, &entries).map_err(dur_err)
     }
 
@@ -867,7 +796,7 @@ impl Session {
 
         let t0 = Instant::now();
         let oq = if policy.materialize() {
-            materialized_plan(&optimizer, q, &db.htm, &db.temps)?
+            materialized_plan(&optimizer, q, &db.htm)?
         } else {
             optimizer.optimize(q, &db.htm)?
         };
@@ -878,7 +807,7 @@ impl Session {
 
         let decisions = oq.plan.reuse_decisions();
         let t1 = Instant::now();
-        let mut ctx = ExecContext::new(&db.catalog, &db.htm, &db.temps)
+        let mut ctx = ExecContext::new(&db.catalog, &db.htm)
             .with_parallelism(db.parallelism)
             .with_pool(&db.pool)
             .with_tenant(self.tenant);
@@ -1020,7 +949,7 @@ impl Session {
                     // candidates before any work, exactly as a single query.
                     let pins = acquire_checkouts(&spec.reuse_specs(), &db.htm)?;
                     let t1 = Instant::now();
-                    let mut ctx = ExecContext::new(&db.catalog, &db.htm, &db.temps)
+                    let mut ctx = ExecContext::new(&db.catalog, &db.htm)
                         .with_parallelism(db.parallelism)
                         .with_pool(&db.pool)
                         .with_tenant(self.tenant);
@@ -1207,13 +1136,14 @@ mod tests {
         let mut session = db.session();
         let first = session.execute(&q3(1, "1996-06-01")).unwrap();
         assert!(first.metrics.materialized_rows > 0, "pays materialization");
-        assert!(db.temp_stats().publishes > 0);
+        assert!(db.cache_stats().publishes > 0);
         // Identical query reuses temp tables (exact).
         let second = session.execute(&q3(2, "1996-06-01")).unwrap();
-        assert!(db.temp_stats().reuses > 0);
+        assert!(db.cache_stats().reuses > 0);
         assert_eq!(sorted(first.rows.clone()).len(), sorted(second.rows).len());
-        // No hash tables were cached.
-        assert_eq!(db.cache_stats().publishes, 0);
+        // No hash tables were cached: every entry is a temp table.
+        let entries = db.cache().snapshot_entries();
+        assert!(entries.iter().all(|e| e.payload.is_materialized()));
     }
 
     #[test]
@@ -1276,9 +1206,7 @@ mod tests {
     #[test]
     fn gc_budget_limits_footprint() {
         let db = Database::builder(catalog()).gc_budget(64 * 1024).build();
-        // The hash-table and temp-table caches share the one budget.
         assert_eq!(db.cache().gc_config().budget_bytes, Some(64 * 1024));
-        assert_eq!(db.reuse_budget().gc_config().budget_bytes, Some(64 * 1024));
         let mut session = db.session();
         for i in 0..6 {
             let ship = format!("199{}-0{}-01", 3 + i % 5, 1 + i % 9);

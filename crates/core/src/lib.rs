@@ -3,8 +3,9 @@
 //!
 //! This crate is the user-facing facade over the whole workspace. The
 //! entry point is [`Database`]: it owns the catalog, statistics, a
-//! calibrated cost model, the Hash Table Manager and the temp-table cache,
-//! and hands out cheap [`Session`] handles that any number of threads can
+//! calibrated cost model and the Hash Table Manager — the one reuse cache,
+//! which also holds the materialization baseline's temp tables — and hands
+//! out cheap [`Session`] handles that any number of threads can
 //! drive concurrently — hash tables published by one session are reused by
 //! all of them.
 //!
@@ -50,7 +51,7 @@
 //!
 //! Engines configured with [`EngineBuilder::data_dir`] are *durable*: a
 //! write-ahead log plus benefit-scored snapshots persist the catalog and
-//! the reuse caches, and a restart **rehydrates** cached hash tables so
+//! the reuse cache, and a restart **rehydrates** cached hash tables so
 //! the first queries after a reboot reuse work done before it (see
 //! [`hashstash_durability`] for formats and recovery semantics, and
 //! [`db::Database::flush`] for the crash-vs-clean-exit contract).

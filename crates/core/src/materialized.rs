@@ -13,11 +13,10 @@
 
 use std::sync::Arc;
 
-use hashstash_types::Result;
+use hashstash_types::{HtId, Result, Schema};
 
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{PhysicalPlan, ScanSpec};
-use hashstash_exec::temp::{TempId, TempTableCache};
 use hashstash_opt::optimizer::{OptimizedQuery, Optimizer};
 use hashstash_plan::{HtFingerprint, PredBox, QuerySpec, ReuseCase};
 
@@ -25,23 +24,22 @@ use hashstash_plan::{HtFingerprint, PredBox, QuerySpec, ReuseCase};
 /// replace reusable sub-plans with temp scans (exact/subsuming only) and
 /// wrap the remaining pipeline breakers with materialization.
 ///
-/// The temp cache is a sharded `&self` store, so the rewrite takes no lock
-/// across the optimizer's join enumeration — a temp table evicted between
-/// this rewrite and execution surfaces as a `CacheError` the session's
-/// retry loop handles.
+/// Temp tables live in the Hash Table Manager, a sharded `&self` cache, so
+/// the rewrite takes no lock across the optimizer's join enumeration — a
+/// temp table evicted between this rewrite and execution surfaces as a
+/// `CacheError` the session's retry loop handles.
 pub fn materialized_plan(
     optimizer: &Optimizer<'_>,
     q: &QuerySpec,
     htm: &HtManager,
-    temps: &TempTableCache,
 ) -> Result<OptimizedQuery> {
     let mut oq = optimizer.optimize(q, htm)?;
     let plan = std::mem::replace(&mut oq.plan, PhysicalPlan::Scan(ScanSpec::full("customer")));
-    oq.plan = rewrite(plan, q, temps);
+    oq.plan = rewrite(plan, q, htm);
     Ok(oq)
 }
 
-fn rewrite(plan: PhysicalPlan, q: &QuerySpec, temps: &TempTableCache) -> PhysicalPlan {
+fn rewrite(plan: PhysicalPlan, q: &QuerySpec, htm: &HtManager) -> PhysicalPlan {
     match plan {
         PhysicalPlan::HashJoin {
             probe,
@@ -51,12 +49,12 @@ fn rewrite(plan: PhysicalPlan, q: &QuerySpec, temps: &TempTableCache) -> Physica
             publish,
             ..
         } => {
-            let probe = Box::new(rewrite(*probe, q, temps));
+            let probe = Box::new(rewrite(*probe, q, htm));
             // Replace the build sub-plan with a temp scan when an exact or
             // subsuming match exists; otherwise materialize the build input.
-            let build_plan = build.map(|b| rewrite(*b, q, temps));
+            let build_plan = build.map(|b| rewrite(*b, q, htm));
             let new_build = match &publish {
-                Some(fp) => match find_temp(temps, fp, &q.predicates) {
+                Some(fp) => match find_temp(htm, fp, &q.predicates) {
                     Some((id, schema, post_filter)) => PhysicalPlan::TempScan {
                         id,
                         schema,
@@ -87,11 +85,11 @@ fn rewrite(plan: PhysicalPlan, q: &QuerySpec, temps: &TempTableCache) -> Physica
             post_group_by,
             ..
         } => {
-            let input = input.map(|i| Box::new(rewrite(*i, q, temps)));
+            let input = input.map(|i| Box::new(rewrite(*i, q, htm)));
             // Aggregate *outputs* are materialized; an exact/subsuming hit
             // replaces the whole sub-tree with a temp scan of final rows.
             if let Some(fp) = &publish {
-                if let Some((id, schema, post_filter)) = find_temp(temps, fp, &q.predicates) {
+                if let Some((id, schema, post_filter)) = find_temp(htm, fp, &q.predicates) {
                     return PhysicalPlan::TempScan {
                         id,
                         schema,
@@ -117,15 +115,15 @@ fn rewrite(plan: PhysicalPlan, q: &QuerySpec, temps: &TempTableCache) -> Physica
             }
         }
         PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(rewrite(*input, q, temps)),
+            input: Box::new(rewrite(*input, q, htm)),
             predicate,
         },
         PhysicalPlan::Project { input, attrs } => PhysicalPlan::Project {
-            input: Box::new(rewrite(*input, q, temps)),
+            input: Box::new(rewrite(*input, q, htm)),
             attrs,
         },
         PhysicalPlan::Union { inputs } => PhysicalPlan::Union {
-            inputs: inputs.into_iter().map(|p| rewrite(p, q, temps)).collect(),
+            inputs: inputs.into_iter().map(|p| rewrite(p, q, htm)).collect(),
         },
         other @ (PhysicalPlan::Scan(_)
         | PhysicalPlan::TempScan { .. }
@@ -136,11 +134,12 @@ fn rewrite(plan: PhysicalPlan, q: &QuerySpec, temps: &TempTableCache) -> Physica
 /// Find a cached temp table matching the fingerprint with exact or subsuming
 /// reuse (the only cases the baseline supports, per Nagel et al.).
 fn find_temp(
-    temps: &TempTableCache,
+    htm: &HtManager,
     request: &HtFingerprint,
     request_pred: &PredBox,
-) -> Option<(TempId, hashstash_types::Schema, Option<PredBox>)> {
-    for (id, fp) in temps.fingerprints() {
+) -> Option<(HtId, Schema, Option<PredBox>)> {
+    for c in htm.temp_candidates(request) {
+        let fp = &c.fingerprint;
         if !fp.same_shape(request) {
             continue;
         }
@@ -154,10 +153,7 @@ fn find_temp(
             continue;
         }
         match ReuseCase::classify(&request.region, &fp.region) {
-            ReuseCase::Exact => {
-                let schema = temps.schema(id).ok()?;
-                return Some((id, schema, None));
-            }
+            ReuseCase::Exact => return Some((c.id, c.schema, None)),
             ReuseCase::Subsuming => {
                 // Post-filter needs its attributes in the materialized rows.
                 let restricted = restrict_to_payload(request_pred, &fp.payload_attrs);
@@ -174,8 +170,7 @@ fn find_temp(
                 if !fp.payload_covers(needed.iter().map(|a| a.as_ref())) {
                     continue;
                 }
-                let schema = temps.schema(id).ok()?;
-                return Some((id, schema, Some(restricted)));
+                return Some((c.id, c.schema, Some(restricted)));
             }
             _ => continue,
         }

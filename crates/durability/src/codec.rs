@@ -602,7 +602,9 @@ fn decode_ht<V>(
     .ok_or_else(|| "inconsistent hash-table layout".to_string())
 }
 
-/// Encode a cached hash table, physical layout included.
+/// Encode a cached table: a hash table tagged and with its physical layout,
+/// a temp table as its untagged rows (a snapshot entry's kind byte tells
+/// [`decode_stored_ht`]'s hash tables from [`decode_rows`]' temp tables).
 pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
     match ht {
         StoredHt::Rows(t) => {
@@ -613,10 +615,11 @@ pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
             w.put_u8(1);
             encode_ht(w, t, encode_agg_payload);
         }
+        StoredHt::Materialized(rows) => encode_rows(w, rows),
     }
 }
 
-/// Decode a cached hash table.
+/// Decode a cached hash table (a temp table is [`decode_rows`]).
 pub fn decode_stored_ht(r: &mut Reader<'_>) -> DecodeResult<StoredHt> {
     Ok(match r.get_u8()? {
         0 => StoredHt::Rows(decode_ht(r, decode_row)?),

@@ -31,7 +31,6 @@ pub mod wal;
 
 pub use manager::{Durability, DurabilityConfig, Recovered};
 pub use snapshot::{
-    benefit_score, read_snapshot, write_snapshot, PersistedEntry, PersistedPayload, Snapshot,
-    SNAP_MAGIC,
+    benefit_score, read_snapshot, write_snapshot, PersistedEntry, Snapshot, SNAP_MAGIC,
 };
 pub use wal::{FsyncPolicy, Replay, Wal, WalRecord, INTERVAL_RECORDS, WAL_MAGIC};

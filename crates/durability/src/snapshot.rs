@@ -11,7 +11,9 @@
 //! entries. Each entry carries its lineage fingerprint, schema, use count,
 //! byte footprint, the benefit score it was admitted with, and the payload
 //! (a cached hash table with exact physical layout, or materialized
-//! temp-table rows). Version `02` stores plain rows: format `01` carried an
+//! temp-table rows). Entries are written least recently used first, so
+//! re-publishing them in file order restores the cache's LRU order. Version
+//! `02` stores plain rows: format `01` carried an
 //! 8-byte query tag per row and a tag-flag byte per fingerprint, and its
 //! files are rejected by the magic check like any other invalid snapshot.
 //!
@@ -33,8 +35,9 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
-use hashstash_types::{Row, Schema};
+use hashstash_types::Schema;
 
 use hashstash_cache::{MaterializedRows, StoredHt};
 use hashstash_plan::HtFingerprint;
@@ -42,7 +45,7 @@ use hashstash_storage::{Catalog, Table};
 
 use crate::codec::{
     decode_fingerprint, decode_rows, decode_schema, decode_stored_ht, decode_table,
-    encode_fingerprint, encode_rows, encode_schema, encode_stored_ht, encode_table, Reader, Writer,
+    encode_fingerprint, encode_schema, encode_stored_ht, encode_table, Reader, Writer,
 };
 use crate::crc::crc32;
 
@@ -70,18 +73,9 @@ pub struct PersistedEntry {
     pub bytes: u64,
     /// The [`benefit_score`] the entry was admitted with.
     pub score: f64,
-    /// The payload itself.
-    pub payload: PersistedPayload,
-}
-
-/// A persisted payload: one of the two reuse-cache kinds.
-#[derive(Debug, Clone)]
-pub enum PersistedPayload {
-    /// A cached hash table (join build / aggregate / shared-group), with
-    /// its exact physical layout.
-    Ht(StoredHt),
-    /// Materialized temp-table rows (the materialization baseline's cache).
-    Temp(Vec<Row>),
+    /// The payload: the cache's own handle, encoded without a copy. A hash
+    /// table keeps its exact physical layout.
+    pub payload: Arc<StoredHt>,
 }
 
 /// A decoded snapshot.
@@ -114,27 +108,14 @@ pub fn write_snapshot(
     }
     w.put_count(entries.len());
     for e in entries {
-        match &e.payload {
-            PersistedPayload::Ht(ht) => {
-                w.put_u8(0);
-                encode_fingerprint(&mut w, &e.fingerprint);
-                encode_schema(&mut w, &e.schema);
-                w.put_u64(e.use_count);
-                w.put_u64(e.bytes);
-                w.put_f64(e.score);
-                encode_stored_ht(&mut w, ht);
-            }
-            PersistedPayload::Temp(rows) => {
-                w.put_u8(1);
-                encode_fingerprint(&mut w, &e.fingerprint);
-                encode_schema(&mut w, &e.schema);
-                w.put_u64(e.use_count);
-                w.put_u64(e.bytes);
-                w.put_f64(e.score);
-                let mat = MaterializedRows::new(rows.clone());
-                encode_rows(&mut w, &mat);
-            }
-        }
+        // Entry kind: 0 = hash table, 1 = temp-table rows.
+        w.put_u8(u8::from(e.payload.is_materialized()));
+        encode_fingerprint(&mut w, &e.fingerprint);
+        encode_schema(&mut w, &e.schema);
+        w.put_u64(e.use_count);
+        w.put_u64(e.bytes);
+        w.put_f64(e.score);
+        encode_stored_ht(&mut w, &e.payload);
     }
     let body = w.into_inner();
 
@@ -199,8 +180,8 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
         let bytes = r.get_u64()?;
         let score = r.get_f64()?;
         let payload = match kind {
-            0 => PersistedPayload::Ht(decode_stored_ht(&mut r)?),
-            1 => PersistedPayload::Temp(decode_rows(&mut r)?),
+            0 => decode_stored_ht(&mut r)?,
+            1 => StoredHt::Materialized(MaterializedRows::new(decode_rows(&mut r)?)),
             k => return Err(format!("unknown snapshot entry kind {k}")),
         };
         entries.push(PersistedEntry {
@@ -209,7 +190,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
             use_count,
             bytes,
             score,
-            payload,
+            payload: Arc::new(payload),
         });
     }
     if !r.is_exhausted() {
@@ -227,9 +208,8 @@ mod tests {
     use hashstash_hashtable::ExtendibleHashTable;
     use hashstash_plan::{HtKind, Region};
     use hashstash_storage::TableBuilder;
-    use hashstash_types::{DataType, Value};
+    use hashstash_types::{DataType, Row, Value};
     use std::path::PathBuf;
-    use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hssnap-test-{}", std::process::id()));
@@ -260,7 +240,7 @@ mod tests {
             use_count: 3,
             bytes: 64,
             score: benefit_score(3, 64),
-            payload: PersistedPayload::Ht(StoredHt::Rows(ht)),
+            payload: Arc::new(StoredHt::Rows(ht)),
         }];
         (cat, entries)
     }
@@ -305,7 +285,7 @@ mod tests {
     fn cyclic_chain_snapshot_rejected() {
         let path = tmp("cyclic.snap");
         let (cat, mut entries) = sample();
-        let PersistedPayload::Ht(StoredHt::Rows(ht)) = &mut entries[0].payload else {
+        let Some(StoredHt::Rows(ht)) = Arc::get_mut(&mut entries[0].payload) else {
             panic!("sample holds a join table");
         };
         // A second entry under key 1, chained onto the first.
@@ -328,6 +308,33 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = read_snapshot(&path).expect_err("cyclic image must be discarded");
         assert!(err.contains("inconsistent hash-table layout"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The byte format did not change when the cache took temp tables into
+    /// the hash-table store: a snapshot written by the two-store cache (a
+    /// join table, an aggregate table and a temp table) still loads, and
+    /// re-encoding what it decodes reproduces it byte for byte.
+    #[test]
+    fn two_store_snapshot_still_loads_byte_for_byte() {
+        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap02.snap");
+        let path = tmp("two-store.snap");
+        std::fs::write(&path, EARLIER).unwrap();
+        let snap = read_snapshot(&path).unwrap();
+        assert_eq!(snap.catalog.get("t").unwrap().row_count(), 2);
+        let kinds: Vec<(&str, usize)> = snap
+            .entries
+            .iter()
+            .map(|e| match &*e.payload {
+                StoredHt::Rows(t) => ("rows", t.len()),
+                StoredHt::Agg(t) => ("agg", t.len()),
+                StoredHt::Materialized(rows) => ("temp", rows.len()),
+            })
+            .collect();
+        assert_eq!(kinds, [("rows", 3), ("agg", 2), ("temp", 3)]);
+        assert_eq!(snap.entries[0].use_count, 3);
+        write_snapshot(&path, &snap.catalog, &snap.entries, false).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), EARLIER);
         std::fs::remove_file(&path).ok();
     }
 

@@ -40,7 +40,6 @@ use crate::parallel::{
 };
 use crate::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use crate::pool::WorkerPool;
-use crate::temp::TempTableCache;
 use crate::vector::{self, ColumnarBatch, KeyKernel, Selection};
 
 /// Operation counters collected during execution. These are the observables
@@ -106,16 +105,15 @@ impl ExecMetrics {
     }
 }
 
-/// Execution context threading the catalog, the Hash Table Manager, the
-/// temp-table cache (materialization baseline) and metrics through the tree.
+/// Execution context threading the catalog, the Hash Table Manager (which
+/// also holds the materialization baseline's temp tables) and metrics
+/// through the tree.
 ///
-/// Both caches are sharded facades over the same generic reuse store, so
-/// both are shared by plain reference — no mutex anywhere on the executor's
-/// path.
+/// The cache is sharded and `&self`-concurrent, so it is shared by plain
+/// reference — no mutex anywhere on the executor's path.
 pub struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     pub htm: &'a HtManager,
-    pub temps: &'a TempTableCache,
     pub metrics: ExecMetrics,
     /// Worker threads for morsel-parallel operator loops. `1` is the serial
     /// interpreter; any value produces bit-identical output (morsel-order
@@ -131,7 +129,7 @@ pub struct ExecContext<'a> {
     row_oracle: bool,
     /// The tenant this execution publishes on behalf of: every hash table
     /// or temp table materialized by the plan is owned by this tenant in
-    /// the reuse caches ([`TenantId::DEFAULT`] for single-tenant
+    /// the reuse cache ([`TenantId::DEFAULT`] for single-tenant
     /// embedders).
     pub tenant: TenantId,
     /// Checkout guards acquired by the session *before* execution started
@@ -146,11 +144,10 @@ impl<'a> ExecContext<'a> {
     /// variable (or `1` — the serial interpreter) so an entire test suite
     /// can be re-run N-way; engines override it explicitly via
     /// [`ExecContext::with_parallelism`].
-    pub fn new(catalog: &'a Catalog, htm: &'a HtManager, temps: &'a TempTableCache) -> Self {
+    pub fn new(catalog: &'a Catalog, htm: &'a HtManager) -> Self {
         ExecContext {
             catalog,
             htm,
-            temps,
             metrics: ExecMetrics::default(),
             parallelism: default_parallelism(),
             pool: None,
@@ -342,7 +339,7 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
             // The baseline's materialization cost: one extra copy of every
             // tuple out of the pipeline into a temp table.
             ctx.metrics.materialized_rows += rows.len() as u64;
-            ctx.temps.publish_as(
+            ctx.htm.publish_temp(
                 ctx.tenant,
                 fingerprint.clone(),
                 schema.clone(),
@@ -355,12 +352,15 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
             schema: _,
             post_filter,
         } => {
-            // `read` hands back an `Arc` snapshot of the cached rows — no
-            // per-reuse copy of the whole table. Only the rows that survive
-            // the post-filter are cloned into the pipeline (the unfiltered
-            // exact-reuse path still pays the re-read the baseline is
-            // priced for).
-            let (schema, rows) = ctx.temps.read(*id)?;
+            // `read_temp` hands back an `Arc` snapshot of the cached rows —
+            // no per-reuse copy of the whole table. Only the rows that
+            // survive the post-filter are cloned into the pipeline (the
+            // unfiltered exact-reuse path still pays the re-read the
+            // baseline is priced for).
+            let (schema, table) = ctx.htm.read_temp(*id)?;
+            let StoredHt::Materialized(rows) = &*table else {
+                unreachable!("read_temp returns temp tables only")
+            };
             ctx.metrics.rows_scanned += rows.len() as u64;
             let rows = match post_filter {
                 Some(pf) => {
@@ -1541,11 +1541,10 @@ mod tests {
     use hashstash_plan::{AggExpr, AggFunc, HtFingerprint, HtKind, Interval, Region, ReuseCase};
     use hashstash_storage::tpch::{generate, TpchConfig};
 
-    fn setup() -> (Catalog, HtManager, TempTableCache) {
+    fn setup() -> (Catalog, HtManager) {
         (
             generate(TpchConfig::new(0.002, 5)),
             HtManager::new(GcConfig::default()),
-            TempTableCache::unbounded(),
         )
     }
 
@@ -1555,13 +1554,13 @@ mod tests {
 
     #[test]
     fn scan_with_filter_matches_manual_count() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let pred = PredBox::all().with(
             "customer.c_age",
             Interval::closed(Value::Int(30), Value::Int(40)),
         );
         let plan = PhysicalPlan::Scan(ScanSpec::filtered("customer", pred));
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let (schema, rows) = execute(&plan, &mut ctx).unwrap();
         let age_idx = schema.index_of("customer.c_age").unwrap();
         assert!(!rows.is_empty());
@@ -1583,7 +1582,7 @@ mod tests {
 
     #[test]
     fn join_produces_correct_pairs() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let plan = PhysicalPlan::HashJoin {
             probe: Box::new(scan_all("orders")),
             build: Some(Box::new(scan_all("customer"))),
@@ -1592,7 +1591,7 @@ mod tests {
             reuse: None,
             publish: None,
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let (schema, rows) = execute(&plan, &mut ctx).unwrap();
         // Every order joins exactly one customer.
         let orders = cat.get("orders").unwrap().row_count();
@@ -1608,7 +1607,7 @@ mod tests {
 
     #[test]
     fn aggregate_sums_match_manual() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let aggs = vec![
             AggExpr::new(AggFunc::Sum, "customer.c_acctbal"),
             AggExpr::new(AggFunc::Count, "customer.c_custkey"),
@@ -1622,7 +1621,7 @@ mod tests {
             publish: None,
             post_group_by: None,
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let (schema, rows) = execute(&plan, &mut ctx).unwrap();
         assert_eq!(schema.len(), 3);
         // Totals across groups must equal table totals.
@@ -1639,7 +1638,7 @@ mod tests {
 
     #[test]
     fn avg_reconstruction_from_sum_count() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let aggs = vec![
             AggExpr::new(AggFunc::Sum, "customer.c_acctbal"),
             AggExpr::new(AggFunc::Count, "customer.c_acctbal"),
@@ -1656,7 +1655,7 @@ mod tests {
             publish: None,
             post_group_by: None,
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let (_, rows) = execute(&plan, &mut ctx).unwrap();
         assert_eq!(rows.len(), 1);
         let table = cat.get("customer").unwrap();
@@ -1671,7 +1670,7 @@ mod tests {
 
     #[test]
     fn join_publish_then_exact_reuse() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let fp = HtFingerprint {
             kind: HtKind::JoinBuild,
             tables: std::iter::once(Arc::from("customer")).collect(),
@@ -1692,7 +1691,7 @@ mod tests {
             reuse: None,
             publish: Some(fp.clone()),
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let (_, rows1) = execute(&first, &mut ctx).unwrap();
         let inserts_first = ctx.metrics.ht_inserts;
         assert!(inserts_first > 0);
@@ -1716,7 +1715,7 @@ mod tests {
             }),
             publish: None,
         };
-        let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx2 = ExecContext::new(&cat, &htm);
         let (_, rows2) = execute(&second, &mut ctx2).unwrap();
         assert_eq!(rows1.len(), rows2.len());
         assert_eq!(ctx2.metrics.ht_inserts, 0, "exact reuse inserts nothing");
@@ -1726,7 +1725,7 @@ mod tests {
 
     #[test]
     fn subsuming_reuse_post_filters() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         // Build a cached table over customers age >= 20 (wide).
         let wide_pred = PredBox::all().with("customer.c_age", Interval::at_least(Value::Int(20)));
         let fp = HtFingerprint {
@@ -1749,7 +1748,7 @@ mod tests {
             reuse: None,
             publish: Some(fp.clone()),
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         execute(&first, &mut ctx).unwrap();
 
         // Now ask for age >= 30 (narrow) via subsuming reuse.
@@ -1771,7 +1770,7 @@ mod tests {
             }),
             publish: None,
         };
-        let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx2 = ExecContext::new(&cat, &htm);
         let (schema, rows) = execute(&second, &mut ctx2).unwrap();
         let age_idx = schema.index_of("customer.c_age").unwrap();
         assert!(!rows.is_empty());
@@ -1791,14 +1790,14 @@ mod tests {
             reuse: None,
             publish: None,
         };
-        let mut ctx3 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx3 = ExecContext::new(&cat, &htm);
         let (_, ref_rows) = execute(&reference, &mut ctx3).unwrap();
         assert_eq!(rows.len(), ref_rows.len());
     }
 
     #[test]
     fn partial_reuse_adds_missing_tuples() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         // Cache customers with age in [40, 60].
         let cached_pred = PredBox::all().with(
             "customer.c_age",
@@ -1824,7 +1823,7 @@ mod tests {
             reuse: None,
             publish: Some(fp.clone()),
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         execute(&first, &mut ctx).unwrap();
 
         // Request age in [30, 60]: delta is [30, 39].
@@ -1856,7 +1855,7 @@ mod tests {
             }),
             publish: None,
         };
-        let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx2 = ExecContext::new(&cat, &htm);
         let (schema, rows) = execute(&second, &mut ctx2).unwrap();
         assert!(ctx2.metrics.ht_inserts > 0, "delta rows inserted");
         let age_idx = schema.index_of("customer.c_age").unwrap();
@@ -1877,7 +1876,7 @@ mod tests {
             reuse: None,
             publish: None,
         };
-        let mut ctx3 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx3 = ExecContext::new(&cat, &htm);
         let (_, ref_rows) = execute(&reference, &mut ctx3).unwrap();
         assert_eq!(rows.len(), ref_rows.len());
 
@@ -1891,7 +1890,7 @@ mod tests {
 
     #[test]
     fn post_group_by_reaggregates() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         // Group by (age, nation) then post-group to age only.
         let aggs = vec![AggExpr::new(AggFunc::Sum, "customer.c_acctbal")];
         let plan = PhysicalPlan::HashAggregate {
@@ -1903,7 +1902,7 @@ mod tests {
             publish: None,
             post_group_by: Some(vec!["customer.c_age".into()]),
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let (schema, rows) = execute(&plan, &mut ctx).unwrap();
         assert_eq!(schema.len(), 2);
 
@@ -1917,7 +1916,7 @@ mod tests {
             publish: None,
             post_group_by: None,
         };
-        let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx2 = ExecContext::new(&cat, &htm);
         let (_, mut ref_rows) = execute(&reference, &mut ctx2).unwrap();
         let mut got = rows.clone();
         got.sort();
@@ -1937,7 +1936,7 @@ mod tests {
     /// instead of failing the checkout and forcing a full re-plan.
     #[test]
     fn widened_exact_reuse_recovers_in_place() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         // Cache customers with age in [40, 60].
         let cached_pred = PredBox::all().with(
             "customer.c_age",
@@ -1963,7 +1962,7 @@ mod tests {
             reuse: None,
             publish: Some(fp.clone()),
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         execute(&first, &mut ctx).unwrap();
         let cand = &htm.candidates(&fp)[0];
 
@@ -2010,7 +2009,7 @@ mod tests {
 
         // Executing the stale plan succeeds — no CacheError, no re-plan —
         // and still answers for [40, 60] only.
-        let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx2 = ExecContext::new(&cat, &htm);
         let (_, rows) = execute(&stale, &mut ctx2).unwrap();
         assert_eq!(ctx2.metrics.reused_tables, 1);
 
@@ -2025,7 +2024,7 @@ mod tests {
             reuse: None,
             publish: None,
         };
-        let mut ctx3 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx3 = ExecContext::new(&cat, &htm);
         let (_, mut expect) = execute(&reference, &mut ctx3).unwrap();
         let mut got = rows;
         got.sort();
@@ -2038,7 +2037,7 @@ mod tests {
     /// re-plans — never a wrong answer.
     #[test]
     fn widened_reuse_without_filter_attrs_replans() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let pred = PredBox::all().with(
             "customer.c_age",
             Interval::closed(Value::Int(40), Value::Int(60)),
@@ -2063,7 +2062,7 @@ mod tests {
             reuse: None,
             publish: Some(fp.clone()),
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         execute(&first, &mut ctx).unwrap();
         let cand = &htm.candidates(&fp)[0];
         let stale = PhysicalPlan::HashJoin {
@@ -2087,7 +2086,7 @@ mod tests {
         ));
         let w = htm.checkout_mut(cand.id).unwrap();
         w.checkin_widened(&widened).unwrap();
-        let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx2 = ExecContext::new(&cat, &htm);
         assert!(matches!(
             execute(&stale, &mut ctx2),
             Err(HsError::CacheError(_))
@@ -2251,7 +2250,7 @@ mod tests {
     /// serial interpreter, counters included.
     #[test]
     fn parallel_execution_is_bit_identical() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let pred = PredBox::all().with(
             "customer.c_age",
             Interval::closed(Value::Int(25), Value::Int(55)),
@@ -2266,10 +2265,10 @@ mod tests {
             reuse: None,
             publish: None,
         };
-        let mut serial = ExecContext::new(&cat, &htm, &temps).with_parallelism(1);
+        let mut serial = ExecContext::new(&cat, &htm).with_parallelism(1);
         let (_, want) = execute(&plan, &mut serial).unwrap();
         for workers in [2, 4, 8] {
-            let mut par = ExecContext::new(&cat, &htm, &temps).with_parallelism(workers);
+            let mut par = ExecContext::new(&cat, &htm).with_parallelism(workers);
             let (_, got) = execute(&plan, &mut par).unwrap();
             assert_eq!(got, want, "{workers} workers");
             assert_eq!(par.metrics, serial.metrics, "{workers} workers");
@@ -2278,13 +2277,13 @@ mod tests {
 
     #[test]
     fn empty_region_scan_returns_nothing() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let plan = PhysicalPlan::Scan(ScanSpec {
             table: "customer".into(),
             region: Region::empty(),
             projection: vec![],
         });
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let (_, rows) = execute(&plan, &mut ctx).unwrap();
         assert!(rows.is_empty());
         assert_eq!(ctx.metrics.rows_scanned, 0);

@@ -23,9 +23,6 @@
 //! * [`pool`] — the persistent [`pool::WorkerPool`] those phases run on:
 //!   spawned once per `Database`, shared across phases, queries, and
 //!   sessions, joined on drop.
-//! * [`temp`] — the temp-table cache of the materialization-based reuse
-//!   baseline (Nagel-style: exact + subsuming reuse of *operator outputs*,
-//!   paid for by extra materialization work during execution).
 //! * [`vector`] — selection-vector kernels for the columnar hot paths:
 //!   vectorized scans, filters, probe key extraction and aggregate folds
 //!   that run over `Column` slices and materialize rows only at pipeline
@@ -39,7 +36,6 @@ pub mod parallel;
 pub mod plan;
 pub mod pool;
 pub mod shared;
-pub mod temp;
 pub mod vector;
 
 pub use exec::{acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics};
@@ -50,5 +46,4 @@ pub use parallel::{
 pub use plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 pub use pool::WorkerPool;
 pub use shared::SharedPlanSpec;
-pub use temp::{TempTableCache, TempTableStats};
 pub use vector::{ColumnarBatch, KeyKernel, Selection};

@@ -124,7 +124,8 @@ pub enum PhysicalPlan {
         /// every pipeline-breaker table; baselines pass `None`).
         publish: Option<HtFingerprint>,
     },
-    /// Materialize the input into the temp-table cache and pass it through
+    /// Materialize the input into a temp table of the Hash Table Manager and
+    /// pass it through
     /// (materialization-based baseline: the paper's "Mat." strategy pays
     /// this copy during the original query).
     Materialize {
@@ -134,7 +135,7 @@ pub enum PhysicalPlan {
     /// Scan a previously materialized temp table, optionally post-filtering
     /// (subsuming reuse — the only non-exact case the baseline supports).
     TempScan {
-        id: crate::temp::TempId,
+        id: HtId,
         schema: Schema,
         post_filter: Option<PredBox>,
     },

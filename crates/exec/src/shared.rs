@@ -288,7 +288,6 @@ fn aggregate_for_query(
 mod tests {
     use super::*;
     use crate::plan::ScanSpec;
-    use crate::temp::TempTableCache;
     use hashstash_cache::HtManager;
     use hashstash_plan::{AggFunc, HtKind, Interval, PredBox, QueryBuilder};
     use hashstash_storage::tpch::{generate, TpchConfig};
@@ -296,12 +295,8 @@ mod tests {
     use hashstash_types::Value;
     use std::sync::Arc;
 
-    fn setup() -> (Catalog, HtManager, TempTableCache) {
-        (
-            generate(TpchConfig::new(0.002, 11)),
-            HtManager::unbounded(),
-            TempTableCache::unbounded(),
-        )
+    fn setup() -> (Catalog, HtManager) {
+        (generate(TpchConfig::new(0.002, 11)), HtManager::unbounded())
     }
 
     fn mk_query(id: u32, age_lo: i64, age_hi: i64) -> QuerySpec {
@@ -394,7 +389,6 @@ mod tests {
     /// Reference: run one query through the single-query executor.
     fn reference(q: &QuerySpec, cat: &Catalog) -> Vec<Row> {
         let htm = HtManager::unbounded();
-        let temps = TempTableCache::unbounded();
         let plan = PhysicalPlan::HashAggregate {
             input: Some(Box::new(PhysicalPlan::HashJoin {
                 probe: Box::new(PhysicalPlan::Scan(
@@ -416,7 +410,7 @@ mod tests {
             publish: None,
             post_group_by: None,
         };
-        let mut ctx = ExecContext::new(cat, &htm, &temps);
+        let mut ctx = ExecContext::new(cat, &htm);
         let (_, mut rows) = crate::exec::execute(&plan, &mut ctx).unwrap();
         rows.sort();
         rows
@@ -424,14 +418,14 @@ mod tests {
 
     #[test]
     fn shared_plan_matches_individual_execution() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let queries = vec![
             mk_query(1, 20, 40),
             mk_query(2, 30, 60),
             mk_query(3, 50, 80),
         ];
         let spec = mk_spec(queries.clone(), customer_join(&queries, None, None));
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let results = execute_shared(&spec, &mut ctx).unwrap();
         assert_eq!(results.len(), 3);
         for (q, res) in queries.iter().zip(&results) {
@@ -444,14 +438,14 @@ mod tests {
 
     #[test]
     fn shared_plan_publishes_join_tables() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let queries = vec![mk_query(1, 20, 40), mk_query(2, 30, 60)];
         let fp = customer_fp(ages(20, 60));
         let spec = mk_spec(
             queries.clone(),
             customer_join(&queries, None, Some(fp.clone())),
         );
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         execute_shared(&spec, &mut ctx).unwrap();
         let cands = htm.candidates(&fp);
         assert_eq!(cands.len(), 1);
@@ -460,7 +454,7 @@ mod tests {
 
     #[test]
     fn shared_join_reuse_matches_fresh_run() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         // Batch 1 publishes the customer table over ages [20, 60].
         let batch1 = vec![mk_query(1, 20, 40), mk_query(2, 30, 60)];
         let fp = customer_fp(ages(20, 60));
@@ -468,7 +462,7 @@ mod tests {
             batch1.clone(),
             customer_join(&batch1, None, Some(fp.clone())),
         );
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         execute_shared(&spec1, &mut ctx).unwrap();
         let cand = htm.candidates(&fp).remove(0);
 
@@ -484,7 +478,7 @@ mod tests {
             schema: cand.schema.clone(),
         };
         let spec2 = mk_spec(batch2.clone(), customer_join(&batch2, Some(reuse), None));
-        let mut ctx2 = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx2 = ExecContext::new(&cat, &htm);
         let results = execute_shared(&spec2, &mut ctx2).unwrap();
         assert_eq!(ctx2.metrics.reused_tables, 1);
         assert_eq!(ctx2.metrics.built_tables, 1, "only the grouping table");
@@ -497,7 +491,7 @@ mod tests {
 
     #[test]
     fn spj_projection_output() {
-        let (cat, htm, temps) = setup();
+        let (cat, htm) = setup();
         let q = QueryBuilder::new(5)
             .join(
                 "customer",
@@ -522,7 +516,7 @@ mod tests {
                 "customer.c_age".into(),
             ])],
         };
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let results = execute_shared(&spec, &mut ctx).unwrap();
         assert_eq!(results.len(), 1);
         assert!(!results[0].rows.is_empty());

@@ -473,7 +473,7 @@ mod tests {
     use super::*;
     use hashstash_cache::GcConfig;
     use hashstash_exec::shared::execute_shared;
-    use hashstash_exec::{ExecContext, TempTableCache};
+    use hashstash_exec::ExecContext;
     use hashstash_plan::{AggExpr, AggFunc, Interval, QueryBuilder};
     use hashstash_storage::tpch::{generate, TpchConfig};
     use hashstash_types::{Row, Value};
@@ -579,10 +579,9 @@ mod tests {
         let stats = DbStats::from_catalog(cat);
         let cost = CostModel::synthetic();
         let opt = Optimizer::new(cat, &stats, &cost, OptimizerConfig::default());
-        let temps = TempTableCache::unbounded();
         let mut out: Vec<Vec<Row>> = vec![Vec::new(); queries.len()];
         for unit in plan.units {
-            let mut ctx = ExecContext::new(cat, htm, &temps);
+            let mut ctx = ExecContext::new(cat, htm);
             match unit {
                 BatchUnit::Single { index, .. } => {
                     let oq = opt.optimize(&queries[index], htm).unwrap();
@@ -615,12 +614,11 @@ mod tests {
             OptimizerConfig::with_policy(std::sync::Arc::new(crate::policy::NoReuse)),
         );
         let htm = HtManager::new(GcConfig::default());
-        let temps = TempTableCache::unbounded();
         queries
             .iter()
             .map(|q| {
                 let oq = opt.optimize(q, &htm).unwrap();
-                let mut ctx = ExecContext::new(cat, &htm, &temps);
+                let mut ctx = ExecContext::new(cat, &htm);
                 let mut rows = hashstash_exec::execute(&oq.plan, &mut ctx).unwrap().1;
                 rows.sort();
                 rows
@@ -636,8 +634,7 @@ mod tests {
         let refs: Vec<&QuerySpec> = queries.iter().collect();
         let (spec, _) =
             derive_shared_spec(&refs, &stats, &cost, &htm, &crate::policy::CostBasedReuse).unwrap();
-        let temps = TempTableCache::unbounded();
-        let mut ctx = ExecContext::new(&cat, &htm, &temps);
+        let mut ctx = ExecContext::new(&cat, &htm);
         let results = execute_shared(&spec, &mut ctx).unwrap();
         assert_eq!(results.len(), 2);
         let expect = one_at_a_time(&queries, &cat);

@@ -1017,7 +1017,7 @@ fn map_output_aggs(
 mod tests {
     use super::*;
     use hashstash_cache::GcConfig;
-    use hashstash_exec::{execute, ExecContext, TempTableCache};
+    use hashstash_exec::{execute, ExecContext};
     use hashstash_plan::{Interval, QueryBuilder, ReuseCase};
     use hashstash_storage::tpch::{generate, TpchConfig};
     use hashstash_types::Value;
@@ -1059,8 +1059,7 @@ mod tests {
         cat: &Catalog,
         htm: &HtManager,
     ) -> (hashstash_types::Schema, Vec<hashstash_types::Row>) {
-        let temps = TempTableCache::unbounded();
-        let mut ctx = ExecContext::new(cat, htm, &temps);
+        let mut ctx = ExecContext::new(cat, htm);
         let (schema, mut rows) = execute(plan, &mut ctx).unwrap();
         rows.sort();
         (schema, rows)

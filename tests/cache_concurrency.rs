@@ -17,7 +17,7 @@ use std::thread;
 
 use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, ExecContext, TempTableCache};
+use hashstash_exec::{execute, ExecContext};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase};
 use hashstash_storage::tpch::{generate, TpchConfig};
@@ -62,7 +62,6 @@ fn join_schema() -> Schema {
 fn executor_error_path_returns_checked_out_table() {
     let cat = generate(TpchConfig::new(0.002, 5));
     let htm = HtManager::unbounded();
-    let temps = TempTableCache::unbounded();
 
     // An *aggregate* payload published under a join-build fingerprint: the
     // join operator checks it out, then errors on the kind mismatch.
@@ -91,7 +90,7 @@ fn executor_error_path_returns_checked_out_table() {
         }),
         publish: None,
     };
-    let mut ctx = ExecContext::new(&cat, &htm, &temps);
+    let mut ctx = ExecContext::new(&cat, &htm);
     assert!(
         execute(&plan, &mut ctx).is_err(),
         "kind mismatch must error"
@@ -117,7 +116,6 @@ fn executor_error_path_returns_checked_out_table() {
 fn mutating_error_path_keeps_cached_version() {
     let cat = generate(TpchConfig::new(0.002, 5));
     let htm = HtManager::unbounded();
-    let temps = TempTableCache::unbounded();
 
     let fp = customer_fp(40, 60);
     let id = htm.publish(fp.clone(), join_schema(), join_table(10));
@@ -140,7 +138,7 @@ fn mutating_error_path_keeps_cached_version() {
         }),
         publish: None,
     };
-    let mut ctx = ExecContext::new(&cat, &htm, &temps);
+    let mut ctx = ExecContext::new(&cat, &htm);
     assert!(
         execute(&plan, &mut ctx).is_err(),
         "schema mismatch must error"

@@ -270,36 +270,25 @@ fn persistence_bar_filters_cache_entries() {
             .build();
         let mut session = db.session();
         session.execute(&q3(1, "1996-06-01")).unwrap();
-        assert!(db.temp_stats().publishes > 0);
+        assert!(db.cache_stats().publishes > 0);
     }
     let db = Database::builder(Catalog::new()).data_dir(&dir).build();
-    assert!(
-        db.temp_stats().entries > 0,
-        "temp-table entries rehydrated: {:?}",
-        db.temp_stats()
-    );
+    let entries = db.cache().snapshot_entries();
+    assert!(!entries.is_empty(), "temp-table entries rehydrated");
+    assert!(entries.iter().all(|e| e.payload.is_materialized()));
     drop(db);
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression: warm restart + TTL expiry. Rehydration re-publishes the
-/// snapshot through the normal admission path, which ticks the shared
-/// clock once per entry — so the earliest entries came out of recovery
-/// already "idle" by rehydration order. With a TTL configured, the first
-/// sweep after restart used to expire exactly the warm cache the restart
-/// had just paid to rebuild. Recovery now restamps every rehydrated entry
-/// and restarts the sweep throttle, so warm tables survive until they are
-/// *actually* idle for a TTL — and then expire normally.
+/// Regression: a warm restart keeps the cache's LRU order. Rehydration
+/// used to stamp every entry with one tick, and the snapshot listed entries
+/// in hash-map order, so the first eviction after a restart took an
+/// arbitrary entry. The snapshot now lists entries least recently used
+/// first and recovery re-publishes them in that order.
 #[test]
-fn restart_with_ttl_keeps_warm_cache_until_actually_idle() {
-    const TTL: u64 = 4;
-    let gc = hashstash_cache::GcConfig {
-        ttl_ticks: Some(TTL),
-        ..hashstash_cache::GcConfig::default()
-    };
-    // Synthetic cache entries with pairwise-disjoint fingerprints: query
-    // execution reuses/widens aggressively (one entry per shape), so
-    // staging "more entries than TTL ticks" needs direct publishes.
+fn warm_restart_preserves_lru_order() {
+    const TOUCH_ORDER: [i64; 6] = [3, 0, 5, 1, 4, 2];
+    // Same shape, disjoint regions: one shard, one recycle-graph node.
     let warm_fp = |i: i64| HtFingerprint {
         kind: HtKind::JoinBuild,
         tables: std::iter::once(Arc::<str>::from("customer")).collect(),
@@ -319,84 +308,53 @@ fn restart_with_ttl_keeps_warm_cache_until_actually_idle() {
         }
         hashstash_cache::StoredHt::Rows(t)
     };
-    let warm_schema = hashstash_types::Schema::new(vec![hashstash_types::Field::new(
+    let schema = hashstash_types::Schema::new(vec![hashstash_types::Field::new(
         "customer.c_custkey",
         DataType::Int,
     )]);
-
-    // A single-table aggregate with a varying filter: each execution
-    // (re)uses and widens one agg hash table, ticking the shared clock.
-    let ticker = |id: u32, cut: i64| {
-        QueryBuilder::new(id)
-            .table("customer")
-            .filter("customer.c_custkey", Interval::at_most(Value::Int(cut)))
-            .group_by("customer.c_age")
-            .agg(AggExpr::new(AggFunc::Count, "customer.c_custkey"))
-            .build()
-            .unwrap()
+    // Which of the tables an entry is, by its region.
+    let which = |fp: &HtFingerprint| {
+        (0..TOUCH_ORDER.len() as i64)
+            .find(|&i| fp.region.set_eq(&warm_fp(i).region))
+            .expect("a staged table")
     };
 
-    let dir = fresh_dir("ttl");
+    let dir = fresh_dir("lru");
     {
-        // Populate *without* a TTL (it would expire entries while we
-        // stage them); only the restarted engine runs with the TTL on.
         let db = Database::builder(catalog()).data_dir(&dir).build();
-        let mut session = db.session();
-        // Publish clearly more than TTL entries so rehydration's clock
-        // ticks alone would push the earliest past the cutoff.
-        for (i, ship) in ["1996-06-01", "1996-03-01", "1996-01-01"]
+        let ids: Vec<_> = (0..TOUCH_ORDER.len() as i64)
+            .map(|i| db.cache().publish(warm_fp(i), schema.clone(), warm_ht()))
+            .collect();
+        for &i in &TOUCH_ORDER {
+            drop(db.cache().checkout(ids[i as usize]).unwrap());
+        }
+    } // Drop flushes.
+
+    let db = Database::builder(Catalog::new()).data_dir(&dir).build();
+    let cache = db.cache();
+    assert_eq!(cache.len(), TOUCH_ORDER.len(), "cache rehydrated");
+    let mut evicted = Vec::new();
+    while !cache.is_empty() {
+        let before: Vec<i64> = cache
+            .snapshot_entries()
             .iter()
-            .enumerate()
-        {
-            session.execute(&q3(i as u32 + 1, ship)).unwrap();
-        }
-        for i in 0..8 {
-            db.cache()
-                .publish(warm_fp(i), warm_schema.clone(), warm_ht());
-        }
-        assert!(
-            db.cache_stats().entries as u64 > TTL,
-            "need more rehydrated entries than TTL ticks: {:?}",
-            db.cache_stats()
-        );
-        db.flush().unwrap();
+            .map(|e| which(&e.fingerprint))
+            .collect();
+        cache.set_gc_config(hashstash_cache::GcConfig {
+            budget_bytes: Some(cache.stats().bytes - 1),
+            ..cache.gc_config()
+        });
+        assert_eq!(cache.enforce_budget(), 1);
+        let after: Vec<i64> = cache
+            .snapshot_entries()
+            .iter()
+            .map(|e| which(&e.fingerprint))
+            .collect();
+        evicted.extend(before.into_iter().filter(|i| !after.contains(i)));
     }
-
-    let db = Database::builder(Catalog::new())
-        .data_dir(&dir)
-        .gc(gc)
-        .build();
-    let recovered = db.cache_stats().entries;
-    assert!(
-        recovered as u64 > TTL,
-        "cache rehydrated: {recovered} entries"
-    );
-
-    // First post-restart query: triggers enforcement (and with it the TTL
-    // sweep election). The warm cache must survive and be reused.
-    let mut session = db.session();
-    let r = session.execute(&q3(50, "1996-01-01")).unwrap();
-    assert!(
-        r.decisions.iter().any(|(_, c)| c.is_some()),
-        "warm table reused after restart with TTL configured: {:?}",
-        r.decisions
-    );
     assert_eq!(
-        db.cache_stats().evictions,
-        0,
-        "first sweep after restart expired rehydrated entries"
-    );
-    assert!(db.cache_stats().entries >= recovered);
-
-    // TTL still works after restart: leave the warm entries untouched
-    // while fresh publishes age them past the TTL, then expect expiry.
-    for i in 0..3 * TTL as u32 {
-        session.execute(&ticker(100 + i, 1000 + i as i64)).unwrap();
-    }
-    assert!(
-        db.cache_stats().evictions > 0,
-        "idle entries never expired after restart: {:?}",
-        db.cache_stats()
+        evicted, TOUCH_ORDER,
+        "post-restart evictions follow the LRU order"
     );
     drop(db);
     fs::remove_dir_all(&dir).ok();

@@ -1,5 +1,5 @@
 //! Stress: 8 threads racing **parallel builds** and publishes against a
-//! tight shared `ReuseBudget`, so evictions land mid-build, publishes race
+//! tight cache budget, so evictions land mid-build, publishes race
 //! identical-lineage dedup, and reuse checkouts race eviction. Invariants at
 //! quiesce: `stats == audit()` (no leaked bytes or entries), the budget
 //! holds, every surviving entry is checkable-out (no stranded writer pins),
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use hashstash_cache::{GcConfig, HtManager};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, ExecContext, TempTableCache, WorkerPool, MIN_PARALLEL_BUILD_ROWS};
+use hashstash_exec::{execute, ExecContext, WorkerPool, MIN_PARALLEL_BUILD_ROWS};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase};
 use hashstash_storage::{Catalog, TableBuilder};
 use hashstash_types::{DataType, HsError, Row, Value};
@@ -114,8 +114,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
     let reference: Vec<Vec<Row>> = (0..VARIANTS)
         .map(|v| {
             let htm = HtManager::unbounded();
-            let temps = TempTableCache::unbounded();
-            let mut ctx = ExecContext::new(&cat, &htm, &temps).with_parallelism(1);
+            let mut ctx = ExecContext::new(&cat, &htm).with_parallelism(1);
             let plan = join("fact", Some(build_scan(v, "dim")), None, None);
             execute(&plan, &mut ctx).expect("reference").1
         })
@@ -129,7 +128,6 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
         budget_bytes: Some(budget),
         ..GcConfig::default()
     });
-    let temps = TempTableCache::unbounded();
     // One pool shared by every racing thread, as sessions share a
     // database's.
     let pool = WorkerPool::new(WORKERS - 1);
@@ -138,7 +136,6 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
         for t in 0..THREADS {
             let cat = &cat;
             let htm = &htm;
-            let temps = &temps;
             let pool = &pool;
             let reference = Arc::clone(&reference);
             s.spawn(move || {
@@ -170,7 +167,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                         ),
                         None => fresh_plan(v),
                     };
-                    let mut ctx = ExecContext::new(cat, htm, temps)
+                    let mut ctx = ExecContext::new(cat, htm)
                         .with_parallelism(WORKERS)
                         .with_pool(pool);
                     let rows = match execute(&plan, &mut ctx) {
@@ -178,7 +175,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                         Err(HsError::CacheError(_)) => {
                             // Candidate vanished or got writer-locked:
                             // re-plan as a fresh build.
-                            let mut ctx = ExecContext::new(cat, htm, temps)
+                            let mut ctx = ExecContext::new(cat, htm)
                                 .with_parallelism(WORKERS)
                                 .with_pool(pool);
                             execute(&fresh_plan(v), &mut ctx)
@@ -209,7 +206,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                             }),
                             None,
                         );
-                        let mut ctx = ExecContext::new(cat, htm, temps)
+                        let mut ctx = ExecContext::new(cat, htm)
                             .with_parallelism(WORKERS)
                             .with_pool(pool);
                         // Catalog error once the checkout is held; cache
@@ -230,7 +227,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                         None,
                         Some(fp.clone()),
                     );
-                    let mut ctx = ExecContext::new(cat, htm, temps)
+                    let mut ctx = ExecContext::new(cat, htm)
                         .with_parallelism(WORKERS)
                         .with_pool(pool);
                     assert!(

@@ -17,7 +17,7 @@ use hashstash::{Database, EngineStrategy};
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::shared::{execute_shared, SharedGroupSpec, SharedOutput, SharedPlanSpec};
-use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool};
+use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, Region, ReuseCase,
 };
@@ -73,11 +73,10 @@ fn join_publishing(lo: i64, hi: i64, fp: &HtFingerprint) -> PhysicalPlan {
 /// aggregate — under one worker count, returning every result verbatim.
 fn run_sequence(cat: &Catalog, parallelism: usize) -> Vec<(Schema, Vec<Row>, ExecMetrics)> {
     let htm = HtManager::unbounded();
-    let temps = TempTableCache::unbounded();
     let pool = WorkerPool::new(parallelism - 1);
     let mut results = Vec::new();
     let mut run = |plan: &PhysicalPlan| {
-        let mut ctx = ExecContext::new(cat, &htm, &temps)
+        let mut ctx = ExecContext::new(cat, &htm)
             .with_parallelism(parallelism)
             .with_pool(&pool);
         let (schema, rows) = execute(plan, &mut ctx).expect("plan executes");
@@ -237,9 +236,8 @@ fn parallel_shared_plan_matches_serial() {
     let spec = shared_spec(queries, join, "customer.c_age", "orders.o_orderkey");
     let run = |parallelism: usize| {
         let htm = HtManager::unbounded();
-        let temps = TempTableCache::unbounded();
         let pool = WorkerPool::new(parallelism - 1);
-        let mut ctx = ExecContext::new(&cat, &htm, &temps)
+        let mut ctx = ExecContext::new(&cat, &htm)
             .with_parallelism(parallelism)
             .with_pool(&pool);
         let results = execute_shared(&spec, &mut ctx).unwrap();
@@ -355,11 +353,10 @@ struct BuildRun {
 /// (float sums), and an exact aggregate reuse.
 fn run_build_sequence(cat: &Catalog, parallelism: usize) -> BuildRun {
     let htm = HtManager::unbounded();
-    let temps = TempTableCache::unbounded();
     let pool = WorkerPool::new(parallelism - 1);
     let mut results = Vec::new();
     let mut run = |plan: &PhysicalPlan| {
-        let mut ctx = ExecContext::new(cat, &htm, &temps)
+        let mut ctx = ExecContext::new(cat, &htm)
             .with_parallelism(parallelism)
             .with_pool(&pool);
         let (schema, rows) = execute(plan, &mut ctx).expect("plan executes");
@@ -590,7 +587,6 @@ fn parallel_shared_build_phase_matches_serial() {
     };
     let run = |parallelism: usize| {
         let htm = HtManager::unbounded();
-        let temps = TempTableCache::unbounded();
         let pool = WorkerPool::new(parallelism - 1);
         // Batch 1: wide predicates → >11k-row build, published.
         let spec1 = mk_spec(
@@ -598,7 +594,7 @@ fn parallel_shared_build_phase_matches_serial() {
             None,
             Some(published_fp.clone()),
         );
-        let mut ctx = ExecContext::new(&cat, &htm, &temps)
+        let mut ctx = ExecContext::new(&cat, &htm)
             .with_parallelism(parallelism)
             .with_pool(&pool);
         let r1 = execute_shared(&spec1, &mut ctx).unwrap();

@@ -7,9 +7,7 @@
 
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ScanSpec};
-use hashstash_exec::{
-    execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool, MIN_PARALLEL_BUILD_ROWS,
-};
+use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool, MIN_PARALLEL_BUILD_ROWS};
 use hashstash_plan::{AggExpr, AggFunc};
 use hashstash_storage::tpch::{generate, TpchConfig};
 use hashstash_storage::Catalog;
@@ -46,11 +44,10 @@ fn plans() -> Vec<PhysicalPlan> {
 
 fn run_all(cat: &Catalog, pool: Option<&WorkerPool>) -> Vec<(Vec<Row>, ExecMetrics)> {
     let htm = HtManager::unbounded();
-    let temps = TempTableCache::unbounded();
     plans()
         .iter()
         .map(|plan| {
-            let mut ctx = ExecContext::new(cat, &htm, &temps).with_parallelism(4);
+            let mut ctx = ExecContext::new(cat, &htm).with_parallelism(4);
             if let Some(pool) = pool {
                 ctx = ctx.with_pool(pool);
             }

@@ -1,17 +1,21 @@
-//! Unified reuse-store tests: hash tables and temp tables sharing **one**
-//! [`ReuseBudget`] — one byte limit, one eviction loop ranking both payload
-//! kinds, exact byte accounting under concurrency, and the anti-starvation
-//! floor that keeps either kind from squeezing the other out entirely.
+//! One reuse cache holding both payload kinds: hash tables and the
+//! materialization baseline's temp tables share one byte budget, one clock
+//! and one eviction loop, with exact byte accounting under concurrency.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
 use hashstash_cache::payload::row_bytes;
-use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, ReuseBudget, StoredHt, DEFAULT_SHARDS};
-use hashstash_exec::TempTableCache;
+use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
-use hashstash_types::{DataType, Field, Row, Schema, Value};
+use hashstash_types::{DataType, Field, HtId, Row, Schema, Value};
+
+/// Hash tables and temp tables are published under different tenants, so
+/// the per-tenant statistics tell the two kinds apart.
+const HT_OWNER: TenantId = TenantId(1);
+const TEMP_OWNER: TenantId = TenantId(2);
 
 fn fp(table: &str, lo: i64, hi: i64) -> HtFingerprint {
     let t: Arc<str> = Arc::from(table);
@@ -49,18 +53,26 @@ fn schema() -> Schema {
     Schema::new(vec![Field::new("t.k", DataType::Int)])
 }
 
-fn shared_pair(gc: GcConfig) -> (Arc<ReuseBudget>, HtManager, TempTableCache) {
-    let budget = ReuseBudget::new(gc);
-    let htm = HtManager::with_budget(Arc::clone(&budget), DEFAULT_SHARDS);
-    let temps = TempTableCache::with_budget(Arc::clone(&budget), DEFAULT_SHARDS);
-    (budget, htm, temps)
+fn lru(budget_bytes: usize) -> HtManager {
+    HtManager::new(GcConfig {
+        budget_bytes: Some(budget_bytes),
+        policy: EvictionPolicy::Lru,
+        ..GcConfig::default()
+    })
 }
 
-/// 8 threads publishing, reusing and evicting **both** payload kinds under
-/// one tight shared budget: at quiesce every per-store atomic statistic
-/// must agree exactly with a recount of its shards, the combined footprint
-/// must equal the budget's counter and hold the limit, and both kinds must
-/// have been evicted by the single victim loop.
+fn publish_temp(htm: &HtManager, fp: HtFingerprint, n: usize) -> HtId {
+    htm.publish_temp(TEMP_OWNER, fp, schema(), rows(n))
+}
+
+fn ids(htm: &HtManager) -> HashSet<HtId> {
+    htm.snapshot_entries().iter().map(|e| e.id).collect()
+}
+
+/// 8 threads publishing, reusing and evicting **both** payload kinds in one
+/// cache under a tight budget: at quiesce the atomic statistics agree
+/// exactly with a recount of the shards, the budget holds, both kinds were
+/// evicted, and eviction follows one LRU order across kinds.
 #[test]
 fn mixed_payload_stress_audit_clean_under_shared_budget() {
     const THREADS: usize = 8;
@@ -69,21 +81,14 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
     let ht_bytes = ht(64).logical_bytes();
     let row_bytes_100 = rows(100).iter().map(row_bytes).sum::<usize>();
     // Budget fits a handful of either kind — every thread's publishes race
-    // the others' evictions, in both stores.
+    // the others' evictions.
     let budget_bytes = ht_bytes * 3 + row_bytes_100 * 3;
-    let (budget, htm, temps) = shared_pair(GcConfig {
-        budget_bytes: Some(budget_bytes),
-        policy: EvictionPolicy::Lru,
-        ..GcConfig::default()
-    });
-    let htm = Arc::new(htm);
-    let temps = Arc::new(temps);
+    let htm = Arc::new(lru(budget_bytes));
     let barrier = Arc::new(Barrier::new(THREADS));
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let htm = Arc::clone(&htm);
-            let temps = Arc::clone(&temps);
             let barrier = Arc::clone(&barrier);
             // Raw spawns model independent client sessions (see clippy.toml).
             #[allow(clippy::disallowed_methods)]
@@ -95,7 +100,7 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
                     if i % 2 == 0 {
                         // Hash-table side: publish + mixed reuse.
                         let table = format!("h{shape}");
-                        htm.publish(fp(&table, lo, lo + 10), schema(), ht(64));
+                        htm.publish_as(HT_OWNER, fp(&table, lo, lo + 10), schema(), ht(64));
                         let cands = htm.candidates(&fp(&table, 0, 60));
                         if let Some(c) = cands.first() {
                             if i % 6 == 0 {
@@ -117,12 +122,14 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
                     } else {
                         // Temp-table side: publish + snapshot reads.
                         let table = format!("m{shape}");
-                        let id = temps.publish(fp(&table, lo, lo + 10), schema(), rows(100));
+                        let id = publish_temp(&htm, fp(&table, lo, lo + 10), 100);
                         // The entry may already be evicted by a concurrent
                         // publish — a read error is the documented protocol.
-                        if let Ok((_, snap)) = temps.read(id) {
+                        if let Ok((_, snap)) = htm.read_temp(id) {
                             assert_eq!(snap.len(), 100);
                         }
+                        // Temp tables never answer a hash-table lookup.
+                        assert!(htm.candidates(&fp(&table, 0, 60)).is_empty());
                     }
                 }
             })
@@ -136,140 +143,77 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
     // have been returned (pin-leak detector) before any other invariant is
     // checked — a leaked guard would pin entries and skew eviction.
     #[cfg(feature = "analysis")]
-    {
-        htm.assert_quiesced();
-        temps.assert_quiesced();
-    }
+    htm.assert_quiesced();
 
-    // Quiesce: per-store stats agree exactly with shard recounts.
-    let hs = htm.stats();
-    let (h_bytes, h_entries) = htm.audit();
-    assert_eq!(hs.bytes, h_bytes, "ht byte accounting drifted");
-    assert_eq!(hs.entries, h_entries, "ht entry count drifted");
-    let ts = temps.stats();
-    let (t_bytes, t_entries) = temps.audit();
-    assert_eq!(ts.bytes, t_bytes, "temp byte accounting drifted");
-    assert_eq!(ts.entries, t_entries, "temp entry count drifted");
-
-    // The shared budget's combined counter is the sum of both stores…
-    assert_eq!(
-        budget.bytes(),
-        hs.bytes + ts.bytes,
-        "combined footprint drifted from the per-store counters"
-    );
-    // …and the limit holds at quiesce.
+    // Quiesce: stats agree exactly with shard recounts, and the limit holds.
+    let s = htm.stats();
+    assert_eq!((s.bytes, s.entries), htm.audit(), "accounting drifted");
     htm.enforce_budget();
     assert!(
-        budget.bytes() <= budget_bytes,
-        "shared budget exceeded at quiesce ({} > {budget_bytes})",
-        budget.bytes()
+        htm.stats().bytes <= budget_bytes,
+        "budget exceeded at quiesce ({} > {budget_bytes})",
+        htm.stats().bytes
     );
-    // One victim loop ranked both payload kinds: each store saw evictions.
+    // One victim loop ranked both payload kinds: each saw evictions.
+    let hs = htm.tenant_stats_for(HT_OWNER);
+    let ts = htm.tenant_stats_for(TEMP_OWNER);
     assert!(hs.evictions > 0, "hash tables were never evicted");
     assert!(ts.evictions > 0, "temp tables were never evicted");
-    // Publish accounting holds per store (every call created or deduped).
+    assert_eq!(hs.evictions + ts.evictions, s.evictions);
+    // Publish accounting holds per kind (every call created or deduped).
     assert_eq!(hs.publishes + hs.publish_dedups, (THREADS * OPS / 2) as u64);
     assert_eq!(ts.publishes + ts.publish_dedups, (THREADS * OPS / 2) as u64);
+
+    // One LRU order across kinds: shrinking the budget entry by entry
+    // evicts the survivors oldest first, whatever their kind.
+    while !htm.is_empty() {
+        let oldest = htm.snapshot_entries()[0].id;
+        let before = ids(&htm);
+        htm.set_gc_config(GcConfig {
+            budget_bytes: Some(htm.stats().bytes - 1),
+            ..htm.gc_config()
+        });
+        assert_eq!(htm.enforce_budget(), 1);
+        let gone: Vec<HtId> = before.difference(&ids(&htm)).copied().collect();
+        assert_eq!(gone, vec![oldest], "evicted out of LRU order");
+    }
+    assert_eq!(htm.audit(), (0, 0));
 }
 
 /// The single victim search is genuinely cross-kind: under LRU, the oldest
-/// entry is evicted regardless of which store holds it.
+/// entry is evicted regardless of which kind it is.
 #[test]
 fn unified_eviction_ranks_both_payload_kinds_by_recency() {
     let ht_bytes = ht(64).logical_bytes();
     let temp_bytes = rows(100).iter().map(row_bytes).sum::<usize>();
     // Room for one of each, not a third entry.
-    let (_, htm, temps) = shared_pair(GcConfig {
-        budget_bytes: Some(ht_bytes + temp_bytes + ht_bytes / 2),
-        policy: EvictionPolicy::Lru,
-        ..GcConfig::default()
-    });
+    let htm = lru(ht_bytes + temp_bytes + ht_bytes / 2);
     let old_ht = htm.publish(fp("h", 0, 10), schema(), ht(64));
-    let newer_temp = temps.publish(fp("m", 0, 10), schema(), rows(100));
+    let newer_temp = publish_temp(&htm, fp("m", 0, 10), 100);
     // Freshen the temp table so the hash table is globally LRU.
-    temps.read(newer_temp).unwrap();
-    // A new hash-table publish overflows the shared budget: the victim must
-    // be the *older hash table*, not the fresher temp table — even though
-    // the temp table lives in the other store.
+    htm.read_temp(newer_temp).unwrap();
+    // A new hash-table publish overflows the budget: the victim must be
+    // the *older hash table*, not the fresher temp table.
     let new_ht = htm.publish(fp("h", 20, 30), schema(), ht(64));
     assert!(!htm.is_available(old_ht), "oldest entry (ht) evicted");
     assert!(htm.is_available(new_ht));
     assert!(
-        temps.read(newer_temp).is_ok(),
+        htm.read_temp(newer_temp).is_ok(),
         "fresher temp table survived"
     );
 
     // Mirror image: a fresh temp publish must evict the now-LRU hash table
     // rather than the recently-read temp table.
-    let (_, htm2, temps2) = shared_pair(GcConfig {
-        budget_bytes: Some(ht_bytes + temp_bytes + temp_bytes / 2),
-        policy: EvictionPolicy::Lru,
-        ..GcConfig::default()
-    });
+    let htm2 = lru(ht_bytes + temp_bytes + temp_bytes / 2);
     let lru_ht = htm2.publish(fp("h", 0, 10), schema(), ht(64));
-    let warm_temp = temps2.publish(fp("m", 0, 10), schema(), rows(100));
-    temps2.read(warm_temp).unwrap();
-    let _new_temp = temps2.publish(fp("m", 20, 30), schema(), rows(100));
+    let warm_temp = publish_temp(&htm2, fp("m", 0, 10), 100);
+    htm2.read_temp(warm_temp).unwrap();
+    let _new_temp = publish_temp(&htm2, fp("m", 20, 30), 100);
     assert!(
         !htm2.is_available(lru_ht),
-        "temp-side publish evicted the LRU hash table across stores"
+        "temp-side publish evicted the LRU hash table"
     );
-    assert!(temps2.read(warm_temp).is_ok());
-}
-
-/// Anti-starvation floor: a payload kind sitting at or below
-/// `floor_bytes` is skipped by the victim search while the other kind has
-/// evictable mass — flooding hash tables cannot flush the last temp
-/// tables, and vice versa.
-#[test]
-fn floor_prevents_either_kind_from_starving_the_other() {
-    let temp_bytes_each = rows(50).iter().map(row_bytes).sum::<usize>();
-    let ht_bytes_each = ht(64).logical_bytes();
-
-    // Keep two temp tables under the floor, then flood hash tables way past
-    // the budget: every eviction must hit the hash-table store.
-    let floor = temp_bytes_each * 2 + 1;
-    let (_, htm, temps) = shared_pair(GcConfig {
-        budget_bytes: Some(floor + ht_bytes_each * 2),
-        policy: EvictionPolicy::Lru,
-        floor_bytes: floor,
-        ..GcConfig::default()
-    });
-    let t1 = temps.publish(fp("m", 0, 10), schema(), rows(50));
-    let t2 = temps.publish(fp("m", 20, 30), schema(), rows(50));
-    for i in 0..20 {
-        let lo = i as i64 * 40;
-        htm.publish(fp("h", lo, lo + 10), schema(), ht(64));
-    }
-    assert!(
-        temps.read(t1).is_ok(),
-        "temp table below the floor survives"
-    );
-    assert!(
-        temps.read(t2).is_ok(),
-        "temp table below the floor survives"
-    );
-    assert!(htm.stats().evictions > 0, "pressure fell on the ht store");
-    assert_eq!(temps.stats().evictions, 0, "floor shielded the temp store");
-
-    // Mirror image: hash tables below the floor survive a temp flood.
-    let floor2 = ht_bytes_each * 2 + 1;
-    let (_, htm2, temps2) = shared_pair(GcConfig {
-        budget_bytes: Some(floor2 + temp_bytes_each * 2),
-        policy: EvictionPolicy::Lru,
-        floor_bytes: floor2,
-        ..GcConfig::default()
-    });
-    let h1 = htm2.publish(fp("h", 0, 10), schema(), ht(64));
-    let h2 = htm2.publish(fp("h", 20, 30), schema(), ht(64));
-    for i in 0..20 {
-        let lo = i as i64 * 40;
-        temps2.publish(fp("m", lo, lo + 10), schema(), rows(50));
-    }
-    assert!(htm2.is_available(h1), "hash table below the floor survives");
-    assert!(htm2.is_available(h2), "hash table below the floor survives");
-    assert_eq!(htm2.stats().evictions, 0, "floor shielded the ht store");
-    assert!(temps2.stats().evictions > 0);
+    assert!(htm2.read_temp(warm_temp).is_ok());
 }
 
 /// The pin-leak detector actually detects: a `mem::forget`-leaked checkout
@@ -279,33 +223,9 @@ fn floor_prevents_either_kind_from_starving_the_other() {
 #[test]
 #[should_panic(expected = "pin leak")]
 fn forgotten_checkout_guard_fails_quiesce() {
-    let (_, htm, _temps) = shared_pair(GcConfig::default());
+    let htm = HtManager::unbounded();
     let id = htm.publish(fp("h", 0, 10), schema(), ht(8));
     let guard = htm.checkout(id).expect("fresh publish is available");
     std::mem::forget(guard);
     htm.assert_quiesced();
-}
-
-/// With a floor configured but only one store holding anything, the
-/// fallback pass still makes progress: the budget is enforced even though
-/// the only populated store is nominally "protected".
-#[test]
-fn floor_fallback_still_enforces_the_budget() {
-    let ht_bytes_each = ht(64).logical_bytes();
-    let (budget, htm, _temps) = shared_pair(GcConfig {
-        budget_bytes: Some(ht_bytes_each * 2 + ht_bytes_each / 2),
-        policy: EvictionPolicy::Lru,
-        // Floor far above anything the store will ever hold.
-        floor_bytes: usize::MAX / 2,
-        ..GcConfig::default()
-    });
-    for i in 0..6 {
-        let lo = i as i64 * 40;
-        htm.publish(fp("h", lo, lo + 10), schema(), ht(64));
-    }
-    assert!(
-        budget.bytes() <= ht_bytes_each * 2 + ht_bytes_each / 2,
-        "budget enforced despite the universal floor"
-    );
-    assert!(htm.stats().evictions > 0);
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool, MORSEL_ROWS};
+use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool, MORSEL_ROWS};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase};
 use hashstash_storage::tpch::{generate, min_order_date, TpchConfig};
 use hashstash_storage::Catalog;
@@ -82,10 +82,9 @@ type Run = (Vec<Row>, ExecMetrics);
 /// The building run, then the exact reuse of what it published.
 fn run(cat: &Catalog, workers: usize, oracle: bool) -> [Run; 2] {
     let htm = HtManager::unbounded();
-    let temps = TempTableCache::unbounded();
     let pool = WorkerPool::new(workers - 1);
     let context = || {
-        let ctx = ExecContext::new(cat, &htm, &temps)
+        let ctx = ExecContext::new(cat, &htm)
             .with_parallelism(workers)
             .with_pool(&pool);
         if oracle {

@@ -6,10 +6,12 @@
 //! absorbed the coverage of the deleted pre-0.2 `Engine` shim, which used
 //! to be checked against the facade decision-for-decision.)
 
+use std::collections::HashMap;
+
 use hashstash::{BatchMode, Database, EngineStrategy};
-use hashstash_cache::GcConfig;
+use hashstash_cache::{GcConfig, HtManager};
 use hashstash_storage::tpch::{generate, TpchConfig};
-use hashstash_types::Row;
+use hashstash_types::{HtId, Row};
 use hashstash_workload::session::exp2_session;
 use hashstash_workload::trace::{batches, generate_trace, ReusePotential, TraceConfig};
 
@@ -130,7 +132,6 @@ fn builder_default_invariants() {
     assert!(!db.policy().prefer_reuse());
     assert_eq!(db.cache_stats().publishes, 0, "cache starts empty");
     assert_eq!(db.cache_stats().bytes, 0);
-    assert_eq!(db.temp_stats().publishes, 0, "temp cache starts empty");
     assert_eq!(db.total_stats().queries, 0);
 
     // The five named strategies map onto the five built-in policies.
@@ -257,4 +258,101 @@ fn zero_budget_cache_still_correct() {
         let want = normalized(reference.execute(&tq.query).unwrap().rows);
         assert_eq!(got, want);
     }
+}
+
+/// Whether `cache` holds both kinds under one shape key, after checking
+/// that neither kind's lookup returns the other kind for any entry.
+fn kinds_kept_apart(cache: &HtManager) -> bool {
+    let entries = cache.snapshot_entries();
+    let temp: HashMap<HtId, bool> = entries
+        .iter()
+        .map(|e| (e.id, e.payload.is_materialized()))
+        .collect();
+    let mut shared_shape = false;
+    for e in &entries {
+        let hts = cache.candidates(&e.fingerprint);
+        let temps = cache.temp_candidates(&e.fingerprint);
+        assert!(
+            hts.iter().all(|c| !temp[&c.id]),
+            "ht lookup saw a temp table"
+        );
+        assert!(
+            temps.iter().all(|c| temp[&c.id]),
+            "temp lookup saw a hash table"
+        );
+        shared_shape |= !hts.is_empty() && !temps.is_empty();
+    }
+    shared_shape
+}
+
+/// The one cache holds both payload kinds when a materialized database
+/// runs a shared batch (shared plans publish hash tables) and then single
+/// queries (which materialize temp tables) — and again when a HashStash
+/// database restarts on its snapshot. Every answer equals NoReuse, no
+/// hash-table reuse picks a temp table and no temp scan picks a hash table.
+#[test]
+fn materialized_database_keeps_kinds_apart_through_batches() {
+    let trace = generate_trace(TraceConfig {
+        reuse: ReusePotential::High,
+        queries: 8,
+        seed: 17,
+        structural_prob: 0.0,
+    });
+    let queries: Vec<_> = trace.into_iter().map(|tq| tq.query).collect();
+    let reference: Vec<_> = {
+        let mut session = Database::builder(catalog())
+            .strategy(EngineStrategy::NoReuse)
+            .build()
+            .session();
+        queries
+            .iter()
+            .map(|q| normalized(session.execute(q).unwrap().rows))
+            .collect()
+    };
+    let dir = std::env::temp_dir().join(format!("hashstash-mixed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let db = Database::builder(catalog())
+            .strategy(EngineStrategy::Materialized)
+            .data_dir(&dir)
+            .build();
+        let mut session = db.session();
+        let batch = session
+            .execute_batch(&queries, BatchMode::SharedWithReuse)
+            .unwrap();
+        for (i, r) in batch.into_iter().enumerate() {
+            assert_eq!(normalized(r.rows), reference[i], "batch query {i}");
+        }
+        let published = db.cache_stats().publishes;
+        for pass in 0..2 {
+            for (i, q) in queries.iter().enumerate() {
+                let got = normalized(session.execute(q).unwrap().rows);
+                assert_eq!(got, reference[i], "pass {pass} query {i}");
+            }
+        }
+        assert!(
+            db.cache_stats().publishes > published,
+            "temp tables materialized"
+        );
+        assert!(db.cache_stats().reuses > 0, "temp tables reused");
+        assert!(
+            kinds_kept_apart(db.cache()),
+            "no shape holds both kinds: the test lost its point"
+        );
+    } // Drop flushes both kinds into one snapshot.
+
+    let db = Database::builder(hashstash_storage::Catalog::new())
+        .data_dir(&dir)
+        .build();
+    assert!(kinds_kept_apart(db.cache()));
+    let mut session = db.session();
+    let mut reused = false;
+    for (i, q) in queries.iter().enumerate() {
+        let r = session.execute(q).unwrap();
+        reused |= r.decisions.iter().any(|(_, c)| c.is_some());
+        assert_eq!(normalized(r.rows), reference[i], "after restart, query {i}");
+    }
+    assert!(reused, "rehydrated hash tables serve reuse");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,20 +1,9 @@
-//! Budget-floor semantics under the shared [`ReuseBudget`]: the per-kind
-//! anti-starvation floor's fallback pass, and the per-tenant floors the
-//! serving front end builds on.
-//!
-//! The fallback test pins an old bug: when *every* source was at its
-//! floor, the fallback victim search ranked all entries together and so
-//! kept taking whichever store the policy ranked first — under LRU that
-//! drained the older store to zero while the other sat untouched at its
-//! floor. The fallback now walks sources round-robin, so sustained
-//! pressure alternates kinds.
+//! Per-tenant budget floors — what the serving front end builds on — and
+//! the per-tenant statistics of the reuse cache.
 
 use std::sync::Arc;
 
-use hashstash_cache::{
-    EvictionPolicy, GcConfig, HtManager, ReuseBudget, StoredHt, TenantId, DEFAULT_SHARDS,
-};
-use hashstash_exec::TempTableCache;
+use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
@@ -45,77 +34,8 @@ fn ht(n: u64) -> StoredHt {
     StoredHt::Rows(t)
 }
 
-fn rows(n: usize) -> Vec<Row> {
-    (0..n)
-        .map(|i| Row::new(vec![Value::Int(i as i64)]))
-        .collect()
-}
-
 fn schema() -> Schema {
     Schema::new(vec![Field::new("t.k", DataType::Int)])
-}
-
-fn shared_pair(gc: GcConfig) -> (Arc<ReuseBudget>, HtManager, TempTableCache) {
-    let budget = ReuseBudget::new(gc);
-    let htm = HtManager::with_budget(Arc::clone(&budget), DEFAULT_SHARDS);
-    let temps = TempTableCache::with_budget(Arc::clone(&budget), DEFAULT_SHARDS);
-    (budget, htm, temps)
-}
-
-/// Regression: both stores at their per-kind floor, budget still exceeded.
-/// The fallback pass must round-robin across the sources instead of
-/// draining the LRU-oldest store (the hash tables, published first) while
-/// the temp store never loses an entry.
-#[test]
-fn fallback_at_floor_alternates_between_stores() {
-    const EACH: usize = 10;
-    // Unbounded while we stage the working set, so publishes don't evict.
-    let (budget, htm, temps) = shared_pair(GcConfig {
-        budget_bytes: None,
-        policy: EvictionPolicy::Lru,
-        ..GcConfig::default()
-    });
-    for i in 0..EACH {
-        htm.publish(fp("h", i as i64, i as i64 + 1), schema(), ht(64));
-    }
-    for i in 0..EACH {
-        temps.publish(fp("t", i as i64, i as i64 + 1), schema(), rows(100));
-    }
-    let total = budget.bytes();
-    assert_eq!(htm.len() + temps.len(), 2 * EACH);
-
-    // Now tighten: keep roughly half, with a floor so high both kinds are
-    // "protected" — pass 1 finds nothing, every eviction is a fallback.
-    budget.set_gc_config(GcConfig {
-        budget_bytes: Some(total / 2),
-        policy: EvictionPolicy::Lru,
-        floor_bytes: usize::MAX / 4,
-        ..GcConfig::default()
-    });
-    let evicted = budget.enforce();
-    assert!(evicted > 0, "over-budget enforce evicted nothing");
-    assert!(budget.bytes() <= total / 2, "budget not enforced");
-
-    let ht_ev = htm.stats().evictions;
-    let tt_ev = temps.stats().evictions;
-    // The buggy fallback ranked everything together: LRU would take all
-    // hash tables (older) before the first temp table. Round-robin takes
-    // them alternately, so both stores lose entries and neither is wiped
-    // while the other is full.
-    assert!(ht_ev > 0, "no hash tables evicted by fallback");
-    assert!(
-        tt_ev > 0,
-        "no temp tables evicted by fallback (old first-store drain bug)"
-    );
-    assert!(
-        ht_ev.abs_diff(tt_ev) <= 1,
-        "fallback did not alternate: {ht_ev} ht vs {tt_ev} temp evictions"
-    );
-    assert!(
-        !htm.is_empty(),
-        "hash-table store fully drained at its floor"
-    );
-    assert!(!temps.is_empty(), "temp store fully drained at its floor");
 }
 
 /// A tenant whose footprint is at its floor is skipped by the victim
@@ -126,7 +46,7 @@ fn tenant_floor_protects_the_quiet_tenant() {
     const QUIET: TenantId = TenantId(1);
     const NOISY: TenantId = TenantId(2);
 
-    let (budget, htm, _temps) = shared_pair(GcConfig {
+    let htm = HtManager::new(GcConfig {
         budget_bytes: None,
         policy: EvictionPolicy::Lru,
         ..GcConfig::default()
@@ -136,26 +56,26 @@ fn tenant_floor_protects_the_quiet_tenant() {
     for i in 0..3 {
         htm.publish_as(QUIET, fp("q", i, i + 1), schema(), ht(64));
     }
-    let quiet_bytes = budget.tenant_bytes().get(&QUIET).copied().unwrap_or(0);
+    let quiet_bytes = htm.tenant_stats_for(QUIET).bytes;
     assert!(quiet_bytes > 0);
-    budget.set_tenant_floor(QUIET, quiet_bytes);
-    assert_eq!(budget.tenant_floor(QUIET), quiet_bytes);
+    htm.set_tenant_floor(QUIET, quiet_bytes);
+    assert_eq!(htm.tenant_floor(QUIET), quiet_bytes);
 
     for i in 0..12 {
         htm.publish_as(NOISY, fp("n", i, i + 1), schema(), ht(64));
     }
-    let total = budget.bytes();
+    let total = htm.stats().bytes;
     // Budget forces roughly half the noisy set out, but leaves more than
     // enough room for the quiet tenant's protected footprint.
-    budget.set_gc_config(GcConfig {
+    htm.set_gc_config(GcConfig {
         budget_bytes: Some(total - quiet_bytes),
         policy: EvictionPolicy::Lru,
         ..GcConfig::default()
     });
-    let evicted = budget.enforce();
+    let evicted = htm.enforce_budget();
     assert!(evicted > 0);
 
-    let quiet_after = budget.tenant_bytes().get(&QUIET).copied().unwrap_or(0);
+    let quiet_after = htm.tenant_stats_for(QUIET).bytes;
     assert_eq!(
         quiet_after, quiet_bytes,
         "quiet tenant lost bytes despite its floor"
@@ -171,14 +91,14 @@ fn tenant_floor_protects_the_quiet_tenant() {
     );
 
     // Clearing the floor re-exposes the quiet tenant to the victim search.
-    budget.set_tenant_floor(QUIET, 0);
-    assert_eq!(budget.tenant_floor(QUIET), 0);
-    budget.set_gc_config(GcConfig {
+    htm.set_tenant_floor(QUIET, 0);
+    assert_eq!(htm.tenant_floor(QUIET), 0);
+    htm.set_gc_config(GcConfig {
         budget_bytes: Some(quiet_bytes.saturating_sub(1)),
         policy: EvictionPolicy::Lru,
         ..GcConfig::default()
     });
-    budget.enforce();
+    htm.enforce_budget();
     assert!(
         htm.tenant_stats_for(QUIET).evictions > 0,
         "cleared floor still protects the tenant"
@@ -192,29 +112,26 @@ fn tenant_floor_protects_the_quiet_tenant() {
 fn all_tenants_at_floor_still_converges() {
     const A: TenantId = TenantId(1);
     const B: TenantId = TenantId(2);
-    let (budget, htm, _temps) = shared_pair(GcConfig {
-        budget_bytes: None,
-        ..GcConfig::default()
-    });
+    let htm = HtManager::unbounded();
     for i in 0..6 {
         let t = if i % 2 == 0 { A } else { B };
         htm.publish_as(t, fp("x", i, i + 1), schema(), ht(32));
     }
     // Floors cover everything both tenants hold.
-    budget.set_tenant_floor(A, usize::MAX / 4);
-    budget.set_tenant_floor(B, usize::MAX / 4);
-    let total = budget.bytes();
-    budget.set_gc_config(GcConfig {
+    htm.set_tenant_floor(A, usize::MAX / 4);
+    htm.set_tenant_floor(B, usize::MAX / 4);
+    let total = htm.stats().bytes;
+    htm.set_gc_config(GcConfig {
         budget_bytes: Some(total / 3),
         ..GcConfig::default()
     });
-    let evicted = budget.enforce();
+    let evicted = htm.enforce_budget();
     assert!(
         evicted > 0,
         "fallback never fired with every tenant at floor"
     );
     assert!(
-        budget.bytes() <= total / 3,
+        htm.stats().bytes <= total / 3,
         "budget stuck above the limit: floors must not block enforcement"
     );
 }
@@ -226,7 +143,7 @@ fn all_tenants_at_floor_still_converges() {
 fn tenant_stats_partition_the_store_totals() {
     const A: TenantId = TenantId(1);
     const B: TenantId = TenantId(2);
-    let (_budget, htm, _temps) = shared_pair(GcConfig::default());
+    let htm = HtManager::unbounded();
 
     for i in 0..4 {
         htm.publish_as(A, fp("a", i, i + 1), schema(), ht(16));

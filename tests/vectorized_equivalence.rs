@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use hashstash::{Database, EngineStrategy};
 use hashstash_cache::{AggPayload, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, ExecContext, ExecMetrics, TempTableCache, WorkerPool};
+use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, Region, ReuseCase,
 };
@@ -199,12 +199,11 @@ struct RunOutput {
 fn context<'a>(
     cat: &'a Catalog,
     htm: &'a HtManager,
-    temps: &'a TempTableCache,
     pool: &'a WorkerPool,
     vectorize: bool,
     parallelism: usize,
 ) -> ExecContext<'a> {
-    let ctx = ExecContext::new(cat, htm, temps)
+    let ctx = ExecContext::new(cat, htm)
         .with_parallelism(parallelism)
         .with_pool(pool);
     if vectorize {
@@ -216,11 +215,10 @@ fn context<'a>(
 
 fn run_all(cat: &Catalog, pred: &PredBox, vectorize: bool, parallelism: usize) -> RunOutput {
     let htm = HtManager::unbounded();
-    let temps = TempTableCache::unbounded();
     let pool = WorkerPool::new(parallelism - 1);
     let mut out = Vec::new();
     for plan in plans(pred) {
-        let mut ctx = context(cat, &htm, &temps, &pool, vectorize, parallelism);
+        let mut ctx = context(cat, &htm, &pool, vectorize, parallelism);
         let (schema, rows) = execute(&plan, &mut ctx).expect("plan executes");
         out.push((schema, rows, ctx.metrics));
     }
@@ -453,7 +451,6 @@ fn tight_gc_budget_sequence_is_regime_invariant() {
             budget_bytes: Some(96 * 1024),
             ..GcConfig::default()
         });
-        let temps = TempTableCache::unbounded();
         let pool = WorkerPool::new(parallelism - 1);
         let mut decisions = Vec::new();
         let mut results = Vec::new();
@@ -496,7 +493,7 @@ fn tight_gc_budget_sequence_is_regime_invariant() {
                         publish: Some(fp.clone()),
                     },
                 };
-                let mut ctx = context(&cat, &htm, &temps, &pool, vectorize, parallelism);
+                let mut ctx = context(&cat, &htm, &pool, vectorize, parallelism);
                 let (schema, rows) = execute(&plan, &mut ctx).expect("survives eviction");
                 results.push((schema, rows, ctx.metrics.semantic()));
             }

@@ -1,13 +1,17 @@
-//! In-tree developer tooling. One subcommand today:
+//! In-tree developer tooling. Two subcommands:
 //!
 //! ```text
 //! cargo run -p xtask -- tidy
+//! cargo run -p xtask -- loc
 //! ```
 //!
-//! walks the workspace's Rust sources and enforces the six repo-specific
-//! lints (see [`lints`]). Exit code 0 means clean; 1 means diagnostics were
-//! printed (one `path:line: [lint] message` per finding); 2 means usage or
-//! I/O trouble.
+//! `tidy` walks the workspace's Rust sources and enforces the six
+//! repo-specific lints (see [`lints`]). Exit code 0 means clean; 1 means
+//! diagnostics were printed (one `path:line: [lint] message` per finding);
+//! 2 means usage or I/O trouble.
+//!
+//! `loc` prints the lines of non-test code per crate and in total: every
+//! `.rs` file under `crates/*/src`, counted up to its first `#[cfg(test)]`.
 
 mod lints;
 mod source;
@@ -80,6 +84,35 @@ fn tidy(root: &Path) -> std::io::Result<i32> {
     }
 }
 
+/// Lines of `text` before its first `#[cfg(test)]` (all of it if none).
+fn live_lines(text: &str) -> usize {
+    text.lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .count()
+}
+
+fn loc(root: &Path) -> std::io::Result<i32> {
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
+        .map(|e| e.map(|e| e.path().join("src")))
+        .collect::<std::io::Result<_>>()?;
+    crates.retain(|src| src.is_dir());
+    crates.sort();
+    let mut total = 0;
+    for src in crates {
+        let mut files = Vec::new();
+        collect(&src, &mut files)?;
+        let mut lines = 0;
+        for f in files {
+            lines += live_lines(&std::fs::read_to_string(f)?);
+        }
+        let rel = src.strip_prefix(root).unwrap_or(&src);
+        println!("{:<24} {lines:>6}", rel.display());
+        total += lines;
+    }
+    println!("{:<24} {total:>6}", "total");
+    Ok(0)
+}
+
 fn main() {
     // xtask lives one level below the workspace root.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -87,18 +120,29 @@ fn main() {
         .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("tidy") => match tidy(&root) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("tidy: i/o error: {e}");
-                2
-            }
-        },
+    let run = match args.first().map(String::as_str) {
+        Some("tidy") => tidy,
+        Some("loc") => loc,
         _ => {
-            eprintln!("usage: cargo run -p xtask -- tidy");
-            2
+            eprintln!("usage: cargo run -p xtask -- tidy|loc");
+            std::process::exit(2);
         }
     };
+    let code = run(&root).unwrap_or_else(|e| {
+        eprintln!("xtask: i/o error: {e}");
+        2
+    });
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::live_lines;
+
+    #[test]
+    fn live_lines_stop_at_the_first_test_module() {
+        assert_eq!(live_lines("a\nb\n"), 2);
+        assert_eq!(live_lines("a\n  #[cfg(test)]\nmod t {}\n#[cfg(test)]\n"), 1);
+        assert_eq!(live_lines("#[cfg(any(test, feature = \"x\"))]\nb"), 2);
+    }
 }
