@@ -211,7 +211,8 @@ fn sweep(title: &str, seed: impl Fn(&Database, f64) + Copy, query: impl Fn(u32) 
     );
     for contr in (0..=10).rev().map(|x| x as f64 / 10.0) {
         let t_always = run_once(EngineStrategy::AlwaysShare, contr, seed, query(1));
-        let t_never = run_once(EngineStrategy::NeverShare, contr, seed, query(2));
+        // Never Share is plain execution without reuse.
+        let t_never = run_once(EngineStrategy::NoReuse, contr, seed, query(2));
         let t_cost = run_once(EngineStrategy::HashStash, contr, seed, query(3));
         println!(
             "{:>6.0} {:>12.1}ms {:>12.1}ms {:>12.1}ms",

@@ -12,9 +12,10 @@ use hashstash_workload::session::exp2_session;
 fn main() {
     header("Experiment 2a: reuse on the query level (paper Figure 8a / Table 8b)");
     let session = exp2_session();
+    // The paper's Never Share baseline is plain execution without reuse.
     let strategies = [
         ("AlwaysShare", EngineStrategy::AlwaysShare),
-        ("NeverShare", EngineStrategy::NeverShare),
+        ("NeverShare", EngineStrategy::NoReuse),
         ("CostModel", EngineStrategy::HashStash),
     ];
 

@@ -1,11 +1,11 @@
 //! Exp 9: benefit-scored admission under the unified reuse budget.
 //!
 //! The Fig. 7-style workload (medium-reuse interaction trace) runs under
-//! three shared-budget levels, comparing the always-admit policy
-//! (`CostBasedReuse`, the paper's default) against benefit-scored admission
-//! (`BenefitScoredAdmission`): a freshly built table is published only when
-//! the cost model's predicted cycles-saved-per-byte of a future reuse
-//! clears a threshold. Under a tight budget, refusing low-density tables
+//! three shared-budget levels, comparing always-admit
+//! (`EngineStrategy::HashStash`, the paper's default) against
+//! benefit-scored admission (`EngineStrategy::BenefitScored`): a freshly
+//! built table is published only when the cost model's predicted
+//! cycles-saved-per-byte of a future reuse clears a threshold. Under a tight budget, refusing low-density tables
 //! leaves more room for the tables that actually pay rent — the admission
 //! counterpart of the GC's benefit/size eviction weight.
 //!
@@ -14,12 +14,10 @@
 //! so the run finishes in seconds.
 
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
-use hashstash::Database;
+use hashstash::{Database, EngineStrategy};
 use hashstash_bench::common::{catalog, header, mb, ms, seed};
-use hashstash_opt::policy::{BenefitScoredAdmission, CostBasedReuse, ReusePolicy};
 use hashstash_workload::trace::{generate_trace, ReusePotential, TraceConfig};
 
 fn smoke() -> bool {
@@ -35,13 +33,13 @@ struct RunResult {
     peak_mb: f64,
 }
 
-fn run(policy: Arc<dyn ReusePolicy>, budget: Option<usize>, trace_len: usize) -> RunResult {
+fn run(strategy: EngineStrategy, budget: Option<usize>, trace_len: usize) -> RunResult {
     let trace = generate_trace(TraceConfig {
         queries: trace_len,
         ..TraceConfig::paper(ReusePotential::Medium, seed())
     });
     let db = Database::builder(catalog())
-        .policy_handle(policy)
+        .strategy(strategy)
         .gc_budget(budget)
         .build();
     let mut session = db.session();
@@ -71,7 +69,7 @@ fn main() {
 
     // Reference run without a budget: its peak footprint calibrates the
     // three pressure levels.
-    let unbounded = run(Arc::new(CostBasedReuse), None, trace_len);
+    let unbounded = run(EngineStrategy::HashStash, None, trace_len);
     let peak_bytes = (unbounded.peak_mb * 1024.0 * 1024.0).max(1.0);
     println!(
         "unbounded reference: {:.1} ms, peak {:.2} MB, hit ratio {:.2}",
@@ -89,20 +87,17 @@ fn main() {
         "peak MB"
     );
 
-    let policies: [(&str, Arc<dyn ReusePolicy>); 2] = [
-        ("always-admit", Arc::new(CostBasedReuse)),
-        (
-            "benefit-scored",
-            Arc::new(BenefitScoredAdmission::default()),
-        ),
+    let strategies = [
+        ("always-admit", EngineStrategy::HashStash),
+        ("benefit-scored", EngineStrategy::BenefitScored),
     ];
     let budget_levels = [0.1, 0.25, 0.5];
 
     let mut results: Vec<String> = Vec::new();
     for &frac in &budget_levels {
         let budget = (peak_bytes * frac) as usize;
-        for (name, policy) in &policies {
-            let r = run(Arc::clone(policy), Some(budget), trace_len);
+        for (name, strategy) in strategies {
+            let r = run(strategy, Some(budget), trace_len);
             println!(
                 "{:<10} {:<16} {:>10.1} {:>10} {:>8} {:>10.2} {:>10} {:>9.2}",
                 format!("{:.0}%", frac * 100.0),
@@ -128,7 +123,7 @@ fn main() {
          \"workload\": \"fig7-medium-reuse\",\n  \"unbounded_peak_mb\": {:.3},\n  \
          \"threshold_ns_per_byte\": {},\n  \"budget_levels\": [0.1, 0.25, 0.5],\n  \"results\": [\n{}\n  ]\n}}\n",
         unbounded.peak_mb,
-        BenefitScoredAdmission::DEFAULT_MIN_BENEFIT_PER_BYTE,
+        EngineStrategy::MIN_BENEFIT_PER_BYTE,
         results.join(",\n")
     );
     let mut f = std::fs::File::create("BENCH_admission.json").expect("write results");

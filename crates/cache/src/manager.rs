@@ -938,18 +938,6 @@ impl HtManager {
         self.checkout_inner(id, CheckoutMode::Shared, RegionCheck::None)
     }
 
-    /// [`HtManager::checkout`], but failing — without touching use counts
-    /// or LRU stamps — unless the table's lineage region still equals
-    /// `expect_region`. Sessions use this to detect that a concurrent
-    /// partial reuse widened the table after their plan classified it.
-    pub fn checkout_expecting(
-        &self,
-        id: HtId,
-        expect_region: &hashstash_plan::Region,
-    ) -> Result<CheckedOut<'_>> {
-        self.checkout_inner(id, CheckoutMode::Shared, RegionCheck::Eq(expect_region))
-    }
-
     /// Shared checkout validating that the table's lineage still **covers**
     /// `request_region`, rather than equalling the planned region exactly.
     /// Read-only (exact/subsuming) reuse uses this so a concurrent lineage
@@ -980,10 +968,11 @@ impl HtManager {
         self.checkout_inner(id, CheckoutMode::Exclusive, RegionCheck::None)
     }
 
-    /// [`HtManager::checkout_mut`] with the same lineage pre-validation as
-    /// [`HtManager::checkout_expecting`]. Mutating reuse keeps the strict
-    /// equality check: its delta scan was computed against the planned
-    /// region, so any widening makes the delta wrong and must re-plan.
+    /// [`HtManager::checkout_mut`], but failing — without touching use
+    /// counts or LRU stamps — unless the table's lineage region still
+    /// equals `expect_region`. Mutating reuse needs this strict equality:
+    /// its delta scan was computed against the planned region, so a
+    /// concurrent widening makes the delta wrong and must re-plan.
     pub fn checkout_mut_expecting(
         &self,
         id: HtId,
@@ -1465,7 +1454,7 @@ mod tests {
         w.fingerprint.region = fp(10, 30).region;
         w.checkin().unwrap();
         // Strict (mutating-reuse) validation fails…
-        assert!(m.checkout_expecting(id, &planned).is_err());
+        assert!(m.checkout_mut_expecting(id, &planned).is_err());
         // …but the covering checkout succeeds and reports the widened
         // lineage so the executor can compensate with a post-filter.
         let co = m.checkout_covering(id, &planned).unwrap();

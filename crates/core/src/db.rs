@@ -3,7 +3,7 @@
 //! [`EngineBuilder`].
 //!
 //! The immutable query infrastructure — catalog, statistics, cost model and
-//! the configured [`ReusePolicy`] — lives in the [`Database`] and is read
+//! the configured [`EngineStrategy`] — lives in the [`Database`] and is read
 //! lock-free by every session. The Hash Table Manager is the database's one
 //! reuse cache — hash tables and, for the materialized baseline, temp
 //! tables under one budget — and is itself concurrent (sharded by
@@ -48,47 +48,12 @@ use hashstash_exec::{
     acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics, WorkerPool,
 };
 use hashstash_opt::multi::{plan_batch, BatchUnit};
-use hashstash_opt::optimizer::{OptimizedQuery, Optimizer, OptimizerConfig};
-use hashstash_opt::policy::{
-    AlwaysShare, CostBasedReuse, MaterializedReuse, NeverShare, NoReuse, ReusePolicy,
-};
-use hashstash_opt::{CostModel, DbStats};
+use hashstash_opt::optimizer::{OptimizedQuery, Optimizer};
+use hashstash_opt::{CostModel, DbStats, EngineStrategy};
 use hashstash_plan::{QuerySpec, ReuseCase};
 use hashstash_storage::Catalog;
 
 use crate::materialized::materialized_plan;
-
-/// The paper's five §6 reuse configurations as a convenience enum; each
-/// maps onto one built-in [`ReusePolicy`]. Custom policies skip this enum
-/// entirely and go through [`EngineBuilder::policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineStrategy {
-    /// Reuse internal hash tables with the reuse-aware optimizer (paper).
-    #[default]
-    HashStash,
-    /// No reuse, no materialization — the plain baseline.
-    NoReuse,
-    /// Materialization-based reuse into temp tables (exact + subsuming).
-    Materialized,
-    /// Greedy reuse of the highest-contribution candidate (Exp 2 baseline).
-    AlwaysShare,
-    /// Reuse disabled in the optimizer but otherwise HashStash (Exp 2
-    /// baseline; equivalent to [`EngineStrategy::NoReuse`] for execution).
-    NeverShare,
-}
-
-impl EngineStrategy {
-    /// The built-in policy implementing this configuration.
-    pub fn policy(self) -> Arc<dyn ReusePolicy> {
-        match self {
-            EngineStrategy::HashStash => Arc::new(CostBasedReuse),
-            EngineStrategy::NoReuse => Arc::new(NoReuse),
-            EngineStrategy::Materialized => Arc::new(MaterializedReuse),
-            EngineStrategy::AlwaysShare => Arc::new(AlwaysShare),
-            EngineStrategy::NeverShare => Arc::new(NeverShare),
-        }
-    }
-}
 
 /// The result of one query.
 #[derive(Debug, Clone)]
@@ -157,18 +122,13 @@ pub enum BatchMode {
 ///     .gc(GcConfig::default())
 ///     .gc_budget(64 << 20)
 ///     .build();
-/// assert_eq!(db.policy().name(), "materialized");
+/// assert!(db.strategy().materializes());
 /// ```
 #[must_use = "call .build() to construct the Database"]
 pub struct EngineBuilder {
     catalog: Catalog,
-    policy: Arc<dyn ReusePolicy>,
+    strategy: EngineStrategy,
     gc: GcConfig,
-    avg_rewrite: bool,
-    additional_attributes: bool,
-    benefit_join_order: bool,
-    benefit_epsilon: f64,
-    calibrate: bool,
     parallelism: usize,
     data_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
@@ -180,13 +140,8 @@ impl EngineBuilder {
     fn new(catalog: Catalog) -> Self {
         EngineBuilder {
             catalog,
-            policy: Arc::new(CostBasedReuse),
+            strategy: EngineStrategy::default(),
             gc: GcConfig::default(),
-            avg_rewrite: true,
-            additional_attributes: true,
-            benefit_join_order: true,
-            benefit_epsilon: 0.1,
-            calibrate: false,
             parallelism: hashstash_exec::engine_default_parallelism(),
             data_dir: None,
             fsync: FsyncPolicy::default(),
@@ -205,23 +160,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Install a reuse policy (any [`ReusePolicy`] implementation; see the
-    /// built-ins in [`hashstash_opt::policy`]). Default:
-    /// [`CostBasedReuse`].
-    pub fn policy(mut self, policy: impl ReusePolicy + 'static) -> Self {
-        self.policy = Arc::new(policy);
+    /// Select one of the paper's reuse configurations. Default:
+    /// [`EngineStrategy::HashStash`].
+    pub fn strategy(mut self, strategy: EngineStrategy) -> Self {
+        self.strategy = strategy;
         self
-    }
-
-    /// Install an already-shared policy handle.
-    pub fn policy_handle(mut self, policy: Arc<dyn ReusePolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Select one of the paper's five configurations by name.
-    pub fn strategy(self, strategy: EngineStrategy) -> Self {
-        self.policy_handle(strategy.policy())
     }
 
     /// Reuse-cache GC configuration (budget, eviction policy, fine-grained
@@ -237,38 +180,6 @@ impl EngineBuilder {
     /// disable eviction, the default).
     pub fn gc_budget(mut self, bytes: impl Into<Option<usize>>) -> Self {
         self.gc.budget_bytes = bytes.into();
-        self
-    }
-
-    /// Benefit-oriented `AVG → SUM,COUNT` rewrite (paper §3.4). Default on.
-    pub fn avg_rewrite(mut self, on: bool) -> Self {
-        self.avg_rewrite = on;
-        self
-    }
-
-    /// Store selection attributes in join payloads (paper §3.4). Default on.
-    pub fn additional_attributes(mut self, on: bool) -> Self {
-        self.additional_attributes = on;
-        self
-    }
-
-    /// Prefer future-benefit plans within an epsilon (paper §3.4).
-    /// Default on.
-    pub fn benefit_join_order(mut self, on: bool) -> Self {
-        self.benefit_join_order = on;
-        self
-    }
-
-    /// Relative cost slack for the benefit preference. Default `0.1`.
-    pub fn benefit_epsilon(mut self, epsilon: f64) -> Self {
-        self.benefit_epsilon = epsilon;
-        self
-    }
-
-    /// Calibrate the cost model with real micro-benchmarks at startup
-    /// instead of the deterministic synthetic grid. Default off.
-    pub fn calibrate(mut self, on: bool) -> Self {
-        self.calibrate = on;
         self
     }
 
@@ -373,27 +284,15 @@ impl EngineBuilder {
         };
 
         let stats = DbStats::from_catalog(&catalog);
-        let cost = if self.calibrate {
-            CostModel::new(
-                hashstash_hashtable::Calibrator::default().run(),
-                hashstash_opt::CostParams::default(),
-            )
-        } else {
-            CostModel::synthetic()
-        }
         // The optimizer must price probe/scan phases the way the executor
         // will actually run them.
-        .with_parallelism(self.parallelism);
+        let cost = CostModel::synthetic().with_parallelism(self.parallelism);
         let db = Arc::new(Database {
             catalog,
             stats,
             cost,
-            policy: self.policy,
+            strategy: self.strategy,
             parallelism: self.parallelism,
-            avg_rewrite: self.avg_rewrite,
-            additional_attributes: self.additional_attributes,
-            benefit_join_order: self.benefit_join_order,
-            benefit_epsilon: self.benefit_epsilon,
             htm: HtManager::new(self.gc),
             // The submitting session thread is always a phase participant,
             // so `parallelism`-way execution needs `parallelism - 1` pool
@@ -451,19 +350,15 @@ impl FlushErrorSlot {
 }
 
 /// A shareable main-memory database: catalog, statistics, cost model, the
-/// configured [`ReusePolicy`] and the reuse cache. Many threads hold one
+/// configured [`EngineStrategy`] and the reuse cache. Many threads hold one
 /// `Arc<Database>` and drive queries through per-thread [`Session`]s; hash
 /// tables published by any session are reused by all of them.
 pub struct Database {
     catalog: Catalog,
     stats: DbStats,
     cost: CostModel,
-    policy: Arc<dyn ReusePolicy>,
+    strategy: EngineStrategy,
     parallelism: usize,
-    avg_rewrite: bool,
-    additional_attributes: bool,
-    benefit_join_order: bool,
-    benefit_epsilon: f64,
     htm: HtManager,
     /// Persistent morsel workers shared by every session of this database
     /// (spawned once at build, joined on drop).
@@ -490,7 +385,7 @@ impl Database {
         EngineBuilder::new(catalog)
     }
 
-    /// A database with all defaults (HashStash policy, unbounded caches).
+    /// A database with all defaults (HashStash strategy, unbounded caches).
     pub fn open(catalog: Catalog) -> Arc<Database> {
         Database::builder(catalog).build()
     }
@@ -561,9 +456,9 @@ impl Database {
         &self.stats
     }
 
-    /// The reuse policy in effect.
-    pub fn policy(&self) -> &Arc<dyn ReusePolicy> {
-        &self.policy
+    /// The reuse strategy in effect.
+    pub fn strategy(&self) -> EngineStrategy {
+        self.strategy
     }
 
     /// Morsel-parallel worker count every session's executor uses
@@ -683,13 +578,15 @@ impl Database {
         d.flush_snapshot(&self.catalog, &entries).map_err(dur_err)
     }
 
-    fn optimizer_config(&self, policy: &Arc<dyn ReusePolicy>) -> OptimizerConfig {
-        OptimizerConfig {
-            policy: Arc::clone(policy),
-            avg_rewrite: self.avg_rewrite,
-            additional_attributes: self.additional_attributes,
-            benefit_join_order: self.benefit_join_order,
-            benefit_epsilon: self.benefit_epsilon,
+    /// The plan a session runs for `q` under `strategy`: the reuse-aware
+    /// optimizer's, rewritten into temp-table materialization when the
+    /// strategy is the materialized baseline.
+    fn plan(&self, q: &QuerySpec, strategy: EngineStrategy) -> Result<OptimizedQuery> {
+        let optimizer = Optimizer::new(&self.catalog, &self.stats, &self.cost, strategy);
+        if strategy.materializes() {
+            materialized_plan(&optimizer, q, &self.htm)
+        } else {
+            optimizer.optimize(q, &self.htm)
         }
     }
 
@@ -751,8 +648,7 @@ impl Session {
 
     /// Optimize and execute a single query (query-at-a-time interface).
     pub fn execute(&mut self, q: &QuerySpec) -> Result<QueryResult> {
-        let policy = Arc::clone(&self.db.policy);
-        self.execute_with_policy(q, &policy)
+        self.execute_with(q, self.db.strategy)
     }
 
     /// How many times a session re-plans a query whose chosen reuse
@@ -760,14 +656,10 @@ impl Session {
     /// before it falls back to reuse-free execution.
     const MAX_REUSE_RETRIES: usize = 3;
 
-    fn execute_with_policy(
-        &mut self,
-        q: &QuerySpec,
-        policy: &Arc<dyn ReusePolicy>,
-    ) -> Result<QueryResult> {
+    fn execute_with(&mut self, q: &QuerySpec, strategy: EngineStrategy) -> Result<QueryResult> {
         let db = Arc::clone(&self.db);
         for _ in 0..Self::MAX_REUSE_RETRIES {
-            match self.execute_once(&db, q, policy) {
+            match self.execute_once(&db, q, strategy) {
                 // A table the optimizer picked was evicted or write-locked
                 // between planning and pinning. Re-plan: the stale
                 // candidate no longer appears, so the retry makes progress.
@@ -777,8 +669,7 @@ impl Session {
         }
         // Pathological contention: degrade to plain execution. NoReuse
         // neither checks out nor publishes, so it cannot race the cache.
-        let off: Arc<dyn ReusePolicy> = Arc::new(NoReuse);
-        self.execute_once(&db, q, &off)
+        self.execute_once(&db, q, EngineStrategy::NoReuse)
     }
 
     /// One optimize + pin + execute attempt. The cache is locked (per
@@ -789,17 +680,10 @@ impl Session {
         &mut self,
         db: &Database,
         q: &QuerySpec,
-        policy: &Arc<dyn ReusePolicy>,
+        strategy: EngineStrategy,
     ) -> Result<QueryResult> {
-        let opt_cfg = db.optimizer_config(policy);
-        let optimizer = Optimizer::new(&db.catalog, &db.stats, &db.cost, opt_cfg);
-
         let t0 = Instant::now();
-        let oq = if policy.materialize() {
-            materialized_plan(&optimizer, q, &db.htm)?
-        } else {
-            optimizer.optimize(q, &db.htm)?
-        };
+        let oq = db.plan(q, strategy)?;
         // Pin every table the plan reuses before execution starts; from
         // here on the plan cannot be invalidated by concurrent evictions.
         let pins = acquire_plan_checkouts(&oq.plan, &db.htm)?;
@@ -833,11 +717,10 @@ impl Session {
         })
     }
 
-    /// Optimize a query without executing it (experiments peek at plans).
+    /// Optimize a query without executing it (experiments peek at plans):
+    /// the plan [`Session::execute`] would run against the current cache.
     pub fn plan_only(&self, q: &QuerySpec) -> Result<OptimizedQuery> {
-        let opt_cfg = self.db.optimizer_config(&self.db.policy);
-        let optimizer = Optimizer::new(&self.db.catalog, &self.db.stats, &self.db.cost, opt_cfg);
-        optimizer.optimize(q, &self.db.htm)
+        self.db.plan(q, self.db.strategy)
     }
 
     /// Execute a batch of queries (query-batch interface, paper §4).
@@ -848,13 +731,10 @@ impl Session {
         mode: BatchMode,
     ) -> Result<Vec<QueryResult>> {
         match mode {
-            BatchMode::SingleNoReuse => {
-                let off: Arc<dyn ReusePolicy> = Arc::new(NoReuse);
-                queries
-                    .iter()
-                    .map(|q| self.execute_with_policy(q, &off))
-                    .collect()
-            }
+            BatchMode::SingleNoReuse => queries
+                .iter()
+                .map(|q| self.execute_with(q, EngineStrategy::NoReuse))
+                .collect(),
             BatchMode::SingleWithReuse => queries.iter().map(|q| self.execute(q)).collect(),
             BatchMode::SharedWithReuse => self.execute_shared_batch(queries),
         }
@@ -905,20 +785,17 @@ impl Session {
         queries: &[QuerySpec],
         results: &mut [Option<QueryResult>],
     ) -> Result<()> {
-        let opt_cfg = db.optimizer_config(&db.policy);
         let t0 = Instant::now();
         let plan = plan_batch(
             queries,
             &db.catalog,
             &db.stats,
             &db.cost,
-            opt_cfg,
+            db.strategy,
             &db.htm,
-            true,
         )?;
         let optimize_time = t0.elapsed();
 
-        let policy = Arc::clone(&db.policy);
         for unit in plan.units {
             match unit {
                 BatchUnit::Single { index, .. } => {
@@ -929,8 +806,7 @@ impl Session {
                     // a batch-wide lock because the shared units pin their
                     // tables at checkout time and check them back in the
                     // moment their mutation completes.
-                    let r = self.execute_with_policy(&queries[index], &policy)?;
-                    results[index] = Some(r);
+                    results[index] = Some(self.execute(&queries[index])?);
                 }
                 BatchUnit::Shared {
                     indices,
@@ -1008,8 +884,7 @@ pub fn decision_string(result: &QueryResult, order: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_opt::MatchRewrite;
-    use hashstash_plan::{AggExpr, AggFunc, HtFingerprint, Interval, QueryBuilder};
+    use hashstash_plan::{AggExpr, AggFunc, Interval, QueryBuilder};
     use hashstash_storage::tpch::{generate, TpchConfig};
     use hashstash_types::Value;
 
@@ -1062,7 +937,7 @@ mod tests {
             EngineStrategy::NoReuse,
             EngineStrategy::Materialized,
             EngineStrategy::AlwaysShare,
-            EngineStrategy::NeverShare,
+            EngineStrategy::BenefitScored,
         ];
         let queries = [
             q3(1, "1996-06-01"),
@@ -1219,8 +1094,8 @@ mod tests {
     #[test]
     fn builder_defaults_match_documented_invariants() {
         let db = Database::builder(catalog()).build();
-        assert_eq!(db.policy().name(), "hashstash");
-        assert!(!db.policy().materialize());
+        assert_eq!(db.strategy(), EngineStrategy::HashStash);
+        assert!(!db.strategy().materializes());
         assert_eq!(db.cache().gc_config().budget_bytes, None);
         assert_eq!(db.cache_stats().publishes, 0);
         assert_eq!(db.total_stats().queries, 0);
@@ -1313,52 +1188,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A custom policy plugs in end-to-end without touching engine or
-    /// optimizer internals (acceptance criterion of the facade redesign).
+    /// `plan_only` returns the plan `execute` runs: on a materialized
+    /// database a repeated query scans the temp tables its first run
+    /// materialized, and no hash-table publish marker is left in the plan.
     #[test]
-    fn custom_policy_runs_end_to_end() {
-        struct ExactOnly;
-        impl ReusePolicy for ExactOnly {
-            fn name(&self) -> &str {
-                "exact-only"
-            }
-            fn candidates(
-                &self,
-                _request: &HtFingerprint,
-                matches: Vec<MatchRewrite>,
-            ) -> Vec<MatchRewrite> {
-                matches
-                    .into_iter()
-                    .filter(|m| m.case == ReuseCase::Exact)
-                    .collect()
-            }
-            fn admit(&self, _fingerprint: &HtFingerprint) -> bool {
-                true
-            }
-        }
-
-        let db = Database::builder(catalog()).policy(ExactOnly).build();
-        let mut session = db.session();
-        session.execute(&q3(1, "1996-06-01")).unwrap();
-        // Exact repeat: reused. Widened predicate: NOT reused (would be
-        // partial), unlike the cost-based policy.
-        let exact = session.execute(&q3(2, "1996-06-01")).unwrap();
-        assert!(exact.decisions.iter().any(|(_, c)| c.is_some()));
-        let widened = session.execute(&q3(3, "1996-01-01")).unwrap();
-        assert!(
-            widened
-                .decisions
-                .iter()
-                .all(|(_, c)| !matches!(c, Some(ReuseCase::Partial))),
-            "exact-only policy must not take partial reuse: {:?}",
-            widened.decisions
-        );
-        // Answers still correct vs the no-reuse baseline.
-        let ns = Database::builder(catalog())
-            .strategy(EngineStrategy::NoReuse)
+    fn plan_only_shows_the_materialized_plan() {
+        let db = Database::builder(catalog())
+            .strategy(EngineStrategy::Materialized)
             .build();
-        let mut ns_session = ns.session();
-        let want = ns_session.execute(&q3(4, "1996-01-01")).unwrap();
-        assert_eq!(sorted(widened.rows).len(), sorted(want.rows).len());
+        let mut session = db.session();
+        let q = q3(1, "1996-06-01");
+        let cold = format!("{:?}", session.plan_only(&q).unwrap().plan);
+        assert!(cold.contains("Materialize"), "{cold}");
+        session.execute(&q).unwrap();
+        let warm = format!(
+            "{:?}",
+            session.plan_only(&q3(2, "1996-06-01")).unwrap().plan
+        );
+        assert!(warm.contains("TempScan"), "{warm}");
+        assert!(!warm.contains("publish: Some"), "{warm}");
     }
 }

@@ -9,23 +9,20 @@
 //! drive concurrently — hash tables published by one session are reused by
 //! all of them.
 //!
-//! Reuse behavior is a pluggable [`ReusePolicy`]
-//! (see [`hashstash_opt::policy`]). Five built-ins mirror the paper's §6
-//! configurations, selectable by name through [`EngineStrategy`]:
+//! Reuse behavior is one of the paper's §6 configurations, selected with
+//! [`EngineBuilder::strategy`] (see [`hashstash_opt::policy`]):
 //!
 //! * [`EngineStrategy::HashStash`] — the paper's system: reuse-aware
 //!   optimization with all four reuse cases, benefit-oriented rewrites, and
 //!   caching of every pipeline-breaker hash table.
-//! * [`EngineStrategy::NoReuse`] — traditional execution, nothing cached.
+//! * [`EngineStrategy::NoReuse`] — traditional execution, nothing cached
+//!   (also the *Never Share* baseline of the paper's Experiment 2).
 //! * [`EngineStrategy::Materialized`] — materialization-based reuse (Nagel
 //!   et al. style): operator outputs are copied into temp tables during
 //!   execution and reused later for exact/subsuming requests only.
-//! * [`EngineStrategy::AlwaysShare`] / [`EngineStrategy::NeverShare`] — the
-//!   greedy and no-reuse baselines of the paper's Experiment 2.
-//!
-//! Custom policies implement [`ReusePolicy`] and plug in through
-//! [`EngineBuilder::policy`] without touching engine or optimizer
-//! internals:
+//! * [`EngineStrategy::AlwaysShare`] — the greedy baseline of Experiment 2.
+//! * [`EngineStrategy::BenefitScored`] — HashStash, admitting a fresh table
+//!   only when the cost model predicts enough saved work per cached byte.
 //!
 //! ```no_run
 //! use hashstash::{Database, EngineStrategy};
@@ -60,16 +57,16 @@ pub mod db;
 pub mod materialized;
 
 pub use db::{
-    decision_string, BatchMode, Database, EngineBuilder, EngineStrategy, FlushErrorSlot,
-    QueryResult, Session, SessionStats,
+    decision_string, BatchMode, Database, EngineBuilder, FlushErrorSlot, QueryResult, Session,
+    SessionStats,
 };
 
 // Tenant identity is part of the serving surface (sessions, budget floors,
 // per-tenant statistics).
 pub use hashstash_cache::TenantId;
 
-// The policy trait is part of the facade's public surface.
-pub use hashstash_opt::policy::ReusePolicy;
+// The reuse configuration is part of the facade's public surface.
+pub use hashstash_opt::EngineStrategy;
 
 // Re-export the component crates so downstream users need only one
 // dependency.

@@ -20,7 +20,7 @@ use hashstash_exec::plan::{PhysicalPlan, ScanSpec};
 use hashstash_opt::optimizer::{OptimizedQuery, Optimizer};
 use hashstash_plan::{HtFingerprint, PredBox, QuerySpec, ReuseCase};
 
-/// Rewrite a never-share plan into the materialization-based baseline:
+/// Rewrite a reuse-free plan into the materialization-based baseline:
 /// replace reusable sub-plans with temp scans (exact/subsuming only) and
 /// wrap the remaining pipeline breakers with materialization.
 ///

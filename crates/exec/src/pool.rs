@@ -11,7 +11,7 @@
 //!
 //! # Submission protocol
 //!
-//! A phase calls [`WorkerPool::run_phase`] with a *participant closure*.
+//! A phase calls `WorkerPool::run_phase` with a *participant closure*.
 //! The closure wraps a claim loop over one shared atomic cursor (see
 //! `parallel::run_indexed`): every participant — pool workers *and the
 //! submitting caller* — claims morsel indices until none remain, then
@@ -32,7 +32,7 @@
 //!
 //! Pool workers are `'static` threads, but `task` borrows the submitting
 //! caller's stack frame. The job stores a lifetime-erased raw pointer to
-//! the closure ([`RawTask`]); the protocol makes that sound:
+//! the closure (`RawTask`); the protocol makes that sound:
 //!
 //! * a worker may reach the pointer only by taking the job from the queue,
 //!   and it increments the job's `active` count **under the queue lock**

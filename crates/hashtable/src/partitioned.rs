@@ -5,7 +5,8 @@
 //! in row order) follow from that. To parallelize the build *without changing
 //! either*, the work is partitioned **by bucket**, not by row:
 //!
-//! 1. the caller pre-sizes the directory ([`ExtendibleHashTable::reserve`]),
+//! 1. the caller pre-sizes the directory
+//!    ([`ExtendibleHashTable::reserve`](crate::ExtendibleHashTable::reserve)),
 //!    fixing the bucket of every key up front;
 //! 2. each worker takes a contiguous range of buckets and scans the full key
 //!    sequence in row order, recording — for its buckets only — the chain

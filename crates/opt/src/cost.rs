@@ -21,8 +21,6 @@
 
 use hashstash_hashtable::calibration::{CostGrid, HtOp};
 
-use crate::policy::AdmissionScore;
-
 /// Scalar cost constants besides the calibrated grid.
 #[derive(Debug, Clone, Copy)]
 pub struct CostParams {
@@ -369,36 +367,36 @@ impl CostModel {
         resize + cow + insert + update + post
     }
 
-    /// Admission score for publishing a fresh **join build**: the benefit
-    /// is the build-side share of `c_RHJ` (resize + inserts — exactly what
-    /// a future exact reuse skips; the probe is paid either way), the cost
-    /// is the table's predicted footprint.
-    pub fn admission_score_join(&self, build_rows: f64, width: f64) -> AdmissionScore {
-        AdmissionScore {
-            predicted_benefit_ns: self.rhj_fresh(build_rows, width, 0.0),
-            predicted_bytes: self.ht_size(build_rows, width),
-        }
+    /// Admission score for publishing a fresh **join build**: the cycles
+    /// one future exact reuse saves — the build-side share of `c_RHJ`
+    /// (resize + inserts; the probe is paid either way) — per byte of the
+    /// table's predicted footprint. The admission analogue of the GC's
+    /// benefit/size weight.
+    pub fn join_benefit_per_byte(&self, build_rows: f64, width: f64) -> f64 {
+        benefit_per_byte(
+            self.rhj_fresh(build_rows, width, 0.0),
+            self.ht_size(build_rows, width),
+        )
     }
 
     /// Admission score for publishing a fresh **aggregate**: a future exact
-    /// reuse skips the whole `c_RHA` (aggregation is all build), against
-    /// the grouped table's predicted footprint.
-    pub fn admission_score_agg(
-        &self,
-        input_rows: f64,
-        distinct_groups: f64,
-        width: f64,
-    ) -> AdmissionScore {
-        AdmissionScore {
-            predicted_benefit_ns: self.rha_fresh(input_rows, distinct_groups, width),
-            predicted_bytes: self.ht_size(distinct_groups.min(input_rows).max(1.0), width),
-        }
+    /// reuse skips the whole `c_RHA` (aggregation is all build), per byte
+    /// of the grouped table's predicted footprint.
+    pub fn agg_benefit_per_byte(&self, input_rows: f64, distinct_groups: f64, width: f64) -> f64 {
+        benefit_per_byte(
+            self.rha_fresh(input_rows, distinct_groups, width),
+            self.ht_size(distinct_groups.min(input_rows).max(1.0), width),
+        )
     }
 
     /// Cost of emitting `rows` result rows.
     pub fn output(&self, rows: f64) -> f64 {
         rows * self.params.output_ns
     }
+}
+
+fn benefit_per_byte(benefit_ns: f64, bytes: f64) -> f64 {
+    benefit_ns / bytes.max(1.0)
 }
 
 #[cfg(test)]
@@ -609,14 +607,16 @@ mod tests {
         // the admission benefit must shrink with workers (same footprint).
         let serial = model();
         let par = CostModel::synthetic().with_parallelism(4);
-        let s = serial.admission_score_join(100_000.0, 32.0);
-        let p = par.admission_score_join(100_000.0, 32.0);
-        assert!(p.predicted_benefit_ns < s.predicted_benefit_ns);
-        assert_eq!(p.predicted_bytes, s.predicted_bytes);
-        let s = serial.admission_score_agg(1_000_000.0, 50_000.0, 64.0);
-        let p = par.admission_score_agg(1_000_000.0, 50_000.0, 64.0);
-        assert!(p.predicted_benefit_ns < s.predicted_benefit_ns);
-        assert_eq!(p.predicted_bytes, s.predicted_bytes);
+        assert!(
+            par.join_benefit_per_byte(100_000.0, 32.0)
+                < serial.join_benefit_per_byte(100_000.0, 32.0)
+        );
+        assert!(
+            par.agg_benefit_per_byte(1_000_000.0, 50_000.0, 64.0)
+                < serial.agg_benefit_per_byte(1_000_000.0, 50_000.0, 64.0)
+        );
+        // An empty build still has a finite score.
+        assert!(serial.join_benefit_per_byte(0.0, 0.0).is_finite());
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   contribution- and overhead-ratios of candidate tables.
 //! * [`matching`] — candidate matching and rewrite planning for the four
 //!   reuse cases (exact, subsuming, partial, overlapping).
-//! * [`policy`] — the [`ReusePolicy`] trait and the five built-in policies
-//!   mirroring the paper's §6 configurations; new policies plug in without
-//!   touching the optimizer.
+//! * [`policy`] — [`EngineStrategy`], the paper's §6 reuse configurations
+//!   as one `Copy` enum whose methods answer what to match, what to admit,
+//!   whether to prefer reuse greedily and whether to materialize.
 //! * [`optimizer`] — single-query plan enumeration (Algorithm 1) plus the
-//!   benefit-oriented optimizations of §3.4, consulting the configured
-//!   [`ReusePolicy`] at every pipeline breaker.
+//!   benefit-oriented optimizations of §3.4, consulting the
+//!   [`EngineStrategy`] at every pipeline breaker.
 //! * [`multi`] — the query-batch interface: DP-based merging into
 //!   reuse-aware shared plans (§4.2).
 
@@ -33,9 +33,6 @@ pub mod stats;
 pub use cost::{CostModel, CostParams};
 pub use matching::{MatchRewrite, Matcher};
 pub use multi::{plan_batch, BatchPlan, BatchUnit};
-pub use optimizer::{OptimizedQuery, Optimizer, OptimizerConfig};
-pub use policy::{
-    AdmissionScore, AlwaysShare, BenefitScoredAdmission, CostBasedReuse, MaterializedReuse,
-    NeverShare, NoReuse, PolicyHandle, ReusePolicy,
-};
+pub use optimizer::{OptimizedQuery, Optimizer};
+pub use policy::EngineStrategy;
 pub use stats::DbStats;

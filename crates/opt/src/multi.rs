@@ -30,7 +30,8 @@ use hashstash_storage::Catalog;
 
 use crate::cost::{CandidateShape, CostModel};
 use crate::matching::{MatchRewrite, Matcher};
-use crate::optimizer::{Optimizer, OptimizerConfig};
+use crate::optimizer::Optimizer;
+use crate::policy::EngineStrategy;
 use crate::stats::DbStats;
 
 /// One unit of a batch plan.
@@ -62,17 +63,13 @@ pub struct BatchPlan {
 }
 
 /// Plan a batch of queries into single plans and reuse-aware shared plans.
-///
-/// `allow_sharing = false` degrades to one single-query unit per query
-/// (the paper's "single-query plan" batch modes).
 pub fn plan_batch(
     queries: &[QuerySpec],
     catalog: &Catalog,
     stats: &DbStats,
     cost: &CostModel,
-    config: OptimizerConfig,
+    strategy: EngineStrategy,
     htm: &HtManager,
-    allow_sharing: bool,
 ) -> Result<BatchPlan> {
     if queries.is_empty() {
         return Ok(BatchPlan {
@@ -80,8 +77,7 @@ pub fn plan_batch(
             est_cost_ns: 0.0,
         });
     }
-    let policy = config.policy.clone();
-    let optimizer = Optimizer::new(catalog, stats, cost, config);
+    let optimizer = Optimizer::new(catalog, stats, cost, strategy);
     let mut single_cost: Vec<f64> = Vec::with_capacity(queries.len());
     for q in queries.iter() {
         single_cost.push(optimizer.optimize(q, htm)?.est_cost_ns);
@@ -90,47 +86,43 @@ pub fn plan_batch(
     // Incremental DP over merge configurations (paper Figure 6): groups of
     // query indices; singletons may later become shared groups.
     let mut groups: Vec<Vec<usize>> = vec![vec![0]];
-    if allow_sharing {
-        let mut group_cost_memo: HashMap<Vec<usize>, f64> = HashMap::new();
-        let mut eval_group = |g: &Vec<usize>, htm: &HtManager| -> f64 {
-            if g.len() == 1 {
-                return single_cost[g[0]];
-            }
-            if let Some(&c) = group_cost_memo.get(g) {
-                return c;
-            }
-            let qs: Vec<&QuerySpec> = g.iter().map(|&i| &queries[i]).collect();
-            // A group that cannot run as one join chain never merges.
-            let c = derive_shared_spec(&qs, stats, cost, htm, policy.as_ref())
-                .map_or(f64::INFINITY, |(_, c)| c);
-            group_cost_memo.insert(g.clone(), c);
-            c
-        };
-        for i in 1..queries.len() {
-            // Option A: keep query i separate.
-            let mut best_groups = groups.clone();
-            best_groups.push(vec![i]);
-            let mut best_cost: f64 = best_groups.iter().map(|g| eval_group(g, htm)).sum();
-            // Option B: merge query i into each mergeable existing group.
-            for gi in 0..groups.len() {
-                let mergeable = groups[gi]
-                    .iter()
-                    .all(|&j| queries[j].same_join_graph(&queries[i]));
-                if !mergeable {
-                    continue;
-                }
-                let mut candidate = groups.clone();
-                candidate[gi].push(i);
-                let total: f64 = candidate.iter().map(|g| eval_group(g, htm)).sum();
-                if total < best_cost {
-                    best_cost = total;
-                    best_groups = candidate;
-                }
-            }
-            groups = best_groups;
+    let mut group_cost_memo: HashMap<Vec<usize>, f64> = HashMap::new();
+    let mut eval_group = |g: &Vec<usize>| -> f64 {
+        if g.len() == 1 {
+            return single_cost[g[0]];
         }
-    } else {
-        groups = (0..queries.len()).map(|i| vec![i]).collect();
+        if let Some(&c) = group_cost_memo.get(g) {
+            return c;
+        }
+        let qs: Vec<&QuerySpec> = g.iter().map(|&i| &queries[i]).collect();
+        // A group that cannot run as one join chain never merges.
+        let c =
+            derive_shared_spec(&qs, stats, cost, htm, strategy).map_or(f64::INFINITY, |(_, c)| c);
+        group_cost_memo.insert(g.clone(), c);
+        c
+    };
+    for i in 1..queries.len() {
+        // Option A: keep query i separate.
+        let mut best_groups = groups.clone();
+        best_groups.push(vec![i]);
+        let mut best_cost: f64 = best_groups.iter().map(&mut eval_group).sum();
+        // Option B: merge query i into each mergeable existing group.
+        for gi in 0..groups.len() {
+            let mergeable = groups[gi]
+                .iter()
+                .all(|&j| queries[j].same_join_graph(&queries[i]));
+            if !mergeable {
+                continue;
+            }
+            let mut candidate = groups.clone();
+            candidate[gi].push(i);
+            let total: f64 = candidate.iter().map(&mut eval_group).sum();
+            if total < best_cost {
+                best_cost = total;
+                best_groups = candidate;
+            }
+        }
+        groups = best_groups;
     }
 
     // Materialize units.
@@ -146,7 +138,7 @@ pub fn plan_batch(
             });
         } else {
             let qs: Vec<&QuerySpec> = g.iter().map(|&i| &queries[i]).collect();
-            let (spec, c) = derive_shared_spec(&qs, stats, cost, htm, policy.as_ref())?;
+            let (spec, c) = derive_shared_spec(&qs, stats, cost, htm, strategy)?;
             total += c;
             units.push(BatchUnit::Shared {
                 indices: g,
@@ -277,14 +269,14 @@ fn reuse_spec(m: &MatchRewrite, request: &HtFingerprint) -> ReuseSpec {
 
 /// Derive an executable [`SharedPlanSpec`] for a mergeable group, making
 /// reuse decisions against the current cache state, and its estimated
-/// runtime. The policy filters reuse candidates and gates which fresh
-/// tables are admitted (published) into the cache.
+/// runtime. The strategy decides whether reuse candidates are matched and
+/// which fresh tables are admitted (published) into the cache.
 pub fn derive_shared_spec(
     queries: &[&QuerySpec],
     stats: &DbStats,
     cost: &CostModel,
     htm: &HtManager,
-    policy: &dyn crate::policy::ReusePolicy,
+    strategy: EngineStrategy,
 ) -> Result<(SharedPlanSpec, f64)> {
     let q0 = queries[0];
     let driver = driver_table(q0, stats);
@@ -292,11 +284,10 @@ pub fn derive_shared_spec(
     let joined =
         |region: &Region| stats.join_rows(q0.tables.iter().map(|t| t.as_ref()), &q0.joins, region);
     let candidates = |request: &HtFingerprint| -> Vec<MatchRewrite> {
-        if !policy.wants_candidates() {
+        if !strategy.reuses() {
             return Vec::new();
         }
-        let found = Matcher.find_matches(htm, request, &PredBox::all(), stats);
-        policy.candidates(request, found)
+        Matcher.find_matches(htm, request, &PredBox::all(), stats)
     };
     let best = |ms: Vec<MatchRewrite>| ms.into_iter().max_by(|a, b| a.contr.total_cmp(&b.contr));
     let mut total = 0.0;
@@ -370,7 +361,7 @@ pub fn derive_shared_spec(
                 group_specs.push(SharedGroupSpec {
                     group_by: q.group_by.clone(),
                     stored_attrs: stored,
-                    publish: (policy.admit(&request) && reuse.is_none()).then_some(request),
+                    publish: (strategy.admits(None) && reuse.is_none()).then_some(request),
                     reuse,
                 });
                 group_specs.len() - 1
@@ -450,7 +441,7 @@ pub fn derive_shared_spec(
                 probe_key: step.probe_key,
                 build_key: step.request.key_attrs[0].clone(),
                 build: build.map(Box::new),
-                publish: (policy.admit(&step.request) && reuse.is_none()).then_some(step.request),
+                publish: (strategy.admits(None) && reuse.is_none()).then_some(step.request),
                 reuse,
             };
         }
@@ -512,9 +503,8 @@ mod tests {
             &cat,
             &stats,
             &cost,
-            OptimizerConfig::default(),
+            EngineStrategy::HashStash,
             &htm,
-            true,
         )
         .unwrap();
         // All four share a join graph — expect at least one shared unit.
@@ -553,9 +543,8 @@ mod tests {
             &cat,
             &stats,
             &cost,
-            OptimizerConfig::default(),
+            EngineStrategy::HashStash,
             &htm,
-            true,
         )
         .unwrap();
         for u in &plan.units {
@@ -578,7 +567,7 @@ mod tests {
     ) -> Vec<Vec<Row>> {
         let stats = DbStats::from_catalog(cat);
         let cost = CostModel::synthetic();
-        let opt = Optimizer::new(cat, &stats, &cost, OptimizerConfig::default());
+        let opt = Optimizer::new(cat, &stats, &cost, EngineStrategy::HashStash);
         let mut out: Vec<Vec<Row>> = vec![Vec::new(); queries.len()];
         for unit in plan.units {
             let mut ctx = ExecContext::new(cat, htm);
@@ -607,12 +596,7 @@ mod tests {
     fn one_at_a_time(queries: &[QuerySpec], cat: &Catalog) -> Vec<Vec<Row>> {
         let stats = DbStats::from_catalog(cat);
         let cost = CostModel::synthetic();
-        let opt = Optimizer::new(
-            cat,
-            &stats,
-            &cost,
-            OptimizerConfig::with_policy(std::sync::Arc::new(crate::policy::NoReuse)),
-        );
+        let opt = Optimizer::new(cat, &stats, &cost, EngineStrategy::NoReuse);
         let htm = HtManager::new(GcConfig::default());
         queries
             .iter()
@@ -633,7 +617,7 @@ mod tests {
         let queries = vec![mk(1, 20, 40), mk(2, 30, 60)];
         let refs: Vec<&QuerySpec> = queries.iter().collect();
         let (spec, _) =
-            derive_shared_spec(&refs, &stats, &cost, &htm, &crate::policy::CostBasedReuse).unwrap();
+            derive_shared_spec(&refs, &stats, &cost, &htm, EngineStrategy::HashStash).unwrap();
         let mut ctx = ExecContext::new(&cat, &htm);
         let results = execute_shared(&spec, &mut ctx).unwrap();
         assert_eq!(results.len(), 2);
@@ -659,9 +643,8 @@ mod tests {
             &cat,
             &stats,
             &cost,
-            OptimizerConfig::default(),
+            EngineStrategy::HashStash,
             &htm,
-            true,
         )
         .unwrap();
         assert!(plan
@@ -678,16 +661,7 @@ mod tests {
     fn empty_batch_is_empty_plan() {
         let (cat, stats, cost) = setup();
         let htm = HtManager::new(GcConfig::default());
-        let plan = plan_batch(
-            &[],
-            &cat,
-            &stats,
-            &cost,
-            OptimizerConfig::default(),
-            &htm,
-            true,
-        )
-        .unwrap();
+        let plan = plan_batch(&[], &cat, &stats, &cost, EngineStrategy::HashStash, &htm).unwrap();
         assert!(plan.units.is_empty());
         assert_eq!(plan.est_cost_ns, 0.0);
     }

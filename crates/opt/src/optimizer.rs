@@ -9,10 +9,12 @@
 //! alternative with the reuse-aware cost models. SPJA queries add an
 //! aggregation enumeration on top (paper §3.1, "Complex Queries").
 //!
-//! Benefit-oriented optimizations (§3.4) are controlled by
-//! [`OptimizerConfig`]: the `AVG → SUM,COUNT` rewrite, storing selection
-//! attributes in join payloads for future post-filtering, and a join-order
-//! preference for hash tables with more future reuse potential.
+//! The benefit-oriented optimizations of §3.4 are always on: `AVG` is
+//! stored as `SUM` + `COUNT`, join payloads keep the selection attributes
+//! future queries post-filter on, and among plans within 10 % of the best
+//! cost the one building hash tables with more future reuse potential
+//! wins. The [`EngineStrategy`] decides what is matched, what is admitted
+//! and whether reuse is preferred greedily.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -28,49 +30,12 @@ use hashstash_storage::Catalog;
 
 use crate::cost::{CandidateShape, CostModel};
 use crate::matching::{MatchRewrite, Matcher};
-use crate::policy::{CostBasedReuse, ReusePolicy};
+use crate::policy::EngineStrategy;
 use crate::stats::DbStats;
 
-/// Optimizer knobs.
-#[derive(Debug, Clone)]
-pub struct OptimizerConfig {
-    /// Reuse decision policy consulted at every pipeline breaker (which
-    /// candidates to consider, what to admit into the cache, and whether
-    /// reuse is greedily preferred). See [`crate::policy`].
-    pub policy: Arc<dyn ReusePolicy>,
-    /// Benefit-oriented: rewrite `AVG` to `SUM`+`COUNT` (paper §3.4).
-    pub avg_rewrite: bool,
-    /// Benefit-oriented: store selection attributes in join payloads so
-    /// future queries can post-filter (paper §3.4).
-    pub additional_attributes: bool,
-    /// Benefit-oriented: within `benefit_epsilon` of the best cost, prefer
-    /// the plan that builds hash tables with more future reuse potential.
-    pub benefit_join_order: bool,
-    /// Relative cost slack for the benefit preference.
-    pub benefit_epsilon: f64,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            policy: Arc::new(CostBasedReuse),
-            avg_rewrite: true,
-            additional_attributes: true,
-            benefit_join_order: true,
-            benefit_epsilon: 0.1,
-        }
-    }
-}
-
-impl OptimizerConfig {
-    /// Default knobs under the given reuse policy.
-    pub fn with_policy(policy: Arc<dyn ReusePolicy>) -> Self {
-        OptimizerConfig {
-            policy,
-            ..OptimizerConfig::default()
-        }
-    }
-}
+/// Relative cost slack within which the §3.4 join-order preference picks
+/// the plan with more future reuse potential over the cheaper one.
+const BENEFIT_EPSILON: f64 = 0.1;
 
 /// Estimated cost of one enumerated sub-plan group (paper Fig. 10 feeds on
 /// these).
@@ -113,7 +78,7 @@ pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     stats: &'a DbStats,
     cost: &'a CostModel,
-    config: OptimizerConfig,
+    strategy: EngineStrategy,
     matcher: Matcher,
     /// Per-optimize memo for reuse-free delta pipelines, keyed by
     /// `(mask, predicate, needed attrs)`. Delta plans are enumerated once
@@ -123,26 +88,21 @@ pub struct Optimizer<'a> {
 
 impl<'a> Optimizer<'a> {
     /// Construct an optimizer over the given catalog, statistics and cost
-    /// model.
+    /// model, planning under `strategy`.
     pub fn new(
         catalog: &'a Catalog,
         stats: &'a DbStats,
         cost: &'a CostModel,
-        config: OptimizerConfig,
+        strategy: EngineStrategy,
     ) -> Self {
         Optimizer {
             catalog,
             stats,
             cost,
-            config,
+            strategy,
             matcher: Matcher,
             fresh_memo: std::cell::RefCell::new(HashMap::new()),
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &OptimizerConfig {
-        &self.config
     }
 
     /// Optimize a query into a reuse-aware physical plan.
@@ -244,7 +204,7 @@ impl<'a> Optimizer<'a> {
         let Some(inc) = incumbent else {
             return challenger;
         };
-        if self.config.policy.prefer_reuse() {
+        if self.strategy.prefers_reuse() {
             // Prefer any reusing plan over a non-reusing one.
             match (inc.reused, challenger.reused) {
                 (true, false) => return inc,
@@ -252,17 +212,14 @@ impl<'a> Optimizer<'a> {
                 _ => {}
             }
         }
-        if self.config.benefit_join_order {
-            let eps = self.config.benefit_epsilon;
-            let close =
-                (inc.cost - challenger.cost).abs() <= eps * inc.cost.min(challenger.cost).max(1.0);
-            if close && challenger.benefit != inc.benefit {
-                return if challenger.benefit > inc.benefit {
-                    challenger
-                } else {
-                    inc
-                };
-            }
+        let close = (inc.cost - challenger.cost).abs()
+            <= BENEFIT_EPSILON * inc.cost.min(challenger.cost).max(1.0);
+        if close && challenger.benefit != inc.benefit {
+            return if challenger.benefit > inc.benefit {
+                challenger
+            } else {
+                inc
+            };
         }
         if challenger.cost < inc.cost {
             challenger
@@ -361,11 +318,11 @@ impl<'a> Optimizer<'a> {
                 self.cost
                     .rhj_fresh(build_info.rows.max(1.0), payload_width, probe_info.rows);
             let cost = probe_info.cost + build_info.cost + join_cost + self.cost.output(out_rows);
-            // Benefit-scored admission: the policy sees what a future exact
-            // reuse of this build would save per byte of cache footprint.
+            // Benefit-scored admission: the strategy sees what a future
+            // exact reuse of this build would save per byte of footprint.
             let score = self
                 .cost
-                .admission_score_join(build_info.rows.max(1.0), payload_width);
+                .join_benefit_per_byte(build_info.rows.max(1.0), payload_width);
             options.push(PlanInfo {
                 plan: PhysicalPlan::HashJoin {
                     probe: Box::new(probe_info.plan.clone()),
@@ -374,9 +331,8 @@ impl<'a> Optimizer<'a> {
                     build_key: build_key.clone(),
                     reuse: None,
                     publish: self
-                        .config
-                        .policy
-                        .admit_scored(&request_fp, &score)
+                        .strategy
+                        .admits(Some(score))
                         .then(|| request_fp.clone()),
                 },
                 cost,
@@ -387,16 +343,7 @@ impl<'a> Optimizer<'a> {
         }
 
         // --- Reuse candidates --------------------------------------------
-        let matches = if self.config.policy.wants_candidates() {
-            self.config.policy.candidates(
-                &request_fp,
-                self.matcher
-                    .find_matches(htm, &request_fp, &request_box, self.stats),
-            )
-        } else {
-            Vec::new()
-        };
-        for m in matches {
+        for m in self.candidates(htm, &request_fp, &request_box) {
             let opt = self.reuse_join_option(
                 q,
                 graph,
@@ -646,7 +593,7 @@ impl<'a> Optimizer<'a> {
         htm: &HtManager,
     ) -> Result<(PhysicalPlan, f64, bool)> {
         let storage_aggs = self.storage_aggs(q);
-        let output_aggs = map_output_aggs(&q.aggregates, &storage_aggs, self.config.avg_rewrite)?;
+        let output_aggs = map_output_aggs(&q.aggregates, &storage_aggs)?;
         let request_box = q.predicates.clone();
         let request_fp = HtFingerprint {
             kind: HtKind::Aggregate,
@@ -674,7 +621,7 @@ impl<'a> Optimizer<'a> {
         // exact reuse of the grouped table would save, per byte kept.
         let agg_score = self
             .cost
-            .admission_score_agg(join_info.rows, groups, state_width);
+            .agg_benefit_per_byte(join_info.rows, groups, state_width);
         let fresh = PlanInfo {
             plan: PhysicalPlan::HashAggregate {
                 input: Some(Box::new(join_info.plan.clone())),
@@ -683,9 +630,8 @@ impl<'a> Optimizer<'a> {
                 output_aggs: output_aggs.clone(),
                 reuse: None,
                 publish: self
-                    .config
-                    .policy
-                    .admit_scored(&request_fp, &agg_score)
+                    .strategy
+                    .admits(Some(agg_score))
                     .then(|| request_fp.clone()),
                 post_group_by: None,
             },
@@ -697,16 +643,7 @@ impl<'a> Optimizer<'a> {
         let mut best = fresh;
 
         // --- Reuse candidates ---------------------------------------------
-        let matches = if self.config.policy.wants_candidates() {
-            self.config.policy.candidates(
-                &request_fp,
-                self.matcher
-                    .find_matches(htm, &request_fp, &request_box, self.stats),
-            )
-        } else {
-            Vec::new()
-        };
-        for m in matches {
+        for m in self.candidates(htm, &request_fp, &request_box) {
             if let Some(opt) = self.reuse_agg_option(q, graph, &request_fp, groups, &m)? {
                 best = self.pick(Some(best), opt);
             }
@@ -725,8 +662,7 @@ impl<'a> Optimizer<'a> {
     ) -> Result<Option<PlanInfo>> {
         // Output mapping against the *cached* table's stored aggregates.
         let stored_aggs = m.candidate.fingerprint.aggregates.clone();
-        let Ok(output_aggs) = map_output_aggs(&q.aggregates, &stored_aggs, self.config.avg_rewrite)
-        else {
+        let Ok(output_aggs) = map_output_aggs(&q.aggregates, &stored_aggs) else {
             return Ok(None); // cached table lacks a needed accumulator
         };
         let shape = CandidateShape {
@@ -859,20 +795,28 @@ impl<'a> Optimizer<'a> {
     // Helpers
     // -----------------------------------------------------------------
 
-    /// Aggregates as stored in hash tables (after the optional AVG rewrite),
+    /// The cached tables the strategy lets this request consider (none,
+    /// without a cache lookup, when it does not reuse).
+    fn candidates(
+        &self,
+        htm: &HtManager,
+        request_fp: &HtFingerprint,
+        request_box: &PredBox,
+    ) -> Vec<MatchRewrite> {
+        if !self.strategy.reuses() {
+            return Vec::new();
+        }
+        self.matcher
+            .find_matches(htm, request_fp, request_box, self.stats)
+    }
+
+    /// Aggregates as stored in hash tables (after the AVG rewrite),
     /// deduplicated.
     fn storage_aggs(&self, q: &QuerySpec) -> Vec<AggExpr> {
         let mut out: Vec<AggExpr> = Vec::new();
-        for a in &q.aggregates {
-            let rewritten = if self.config.avg_rewrite {
-                a.rewrite_avg()
-            } else {
-                vec![a.clone()]
-            };
-            for r in rewritten {
-                if !out.contains(&r) {
-                    out.push(r);
-                }
+        for r in q.aggregates.iter().flat_map(AggExpr::rewrite_avg) {
+            if !out.contains(&r) {
+                out.push(r);
             }
         }
         out
@@ -882,33 +826,17 @@ impl<'a> Optimizer<'a> {
     /// join keys and (benefit-oriented) selection attributes.
     fn required_attrs(&self, q: &QuerySpec, table: &str) -> Vec<Arc<str>> {
         let prefix = format!("{table}.");
-        let mut attrs: Vec<Arc<str>> = Vec::new();
-        let add = |a: &Arc<str>, attrs: &mut Vec<Arc<str>>| {
-            if a.starts_with(&prefix) && !attrs.contains(a) {
-                attrs.push(a.clone());
-            }
-        };
-        for a in &q.projection {
-            add(a, &mut attrs);
-        }
-        for g in &q.group_by {
-            add(g, &mut attrs);
-        }
-        for agg in &q.aggregates {
-            add(&agg.attr, &mut attrs);
-        }
-        for e in &q.joins {
-            if let Some(col) = e.col_of(table) {
-                if !attrs.contains(col) {
-                    attrs.push(col.clone());
-                }
-            }
-        }
-        if self.config.additional_attributes {
-            for (a, _) in q.predicates.constrained() {
-                add(a, &mut attrs);
-            }
-        }
+        let used = q
+            .projection
+            .iter()
+            .chain(&q.group_by)
+            .chain(q.aggregates.iter().map(|a| &a.attr))
+            .chain(q.predicates.constrained().map(|(a, _)| a));
+        let mut attrs: Vec<Arc<str>> = used
+            .filter(|a| a.starts_with(&prefix))
+            .chain(q.joins.iter().filter_map(|e| e.col_of(table)))
+            .cloned()
+            .collect();
         attrs.sort();
         attrs.dedup();
         attrs
@@ -988,11 +916,7 @@ fn mask_label(graph: &JoinGraph, mask: u64) -> String {
 }
 
 /// Map the query's requested aggregates onto stored accumulator indices.
-fn map_output_aggs(
-    requested: &[AggExpr],
-    stored: &[AggExpr],
-    avg_rewrite: bool,
-) -> Result<Vec<OutputAgg>> {
+fn map_output_aggs(requested: &[AggExpr], stored: &[AggExpr]) -> Result<Vec<OutputAgg>> {
     let find = |expr: &AggExpr| -> Result<usize> {
         stored
             .iter()
@@ -1002,7 +926,7 @@ fn map_output_aggs(
     requested
         .iter()
         .map(|r| {
-            if r.func == AggFunc::Avg && avg_rewrite {
+            if r.func == AggFunc::Avg {
                 let sum_idx = find(&AggExpr::new(AggFunc::Sum, r.attr.clone()))?;
                 let count_idx = find(&AggExpr::new(AggFunc::Count, r.attr.clone()))?;
                 Ok(OutputAgg::AvgOf { sum_idx, count_idx })
@@ -1068,7 +992,7 @@ mod tests {
     #[test]
     fn optimize_and_execute_q3() {
         let (cat, stats, cost) = setup();
-        let opt = Optimizer::new(&cat, &stats, &cost, OptimizerConfig::default());
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
         let htm = HtManager::new(GcConfig::default());
         let oq = opt.optimize(&q3(1, "1996-01-01"), &htm).unwrap();
         assert!(oq.est_cost_ns > 0.0);
@@ -1082,7 +1006,7 @@ mod tests {
     #[test]
     fn second_identical_query_gets_exact_reuse() {
         let (cat, stats, cost) = setup();
-        let opt = Optimizer::new(&cat, &stats, &cost, OptimizerConfig::default());
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
         let htm = HtManager::new(GcConfig::default());
         let q = q3(1, "1996-01-01");
         let first = opt.optimize(&q, &htm).unwrap();
@@ -1103,7 +1027,7 @@ mod tests {
     #[test]
     fn widened_predicate_gets_partial_reuse_and_correct_answers() {
         let (cat, stats, cost) = setup();
-        let opt = Optimizer::new(&cat, &stats, &cost, OptimizerConfig::default());
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
         let htm = HtManager::new(GcConfig::default());
         let q = q3(1, "1996-06-01");
         let first = opt.optimize(&q, &htm).unwrap();
@@ -1122,12 +1046,7 @@ mod tests {
         let (_, rows) = run(&second.plan, &cat, &htm);
 
         // Reference: never-share run in a fresh engine.
-        let ns = Optimizer::new(
-            &cat,
-            &stats,
-            &cost,
-            OptimizerConfig::with_policy(Arc::new(crate::policy::NoReuse)),
-        );
+        let ns = Optimizer::new(&cat, &stats, &cost, EngineStrategy::NoReuse);
         let htm2 = HtManager::new(GcConfig::default());
         let reference = ns.optimize(&q3(3, "1996-01-01"), &htm2).unwrap();
         let (_, expect) = run(&reference.plan, &cat, &htm2);
@@ -1143,7 +1062,7 @@ mod tests {
     #[test]
     fn narrowed_predicate_gets_subsuming_reuse() {
         let (cat, stats, cost) = setup();
-        let opt = Optimizer::new(&cat, &stats, &cost, OptimizerConfig::default());
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
         let htm = HtManager::new(GcConfig::default());
         run(
             &opt.optimize(&q3(1, "1996-01-01"), &htm).unwrap().plan,
@@ -1162,12 +1081,7 @@ mod tests {
         );
         // Correctness vs never-share.
         let (_, rows) = run(&second.plan, &cat, &htm);
-        let ns = Optimizer::new(
-            &cat,
-            &stats,
-            &cost,
-            OptimizerConfig::with_policy(Arc::new(crate::policy::NoReuse)),
-        );
+        let ns = Optimizer::new(&cat, &stats, &cost, EngineStrategy::NoReuse);
         let htm2 = HtManager::new(GcConfig::default());
         let (_, expect) = run(
             &ns.optimize(&q3(3, "1996-06-01"), &htm2).unwrap().plan,
@@ -1180,7 +1094,7 @@ mod tests {
     #[test]
     fn rollup_uses_post_group_by() {
         let (cat, stats, cost) = setup();
-        let opt = Optimizer::new(&cat, &stats, &cost, OptimizerConfig::default());
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
         let htm = HtManager::new(GcConfig::default());
         // First: group by (age, nationkey).
         let q1 = QueryBuilder::new(1)
@@ -1233,12 +1147,7 @@ mod tests {
         }
         let (_, rows) = run(&second.plan, &cat, &htm);
         // Reference.
-        let ns = Optimizer::new(
-            &cat,
-            &stats,
-            &cost,
-            OptimizerConfig::with_policy(Arc::new(crate::policy::NoReuse)),
-        );
+        let ns = Optimizer::new(&cat, &stats, &cost, EngineStrategy::NoReuse);
         let htm2 = HtManager::new(GcConfig::default());
         let (_, expect) = run(&ns.optimize(&q2, &htm2).unwrap().plan, &cat, &htm2);
         assert_eq!(rows.len(), expect.len());
@@ -1252,8 +1161,7 @@ mod tests {
     #[test]
     fn never_share_never_reuses() {
         let (cat, stats, cost) = setup();
-        let cfg = OptimizerConfig::with_policy(Arc::new(crate::policy::NeverShare));
-        let opt = Optimizer::new(&cat, &stats, &cost, cfg);
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::NoReuse);
         let htm = HtManager::new(GcConfig::default());
         run(
             &opt.optimize(&q3(1, "1996-01-01"), &htm).unwrap().plan,
@@ -1271,7 +1179,7 @@ mod tests {
     #[test]
     fn avg_query_round_trips_through_rewrite() {
         let (cat, stats, cost) = setup();
-        let opt = Optimizer::new(&cat, &stats, &cost, OptimizerConfig::default());
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
         let htm = HtManager::new(GcConfig::default());
         let q = QueryBuilder::new(1)
             .join(

@@ -48,7 +48,7 @@ pub use parser::{parse, Ast};
 use hashstash_plan::QuerySpec;
 
 /// Parse and lower `sql` into a validated [`QuerySpec`] with the given
-/// query id. This is the one-call entry point; use [`parse`] + [`lower`]
+/// query id. This is the one-call entry point; use [`parse`] + [`lower()`]
 /// separately to inspect the AST.
 pub fn parse_query(sql: &str, id: u32, schema: &dyn SchemaProvider) -> Result<QuerySpec, SqlError> {
     lower(&parse(sql)?, id, schema)

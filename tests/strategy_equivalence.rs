@@ -58,6 +58,7 @@ fn full_session_equivalence_across_strategies() {
         EngineStrategy::HashStash,
         EngineStrategy::Materialized,
         EngineStrategy::AlwaysShare,
+        EngineStrategy::BenefitScored,
     ] {
         let mut session = Database::builder(catalog())
             .strategy(strategy)
@@ -88,7 +89,7 @@ fn facade_is_deterministic_across_instances() {
         EngineStrategy::NoReuse,
         EngineStrategy::Materialized,
         EngineStrategy::AlwaysShare,
-        EngineStrategy::NeverShare,
+        EngineStrategy::BenefitScored,
     ] {
         let db_a = Database::builder(catalog()).strategy(strategy).build();
         let db_b = Database::builder(catalog()).strategy(strategy).build();
@@ -127,22 +128,54 @@ fn facade_is_deterministic_across_instances() {
 #[test]
 fn builder_default_invariants() {
     let db = Database::builder(catalog()).build();
-    assert_eq!(db.policy().name(), "hashstash", "default policy");
-    assert!(!db.policy().materialize());
-    assert!(!db.policy().prefer_reuse());
+    assert_eq!(db.strategy(), EngineStrategy::HashStash, "default strategy");
+    assert!(!db.strategy().materializes());
+    assert!(!db.strategy().prefers_reuse());
     assert_eq!(db.cache_stats().publishes, 0, "cache starts empty");
     assert_eq!(db.cache_stats().bytes, 0);
     assert_eq!(db.total_stats().queries, 0);
 
-    // The five named strategies map onto the five built-in policies.
-    for (strategy, name) in [
-        (EngineStrategy::HashStash, "hashstash"),
-        (EngineStrategy::NoReuse, "no-reuse"),
-        (EngineStrategy::Materialized, "materialized"),
-        (EngineStrategy::AlwaysShare, "always-share"),
-        (EngineStrategy::NeverShare, "never-share"),
+    // The builder installs the named strategy.
+    for strategy in [
+        EngineStrategy::HashStash,
+        EngineStrategy::NoReuse,
+        EngineStrategy::Materialized,
+        EngineStrategy::AlwaysShare,
+        EngineStrategy::BenefitScored,
     ] {
-        assert_eq!(strategy.policy().name(), name);
+        let db = Database::builder(catalog()).strategy(strategy).build();
+        assert_eq!(db.strategy(), strategy);
+    }
+}
+
+/// Benefit-scored admission on one Fig. 7 trace: it publishes no more
+/// tables than HashStash, refuses at least one that HashStash admits, and
+/// answers every query like NoReuse.
+#[test]
+fn benefit_scored_admission_refuses_tables_and_keeps_answers() {
+    let trace = generate_trace(TraceConfig {
+        queries: 24,
+        ..TraceConfig::paper(ReusePotential::Medium, 42)
+    });
+    let run = |strategy| {
+        let db = Database::builder(catalog()).strategy(strategy).build();
+        let mut session = db.session();
+        let answers: Vec<_> = trace
+            .iter()
+            .map(|tq| normalized(session.execute(&tq.query).unwrap().rows))
+            .collect();
+        (answers, db.cache_stats().publishes)
+    };
+    let (reference, _) = run(EngineStrategy::NoReuse);
+    let (_, admit_all) = run(EngineStrategy::HashStash);
+    let (answers, scored) = run(EngineStrategy::BenefitScored);
+    assert!(
+        scored < admit_all,
+        "benefit scoring refused no table: {scored} vs {admit_all} publishes"
+    );
+    assert!(scored > 0, "benefit scoring admitted nothing");
+    for (i, (got, want)) in answers.iter().zip(&reference).enumerate() {
+        assert_eq!(got, want, "BenefitScored diverges at query {i}");
     }
 }
 
