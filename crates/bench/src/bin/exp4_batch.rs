@@ -79,7 +79,7 @@ fn main() {
                     .into_iter()
                     .flatten()
                     .map(|r| {
-                        let mut rows = r.rows;
+                        let mut rows = r.rows.into_vec();
                         rows.sort();
                         rows
                     })

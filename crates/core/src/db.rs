@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hashstash_types::{HsError, QueryId, Result, Row, Schema};
+use hashstash_types::{HsError, QueryId, Result, Schema};
 
 use hashstash_cache::{CacheStats, GcConfig, HtManager, TenantId};
 use hashstash_durability::{
@@ -45,7 +45,8 @@ use hashstash_durability::{
 };
 use hashstash_exec::shared::execute_shared;
 use hashstash_exec::{
-    acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics, WorkerPool,
+    acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics, ResultRows,
+    WorkerPool,
 };
 use hashstash_opt::multi::{plan_batch, BatchUnit};
 use hashstash_opt::optimizer::{OptimizedQuery, Optimizer};
@@ -62,8 +63,10 @@ pub struct QueryResult {
     pub query: QueryId,
     /// Output schema.
     pub schema: Schema,
-    /// Output rows.
-    pub rows: Vec<Row>,
+    /// Output rows: the plan root's column selection or its rows (see
+    /// [`ResultRows`]); `len` and `write_text` never materialize a
+    /// selection, deref materializes it once.
+    pub rows: ResultRows,
     /// Wall-clock execution time (excludes optimization).
     pub wall_time: Duration,
     /// Optimization time.
@@ -847,7 +850,7 @@ impl Session {
                         results[index] = Some(QueryResult {
                             query: queries[index].id,
                             schema: r.schema.clone(),
-                            rows: r.rows.clone(),
+                            rows: ResultRows::from(r.rows.clone()),
                             wall_time: per_query_wall,
                             optimize_time,
                             est_cost_ns: est_cost_ns / indices.len() as f64,
@@ -886,7 +889,7 @@ mod tests {
     use super::*;
     use hashstash_plan::{AggExpr, AggFunc, Interval, QueryBuilder};
     use hashstash_storage::tpch::{generate, TpchConfig};
-    use hashstash_types::Value;
+    use hashstash_types::{Row, Value};
 
     fn catalog() -> Catalog {
         generate(TpchConfig::new(0.002, 77))
@@ -918,7 +921,8 @@ mod tests {
             .unwrap()
     }
 
-    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    fn sorted(rows: ResultRows) -> Vec<Row> {
+        let mut rows = rows.into_vec();
         rows.sort();
         rows
     }

@@ -68,6 +68,9 @@ pub use hashstash_cache::TenantId;
 // The reuse configuration is part of the facade's public surface.
 pub use hashstash_opt::EngineStrategy;
 
+// `QueryResult::rows`: the query's output as it leaves the executor.
+pub use hashstash_exec::ResultRows;
+
 // Re-export the component crates so downstream users need only one
 // dependency.
 pub use hashstash_cache as cache;

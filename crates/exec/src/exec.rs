@@ -40,6 +40,7 @@ use crate::parallel::{
 };
 use crate::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use crate::pool::WorkerPool;
+use crate::result::ResultRows;
 use crate::vector::{self, ColumnarBatch, KeyKernel, Selection};
 
 /// Operation counters collected during execution. These are the observables
@@ -165,11 +166,12 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Force every scan onto the row-at-a-time arm — the executor's live
-    /// fallback for index access paths, cross-type bounds and operator
-    /// outputs — so downstream filters, probes and folds all see
-    /// materialized rows. Output, `semantic()` metrics and published
-    /// tables are identical to the columnar arm by construction; the
-    /// differential tests hold them to it. Test builds only.
+    /// fallback for cross-type bounds and operator outputs — so downstream
+    /// filters, probes and folds all see materialized rows (an index
+    /// access path walks its hits row by row). Output, `semantic()`
+    /// metrics and published tables are identical to the columnar arm by
+    /// construction; the differential tests hold them to it. Test builds
+    /// only.
     #[cfg(any(test, feature = "oracle"))]
     pub fn with_row_oracle(mut self) -> Self {
         self.row_oracle = true;
@@ -320,22 +322,34 @@ fn widened_recovery_filter(spec: &ReuseSpec, co: &CheckedOut<'_>) -> Result<Opti
     Ok(Some(request_box.clone()))
 }
 
-/// Execute a plan, returning its output schema and rows.
-pub fn execute(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Row>)> {
-    let (schema, rows) = run(plan, ctx)?;
-    ctx.metrics.rows_output += rows.len() as u64;
-    Ok((schema, rows))
+/// Execute a plan, returning its output schema and rows. A scan, filter or
+/// projection root hands back the column selection it computed — nothing
+/// is materialized here; [`ResultRows`] writes it as text from the columns
+/// or materializes it on first use.
+pub fn execute(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, ResultRows)> {
+    let (schema, pipe) = run(plan, ctx)?;
+    ctx.metrics.rows_output += pipe.len() as u64;
+    Ok((schema, ResultRows::new(pipe)))
 }
 
-fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Row>)> {
+/// Run a sub-plan whose consumer needs rows: build sides, unions and the
+/// materialization baseline's temp tables.
+fn run_rows(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Row>)> {
+    let (schema, pipe) = run(plan, ctx)?;
+    Ok((schema, pipe.into_rows(ctx.sched())))
+}
+
+/// Run a sub-plan keeping its output columnar where the operator chain
+/// allows: scans whose constraints all lower to [`RangeKernel`]s, and
+/// filters and projections over such scans. Every other operator (and
+/// every lowering failure) produces materialized rows exactly as the row
+/// interpreter does.
+fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
     match plan {
-        PhysicalPlan::Scan(_) | PhysicalPlan::Filter { .. } => {
-            let (schema, pipe) = run_batch(plan, ctx)?;
-            let rows = materialize_pipe(pipe, ctx);
-            Ok((schema, rows))
-        }
+        PhysicalPlan::Scan(spec) => run_scan(spec, ctx),
+        PhysicalPlan::Filter { input, predicate } => run_filter(input, predicate, ctx),
         PhysicalPlan::Materialize { input, fingerprint } => {
-            let (schema, rows) = run(input, ctx)?;
+            let (schema, rows) = run_rows(input, ctx)?;
             // The baseline's materialization cost: one extra copy of every
             // tuple out of the pipeline into a temp table.
             ctx.metrics.materialized_rows += rows.len() as u64;
@@ -345,7 +359,7 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
                 schema.clone(),
                 rows.clone(),
             );
-            Ok((schema, rows))
+            Ok((schema, Pipe::Rows(rows)))
         }
         PhysicalPlan::TempScan {
             id,
@@ -369,13 +383,13 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
                 }
                 None => rows.rows().to_vec(),
             };
-            Ok((schema, rows))
+            Ok((schema, Pipe::Rows(rows)))
         }
         PhysicalPlan::Union { inputs } => {
             let mut schema = None;
             let mut rows = Vec::new();
             for i in inputs {
-                let (s, mut r) = run(i, ctx)?;
+                let (s, mut r) = run_rows(i, ctx)?;
                 if let Some(prev) = &schema {
                     if prev != &s {
                         return Err(HsError::ExecError("union schema mismatch".into()));
@@ -386,18 +400,28 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
                 rows.append(&mut r);
             }
             let schema = schema.ok_or_else(|| HsError::ExecError("empty union".into()))?;
-            Ok((schema, rows))
+            Ok((schema, Pipe::Rows(rows)))
         }
         PhysicalPlan::Project { input, attrs } => {
-            let (schema, rows) = run(input, ctx)?;
+            let (schema, pipe) = run(input, ctx)?;
             let mut indices = Vec::with_capacity(attrs.len());
             for a in attrs {
                 indices.push(schema.index_of(a)?);
             }
             let names: Vec<&str> = attrs.iter().map(|a| a.as_ref()).collect();
             let out_schema = schema.project(&names)?;
-            let rows = rows.into_iter().map(|r| r.project(&indices)).collect();
-            Ok((out_schema, rows))
+            let pipe = match pipe {
+                Pipe::Rows(rows) => {
+                    Pipe::Rows(rows.into_iter().map(|r| r.project(&indices)).collect())
+                }
+                // A projection of a batch is a different view of the same
+                // columns: nothing is copied.
+                Pipe::Columnar(mut batch) => {
+                    batch.proj = indices.iter().map(|&i| batch.proj[i]).collect();
+                    Pipe::Columnar(batch)
+                }
+            };
+            Ok((out_schema, pipe))
         }
         PhysicalPlan::HashJoin {
             probe,
@@ -406,7 +430,11 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
             build_key,
             reuse,
             publish,
-        } => run_hash_join(ctx, probe, build, probe_key, build_key, reuse, publish),
+        } => {
+            let (schema, rows) =
+                run_hash_join(ctx, probe, build, probe_key, build_key, reuse, publish)?;
+            Ok((schema, Pipe::Rows(rows)))
+        }
         PhysicalPlan::HashAggregate {
             input,
             group_by,
@@ -415,16 +443,19 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Ro
             reuse,
             publish,
             post_group_by,
-        } => run_hash_agg(
-            ctx,
-            input,
-            group_by,
-            aggs,
-            output_aggs,
-            reuse,
-            publish,
-            post_group_by,
-        ),
+        } => {
+            let (schema, rows) = run_hash_agg(
+                ctx,
+                input,
+                group_by,
+                aggs,
+                output_aggs,
+                reuse,
+                publish,
+                post_group_by,
+            )?;
+            Ok((schema, Pipe::Rows(rows)))
+        }
     }
 }
 
@@ -454,63 +485,65 @@ impl BoxEval {
 // ---------------------------------------------------------------------------
 
 /// Data flowing up from a sub-plan: materialized rows, or — on the
-/// vectorized scan → filter spine — a columnar selection-vector batch that
-/// consumers (probe, aggregate fold) read in place and edges materialize.
-enum Pipe {
+/// vectorized scan → filter → project spine — a columnar selection-vector
+/// batch that consumers (probe, aggregate fold, the reply encoder) read in
+/// place and edges materialize.
+#[derive(Clone)]
+pub(crate) enum Pipe {
     Rows(Vec<Row>),
     Columnar(ColumnarBatch),
 }
 
 impl Pipe {
     /// Number of tuples the pipe carries.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Pipe::Rows(rows) => rows.len(),
             Pipe::Columnar(batch) => batch.sel.len(),
         }
     }
+
+    /// Materialize into rows — the pipeline edge.
+    fn into_rows(self, sched: Scheduler<'_>) -> Vec<Row> {
+        match self {
+            Pipe::Rows(rows) => rows,
+            Pipe::Columnar(batch) => batch_rows(&batch, sched),
+        }
+    }
 }
 
-/// Run a sub-plan keeping its output columnar where the operator chain
-/// allows: scans without an index access path whose constraints all lower
-/// to [`RangeKernel`]s, and filters over such scans. Every other operator
-/// (and every lowering failure) produces materialized rows exactly as the
-/// row interpreter does.
-fn run_batch(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
-    match plan {
-        PhysicalPlan::Scan(spec) => run_scan_batch(spec, ctx),
-        PhysicalPlan::Filter { input, predicate } => {
-            let (schema, pipe) = run_batch(input, ctx)?;
-            let batch = match pipe {
-                Pipe::Columnar(batch) => batch,
-                Pipe::Rows(rows) => {
-                    let evaluator = BoxEval::bind(predicate, &schema)?;
-                    let rows = rows.into_iter().filter(|r| evaluator.eval(r)).collect();
-                    return Ok((schema, Pipe::Rows(rows)));
-                }
-            };
-            // Lower every constraint onto the batch's base columns; any
-            // failure materializes and evaluates the whole predicate
-            // row-at-a-time, exactly like the row interpreter.
-            let mut lowered: Vec<(usize, RangeKernel)> = Vec::new();
-            let mut lowerable = true;
-            for (attr, iv) in predicate.constrained() {
+/// A batch's projected rows, morsel-parallel, in selection order — which
+/// is the row interpreter's output order by construction.
+pub(crate) fn batch_rows(batch: &ColumnarBatch, sched: Scheduler<'_>) -> Vec<Row> {
+    let (table, proj, sel) = (&batch.table, &batch.proj, &batch.sel);
+    collect_morsels(sched, sel.len(), |range| {
+        range
+            .map(|i| table.row_projected(sel.rid(i), proj))
+            .collect()
+    })
+}
+
+/// A filter: refines a batch's selection in place when every constraint
+/// lowers onto the batch's base columns, otherwise evaluates the whole
+/// predicate row-at-a-time, exactly like the row interpreter.
+fn run_filter(
+    input: &PhysicalPlan,
+    predicate: &PredBox,
+    ctx: &mut ExecContext<'_>,
+) -> Result<(Schema, Pipe)> {
+    let (schema, pipe) = run(input, ctx)?;
+    let lowered = match &pipe {
+        Pipe::Columnar(batch) => predicate
+            .constrained()
+            .map(|(attr, iv)| {
                 let col = batch.proj[schema.index_of(attr)?];
-                match lower_check(iv, batch.table.column(col)) {
-                    Some(kernel) => lowered.push((col, kernel)),
-                    None => {
-                        lowerable = false;
-                        break;
-                    }
-                }
-            }
-            if !lowerable {
-                let rows = materialize_pipe(Pipe::Columnar(batch), ctx);
-                let evaluator = BoxEval::bind(predicate, &schema)?;
-                let rows = rows.into_iter().filter(|r| evaluator.eval(r)).collect();
-                return Ok((schema, Pipe::Rows(rows)));
-            }
-            let ColumnarBatch { table, proj, sel } = batch;
+                Ok(lower_check(iv, batch.table.column(col)).map(|kernel| (col, kernel)))
+            })
+            .collect::<Result<Option<Vec<_>>>>()?,
+        Pipe::Rows(_) => None,
+    };
+    match (pipe, lowered) {
+        (Pipe::Columnar(ColumnarBatch { table, proj, sel }), Some(lowered)) => {
             let mut sel = sel.into_rows();
             for (col, kernel) in &lowered {
                 ctx.metrics.batches_processed += morsel_count(sel.len()) as u64;
@@ -520,28 +553,11 @@ fn run_batch(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, 
             let sel = Selection::Rows(sel);
             Ok((schema, Pipe::Columnar(ColumnarBatch { table, proj, sel })))
         }
-        other => {
-            let (schema, rows) = run(other, ctx)?;
+        (pipe, _) => {
+            let evaluator = BoxEval::bind(predicate, &schema)?;
+            let rows = pipe.into_rows(ctx.sched());
+            let rows = rows.into_iter().filter(|r| evaluator.eval(r)).collect();
             Ok((schema, Pipe::Rows(rows)))
-        }
-    }
-}
-
-/// Materialize a pipe into rows — the pipeline edge. Columnar batches turn
-/// into projected rows morsel-parallel, in selection order, which is the
-/// row interpreter's output order by construction.
-fn materialize_pipe(pipe: Pipe, ctx: &mut ExecContext<'_>) -> Vec<Row> {
-    match pipe {
-        Pipe::Rows(rows) => rows,
-        Pipe::Columnar(batch) => {
-            let table = &batch.table;
-            let proj = &batch.proj;
-            let sel = &batch.sel;
-            collect_morsels(ctx.sched(), sel.len(), |range| {
-                range
-                    .map(|i| table.row_projected(sel.rid(i), proj))
-                    .collect()
-            })
         }
     }
 }
@@ -684,7 +700,7 @@ impl Tuples for BatchTuples<'_> {
 // Scans
 // ---------------------------------------------------------------------------
 
-fn run_scan_batch(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
+fn run_scan(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
     let table = ctx.catalog.get(&spec.table)?;
     let qualified = table.qualified_schema();
     let proj_indices: Vec<usize> = if spec.projection.is_empty() {
@@ -711,17 +727,32 @@ fn run_scan_batch(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema,
     let lowered = lowered.filter(|_| !ctx.row_oracle);
     match lowered {
         Some(per_box) => {
-            let n = table.row_count();
-            ctx.metrics.rows_scanned += (n * per_box.len()) as u64;
-            ctx.metrics.batches_processed += (morsel_count(n) * per_box.len()) as u64;
             let sel = match per_box.as_slice() {
                 // One unconstrained box: every row survives, in order. The
                 // consumers read the dense range; no selection pass runs.
-                [checks] if checks.is_empty() => Selection::Dense(n),
+                [b] if b.hits.is_none() && b.checks.is_empty() => {
+                    let n = table.row_count();
+                    ctx.metrics.rows_scanned += n as u64;
+                    ctx.metrics.batches_processed += morsel_count(n) as u64;
+                    Selection::Dense(n)
+                }
                 _ => {
                     let mut sel: Vec<u32> = Vec::new();
-                    for checks in &per_box {
-                        let mut box_sel = vector::select_rows(ctx.sched(), &table, checks, n);
+                    for b in &per_box {
+                        // The index hits, or every row, are the candidates.
+                        let (n, mut box_sel) = match b.hits {
+                            Some(ids) => {
+                                ctx.metrics.index_rows += ids.len() as u64;
+                                let sel = vector::select_ids(ctx.sched(), &table, ids, &b.checks);
+                                (ids.len(), sel)
+                            }
+                            None => {
+                                let n = table.row_count();
+                                (n, vector::select_rows(ctx.sched(), &table, &b.checks, n))
+                            }
+                        };
+                        ctx.metrics.rows_scanned += n as u64;
+                        ctx.metrics.batches_processed += morsel_count(n) as u64;
                         ctx.metrics.rows_filtered_vectorized += (n - box_sel.len()) as u64;
                         sel.append(&mut box_sel);
                     }
@@ -747,33 +778,47 @@ fn run_scan_batch(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema,
     }
 }
 
-/// One lowered check list per region box: `(column position, kernel)`.
-type LoweredBoxes = Vec<Vec<(usize, RangeKernel)>>;
+/// One region box lowered for the columnar arm.
+struct LoweredBox<'t> {
+    /// The hits of the box's index access path, in index order: they
+    /// replace the row-id range as the candidates.
+    hits: Option<&'t [u32]>,
+    /// The residual checks: every constraint but the one the index
+    /// answered, as `(column position, kernel)`.
+    checks: Vec<(usize, RangeKernel)>,
+}
 
-/// Lower every box of a scan's region onto per-column [`RangeKernel`]s.
-/// Returns `None` — the whole scan takes the row-at-a-time arm — when any
-/// box would take the (metric-visible) index access path or carries a
+/// Lower every box of a scan's region onto per-column [`RangeKernel`]s,
+/// taking the same index access path [`scan_box`] would. Returns `None` —
+/// the whole scan takes the row-at-a-time arm — when any box carries a
 /// constraint that cannot lower (cross-type bounds), so access-path choice
 /// and metrics never depend on which arm ran.
-fn lower_region(
-    table: &Table,
+fn lower_region<'t>(
+    table: &'t Table,
     qualified: &Schema,
     spec: &ScanSpec,
-) -> Result<Option<LoweredBoxes>> {
+) -> Result<Option<Vec<LoweredBox<'t>>>> {
     let mut per_box = Vec::new();
     for pbox in spec.region.boxes() {
         let checks = BoxEval::bind(pbox, qualified)?.checks;
-        if index_access_path(table, &checks).is_some() {
-            return Ok(None);
-        }
+        let via_index = index_access_path(table, &checks);
         let mut lowered = Vec::with_capacity(checks.len());
-        for (col, iv) in &checks {
-            match lower_check(iv, table.column(*col)) {
-                Some(kernel) => lowered.push((*col, kernel)),
-                None => return Ok(None),
+        for (pos, (col, iv)) in checks.iter().enumerate() {
+            let Some(kernel) = lower_check(iv, table.column(*col)) else {
+                return Ok(None);
+            };
+            if Some(pos) != via_index {
+                lowered.push((*col, kernel));
             }
         }
-        per_box.push(lowered);
+        let hits = match via_index {
+            Some(pos) => Some(index_hits(table, &checks[pos])?),
+            None => None,
+        };
+        per_box.push(LoweredBox {
+            hits,
+            checks: lowered,
+        });
     }
     Ok(Some(per_box))
 }
@@ -868,7 +913,8 @@ fn lower_check(iv: &hashstash_plan::Interval, col: &Column) -> Option<RangeKerne
     }
 }
 
-/// Scan one box of the region, using a secondary index when available. The
+/// Scan one box of the region row-at-a-time — the arm of cross-type bounds
+/// and of the row oracle — using a secondary index when available. The
 /// residual filter + projection loop is morsel-parallel over row ids (or
 /// index hits); morsel-order concatenation keeps the output identical to a
 /// serial scan.
@@ -886,12 +932,7 @@ fn scan_box(
     let via_index = index_access_path(table, &checks);
     let ids = match via_index {
         Some(pos) => {
-            let (col, iv) = &checks[pos];
-            let name = &table.schema().field_at(*col).name;
-            let index = table
-                .index_on(name)
-                .ok_or_else(|| HsError::ExecError(format!("index on {name} vanished")))?;
-            let ids = index.range(iv.lo().as_ref(), iv.hi().as_ref());
+            let ids = index_hits(table, &checks[pos])?;
             ctx.metrics.index_rows += ids.len() as u64;
             Some(ids)
         }
@@ -922,6 +963,19 @@ fn index_access_path(table: &Table, checks: &[(usize, hashstash_plan::Interval)]
     checks
         .iter()
         .position(|(col, iv)| table.has_index(*col) && !iv.is_all())
+}
+
+/// The row ids an index access path hits, in index order (by key, ties by
+/// row id).
+fn index_hits<'t>(
+    table: &'t Table,
+    (col, iv): &(usize, hashstash_plan::Interval),
+) -> Result<&'t [u32]> {
+    let name = &table.schema().field_at(*col).name;
+    let index = table
+        .index_on(name)
+        .ok_or_else(|| HsError::ExecError(format!("index on {name} vanished")))?;
+    Ok(index.range(iv.lo().as_ref(), iv.hi().as_ref()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1042,7 +1096,7 @@ fn run_hash_join(
     // checked-out handle).
     if let Some(build_plan) = build {
         if reuse.is_none() || reuse.as_ref().is_some_and(|r| r.case.needs_delta()) {
-            let (bs, rows) = run(build_plan, ctx)?;
+            let (bs, rows) = run_rows(build_plan, ctx)?;
             if bs != build_schema {
                 return Err(HsError::ExecError(format!(
                     "build schema mismatch: expected {build_schema:?}, got {bs:?}"
@@ -1090,7 +1144,7 @@ fn run_hash_join(
     }
 
     // --- Probe phase (read-only: no lock, shared with other sessions) ------
-    let (probe_schema, probe_pipe) = run_batch(probe, ctx)?;
+    let (probe_schema, probe_pipe) = run(probe, ctx)?;
     let probe_key_idx = probe_schema.index_of(probe_key)?;
     // Planned post-filter (subsuming/overlapping reuse) plus the recovery
     // filter compensating for a concurrently widened cached table.
@@ -1250,7 +1304,7 @@ fn run_hash_agg(
     // --- Fold input rows (all of them, or the reuse delta) -----------------
     if let Some(input_plan) = input {
         if reuse.is_none() || reuse.as_ref().is_some_and(|r| r.case.needs_delta()) {
-            let (in_schema, pipe) = run_batch(input_plan, ctx)?;
+            let (in_schema, pipe) = run(input_plan, ctx)?;
             let group_idx: Vec<usize> = group_by
                 .iter()
                 .map(|g| in_schema.index_of(g))
@@ -1917,8 +1971,8 @@ mod tests {
             post_group_by: None,
         };
         let mut ctx2 = ExecContext::new(&cat, &htm);
-        let (_, mut ref_rows) = execute(&reference, &mut ctx2).unwrap();
-        let mut got = rows.clone();
+        let mut ref_rows = execute(&reference, &mut ctx2).unwrap().1.into_vec();
+        let mut got = rows.into_vec();
         got.sort();
         ref_rows.sort();
         assert_eq!(got.len(), ref_rows.len());
@@ -2025,8 +2079,8 @@ mod tests {
             publish: None,
         };
         let mut ctx3 = ExecContext::new(&cat, &htm);
-        let (_, mut expect) = execute(&reference, &mut ctx3).unwrap();
-        let mut got = rows;
+        let mut expect = execute(&reference, &mut ctx3).unwrap().1.into_vec();
+        let mut got = rows.into_vec();
         got.sort();
         expect.sort();
         assert_eq!(got, expect, "recovery post-filter restores the request");

@@ -24,9 +24,13 @@
 //!   spawned once per `Database`, shared across phases, queries, and
 //!   sessions, joined on drop.
 //! * [`vector`] — selection-vector kernels for the columnar hot paths:
-//!   vectorized scans, filters, probe key extraction and aggregate folds
-//!   that run over `Column` slices and materialize rows only at pipeline
-//!   edges, bit-identical to the row-at-a-time fallback.
+//!   vectorized scans (index access paths included), filters, probe key
+//!   extraction, aggregate folds and reply text that run over `Column`
+//!   slices and materialize rows only at pipeline edges, bit-identical to
+//!   the row-at-a-time fallback.
+//! * [`result`] — [`ResultRows`], a query's output as it leaves the
+//!   executor: the root's column selection or its rows, written as reply
+//!   text without materializing, or materialized once on first use.
 //! * [`shared`] — reuse-aware shared plans (paper §4): the batch's joins
 //!   run as an ordinary plan through [`exec`]; the module adds per-query
 //!   qualification, the SRHA grouping phase and per-query aggregation.
@@ -35,6 +39,7 @@ pub mod exec;
 pub mod parallel;
 pub mod plan;
 pub mod pool;
+pub mod result;
 pub mod shared;
 pub mod vector;
 
@@ -45,5 +50,6 @@ pub use parallel::{
 };
 pub use plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 pub use pool::WorkerPool;
+pub use result::ResultRows;
 pub use shared::SharedPlanSpec;
 pub use vector::{ColumnarBatch, KeyKernel, Selection};

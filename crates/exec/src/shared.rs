@@ -123,7 +123,10 @@ pub fn execute_shared(
     ctx: &mut ExecContext<'_>,
 ) -> Result<Vec<SharedQueryResult>> {
     let (pschema, prows) = match &spec.join {
-        Some(plan) => crate::exec::execute(plan, ctx)?,
+        Some(plan) => {
+            let (schema, rows) = crate::exec::execute(plan, ctx)?;
+            (schema, rows.into_vec())
+        }
         None => (Schema::new(Vec::new()), Vec::new()),
     };
     let union = spec
@@ -411,7 +414,7 @@ mod tests {
             post_group_by: None,
         };
         let mut ctx = ExecContext::new(cat, &htm);
-        let (_, mut rows) = crate::exec::execute(&plan, &mut ctx).unwrap();
+        let mut rows = crate::exec::execute(&plan, &mut ctx).unwrap().1.into_vec();
         rows.sort();
         rows
     }

@@ -6,10 +6,13 @@
 //! that vector in place, and the probe / aggregate key extraction reads the
 //! key column through a monomorphized [`KeyKernel`] — no per-row scalar
 //! boxing anywhere in the loop. A scan with nothing to check hands on a
-//! dense [`Selection`] (a row count, no vector at all), and the probe
+//! dense [`Selection`] (a row count, no vector at all), a scan with an index
+//! access path starts from the index hits ([`select_ids`]), and the probe
 //! gathers a whole morsel's keys in one typed loop ([`gather_keys`]) before
 //! it touches the hash table. Rows are materialized only at pipeline edges
-//! (operator outputs, hash-table payloads).
+//! (operator outputs, hash-table payloads); a query whose root is a scan,
+//! filter or projection leaves the executor as a batch, and the server
+//! writes its reply text straight from the columns ([`write_text`]).
 //!
 //! Everything here is deliberately scalar-free: this module never touches
 //! the boxed scalar type, only typed slices and the `key64_*` primitives of
@@ -18,16 +21,19 @@
 //! in `exec.rs` and hands kernels down ([`hashstash_storage::RangeKernel`]).
 //!
 //! Determinism: selection vectors are built with [`collect_morsels`], so
-//! row-id order (and therefore every downstream row order, accumulator fold
-//! order, and published hash-table layout) is identical to the serial
-//! row-at-a-time fallback (index access path, cross-type bounds, operator
-//! outputs) at any worker count — which is what lets the tests force that
-//! fallback everywhere and use it as the differential oracle.
+//! row-id order — scan order per region box, or index order on the index
+//! access path — and therefore every downstream row order, accumulator fold
+//! order, and published hash-table layout is identical to the serial
+//! row-at-a-time fallback (cross-type bounds, operator outputs) at any
+//! worker count — which is what lets the tests force that fallback
+//! everywhere and use it as the differential oracle.
 
+use std::io::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
 
 use hashstash_storage::{Column, RangeKernel, Table};
+use hashstash_types::date::ymd_from_days;
 use hashstash_types::{key64_combine, key64_date, key64_float, key64_int, key64_str, KEY64_SEED};
 
 use crate::parallel::{collect_morsels, Scheduler};
@@ -39,7 +45,9 @@ pub enum Selection {
     /// to no checks produces. Nothing is written out; consumers index the
     /// columns directly.
     Dense(usize),
-    /// Explicit surviving row ids, ascending per region box.
+    /// Explicit surviving row ids, per region box in scan order (ascending)
+    /// or, where the box took its index access path, in index order (by
+    /// key, ties by row id).
     Rows(Vec<u32>),
 }
 
@@ -87,7 +95,7 @@ pub struct ColumnarBatch {
     pub table: Arc<Table>,
     /// Output column positions (into `table`), in output-schema order.
     pub proj: Vec<usize>,
-    /// Surviving row ids, in ascending scan order per region box.
+    /// Surviving row ids, per region box in scan or index order.
     pub sel: Selection,
 }
 
@@ -237,6 +245,145 @@ pub fn refine_selection(
     });
     *sel = refined;
     (before - sel.len()) as u64
+}
+
+/// The selection of an index access path: the index hits `ids`, in index
+/// order, refined by the box's residual checks, morsel-parallel over the
+/// hits with morsel-order concatenation (so the survivors keep the order
+/// the hits came in).
+pub fn select_ids(
+    sched: Scheduler<'_>,
+    table: &Table,
+    ids: &[u32],
+    checks: &[(usize, RangeKernel)],
+) -> Vec<u32> {
+    if checks.is_empty() {
+        return ids.to_vec();
+    }
+    collect_morsels(sched, ids.len(), |range: Range<usize>| {
+        let mut sel = ids[range].to_vec();
+        for (col, kernel) in checks {
+            let matched = table.column(*col).refine_range(kernel, &mut sel);
+            debug_assert!(matched, "kernel type checked at lowering");
+        }
+        sel
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Text rendering
+// ---------------------------------------------------------------------------
+
+/// Append an integer in decimal, exactly as `i64`'s `Display` renders it.
+#[inline]
+pub fn write_int(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    // `u64::MAX` has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `n < 100` as two digits.
+#[inline]
+fn write_two(out: &mut Vec<u8>, n: u32) {
+    out.extend_from_slice(&[b'0' + (n / 10) as u8, b'0' + (n % 10) as u8]);
+}
+
+/// Append a float exactly as `f64`'s `Display` renders it (shortest
+/// round-trip digits, no exponent, `NaN`, `inf`, `-0`).
+#[inline]
+pub fn write_float(out: &mut Vec<u8>, v: f64) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{v}");
+}
+
+/// Append a day count as `YYYY-MM-DD` (proleptic Gregorian), exactly as
+/// the engine's date `Display` renders it: a year outside `0..=9999` keeps
+/// its `{:04}` rendering (sign, then at least four digits).
+#[inline]
+pub fn write_date(out: &mut Vec<u8>, days: i32) {
+    let (y, m, d) = ymd_from_days(days);
+    if (0..=9999).contains(&y) {
+        write_two(out, y as u32 / 100);
+        write_two(out, y as u32 % 100);
+    } else {
+        let _ = write!(out, "{y:04}");
+    }
+    out.push(b'-');
+    write_two(out, m);
+    out.push(b'-');
+    write_two(out, d);
+}
+
+/// One output column bound to its typed slice for text rendering.
+enum TextKernel<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Date(&'a [i32]),
+    Dict {
+        dict: &'a [Arc<str>],
+        codes: &'a [u32],
+    },
+}
+
+impl<'a> TextKernel<'a> {
+    fn of(col: &'a Column) -> Self {
+        match col {
+            Column::Int(v) => TextKernel::Int(v),
+            Column::Float(v) => TextKernel::Float(v),
+            Column::Date(v) => TextKernel::Date(v),
+            Column::Str { dict, codes } => TextKernel::Dict { dict, codes },
+        }
+    }
+
+    #[inline]
+    fn write(&self, rid: usize, out: &mut Vec<u8>) {
+        match self {
+            TextKernel::Int(v) => write_int(out, v[rid]),
+            TextKernel::Float(v) => write_float(out, v[rid]),
+            TextKernel::Date(v) => write_date(out, v[rid]),
+            TextKernel::Dict { dict, codes } => {
+                out.extend_from_slice(dict[codes[rid] as usize].as_bytes())
+            }
+        }
+    }
+}
+
+/// Append the batch as text: per selected row a `\n`, then its projected
+/// columns separated by `\t` — the reply body that follows a header line.
+/// Each column renders through its typed slice; dictionary strings are
+/// copied by code.
+pub fn write_text(batch: &ColumnarBatch, out: &mut Vec<u8>) {
+    let kernels: Vec<TextKernel<'_>> = batch
+        .proj
+        .iter()
+        .map(|&c| TextKernel::of(batch.table.column(c)))
+        .collect();
+    let line = |rid: usize, out: &mut Vec<u8>| {
+        out.push(b'\n');
+        for (i, k) in kernels.iter().enumerate() {
+            if i > 0 {
+                out.push(b'\t');
+            }
+            k.write(rid, out);
+        }
+    };
+    match &batch.sel {
+        Selection::Dense(n) => (0..*n).for_each(|rid| line(rid, out)),
+        Selection::Rows(rows) => rows.iter().for_each(|&rid| line(rid as usize, out)),
+    }
 }
 
 #[cfg(test)]

@@ -574,7 +574,10 @@ mod tests {
             match unit {
                 BatchUnit::Single { index, .. } => {
                     let oq = opt.optimize(&queries[index], htm).unwrap();
-                    out[index] = hashstash_exec::execute(&oq.plan, &mut ctx).unwrap().1;
+                    out[index] = hashstash_exec::execute(&oq.plan, &mut ctx)
+                        .unwrap()
+                        .1
+                        .into_vec();
                 }
                 BatchUnit::Shared { indices, spec, .. } => {
                     for (i, r) in indices
@@ -603,7 +606,10 @@ mod tests {
             .map(|q| {
                 let oq = opt.optimize(q, &htm).unwrap();
                 let mut ctx = ExecContext::new(cat, &htm);
-                let mut rows = hashstash_exec::execute(&oq.plan, &mut ctx).unwrap().1;
+                let mut rows = hashstash_exec::execute(&oq.plan, &mut ctx)
+                    .unwrap()
+                    .1
+                    .into_vec();
                 rows.sort();
                 rows
             })

@@ -984,7 +984,8 @@ mod tests {
         htm: &HtManager,
     ) -> (hashstash_types::Schema, Vec<hashstash_types::Row>) {
         let mut ctx = ExecContext::new(cat, htm);
-        let (schema, mut rows) = execute(plan, &mut ctx).unwrap();
+        let (schema, rows) = execute(plan, &mut ctx).unwrap();
+        let mut rows = rows.into_vec();
         rows.sort();
         (schema, rows)
     }

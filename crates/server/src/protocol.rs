@@ -15,7 +15,25 @@
 //! Errors never tear down the connection (except `QUIT` and I/O failures):
 //! a client that sends a bad query gets an `ERR` frame — with the parser's
 //! caret snippet inlined — and can try again. Frames above [`MAX_FRAME`]
-//! are rejected to bound memory per connection.
+//! are rejected to bound memory per connection, and a frame's buffer grows
+//! with the payload bytes that actually arrive, never with the declared
+//! length alone.
+//!
+//! # Rendering rules of a `QUERY` reply
+//!
+//! After the header line, each result row is one line: `\n`, then its
+//! values separated by `\t` (no trailing newline after the last row). A
+//! value renders exactly as the engine's `Value` `Display` does:
+//!
+//! | type  | rendering |
+//! |-------|-----------|
+//! | INT   | decimal, `-` for negatives (`-9223372036854775808` … `9223372036854775807`) |
+//! | FLOAT | Rust's `f64` `Display`: shortest round-trip digits, never an exponent (`3`, `0.1`, `1000000000000000000000`, `0.0000001`), `-0`, `NaN`, `inf`, `-inf` |
+//! | DATE  | `YYYY-MM-DD`, proleptic Gregorian; a year outside `0..=9999` keeps Rust's `{:04}` (`-001`, `12345`) |
+//! | STR   | the string's bytes, unescaped |
+//!
+//! Strings are not escaped, so a value containing `\t` or `\n` is
+//! ambiguous on the wire. Row order is the engine's result order.
 
 use std::io::{self, Read, Write};
 
@@ -64,10 +82,21 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {n} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
+    // The buffer grows with the bytes that actually arrive: a peer that
+    // declares a large frame and stalls pins at most `READ_AHEAD` bytes.
+    let mut buf = Vec::with_capacity(n.min(READ_AHEAD));
+    r.by_ref().take(n as u64).read_to_end(&mut buf)?;
+    if buf.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside frame payload",
+        ));
+    }
     Ok(Some(buf))
 }
+
+/// Bytes of a frame's payload buffer reserved before any of it arrives.
+const READ_AHEAD: usize = 64 << 10;
 
 /// Convenience for text protocols: read a frame and decode as UTF-8.
 pub fn read_text(r: &mut impl Read) -> io::Result<Option<String>> {
@@ -108,5 +137,27 @@ mod tests {
 
         // EOF mid-header is an error too, not a clean close.
         assert!(read_frame(&mut Cursor::new(vec![0u8, 0])).is_err());
+    }
+
+    /// A header declaring the largest legal frame, then three payload bytes
+    /// and EOF: an `UnexpectedEof` error, after a buffer sized by what
+    /// arrived rather than by what was declared.
+    #[test]
+    fn declared_length_is_not_allocated_up_front() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        buf.extend_from_slice(b"abc");
+        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // Frames larger than the read-ahead still arrive whole.
+        let big = vec![7u8; READ_AHEAD * 3 + 5];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big).unwrap();
+        write_frame(&mut wire, b"").unwrap();
+        let mut c = Cursor::new(wire);
+        assert_eq!(read_frame(&mut c).unwrap().unwrap(), big);
+        assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut c).unwrap().is_none());
     }
 }

@@ -220,7 +220,7 @@ fn serve_connection(db: &Arc<Database>, registry: &Registry, stream: TcpStream) 
             let sql = line.get(verb.len()..).map(str::trim_start).unwrap_or("");
             let reply = run_query(db, &mut session, next_qid, sql);
             next_qid = next_qid.wrapping_add(1).max(1);
-            write_frame(&mut writer, reply.as_bytes())?;
+            write_frame(&mut writer, &reply)?;
         } else if verb.eq_ignore_ascii_case("STATS") {
             write_frame(&mut writer, stats_reply(db, registry, tenant).as_bytes())?;
         } else if verb.eq_ignore_ascii_case("PING") {
@@ -240,16 +240,18 @@ fn serve_connection(db: &Arc<Database>, registry: &Registry, stream: TcpStream) 
     Ok(())
 }
 
-/// Parse, execute, and format one query. All failures become `ERR` text.
-fn run_query(db: &Arc<Database>, session: &mut Session, qid: u32, sql: &str) -> String {
+/// Parse, execute, and format one query into one reply buffer: the header
+/// line, then the rows as text straight from the result (see
+/// [`hashstash::ResultRows::write_text`]). All failures become `ERR` text.
+fn run_query(db: &Arc<Database>, session: &mut Session, qid: u32, sql: &str) -> Vec<u8> {
     if sql.is_empty() {
-        return "ERR usage: QUERY <sql>".to_string();
+        return b"ERR usage: QUERY <sql>".to_vec();
     }
     let spec = match hashstash_sql::parse_query(sql, qid, &CatalogSchema(db.catalog())) {
         Ok(s) => s,
         Err(e) => {
             // Multi-line ERR payload: message, then the caret snippet.
-            return format!("ERR {}\n{}", e.message, e.render(sql));
+            return format!("ERR {}\n{}", e.message, e.render(sql)).into_bytes();
         }
     };
     match session.execute(&spec) {
@@ -264,21 +266,12 @@ fn run_query(db: &Arc<Database>, session: &mut Session, qid: u32, sql: &str) -> 
                 r.rows.len(),
                 r.wall_time.as_micros(),
                 reused
-            );
-            for row in &r.rows {
-                out.push('\n');
-                let mut first = true;
-                for v in row.values() {
-                    if !first {
-                        out.push('\t');
-                    }
-                    first = false;
-                    out.push_str(&v.to_string());
-                }
-            }
+            )
+            .into_bytes();
+            r.rows.write_text(&mut out);
             out
         }
-        Err(e) => format!("ERR execution failed: {e}"),
+        Err(e) => format!("ERR execution failed: {e}").into_bytes(),
     }
 }
 

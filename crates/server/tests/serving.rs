@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use hashstash::Database;
 use hashstash_server::protocol::{read_text, write_frame};
-use hashstash_server::{Server, ServerConfig, TenantSpec};
+use hashstash_server::{CatalogSchema, Server, ServerConfig, TenantSpec};
 use hashstash_storage::tpch::{generate, TpchConfig};
 
 struct Client {
@@ -141,6 +141,45 @@ fn stats_are_per_tenant_and_reuse_is_visible() {
         alpha_pubs + beta_pubs <= global_pubs,
         "tenant publishes exceed global"
     );
+}
+
+/// A reply's body is the `Display` rendering of the rows `Session::execute`
+/// returns in-process, in the same order: for a column selection written
+/// from the columns (the wide projection, dates), and for an operator's
+/// rows (an `AVG` aggregate's floats).
+#[test]
+fn reply_bodies_render_the_in_process_rows() {
+    let server_db = serving_db();
+    let server = two_tenant_server(&server_db);
+    let mut c = Client::connect(&server);
+    assert_eq!(c.send("HELLO beta b-secret"), "OK tenant=beta");
+    // A second engine over the same data: its first execution of each
+    // query is a fresh one, like the server's.
+    let local_db = serving_db();
+    let mut local = local_db.session();
+    for sql in [
+        "SELECT c_custkey, c_age FROM customer WHERE c_age <= 45",
+        "SELECT c_age, AVG(c_acctbal) FROM customer GROUP BY c_age",
+        "SELECT o_orderkey, o_orderdate FROM orders WHERE o_orderdate >= '1997-06-01'",
+    ] {
+        let reply = c.send(&format!("QUERY {sql}"));
+        let (header, body) = reply.split_once('\n').expect("rows in the reply");
+        let spec =
+            hashstash_sql::parse_query(sql, 1, &CatalogSchema(local_db.catalog())).expect("parses");
+        let rows = local.execute(&spec).expect("executes").rows;
+        assert!(
+            header.starts_with(&format!("OK rows={} ", rows.len())),
+            "{header}"
+        );
+        let want: Vec<String> = rows
+            .iter()
+            .map(|r| {
+                let cells: Vec<String> = r.values().iter().map(|v| v.to_string()).collect();
+                cells.join("\t")
+            })
+            .collect();
+        assert_eq!(body, want.join("\n"), "{sql}");
+    }
 }
 
 /// Pull `"name":<int>` out of a one-line JSON object.

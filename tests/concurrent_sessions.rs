@@ -93,7 +93,7 @@ fn concurrent_sessions_stress() {
         .collect();
     let expected: Vec<_> = grid
         .iter()
-        .map(|q| normalized(reference.execute(q).unwrap().rows))
+        .map(|q| normalized(reference.execute(q).unwrap().rows.into_vec()))
         .collect();
     let expected = Arc::new(expected);
     let grid = Arc::new(grid);
@@ -116,7 +116,7 @@ fn concurrent_sessions_stress() {
                     let i = (k + t) % grid.len();
                     let r = session.execute(&grid[i]).unwrap();
                     assert_eq!(
-                        normalized(r.rows),
+                        normalized(r.rows.into_vec()),
                         expected[i],
                         "thread {t} query {i} diverges"
                     );
@@ -171,7 +171,7 @@ fn eight_sessions_share_one_worker_pool() {
         .collect();
     let expected: Vec<_> = shapes
         .iter()
-        .map(|q| normalized(reference.execute(q).unwrap().rows))
+        .map(|q| normalized(reference.execute(q).unwrap().rows.into_vec()))
         .collect();
     let shapes = Arc::new(shapes);
     let expected = Arc::new(expected);
@@ -189,7 +189,7 @@ fn eight_sessions_share_one_worker_pool() {
                         let i = (k + t) % shapes.len();
                         let r = session.execute(&shapes[i]).unwrap();
                         assert_eq!(
-                            normalized(r.rows),
+                            normalized(r.rows.into_vec()),
                             expected[i],
                             "thread {t} round {round} query {i}"
                         );
@@ -228,7 +228,7 @@ fn concurrent_sessions_with_tight_gc_budget() {
         .collect();
     let expected: Vec<_> = shapes
         .iter()
-        .map(|q| normalized(reference.execute(q).unwrap().rows))
+        .map(|q| normalized(reference.execute(q).unwrap().rows.into_vec()))
         .collect();
     let shapes = Arc::new(shapes);
     let expected = Arc::new(expected);
@@ -245,7 +245,7 @@ fn concurrent_sessions_with_tight_gc_budget() {
                     for (i, q) in shapes.iter().enumerate() {
                         let r = session.execute(q).unwrap();
                         assert_eq!(
-                            normalized(r.rows),
+                            normalized(r.rows.into_vec()),
                             expected[i],
                             "thread {t} round {round} query {i}"
                         );

@@ -164,8 +164,8 @@ fn alternating_queries_stress_cache_transitions() {
                 .build()
                 .unwrap()
         };
-        let mut got = hs.execute(&q).unwrap().rows;
-        let mut want = ns.execute(&q).unwrap().rows;
+        let mut got = hs.execute(&q).unwrap().rows.into_vec();
+        let mut want = ns.execute(&q).unwrap().rows.into_vec();
         got.sort();
         want.sort();
         assert_eq!(got.len(), want.len(), "query {i}");

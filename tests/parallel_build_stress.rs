@@ -116,7 +116,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
             let htm = HtManager::unbounded();
             let mut ctx = ExecContext::new(&cat, &htm).with_parallelism(1);
             let plan = join("fact", Some(build_scan(v, "dim")), None, None);
-            execute(&plan, &mut ctx).expect("reference").1
+            execute(&plan, &mut ctx).expect("reference").1.into_vec()
         })
         .collect();
     let reference = Arc::new(reference);
@@ -171,7 +171,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                         .with_parallelism(WORKERS)
                         .with_pool(pool);
                     let rows = match execute(&plan, &mut ctx) {
-                        Ok((_, rows)) => rows,
+                        Ok((_, rows)) => rows.into_vec(),
                         Err(HsError::CacheError(_)) => {
                             // Candidate vanished or got writer-locked:
                             // re-plan as a fresh build.
@@ -181,6 +181,7 @@ fn racing_parallel_builds_and_publishes_audit_clean() {
                             execute(&fresh_plan(v), &mut ctx)
                                 .expect("replan executes")
                                 .1
+                                .into_vec()
                         }
                         Err(e) => panic!("thread {t} round {round}: {e}"),
                     };

@@ -80,7 +80,7 @@ fn run_sequence(cat: &Catalog, parallelism: usize) -> Vec<(Schema, Vec<Row>, Exe
             .with_parallelism(parallelism)
             .with_pool(&pool);
         let (schema, rows) = execute(plan, &mut ctx).expect("plan executes");
-        results.push((schema, rows, ctx.metrics));
+        results.push((schema, rows.into_vec(), ctx.metrics));
     };
 
     // 1. Filtered scan.
@@ -360,7 +360,7 @@ fn run_build_sequence(cat: &Catalog, parallelism: usize) -> BuildRun {
             .with_parallelism(parallelism)
             .with_pool(&pool);
         let (schema, rows) = execute(plan, &mut ctx).expect("plan executes");
-        results.push((schema, rows, ctx.metrics));
+        results.push((schema, rows.into_vec(), ctx.metrics));
     };
 
     // 1. Fresh join: 8001-row build side (parallel build at workers > 1),
@@ -708,7 +708,8 @@ fn parallel_queries_race_eviction_under_tight_budget() {
             let mut rows = ref_session
                 .execute(&mk_query(1000 + k, k as i64))
                 .unwrap()
-                .rows;
+                .rows
+                .into_vec();
             rows.sort();
             rows
         })
@@ -729,7 +730,11 @@ fn parallel_queries_race_eviction_under_tight_budget() {
                 for round in 0..6u32 {
                     let k = ((t + round) % 8) as usize;
                     let q = mk_query(t * 100 + round, k as i64);
-                    let mut rows = session.execute(&q).expect("query survives eviction").rows;
+                    let mut rows = session
+                        .execute(&q)
+                        .expect("query survives eviction")
+                        .rows
+                        .into_vec();
                     rows.sort();
                     assert_eq!(rows, expected[k], "thread {t} round {round}");
                 }

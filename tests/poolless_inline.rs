@@ -52,7 +52,7 @@ fn run_all(cat: &Catalog, pool: Option<&WorkerPool>) -> Vec<(Vec<Row>, ExecMetri
                 ctx = ctx.with_pool(pool);
             }
             let (_, rows) = execute(plan, &mut ctx).expect("plan executes");
-            (rows, ctx.metrics)
+            (rows.into_vec(), ctx.metrics)
         })
         .collect()
 }

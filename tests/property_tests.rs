@@ -271,8 +271,8 @@ mod optimizer_props {
                 .session();
             for (i, (lo, hi, drill)) in bounds.iter().enumerate() {
                 let q = random_query(i as u32, *lo, *hi, *drill);
-                let got = normalized(hs.execute(&q).unwrap().rows);
-                let want = normalized(ns.execute(&q).unwrap().rows);
+                let got = normalized(hs.execute(&q).unwrap().rows.into_vec());
+                let want = normalized(ns.execute(&q).unwrap().rows.into_vec());
                 prop_assert_eq!(got, want, "divergence at query {}", i);
             }
         }

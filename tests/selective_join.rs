@@ -95,7 +95,7 @@ fn run(cat: &Catalog, workers: usize, oracle: bool) -> [Run; 2] {
     };
     let mut ctx = context();
     let (_, built) = execute(&lineitem_probe(Some(build_side()), None), &mut ctx).unwrap();
-    let built = (built, ctx.metrics);
+    let built = (built.into_vec(), ctx.metrics);
 
     let cand = htm.candidates(&fingerprint()).remove(0);
     let reuse = ReuseSpec {
@@ -108,7 +108,7 @@ fn run(cat: &Catalog, workers: usize, oracle: bool) -> [Run; 2] {
     };
     let mut ctx = context();
     let (_, reused) = execute(&lineitem_probe(None, Some(reuse)), &mut ctx).unwrap();
-    [built, (reused, ctx.metrics)]
+    [built, (reused.into_vec(), ctx.metrics)]
 }
 
 #[test]

@@ -53,12 +53,12 @@ fn reference(queries: &[QuerySpec]) -> Vec<Vec<Row>> {
     let mut session = db.session();
     queries
         .iter()
-        .map(|q| sorted(session.execute(q).unwrap().rows))
+        .map(|q| sorted(session.execute(q).unwrap().rows.into_vec()))
         .collect()
 }
 
 fn answers(results: &[QueryResult]) -> Vec<Vec<Row>> {
-    results.iter().map(|r| sorted(r.rows.clone())).collect()
+    results.iter().map(|r| sorted(r.rows.to_vec())).collect()
 }
 
 /// Use counts of the cached join tables, in id order.

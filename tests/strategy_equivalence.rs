@@ -51,7 +51,7 @@ fn full_session_equivalence_across_strategies() {
             .session();
         trace
             .iter()
-            .map(|tq| normalized(session.execute(&tq.query).unwrap().rows))
+            .map(|tq| normalized(session.execute(&tq.query).unwrap().rows.into_vec()))
             .collect()
     };
     for strategy in [
@@ -65,7 +65,7 @@ fn full_session_equivalence_across_strategies() {
             .build()
             .session();
         for (i, tq) in trace.iter().enumerate() {
-            let got = normalized(session.execute(&tq.query).unwrap().rows);
+            let got = normalized(session.execute(&tq.query).unwrap().rows.into_vec());
             assert_eq!(got, reference[i], "{strategy:?} diverges at query {i}");
         }
     }
@@ -99,8 +99,8 @@ fn facade_is_deterministic_across_instances() {
             let ra = a.execute(&tq.query).unwrap();
             let rb = b.execute(&tq.query).unwrap();
             assert_eq!(
-                normalized(ra.rows),
-                normalized(rb.rows),
+                normalized(ra.rows.into_vec()),
+                normalized(rb.rows.into_vec()),
                 "{strategy:?} rows diverge at query {i}"
             );
             // Same reuse decisions at every pipeline breaker.
@@ -162,7 +162,7 @@ fn benefit_scored_admission_refuses_tables_and_keeps_answers() {
         let mut session = db.session();
         let answers: Vec<_> = trace
             .iter()
-            .map(|tq| normalized(session.execute(&tq.query).unwrap().rows))
+            .map(|tq| normalized(session.execute(&tq.query).unwrap().rows.into_vec()))
             .collect();
         (answers, db.cache_stats().publishes)
     };
@@ -189,13 +189,13 @@ fn exp2_session_equivalence() {
             .session();
         session_steps
             .iter()
-            .map(|s| normalized(session.execute(&s.query).unwrap().rows))
+            .map(|s| normalized(session.execute(&s.query).unwrap().rows.into_vec()))
             .collect()
     };
     let db = Database::open(catalog());
     let mut session = db.session();
     for (i, s) in session_steps.iter().enumerate() {
-        let got = normalized(session.execute(&s.query).unwrap().rows);
+        let got = normalized(session.execute(&s.query).unwrap().rows.into_vec());
         assert_eq!(got, reference[i], "{} diverges", s.name);
     }
     assert!(
@@ -221,7 +221,7 @@ fn batch_modes_equivalent_over_trace_batches() {
                 .session();
             batch
                 .iter()
-                .map(|q| normalized(session.execute(q).unwrap().rows))
+                .map(|q| normalized(session.execute(q).unwrap().rows.into_vec()))
                 .collect()
         };
         let mut session = Database::open(catalog()).session();
@@ -230,7 +230,7 @@ fn batch_modes_equivalent_over_trace_batches() {
             .unwrap();
         for (i, r) in results.iter().enumerate() {
             assert_eq!(
-                normalized(r.rows.clone()),
+                normalized(r.rows.to_vec()),
                 reference[i],
                 "shared batch diverges at query {i}"
             );
@@ -253,7 +253,7 @@ fn gc_does_not_change_answers() {
             .session();
         trace
             .iter()
-            .map(|tq| normalized(session.execute(&tq.query).unwrap().rows))
+            .map(|tq| normalized(session.execute(&tq.query).unwrap().rows.into_vec()))
             .collect()
     };
     // Brutal budget: 64 KB forces constant eviction.
@@ -265,7 +265,7 @@ fn gc_does_not_change_answers() {
         .build();
     let mut session = db.session();
     for (i, tq) in trace.iter().enumerate() {
-        let got = normalized(session.execute(&tq.query).unwrap().rows);
+        let got = normalized(session.execute(&tq.query).unwrap().rows.into_vec());
         assert_eq!(got, reference[i], "GC engine diverges at query {i}");
         assert!(db.cache_stats().bytes <= 64 * 1024);
     }
@@ -287,8 +287,8 @@ fn zero_budget_cache_still_correct() {
         .build()
         .session();
     for tq in &trace {
-        let got = normalized(session.execute(&tq.query).unwrap().rows);
-        let want = normalized(reference.execute(&tq.query).unwrap().rows);
+        let got = normalized(session.execute(&tq.query).unwrap().rows.into_vec());
+        let want = normalized(reference.execute(&tq.query).unwrap().rows.into_vec());
         assert_eq!(got, want);
     }
 }
@@ -339,7 +339,7 @@ fn materialized_database_keeps_kinds_apart_through_batches() {
             .session();
         queries
             .iter()
-            .map(|q| normalized(session.execute(q).unwrap().rows))
+            .map(|q| normalized(session.execute(q).unwrap().rows.into_vec()))
             .collect()
     };
     let dir = std::env::temp_dir().join(format!("hashstash-mixed-{}", std::process::id()));
@@ -354,12 +354,16 @@ fn materialized_database_keeps_kinds_apart_through_batches() {
             .execute_batch(&queries, BatchMode::SharedWithReuse)
             .unwrap();
         for (i, r) in batch.into_iter().enumerate() {
-            assert_eq!(normalized(r.rows), reference[i], "batch query {i}");
+            assert_eq!(
+                normalized(r.rows.into_vec()),
+                reference[i],
+                "batch query {i}"
+            );
         }
         let published = db.cache_stats().publishes;
         for pass in 0..2 {
             for (i, q) in queries.iter().enumerate() {
-                let got = normalized(session.execute(q).unwrap().rows);
+                let got = normalized(session.execute(q).unwrap().rows.into_vec());
                 assert_eq!(got, reference[i], "pass {pass} query {i}");
             }
         }
@@ -383,7 +387,11 @@ fn materialized_database_keeps_kinds_apart_through_batches() {
     for (i, q) in queries.iter().enumerate() {
         let r = session.execute(q).unwrap();
         reused |= r.decisions.iter().any(|(_, c)| c.is_some());
-        assert_eq!(normalized(r.rows), reference[i], "after restart, query {i}");
+        assert_eq!(
+            normalized(r.rows.into_vec()),
+            reference[i],
+            "after restart, query {i}"
+        );
     }
     assert!(reused, "rehydrated hash tables serve reuse");
     drop(db);

@@ -8,10 +8,14 @@
 //!    column type (Int / Float-with-NaN-and-negative-zero / Date /
 //!    dictionary Str, plus a two-column conjunction) across the four plan
 //!    shapes that have columnar paths — scan, filter, hash-join probe with
-//!    publish, hash aggregate with publish — at 1/4/8 workers.
+//!    publish, hash aggregate with publish — at 1/4/8 workers. Index
+//!    access paths are inputs too (the shape of `customer.c_age`): an
+//!    indexed column alone, with a residual on another column, a two-box
+//!    region, and a cross-type bound that must keep the row arm.
 //! 2. A fixed large-table run where the morsel fan-out genuinely engages,
 //!    which additionally pins that the vectorized counters move (the
-//!    columnar path really ran) and that the oracle's stay zero.
+//!    columnar path really ran, index access paths included) and that the
+//!    oracle's stay zero.
 //! 3. Tight-GC-budget stress: a deterministic publish/reuse/evict sequence
 //!    must make byte-for-byte identical eviction decisions in both regimes
 //!    (footprints are only comparable if the tables are), plus a threaded
@@ -58,13 +62,13 @@ const DICT: [&str; 4] = ["alpha", "beta", "delta", "gamma"];
 const WORKERS: [usize; 3] = [1, 4, 8];
 
 // ---------------------------------------------------------------------------
-// Catalog construction (no indexes on the filter columns, so scans take the
-// columnar path rather than the index path).
+// Catalog construction: `t.a` optionally carries a secondary index, so a
+// box constraining it takes the index access path.
 // ---------------------------------------------------------------------------
 
 type TRow = (i64, i64, usize, i32, usize);
 
-fn build_catalog(rows: &[TRow], dim_keys: i64) -> Catalog {
+fn build_catalog(rows: &[TRow], dim_keys: i64, indexed: bool) -> Catalog {
     let mut cat = Catalog::new();
     let mut t = TableBuilder::with_capacity(
         "t",
@@ -86,7 +90,8 @@ fn build_catalog(rows: &[TRow], dim_keys: i64) -> Catalog {
             Value::str(DICT[s_idx % DICT.len()]),
         ]);
     }
-    cat.register(t.finish());
+    let indexes: &[&str] = if indexed { &["a"] } else { &[] };
+    cat.register(t.finish_with_indexes(indexes).expect("index on t.a"));
     let mut dim = TableBuilder::with_capacity(
         "dim",
         vec![("d_key", DataType::Int), ("d_tag", DataType::Str)],
@@ -122,33 +127,59 @@ fn agg_exprs() -> Vec<AggExpr> {
     ]
 }
 
-fn agg_fp(pred: &PredBox) -> HtFingerprint {
+/// One generated input: the scan region's boxes (the filter shape uses
+/// the first) and whether `t.a` is indexed.
+#[derive(Debug, Clone)]
+struct Case {
+    boxes: Vec<PredBox>,
+    indexed: bool,
+}
+
+impl Case {
+    fn region(&self) -> Region {
+        self.boxes.iter().fold(Region::empty(), |r, b| {
+            r.union(&Region::from_box(b.clone()))
+        })
+    }
+}
+
+fn agg_fp(region: &Region) -> HtFingerprint {
     HtFingerprint {
         kind: HtKind::Aggregate,
         tables: std::iter::once(Arc::from("t")).collect(),
         edges: vec![],
-        region: Region::from_box(pred.clone()),
+        region: region.clone(),
         key_attrs: vec![Arc::from("t.a"), Arc::from("t.s")],
         payload_attrs: vec![Arc::from("t.a"), Arc::from("t.s")],
         aggregates: agg_exprs(),
     }
 }
 
+/// A scan of `t` over `region`.
+fn scan_t(region: &Region) -> PhysicalPlan {
+    PhysicalPlan::Scan(ScanSpec {
+        table: "t".into(),
+        region: region.clone(),
+        projection: vec![],
+    })
+}
+
 /// The four plan shapes with columnar hot paths, parameterized by the
-/// generated predicate.
-fn plans(pred: &PredBox) -> Vec<PhysicalPlan> {
+/// generated case.
+fn plans(case: &Case) -> Vec<PhysicalPlan> {
+    let region = case.region();
     vec![
         // 1. Filtered scan: selection-vector build per region box.
-        PhysicalPlan::Scan(ScanSpec::filtered("t", pred.clone())),
+        scan_t(&region),
         // 2. Filter over a full scan: in-place selection refinement.
         PhysicalPlan::Filter {
             input: Box::new(PhysicalPlan::Scan(ScanSpec::full("t"))),
-            predicate: pred.clone(),
+            predicate: case.boxes[0].clone(),
         },
         // 3. Hash join: vectorized probe-key extraction over the filtered
         //    probe side, published build table.
         PhysicalPlan::HashJoin {
-            probe: Box::new(PhysicalPlan::Scan(ScanSpec::filtered("t", pred.clone()))),
+            probe: Box::new(scan_t(&region)),
             build: Some(Box::new(PhysicalPlan::Scan(
                 ScanSpec::full("dim").project(&["dim.d_key", "dim.d_tag"]),
             ))),
@@ -160,10 +191,7 @@ fn plans(pred: &PredBox) -> Vec<PhysicalPlan> {
         // 4. Hash aggregate: vectorized multi-column group keys + folds,
         //    published accumulator table.
         PhysicalPlan::HashAggregate {
-            input: Some(Box::new(PhysicalPlan::Scan(ScanSpec::filtered(
-                "t",
-                pred.clone(),
-            )))),
+            input: Some(Box::new(scan_t(&region))),
             group_by: vec!["t.a".into(), "t.s".into()],
             aggs: agg_exprs(),
             output_aggs: vec![
@@ -172,7 +200,7 @@ fn plans(pred: &PredBox) -> Vec<PhysicalPlan> {
                 OutputAgg::Direct(2),
             ],
             reuse: None,
-            publish: Some(agg_fp(pred)),
+            publish: Some(agg_fp(&region)),
             post_group_by: None,
         },
     ]
@@ -213,14 +241,14 @@ fn context<'a>(
     }
 }
 
-fn run_all(cat: &Catalog, pred: &PredBox, vectorize: bool, parallelism: usize) -> RunOutput {
+fn run_all(cat: &Catalog, case: &Case, vectorize: bool, parallelism: usize) -> RunOutput {
     let htm = HtManager::unbounded();
     let pool = WorkerPool::new(parallelism - 1);
     let mut out = Vec::new();
-    for plan in plans(pred) {
+    for plan in plans(case) {
         let mut ctx = context(cat, &htm, &pool, vectorize, parallelism);
         let (schema, rows) = execute(&plan, &mut ctx).expect("plan executes");
-        out.push((schema, rows, ctx.metrics));
+        out.push((schema, rows.into_vec(), ctx.metrics));
     }
     let jc = htm.candidates(&join_fp()).remove(0);
     let join_co = htm.checkout(jc.id).unwrap();
@@ -231,7 +259,7 @@ fn run_all(cat: &Catalog, pred: &PredBox, vectorize: bool, parallelism: usize) -
         }
         other => panic!("join fingerprint stored {other:?}"),
     };
-    let ac = htm.candidates(&agg_fp(pred)).remove(0);
+    let ac = htm.candidates(&agg_fp(&case.region())).remove(0);
     let agg_co = htm.checkout(ac.id).unwrap();
     let agg_table = match agg_co.table() {
         StoredHt::Agg(ht) => {
@@ -252,11 +280,11 @@ fn run_all(cat: &Catalog, pred: &PredBox, vectorize: bool, parallelism: usize) -
 /// The full differential matrix against the serial row oracle: semantic
 /// equality across regimes, full-metric equality across worker counts
 /// within each regime, and published-table layout identity everywhere.
-fn assert_equivalent(cat: &Catalog, pred: &PredBox) {
-    let oracle = run_all(cat, pred, false, 1);
+fn assert_equivalent(cat: &Catalog, case: &Case) {
+    let oracle = run_all(cat, case, false, 1);
     for vectorize in [false, true] {
         for workers in WORKERS {
-            let run = run_all(cat, pred, vectorize, workers);
+            let run = run_all(cat, case, vectorize, workers);
             let label = format!("vectorize={vectorize} workers={workers}");
             assert_eq!(run.plans.len(), oracle.plans.len());
             for (i, ((s, r, m), (os, or, om))) in run.plans.iter().zip(&oracle.plans).enumerate() {
@@ -275,9 +303,9 @@ fn assert_equivalent(cat: &Catalog, pred: &PredBox) {
         }
         // Within one regime the *full* metrics (vectorized counters
         // included) must be worker-invariant.
-        let serial = run_all(cat, pred, vectorize, 1);
+        let serial = run_all(cat, case, vectorize, 1);
         for workers in &WORKERS[1..] {
-            let run = run_all(cat, pred, vectorize, *workers);
+            let run = run_all(cat, case, vectorize, *workers);
             for (i, ((_, _, m), (_, _, sm))) in run.plans.iter().zip(&serial.plans).enumerate() {
                 assert_eq!(
                     m, sm,
@@ -338,6 +366,35 @@ fn pred_box() -> impl Strategy<Value = PredBox> {
     ]
 }
 
+/// The column-scan cases on an unindexed `t`, and the index access path
+/// on an indexed one: `t.a` alone, with a residual on another column, as
+/// two boxes, and with a cross-type (float) bound, which no kernel
+/// evaluates — that scan must keep the row arm.
+fn case() -> impl Strategy<Value = Case> {
+    let indexed = prop_oneof![
+        interval(int_val).prop_map(|a| vec![PredBox::all().with("t.a", a)]),
+        (interval(int_val), interval(float_val))
+            .prop_map(|(a, f)| vec![PredBox::all().with("t.a", a).with("t.f", f)]),
+        (interval(int_val), interval(int_val), interval(str_val)).prop_map(|(a, b, s)| {
+            vec![
+                PredBox::all().with("t.a", a),
+                PredBox::all().with("t.a", b).with("t.s", s),
+            ]
+        }),
+        interval(float_val).prop_map(|f| vec![PredBox::all().with("t.a", f)]),
+    ];
+    prop_oneof![
+        pred_box().prop_map(|b| Case {
+            boxes: vec![b],
+            indexed: false,
+        }),
+        indexed.prop_map(|boxes| Case {
+            boxes,
+            indexed: true,
+        }),
+    ]
+}
+
 fn t_rows() -> impl Strategy<Value = Vec<TRow>> {
     proptest::collection::vec(
         (
@@ -352,14 +409,15 @@ fn t_rows() -> impl Strategy<Value = Vec<TRow>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Every predicate op × column type, on random data, through all four
-    // columnar plan shapes, at 1/4/8 workers, vectorized vs oracle.
+    // Every predicate op × column type, and the index access path, on
+    // random data, through all four columnar plan shapes, at 1/4/8
+    // workers, vectorized vs oracle.
     #[test]
-    fn vectorized_matches_row_oracle(rows in t_rows(), pred in pred_box()) {
-        let cat = build_catalog(&rows, 16);
-        assert_equivalent(&cat, &pred);
+    fn vectorized_matches_row_oracle(rows in t_rows(), case in case()) {
+        let cat = build_catalog(&rows, 16, case.indexed);
+        assert_equivalent(&cat, &case);
     }
 }
 
@@ -378,6 +436,10 @@ fn mix(x: &mut u64) -> u64 {
 }
 
 fn big_catalog() -> Catalog {
+    big_catalog_indexed(false)
+}
+
+fn big_catalog_indexed(indexed: bool) -> Catalog {
     let mut seed = 0x5eed_cafe_f00du64;
     let rows: Vec<TRow> = (0..24_576)
         .map(|_| {
@@ -391,29 +453,62 @@ fn big_catalog() -> Catalog {
             )
         })
         .collect();
-    build_catalog(&rows, 4096)
+    build_catalog(&rows, 4096, indexed)
 }
 
 #[test]
 fn vectorized_matches_row_oracle_at_scale() {
-    let cat = big_catalog();
     let pred = PredBox::all()
         .with("t.a", Interval::closed(Value::Int(-10), Value::Int(12)))
         .with("t.s", Interval::eq(Value::str("beta")));
-    assert_equivalent(&cat, &pred);
+    // Unindexed, the scans select over every row; indexed, over the hits
+    // of `t.a`'s index, with `t.s` as the residual.
+    for indexed in [false, true] {
+        let cat = big_catalog_indexed(indexed);
+        let case = Case {
+            boxes: vec![pred.clone()],
+            indexed,
+        };
+        assert_equivalent(&cat, &case);
 
-    // The counters prove which interpreter ran: the columnar path batches
-    // and filters, the oracle never touches either counter.
-    let vectorized = run_all(&cat, &pred, true, 4);
-    let oracle = run_all(&cat, &pred, false, 4);
-    for (i, (_, _, m)) in vectorized.plans.iter().enumerate() {
-        assert!(m.batches_processed > 0, "plan {i}: columnar path engaged");
-        assert!(m.rows_filtered_vectorized > 0, "plan {i}: kernel filtering");
+        // The counters prove which interpreter ran: the columnar path
+        // batches and filters, the oracle never touches either counter.
+        let vectorized = run_all(&cat, &case, true, 4);
+        let oracle = run_all(&cat, &case, false, 4);
+        for (i, (_, _, m)) in vectorized.plans.iter().enumerate() {
+            assert!(m.batches_processed > 0, "plan {i}: columnar path engaged");
+            assert!(m.rows_filtered_vectorized > 0, "plan {i}: kernel filtering");
+        }
+        for (i, (_, _, m)) in oracle.plans.iter().enumerate() {
+            assert_eq!(m.batches_processed, 0, "plan {i}: oracle stays row-wise");
+            assert_eq!(m.rows_filtered_vectorized, 0, "plan {i}");
+        }
+        // The filter shape scans the whole table; the others read the
+        // index exactly when there is one.
+        for i in [0, 2, 3] {
+            let (_, _, m) = &vectorized.plans[i];
+            assert_eq!(m.index_rows > 0, indexed, "plan {i}: index access path");
+        }
     }
-    for (i, (_, _, m)) in oracle.plans.iter().enumerate() {
-        assert_eq!(m.batches_processed, 0, "plan {i}: oracle stays row-wise");
-        assert_eq!(m.rows_filtered_vectorized, 0, "plan {i}");
-    }
+}
+
+/// A cross-type bound on the indexed column lowers to no kernel: the scan
+/// keeps the row arm (and its index access path) on the vectorized
+/// executor too, and still answers like the oracle.
+#[test]
+fn cross_type_bound_on_an_indexed_column_falls_back() {
+    let cat = big_catalog_indexed(true);
+    let case = Case {
+        boxes: vec![PredBox::all().with("t.a", Interval::at_most(Value::float(2.5)))],
+        indexed: true,
+    };
+    assert_equivalent(&cat, &case);
+    let (_, rows, m) = &run_all(&cat, &case, true, 4).plans[0];
+    assert!(
+        !rows.is_empty() && m.index_rows > 0,
+        "index access path taken"
+    );
+    assert_eq!(m.batches_processed, 0, "scan stayed on the row arm");
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +642,8 @@ fn vectorized_engine_races_eviction_correctly() {
             let mut rows = ref_session
                 .execute(&mk_query(900 + k, k as i64))
                 .unwrap()
-                .rows;
+                .rows
+                .into_vec();
             rows.sort();
             rows
         })
@@ -567,7 +663,11 @@ fn vectorized_engine_races_eviction_correctly() {
                     for round in 0..4u32 {
                         let k = ((t + round) % 6) as usize;
                         let q = mk_query(t * 100 + round, k as i64);
-                        let mut rows = session.execute(&q).expect("query survives eviction").rows;
+                        let mut rows = session
+                            .execute(&q)
+                            .expect("query survives eviction")
+                            .rows
+                            .into_vec();
                         rows.sort();
                         assert_eq!(rows, expected[k], "budget={budget:?} t={t} r={round}");
                     }
