@@ -1,22 +1,23 @@
 //! Exp 10: warm restart of the reuse cache (durability subsystem).
 //!
-//! A durable engine (`EngineBuilder::data_dir`) persists the catalog and a
-//! benefit-scored subset of the reuse cache via WAL + snapshots. This
-//! experiment measures what that buys: **time to the first reuse hit**
-//! after a restart, warm (rehydrated cache) vs cold (fresh engine that
-//! must rebuild its hash tables from scratch).
+//! A durable engine (`EngineBuilder::data_dir`) persists the catalog and
+//! the reuse cache in snapshots. This experiment measures what that buys:
+//! **time to the first reuse hit** after a restart, warm (rehydrated
+//! cache) vs cold (fresh engine that must rebuild its hash tables from
+//! scratch).
 //!
 //! Protocol: run the Fig. 7-style medium-reuse trace on a durable engine,
 //! flush, drop it (clean exit), reopen the data directory with an *empty*
-//! catalog — recovery rebuilds catalog and cache — and replay the trace,
-//! timing how long until a query's plan first reuses a cached table. The
-//! cold baseline replays the identical trace on a fresh in-memory engine.
+//! catalog — recovery reads the newest valid snapshot, rebuilding catalog
+//! and cache — and replay the trace, timing how long until a query's plan
+//! first reuses a cached table. The cold baseline replays the identical
+//! trace on a fresh in-memory engine.
 //!
 //! Output: a human-readable table plus `BENCH_restart.json` (uploaded by
 //! CI as an artifact); the JSON records the fsync policy in effect. Smoke
 //! mode (`HASHSTASH_SMOKE=1`) shrinks the trace and forces `fsync=none`
 //! so the run finishes in seconds on a 1-core container; override the
-//! policy with `HASHSTASH_FSYNC=none|interval|always`.
+//! policy with `HASHSTASH_FSYNC=none|interval`.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -75,7 +76,7 @@ fn main() {
             FsyncPolicy::Interval
         });
 
-    header("Exp 10: warm restart of the reuse cache (WAL + snapshot recovery)");
+    header("Exp 10: warm restart of the reuse cache (snapshot recovery)");
     println!("fsync policy: {}", fsync.name());
 
     let trace = generate_trace(TraceConfig {

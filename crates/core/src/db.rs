@@ -40,9 +40,7 @@ use std::time::{Duration, Instant};
 use hashstash_types::{HsError, QueryId, Result, Schema};
 
 use hashstash_cache::{CacheStats, GcConfig, HtManager, TenantId};
-use hashstash_durability::{
-    benefit_score, Durability, DurabilityConfig, FsyncPolicy, PersistedEntry,
-};
+use hashstash_durability::{benefit_score, Durability, FsyncPolicy, PersistedEntry};
 use hashstash_exec::shared::execute_shared;
 use hashstash_exec::{
     acquire_checkouts, acquire_plan_checkouts, execute, ExecContext, ExecMetrics, ResultRows,
@@ -135,7 +133,6 @@ pub struct EngineBuilder {
     parallelism: usize,
     data_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
-    persist_min_benefit: f64,
     tenants: Vec<(String, usize)>,
 }
 
@@ -148,7 +145,6 @@ impl EngineBuilder {
             parallelism: hashstash_exec::engine_default_parallelism(),
             data_dir: None,
             fsync: FsyncPolicy::default(),
-            persist_min_benefit: 0.0,
             tenants: Vec::new(),
         }
     }
@@ -201,45 +197,35 @@ impl EngineBuilder {
     ///
     /// # Recovery
     ///
-    /// When `path` holds prior history, the *recovered* catalog (newest
-    /// valid snapshot + WAL replay) wins over the catalog passed to
-    /// [`Database::builder`]. On first boot the builder's catalog is
-    /// authoritative and every table is logged to the WAL before the
-    /// database opens. Persisted reuse-cache entries are **rehydrated** by
-    /// re-publishing them through the cache's normal admission path, least
-    /// recently used first, so budgets, shard accounting, `stats ==
-    /// audit()` and the LRU order hold exactly as if the entries had been
-    /// built by queries.
+    /// When `path` holds a snapshot that validates, the *recovered* catalog
+    /// (from the newest valid snapshot) wins over the catalog passed to
+    /// [`Database::builder`]. Otherwise — first boot, or nothing valid
+    /// survived — the builder's catalog is authoritative and is written as
+    /// a catalog-only snapshot before the database opens. Persisted
+    /// reuse-cache entries are **rehydrated** by re-publishing them through
+    /// the cache's normal admission path, least recently used first, so
+    /// budgets, shard accounting, `stats == audit()` and the LRU order hold
+    /// exactly as if the entries had been built by queries.
     ///
     /// # Crash vs clean exit
     ///
     /// A *clean* exit — [`Database::flush`] or simply dropping the last
-    /// handle — writes a snapshot, rotates the WAL and fsyncs, so restart
-    /// recovers everything including the torn-tail-free WAL. A *crash*
-    /// recovers the newest valid snapshot plus every WAL record the
-    /// configured [`EngineBuilder::fsync`] policy had made durable; a
-    /// half-written ("torn") final record is detected by CRC and truncated,
-    /// never fatal. Recovery therefore always yields a prefix of history.
+    /// handle — writes a snapshot of the catalog and the whole cache, so
+    /// restart recovers both. A *crash* at any point recovers the newest
+    /// snapshot that validates: the last flush's, or the first boot's
+    /// catalog-only one. A half-written or bit-rotted snapshot is rejected
+    /// by its CRC and skipped, never fatal; under [`FsyncPolicy::None`] a
+    /// power loss may also lose the newest snapshot.
     pub fn data_dir(mut self, path: impl Into<PathBuf>) -> Self {
         self.data_dir = Some(path.into());
         self
     }
 
-    /// WAL fsync policy (`none | interval | always`); see
-    /// [`FsyncPolicy`]. Only meaningful with [`EngineBuilder::data_dir`].
+    /// Snapshot fsync policy (`none | interval`); see [`FsyncPolicy`].
+    /// Only meaningful with [`EngineBuilder::data_dir`].
     /// Default: [`FsyncPolicy::Interval`].
     pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
         self.fsync = policy;
-        self
-    }
-
-    /// Minimum benefit-per-byte score ([`benefit_score`]: checkouts per
-    /// KiB) a cache entry must clear to be persisted by snapshots. The
-    /// default `0.0` persists every entry; any bar `> 0` drops entries that
-    /// were never reused. Only meaningful with
-    /// [`EngineBuilder::data_dir`].
-    pub fn persist_min_benefit(mut self, bar: f64) -> Self {
-        self.persist_min_benefit = bar;
         self
     }
 
@@ -257,30 +243,19 @@ impl EngineBuilder {
     /// [`EngineBuilder::data_dir`] is configured (in-memory engines cannot
     /// fail to build).
     pub fn try_build(self) -> Result<Arc<Database>> {
-        // Durable engines recover the data directory first: the recovered
-        // catalog wins over the builder's when prior history exists; on
-        // first boot the builder's tables are logged to the WAL so a crash
-        // before the first snapshot still recovers them.
+        // Durable engines recover the data directory first: a valid
+        // snapshot's catalog wins over the builder's; without one the
+        // builder's catalog is written as a catalog-only snapshot, so a
+        // crash before the first flush still recovers it.
         let (durability, catalog, recovered) = match self.data_dir {
             Some(dir) => {
-                let (d, rec) = Durability::open(DurabilityConfig {
-                    dir,
-                    fsync: self.fsync,
-                    persist_min_benefit: self.persist_min_benefit,
-                })
-                .map_err(dur_err)?;
-                if rec.catalog.is_empty() {
-                    for name in self.catalog.table_names() {
-                        let table = self
-                            .catalog
-                            .get(name)
-                            .expect("table_names returned a missing table");
-                        d.log_table_load(&table).map_err(dur_err)?;
+                let (d, snapshot) = Durability::open(dir, self.fsync).map_err(dur_err)?;
+                match snapshot {
+                    Some(snap) => (Some(d), snap.catalog, snap.entries),
+                    None => {
+                        d.flush_snapshot(&self.catalog, &[]).map_err(dur_err)?;
+                        (Some(d), self.catalog, Vec::new())
                     }
-                    d.sync().map_err(dur_err)?;
-                    (Some(d), self.catalog, rec.entries)
-                } else {
-                    (Some(d), rec.catalog, rec.entries)
                 }
             }
             None => (None, self.catalog, Vec::new()),
@@ -512,26 +487,25 @@ impl Database {
         self.durability.is_some()
     }
 
-    /// The WAL fsync policy in effect (`None` for in-memory databases).
-    pub fn fsync_policy(&self) -> Option<hashstash_durability::FsyncPolicy> {
+    /// The snapshot fsync policy in effect (`None` for in-memory databases).
+    pub fn fsync_policy(&self) -> Option<FsyncPolicy> {
         self.durability.as_ref().map(|d| d.fsync_policy())
     }
 
     /// Persist the current state: write a snapshot of the catalog plus
-    /// every reuse-cache entry whose benefit-per-byte clears the
-    /// [`EngineBuilder::persist_min_benefit`] bar, rotate to a fresh WAL
-    /// segment, and delete superseded files. No-op (returns `Ok`) for
-    /// in-memory databases.
+    /// every reuse-cache entry (each with its [`benefit_score`]), then
+    /// delete the older snapshots. No-op (returns `Ok`) for in-memory
+    /// databases.
     ///
     /// # Clean-exit contract
     ///
     /// After a successful `flush` the data directory contains exactly one
-    /// snapshot and one empty WAL segment — no torn tail is possible, and
-    /// the next [`EngineBuilder::data_dir`] boot recovers the full catalog
-    /// and the persisted cache subset. Dropping the last `Arc<Database>`
-    /// calls `flush` best-effort; a failure there is logged to stderr and
-    /// recorded in the flush-error slot ([`Database::flush_error_slot`]) —
-    /// call `flush` explicitly when you need the error as a return value.
+    /// file, the new snapshot, and the next [`EngineBuilder::data_dir`]
+    /// boot recovers the full catalog and the persisted cache. Dropping
+    /// the last `Arc<Database>` calls `flush` best-effort; a failure there
+    /// is logged to stderr and recorded in the flush-error slot
+    /// ([`Database::flush_error_slot`]) — call `flush` explicitly when you
+    /// need the error as a return value.
     ///
     /// Snapshotting is safe against live queries: entries are cloned under
     /// the cache's shard locks via the same guards that protect checkout,
@@ -561,21 +535,17 @@ impl Database {
         let Some(d) = &self.durability else {
             return Ok(());
         };
-        let bar = d.persist_min_benefit();
         let entries: Vec<PersistedEntry> = self
             .htm
             .snapshot_entries()
             .into_iter()
-            .filter_map(|e| {
-                let score = benefit_score(e.use_count, e.bytes);
-                (score >= bar).then_some(PersistedEntry {
-                    fingerprint: e.fingerprint,
-                    schema: e.schema,
-                    use_count: e.use_count,
-                    bytes: e.bytes as u64,
-                    score,
-                    payload: e.payload,
-                })
+            .map(|e| PersistedEntry {
+                score: benefit_score(e.use_count, e.bytes),
+                fingerprint: e.fingerprint,
+                schema: e.schema,
+                use_count: e.use_count,
+                bytes: e.bytes as u64,
+                payload: e.payload,
             })
             .collect();
         d.flush_snapshot(&self.catalog, &entries).map_err(dur_err)
@@ -603,13 +573,13 @@ impl Database {
 
 impl Drop for Database {
     /// Best-effort flush on clean exit, so simply letting the last handle
-    /// go out of scope leaves no torn WAL tail. A failed final snapshot
-    /// would silently lose the warm-restart cache, so an error here is
-    /// logged to stderr and recorded in the flush-error slot (readable
-    /// after the drop via a pre-cloned [`Database::flush_error_slot`]);
-    /// `Drop` itself must stay panic-free. The worker pool's own `Drop`
-    /// runs right after this and *joins* its threads — no detached workers
-    /// outlive the database.
+    /// go out of scope leaves exactly one snapshot, holding the catalog and
+    /// the whole cache. A failed final snapshot would silently lose the
+    /// warm-restart cache, so an error here is logged to stderr and
+    /// recorded in the flush-error slot (readable after the drop via a
+    /// pre-cloned [`Database::flush_error_slot`]); `Drop` itself must stay
+    /// panic-free. The worker pool's own `Drop` runs right after this and
+    /// *joins* its threads — no detached workers outlive the database.
     fn drop(&mut self) {
         if self.durability.is_some() {
             if let Err(e) = self.flush() {

@@ -46,12 +46,12 @@
 //! itself runs lock-free, and read-only exact-match reuse of the same
 //! cached table proceeds in parallel across sessions.
 //!
-//! Engines configured with [`EngineBuilder::data_dir`] are *durable*: a
-//! write-ahead log plus benefit-scored snapshots persist the catalog and
-//! the reuse cache, and a restart **rehydrates** cached hash tables so
-//! the first queries after a reboot reuse work done before it (see
-//! [`hashstash_durability`] for formats and recovery semantics, and
-//! [`db::Database::flush`] for the crash-vs-clean-exit contract).
+//! Engines configured with [`EngineBuilder::data_dir`] are *durable*:
+//! snapshots persist the catalog and the reuse cache, and a restart
+//! **rehydrates** cached hash tables so the first queries after a reboot
+//! reuse work done before it (see [`hashstash_durability`] for formats
+//! and recovery semantics, and [`db::Database::flush`] for the
+//! crash-vs-clean-exit contract).
 
 pub mod db;
 pub mod materialized;

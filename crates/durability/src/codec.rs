@@ -3,7 +3,7 @@
 //! All integers are little-endian; collections are a `u32` count followed
 //! by the elements; strings are UTF-8 bytes behind a `u32` length. The
 //! format carries no self-description — framing, versioning and checksums
-//! are the WAL's and snapshot's job ([`crate::wal`], [`crate::snapshot`]).
+//! are the snapshot's job ([`crate::snapshot`]).
 //! Decoders validate counts against the remaining input, so a corrupt
 //! (CRC-passing but logically damaged) frame degrades into a decode error,
 //! never a huge allocation or a panic.
@@ -26,8 +26,6 @@ use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, JoinEdge, PredBox, Region,
 };
 use hashstash_storage::{Column, Table};
-
-use crate::wal::WalRecord;
 
 /// Decode failure: a human-readable description of the first inconsistency.
 pub type DecodeResult<T> = std::result::Result<T, String>;
@@ -765,40 +763,6 @@ pub fn decode_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
         indexed.push(r.get_u64()? as usize);
     }
     Table::from_parts(name, schema, columns, &indexed).map_err(|e| e.to_string())
-}
-
-// ------------------------------------------------------------- wal records
-
-/// Record-kind tags. New kinds get the next integer; tags are never reused.
-const KIND_TABLE_LOAD: u8 = 1;
-
-/// Encode one WAL record as `[kind: u8][kind-specific body]`.
-///
-/// Lives here (not in [`crate::wal`]) so every persisted enum's match arms
-/// are in one file the `codec-exhaustive` tidy lint can check: adding a
-/// [`WalRecord`] variant without extending this match fails tidy before it
-/// can become a silent decode failure on restart.
-pub fn encode_wal_record(record: &WalRecord) -> Vec<u8> {
-    let mut w = Writer::new();
-    match record {
-        WalRecord::TableLoad(t) => {
-            w.put_u8(KIND_TABLE_LOAD);
-            encode_table(&mut w, t);
-        }
-    }
-    w.into_inner()
-}
-
-/// Decode one WAL record payload (the inverse of [`encode_wal_record`]).
-pub fn decode_wal_record(payload: &[u8]) -> DecodeResult<WalRecord> {
-    let mut r = Reader::new(payload);
-    match r.get_u8()? {
-        KIND_TABLE_LOAD => {
-            let t = decode_table(&mut r)?;
-            Ok(WalRecord::TableLoad(t))
-        }
-        k => Err(format!("unknown WAL record kind {k}")),
-    }
 }
 
 #[cfg(test)]

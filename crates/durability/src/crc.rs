@@ -1,5 +1,5 @@
-//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) — the frame checksum of
-//! the WAL and snapshot formats.
+//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) — the checksum that
+//! seals the snapshot format.
 //!
 //! Self-contained table-driven implementation: the build container is
 //! offline, so no external checksum crate. The golden test below pins the

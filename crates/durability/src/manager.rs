@@ -1,32 +1,27 @@
-//! The durability manager: ties WAL segments and snapshots into one
-//! recoverable data directory.
+//! The durability manager: a data directory of numbered snapshots.
 //!
 //! # Directory layout
 //!
 //! ```text
 //! data_dir/
-//!   wal-000000.log    # records since the last snapshot (or since boot)
-//!   snap-000001.snap  # written by flush(); seq ties it to its WAL
-//!   wal-000001.log    # records since snap-000001
+//!   snap-000000.snap  # first boot: the catalog, no cache entries
 //! ```
 //!
-//! Sequence numbers pair a snapshot with the WAL segment that continues
-//! it: `flush()` writes `snap-(N+1)`, starts `wal-(N+1)`, then deletes
-//! older files. A crash *between* those steps only leaves extra files;
-//! recovery is written to tolerate every intermediate state.
+//! and after the k-th flush since then, `snap-00000k.snap` alone: catalog
+//! plus reuse cache. `flush_snapshot` installs `snap-(N+1)` (tmp + rename)
+//! and then deletes every older `snap-*` file, so a crash between those
+//! steps only leaves extra files. N is the highest sequence number on
+//! disk, *including* files that fail validation, so a new snapshot always
+//! outranks a damaged one.
 //!
-//! # Recovery sequence
+//! # Recovery
 //!
-//! 1. Pick the newest snapshot that validates (magic + whole-body CRC).
-//!    Invalid or half-written snapshots are skipped, not fatal.
-//! 2. Seed the catalog and the persisted cache entries from it.
-//! 3. Replay every WAL segment with `seq >= snapshot seq` in order,
-//!    re-registering logged tables. Torn tails are truncated (prefix-of-
-//!    history semantics); because records are idempotent re-executable
-//!    facts, replaying a segment that predates the snapshot is harmless —
-//!    which is what makes the crash-between-steps states above safe.
-//! 4. Append further records to the newest segment (truncated to its
-//!    valid prefix).
+//! [`Durability::open`] returns the newest snapshot that validates (magic +
+//! whole-body CRC + decode). Invalid or half-written snapshots are skipped,
+//! not fatal; older files the recovered one supersedes are deleted, which
+//! finishes the cleanup of a flush that crashed after its rename. With no
+//! valid snapshot the directory has no history, and the engine writes its
+//! own catalog as the first snapshot.
 //!
 //! The *cache* half of a snapshot is rehydrated by the engine, not here:
 //! entries are re-published through the cache's normal admission path so
@@ -36,177 +31,81 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use hashstash_storage::{Catalog, Table};
+use hashstash_storage::Catalog;
 
-use crate::snapshot::{read_snapshot, write_snapshot, PersistedEntry};
-use crate::wal::{FsyncPolicy, Wal, WalRecord};
+use crate::snapshot::{read_snapshot, write_snapshot, FsyncPolicy, PersistedEntry, Snapshot};
 
-/// Configuration of a durable data directory.
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// The data directory (created if absent).
-    pub dir: PathBuf,
-    /// When WAL appends reach the disk.
-    pub fsync: FsyncPolicy,
-    /// Minimum [`crate::snapshot::benefit_score`] a cache entry must clear
-    /// to be persisted by a snapshot. `0.0` (default) persists everything
-    /// available.
-    pub persist_min_benefit: f64,
-}
-
-impl DurabilityConfig {
-    /// Default configuration over `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            dir: dir.into(),
-            fsync: FsyncPolicy::default(),
-            persist_min_benefit: 0.0,
-        }
-    }
-}
-
-/// What recovery reconstructed from the data directory.
+/// An open durable data directory.
 #[derive(Debug)]
-pub struct Recovered {
-    /// The catalog: snapshot tables plus WAL-replayed loads. Empty on
-    /// first boot.
-    pub catalog: Catalog,
-    /// Persisted cache entries awaiting rehydration.
-    pub entries: Vec<PersistedEntry>,
-    /// Whether a valid snapshot seeded the state.
-    pub snapshot_used: bool,
-    /// WAL records replayed across all segments.
-    pub wal_records: usize,
-    /// Whether any WAL tail was torn (and truncated).
-    pub torn_wal: bool,
-}
-
-struct WalState {
-    seq: u64,
-    wal: Wal,
-}
-
-/// An open durable data directory: appendable WAL + snapshot rotation.
 pub struct Durability {
     dir: PathBuf,
     fsync: FsyncPolicy,
-    persist_min_benefit: f64,
-    // lock-order: 40 (WAL append/rotate state; no cache lock is taken under it)
-    state: Mutex<WalState>,
-}
-
-impl std::fmt::Debug for Durability {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Durability")
-            .field("dir", &self.dir)
-            .field("fsync", &self.fsync)
-            .field("persist_min_benefit", &self.persist_min_benefit)
-            .finish_non_exhaustive()
-    }
-}
-
-fn wal_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq:06}.log"))
+    /// Highest snapshot sequence number on disk, valid or not.
+    // lock-order: 40 (snapshot install; no cache lock is taken under it)
+    last_seq: Mutex<Option<u64>>,
 }
 
 fn snap_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("snap-{seq:06}.snap"))
 }
 
-/// Parse `prefix-NNNNNN.ext` into its sequence number.
-fn seq_of(name: &str, prefix: &str, ext: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(ext)?
-        .parse::<u64>()
+/// Parse `snap-NNNNNN.snap` into its sequence number.
+fn seq_of(name: &str) -> Option<u64> {
+    name.strip_prefix("snap-")?
+        .strip_suffix(".snap")?
+        .parse()
         .ok()
 }
 
-fn list_seqs(dir: &Path, prefix: &str, ext: &str) -> std::io::Result<Vec<u64>> {
+/// Sequence numbers of the directory's snapshots, ascending.
+fn list_seqs(dir: &Path) -> std::io::Result<Vec<u64>> {
     let mut seqs = Vec::new();
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(name) = entry.file_name().to_str() {
-            if let Some(seq) = seq_of(name, prefix, ext) {
-                seqs.push(seq);
-            }
+        if let Some(seq) = entry?.file_name().to_str().and_then(seq_of) {
+            seqs.push(seq);
         }
     }
     seqs.sort_unstable();
     Ok(seqs)
 }
 
+/// Best-effort removal of every snapshot older than `seq`. (A temp file
+/// a crashed write left behind carries the next sequence number, so the
+/// next flush overwrites it.)
+fn remove_older(dir: &Path, seq: u64) {
+    for old in list_seqs(dir).unwrap_or_default() {
+        if old < seq {
+            let _ = fs::remove_file(snap_path(dir, old));
+        }
+    }
+}
+
 impl Durability {
-    /// Open (or initialize) a data directory and recover its state.
-    pub fn open(cfg: DurabilityConfig) -> std::io::Result<(Durability, Recovered)> {
-        fs::create_dir_all(&cfg.dir)?;
-
-        // 1–2. Newest valid snapshot seeds catalog + cache entries.
-        let mut catalog = Catalog::new();
-        let mut entries = Vec::new();
-        let mut snapshot_used = false;
-        let mut snap_seq: Option<u64> = None;
-        for seq in list_seqs(&cfg.dir, "snap-", ".snap")?.into_iter().rev() {
-            match read_snapshot(&snap_path(&cfg.dir, seq)) {
-                Ok(snap) => {
-                    catalog = snap.catalog;
-                    entries = snap.entries;
-                    snapshot_used = true;
-                    snap_seq = Some(seq);
-                    break;
-                }
-                Err(_) => continue, // half-written or bit-rotted: skip
-            }
-        }
-
-        // 3. Replay WAL segments from the snapshot's seq on, in order.
-        let wal_seqs = list_seqs(&cfg.dir, "wal-", ".log")?;
-        let replay_from = snap_seq.unwrap_or(0);
-        let mut wal_records = 0;
-        let mut torn_wal = false;
-        let mut last: Option<(u64, u64)> = None; // (seq, valid_len)
-        for &seq in wal_seqs.iter().filter(|&&s| s >= replay_from) {
-            let replay = Wal::replay(&wal_path(&cfg.dir, seq))?;
-            torn_wal |= replay.torn;
-            wal_records += replay.records.len();
-            for record in replay.records {
-                match record {
-                    WalRecord::TableLoad(table) => catalog.register(table),
-                }
-            }
-            last = Some((seq, replay.valid_len));
-        }
-
-        // 4. Continue appending to the newest segment (tail truncated), or
-        //    start the directory's first segment.
-        let (seq, wal) = match last {
-            Some((seq, valid_len)) if valid_len > 0 => (
-                seq,
-                Wal::open_append(&wal_path(&cfg.dir, seq), cfg.fsync, valid_len)?,
-            ),
-            Some((seq, _)) => {
-                // Magic itself was damaged: recreate the segment.
-                (seq, Wal::create(&wal_path(&cfg.dir, seq), cfg.fsync)?)
-            }
-            None => {
-                let seq = snap_seq.unwrap_or(0);
-                (seq, Wal::create(&wal_path(&cfg.dir, seq), cfg.fsync)?)
-            }
-        };
-
+    /// Open (or create) the data directory `dir` and recover the newest
+    /// snapshot that validates; `None` when there is none.
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        fsync: FsyncPolicy,
+    ) -> std::io::Result<(Durability, Option<Snapshot>)> {
+        let dir = dir.into();
+        fs::create_dir_all(&dir)?;
+        let seqs = list_seqs(&dir)?;
+        let recovered = seqs
+            .iter()
+            .rev()
+            .find_map(|&seq| Some((seq, read_snapshot(&snap_path(&dir, seq)).ok()?)));
+        let snapshot = recovered.map(|(seq, snap)| {
+            remove_older(&dir, seq);
+            snap
+        });
+        let last_seq = Mutex::new(seqs.last().copied());
         Ok((
             Durability {
-                dir: cfg.dir,
-                fsync: cfg.fsync,
-                persist_min_benefit: cfg.persist_min_benefit,
-                state: Mutex::new(WalState { seq, wal }),
+                dir,
+                fsync,
+                last_seq,
             },
-            Recovered {
-                catalog,
-                entries,
-                snapshot_used,
-                wal_records,
-                torn_wal,
-            },
+            snapshot,
         ))
     }
 
@@ -220,63 +119,30 @@ impl Durability {
         self.fsync
     }
 
-    /// The snapshot persistence bar.
-    pub fn persist_min_benefit(&self) -> f64 {
-        self.persist_min_benefit
-    }
-
-    /// Log a base-table registration.
-    pub fn log_table_load(&self, table: &Table) -> std::io::Result<()> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.wal.append(&WalRecord::TableLoad(table.clone()))
-    }
-
-    /// Force all appended records to stable storage (clean-exit path).
-    pub fn sync(&self) -> std::io::Result<()> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.wal.sync()
-    }
-
-    /// Write a snapshot of `catalog` + `entries`, rotate to a fresh WAL
-    /// segment, and delete superseded files.
+    /// Install a snapshot of `catalog` + `entries` as the next sequence
+    /// number, then delete every older snapshot.
     ///
-    /// The caller is responsible for having filtered `entries` by the
-    /// persistence bar (engine-side, where the scores live). Crash safety:
-    /// the snapshot is installed atomically *before* the old segment is
-    /// deleted, so every intermediate crash state recovers to either the
-    /// old or the new snapshot — never to nothing.
+    /// Crash safety: the new file is installed atomically *before* any old
+    /// one is deleted, so every intermediate crash state recovers to either
+    /// the old or the new snapshot — never to nothing.
     pub fn flush_snapshot(
         &self,
         catalog: &Catalog,
         entries: &[PersistedEntry],
     ) -> std::io::Result<()> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        // Make sure everything the WAL holds is on disk before the
-        // snapshot claims to supersede it.
-        state.wal.sync()?;
-        let new_seq = state.seq + 1;
-        write_snapshot(
-            &snap_path(&self.dir, new_seq),
-            catalog,
-            entries,
-            self.fsync != FsyncPolicy::None,
-        )?;
-        let wal = Wal::create(&wal_path(&self.dir, new_seq), self.fsync)?;
-        let old_seq = state.seq;
-        state.seq = new_seq;
-        state.wal = wal;
-        drop(state);
-        // Best-effort cleanup of superseded files.
-        for seq in list_seqs(&self.dir, "wal-", ".log").unwrap_or_default() {
-            if seq <= old_seq {
-                let _ = fs::remove_file(wal_path(&self.dir, seq));
-            }
-        }
-        for seq in list_seqs(&self.dir, "snap-", ".snap").unwrap_or_default() {
-            if seq <= old_seq {
-                let _ = fs::remove_file(snap_path(&self.dir, seq));
-            }
-        }
+        let seq = {
+            let mut last = self.last_seq.lock().unwrap_or_else(PoisonError::into_inner);
+            let seq = last.map_or(0, |s| s + 1);
+            write_snapshot(
+                &snap_path(&self.dir, seq),
+                catalog,
+                entries,
+                self.fsync != FsyncPolicy::None,
+            )?;
+            *last = Some(seq);
+            seq
+        };
+        remove_older(&self.dir, seq);
         Ok(())
     }
 }
@@ -285,7 +151,7 @@ impl Durability {
 mod tests {
     use super::*;
     use crate::snapshot::SNAP_MAGIC;
-    use hashstash_storage::TableBuilder;
+    use hashstash_storage::{Table, TableBuilder};
     use hashstash_types::{DataType, Value};
 
     fn tiny(name: &str, rows: i64) -> Table {
@@ -302,22 +168,41 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn boot_log_recover() {
-        let dir = fresh_dir("boot");
-        {
-            let (d, rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-            assert!(rec.catalog.is_empty());
-            assert!(!rec.snapshot_used);
-            d.log_table_load(&tiny("a", 3)).unwrap();
-            d.log_table_load(&tiny("b", 2)).unwrap();
-            d.sync().unwrap();
+    fn open(dir: &Path) -> (Durability, Option<Snapshot>) {
+        Durability::open(dir, FsyncPolicy::None).unwrap()
+    }
+
+    fn catalog_of(tables: &[(&str, i64)]) -> Catalog {
+        let mut cat = Catalog::new();
+        for &(name, rows) in tables {
+            cat.register(tiny(name, rows));
         }
-        let (_d, rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-        assert_eq!(rec.catalog.len(), 2);
-        assert_eq!(rec.catalog.get("a").unwrap().row_count(), 3);
-        assert_eq!(rec.wal_records, 2);
-        assert!(!rec.torn_wal);
+        cat
+    }
+
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn first_boot_sees_no_snapshot() {
+        let dir = fresh_dir("boot");
+        let (d, snap) = open(&dir);
+        assert!(snap.is_none());
+        assert!(files(&dir).is_empty(), "open writes nothing");
+        d.flush_snapshot(&catalog_of(&[("a", 3), ("b", 2)]), &[])
+            .unwrap();
+        assert_eq!(files(&dir), ["snap-000000.snap"]);
+        let (_d, snap) = open(&dir);
+        let snap = snap.expect("first-boot snapshot recovers");
+        assert_eq!(snap.catalog.len(), 2);
+        assert_eq!(snap.catalog.get("a").unwrap().row_count(), 3);
+        assert!(snap.entries.is_empty());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -325,78 +210,87 @@ mod tests {
     fn snapshot_rotation_and_recovery() {
         let dir = fresh_dir("rotate");
         {
-            let (d, _rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-            d.log_table_load(&tiny("a", 3)).unwrap();
-            let mut cat = Catalog::new();
-            cat.register(tiny("a", 3));
-            d.flush_snapshot(&cat, &[]).unwrap();
-            // Post-snapshot load lands in the new segment.
-            d.log_table_load(&tiny("b", 1)).unwrap();
-            d.sync().unwrap();
+            let (d, _) = open(&dir);
+            d.flush_snapshot(&catalog_of(&[("a", 3)]), &[]).unwrap();
+            d.flush_snapshot(&catalog_of(&[("a", 3), ("b", 1)]), &[])
+                .unwrap();
         }
-        // Old seq-0 segment was deleted; snap-1 + wal-1 remain.
-        assert!(!wal_path(&dir, 0).exists());
-        assert!(snap_path(&dir, 1).exists());
-        let (_d, rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-        assert!(rec.snapshot_used);
-        assert_eq!(rec.catalog.len(), 2);
-        assert_eq!(rec.wal_records, 1);
+        assert_eq!(files(&dir), ["snap-000001.snap"], "older file deleted");
+        let (d, snap) = open(&dir);
+        assert_eq!(snap.unwrap().catalog.len(), 2);
+        d.flush_snapshot(&catalog_of(&[("c", 1)]), &[]).unwrap();
+        assert_eq!(files(&dir), ["snap-000002.snap"]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flush that crashed after its rename but before its cleanup leaves
+    /// two valid snapshots: recovery takes the newer and deletes the older.
+    #[test]
+    fn open_finishes_an_interrupted_cleanup() {
+        let dir = fresh_dir("cleanup");
+        {
+            let (d, _) = open(&dir);
+            d.flush_snapshot(&catalog_of(&[("a", 3)]), &[]).unwrap();
+        }
+        let older = fs::read(snap_path(&dir, 0)).unwrap();
+        {
+            let (d, _) = open(&dir);
+            d.flush_snapshot(&catalog_of(&[("a", 3), ("b", 1)]), &[])
+                .unwrap();
+        }
+        fs::write(snap_path(&dir, 0), older).unwrap();
+        let (_d, snap) = open(&dir);
+        assert_eq!(snap.unwrap().catalog.len(), 2);
+        assert_eq!(files(&dir), ["snap-000001.snap"]);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn corrupt_snapshot_falls_back_to_wal() {
+    fn corrupt_newest_snapshot_falls_back_to_older() {
         let dir = fresh_dir("fallback");
-        {
-            let (d, _rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-            d.log_table_load(&tiny("a", 3)).unwrap();
-            let mut cat = Catalog::new();
-            cat.register(tiny("a", 3));
-            d.flush_snapshot(&cat, &[]).unwrap();
-            d.log_table_load(&tiny("b", 1)).unwrap();
-            d.sync().unwrap();
-        }
-        // Damage the snapshot; the WAL segments still recover table b, and
-        // a (from the snapshot) is lost only because its wal-0 was
-        // garbage-collected — recovery itself must not fail.
+        let (d, _) = open(&dir);
+        d.flush_snapshot(&catalog_of(&[("a", 3)]), &[]).unwrap();
+        let older = fs::read(snap_path(&dir, 0)).unwrap();
+        d.flush_snapshot(&catalog_of(&[("a", 3), ("b", 1)]), &[])
+            .unwrap();
+        drop(d);
+        fs::write(snap_path(&dir, 0), older).unwrap();
         let snap = snap_path(&dir, 1);
         let mut bytes = fs::read(&snap).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&snap, &bytes).unwrap();
-        let (_d, rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-        assert!(!rec.snapshot_used);
-        assert_eq!(rec.catalog.len(), 1);
-        assert!(rec.catalog.get("b").is_ok());
+
+        let (d, snap) = open(&dir);
+        let cat = snap.expect("older snapshot recovers").catalog;
+        assert_eq!(cat.len(), 1);
+        assert!(cat.get("a").is_ok());
+        // The next snapshot outranks the damaged one and replaces both.
+        d.flush_snapshot(&cat, &[]).unwrap();
+        assert_eq!(files(&dir), ["snap-000002.snap"]);
         fs::remove_dir_all(&dir).ok();
     }
 
     /// A snapshot in the previous format (`HSSNAP01`: a query tag per row
     /// and a tag flag per fingerprint) is skipped exactly like a corrupt one —
-    /// its checksum is intact, only the magic differs — and recovery falls
-    /// back to the WAL.
+    /// its checksum is intact, only the magic differs.
     #[test]
-    fn previous_format_snapshot_falls_back_to_wal() {
+    fn previous_format_snapshot_is_skipped() {
         let dir = fresh_dir("oldmagic");
         {
-            let (d, _rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-            d.log_table_load(&tiny("a", 3)).unwrap();
-            let mut cat = Catalog::new();
-            cat.register(tiny("a", 3));
-            d.flush_snapshot(&cat, &[]).unwrap();
-            d.log_table_load(&tiny("b", 1)).unwrap();
-            d.sync().unwrap();
+            let (d, _) = open(&dir);
+            d.flush_snapshot(&catalog_of(&[("a", 3)]), &[]).unwrap();
         }
-        let snap = snap_path(&dir, 1);
+        let snap = snap_path(&dir, 0);
         let mut bytes = fs::read(&snap).unwrap();
         assert_eq!(&bytes[..SNAP_MAGIC.len()], SNAP_MAGIC);
         bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP01");
         fs::write(&snap, &bytes).unwrap();
         assert_eq!(read_snapshot(&snap).unwrap_err(), "bad snapshot magic");
-        let (_d, rec) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
-        assert!(!rec.snapshot_used);
-        assert_eq!(rec.catalog.len(), 1);
-        assert!(rec.catalog.get("b").is_ok());
+        let (d, snap) = open(&dir);
+        assert!(snap.is_none());
+        d.flush_snapshot(&catalog_of(&[("b", 1)]), &[]).unwrap();
+        assert_eq!(files(&dir), ["snap-000001.snap"]);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,5 +1,5 @@
-//! Snapshots: the full catalog plus a benefit-scored subset of the reuse
-//! caches, in one atomically-installed file.
+//! Snapshots: the full catalog plus the reuse cache, in one
+//! atomically-installed file.
 //!
 //! # On-disk format
 //!
@@ -9,28 +9,23 @@
 //!
 //! The body is: catalog table count + tables, then cache-entry count +
 //! entries. Each entry carries its lineage fingerprint, schema, use count,
-//! byte footprint, the benefit score it was admitted with, and the payload
+//! byte footprint, its benefit score ([`benefit_score`]) and the payload
 //! (a cached hash table with exact physical layout, or materialized
 //! temp-table rows). Entries are written least recently used first, so
 //! re-publishing them in file order restores the cache's LRU order. Version
 //! `02` stores plain rows: format `01` carried an
 //! 8-byte query tag per row and a tag-flag byte per fingerprint, and its
 //! files are rejected by the magic check like any other invalid snapshot.
+//! A first-boot snapshot is the same format with zero cache entries.
 //!
 //! # Atomicity
 //!
 //! A snapshot is written to `<name>.tmp` and `rename`d into place, so a
 //! crash mid-write never damages an existing snapshot; validation (magic +
 //! whole-body CRC) rejects a half-written or bit-rotted file, and recovery
-//! falls back to the next older valid snapshot or to WAL-only replay.
-//!
-//! # Persistence bar
-//!
-//! Mirroring the cache's benefit-scored *admission*, the snapshot writer
-//! persists only entries whose benefit-per-byte clears a configurable bar:
-//! the score is `use_count / KiB` ([`benefit_score`]) — an entry that was
-//! never reused since publish scores 0 and is dropped by any bar > 0. The
-//! default bar of `0.0` persists every available entry (score ≥ bar).
+//! falls back to the next older valid snapshot. Whether the file and the
+//! rename reach the disk before the write returns is the
+//! [`FsyncPolicy`].
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -52,10 +47,44 @@ use crate::crc::crc32;
 /// Magic bytes opening every snapshot file.
 pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP02";
 
+/// Whether a snapshot reaches the disk before its write returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FsyncPolicy {
+    /// No fsync: the OS writes the file back when it pleases. A power
+    /// loss soon after a flush may lose that snapshot, and with it the
+    /// state since the one it replaced.
+    None,
+    /// Fsync the snapshot file before its rename and the directory entry
+    /// after it, so a returned flush survives a power loss. There is no
+    /// interval; the name is kept because the `hsbench` harness and the
+    /// bench JSON record it.
+    #[default]
+    Interval,
+}
+
+impl FsyncPolicy {
+    /// Stable name, recorded in bench JSON and parsed by
+    /// [`FsyncPolicy::parse`].
+    pub fn name(self) -> &'static str {
+        match self {
+            FsyncPolicy::None => "none",
+            FsyncPolicy::Interval => "interval",
+        }
+    }
+
+    /// Parse `none|interval` (the bench/CI knob).
+    pub fn parse(s: &str) -> Option<FsyncPolicy> {
+        match s {
+            "none" => Some(FsyncPolicy::None),
+            "interval" => Some(FsyncPolicy::Interval),
+            _ => None,
+        }
+    }
+}
+
 /// Benefit-per-byte score of one cache entry: checkouts per KiB of
-/// footprint. The snapshot writer persists entries whose score clears the
-/// configured bar; the score is also stored with the entry, so tooling can
-/// inspect why an entry was kept.
+/// footprint, stored with the entry so tooling can inspect what a
+/// persisted entry was worth.
 pub fn benefit_score(use_count: u64, bytes: usize) -> f64 {
     use_count as f64 * 1024.0 / bytes.max(1) as f64
 }
@@ -88,7 +117,8 @@ pub struct Snapshot {
 }
 
 /// Write a snapshot atomically (`path.tmp` + rename). When `sync` is set
-/// the file is fsynced before the rename — pair with the WAL's policy.
+/// the file is fsynced before the rename and the directory after it
+/// ([`FsyncPolicy::Interval`]).
 pub fn write_snapshot(
     path: &Path,
     catalog: &Catalog,
@@ -336,6 +366,15 @@ mod tests {
         write_snapshot(&path, &snap.catalog, &snap.entries, false).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), EARLIER);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fsync_policy_parse_roundtrip() {
+        for p in [FsyncPolicy::None, FsyncPolicy::Interval] {
+            assert_eq!(FsyncPolicy::parse(p.name()), Some(p));
+        }
+        assert_eq!(FsyncPolicy::parse("always"), None);
+        assert_eq!(FsyncPolicy::parse("sometimes"), None);
     }
 
     #[test]

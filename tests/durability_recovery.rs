@@ -1,21 +1,19 @@
-//! Durability integration tests: warm restart end-to-end, torn-WAL
-//! torture, golden hash pinning, the clean-shutdown contract, and the
-//! snapshot persistence bar.
+//! Durability integration tests: warm restart end-to-end, torn-snapshot
+//! torture, the crash window before the first flush, golden hash pinning
+//! and the clean-shutdown contract.
 //!
-//! The torture test is the subsystem's core safety claim: truncating the
-//! WAL at **every byte offset** of the log must leave recovery with a
-//! clean prefix of history — never a panic, never an error, and the
-//! reopened log must accept appends.
+//! The torture test is the subsystem's core safety claim: truncating or
+//! flipping the newest snapshot at **every byte offset** must leave
+//! recovery with the previous snapshot (or none) — never a panic, never an
+//! error — and the next snapshot must outrank the damaged file.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hashstash::{Database, EngineStrategy};
 use hashstash_cache::recycle::ShapeKey;
-use hashstash_durability::{
-    read_snapshot, Durability, DurabilityConfig, FsyncPolicy, Wal, WAL_MAGIC,
-};
+use hashstash_durability::{read_snapshot, Durability, FsyncPolicy};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, JoinEdge, QueryBuilder, QuerySpec, Region,
 };
@@ -104,60 +102,135 @@ fn warm_restart_reuses_rehydrated_tables() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Truncate the WAL at every byte offset; recovery must always succeed
-/// with exactly the records whose frames fit the prefix, and the reopened
-/// log must accept (and then replay) further appends.
+fn table_names(catalog: &Catalog) -> Vec<String> {
+    catalog
+        .table_names()
+        .into_iter()
+        .map(String::from)
+        .collect()
+}
+
+/// The files of a data directory, by name.
+fn dir_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A flush that crashed after its rename but before its cleanup leaves
+/// `snap-N` and `snap-(N+1)`. Truncate `snap-(N+1)` at every byte offset,
+/// and separately flip each of its bytes: recovery must always succeed,
+/// with `snap-(N+1)`'s catalog only when the file is intact and `snap-N`'s
+/// otherwise (or no snapshot, when `snap-(N+1)` is alone). The next flush
+/// must outrank the damaged file and leave only itself behind.
 #[test]
-fn torn_wal_truncated_at_every_offset_recovers() {
+fn torn_snapshot_at_every_offset_recovers() {
     let dir = fresh_dir("torture");
-    let cfg = || DurabilityConfig {
-        dir: dir.clone(),
-        fsync: FsyncPolicy::None,
-        persist_min_benefit: 0.0,
-    };
+    let mut older = Catalog::new();
+    older.register(tiny("a", 2));
+    older.register(tiny("b", 3));
+    let mut newer = Catalog::new();
+    newer.register(tiny("a", 2));
+    newer.register(tiny("b", 3));
+    newer.register(tiny("c", 4));
     {
-        let (d, _rec) = Durability::open(cfg()).unwrap();
-        d.log_table_load(&tiny("a", 2)).unwrap();
-        d.log_table_load(&tiny("b", 3)).unwrap();
-        d.log_table_load(&tiny("c", 4)).unwrap();
-        d.sync().unwrap();
+        let (d, snap) = Durability::open(&dir, FsyncPolicy::None).unwrap();
+        assert!(snap.is_none());
+        d.flush_snapshot(&older, &[]).unwrap();
     }
-    let wal = dir.join("wal-000000.log");
-    let original = fs::read(&wal).unwrap();
-
-    // Frame boundaries: offset just past each complete record.
-    let mut bounds = Vec::new();
-    let mut pos = WAL_MAGIC.len();
-    while pos + 8 <= original.len() {
-        let len = u32::from_le_bytes(original[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 8 + len;
-        bounds.push(pos);
+    let older_bytes = fs::read(dir.join("snap-000000.snap")).unwrap();
+    {
+        let (d, _) = Durability::open(&dir, FsyncPolicy::None).unwrap();
+        d.flush_snapshot(&newer, &[]).unwrap();
     }
-    assert_eq!(bounds.len(), 3);
-    assert_eq!(*bounds.last().unwrap(), original.len());
+    let newer_bytes = fs::read(dir.join("snap-000001.snap")).unwrap();
 
-    for cut in 0..=original.len() {
-        fs::write(&wal, &original[..cut]).unwrap();
-        let (d, rec) = Durability::open(cfg())
-            .unwrap_or_else(|e| panic!("recovery failed at offset {cut}: {e}"));
-        let expect = bounds.iter().filter(|&&b| b <= cut).count();
+    let check = |damaged: &[u8], with_older: bool, what: &str| {
+        fs::remove_dir_all(&dir).unwrap();
+        fs::create_dir_all(&dir).unwrap();
+        if with_older {
+            fs::write(dir.join("snap-000000.snap"), &older_bytes).unwrap();
+        }
+        fs::write(dir.join("snap-000001.snap"), damaged).unwrap();
+        let (d, snap) = Durability::open(&dir, FsyncPolicy::None)
+            .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+        let recovered = snap.map(|s| table_names(&s.catalog));
+        let expect = if damaged == newer_bytes {
+            Some(table_names(&newer))
+        } else if with_older {
+            Some(table_names(&older))
+        } else {
+            None
+        };
+        assert_eq!(recovered, expect, "{what}");
+        d.flush_snapshot(&older, &[])
+            .unwrap_or_else(|e| panic!("{what}: flush failed: {e}"));
         assert_eq!(
-            rec.wal_records, expect,
-            "offset {cut}: prefix of history has {expect} records"
+            dir_files(&dir),
+            ["snap-000002.snap"],
+            "{what}: the next snapshot outranks snap-000001"
         );
-        assert_eq!(rec.catalog.len(), expect, "offset {cut}: catalog matches");
-        // The truncated log accepts appends and replays them afterwards.
-        d.log_table_load(&tiny("z", 1)).unwrap();
-        d.sync().unwrap();
-        drop(d);
-        let (_d, rec) = Durability::open(cfg()).unwrap();
-        assert_eq!(rec.wal_records, expect + 1, "offset {cut}: append survives");
-        assert!(
-            !rec.torn_wal,
-            "offset {cut}: tail is clean after truncation"
-        );
+    };
+    for with_older in [true, false] {
+        for cut in 0..=newer_bytes.len() {
+            check(
+                &newer_bytes[..cut],
+                with_older,
+                &format!("cut at {cut}, older present: {with_older}"),
+            );
+        }
+        for at in 0..newer_bytes.len() {
+            let mut flipped = newer_bytes.clone();
+            flipped[at] ^= 0xFF;
+            check(
+                &flipped,
+                with_older,
+                &format!("flip at {at}, older present: {with_older}"),
+            );
+        }
     }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A kill between first boot and the first flush: the directory copied
+/// from a live engine that never flushed must still recover the full
+/// catalog (from the first boot's catalog-only snapshot), with an empty
+/// cache.
+#[test]
+fn kill_before_first_flush_recovers_the_catalog() {
+    let dir = fresh_dir("crash-live");
+    let copy = fresh_dir("crash-copy");
+    let original = catalog();
+    let db = Database::builder(catalog()).data_dir(&dir).build();
+    db.session().execute(&q3(1, "1996-06-01")).unwrap();
+    assert!(db.cache_stats().entries > 0);
+    // What a kill right now leaves on disk.
+    fs::create_dir_all(&copy).unwrap();
+    for name in dir_files(&dir) {
+        fs::copy(dir.join(&name), copy.join(&name)).unwrap();
+    }
+    drop(db);
+
+    let db = Database::builder(Catalog::new()).data_dir(&copy).build();
+    assert_eq!(table_names(db.catalog()), table_names(&original));
+    for name in original.table_names() {
+        assert_eq!(
+            db.catalog().get(name).unwrap().row_count(),
+            original.get(name).unwrap().row_count(),
+            "{name}: row count"
+        );
+    }
+    assert_eq!(
+        db.cache_stats().entries,
+        0,
+        "no cache before the first flush"
+    );
+    drop(db);
+    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(&copy).ok();
 }
 
 /// Pin the hash values the on-disk formats and the shard routing depend
@@ -200,9 +273,10 @@ fn golden_hashes_are_stable_across_processes() {
 }
 
 /// Clean-shutdown contract: dropping the last handle flushes, leaving
-/// exactly one valid snapshot and one fresh, torn-free WAL segment.
+/// exactly one file in the data directory — a valid snapshot holding the
+/// catalog and the cache, with no leftover temp file.
 #[test]
-fn clean_shutdown_leaves_one_snapshot_and_a_clean_wal() {
+fn clean_shutdown_leaves_exactly_one_snapshot() {
     let dir = fresh_dir("clean");
     {
         let db = Database::builder(catalog()).data_dir(&dir).build();
@@ -210,59 +284,27 @@ fn clean_shutdown_leaves_one_snapshot_and_a_clean_wal() {
         session.execute(&q3(1, "1996-06-01")).unwrap();
         // No explicit flush: Drop must do it.
     }
-    let mut snaps = Vec::new();
-    let mut wals = Vec::new();
-    for entry in fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("snap") => snaps.push(path),
-            Some("log") => wals.push(path),
-            _ => {}
-        }
-    }
-    assert_eq!(snaps.len(), 1, "exactly one snapshot after clean exit");
-    assert_eq!(wals.len(), 1, "exactly one WAL segment after clean exit");
-    let snap = read_snapshot(&snaps[0]).expect("snapshot validates");
+    let files = dir_files(&dir);
+    assert_eq!(
+        files.len(),
+        1,
+        "exactly one file after clean exit: {files:?}"
+    );
+    assert!(
+        files[0].starts_with("snap-") && files[0].ends_with(".snap"),
+        "{files:?}"
+    );
+    let snap = read_snapshot(&dir.join(&files[0])).expect("snapshot validates");
     assert!(!snap.catalog.is_empty());
     assert!(!snap.entries.is_empty(), "cache entries persisted");
-    let replay = Wal::replay(&wals[0]).unwrap();
-    assert!(!replay.torn, "no torn tail after clean exit");
-    assert!(replay.records.is_empty(), "fresh segment after rotation");
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The persistence bar filters what snapshots keep: an unreachable bar
-/// persists no cache entries (while the catalog always survives), and the
-/// default bar of zero persists them all.
+/// The materialized baseline's temp tables persist and rehydrate the same
+/// way hash tables do.
 #[test]
-fn persistence_bar_filters_cache_entries() {
-    let dir = fresh_dir("bar");
-    {
-        let db = Database::builder(catalog())
-            .data_dir(&dir)
-            .persist_min_benefit(f64::MAX)
-            .build();
-        let mut session = db.session();
-        session.execute(&q3(1, "1996-06-01")).unwrap();
-        session.execute(&q3(2, "1996-01-01")).unwrap();
-        assert!(db.cache_stats().entries > 0);
-    }
-    let db = Database::builder(Catalog::new()).data_dir(&dir).build();
-    assert!(
-        db.catalog().get("lineitem").is_ok(),
-        "catalog still recovers"
-    );
-    assert_eq!(
-        db.cache_stats().entries,
-        0,
-        "nothing clears an unreachable bar"
-    );
-    drop(db);
-    fs::remove_dir_all(&dir).ok();
-
-    // Strategy sanity: the materialized baseline's temp tables persist and
-    // rehydrate the same way.
-    let dir = fresh_dir("bar-temp");
+fn materialized_temp_tables_persist_and_rehydrate() {
+    let dir = fresh_dir("temp");
     {
         let db = Database::builder(catalog())
             .data_dir(&dir)

@@ -1,6 +1,6 @@
-//! Must trip `codec-exhaustive`: the enums gain variants (`Bool`,
-//! `Checkpoint`) that the codec section below never names. The fixture
-//! test points both the def and match halves of the rule at this file.
+//! Must trip `codec-exhaustive`: the enum gains a variant (`Bool`) that
+//! the codec section below never names. The fixture test points both the
+//! def and match halves of the rule at this file.
 //! NOT compiled — read as text by xtask's fixture tests.
 
 pub enum Value {
@@ -11,22 +11,12 @@ pub enum Value {
     Bool(bool),
 }
 
-pub enum WalRecord {
-    TableLoad(String),
-    Checkpoint(u64),
-}
-
-pub fn encode(v: &Value, r: &WalRecord) -> u8 {
-    let a = match v {
+pub fn encode(v: &Value) -> u8 {
+    match v {
         Value::Int(_) => 1,
         Value::Float(_) => 2,
         Value::Str(_) => 3,
         Value::Date(_) => 4,
         _ => 0,
-    };
-    let b = match r {
-        WalRecord::TableLoad(_) => 1,
-        _ => 0,
-    };
-    a ^ b
+    }
 }

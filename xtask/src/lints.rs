@@ -40,20 +40,13 @@ pub struct EnumMatchRule {
 }
 
 /// The tree's codec rules: the durability codec must name every `Value`
-/// variant and every WAL record variant, so adding a variant without
-/// teaching the codec is caught before it becomes silent tag drift on disk.
-pub const CODEC_RULES: &[EnumMatchRule] = &[
-    EnumMatchRule {
-        enum_name: "Value",
-        def_suffix: "crates/types/src/value.rs",
-        match_suffix: "crates/durability/src/codec.rs",
-    },
-    EnumMatchRule {
-        enum_name: "WalRecord",
-        def_suffix: "crates/durability/src/wal.rs",
-        match_suffix: "crates/durability/src/codec.rs",
-    },
-];
+/// variant, so adding a variant without teaching the codec is caught
+/// before it becomes silent tag drift on disk.
+pub const CODEC_RULES: &[EnumMatchRule] = &[EnumMatchRule {
+    enum_name: "Value",
+    def_suffix: "crates/types/src/value.rs",
+    match_suffix: "crates/durability/src/codec.rs",
+}];
 
 /// Crates whose non-test code must be panic-free: recovery must degrade to
 /// `Err`, and the cache/executor run under RAII guards whose cleanup a
@@ -402,7 +395,7 @@ fn enum_variants(f: &SourceFile, name: &str) -> Option<(usize, Vec<String>)> {
 }
 
 /// Every persisted enum's variants must be named in the codec: a variant
-/// added to `Value` or `WalRecord` without a codec arm becomes a silent
+/// added to `Value` without a codec arm becomes a silent
 /// decode failure (or an `unknown tag`) on the next restart.
 fn codec_exhaustive(files: &[SourceFile], rules: &[EnumMatchRule], out: &mut Vec<Diagnostic>) {
     const LINT: &str = "codec-exhaustive";
@@ -511,18 +504,11 @@ mod tests {
     fn run_one(lint: &'static str, which: &str, rel: &str) -> Vec<Diagnostic> {
         let f = fixture(lint, which, rel);
         let rules: &[EnumMatchRule] = if lint == "codec-exhaustive" {
-            &[
-                EnumMatchRule {
-                    enum_name: "Value",
-                    def_suffix: "fixture.rs",
-                    match_suffix: "fixture.rs",
-                },
-                EnumMatchRule {
-                    enum_name: "WalRecord",
-                    def_suffix: "fixture.rs",
-                    match_suffix: "fixture.rs",
-                },
-            ]
+            &[EnumMatchRule {
+                enum_name: "Value",
+                def_suffix: "fixture.rs",
+                match_suffix: "fixture.rs",
+            }]
         } else {
             &[]
         };
