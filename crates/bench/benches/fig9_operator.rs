@@ -3,10 +3,9 @@
 //! The exact-reuse path must win by roughly the build-side cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hashstash_cache::{GcConfig, HtManager, StoredHt};
+use hashstash_cache::{ColumnHt, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{default_parallelism, execute, ExecContext, WorkerPool};
-use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Region, ReuseCase};
 use hashstash_storage::{Catalog, TableBuilder};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
@@ -67,9 +66,9 @@ fn benches(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("exact_reuse", n), &n, |b, _| {
             // Pre-build the cached table once.
-            let mut ht = ExtendibleHashTable::with_capacity(8, n as usize);
+            let mut ht = ColumnHt::with_capacity(8, &[DataType::Int], n as usize);
             for i in 0..n {
-                ht.insert(i as u64, Row::new(vec![Value::Int(i)]));
+                ht.insert(i as u64, &Row::new(vec![Value::Int(i)])).unwrap();
             }
             let schema = Schema::new(vec![Field::new("dim.d_key", DataType::Int)]);
             b.iter_batched(

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use hashstash::{Database, EngineStrategy};
 use hashstash_bench::common::{header, ms};
-use hashstash_cache::{AggPayload, StoredHt};
+use hashstash_cache::{AggPayload, ColumnHt, StoredHt};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, QuerySpec, Region,
@@ -87,18 +87,16 @@ fn seed_join_cache(db: &Database, c: f64) {
             .map(|n| Field::new(*n, DataType::Int))
             .collect(),
     );
-    let mut ht = ExtendibleHashTable::with_capacity(20, h as usize);
+    let mut ht = ColumnHt::with_capacity(20, &[DataType::Int; 3], h as usize);
+    let mut insert = |key: i64, pos: i64, sel: i64| {
+        let row = Row::new(vec![Value::Int(key), Value::Int(pos), Value::Int(sel)]);
+        ht.insert(key as u64, &row).expect("three int cells");
+    };
     for i in 0..keep {
-        ht.insert(
-            i as u64,
-            Row::new(vec![Value::Int(i), Value::Int(i), Value::Int(1)]),
-        );
+        insert(i, i, 1);
     }
     for i in 0..junk {
-        ht.insert(
-            (h + i) as u64,
-            Row::new(vec![Value::Int(h + i), Value::Int(i), Value::Int(0)]),
-        );
+        insert(h + i, i, 0);
     }
     let mut region = Region::empty();
     if keep > 0 {

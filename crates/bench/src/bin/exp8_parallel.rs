@@ -20,7 +20,8 @@
 //! dispatch overhead of that pool (cold = first submission after spawn,
 //! warm = steady state) against the retired spawn-per-phase scoped-thread
 //! baseline, so the spawn-tax fix is visible even where wall-clock speedup
-//! is hardware-bound.
+//! is hardware-bound. It also times the serving pattern: one 60-morsel
+//! phase after the pool has idled 250 µs, inline and on the pool.
 //!
 //! Output: a human-readable table plus `BENCH_parallel.json` (uploaded by
 //! CI as an artifact). Smoke mode (`HASHSTASH_SMOKE=1`) shrinks the row
@@ -144,6 +145,45 @@ fn measure_pool_dispatch(workers: usize, iters: u32) -> (f64, f64) {
         cold.as_nanos() as f64,
         warm.as_nanos() as f64 / f64::from(iters),
     )
+}
+
+/// The serving pattern: one 60-morsel phase — a selection over 60 morsels
+/// of rows, the shape of a fact-table probe — submitted after the pool has
+/// sat idle for 250 µs, as requests arriving one at a time find it (the
+/// back-to-back phases of [`measure_pool_dispatch`] never let it idle).
+/// Returns the median phase time in nanoseconds three ways at `workers`
+/// participants: one undivided chunk inline, the 60 morsels inline (no
+/// pool), and the 60 morsels on the pool.
+fn measure_idle_phase(workers: usize, iters: u32) -> [f64; 3] {
+    const MORSELS: usize = 60;
+    const IDLE: Duration = Duration::from_micros(250);
+    let pool = WorkerPool::new(workers.saturating_sub(1));
+    let column: Vec<i64> = (0..(MORSELS * MORSEL_ROWS) as i64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9) % 1000)
+        .collect();
+    let median = |sched: Scheduler<'_>| {
+        let mut samples: Vec<f64> = (0..iters)
+            .map(|_| {
+                std::thread::sleep(IDLE);
+                let t0 = Instant::now();
+                let sel = run_morsels(sched, column.len(), |r| {
+                    r.filter(|&i| column[i] < 10)
+                        .map(|i| i as u32)
+                        .collect::<Vec<u32>>()
+                });
+                std::hint::black_box(sel);
+                t0.elapsed().as_nanos() as f64
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    let on = |parallelism, pool| Scheduler { parallelism, pool };
+    [
+        median(on(1, None)),
+        median(on(workers, None)),
+        median(on(workers, Some(&pool))),
+    ]
 }
 
 /// The same phase under the retired execution model — spawn `workers`
@@ -451,6 +491,16 @@ fn main() {
         spawn_baseline / 1_000.0
     );
 
+    let idle_iters = if smoke { 32 } else { 128 };
+    let [idle_chunk, idle_inline, idle_pool] = measure_idle_phase(2, idle_iters);
+    println!(
+        "60-morsel phase after 250 µs idle (2 workers, median): one chunk inline {:.1} µs, \
+         60 morsels inline {:.1} µs, on the pool {:.1} µs",
+        idle_chunk / 1_000.0,
+        idle_inline / 1_000.0,
+        idle_pool / 1_000.0
+    );
+
     let results: Vec<String> = rows_table
         .iter()
         .map(|(workers, wall, speedup, build_wall, build_speedup)| {
@@ -461,7 +511,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"parallel\",\n  \"smoke\": {smoke},\n  \"dim_rows\": {n},\n  \"fact_rows\": {},\n  \"iterations\": {iters},\n  \"available_cores\": {cores},\n  \"operator_mix\": [\"scan\", \"fresh_join\", \"exact_reuse_probe\", \"subsuming_reuse_filter\", \"join_build_bound\", \"agg_build_bound\"],\n  \"build_bound_mix\": [\"join_build_bound\", \"agg_build_bound\"],\n  \"deterministic\": {deterministic},\n  \"speedup_at_4_workers\": {speedup_at_4:.3},\n  \"build_speedup_at_4_workers\": {build_speedup_at_4:.3},\n  \"dispatch\": {{\"workers\": 4, \"pool_cold_ns\": {dispatch_cold:.0}, \"pool_warm_ns\": {dispatch_warm:.0}, \"spawn_baseline_ns\": {spawn_baseline:.0}, \"warm_improvement\": {dispatch_improvement:.1}}},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"parallel\",\n  \"smoke\": {smoke},\n  \"dim_rows\": {n},\n  \"fact_rows\": {},\n  \"iterations\": {iters},\n  \"available_cores\": {cores},\n  \"operator_mix\": [\"scan\", \"fresh_join\", \"exact_reuse_probe\", \"subsuming_reuse_filter\", \"join_build_bound\", \"agg_build_bound\"],\n  \"build_bound_mix\": [\"join_build_bound\", \"agg_build_bound\"],\n  \"deterministic\": {deterministic},\n  \"speedup_at_4_workers\": {speedup_at_4:.3},\n  \"build_speedup_at_4_workers\": {build_speedup_at_4:.3},\n  \"dispatch\": {{\"workers\": 4, \"pool_cold_ns\": {dispatch_cold:.0}, \"pool_warm_ns\": {dispatch_warm:.0}, \"spawn_baseline_ns\": {spawn_baseline:.0}, \"warm_improvement\": {dispatch_improvement:.1}}},\n  \"idle_phase\": {{\"workers\": 2, \"morsels\": 60, \"idle_us\": 250, \"one_chunk_inline_ns\": {idle_chunk:.0}, \"morsels_inline_ns\": {idle_inline:.0}, \"pool_ns\": {idle_pool:.0}}},\n  \"results\": [\n{}\n  ]\n}}\n",
         n * 4,
         results.join(",\n")
     );

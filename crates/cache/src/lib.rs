@@ -15,9 +15,11 @@
 //!   (§2.2), enforced only where mutation actually happens, copy-on-write
 //!   with a sole-reference in-place fast path. Checkouts are RAII guards:
 //!   error paths and panics release the table instead of leaking it.
-//! * [`payload`] — [`payload::StoredHt`]: plain rows (join build sides and
-//!   the raw grouped rows of shared aggregates), aggregate accumulator
-//!   states, or a temp table of the materialization baseline.
+//! * [`payload`] — [`payload::StoredHt`]: a [`ColumnHt`] (join build sides
+//!   and the raw grouped rows of shared aggregates, stored as typed
+//!   columns), aggregate accumulator states, or a temp table of the
+//!   materialization baseline.
+//! * [`column_ht`] — [`ColumnHt`]: a key index with typed payload columns.
 //! * [`temp`] — the baseline's access to its temp tables, kept apart from
 //!   hash-table lookups.
 //! * [`recycle`] — the recycle-graph-style lineage index: candidate lookup
@@ -28,11 +30,13 @@
 
 #[cfg(feature = "analysis")]
 pub mod analysis;
+pub mod column_ht;
 pub mod manager;
 pub mod payload;
 pub mod recycle;
 pub mod temp;
 
+pub use column_ht::ColumnHt;
 pub use manager::{
     CacheStats, Candidate, CheckedOut, EvictionPolicy, GcConfig, HtManager, SnapshotEntry,
     TenantId, DEFAULT_SHARDS,

@@ -1354,7 +1354,7 @@ impl HtManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_hashtable::ExtendibleHashTable;
+    use crate::ColumnHt;
     use hashstash_plan::{HtKind, Interval, PredBox, Region};
     use hashstash_types::{DataType, Field, HsError, Row, Value};
 
@@ -1378,9 +1378,9 @@ mod tests {
     }
 
     fn table(n: usize) -> StoredHt {
-        let mut ht = ExtendibleHashTable::new(8);
+        let mut ht = ColumnHt::new(8, &[DataType::Int]);
         for i in 0..n as u64 {
-            ht.insert(i, Row::new(vec![Value::Int(i as i64)]));
+            ht.insert(i, &Row::new(vec![Value::Int(i as i64)])).unwrap();
         }
         StoredHt::Rows(ht)
     }
@@ -1513,7 +1513,7 @@ mod tests {
                 panic!("join table")
             };
             for i in 100..110u64 {
-                t.insert(i, Row::new(vec![Value::Int(i as i64)]));
+                t.insert(i, &Row::new(vec![Value::Int(i as i64)])).unwrap();
             }
         }
         writer.fingerprint.region = fp(10, 30).region;
@@ -1542,7 +1542,7 @@ mod tests {
             let StoredHt::Rows(t) = writer.table_mut().unwrap() else {
                 panic!("join table")
             };
-            t.insert(500, Row::new(vec![Value::Int(500)]));
+            t.insert(500, &Row::new(vec![Value::Int(500)])).unwrap();
         }
         writer.fingerprint.region = fp(10, 30).region;
         writer.checkin().unwrap();
@@ -1589,7 +1589,7 @@ mod tests {
             let StoredHt::Rows(t) = writer.table_mut().unwrap() else {
                 panic!("join table")
             };
-            t.insert(999, Row::new(vec![Value::Int(999)]));
+            t.insert(999, &Row::new(vec![Value::Int(999)])).unwrap();
             // Simulated executor error: dropped without checkin.
         }
         assert!(!m.is_available(id), "half-mutated entry dropped");

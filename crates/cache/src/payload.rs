@@ -1,8 +1,9 @@
-//! What the Hash Table Manager caches: [`StoredHt`] — a hash table of rows
-//! or aggregate states, or a temp table of [`MaterializedRows`] for the
-//! materialization baseline — and the value types stored inside.
+//! What the Hash Table Manager caches: [`StoredHt`] — a hash table of
+//! tuples ([`ColumnHt`]: typed payload columns) or of aggregate states, or a
+//! temp table of [`MaterializedRows`] for the materialization baseline —
+//! and the value types stored inside.
 //!
-//! Cached tables hold plain rows or aggregate states and nothing else: no
+//! Cached tables hold plain tuples or aggregate states and nothing else: no
 //! per-entry query tag. Shared plans decide which query of a batch a stored
 //! row belongs to by evaluating that query's predicates when they read it
 //! (see `hashstash_exec::shared`), so a cached table never has to be
@@ -11,6 +12,8 @@
 use hashstash_types::{Row, Value};
 
 use hashstash_plan::{AggExpr, AggFunc};
+
+use crate::ColumnHt;
 
 /// One aggregate accumulator state.
 ///
@@ -146,9 +149,10 @@ impl AggPayload {
 /// `HtKind`.
 #[derive(Debug, Clone)]
 pub enum StoredHt {
-    /// Join build side (multi-map join-key → rows) or shared grouping phase
-    /// (multi-map group-key → raw rows).
-    Rows(hashstash_hashtable::ExtendibleHashTable<Row>),
+    /// Join build side (multi-map join-key → tuples) or shared grouping
+    /// phase (multi-map group-key → raw tuples), the tuples stored as
+    /// typed columns.
+    Rows(ColumnHt),
     /// Aggregate: group-key → accumulator states.
     Agg(hashstash_hashtable::ExtendibleHashTable<AggPayload>),
     /// A temp table of the materialization baseline: an operator's output
@@ -213,7 +217,7 @@ impl StoredHt {
             k
         };
         match self {
-            StoredHt::Rows(t) => t.retain(|_, _| keep_it()),
+            StoredHt::Rows(t) => t.retain_mask(keep),
             StoredHt::Agg(t) => t.retain(|_, _| keep_it()),
             StoredHt::Materialized(m) => {
                 m.rows.retain(|_| keep_it());
@@ -340,9 +344,9 @@ mod tests {
 
     #[test]
     fn stored_ht_accessors() {
-        let mut ht = hashstash_hashtable::ExtendibleHashTable::new(16);
-        ht.insert(1, Row::new(vec![Value::Int(1)]));
-        ht.insert(1, Row::new(vec![Value::Int(2)]));
+        let mut ht = ColumnHt::new(16, &[hashstash_types::DataType::Int]);
+        ht.insert(1, &Row::new(vec![Value::Int(1)])).unwrap();
+        ht.insert(1, &Row::new(vec![Value::Int(2)])).unwrap();
         let stored = StoredHt::Rows(ht);
         assert_eq!(stored.len(), 2);
         assert_eq!(stored.distinct_keys(), 1);

@@ -135,8 +135,8 @@ mod tests {
         let c = HtManager::unbounded();
         assert!(c.read_temp(HtId(99)).is_err());
         // A hash table is not a temp table, whatever its lineage.
-        let mut ht = hashstash_hashtable::ExtendibleHashTable::new(8);
-        ht.insert(1, Row::new(vec![Value::Int(1)]));
+        let mut ht = crate::ColumnHt::new(8, &[DataType::Int]);
+        ht.insert(1, &Row::new(vec![Value::Int(1)])).unwrap();
         let id = c.publish(fp(), schema(), StoredHt::Rows(ht));
         assert!(c.read_temp(id).is_err());
     }
@@ -180,7 +180,7 @@ mod tests {
         assert_ne!(a, d);
         assert_eq!(c.len(), 2);
         // So does a hash table of the same lineage: kinds never dedup.
-        let ht = StoredHt::Rows(hashstash_hashtable::ExtendibleHashTable::new(8));
+        let ht = StoredHt::Rows(crate::ColumnHt::new(8, &[]));
         let h = c.publish(fp(), schema(), ht);
         assert_ne!(a, h);
         assert_eq!(c.temp_candidates(&fp()).len(), 2);

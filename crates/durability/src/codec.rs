@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use hashstash_types::{DataType, Field, Row, Schema, Value};
 
-use hashstash_cache::{AggAccum, AggPayload, MaterializedRows, StoredHt};
+use hashstash_cache::{AggAccum, AggPayload, ColumnHt, MaterializedRows, StoredHt};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, JoinEdge, PredBox, Region,
@@ -600,14 +600,20 @@ fn decode_ht<V>(
     .ok_or_else(|| "inconsistent hash-table layout".to_string())
 }
 
-/// Encode a cached table: a hash table tagged and with its physical layout,
-/// a temp table as its untagged rows (a snapshot entry's kind byte tells
-/// [`decode_stored_ht`]'s hash tables from [`decode_rows`]' temp tables).
+/// Encode a cached table: a hash table tagged and with its physical layout
+/// — a join or grouping table's payload as its typed columns after the
+/// index — and a temp table as its untagged rows (a snapshot entry's kind
+/// byte tells [`decode_stored_ht`]'s hash tables from [`decode_rows`]' temp
+/// tables).
 pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
     match ht {
         StoredHt::Rows(t) => {
             w.put_u8(0);
-            encode_ht(w, t, encode_row);
+            encode_ht(w, t.index(), |_, ()| {});
+            w.put_count(t.columns().len());
+            for c in t.columns() {
+                encode_column(w, c);
+            }
         }
         StoredHt::Agg(t) => {
             w.put_u8(1);
@@ -620,7 +626,16 @@ pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
 /// Decode a cached hash table (a temp table is [`decode_rows`]).
 pub fn decode_stored_ht(r: &mut Reader<'_>) -> DecodeResult<StoredHt> {
     Ok(match r.get_u8()? {
-        0 => StoredHt::Rows(decode_ht(r, decode_row)?),
+        0 => {
+            let index = decode_ht(r, |_| Ok(()))?;
+            let n = r.get_count(5)?;
+            let columns = (0..n)
+                .map(|_| decode_column(r))
+                .collect::<DecodeResult<Vec<_>>>()?;
+            let table = ColumnHt::from_parts(index, columns)
+                .ok_or("payload columns out of step with the arena")?;
+            StoredHt::Rows(table)
+        }
         1 => StoredHt::Agg(decode_ht(r, decode_agg_payload)?),
         t => return Err(format!("unknown stored-ht tag {t}")),
     })
@@ -719,7 +734,7 @@ fn decode_column(r: &mut Reader<'_>) -> DecodeResult<Column> {
             let mut codes = Vec::with_capacity(n_codes);
             for _ in 0..n_codes {
                 let code = r.get_u32()?;
-                if code as usize >= dict.len().max(1) {
+                if code as usize >= dict.len() {
                     return Err(format!(
                         "dictionary code {code} out of range ({} entries)",
                         dict.len()
@@ -852,25 +867,21 @@ mod tests {
 
     #[test]
     fn stored_ht_roundtrip_layout_eq() {
-        let mut ht = ExtendibleHashTable::new(16);
+        let mut ht = ColumnHt::new(16, &[DataType::Int, DataType::Str]);
         for i in 0..64u64 {
-            ht.insert(i % 7, Row::new(vec![Value::Int(i as i64), Value::str("p")]));
+            let row = Row::new(vec![Value::Int(i as i64), Value::str("p")]);
+            ht.insert(i % 7, &row).unwrap();
         }
         // The image is the header, the directory (4 B head + 1 B depth per
-        // slot) and per entry its key, chain link and row — no query tag.
-        let dir = ht.layout().directory.len();
-        let rows: usize = ht
-            .iter()
-            .map(|(_, row)| {
-                let mut w = Writer::new();
-                encode_row(&mut w, row);
-                w.len()
-            })
-            .sum();
+        // slot), per entry its key and chain link, then the payload as
+        // typed columns: 8 B per int, a 4 B code per string, and the
+        // dictionary ("p") once — no per-value tag, no query tag.
+        let dir = ht.index().layout().directory.len();
+        let columns = 4 + (1 + 4 + 64 * 8) + (1 + 4 + (4 + 1) + 4 + 64 * 4);
         let stored = StoredHt::Rows(ht);
         let mut w = Writer::new();
         encode_stored_ht(&mut w, &stored);
-        assert_eq!(w.len(), 1 + 25 + 4 + dir * 5 + 4 + 64 * 12 + rows);
+        assert_eq!(w.len(), 1 + 25 + 4 + dir * 5 + 4 + 64 * 12 + columns);
         let out = roundtrip(&stored, encode_stored_ht, decode_stored_ht);
         match (&stored, &out) {
             (StoredHt::Rows(a), StoredHt::Rows(b)) => assert!(a.layout_eq(b)),

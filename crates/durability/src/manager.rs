@@ -271,8 +271,8 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A snapshot in the previous format (`HSSNAP01`: a query tag per row
-    /// and a tag flag per fingerprint) is skipped exactly like a corrupt one —
+    /// A snapshot in the previous format (`HSSNAP02`: a row of tagged
+    /// values per join-table entry) is skipped exactly like a corrupt one —
     /// its checksum is intact, only the magic differs.
     #[test]
     fn previous_format_snapshot_is_skipped() {
@@ -284,7 +284,7 @@ mod tests {
         let snap = snap_path(&dir, 0);
         let mut bytes = fs::read(&snap).unwrap();
         assert_eq!(&bytes[..SNAP_MAGIC.len()], SNAP_MAGIC);
-        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP01");
+        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP02");
         fs::write(&snap, &bytes).unwrap();
         assert_eq!(read_snapshot(&snap).unwrap_err(), "bad snapshot magic");
         let (d, snap) = open(&dir);

@@ -4,7 +4,7 @@
 //! # On-disk format
 //!
 //! ```text
-//! [magic "HSSNAP02"][body][crc32(body): u32 LE]
+//! [magic "HSSNAP03"][body][crc32(body): u32 LE]
 //! ```
 //!
 //! The body is: catalog table count + tables, then cache-entry count +
@@ -13,9 +13,11 @@
 //! (a cached hash table with exact physical layout, or materialized
 //! temp-table rows). Entries are written least recently used first, so
 //! re-publishing them in file order restores the cache's LRU order. Version
-//! `02` stores plain rows: format `01` carried an
-//! 8-byte query tag per row and a tag-flag byte per fingerprint, and its
-//! files are rejected by the magic check like any other invalid snapshot.
+//! `03` stores a join or grouping table's payload as typed columns after
+//! its index; `02` stored one row of tagged values per entry, and `01` also
+//! an 8-byte query tag per row and a tag-flag byte per fingerprint. Files
+//! of an earlier format are rejected by the magic check like any other
+//! invalid snapshot.
 //! A first-boot snapshot is the same format with zero cache entries.
 //!
 //! # Atomicity
@@ -36,7 +38,7 @@ use hashstash_types::Schema;
 
 use hashstash_cache::{MaterializedRows, StoredHt};
 use hashstash_plan::HtFingerprint;
-use hashstash_storage::{Catalog, Table};
+use hashstash_storage::{Catalog, Column, Table};
 
 use crate::codec::{
     decode_fingerprint, decode_rows, decode_schema, decode_stored_ht, decode_table,
@@ -45,7 +47,7 @@ use crate::codec::{
 use crate::crc::crc32;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP02";
+pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP03";
 
 /// Whether a snapshot reaches the disk before its write returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -214,6 +216,13 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
             1 => StoredHt::Materialized(MaterializedRows::new(decode_rows(&mut r)?)),
             k => return Err(format!("unknown snapshot entry kind {k}")),
         };
+        // The executor reads a join table's columns by schema position.
+        if let StoredHt::Rows(t) = &payload {
+            let types = t.columns().iter().map(Column::data_type);
+            if !types.eq(schema.fields().iter().map(|f| f.dtype)) {
+                return Err("join-table columns do not match the entry's schema".to_string());
+            }
+        }
         entries.push(PersistedEntry {
             fingerprint,
             schema,
@@ -235,7 +244,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_hashtable::ExtendibleHashTable;
+    use hashstash_cache::ColumnHt;
     use hashstash_plan::{HtKind, Region};
     use hashstash_storage::TableBuilder;
     use hashstash_types::{DataType, Row, Value};
@@ -253,8 +262,8 @@ mod tests {
         b.push_row(vec![Value::Int(7)]);
         cat.register(b.finish());
 
-        let mut ht = ExtendibleHashTable::new(8);
-        ht.insert(1, Row::new(vec![Value::Int(1)]));
+        let mut ht = ColumnHt::new(8, &[DataType::Int]);
+        ht.insert(1, &Row::new(vec![Value::Int(1)])).unwrap();
         let fp = HtFingerprint {
             kind: HtKind::JoinBuild,
             tables: std::iter::once(Arc::from("t")).collect(),
@@ -319,7 +328,7 @@ mod tests {
             panic!("sample holds a join table");
         };
         // A second entry under key 1, chained onto the first.
-        ht.insert(1, Row::new(vec![Value::Int(1)]));
+        ht.insert(1, &Row::new(vec![Value::Int(1)])).unwrap();
         write_snapshot(&path, &cat, &entries, false).unwrap();
         assert!(read_snapshot(&path).is_ok());
 
@@ -341,13 +350,30 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The byte format did not change when the cache took temp tables into
-    /// the hash-table store: a snapshot written by the two-store cache (a
-    /// join table, an aggregate table and a temp table) still loads, and
+    /// A checksummed image whose join-table columns disagree with the
+    /// entry's schema is discarded whole: the executor would index the
+    /// columns by schema position.
+    #[test]
+    fn join_table_schema_mismatch_rejected() {
+        let path = tmp("mismatch.snap");
+        let (cat, mut entries) = sample();
+        entries[0].schema = Schema::new(vec![
+            hashstash_types::Field::new("t.x", DataType::Int),
+            hashstash_types::Field::new("t.y", DataType::Str),
+        ]);
+        write_snapshot(&path, &cat, &entries, false).unwrap();
+        let err = read_snapshot(&path).expect_err("mismatched image must be discarded");
+        assert!(err.contains("do not match the entry's schema"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The byte format is pinned: a snapshot holding one table of each kind
+    /// (a join table, an aggregate table and a temp table — the two-store
+    /// cache's fixture, re-encoded with typed payload columns) loads, and
     /// re-encoding what it decodes reproduces it byte for byte.
     #[test]
     fn two_store_snapshot_still_loads_byte_for_byte() {
-        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap02.snap");
+        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap03.snap");
         let path = tmp("two-store.snap");
         std::fs::write(&path, EARLIER).unwrap();
         let snap = read_snapshot(&path).unwrap();

@@ -21,16 +21,30 @@
 //! reuse cache with identical fingerprints and footprints. Mutating-reuse
 //! delta inserts stay serial (they extend existing chain history); the cost
 //! model prices both regimes.
+//!
+//! A join table is a [`ColumnHt`]: the hash table holds the keys, and the
+//! payload sits beside it as typed columns in arena order, which a build
+//! gathers straight from its input (a batch's base columns, a join's match
+//! pairs, or rows' values) without building a row. The probe does not
+//! build rows either: it emits `(probe position, arena position)` match
+//! pairs, after filtering each chunk's keys into candidates through the
+//! directory's tag filter — or, for an `Int` or `Date` probe key over a
+//! table whose key span a bitmap covers cheaply, through the exact key
+//! pre-filter ([`KeyBitmap`]). A consumer reads the pairs in place
+//! (`JoinTuples`): an aggregate folds them, a build side appends their
+//! cells, and only a consumer that needs rows builds each once.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
 use std::sync::Arc;
 
-use hashstash_types::{f64_order_key, DataType, HsError, HtId, Result, Row, Schema, Value};
+use hashstash_types::{
+    f64_order_key, key64_combine, DataType, HsError, HtId, Result, Row, Schema, Value, KEY64_SEED,
+};
 
-use hashstash_cache::{AggPayload, CheckedOut, HtManager, StoredHt, TenantId};
-use hashstash_hashtable::ExtendibleHashTable;
+use hashstash_cache::{AggPayload, CheckedOut, ColumnHt, HtManager, StoredHt, TenantId};
+use hashstash_hashtable::{ExtendibleHashTable, KeyBitmap};
 use hashstash_plan::PredBox;
 use hashstash_storage::{Catalog, Column, RangeKernel, Table};
 
@@ -402,38 +416,18 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)>
             let schema = schema.ok_or_else(|| HsError::ExecError("empty union".into()))?;
             Ok((schema, Pipe::Rows(rows)))
         }
-        PhysicalPlan::Project { input, attrs } => {
-            let (schema, pipe) = run(input, ctx)?;
-            let mut indices = Vec::with_capacity(attrs.len());
-            for a in attrs {
-                indices.push(schema.index_of(a)?);
+        PhysicalPlan::Project { .. } | PhysicalPlan::HashJoin { .. } => {
+            match run_input(plan, ctx)? {
+                Input::Pipe(schema, pipe) => Ok((schema, pipe)),
+                // The join's consumer needs rows: build each once, from its
+                // pair, then hand the join's table back.
+                Input::Join(joined) => {
+                    let rows = joined.rows(ctx.sched());
+                    let schema = joined.schema.clone();
+                    joined.finish(ctx);
+                    Ok((schema, Pipe::Rows(rows)))
+                }
             }
-            let names: Vec<&str> = attrs.iter().map(|a| a.as_ref()).collect();
-            let out_schema = schema.project(&names)?;
-            let pipe = match pipe {
-                Pipe::Rows(rows) => {
-                    Pipe::Rows(rows.into_iter().map(|r| r.project(&indices)).collect())
-                }
-                // A projection of a batch is a different view of the same
-                // columns: nothing is copied.
-                Pipe::Columnar(mut batch) => {
-                    batch.proj = indices.iter().map(|&i| batch.proj[i]).collect();
-                    Pipe::Columnar(batch)
-                }
-            };
-            Ok((out_schema, pipe))
-        }
-        PhysicalPlan::HashJoin {
-            probe,
-            build,
-            probe_key,
-            build_key,
-            reuse,
-            publish,
-        } => {
-            let (schema, rows) =
-                run_hash_join(ctx, probe, build, probe_key, build_key, reuse, publish)?;
-            Ok((schema, Pipe::Rows(rows)))
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -459,6 +453,77 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)>
     }
 }
 
+/// A sub-plan's output as a pipeline breaker (a build side or an
+/// aggregate fold) consumes it: a pipe, or a hash join's match pairs read
+/// in place, so the join's output is never materialized.
+enum Input<'m> {
+    Pipe(Schema, Pipe),
+    Join(Box<Joined<'m>>),
+}
+
+impl Input<'_> {
+    fn schema(&self) -> &Schema {
+        match self {
+            Input::Pipe(schema, _) => schema,
+            Input::Join(joined) => &joined.schema,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Input::Pipe(_, pipe) => pipe.len(),
+            Input::Join(joined) => joined.len(),
+        }
+    }
+}
+
+/// Run a sub-plan for a breaker: a hash join (under any projections)
+/// stops at its match pairs; everything else runs as [`run`] does.
+fn run_input<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> Result<Input<'m>> {
+    match plan {
+        PhysicalPlan::HashJoin {
+            probe,
+            build,
+            probe_key,
+            build_key,
+            reuse,
+            publish,
+        } => Ok(Input::Join(Box::new(run_hash_join(
+            ctx, probe, build, probe_key, build_key, reuse, publish,
+        )?))),
+        PhysicalPlan::Project { input, attrs } => {
+            let input = run_input(input, ctx)?;
+            let indices = attrs
+                .iter()
+                .map(|a| input.schema().index_of(a))
+                .collect::<Result<Vec<_>>>()?;
+            let names: Vec<&str> = attrs.iter().map(|a| a.as_ref()).collect();
+            let out_schema = input.schema().project(&names)?;
+            Ok(match input {
+                Input::Pipe(_, Pipe::Rows(rows)) => Input::Pipe(
+                    out_schema,
+                    Pipe::Rows(rows.into_iter().map(|r| r.project(&indices)).collect()),
+                ),
+                // A projection of a batch or of a join is a different view
+                // of the same columns: nothing is copied.
+                Input::Pipe(_, Pipe::Columnar(mut batch)) => {
+                    batch.proj = indices.iter().map(|&i| batch.proj[i]).collect();
+                    Input::Pipe(out_schema, Pipe::Columnar(batch))
+                }
+                Input::Join(mut joined) => {
+                    joined.cols = indices.iter().map(|&i| joined.cols[i]).collect();
+                    joined.schema = out_schema;
+                    Input::Join(joined)
+                }
+            })
+        }
+        plan => {
+            let (schema, pipe) = run(plan, ctx)?;
+            Ok(Input::Pipe(schema, pipe))
+        }
+    }
+}
+
 /// A predicate box bound to row indices for fast per-row evaluation.
 pub(crate) struct BoxEval {
     checks: Vec<(usize, hashstash_plan::Interval)>,
@@ -477,6 +542,13 @@ impl BoxEval {
         self.checks
             .iter()
             .all(|(idx, iv)| iv.contains_value(row.get(*idx)))
+    }
+
+    /// [`eval`](Self::eval) on the entry at arena position `at` of `table`.
+    pub(crate) fn eval_at(&self, table: &ColumnHt, at: usize) -> bool {
+        self.checks
+            .iter()
+            .all(|(idx, iv)| iv.contains_value(&table.columns()[*idx].get(at)))
     }
 }
 
@@ -562,45 +634,75 @@ fn run_filter(
     }
 }
 
-/// What the probe and the aggregate fold need from their input tuples,
-/// bound to the key columns they hash. Implemented for materialized rows
-/// and for a columnar batch; both consumers are generic over it (static
-/// dispatch — nothing dynamic in the per-tuple loops), so the two pipe
-/// arms build bit-identical tables and output by construction.
+/// What the probe, the build and the aggregate fold need from their input
+/// tuples, bound to the key columns they hash. Implemented for materialized
+/// rows, a columnar batch, a join's match pairs and a cached table's
+/// entries; the consumers are generic over it (static dispatch — nothing
+/// dynamic in the per-tuple loops), so every source builds bit-identical
+/// tables and output by construction.
 ///
-/// `col` arguments are positions in the pipe's output schema.
+/// `col` arguments are positions in the source's output schema.
 pub(crate) trait Tuples: Sync {
     /// Number of tuples.
     fn len(&self) -> usize;
     /// The key columns the source is bound to.
     fn key_cols(&self) -> &[usize];
     /// 64-bit hash of tuple `i` over the key columns.
-    fn key64(&self, i: usize) -> u64;
+    fn key64(&self, i: usize) -> u64 {
+        composite_key64(self.key_cols(), |c| self.cell_key64(i, c))
+    }
     /// Append the `key64` of tuples `range`, in order, to `out`.
     fn keys_into(&self, range: Range<usize>, out: &mut Vec<u64>) {
         out.extend(range.map(|i| self.key64(i)));
     }
+    /// The `Value::key64` of column `col` of tuple `i`.
+    fn cell_key64(&self, i: usize, col: usize) -> u64 {
+        self.cell(i, col).key64()
+    }
     /// Whether column `col` of tuple `i` equals `v` (values of different
     /// types are never equal).
     fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool;
+    /// Whether column `col` of tuple `i` equals row `at` of `other`.
+    fn cell_eq_at(&self, i: usize, col: usize, other: &Column, at: usize) -> bool {
+        other.cmp_row(at, &self.cell(i, col)) == Some(std::cmp::Ordering::Equal)
+    }
     /// Column `col` of tuple `i`.
     fn cell(&self, i: usize, col: usize) -> Cow<'_, Value>;
-    /// Tuple `i` as a row.
-    fn row(&self, i: usize) -> Cow<'_, Row>;
     /// Columns `cols` of tuple `i` as a row.
     fn project(&self, i: usize, cols: &[usize]) -> Row {
         Row::new(cols.iter().map(|&c| self.cell(i, c).into_owned()).collect())
     }
+    /// Append column `col` of every tuple, in order, to `dst`; `false` on
+    /// a type mismatch.
+    fn append_column(&self, col: usize, dst: &mut Column) -> bool {
+        let cells: Vec<Value> = (0..self.len())
+            .map(|i| self.cell(i, col).into_owned())
+            .collect();
+        dst.extend_values(&cells)
+    }
 }
 
-/// Materialized rows (owned, or borrowed from a cached table), hashed over
-/// `key_cols`.
-pub(crate) struct RowTuples<'a, R = Row> {
-    pub(crate) rows: &'a [R],
+/// The hash key over `cols`, from each column's key — `Row::key64`'s
+/// combination: no columns hash to the constant empty key, one column is
+/// its own key, several mix in column order.
+#[inline]
+fn composite_key64(cols: &[usize], key_of: impl Fn(usize) -> u64) -> u64 {
+    match cols {
+        [] => 0,
+        [c] => key_of(*c),
+        many => many
+            .iter()
+            .fold(KEY64_SEED, |h, &c| key64_combine(h, key_of(c))),
+    }
+}
+
+/// Materialized rows, hashed over `key_cols`.
+pub(crate) struct RowTuples<'a> {
+    pub(crate) rows: &'a [Row],
     pub(crate) key_cols: &'a [usize],
 }
 
-impl<R: Borrow<Row> + Sync> Tuples for RowTuples<'_, R> {
+impl Tuples for RowTuples<'_> {
     fn len(&self) -> usize {
         self.rows.len()
     }
@@ -611,21 +713,21 @@ impl<R: Borrow<Row> + Sync> Tuples for RowTuples<'_, R> {
 
     #[inline]
     fn key64(&self, i: usize) -> u64 {
-        self.rows[i].borrow().key64(self.key_cols)
+        self.rows[i].key64(self.key_cols)
     }
 
     #[inline]
     fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        self.rows[i].borrow().get(col) == v
+        self.rows[i].get(col) == v
     }
 
     #[inline]
     fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        Cow::Borrowed(self.rows[i].borrow().get(col))
+        Cow::Borrowed(self.rows[i].get(col))
     }
 
-    fn row(&self, i: usize) -> Cow<'_, Row> {
-        Cow::Borrowed(self.rows[i].borrow())
+    fn append_column(&self, col: usize, dst: &mut Column) -> bool {
+        dst.extend_values(self.rows.iter().map(|r| r.get(col)))
     }
 }
 
@@ -681,8 +783,18 @@ impl Tuples for BatchTuples<'_> {
     }
 
     #[inline]
+    fn cell_key64(&self, i: usize, col: usize) -> u64 {
+        self.column(col).key64(self.rid(i))
+    }
+
+    #[inline]
     fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
         self.column(col).cmp_row(self.rid(i), v) == Some(std::cmp::Ordering::Equal)
+    }
+
+    #[inline]
+    fn cell_eq_at(&self, i: usize, col: usize, other: &Column, at: usize) -> bool {
+        self.column(col).eq_at(self.rid(i), other, at)
     }
 
     #[inline]
@@ -690,9 +802,131 @@ impl Tuples for BatchTuples<'_> {
         Cow::Owned(self.column(col).get(self.rid(i)))
     }
 
-    fn row(&self, i: usize) -> Cow<'_, Row> {
-        let (table, proj) = (&self.batch.table, &self.batch.proj);
-        Cow::Owned(table.row_projected(self.rid(i), proj))
+    fn append_column(&self, col: usize, dst: &mut Column) -> bool {
+        dst.extend_from(self.column(col), (0..self.len()).map(|i| self.rid(i)))
+    }
+}
+
+/// A hash join's output read in place: tuple `i` is match pair `pairs[i]`,
+/// and its column `c` is column `cols[c]` of the probe tuple's columns
+/// followed by the build entry's payload columns. The aggregate fold and a
+/// build side read a join this way, so no `probe ++ build` row is ever
+/// built for them.
+struct JoinTuples<'a, P> {
+    probe: &'a P,
+    /// Number of probe-side columns: columns from here on are the table's.
+    probe_width: usize,
+    table: &'a ColumnHt,
+    pairs: &'a [(u32, u32)],
+    cols: &'a [usize],
+    key_cols: &'a [usize],
+}
+
+/// Where a join output column comes from.
+enum Side<'a> {
+    Probe(usize),
+    Build(&'a Column),
+}
+
+impl<P: Tuples> JoinTuples<'_, P> {
+    #[inline]
+    fn side(&self, col: usize) -> Side<'_> {
+        let c = self.cols[col];
+        match c.checked_sub(self.probe_width) {
+            Some(b) => Side::Build(&self.table.columns()[b]),
+            None => Side::Probe(c),
+        }
+    }
+
+    #[inline]
+    fn pair(&self, i: usize) -> (usize, usize) {
+        let (p, at) = self.pairs[i];
+        (p as usize, at as usize)
+    }
+
+    /// Tuple `i` as a row.
+    fn row(&self, i: usize) -> Row {
+        Row::new(
+            (0..self.cols.len())
+                .map(|c| self.cell(i, c).into_owned())
+                .collect(),
+        )
+    }
+}
+
+impl<P: Tuples> Tuples for JoinTuples<'_, P> {
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn key_cols(&self) -> &[usize] {
+        self.key_cols
+    }
+
+    #[inline]
+    fn cell_key64(&self, i: usize, col: usize) -> u64 {
+        let (p, at) = self.pair(i);
+        match self.side(col) {
+            Side::Build(c) => c.key64(at),
+            Side::Probe(c) => self.probe.cell_key64(p, c),
+        }
+    }
+
+    #[inline]
+    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
+        let (p, at) = self.pair(i);
+        match self.side(col) {
+            Side::Build(c) => c.cmp_row(at, v) == Some(std::cmp::Ordering::Equal),
+            Side::Probe(c) => self.probe.cell_eq(p, c, v),
+        }
+    }
+
+    #[inline]
+    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
+        let (p, at) = self.pair(i);
+        match self.side(col) {
+            Side::Build(c) => Cow::Owned(c.get(at)),
+            Side::Probe(c) => self.probe.cell(p, c),
+        }
+    }
+}
+
+/// The entries of a cached table at positions `sel`, in that order.
+pub(crate) struct EntryTuples<'a> {
+    pub(crate) table: &'a ColumnHt,
+    pub(crate) sel: &'a [u32],
+    pub(crate) key_cols: &'a [usize],
+}
+
+impl EntryTuples<'_> {
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        self.sel[i] as usize
+    }
+}
+
+impl Tuples for EntryTuples<'_> {
+    fn len(&self) -> usize {
+        self.sel.len()
+    }
+
+    fn key_cols(&self) -> &[usize] {
+        self.key_cols
+    }
+
+    #[inline]
+    fn cell_key64(&self, i: usize, col: usize) -> u64 {
+        self.table.columns()[col].key64(self.at(i))
+    }
+
+    #[inline]
+    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
+        self.table.columns()[col].cmp_row(self.at(i), v) == Some(std::cmp::Ordering::Equal)
+    }
+
+    #[inline]
+    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
+        Cow::Owned(self.table.columns()[col].get(self.at(i)))
     }
 }
 
@@ -987,7 +1221,7 @@ fn index_hits<'t>(
 /// a reused cached table (shared snapshot for read-only reuse,
 /// copy-on-write for delta insertion).
 pub(crate) enum RowTable<'m> {
-    Fresh(ExtendibleHashTable<Row>),
+    Fresh(ColumnHt),
     Reused(CheckedOut<'m>),
     /// A mutating reuse that has already been checked back in: the writer
     /// pin is released and readers see this immutable snapshot.
@@ -995,6 +1229,12 @@ pub(crate) enum RowTable<'m> {
 }
 
 impl<'m> RowTable<'m> {
+    /// An empty table for tuples of `schema`.
+    pub(crate) fn fresh(schema: &Schema) -> Self {
+        let types: Vec<DataType> = schema.fields().iter().map(|f| f.dtype).collect();
+        RowTable::Fresh(ColumnHt::new(schema.tuple_width(), &types))
+    }
+
     /// Check out the table a reuse directive names, verifying it holds rows.
     pub(crate) fn checkout(ctx: &mut ExecContext<'m>, spec: &ReuseSpec) -> Result<CheckedOut<'m>> {
         let co = ctx.checkout_for(spec)?;
@@ -1008,7 +1248,7 @@ impl<'m> RowTable<'m> {
         Ok(co)
     }
 
-    pub(crate) fn read_table(&self) -> &ExtendibleHashTable<Row> {
+    pub(crate) fn read_table(&self) -> &ColumnHt {
         let stored = match self {
             RowTable::Fresh(t) => return t,
             RowTable::Reused(co) => co.table(),
@@ -1020,7 +1260,7 @@ impl<'m> RowTable<'m> {
         }
     }
 
-    pub(crate) fn write_table(&mut self) -> Result<&mut ExtendibleHashTable<Row>> {
+    pub(crate) fn write_table(&mut self) -> Result<&mut ColumnHt> {
         match self {
             RowTable::Fresh(t) => Ok(t),
             RowTable::Reused(co) => match co.table_mut()? {
@@ -1060,16 +1300,133 @@ impl<'m> RowTable<'m> {
     }
 }
 
+/// Append `input`'s tuples to `table`, keyed on its key columns, in input
+/// order: each payload column is gathered straight from the source (a
+/// batch's base columns, or the rows' values), so no row is built. With
+/// `partitioned` (fresh tables only) key extraction fans out over morsels
+/// and chain construction over bucket ranges; the stitched table is
+/// bit-identical to the serial loop (same chains, layout and stats), so
+/// probe output, fingerprints and publish dedup do not depend on the worker
+/// count. The serial loop is also the only path for mutating-reuse deltas,
+/// which extend a table with existing chain history.
+fn insert_tuples<T: Tuples>(
+    sched: Scheduler<'_>,
+    table: &mut ColumnHt,
+    input: &T,
+    partitioned: bool,
+) -> Result<()> {
+    let n = input.len();
+    let keys: Vec<u64> = collect_morsels(sched, n, |range| {
+        let mut keys = Vec::with_capacity(range.len());
+        input.keys_into(range, &mut keys);
+        keys
+    });
+    table.append(
+        n,
+        |c, col| input.append_column(c, col),
+        |index| {
+            if partitioned {
+                build_multimap_partitioned(sched, index, keys, vec![(); n]);
+            } else {
+                index.reserve(n);
+                for key in keys {
+                    index.insert(key, ());
+                }
+            }
+        },
+    )?;
+    table.shrink_to_fit();
+    Ok(())
+}
+
+/// A hash join whose probe has run: the probe side's tuples, the table
+/// they were probed against, and the match pairs — everything a consumer
+/// needs to read the output without it being materialized.
+pub(crate) struct Joined<'m> {
+    /// Output schema: `cols` of the probe side's columns, then the table's.
+    pub(crate) schema: Schema,
+    /// Output column `c` is column `cols[c]` of the unprojected join.
+    cols: Vec<usize>,
+    probe: Pipe,
+    probe_width: usize,
+    table: RowTable<'m>,
+    table_schema: Schema,
+    /// `(probe position, arena position)` per match, in output order.
+    pairs: Vec<(u32, u32)>,
+    publish: Option<hashstash_plan::HtFingerprint>,
+}
+
+/// Run `$body` with `$t` bound to the [`JoinTuples`] view of `$joined`,
+/// hashed over `$key_cols` — one monomorphized copy per probe-pipe arm.
+macro_rules! with_join_tuples {
+    ($joined:expr, $key_cols:expr, |$t:ident| $body:expr) => {{
+        let joined = $joined;
+        let table = joined.table.read_table();
+        match &joined.probe {
+            Pipe::Rows(rows) => {
+                let probe = &RowTuples {
+                    rows,
+                    key_cols: &[],
+                };
+                let $t = &JoinTuples {
+                    probe,
+                    probe_width: joined.probe_width,
+                    table,
+                    pairs: &joined.pairs,
+                    cols: &joined.cols,
+                    key_cols: $key_cols,
+                };
+                $body
+            }
+            Pipe::Columnar(batch) => {
+                let probe = &BatchTuples::new(batch, &[]);
+                let $t = &JoinTuples {
+                    probe,
+                    probe_width: joined.probe_width,
+                    table,
+                    pairs: &joined.pairs,
+                    cols: &joined.cols,
+                    key_cols: $key_cols,
+                };
+                $body
+            }
+        }
+    }};
+}
+
+impl Joined<'_> {
+    /// Number of output tuples.
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The output as rows, each built once from its pair.
+    fn rows(&self, sched: Scheduler<'_>) -> Vec<Row> {
+        with_join_tuples!(self, &[], |t| {
+            collect_morsels(sched, t.len(), |range| range.map(|i| t.row(i)).collect())
+        })
+    }
+
+    /// Hand the join's table back (publishing a fresh one).
+    fn finish(self, ctx: &ExecContext<'_>) {
+        self.table
+            .finish(ctx, self.publish.as_ref(), self.table_schema);
+    }
+}
+
+/// Build (or check out and extend) a hash join's table and probe it,
+/// returning the match pairs; the table is handed back by
+/// [`Joined::finish`] once the consumer has read the output.
 #[allow(clippy::too_many_arguments)]
-fn run_hash_join(
-    ctx: &mut ExecContext<'_>,
+fn run_hash_join<'m>(
+    ctx: &mut ExecContext<'m>,
     probe: &PhysicalPlan,
     build: &Option<Box<PhysicalPlan>>,
     probe_key: &Arc<str>,
     build_key: &Arc<str>,
     reuse: &Option<crate::plan::ReuseSpec>,
     publish: &Option<hashstash_plan::HtFingerprint>,
-) -> Result<(Schema, Vec<Row>)> {
+) -> Result<Joined<'m>> {
     // --- Build phase -------------------------------------------------------
     let mut recovery_filter: Option<PredBox> = None;
     let (build_schema, mut source) = match reuse {
@@ -1085,48 +1442,44 @@ fn run_hash_join(
                 HsError::ExecError("hash join without build plan or reuse".into())
             })?;
             let schema = build_plan.schema(ctx.catalog)?;
-            let ht = ExtendibleHashTable::new(schema.tuple_width());
-            (schema, RowTable::Fresh(ht))
+            let table = RowTable::fresh(&schema);
+            (schema, table)
         }
     };
     let build_key_idx = build_schema.index_of(build_key)?;
 
-    // Insert rows from the build sub-plan: all of them for a fresh table,
+    // Insert the build sub-plan's tuples: all of them for a fresh table,
     // only the delta for partial/overlapping reuse (copy-on-write on the
     // checked-out handle).
     if let Some(build_plan) = build {
         if reuse.is_none() || reuse.as_ref().is_some_and(|r| r.case.needs_delta()) {
-            let (bs, rows) = run_rows(build_plan, ctx)?;
-            if bs != build_schema {
+            let input = run_input(build_plan, ctx)?;
+            if input.schema() != &build_schema {
                 return Err(HsError::ExecError(format!(
-                    "build schema mismatch: expected {build_schema:?}, got {bs:?}"
+                    "build schema mismatch: expected {build_schema:?}, got {:?}",
+                    input.schema()
                 )));
             }
-            ctx.metrics.ht_inserts += rows.len() as u64;
+            ctx.metrics.ht_inserts += input.len() as u64;
+            let partitioned =
+                reuse.is_none() && ctx.parallelism > 1 && input.len() >= MIN_PARALLEL_BUILD_ROWS;
+            let sched = ctx.sched();
             let target = source.write_table()?;
-            if reuse.is_none() && ctx.parallelism > 1 && rows.len() >= MIN_PARALLEL_BUILD_ROWS {
-                // Partitioned parallel build of the fresh table: key
-                // extraction fans out over morsels, chain construction over
-                // bucket ranges; the stitched table is bit-identical to the
-                // serial loop below (same chains, layout, and stats), so
-                // probe output, fingerprints, and publish dedup are
-                // unaffected by the worker count.
-                let rows_ref = &rows;
-                let keys: Vec<u64> = collect_morsels(ctx.sched(), rows.len(), |range| {
-                    rows_ref[range]
-                        .iter()
-                        .map(|row| row.key64(&[build_key_idx]))
-                        .collect()
-                });
-                build_multimap_partitioned(ctx.sched(), target, keys, rows);
-            } else {
-                // Serial build — also the only path for mutating-reuse
-                // deltas, which extend a table with existing chain history.
-                target.reserve(rows.len());
-                for row in rows {
-                    let key = row.key64(&[build_key_idx]);
-                    target.insert(key, row);
+            let key_cols = &[build_key_idx];
+            match &input {
+                Input::Pipe(_, Pipe::Rows(rows)) => {
+                    insert_tuples(sched, target, &RowTuples { rows, key_cols }, partitioned)?
                 }
+                Input::Pipe(_, Pipe::Columnar(batch)) => {
+                    let input = BatchTuples::new(batch, key_cols);
+                    insert_tuples(sched, target, &input, partitioned)?
+                }
+                Input::Join(joined) => with_join_tuples!(joined, key_cols, |t| {
+                    insert_tuples(sched, target, t, partitioned)?
+                }),
+            }
+            if let Input::Join(joined) = input {
+                joined.finish(ctx);
             }
             if reuse.is_none() {
                 ctx.metrics.built_tables += 1;
@@ -1156,67 +1509,104 @@ fn run_hash_join(
         post_filters.push(BoxEval::bind(rf, &build_schema)?);
     }
     ctx.metrics.ht_probes += probe_pipe.len() as u64;
-    let ht = source.read_table();
+    let table = source.read_table();
+    let exact = exact_prefilter(
+        table,
+        probe_schema.field_at(probe_key_idx).dtype,
+        probe_pipe.len(),
+    );
+    let probe = Probe {
+        table,
+        build_key_idx,
+        post_filters: &post_filters,
+        exact: exact.as_ref(),
+    };
     let key_cols = &[probe_key_idx];
-    let out = match &probe_pipe {
-        Pipe::Rows(rows) => {
-            let input = RowTuples { rows, key_cols };
-            probe_tuples(ctx.sched(), &input, ht, build_key_idx, &post_filters)
-        }
+    let pairs = match &probe_pipe {
+        Pipe::Rows(rows) => probe.pairs(ctx.sched(), &RowTuples { rows, key_cols }),
         Pipe::Columnar(batch) => {
             ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
-            let input = BatchTuples::new(batch, key_cols);
-            probe_tuples(ctx.sched(), &input, ht, build_key_idx, &post_filters)
+            probe.pairs(ctx.sched(), &BatchTuples::new(batch, key_cols))
         }
     };
 
-    let out_schema = probe_schema.concat(&build_schema);
-    source.finish(ctx, publish.as_ref(), build_schema);
-    Ok((out_schema, out))
+    Ok(Joined {
+        schema: probe_schema.concat(&build_schema),
+        cols: (0..probe_schema.len() + build_schema.len()).collect(),
+        probe_width: probe_schema.len(),
+        probe: probe_pipe,
+        table: source,
+        table_schema: build_schema,
+        pairs,
+        publish: publish.clone(),
+    })
 }
 
-/// Probe `ht` with every input tuple on its (single) key column,
-/// morsel-parallel, emitting `probe ++ build` rows in input order. Per
-/// morsel-sized chunk: gather the keys (one typed loop for a columnar
-/// source), tag-test them against the directory into a candidate list (one
-/// 2-byte load per key — where a selective probe ends for almost every
-/// tuple), then walk chains for the candidates only. The probe row
-/// materializes lazily, once, only when the tuple has at least one match.
-fn probe_tuples<T: Tuples>(
-    sched: Scheduler<'_>,
-    input: &T,
-    ht: &ExtendibleHashTable<Row>,
-    build_key_idx: usize,
-    post_filters: &[BoxEval],
-) -> Vec<Row> {
-    let probe_key_idx = input.key_cols()[0];
-    collect_morsels(sched, input.len(), |range| {
-        let mut buf = Vec::new();
-        let mut keys: Vec<u64> = Vec::with_capacity(MORSEL_ROWS);
-        let mut candidates: Vec<u32> = Vec::with_capacity(MORSEL_ROWS);
-        for start in range.clone().step_by(MORSEL_ROWS) {
-            keys.clear();
-            candidates.clear();
-            input.keys_into(start..(start + MORSEL_ROWS).min(range.end), &mut keys);
-            ht.filter_keys(&keys, &mut candidates);
-            for &c in &candidates {
-                let i = start + c as usize;
-                let mut prow: Option<Cow<'_, Row>> = None;
-                for brow in ht.probe_readonly(keys[c as usize]) {
-                    // Verify the actual key (hash keys may collide).
-                    if !input.cell_eq(i, probe_key_idx, brow.get(build_key_idx)) {
-                        continue;
+/// The exact key pre-filter for a probe of `probe_tuples` tuples on a key
+/// of type `key_type`: a bitmap over `[min, max]` of the table's keys
+/// ([`KeyBitmap`]), worth building once per probe phase when the key is an
+/// integer or a date (its own hash key), the probe has at least as many
+/// tuples as the table has entries, and the bitmap needs no more words than
+/// the probe has tuples. Otherwise `None`: the tag filter decides.
+fn exact_prefilter(table: &ColumnHt, key_type: DataType, probe_tuples: usize) -> Option<KeyBitmap> {
+    let integer = matches!(key_type, DataType::Int | DataType::Date);
+    if !integer || probe_tuples < table.len() {
+        return None;
+    }
+    table.index().key_bitmap(probe_tuples)
+}
+
+/// One probe phase against a join table: what decides a match.
+pub(crate) struct Probe<'a> {
+    pub(crate) table: &'a ColumnHt,
+    pub(crate) build_key_idx: usize,
+    pub(crate) post_filters: &'a [BoxEval],
+    /// The exact pre-filter, when one was built; else the tag filter.
+    pub(crate) exact: Option<&'a KeyBitmap>,
+}
+
+impl Probe<'_> {
+    /// Probe with every input tuple on its (single) key column,
+    /// morsel-parallel, emitting `(probe position, arena position)` match
+    /// pairs in output order: input order, and chain order within a tuple.
+    /// Per morsel-sized chunk: gather the keys (one typed loop for a
+    /// columnar source), filter them into a candidate list — exactly, with
+    /// the pre-filter, or through the directory's tag filter (one 2-byte
+    /// load per key) — then walk chains for the candidates only, comparing
+    /// the actual key cells (hash keys of strings may collide).
+    pub(crate) fn pairs<T: Tuples>(&self, sched: Scheduler<'_>, input: &T) -> Vec<(u32, u32)> {
+        let probe_key_idx = input.key_cols()[0];
+        let index = self.table.index();
+        let key_col = &self.table.columns()[self.build_key_idx];
+        collect_morsels(sched, input.len(), |range| {
+            let mut buf = Vec::new();
+            let mut keys: Vec<u64> = Vec::with_capacity(MORSEL_ROWS);
+            let mut candidates: Vec<u32> = Vec::with_capacity(MORSEL_ROWS);
+            for start in range.clone().step_by(MORSEL_ROWS) {
+                keys.clear();
+                candidates.clear();
+                input.keys_into(start..(start + MORSEL_ROWS).min(range.end), &mut keys);
+                match self.exact {
+                    Some(bitmap) => bitmap.filter_keys(&keys, &mut candidates),
+                    None => index.filter_keys(&keys, &mut candidates),
+                }
+                for &c in &candidates {
+                    let i = start + c as usize;
+                    for at in index.probe_positions(keys[c as usize]) {
+                        if input.cell_eq_at(i, probe_key_idx, key_col, at)
+                            && self
+                                .post_filters
+                                .iter()
+                                .all(|pf| pf.eval_at(self.table, at))
+                        {
+                            buf.push((i as u32, at as u32));
+                        }
                     }
-                    if !post_filters.iter().all(|pf| pf.eval(brow)) {
-                        continue;
-                    }
-                    let prow = prow.get_or_insert_with(|| input.row(i));
-                    buf.push(prow.concat(brow));
                 }
             }
-        }
-        buf
-    })
+            buf
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1301,10 +1691,11 @@ fn run_hash_agg(
         }
     };
 
-    // --- Fold input rows (all of them, or the reuse delta) -----------------
+    // --- Fold input tuples (all of them, or the reuse delta) ---------------
     if let Some(input_plan) = input {
         if reuse.is_none() || reuse.as_ref().is_some_and(|r| r.case.needs_delta()) {
-            let (in_schema, pipe) = run(input_plan, ctx)?;
+            let input = run_input(input_plan, ctx)?;
+            let in_schema = input.schema();
             let group_idx: Vec<usize> = group_by
                 .iter()
                 .map(|g| in_schema.index_of(g))
@@ -1317,18 +1708,22 @@ fn run_hash_agg(
                 ctx.metrics.built_tables += 1;
             }
             let parallel_build =
-                reuse.is_none() && ctx.parallelism > 1 && pipe.len() >= MIN_PARALLEL_BUILD_ROWS;
+                reuse.is_none() && ctx.parallelism > 1 && input.len() >= MIN_PARALLEL_BUILD_ROWS;
             let ht = source.write_table()?;
             let sched = ctx.sched();
-            let (inserts, updates) = match &pipe {
-                Pipe::Rows(rows) => {
+            let (inserts, updates) = match &input {
+                // A join folds straight from its match pairs.
+                Input::Join(joined) => with_join_tuples!(joined, &group_idx, |t| {
+                    fold_tuples(sched, ht, t, &agg_idx, aggs, parallel_build)
+                }),
+                Input::Pipe(_, Pipe::Rows(rows)) => {
                     let input = RowTuples {
                         rows,
                         key_cols: &group_idx,
                     };
                     fold_tuples(sched, ht, &input, &agg_idx, aggs, parallel_build)
                 }
-                Pipe::Columnar(batch) => {
+                Input::Pipe(_, Pipe::Columnar(batch)) => {
                     ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
                     let input = BatchTuples::new(batch, &group_idx);
                     fold_tuples(sched, ht, &input, &agg_idx, aggs, parallel_build)
@@ -1336,6 +1731,11 @@ fn run_hash_agg(
             };
             ctx.metrics.ht_inserts += inserts;
             ctx.metrics.ht_updates += updates;
+            // The join's table goes back after the fold, before the
+            // aggregate's: cache events keep the row pipeline's order.
+            if let Input::Join(joined) = input {
+                joined.finish(ctx);
+            }
         }
     }
 
@@ -2055,7 +2455,7 @@ mod tests {
                 let a = table.column(age).get(rid).as_int().unwrap();
                 if (30..40).contains(&a) {
                     let row = table.row_projected(rid, &[key, age]);
-                    ht.insert(row.key64(&[0]), row);
+                    ht.insert(row.key64(&[0]), &row).unwrap();
                 }
             }
             w.checkin_widened(&widened).unwrap();
@@ -2236,9 +2636,32 @@ mod tests {
     /// dictionary-string key — for a strided selection and for the dense
     /// range an unfiltered scan hands on, and against a build side that
     /// ≈ 1 % of the tuples hit (the tag filter rejects most of the rest
-    /// before any chain walk).
+    /// before any chain walk). On the int keys the exact pre-filter, which
+    /// the probe builds there, answers as the tag filter does.
     #[test]
     fn probe_is_tuple_source_invariant() {
+        fn probed<T: Tuples>(
+            sched: Scheduler<'_>,
+            input: &T,
+            table: &ColumnHt,
+            exact: Option<&KeyBitmap>,
+        ) -> Vec<Row> {
+            let probe = Probe {
+                table,
+                build_key_idx: 0,
+                post_filters: &[],
+                exact,
+            };
+            // Tuples of the test's batches have four columns.
+            let row = |&(i, at): &(u32, u32)| {
+                let mut values: Vec<Value> = (0..4)
+                    .map(|c| input.cell(i as usize, c).into_owned())
+                    .collect();
+                values.extend(table.columns().iter().map(|c| c.get(at as usize)));
+                Row::new(values)
+            };
+            probe.pairs(sched, input).iter().map(row).collect()
+        }
         let (_, strided) = both_arms();
         let dense = ColumnarBatch {
             sel: Selection::Dense(strided.table.row_count()),
@@ -2257,44 +2680,52 @@ mod tests {
                 let key = if k % 100 == 0 { k } else { k + 1_000_000 };
                 Row::new(vec![Value::Int(key), Value::Date((k % 29) as i32)])
             });
-            let builds: [(usize, Vec<Row>); 3] = [
-                (2, rows[..60].iter().map(|r| r.project(&[2, 3])).collect()),
-                (0, rows[..60].iter().map(|r| r.project(&[0, 3])).collect()),
-                (2, selective.collect()),
+            let builds: [(usize, DataType, Vec<Row>); 3] = [
+                (
+                    2,
+                    DataType::Int,
+                    rows[..60].iter().map(|r| r.project(&[2, 3])).collect(),
+                ),
+                (
+                    0,
+                    DataType::Str,
+                    rows[..60].iter().map(|r| r.project(&[0, 3])).collect(),
+                ),
+                (2, DataType::Int, selective.collect()),
             ];
-            for (b, (probe_key, build_rows)) in builds.iter().enumerate() {
-                let mut ht = ExtendibleHashTable::new(12);
+            for (b, (probe_key, key_type, build_rows)) in builds.iter().enumerate() {
+                let mut table = ColumnHt::new(12, &[*key_type, DataType::Date]);
                 for build_row in build_rows {
-                    ht.insert(build_row.key64(&[0]), build_row.clone());
+                    table.insert(build_row.key64(&[0]), build_row).unwrap();
                 }
+                let exact = exact_prefilter(&table, *key_type, rows.len());
+                assert_eq!(
+                    exact.is_some(),
+                    *key_type == DataType::Int,
+                    "build side {b}"
+                );
                 let key_cols = [*probe_key];
                 let from_rows = RowTuples {
                     rows: &rows,
                     key_cols: &key_cols,
                 };
                 let from_batch = BatchTuples::new(batch, &key_cols);
-                let want = probe_tuples(serial, &from_rows, &ht, 0, &[]);
+                let want = probed(serial, &from_rows, &table, None);
                 assert!(!want.is_empty() && want.len() != rows.len());
                 if b == 2 {
                     // Every hit key is in the build side twice.
                     let per_cent = want.len() / 2 * 100 / rows.len();
                     assert_eq!(per_cent, 1, "selective build side: {} rows", want.len());
                 }
-                for (label, got) in [
-                    (
-                        "rows, pooled",
-                        probe_tuples(pooled, &from_rows, &ht, 0, &[]),
-                    ),
-                    (
-                        "batch, serial",
-                        probe_tuples(serial, &from_batch, &ht, 0, &[]),
-                    ),
-                    (
-                        "batch, pooled",
-                        probe_tuples(pooled, &from_batch, &ht, 0, &[]),
-                    ),
-                ] {
-                    assert_eq!(got, want, "{label}, {shape}, build side {b}");
+                for exact in [None, exact.as_ref()] {
+                    for (label, got) in [
+                        ("rows, pooled", probed(pooled, &from_rows, &table, exact)),
+                        ("batch, serial", probed(serial, &from_batch, &table, exact)),
+                        ("batch, pooled", probed(pooled, &from_batch, &table, exact)),
+                    ] {
+                        let filter = if exact.is_some() { "exact" } else { "tags" };
+                        assert_eq!(got, want, "{label}, {shape}, build side {b}, {filter}");
+                    }
                 }
             }
         }

@@ -22,15 +22,17 @@
 //! The paper's Data-Query model instead tags every stored tuple with the
 //! set of queries it qualifies for and re-tags a cached table before reusing
 //! it. Evaluating qualification at read time gives the same answers, stores
-//! plain rows, and never rewrites a cached table.
+//! plain tuples (a [`ColumnHt`]'s typed columns), and never rewrites a
+//! cached table.
 
 use hashstash_types::{Field, QueryId, Result, Row, Schema};
 
+use hashstash_cache::ColumnHt;
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{AggExpr, HtFingerprint, QuerySpec, Region, ReuseCase};
 
 use crate::exec::{
-    fold_tuples, produce_agg_output, AggSource, BoxEval, ExecContext, RowTable, RowTuples,
+    fold_tuples, produce_agg_output, AggSource, BoxEval, EntryTuples, ExecContext, RowTable,
 };
 use crate::parallel::{collect_morsels, MIN_PARALLEL_BUILD_ROWS};
 use crate::plan::{lookup_attr_type, OutputAgg, PhysicalPlan, ReuseSpec};
@@ -203,8 +205,8 @@ fn run_grouping_phase<'m>(
                 .collect::<Result<Vec<_>>>()?;
             let schema = Schema::new(fields);
             ctx.metrics.built_tables += 1;
-            let ht = ExtendibleHashTable::new(schema.tuple_width());
-            (schema, RowTable::Fresh(ht), Some(union.clone()))
+            let table = RowTable::fresh(&schema);
+            (schema, table, Some(union.clone()))
         }
     };
     if let Some(need) = need {
@@ -224,12 +226,21 @@ fn run_grouping_phase<'m>(
             .iter()
             .map(|b| BoxEval::bind(b, pschema))
             .collect::<Result<Vec<_>>>()?;
-        let ht = table.write_table()?;
-        for row in prows.iter().filter(|r| need.iter().any(|b| b.eval(r))) {
-            let stored = row.project(&stored_idx);
-            ht.insert(stored.key64(&key_idx), stored);
-            ctx.metrics.ht_inserts += 1;
-        }
+        let rows: Vec<&Row> = prows
+            .iter()
+            .filter(|r| need.iter().any(|b| b.eval(r)))
+            .collect();
+        let key_idx: Vec<usize> = key_idx.iter().map(|&k| stored_idx[k]).collect();
+        table.write_table()?.append(
+            rows.len(),
+            |c, col| col.extend_values(rows.iter().map(|r| r.get(stored_idx[c]))),
+            |index| {
+                for r in &rows {
+                    index.insert(r.key64(&key_idx), ());
+                }
+            },
+        )?;
+        ctx.metrics.ht_inserts += rows.len() as u64;
     }
     if let Some(r) = &g.reuse {
         table = table.checked_in(r)?;
@@ -243,16 +254,15 @@ fn run_grouping_phase<'m>(
 fn aggregate_for_query(
     q: &QuerySpec,
     aggs: &[AggExpr],
-    table: &ExtendibleHashTable<Row>,
+    table: &ColumnHt,
     schema: &Schema,
     ctx: &mut ExecContext<'_>,
 ) -> Result<(Schema, Vec<Row>)> {
     let qualifies = BoxEval::bind(&q.predicates, schema)?;
-    let rows: Vec<&Row> = collect_morsels(ctx.sched(), table.len(), |range| {
-        table
-            .iter_range(range)
-            .map(|(_, r)| r)
-            .filter(|r| qualifies.eval(r))
+    let sel: Vec<u32> = collect_morsels(ctx.sched(), table.len(), |range| {
+        range
+            .filter(|&at| qualifies.eval_at(table, at))
+            .map(|at| at as u32)
             .collect()
     });
     let group_idx = q
@@ -264,11 +274,12 @@ fn aggregate_for_query(
         .iter()
         .map(|a| schema.index_of(&a.attr))
         .collect::<Result<Vec<_>>>()?;
-    let input = RowTuples {
-        rows: &rows,
+    let input = EntryTuples {
+        table,
+        sel: &sel,
         key_cols: &group_idx,
     };
-    let parallel = ctx.parallelism > 1 && rows.len() >= MIN_PARALLEL_BUILD_ROWS;
+    let parallel = ctx.parallelism > 1 && sel.len() >= MIN_PARALLEL_BUILD_ROWS;
     let mut ht = ExtendibleHashTable::new(schema.tuple_width());
     let (inserts, updates) = fold_tuples(ctx.sched(), &mut ht, &input, &agg_idx, aggs, parallel);
     ctx.metrics.ht_updates += inserts + updates;

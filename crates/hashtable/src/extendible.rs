@@ -345,6 +345,17 @@ impl<V> ExtendibleHashTable<V> {
     #[inline]
     pub fn probe_readonly(&self, key: u64) -> ProbeIter<'_, V> {
         ProbeIter {
+            positions: self.probe_positions(key),
+        }
+    }
+
+    /// The arena positions of the entries stored under `key`, in the order
+    /// [`probe_readonly`](Self::probe_readonly) yields their values — for
+    /// consumers that keep the payload beside the table, indexed by arena
+    /// position.
+    #[inline]
+    pub fn probe_positions(&self, key: u64) -> Positions<'_, V> {
+        Positions {
             arena: &self.arena,
             node: self.chain_head(key),
             key,
@@ -408,6 +419,11 @@ impl<V> ExtendibleHashTable<V> {
         }
     }
 
+    /// Iterate over the keys in arena order.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + Clone + '_ {
+        self.arena.iter().map(|e| e.key)
+    }
+
     /// Iterate over all `(key, value)` pairs in arena order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.arena.iter().map(|e| (e.key, &e.value))
@@ -447,6 +463,11 @@ impl<V> ExtendibleHashTable<V> {
         while self.heads.len() * MAX_AVG_CHAIN < needed {
             self.grow_directory();
         }
+    }
+
+    /// Release the arena's spare capacity (the directory never has any).
+    pub fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
     }
 
     /// The structural half of a lookup: bring `key`'s bucket up to the
@@ -700,25 +721,41 @@ impl<'a> HtLayout<'a> {
     }
 }
 
-/// Iterator over values matching a probe key.
-pub struct ProbeIter<'a, V> {
+/// Iterator over the arena positions of the entries matching a probe key.
+pub struct Positions<'a, V> {
     arena: &'a [Entry<V>],
     node: u32,
     key: u64,
+}
+
+impl<V> Iterator for Positions<'_, V> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.node != NIL {
+            let at = self.node as usize;
+            let e = &self.arena[at];
+            self.node = e.next;
+            if e.key == self.key {
+                return Some(at);
+            }
+        }
+        None
+    }
+}
+
+/// Iterator over values matching a probe key.
+pub struct ProbeIter<'a, V> {
+    positions: Positions<'a, V>,
 }
 
 impl<'a, V> Iterator for ProbeIter<'a, V> {
     type Item = &'a V;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.node != NIL {
-            let e = &self.arena[self.node as usize];
-            self.node = e.next;
-            if e.key == self.key {
-                return Some(&e.value);
-            }
-        }
-        None
+        let arena = self.positions.arena;
+        self.positions.next().map(|at| &arena[at].value)
     }
 }
 

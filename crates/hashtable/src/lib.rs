@@ -14,6 +14,9 @@
 //!   build's layout byte for byte, so executors can parallelize the build
 //!   phase without changing collision-chain (and therefore probe output)
 //!   order.
+//! * [`prefilter`] — [`KeyBitmap`], an exact candidate filter over the
+//!   keys of a table probed on integer keys, for probes where the tag
+//!   filter admits too many misses.
 //! * [`calibration`] — the micro-benchmark harness behind the paper's
 //!   Figure 3: per-tuple insert / probe / update costs as a function of hash
 //!   table size (1KB…1GB) and tuple width (8B…256B), plus an interpolating
@@ -26,7 +29,9 @@
 pub mod calibration;
 pub mod extendible;
 pub mod partitioned;
+pub mod prefilter;
 
 pub use calibration::{CalibrationPoint, Calibrator, CostGrid};
-pub use extendible::{ExtendibleHashTable, HtLayout, HtStats};
+pub use extendible::{ExtendibleHashTable, HtLayout, HtStats, Positions};
 pub use partitioned::{bucket_ranges, partition_chains, ChainPartition};
+pub use prefilter::KeyBitmap;

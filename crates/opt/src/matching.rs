@@ -184,7 +184,7 @@ fn restrict_to_tables(pred: &PredBox, tables: &std::collections::BTreeSet<Arc<st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_cache::{GcConfig, StoredHt};
+    use hashstash_cache::{ColumnHt, GcConfig, StoredHt};
     use hashstash_hashtable::ExtendibleHashTable;
     use hashstash_plan::{AggFunc, Interval};
     use hashstash_storage::tpch::{generate, TpchConfig};
@@ -210,9 +210,10 @@ mod tests {
     }
 
     fn publish_join(htm: &HtManager, fp: &HtFingerprint, entries: usize) {
-        let mut ht = ExtendibleHashTable::new(12);
+        let mut ht = ColumnHt::new(12, &[DataType::Int, DataType::Int]);
         for i in 0..entries as u64 {
-            ht.insert(i, Row::new(vec![Value::Int(i as i64), Value::Int(30)]));
+            let row = Row::new(vec![Value::Int(i as i64), Value::Int(30)]);
+            ht.insert(i, &row).unwrap();
         }
         htm.publish(
             fp.clone(),

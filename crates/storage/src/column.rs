@@ -99,9 +99,7 @@ impl Column {
             Column::Int(v) => v.len() * 8,
             Column::Float(v) => v.len() * 8,
             Column::Date(v) => v.len() * 4,
-            Column::Str { dict, codes } => {
-                codes.len() * 4 + dict.iter().map(|s| s.len() + 32).sum::<usize>()
-            }
+            Column::Str { codes, .. } => codes.len() * 4 + self.dict_bytes(),
         }
     }
 
@@ -216,6 +214,191 @@ impl Column {
             }
             _ => false,
         }
+    }
+
+    /// The hash key of row `i`, identical to `Value::key64` of `get(i)`.
+    #[inline]
+    pub fn key64(&self, i: usize) -> u64 {
+        match self {
+            Column::Int(v) => hashstash_types::key64_int(v[i]),
+            Column::Float(v) => hashstash_types::key64_float(v[i]),
+            Column::Date(v) => hashstash_types::key64_date(v[i]),
+            Column::Str { dict, codes } => hashstash_types::key64_str(&dict[codes[i] as usize]),
+        }
+    }
+
+    /// Whether row `i` of this column equals row `j` of `other`, with
+    /// `Value`'s equality (values of different types are never equal).
+    #[inline]
+    pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
+        match (self, other) {
+            (Column::Int(a), Column::Int(b)) => a[i] == b[j],
+            (Column::Date(a), Column::Date(b)) => a[i] == b[j],
+            (Column::Float(a), Column::Float(b)) => {
+                hashstash_types::F64(a[i]) == hashstash_types::F64(b[j])
+            }
+            (
+                Column::Str {
+                    dict: da,
+                    codes: ca,
+                },
+                Column::Str {
+                    dict: db,
+                    codes: cb,
+                },
+            ) => da[ca[i] as usize] == db[cb[j] as usize],
+            _ => false,
+        }
+    }
+
+    /// Whether both columns hold the same values in the same order, with
+    /// `Value`'s equality (dictionaries may differ in order).
+    pub fn same_values(&self, other: &Column) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|i| self.eq_at(i, other, i))
+    }
+
+    /// Append rows `rids` of `src`, which must have this column's type;
+    /// strings are re-coded into this column's dictionary, which gains only
+    /// the strings the appended rows use. Returns `false`, appending
+    /// nothing, on a type mismatch.
+    pub fn extend_from(&mut self, src: &Column, rids: impl IntoIterator<Item = usize>) -> bool {
+        match (self, src) {
+            (Column::Int(a), Column::Int(b)) => a.extend(rids.into_iter().map(|r| b[r])),
+            (Column::Float(a), Column::Float(b)) => a.extend(rids.into_iter().map(|r| b[r])),
+            (Column::Date(a), Column::Date(b)) => a.extend(rids.into_iter().map(|r| b[r])),
+            (
+                Column::Str { dict, codes },
+                Column::Str {
+                    dict: sd,
+                    codes: sc,
+                },
+            ) => {
+                // Source code → our code, assigned on first use.
+                const UNSET: u32 = u32::MAX;
+                let mut recode = vec![UNSET; sd.len()];
+                let mut known = DictIndex::default();
+                for r in rids {
+                    let s = sc[r] as usize;
+                    if recode[s] == UNSET {
+                        recode[s] = known.code_of(dict, &sd[s]);
+                    }
+                    codes.push(recode[s]);
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Append `values`, which must all have this column's type. Returns
+    /// `false` at the first mismatch; the values before it stay appended.
+    pub fn extend_values<'v>(&mut self, values: impl IntoIterator<Item = &'v Value>) -> bool {
+        let mut known = DictIndex::default();
+        for v in values {
+            match (&mut *self, v) {
+                (Column::Int(c), Value::Int(x)) => c.push(*x),
+                (Column::Float(c), Value::Float(x)) => c.push(x.0),
+                (Column::Date(c), Value::Date(x)) => c.push(*x),
+                (Column::Str { dict, codes }, Value::Str(s)) => {
+                    let code = known.code_of(dict, s);
+                    codes.push(code);
+                }
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    /// Keep exactly the rows whose position is `true` in `keep`; rows
+    /// beyond `keep.len()` are dropped. A string column keeps its whole
+    /// dictionary.
+    pub fn retain_mask(&mut self, keep: &[bool]) {
+        fn retain<T>(v: &mut Vec<T>, keep: &[bool]) {
+            let mut i = 0;
+            v.retain(|_| {
+                i += 1;
+                keep.get(i - 1).copied().unwrap_or(false)
+            });
+        }
+        match self {
+            Column::Int(v) => retain(v, keep),
+            Column::Float(v) => retain(v, keep),
+            Column::Date(v) => retain(v, keep),
+            Column::Str { codes, .. } => retain(codes, keep),
+        }
+    }
+
+    /// Drop every row from position `len` on (the dictionary stays).
+    pub fn truncate(&mut self, len: usize) {
+        match self {
+            Column::Int(v) => v.truncate(len),
+            Column::Float(v) => v.truncate(len),
+            Column::Date(v) => v.truncate(len),
+            Column::Str { codes, .. } => codes.truncate(len),
+        }
+    }
+
+    /// Make room for exactly `additional` more rows.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        match self {
+            Column::Int(v) => v.reserve_exact(additional),
+            Column::Float(v) => v.reserve_exact(additional),
+            Column::Date(v) => v.reserve_exact(additional),
+            Column::Str { codes, .. } => codes.reserve_exact(additional),
+        }
+    }
+
+    /// Release spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        match self {
+            Column::Int(v) => v.shrink_to_fit(),
+            Column::Float(v) => v.shrink_to_fit(),
+            Column::Date(v) => v.shrink_to_fit(),
+            Column::Str { dict, codes } => {
+                dict.shrink_to_fit();
+                codes.shrink_to_fit();
+            }
+        }
+    }
+
+    /// Heap bytes of the per-row data, capacity included (no dictionary).
+    pub fn data_heap_bytes(&self) -> usize {
+        match self {
+            Column::Int(v) => v.capacity() * 8,
+            Column::Float(v) => v.capacity() * 8,
+            Column::Date(v) => v.capacity() * 4,
+            Column::Str { codes, .. } => codes.capacity() * 4,
+        }
+    }
+
+    /// Bytes of a string column's dictionary, charged as [`Column::bytes`]
+    /// does; zero for other types.
+    pub fn dict_bytes(&self) -> usize {
+        match self {
+            Column::Str { dict, .. } => dict.iter().map(|s| s.len() + 32).sum(),
+            _ => 0,
+        }
+    }
+}
+
+/// The code of each string already in a dictionary, built on first use so
+/// an append that adds no string never pays for it.
+#[derive(Default)]
+struct DictIndex(Option<HashMap<Arc<str>, u32>>);
+
+impl DictIndex {
+    /// The code of `s` in `dict`, appending it if absent.
+    fn code_of(&mut self, dict: &mut Vec<Arc<str>>, s: &Arc<str>) -> u32 {
+        let index = self.0.get_or_insert_with(|| {
+            dict.iter()
+                .enumerate()
+                .map(|(c, d)| (d.clone(), c as u32))
+                .collect()
+        });
+        *index.entry(s.clone()).or_insert_with(|| {
+            dict.push(s.clone());
+            dict.len() as u32 - 1
+        })
     }
 }
 

@@ -15,7 +15,7 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt};
+use hashstash_cache::{ColumnHt, EvictionPolicy, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{execute, ExecContext};
 use hashstash_hashtable::ExtendibleHashTable;
@@ -39,9 +39,10 @@ fn customer_fp(lo: i64, hi: i64) -> HtFingerprint {
 }
 
 fn join_table(n: u64) -> StoredHt {
-    let mut ht = ExtendibleHashTable::new(16);
+    let mut ht = ColumnHt::new(16, &[DataType::Int, DataType::Int]);
     for i in 0..n {
-        ht.insert(i, Row::new(vec![Value::Int(i as i64), Value::Int(30)]));
+        let row = Row::new(vec![Value::Int(i as i64), Value::Int(30)]);
+        ht.insert(i, &row).unwrap();
     }
     StoredHt::Rows(ht)
 }
@@ -188,7 +189,7 @@ fn shared_checkouts_of_one_table_coexist_across_threads() {
                 };
                 let mut hits = 0usize;
                 for k in 0..256u64 {
-                    hits += t.probe_readonly(k).count();
+                    hits += t.probe(k).count();
                 }
                 hits
             })
@@ -263,10 +264,9 @@ fn shard_contention_stress_no_lost_bytes() {
                             if let Ok(mut co) = htm.checkout_mut(c.id) {
                                 if let Ok(StoredHt::Rows(tab)) = co.table_mut() {
                                     let base = 1000 + i as u64;
-                                    tab.insert(
-                                        base,
-                                        Row::new(vec![Value::Int(base as i64), Value::Int(30)]),
-                                    );
+                                    let row =
+                                        Row::new(vec![Value::Int(base as i64), Value::Int(30)]);
+                                    tab.insert(base, &row).unwrap();
                                 }
                                 co.fingerprint.region = co.fingerprint.region.union(&fp.region);
                                 co.checkin().expect("entry is pinned, checkin succeeds");

@@ -344,9 +344,10 @@ fn warm_restart_preserves_lru_order() {
         aggregates: vec![],
     };
     let warm_ht = || {
-        let mut t = hashstash_hashtable::ExtendibleHashTable::new(16);
+        let mut t = hashstash_cache::ColumnHt::new(16, &[DataType::Int]);
         for i in 0..32u64 {
-            t.insert(i, hashstash_types::Row::new(vec![Value::Int(i as i64)]));
+            let row = hashstash_types::Row::new(vec![Value::Int(i as i64)]);
+            t.insert(i, &row).unwrap();
         }
         hashstash_cache::StoredHt::Rows(t)
     };

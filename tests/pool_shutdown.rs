@@ -2,6 +2,8 @@
 //! This is the only test in its binary so the OS thread count it samples
 //! from `/proc/self/task` (Linux) is not perturbed by sibling tests.
 
+use std::time::{Duration, Instant};
+
 use hashstash::Database;
 use hashstash_storage::tpch::{generate, TpchConfig};
 
@@ -26,11 +28,21 @@ fn database_drop_joins_all_pool_workers() {
     }
 
     drop(db);
-    // `WorkerPool::drop` *joins* the workers, so the count is back the
-    // moment drop returns — no polling, no grace period.
-    if let (Some(before), Some(after)) = (before, os_thread_count()) {
+    // `WorkerPool::drop` *joins* the workers, so none runs once drop
+    // returns. The kernel still lists a joined thread until it reaps the
+    // task (`release_task`), which comes after the futex wake that lets
+    // `pthread_join` return — so poll, for at most a second, until the
+    // count is back; a detached worker never leaves and still fails.
+    if let Some(before) = before {
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let mut after = os_thread_count();
+        while after != Some(before) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            after = os_thread_count();
+        }
         assert_eq!(
-            after, before,
+            after,
+            Some(before),
             "dropping the database leaves no detached threads"
         );
     }

@@ -7,8 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use hashstash_cache::payload::row_bytes;
-use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
-use hashstash_hashtable::ExtendibleHashTable;
+use hashstash_cache::{ColumnHt, EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
 use hashstash_types::{DataType, Field, HtId, Row, Schema, Value};
 
@@ -36,9 +35,9 @@ fn fp(table: &str, lo: i64, hi: i64) -> HtFingerprint {
 }
 
 fn ht(n: u64) -> StoredHt {
-    let mut t = ExtendibleHashTable::new(16);
+    let mut t = ColumnHt::new(16, &[DataType::Int]);
     for i in 0..n {
-        t.insert(i, Row::new(vec![Value::Int(i as i64)]));
+        t.insert(i, &Row::new(vec![Value::Int(i as i64)])).unwrap();
     }
     StoredHt::Rows(t)
 }
@@ -107,7 +106,8 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
                                 if let Ok(mut co) = htm.checkout_mut(c.id) {
                                     if let Ok(StoredHt::Rows(tab)) = co.table_mut() {
                                         let base = 1000 + i as u64;
-                                        tab.insert(base, Row::new(vec![Value::Int(base as i64)]));
+                                        tab.insert(base, &Row::new(vec![Value::Int(base as i64)]))
+                                            .unwrap();
                                     }
                                     co.fingerprint.region = co
                                         .fingerprint

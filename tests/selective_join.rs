@@ -6,7 +6,10 @@
 //!
 //! Rows (order included) and `ExecMetrics::semantic()` must equal the row
 //! oracle's at every worker count, for the building run and for the exact
-//! reuse of the table it published. The counters keep their meaning:
+//! reuse of the table it published — and, with the churn request's
+//! aggregate on top (which folds the join's match pairs without building
+//! its rows), for an overlapping month too. Probes on `Date` and `Str`
+//! keys run the exact key pre-filter and its tag-filter fallback. The counters keep their meaning:
 //! `ht_probes` counts probe *tuples* (not chain walks), and `rows_scanned` /
 //! `batches_processed` are what they were when the scan wrote an identity
 //! selection vector — `hsbench`'s exact-count metrics rely on that.
@@ -14,12 +17,14 @@
 use std::sync::Arc;
 
 use hashstash_cache::HtManager;
-use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
+use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool, MORSEL_ROWS};
-use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase};
+use hashstash_plan::{
+    AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase,
+};
 use hashstash_storage::tpch::{generate, min_order_date, TpchConfig};
-use hashstash_storage::Catalog;
-use hashstash_types::{Row, Value};
+use hashstash_storage::{Catalog, TableBuilder};
+use hashstash_types::{DataType, Row, Value};
 
 const WORKERS: [usize; 3] = [1, 4, 8];
 
@@ -159,4 +164,247 @@ fn churn_shaped_join_matches_the_row_oracle_at_every_worker_count() {
         assert_eq!(m.batches_processed, 2 * morsels, "{workers} workers");
         assert_eq!(m.rows_filtered_vectorized, 0, "{workers} workers");
     }
+}
+
+/// Run `steps` in order against one cache — each step plans against what
+/// the earlier ones left there — and return every step's rows and metrics.
+fn run_steps(
+    cat: &Catalog,
+    workers: usize,
+    oracle: bool,
+    steps: &[&dyn Fn(&HtManager) -> PhysicalPlan],
+) -> Vec<Run> {
+    let htm = HtManager::unbounded();
+    let pool = WorkerPool::new(workers - 1);
+    steps
+        .iter()
+        .map(|step| {
+            let ctx = ExecContext::new(cat, &htm)
+                .with_parallelism(workers)
+                .with_pool(&pool);
+            let mut ctx = if oracle { ctx.with_row_oracle() } else { ctx };
+            let (_, rows) = execute(&step(&htm), &mut ctx).unwrap();
+            (rows.into_vec(), ctx.metrics)
+        })
+        .collect()
+}
+
+/// Every step's rows (order included) and semantic metrics equal the
+/// serial row oracle's, on both arms at 1, 4 and 8 workers.
+fn assert_matches_oracle(cat: &Catalog, steps: &[&dyn Fn(&HtManager) -> PhysicalPlan]) -> Vec<Run> {
+    let want = run_steps(cat, 1, true, steps);
+    for workers in WORKERS {
+        for oracle in [true, false] {
+            let got = run_steps(cat, workers, oracle, steps);
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let label = format!("step {i}, oracle={oracle}, {workers} workers");
+                assert_eq!(got.0, want.0, "{label}: rows, order included");
+                assert_eq!(got.1.semantic(), want.1.semantic(), "{label}: metrics");
+            }
+        }
+    }
+    want
+}
+
+/// `SUM(agg) GROUP BY group` over `input`, publishing nothing.
+fn sum_by(input: PhysicalPlan, group: &str, agg: &str) -> PhysicalPlan {
+    PhysicalPlan::HashAggregate {
+        input: Some(Box::new(input)),
+        group_by: vec![group.into()],
+        aggs: vec![AggExpr::new(AggFunc::Sum, agg)],
+        output_aggs: vec![OutputAgg::Direct(0)],
+        reuse: None,
+        publish: None,
+        post_group_by: None,
+    }
+}
+
+/// Orders of days `from..=to` of the churn march's window.
+fn days(from: i32, to: i32) -> PredBox {
+    let lo = min_order_date() + 400;
+    PredBox::all().with(
+        "orders.o_orderdate",
+        Interval::closed(Value::Date(lo + from), Value::Date(lo + to)),
+    )
+}
+
+/// The month table of the aggregate tests: it also stores the order date,
+/// so an overlapping reuse can post-filter it.
+const MONTH_PAYLOAD: [&str; 3] = ["orders.o_orderkey", "orders.o_orderdate", "customer.c_age"];
+
+fn month_fingerprint(region: PredBox) -> HtFingerprint {
+    HtFingerprint {
+        region: Region::from_box(region),
+        payload_attrs: MONTH_PAYLOAD.iter().map(|&a| Arc::from(a)).collect(),
+        ..fingerprint()
+    }
+}
+
+/// `customer ⋈ orders[region]`, projected to the month table's payload.
+fn month_build(region: Region) -> PhysicalPlan {
+    PhysicalPlan::Project {
+        input: Box::new(PhysicalPlan::HashJoin {
+            probe: Box::new(PhysicalPlan::Scan(ScanSpec {
+                table: "orders".into(),
+                region,
+                projection: vec![
+                    "orders.o_orderkey".into(),
+                    "orders.o_orderdate".into(),
+                    "orders.o_custkey".into(),
+                ],
+            })),
+            build: Some(Box::new(PhysicalPlan::Scan(
+                ScanSpec::full("customer").project(&["customer.c_custkey", "customer.c_age"]),
+            ))),
+            probe_key: "orders.o_custkey".into(),
+            build_key: "customer.c_custkey".into(),
+            reuse: None,
+            publish: None,
+        }),
+        attrs: MONTH_PAYLOAD.iter().map(|&a| a.into()).collect(),
+    }
+}
+
+/// The churn request's shape — `SUM(l_quantity) GROUP BY c_age` over
+/// `lineitem ⋈ (customer ⋈ orders[month])` — folded straight from the
+/// join's match pairs: building and publishing the month table, reusing
+/// it exactly, and reusing it for a month that overlaps it (delta insert
+/// plus a post-filter on the order date).
+#[test]
+fn aggregate_over_the_churn_join_matches_the_row_oracle() {
+    let cat = generate(TpchConfig::new(0.01, 42));
+    let outer = |build: Option<PhysicalPlan>, reuse: Option<ReuseSpec>, publish| {
+        let join = PhysicalPlan::HashJoin {
+            probe: Box::new(PhysicalPlan::Scan(
+                ScanSpec::full("lineitem").project(&["lineitem.l_orderkey", "lineitem.l_quantity"]),
+            )),
+            build: build.map(Box::new),
+            probe_key: "lineitem.l_orderkey".into(),
+            build_key: "orders.o_orderkey".into(),
+            reuse,
+            publish,
+        };
+        sum_by(join, "customer.c_age", "lineitem.l_quantity")
+    };
+    let reuse = |htm: &HtManager, case: ReuseCase, request: PredBox| {
+        let cand = htm.candidates(&month_fingerprint(days(0, 24))).remove(0);
+        ReuseSpec {
+            id: cand.id,
+            case,
+            post_filter: (case == ReuseCase::Overlapping).then(|| request.clone()),
+            request_region: Region::from_box(request),
+            cached_region: cand.fingerprint.region.clone(),
+            schema: cand.schema.clone(),
+        }
+    };
+    let fresh = |_: &HtManager| {
+        let build = month_build(Region::from_box(days(0, 24)));
+        outer(Some(build), None, Some(month_fingerprint(days(0, 24))))
+    };
+    let exact =
+        |htm: &HtManager| outer(None, Some(reuse(htm, ReuseCase::Exact, days(0, 24))), None);
+    let overlapping = |htm: &HtManager| {
+        let spec = reuse(htm, ReuseCase::Overlapping, days(12, 36));
+        let delta = spec.request_region.difference(&spec.cached_region);
+        outer(Some(month_build(delta)), Some(spec), None)
+    };
+    let want = assert_matches_oracle(&cat, &[&fresh, &exact, &overlapping]);
+    let [(built, m), (reused, r), (shifted, o)] = &want[..] else {
+        panic!("three steps");
+    };
+    assert_eq!(built, reused, "exact reuse answers identically");
+    assert!(!built.is_empty() && !shifted.is_empty() && built != shifted);
+    assert_eq!((m.built_tables, m.reused_tables), (3, 0));
+    assert_eq!((r.built_tables, r.reused_tables), (1, 1));
+    assert_eq!((o.built_tables, o.reused_tables), (2, 1));
+    assert!(
+        o.ht_inserts > r.ht_inserts,
+        "the overlapping month inserts its delta"
+    );
+
+    // The answer is the fold of the materialized join's rows: the same
+    // query with the join's output forced through a union of one input.
+    let rows_of = |plan: PhysicalPlan| PhysicalPlan::Union { inputs: vec![plan] };
+    let PhysicalPlan::HashAggregate {
+        input: Some(join), ..
+    } = fresh(&HtManager::unbounded())
+    else {
+        panic!("an aggregate over the join");
+    };
+    let folded_rows = sum_by(rows_of(*join), "customer.c_age", "lineitem.l_quantity");
+    let htm = HtManager::unbounded();
+    let (_, rows) = execute(&folded_rows, &mut ExecContext::new(&cat, &htm)).unwrap();
+    assert_eq!(&rows.into_vec(), built, "pair fold == row fold");
+}
+
+/// A `Date`-keyed probe (`l_shipdate = o_orderdate`: integer keys, so the
+/// probe of a whole fact table filters its keys exactly) and a `Str`-keyed
+/// one (`c_mktsegment` against a table of segment names, every name twice
+/// and some no customer has: hashed keys, so the tag filter decides), each
+/// under an aggregate and as rows.
+#[test]
+fn date_and_string_keyed_probes_match_the_row_oracle() {
+    let mut cat = generate(TpchConfig::new(0.01, 42));
+    let customer = cat.get("customer").unwrap();
+    let (names, _) = customer
+        .column_by_name("c_mktsegment")
+        .unwrap()
+        .dict_parts()
+        .unwrap();
+    let mut segment = TableBuilder::new(
+        "segment",
+        vec![("seg_name", DataType::Str), ("seg_rank", DataType::Int)],
+    );
+    let others = ["NOBODY", "ZEBRA"].map(Arc::<str>::from);
+    for (rank, name) in names.iter().chain(names).chain(&others).enumerate() {
+        segment.push_row(vec![Value::Str(name.clone()), Value::Int(rank as i64)]);
+    }
+    cat.register(segment.finish());
+
+    let by_date = PhysicalPlan::HashJoin {
+        probe: Box::new(PhysicalPlan::Scan(
+            ScanSpec::full("lineitem").project(&["lineitem.l_shipdate", "lineitem.l_quantity"]),
+        )),
+        build: Some(Box::new(PhysicalPlan::Scan(
+            ScanSpec::filtered("orders", days(0, 24))
+                .project(&["orders.o_orderdate", "orders.o_custkey"]),
+        ))),
+        probe_key: "lineitem.l_shipdate".into(),
+        build_key: "orders.o_orderdate".into(),
+        reuse: None,
+        publish: None,
+    };
+    let by_segment = PhysicalPlan::HashJoin {
+        probe: Box::new(PhysicalPlan::Scan(ScanSpec::full("customer").project(&[
+            "customer.c_mktsegment",
+            "customer.c_acctbal",
+            "customer.c_age",
+        ]))),
+        build: Some(Box::new(PhysicalPlan::Scan(ScanSpec::full("segment")))),
+        probe_key: "customer.c_mktsegment".into(),
+        build_key: "segment.seg_name".into(),
+        reuse: None,
+        publish: None,
+    };
+    let steps: [&dyn Fn(&HtManager) -> PhysicalPlan; 4] = [
+        &|_| by_date.clone(),
+        &|_| sum_by(by_date.clone(), "orders.o_orderdate", "lineitem.l_quantity"),
+        &|_| by_segment.clone(),
+        &|_| sum_by(by_segment.clone(), "segment.seg_name", "customer.c_acctbal"),
+    ];
+    let want = assert_matches_oracle(&cat, &steps);
+    for (i, (rows, _)) in want.iter().enumerate() {
+        assert!(!rows.is_empty(), "step {i} answers something");
+    }
+    let customers = customer.row_count();
+    assert_eq!(
+        want[2].0.len(),
+        2 * customers,
+        "every customer's segment, twice"
+    );
+    assert_eq!(
+        want[3].0.len(),
+        names.len(),
+        "one group per segment a customer has"
+    );
 }

@@ -3,8 +3,7 @@
 
 use std::sync::Arc;
 
-use hashstash_cache::{EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
-use hashstash_hashtable::ExtendibleHashTable;
+use hashstash_cache::{ColumnHt, EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
 
@@ -27,9 +26,9 @@ fn fp(table: &str, lo: i64, hi: i64) -> HtFingerprint {
 }
 
 fn ht(n: u64) -> StoredHt {
-    let mut t = ExtendibleHashTable::new(16);
+    let mut t = ColumnHt::new(16, &[DataType::Int]);
     for i in 0..n {
-        t.insert(i, Row::new(vec![Value::Int(i as i64)]));
+        t.insert(i, &Row::new(vec![Value::Int(i as i64)])).unwrap();
     }
     StoredHt::Rows(t)
 }
