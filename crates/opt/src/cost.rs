@@ -28,8 +28,6 @@ pub struct CostParams {
     pub index_ns: f64,
     /// Post-filter check per tuple (ns).
     pub filter_ns: f64,
-    /// Materializing one tuple into a temp table (ns) — baseline cost.
-    pub materialize_ns: f64,
     /// Emitting one output row (ns).
     pub output_ns: f64,
     /// Per-bucket directory resize cost (ns).
@@ -77,7 +75,6 @@ impl Default for CostParams {
         CostParams {
             index_ns: 18.0,
             filter_ns: 1.5,
-            materialize_ns: 8.0,
             output_ns: 4.0,
             resize_ns_per_slot: 0.6,
             cow_ns_per_byte: 0.08,
@@ -182,11 +179,6 @@ impl CostModel {
             + self.params.parallel_dispatch_ns
     }
 
-    /// The calibration grid.
-    pub fn grid(&self) -> &CostGrid {
-        &self.grid
-    }
-
     /// Serial cost of a **vectorized** scan over `rows` tuples: a tight
     /// typed-slice kernel per tuple plus a fixed overhead per morsel-sized
     /// batch (selection-vector bookkeeping). The admission scores and
@@ -208,11 +200,6 @@ impl CostModel {
     /// residual-filter pass over index hits fans out over morsels too).
     pub fn index_scan(&self, rows: f64) -> f64 {
         self.parallel(rows * self.params.index_ns, rows)
-    }
-
-    /// Cost of materializing `rows` tuples into a temp table (baseline).
-    pub fn materialize(&self, rows: f64) -> f64 {
-        rows * self.params.materialize_ns
     }
 
     /// Estimated logical size of a hash table holding `entries` tuples of
@@ -631,7 +618,6 @@ mod tests {
         let m = model();
         assert!(m.scan(100.0) > 0.0);
         assert!(m.index_scan(100.0) > m.scan(100.0));
-        assert!(m.materialize(100.0) > 0.0);
         assert!(m.output(10.0) > 0.0);
         assert!(m.ht_size(1000.0, 32.0) > 1000.0 * 32.0);
     }

@@ -7,12 +7,15 @@
 //! aggregate compatibility, and computes the contribution- and
 //! overhead-ratios the cost model consumes.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hashstash_cache::manager::Candidate;
 use hashstash_cache::HtManager;
+use hashstash_exec::plan::ReuseSpec;
 use hashstash_plan::{AggExpr, HtFingerprint, HtKind, PredBox, Region, ReuseCase};
 
+use crate::cost::CandidateShape;
 use crate::stats::DbStats;
 
 /// One viable reuse option with its rewrite ingredients.
@@ -36,129 +39,142 @@ pub struct MatchRewrite {
     pub needs_post_group: bool,
 }
 
-/// The matcher. Stateless: all inputs arrive per call.
-#[derive(Debug, Default)]
-pub struct Matcher;
+/// Find all viable reuse options for a requesting fingerprint.
+///
+/// * `request` — the fingerprint the requesting sub-plan would publish.
+/// * `request_box` — the requesting predicates as a single box (queries
+///   are conjunctive; regions only arise from cached lineage).
+/// * `stats` — for contribution/overhead estimation.
+pub fn find_matches(
+    htm: &HtManager,
+    request: &HtFingerprint,
+    request_box: &PredBox,
+    stats: &DbStats,
+) -> Vec<MatchRewrite> {
+    htm.candidates(request)
+        .into_iter()
+        .filter_map(|candidate| try_match(candidate, request, request_box, stats))
+        .collect()
+}
 
-impl Matcher {
-    /// Find all viable reuse options for a requesting fingerprint.
-    ///
-    /// * `request` — the fingerprint the requesting sub-plan would publish.
-    /// * `request_box` — the requesting predicates as a single box (queries
-    ///   are conjunctive; regions only arise from cached lineage).
-    /// * `stats` — for contribution/overhead estimation.
-    pub fn find_matches(
-        &self,
-        htm: &HtManager,
-        request: &HtFingerprint,
-        request_box: &PredBox,
-        stats: &DbStats,
-    ) -> Vec<MatchRewrite> {
-        let mut out = Vec::new();
-        for candidate in htm.candidates(request) {
-            if let Some(m) = self.try_match(candidate, request, request_box, stats) {
-                out.push(m);
-            }
+impl MatchRewrite {
+    /// The candidate as the reuse cost models see it.
+    pub(crate) fn shape(&self) -> CandidateShape {
+        CandidateShape {
+            entries: self.candidate.entries as f64,
+            bytes: self.candidate.bytes as f64,
+            tuple_width: self.candidate.tuple_width as f64,
+            contr: self.contr,
+            overh: self.overh,
         }
-        out
     }
 
-    fn try_match(
-        &self,
-        candidate: Candidate,
-        request: &HtFingerprint,
-        request_box: &PredBox,
-        stats: &DbStats,
-    ) -> Option<MatchRewrite> {
-        let fp = &candidate.fingerprint;
-        // Key compatibility.
-        let mut needs_post_group = false;
-        match request.kind {
-            HtKind::JoinBuild => {
-                if fp.key_attrs != request.key_attrs {
-                    return None;
-                }
-            }
-            HtKind::Aggregate | HtKind::SharedGroup => {
-                if fp.key_attrs == request.key_attrs {
-                    // identical group-by
-                } else if is_strict_subset(&request.key_attrs, &fp.key_attrs) {
-                    // Cached table is grouped more finely: allowed only when
-                    // every requested aggregate is additive (paper §3.3) —
-                    // AVG qualifies only after the SUM/COUNT rewrite.
-                    if !all_additive(&request.aggregates) {
-                        return None;
-                    }
-                    needs_post_group = true;
-                } else {
-                    return None;
-                }
-            }
+    /// The executor's reuse directive for this match, serving a request
+    /// over `request_region`.
+    pub(crate) fn reuse_spec(&self, request_region: &Region) -> ReuseSpec {
+        ReuseSpec {
+            id: self.candidate.id,
+            case: self.case,
+            post_filter: self.post_filter.clone(),
+            request_region: request_region.clone(),
+            cached_region: self.candidate.fingerprint.region.clone(),
+            schema: self.candidate.schema.clone(),
         }
-        // Aggregate provision (shared-group tables recompute anything).
-        if !fp.provides_aggregates(&request.aggregates) {
-            return None;
-        }
-        // Payload must cover everything the requester projects upward.
-        if !fp.payload_covers(request.payload_attrs.iter().map(|a| a.as_ref())) {
-            return None;
-        }
-        // Region classification.
-        let case = ReuseCase::classify(&request.region, &fp.region);
-        if case == ReuseCase::Disjoint {
-            return None;
-        }
-        // Post-filter feasibility: the requesting predicates over the
-        // candidate's tables must be evaluable on stored tuples.
-        let post_filter = if case.needs_post_filter() {
-            let restricted = restrict_to_tables(request_box, &fp.tables);
-            let attrs: Vec<Arc<str>> = restricted.attrs();
-            if !fp.payload_covers(attrs.iter().map(|a| a.as_ref())) {
-                return None; // paper: no post-filter attrs ⇒ no reuse
-            }
-            Some(restricted)
-        } else {
-            None
-        };
-        let delta_region = if case.needs_delta() {
-            request.region.difference(&fp.region)
-        } else {
-            Region::empty()
-        };
-
-        // Contribution / overhead from region volumes.
-        let tables: Vec<&str> = fp.tables.iter().map(|t| t.as_ref()).collect();
-        let required = stats
-            .join_rows(tables.iter().copied(), &fp.edges, &request.region)
-            .max(1.0);
-        let useful = stats
-            .join_rows(
-                tables.iter().copied(),
-                &fp.edges,
-                &request.region.intersect(&fp.region),
-            )
-            .clamp(0.0, required);
-        let contr = (useful / required).clamp(0.0, 1.0);
-        let entries = candidate.entries.max(1) as f64;
-        // Useful entries inside the cached table: estimated via the region
-        // volume share of the cached lineage.
-        let cached_total = stats
-            .join_rows(tables.iter().copied(), &fp.edges, &fp.region)
-            .max(1.0);
-        let useful_share = (useful / cached_total).clamp(0.0, 1.0);
-        let overh = (1.0 - useful_share).clamp(0.0, 1.0);
-        let _ = entries;
-
-        Some(MatchRewrite {
-            candidate,
-            case,
-            post_filter,
-            delta_region,
-            contr,
-            overh,
-            needs_post_group,
-        })
     }
+}
+
+fn try_match(
+    candidate: Candidate,
+    request: &HtFingerprint,
+    request_box: &PredBox,
+    stats: &DbStats,
+) -> Option<MatchRewrite> {
+    let fp = &candidate.fingerprint;
+    // Key compatibility.
+    let mut needs_post_group = false;
+    match request.kind {
+        HtKind::JoinBuild => {
+            if fp.key_attrs != request.key_attrs {
+                return None;
+            }
+        }
+        HtKind::Aggregate | HtKind::SharedGroup => {
+            if fp.key_attrs == request.key_attrs {
+                // identical group-by
+            } else if is_strict_subset(&request.key_attrs, &fp.key_attrs) {
+                // Cached table is grouped more finely: allowed only when
+                // every requested aggregate is additive (paper §3.3) —
+                // AVG qualifies only after the SUM/COUNT rewrite.
+                if !all_additive(&request.aggregates) {
+                    return None;
+                }
+                needs_post_group = true;
+            } else {
+                return None;
+            }
+        }
+    }
+    // Aggregate provision (shared-group tables recompute anything).
+    if !fp.provides_aggregates(&request.aggregates) {
+        return None;
+    }
+    // Payload must cover everything the requester projects upward.
+    if !fp.payload_covers(request.payload_attrs.iter().map(|a| a.as_ref())) {
+        return None;
+    }
+    // Region classification.
+    let case = ReuseCase::classify(&request.region, &fp.region);
+    if case == ReuseCase::Disjoint {
+        return None;
+    }
+    // Post-filter feasibility: the requesting predicates over the
+    // candidate's tables must be evaluable on stored tuples.
+    let post_filter = if case.needs_post_filter() {
+        let restricted = restrict_to_tables(request_box, &fp.tables);
+        let attrs: Vec<Arc<str>> = restricted.attrs();
+        if !fp.payload_covers(attrs.iter().map(|a| a.as_ref())) {
+            return None; // paper: no post-filter attrs ⇒ no reuse
+        }
+        Some(restricted)
+    } else {
+        None
+    };
+    let delta_region = if case.needs_delta() {
+        request.region.difference(&fp.region)
+    } else {
+        Region::empty()
+    };
+
+    // Contribution / overhead from region volumes.
+    let tables: Vec<&str> = fp.tables.iter().map(|t| t.as_ref()).collect();
+    let required = stats
+        .join_rows(tables.iter().copied(), &fp.edges, &request.region)
+        .max(1.0);
+    let useful = stats
+        .join_rows(
+            tables.iter().copied(),
+            &fp.edges,
+            &request.region.intersect(&fp.region),
+        )
+        .clamp(0.0, required);
+    let contr = (useful / required).clamp(0.0, 1.0);
+    // Useful entries inside the cached table: estimated via the region
+    // volume share of the cached lineage.
+    let cached_total = stats
+        .join_rows(tables.iter().copied(), &fp.edges, &fp.region)
+        .max(1.0);
+    let useful_share = (useful / cached_total).clamp(0.0, 1.0);
+    let overh = (1.0 - useful_share).clamp(0.0, 1.0);
+
+    Some(MatchRewrite {
+        candidate,
+        case,
+        post_filter,
+        delta_region,
+        contr,
+        overh,
+        needs_post_group,
+    })
 }
 
 fn is_strict_subset(a: &[Arc<str>], b: &[Arc<str>]) -> bool {
@@ -170,7 +186,7 @@ fn all_additive(aggs: &[AggExpr]) -> bool {
 }
 
 /// Restrict a box to attributes belonging to any of the given tables.
-fn restrict_to_tables(pred: &PredBox, tables: &std::collections::BTreeSet<Arc<str>>) -> PredBox {
+pub(crate) fn restrict_to_tables(pred: &PredBox, tables: &BTreeSet<Arc<str>>) -> PredBox {
     let mut out = PredBox::all();
     for (attr, iv) in pred.constrained() {
         let table = attr.split('.').next().unwrap_or("");
@@ -235,7 +251,6 @@ mod tests {
     #[test]
     fn four_cases_classified() {
         let st = stats();
-        let m = Matcher;
         let htm = HtManager::new(GcConfig::default());
         publish_join(&htm, &join_fp(30, 60), 100);
 
@@ -252,7 +267,7 @@ mod tests {
         ];
         for (lo, hi, expect) in cases {
             let req = mk_req(lo, hi);
-            let matches = m.find_matches(&htm, &req, &request_box(lo, hi), &st);
+            let matches = find_matches(&htm, &req, &request_box(lo, hi), &st);
             assert_eq!(matches.len(), 1, "case {expect}");
             assert_eq!(matches[0].case, expect);
             match expect {
@@ -280,15 +295,12 @@ mod tests {
         }
         // Disjoint yields nothing.
         let req = mk_req(80, 90);
-        assert!(m
-            .find_matches(&htm, &req, &request_box(80, 90), &st)
-            .is_empty());
+        assert!(find_matches(&htm, &req, &request_box(80, 90), &st).is_empty());
     }
 
     #[test]
     fn missing_post_filter_attr_rejected() {
         let st = stats();
-        let m = Matcher;
         let htm = HtManager::new(GcConfig::default());
         // Candidate payload lacks c_age ⇒ subsuming reuse impossible.
         let mut fp = join_fp(30, 60);
@@ -296,7 +308,7 @@ mod tests {
         publish_join(&htm, &fp, 10);
         let mut req = join_fp(40, 50);
         req.payload_attrs = vec![Arc::from("customer.c_custkey")];
-        let matches = m.find_matches(&htm, &req, &request_box(40, 50), &st);
+        let matches = find_matches(&htm, &req, &request_box(40, 50), &st);
         assert!(
             matches.is_empty(),
             "paper: no post-filter attributes ⇒ no reuse"
@@ -306,7 +318,6 @@ mod tests {
     #[test]
     fn aggregate_group_subset_requires_additive() {
         let st = stats();
-        let m = Matcher;
         let htm = HtManager::new(GcConfig::default());
         let cached = HtFingerprint {
             kind: HtKind::Aggregate,
@@ -343,7 +354,7 @@ mod tests {
         // Additive request on a subset of keys ⇒ post-group match.
         let mut req = cached.clone();
         req.key_attrs = vec![Arc::from("customer.c_age")];
-        let matches = m.find_matches(&htm, &req, &PredBox::all(), &st);
+        let matches = find_matches(&htm, &req, &PredBox::all(), &st);
         assert_eq!(matches.len(), 1);
         assert!(matches[0].needs_post_group);
         assert_eq!(matches[0].case, ReuseCase::Exact);
@@ -351,9 +362,7 @@ mod tests {
         // AVG (non-additive) request on a subset ⇒ rejected.
         let mut avg_req = req.clone();
         avg_req.aggregates = vec![AggExpr::new(AggFunc::Avg, "customer.c_acctbal")];
-        assert!(m
-            .find_matches(&htm, &avg_req, &PredBox::all(), &st)
-            .is_empty());
+        assert!(find_matches(&htm, &avg_req, &PredBox::all(), &st).is_empty());
 
         // Superset of keys ⇒ rejected (cached is too coarse).
         let mut sup = cached.clone();
@@ -362,13 +371,12 @@ mod tests {
             Arc::from("customer.c_nationkey"),
             Arc::from("customer.c_mktsegment"),
         ];
-        assert!(m.find_matches(&htm, &sup, &PredBox::all(), &st).is_empty());
+        assert!(find_matches(&htm, &sup, &PredBox::all(), &st).is_empty());
     }
 
     #[test]
     fn aggregate_function_mismatch_rejected() {
         let st = stats();
-        let m = Matcher;
         let htm = HtManager::new(GcConfig::default());
         let cached = HtFingerprint {
             kind: HtKind::Aggregate,
@@ -388,7 +396,7 @@ mod tests {
         let mut req = cached.clone();
         req.aggregates = vec![AggExpr::new(AggFunc::Min, "customer.c_acctbal")];
         assert!(
-            m.find_matches(&htm, &req, &PredBox::all(), &st).is_empty(),
+            find_matches(&htm, &req, &PredBox::all(), &st).is_empty(),
             "a MIN cannot be answered from a SUM table"
         );
     }

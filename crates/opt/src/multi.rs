@@ -10,12 +10,15 @@
 //!
 //! A shared group's joins are planned like a single query's: one hash-join
 //! chain from the driver (largest) table over the batch's union region,
-//! each build side matched against the cache by the same [`Matcher`] and
-//! priced by the same cost terms. No post-filter is attached to a reused
-//! build side — the executor qualifies every row per query — so the chain
-//! runs unchanged through `hashstash_exec::execute`, and single queries and
-//! shared batches reuse each other's join tables. Grouping tables (the SRHA
-//! raw-row tables) are matched the same way under `HtKind::SharedGroup`.
+//! each build side matched against the cache by the same
+//! [`find_matches`](crate::matching::find_matches) and priced by the same
+//! cost terms, and the driver scan priced by the same index-or-full-scan
+//! rule, all through the batch's [`Optimizer`]. No post-filter is attached
+//! to a reused build side — the executor qualifies every row per query — so
+//! the chain runs unchanged through `hashstash_exec::execute`, and single
+//! queries and shared batches reuse each other's join tables. Grouping
+//! tables (the SRHA raw-row tables) are matched the same way under
+//! `HtKind::SharedGroup`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,9 +31,9 @@ use hashstash_exec::shared::{SharedGroupSpec, SharedOutput, SharedPlanSpec};
 use hashstash_plan::{HtFingerprint, HtKind, PredBox, QuerySpec, Region};
 use hashstash_storage::Catalog;
 
-use crate::cost::{CandidateShape, CostModel};
-use crate::matching::{MatchRewrite, Matcher};
-use crate::optimizer::Optimizer;
+use crate::cost::CostModel;
+use crate::matching::MatchRewrite;
+use crate::optimizer::{required_attrs, sorted_edges, Optimizer};
 use crate::policy::EngineStrategy;
 use crate::stats::DbStats;
 
@@ -96,8 +99,7 @@ pub fn plan_batch(
         }
         let qs: Vec<&QuerySpec> = g.iter().map(|&i| &queries[i]).collect();
         // A group that cannot run as one join chain never merges.
-        let c =
-            derive_shared_spec(&qs, stats, cost, htm, strategy).map_or(f64::INFINITY, |(_, c)| c);
+        let c = derive_shared_spec(&optimizer, &qs, htm).map_or(f64::INFINITY, |(_, c)| c);
         group_cost_memo.insert(g.clone(), c);
         c
     };
@@ -138,7 +140,7 @@ pub fn plan_batch(
             });
         } else {
             let qs: Vec<&QuerySpec> = g.iter().map(|&i| &queries[i]).collect();
-            let (spec, c) = derive_shared_spec(&qs, stats, cost, htm, strategy)?;
+            let (spec, c) = derive_shared_spec(&optimizer, &qs, htm)?;
             total += c;
             units.push(BatchUnit::Shared {
                 indices: g,
@@ -210,7 +212,7 @@ fn join_steps(queries: &[&QuerySpec], driver: &Arc<str>, union: &Region) -> Resu
             edges: vec![],
             region: union.project_table(&table),
             key_attrs: vec![build_key],
-            payload_attrs: shared_required_attrs(queries, &table),
+            payload_attrs: required_attrs(queries, &table),
             aggregates: vec![],
         };
         covered.push(table.clone());
@@ -221,28 +223,6 @@ fn join_steps(queries: &[&QuerySpec], driver: &Arc<str>, union: &Region) -> Resu
         });
     }
     Ok(steps)
-}
-
-/// Attributes a shared plan must carry from one table for a set of
-/// queries: join keys, predicate attributes (for per-query qualification)
-/// and group/aggregate/projection inputs.
-fn shared_required_attrs(queries: &[&QuerySpec], table: &str) -> Vec<Arc<str>> {
-    let prefix = format!("{table}.");
-    let mut out: Vec<Arc<str>> = Vec::new();
-    for q in queries {
-        out.extend(q.joins.iter().filter_map(|e| e.col_of(table)).cloned());
-        let used = q
-            .predicates
-            .constrained()
-            .map(|(a, _)| a)
-            .chain(&q.group_by)
-            .chain(q.aggregates.iter().map(|a| &a.attr))
-            .chain(&q.projection);
-        out.extend(used.filter(|a| a.starts_with(&prefix)).cloned());
-    }
-    out.sort();
-    out.dedup();
-    out
 }
 
 /// A base-table scan of `region` projected to `attrs`.
@@ -258,12 +238,8 @@ fn scan(table: &Arc<str>, region: Region, attrs: Vec<Arc<str>>) -> PhysicalPlan 
 /// qualify every row per query.
 fn reuse_spec(m: &MatchRewrite, request: &HtFingerprint) -> ReuseSpec {
     ReuseSpec {
-        id: m.candidate.id,
-        case: m.case,
         post_filter: None,
-        request_region: request.region.clone(),
-        cached_region: m.candidate.fingerprint.region.clone(),
-        schema: m.candidate.schema.clone(),
+        ..m.reuse_spec(&request.region)
     }
 }
 
@@ -272,23 +248,17 @@ fn reuse_spec(m: &MatchRewrite, request: &HtFingerprint) -> ReuseSpec {
 /// runtime. The strategy decides whether reuse candidates are matched and
 /// which fresh tables are admitted (published) into the cache.
 pub fn derive_shared_spec(
+    opt: &Optimizer,
     queries: &[&QuerySpec],
-    stats: &DbStats,
-    cost: &CostModel,
     htm: &HtManager,
-    strategy: EngineStrategy,
 ) -> Result<(SharedPlanSpec, f64)> {
+    let (stats, cost, strategy) = (opt.stats, opt.cost, opt.strategy);
     let q0 = queries[0];
     let driver = driver_table(q0, stats);
     let union = union_region(queries);
     let joined =
         |region: &Region| stats.join_rows(q0.tables.iter().map(|t| t.as_ref()), &q0.joins, region);
-    let candidates = |request: &HtFingerprint| -> Vec<MatchRewrite> {
-        if !strategy.reuses() {
-            return Vec::new();
-        }
-        Matcher.find_matches(htm, request, &PredBox::all(), stats)
-    };
+    let candidates = |request: &HtFingerprint| opt.candidates(htm, request, &PredBox::all());
     let best = |ms: Vec<MatchRewrite>| ms.into_iter().max_by(|a, b| a.contr.total_cmp(&b.contr));
     let mut total = 0.0;
 
@@ -298,7 +268,7 @@ pub fn derive_shared_spec(
     for &q in queries {
         if !q.is_aggregate() {
             let attrs = if q.projection.is_empty() {
-                shared_required_attrs(&[q], &driver)
+                required_attrs(&[q], &driver)
             } else {
                 q.projection.clone()
             };
@@ -326,11 +296,7 @@ pub fn derive_shared_spec(
                 let request = HtFingerprint {
                     kind: HtKind::SharedGroup,
                     tables: q0.tables.clone(),
-                    edges: {
-                        let mut e = q0.joins.clone();
-                        e.sort();
-                        e
-                    },
+                    edges: sorted_edges(q0),
                     region: union.clone(),
                     key_attrs: q.group_by.clone(),
                     payload_attrs: stored.clone(),
@@ -392,30 +358,15 @@ pub fn derive_shared_spec(
     let join = if let Some(pipeline_region) = pipeline_region {
         let driver_region = pipeline_region.project_table(&driver);
         let driver_rows = stats.filtered_rows(&driver, &driver_region);
-        total += cost
-            .scan(stats.table_rows(&driver) as f64)
-            .min(cost.index_scan(driver_rows));
-        let mut plan = scan(
-            &driver,
-            driver_region,
-            shared_required_attrs(queries, &driver),
-        );
+        total += opt.scan_cost(&driver, &driver_region.attrs(), driver_rows)?;
+        let mut plan = scan(&driver, driver_region, required_attrs(queries, &driver));
         for step in join_steps(queries, &driver, &union)? {
             let build_rows = stats.filtered_rows(&step.table, &step.request.region);
             let m = best(candidates(&step.request));
             // Probe volume: the pipeline stream (approximated by driver rows).
             total += match &m {
                 None => cost.rhj_fresh(build_rows.max(1.0), 24.0, driver_rows),
-                Some(m) => {
-                    let shape = CandidateShape {
-                        entries: m.candidate.entries as f64,
-                        bytes: m.candidate.bytes as f64,
-                        tuple_width: m.candidate.tuple_width as f64,
-                        contr: m.contr,
-                        overh: m.overh,
-                    };
-                    cost.rhj_reuse(&shape, build_rows, driver_rows, driver_rows)
-                }
+                Some(m) => cost.rhj_reuse(&m.shape(), build_rows, driver_rows, driver_rows),
             };
             let build = match &m {
                 None => Some(scan(
@@ -622,8 +573,8 @@ mod tests {
         let htm = HtManager::new(GcConfig::default());
         let queries = vec![mk(1, 20, 40), mk(2, 30, 60)];
         let refs: Vec<&QuerySpec> = queries.iter().collect();
-        let (spec, _) =
-            derive_shared_spec(&refs, &stats, &cost, &htm, EngineStrategy::HashStash).unwrap();
+        let opt = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
+        let (spec, _) = derive_shared_spec(&opt, &refs, &htm).unwrap();
         let mut ctx = ExecContext::new(&cat, &htm);
         let results = execute_shared(&spec, &mut ctx).unwrap();
         assert_eq!(results.len(), 2);
@@ -661,6 +612,59 @@ mod tests {
             run_batch(plan, &queries, &cat, &htm),
             one_at_a_time(&queries, &cat)
         );
+    }
+
+    /// Two `orders ⋈ lineitem` aggregates whose only predicate is on
+    /// `attr`, over `[lo, lo + 10]` and `[lo + 5, lo + 15]`.
+    fn lineitem_pair(attr: &str, lo: impl Fn(i64) -> Value) -> Vec<QuerySpec> {
+        [(1, 0), (2, 5)]
+            .map(|(id, shift)| {
+                QueryBuilder::new(id)
+                    .join(
+                        "orders",
+                        "orders.o_orderkey",
+                        "lineitem",
+                        "lineitem.l_orderkey",
+                    )
+                    .filter(attr, Interval::closed(lo(shift), lo(shift + 10)))
+                    .group_by("orders.o_orderpriority")
+                    .agg(AggExpr::new(AggFunc::Count, "lineitem.l_orderkey"))
+                    .build()
+                    .unwrap()
+            })
+            .to_vec()
+    }
+
+    /// The shared driver scan goes through an index only where the
+    /// executor would: on a constrained column that has one.
+    #[test]
+    fn driver_scan_prices_an_index_only_where_one_exists() {
+        let (cat, stats, cost) = setup();
+        let free_index = CostModel::new(
+            hashstash_hashtable::CostGrid::synthetic(),
+            crate::CostParams {
+                index_ns: 0.0,
+                ..crate::CostParams::default()
+            },
+        );
+        let htm = HtManager::new(GcConfig::default());
+        let batch_cost = |queries: &[QuerySpec], model: &CostModel| {
+            let opt = Optimizer::new(&cat, &stats, model, EngineStrategy::NoReuse);
+            let refs: Vec<&QuerySpec> = queries.iter().collect();
+            derive_shared_spec(&opt, &refs, &htm).unwrap().1
+        };
+        // `l_quantity` has no index: a full driver scan, whatever an index
+        // lookup would cost.
+        let unindexed = lineitem_pair("lineitem.l_quantity", |v| Value::float(v as f64));
+        assert_eq!(
+            batch_cost(&unindexed, &cost),
+            batch_cost(&unindexed, &free_index)
+        );
+        // `l_shipdate` has one: a free lookup makes the batch cheaper.
+        let indexed = lineitem_pair("lineitem.l_shipdate", |v| {
+            Value::Date(hashstash_storage::tpch::min_order_date() + 400 + v as i32)
+        });
+        assert!(batch_cost(&indexed, &free_index) < batch_cost(&indexed, &cost));
     }
 
     #[test]

@@ -416,7 +416,7 @@ fn drop_flush_failure_is_recorded_not_swallowed() {
     session.execute(&q3(1, "1996-06-01")).unwrap();
 
     // Sabotage the data dir *after* build: replace the directory with a
-    // plain file, so every snapshot/WAL write fails with NotADirectory.
+    // plain file, so every snapshot write fails with NotADirectory.
     // (chmod-based traps don't work under root, which ignores modes.)
     fs::remove_dir_all(&dir).unwrap();
     fs::write(&dir, b"not a directory").unwrap();
