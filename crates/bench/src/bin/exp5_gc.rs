@@ -46,7 +46,6 @@ fn main() {
             let db = Database::builder(catalog())
                 .gc(GcConfig {
                     budget_bytes: Some((peak as f64 * frac) as usize),
-                    policy: Default::default(),
                     fine_grained: fine,
                 })
                 .build();

@@ -4,8 +4,8 @@
 //!
 //! The hash table ([`ExtendibleHashTable<()>`]) keeps the directory, tag
 //! filter, chains and arena order a table of rows had, so probe order,
-//! `layout_eq`, the partitioned build and the snapshot's `from_layout`
-//! mean what they meant. What an arena entry used to own — a `Row`, one
+//! equality, the partitioned build and the snapshot's image mean what they
+//! meant. What an arena entry used to own — a `Row`, one
 //! heap block of tagged `Value`s — is now position `i` of every column:
 //! `i64`, `f64` and `i32` cells in native arrays, strings as `u32` codes
 //! into a per-table dictionary. The heap holds what
@@ -175,19 +175,6 @@ impl ColumnHt {
         Ok(new_key)
     }
 
-    /// Keep exactly the entries whose position is `true` in `keep`
-    /// (fine-grained pruning); positions beyond `keep.len()` are dropped.
-    pub fn retain_mask(&mut self, keep: &[bool]) {
-        let mut at = 0usize;
-        self.index.retain(|_, _| {
-            at += 1;
-            keep.get(at - 1).copied().unwrap_or(false)
-        });
-        for col in &mut self.columns {
-            col.retain_mask(keep);
-        }
-    }
-
     /// Release spare capacity, so the heap holds what is charged.
     pub fn shrink_to_fit(&mut self) {
         self.index.shrink_to_fit();
@@ -195,11 +182,13 @@ impl ColumnHt {
             col.shrink_to_fit();
         }
     }
+}
 
-    /// Structural equality: [`ExtendibleHashTable::layout_eq`] on the
-    /// index, and equal payload values at every arena position.
-    pub fn layout_eq(&self, other: &Self) -> bool {
-        self.index.layout_eq(&other.index)
+/// Equal indexes ([`ExtendibleHashTable`]'s `==`: arena, depth, resizes and
+/// width) and equal payload values at every arena position.
+impl PartialEq for ColumnHt {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index
             && self.columns.len() == other.columns.len()
             && self
                 .columns
@@ -240,34 +229,24 @@ mod tests {
         t
     }
 
-    /// Every probe answers what a table of rows answers, in its order,
-    /// before and after pruning.
+    /// Every probe answers what a table of rows answers, in its order.
     #[test]
     fn probes_answer_as_a_table_of_rows() {
         let rows: Vec<Row> = (0..500)
             .map(|i| row(i % 37, ["a", "b", "c"][i as usize % 3]))
             .collect();
-        let (mut t, mut want) = (table(&rows), reference(&rows));
+        let (t, want) = (table(&rows), reference(&rows));
         assert_eq!((t.len(), t.distinct_keys()), (500, 37));
         let dict = t.columns()[1].dict_parts().unwrap().0.len();
         assert_eq!(dict, 3, "one dictionary entry per distinct string");
-        let keep: Vec<bool> = (0..500).map(|i| i % 3 != 0).collect();
-        for pass in ["built", "pruned"] {
-            for k in 0..40 {
-                let key = Value::Int(k).key64();
-                let got: Vec<Row> = t.probe(key).map(|at| t.row(at)).collect();
-                let expect: Vec<Row> = want.probe_readonly(key).cloned().collect();
-                assert_eq!(got, expect, "{pass}: key {k}");
-            }
-            let pairs: Vec<(u64, Row)> = want.iter().map(|(k, r)| (k, r.clone())).collect();
-            assert_eq!(t.iter().collect::<Vec<_>>(), pairs, "{pass}: arena order");
-            t.retain_mask(&keep);
-            let mut at = 0;
-            want.retain(|_, _| {
-                at += 1;
-                keep[at - 1]
-            });
+        for k in 0..40 {
+            let key = Value::Int(k).key64();
+            let got: Vec<Row> = t.probe(key).map(|at| t.row(at)).collect();
+            let expect: Vec<Row> = want.probe_readonly(key).cloned().collect();
+            assert_eq!(got, expect, "key {k}");
         }
+        let pairs: Vec<(u64, Row)> = want.iter().map(|(k, r)| (k, r.clone())).collect();
+        assert_eq!(t.iter().collect::<Vec<_>>(), pairs, "arena order");
     }
 
     #[test]
@@ -276,7 +255,7 @@ mod tests {
         let bad = Row::new(vec![Value::Int(2), Value::Int(3), Value::float(0.0)]);
         assert!(t.insert(2, &bad).is_err());
         assert!(t.insert(2, &Row::new(vec![Value::Int(2)])).is_err());
-        assert!(t.layout_eq(&table(&[row(1, "a")])));
+        assert!(t == table(&[row(1, "a")]));
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub mod temp;
 
 pub use column_ht::ColumnHt;
 pub use manager::{
-    CacheStats, Candidate, CheckedOut, EvictionPolicy, GcConfig, HtManager, SnapshotEntry,
-    TenantId, DEFAULT_SHARDS,
+    CacheStats, Candidate, CheckedOut, GcConfig, HtManager, SnapshotEntry, TenantId, DEFAULT_SHARDS,
 };
 pub use payload::{AggAccum, AggPayload, MaterializedRows, StoredHt};
 pub use recycle::RecycleGraph;

@@ -150,31 +150,14 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// Eviction policy for the coarse-grained garbage collector.
-///
-/// The paper ships LRU (§5); LFU and benefit-weighted eviction are provided
-/// for the ablation experiments. The policy ranks hash tables and temp
-/// tables in the *same* victim search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the table with the oldest last-access timestamp (paper §5).
-    #[default]
-    Lru,
-    /// Evict the least frequently reused table.
-    Lfu,
-    /// Evict the table with the lowest reuse-per-byte density — large,
-    /// rarely reused tables go first.
-    BenefitWeighted,
-}
-
-/// Garbage-collector configuration.
+/// Garbage-collector configuration. Over budget, the collector evicts the
+/// least recently used unpinned table, hash tables and temp tables ranked
+/// in one search (the paper's LRU, §5).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GcConfig {
     /// Memory budget for every cached table, hash tables and temp tables
     /// alike; `None` disables eviction (the paper's "wo GC" mode).
     pub budget_bytes: Option<usize>,
-    /// Which table to evict when over budget.
-    pub policy: EvictionPolicy,
     /// Enable the fine-grained (per-entry) bookkeeping mode the paper
     /// implemented and then disabled for its overhead (§5). When on, every
     /// checkout re-stamps all entries of the table — the monitoring cost
@@ -212,31 +195,6 @@ impl CacheStats {
             0.0
         } else {
             self.reuses as f64 / self.publishes as f64
-        }
-    }
-}
-
-/// Snapshot of the fields eviction policies compare, so the victim search
-/// can scan shards one at a time without holding several locks.
-#[derive(Debug, Clone, Copy)]
-struct VictimKey {
-    last_used: u64,
-    use_count: u64,
-    bytes: usize,
-}
-
-impl VictimKey {
-    fn better_victim(&self, other: &VictimKey, policy: EvictionPolicy) -> bool {
-        match policy {
-            EvictionPolicy::Lru => self.last_used < other.last_used,
-            EvictionPolicy::Lfu => {
-                (self.use_count, self.last_used) < (other.use_count, other.last_used)
-            }
-            EvictionPolicy::BenefitWeighted => {
-                let da = (self.use_count + 1) as f64 / self.bytes.max(1) as f64;
-                let db = (other.use_count + 1) as f64 / other.bytes.max(1) as f64;
-                da < db || (da == db && self.last_used < other.last_used)
-            }
         }
     }
 }
@@ -1109,9 +1067,9 @@ impl HtManager {
                     .map(|(&t, _)| t)
                     .collect()
             };
-            let mut victim = self.best_victim(gc.policy, &protected);
+            let mut victim = self.best_victim(&protected);
             if victim.is_none() && !protected.is_empty() {
-                victim = self.best_victim(gc.policy, &[]);
+                victim = self.best_victim(&[]);
             }
             let Some(id) = victim else {
                 break;
@@ -1125,26 +1083,19 @@ impl HtManager {
         evicted
     }
 
-    /// The policy's best unpinned victim, skipping entries owned by a
-    /// tenant in `protected`.
-    fn best_victim(&self, policy: EvictionPolicy, protected: &[TenantId]) -> Option<HtId> {
-        let mut victim: Option<(HtId, VictimKey)> = None;
+    /// The least recently used unpinned entry, skipping entries owned by a
+    /// tenant in `protected`. Shards are scanned one at a time, so no two
+    /// shard locks are ever held together.
+    fn best_victim(&self, protected: &[TenantId]) -> Option<HtId> {
+        let mut victim: Option<(HtId, u64)> = None;
         for si in 0..self.shards.len() {
             let state = self.lock_shard(si);
             for (&id, e) in &state.entries {
                 if e.pinned() || protected.contains(&e.tenant) {
                     continue;
                 }
-                let key = VictimKey {
-                    last_used: e.last_used,
-                    use_count: e.use_count,
-                    bytes: e.bytes,
-                };
-                if victim
-                    .as_ref()
-                    .is_none_or(|(_, best)| key.better_victim(best, policy))
-                {
-                    victim = Some((id, key));
+                if victim.is_none_or(|(_, last_used)| e.last_used < last_used) {
+                    victim = Some((id, e.last_used));
                 }
             }
         }
@@ -1168,55 +1119,6 @@ impl HtManager {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         self.tenant_mut(entry.tenant, |c| c.evictions += 1);
         true
-    }
-
-    /// Fine-grained GC: drop the oldest `1 - keep_fraction` of a table's
-    /// entries (requires `fine_grained` mode). Returns entries removed.
-    /// Copy-on-write: concurrent readers keep the unpruned snapshot.
-    pub fn prune_entries(&self, id: HtId, keep_fraction: f64) -> Result<usize> {
-        if !self.gc_config().fine_grained {
-            return Err(HsError::Config(
-                "prune_entries requires fine_grained GC mode".into(),
-            ));
-        }
-        let now = self.tick();
-        let mut state = self.lock_shard(self.shard_of_id(id));
-        let entry = state
-            .entries
-            .get_mut(&id)
-            .ok_or_else(|| HsError::CacheError(format!("{id} not in cache")))?;
-        if entry.writer {
-            return Err(HsError::CacheError(format!("{id} checked out")));
-        }
-        let Slot::Present(handle) = &mut entry.slot else {
-            return Err(HsError::CacheError(format!("{id} checked out")));
-        };
-        let stamps = entry.entry_stamps.clone().unwrap_or_default();
-        let before = handle.len();
-        let keep = ((before as f64) * keep_fraction).ceil() as usize;
-        if keep >= before {
-            return Ok(0);
-        }
-        // Rank elements by (stamp, position); keep the newest `keep`.
-        // Position breaks ties so a uniform-stamp table still prunes.
-        let mut order: Vec<usize> = (0..before).collect();
-        order.sort_unstable_by_key(|&i| (stamps.get(i).copied().unwrap_or(0), i));
-        let mut keep_mask = vec![false; before];
-        for &i in order.iter().rev().take(keep) {
-            keep_mask[i] = true;
-        }
-        Arc::make_mut(handle).retain_mask(&keep_mask);
-        let after = handle.len();
-        let old_bytes = entry.bytes;
-        entry.bytes = handle.logical_bytes();
-        // Survivors get a *fresh* stamp: a later checkout always ticks
-        // later than the prune, keeping per-element timestamps monotone.
-        entry.entry_stamps = Some(vec![now; after]);
-        // Byte delta under the shard lock (see publish/commit_checkin: a
-        // concurrent eviction must never see the entry's new size before
-        // the counter does).
-        self.resize(entry.tenant, old_bytes, entry.bytes);
-        Ok(before - after)
     }
 
     /// Fine-grained per-slot timestamps of a table (`None` unless
@@ -1630,7 +1532,6 @@ mod tests {
         let budget = bytes_of(100) * 2 + bytes_of(100) / 2;
         let m = HtManager::new(GcConfig {
             budget_bytes: Some(budget),
-            policy: EvictionPolicy::Lru,
             ..GcConfig::default()
         });
         let a = m.publish(fp(0, 10), schema(), table(100));
@@ -1644,25 +1545,6 @@ mod tests {
         assert!(!m.is_available(b), "LRU victim evicted");
     }
 
-    #[test]
-    fn lfu_eviction_prefers_rarely_used() {
-        let m = HtManager::new(GcConfig {
-            budget_bytes: Some(table(100).logical_bytes() * 2),
-            policy: EvictionPolicy::Lfu,
-            ..GcConfig::default()
-        });
-        let a = m.publish(fp(0, 10), schema(), table(100));
-        let b = m.publish(fp(20, 30), schema(), table(100));
-        for _ in 0..3 {
-            let co = m.checkout(a).unwrap();
-            co.checkin().unwrap();
-        }
-        // `b` has zero reuses; publishing a third table evicts it.
-        let _c = m.publish(fp(40, 50), schema(), table(100));
-        assert!(m.is_available(a));
-        assert!(!m.is_available(b));
-    }
-
     /// The checked-out-survival property, asserted unconditionally: a
     /// budget sized for exactly one table admits `b`; while `b` is pinned
     /// by a checkout, publishing `c` must evict `c` itself (the only
@@ -1672,7 +1554,6 @@ mod tests {
         let one_table = table(10).logical_bytes();
         let m = HtManager::new(GcConfig {
             budget_bytes: Some(one_table),
-            policy: EvictionPolicy::Lru,
             ..GcConfig::default()
         });
         let b = m.publish(fp(0, 10), schema(), table(10));
@@ -1709,53 +1590,29 @@ mod tests {
         assert_eq!(entries, 20);
     }
 
+    /// Fine-grained mode stamps every element at publish and re-stamps
+    /// them all, strictly later, at each checkout — the per-entry
+    /// monitoring whose cost the GC overhead experiment measures.
     #[test]
-    fn prune_entries_fine_grained() {
-        let m = HtManager::new(GcConfig {
-            fine_grained: true,
-            ..GcConfig::default()
-        });
-        let id = m.publish(fp(0, 10), schema(), table(100));
-        let removed = m.prune_entries(id, 0.25).unwrap();
-        assert!(removed >= 70, "kept ~25%, removed {removed}");
-        let cands = m.candidates(&fp(0, 10));
-        assert!(cands[0].entries <= 30);
-    }
-
-    /// Pruned survivors must carry a *fresh* timestamp so that a checkout
-    /// right after the prune stamps strictly later — per-entry timestamps
-    /// stay monotone (the pre-PR code re-used a stale clock value).
-    #[test]
-    fn prune_restamps_with_fresh_tick() {
+    fn fine_grained_checkout_restamps_every_entry() {
         let m = HtManager::new(GcConfig {
             fine_grained: true,
             ..GcConfig::default()
         });
         let id = m.publish(fp(0, 10), schema(), table(40));
-        let publish_stamp = m.entry_stamps(id).unwrap().unwrap()[0];
-        m.prune_entries(id, 0.5).unwrap();
-        let after_prune = m.entry_stamps(id).unwrap().unwrap();
-        assert!(!after_prune.is_empty());
-        assert!(
-            after_prune.iter().all(|&s| s > publish_stamp),
-            "prune stamps ({:?}) must advance past the publish stamp {publish_stamp}",
-            &after_prune[..1]
-        );
-        // A checkout after the prune must stamp strictly later still.
+        let published = m.entry_stamps(id).unwrap().unwrap();
+        assert_eq!(published.len(), 40);
         let co = m.checkout(id).unwrap();
         co.checkin().unwrap();
-        let after_checkout = m.entry_stamps(id).unwrap().unwrap();
+        let checked_out = m.entry_stamps(id).unwrap().unwrap();
+        assert_eq!(checked_out.len(), 40);
         assert!(
-            after_checkout.iter().all(|&s| s > after_prune[0]),
-            "checkout stamps must be monotone over prune stamps"
+            checked_out.iter().all(|&s| s > published[0]),
+            "checkout stamps advance past the publish stamp"
         );
-    }
-
-    #[test]
-    fn prune_requires_fine_grained_mode() {
-        let m = HtManager::unbounded();
-        let id = m.publish(fp(0, 10), schema(), table(10));
-        assert!(matches!(m.prune_entries(id, 0.5), Err(HsError::Config(_))));
+        let coarse = HtManager::unbounded();
+        let id = coarse.publish(fp(0, 10), schema(), table(40));
+        assert_eq!(coarse.entry_stamps(id).unwrap(), None);
     }
 
     #[test]

@@ -206,25 +206,6 @@ impl StoredHt {
     pub fn is_materialized(&self) -> bool {
         matches!(self, StoredHt::Materialized(_))
     }
-
-    /// Keep exactly the elements whose position is `true` in `keep`
-    /// (fine-grained pruning). Positions beyond `keep.len()` are dropped.
-    pub(crate) fn retain_mask(&mut self, keep: &[bool]) {
-        let mut idx = 0usize;
-        let mut keep_it = || {
-            let k = keep.get(idx).copied().unwrap_or(false);
-            idx += 1;
-            k
-        };
-        match self {
-            StoredHt::Rows(t) => t.retain_mask(keep),
-            StoredHt::Agg(t) => t.retain(|_, _| keep_it()),
-            StoredHt::Materialized(m) => {
-                m.rows.retain(|_| keep_it());
-                m.bytes = m.rows.iter().map(row_bytes).sum();
-            }
-        }
-    }
 }
 
 /// Approximate in-memory size of one materialized row (arrays of scalars).

@@ -8,11 +8,12 @@
 //! (CRC-passing but logically damaged) frame degrades into a decode error,
 //! never a huge allocation or a panic.
 //!
-//! Hash tables round-trip through
-//! [`ExtendibleHashTable::layout`](hashstash_hashtable::ExtendibleHashTable::layout)
-//! / `from_layout`, preserving the *physical* layout — directory, lazy-split
-//! depths, arena order and chain links — so a rehydrated table is
-//! `layout_eq` to the original and answers probes in the same order.
+//! A hash table is stored as its image: tuple width, directory depth,
+//! resize count, then `(key, value)` per arena entry in arena order. Chains
+//! list entries newest first however the directory got split, so
+//! [`ExtendibleHashTable::from_entries`] relinks the arena into a table
+//! `==` to the original that answers every probe in the same order; no
+//! directory, chain link or split state is written.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -544,26 +545,20 @@ fn decode_agg_payload(r: &mut Reader<'_>) -> DecodeResult<AggPayload> {
 }
 
 fn encode_ht<V>(w: &mut Writer, ht: &ExtendibleHashTable<V>, enc: impl Fn(&mut Writer, &V)) {
-    let l = ht.layout();
-    w.put_u64(l.tuple_width as u64);
-    w.put_u8(l.global_depth);
-    w.put_u64(l.resizes as u64);
-    w.put_u64(l.distinct_keys as u64);
-    w.put_count(l.directory.len());
-    for &head in l.directory {
-        w.put_u32(head);
-    }
-    for d in l.depths() {
-        w.put_u8(d);
-    }
+    let stats = ht.stats();
+    w.put_u64(stats.tuple_width as u64);
+    w.put_u8(ht.bucket_count().trailing_zeros() as u8);
+    w.put_u64(stats.resizes as u64);
     w.put_count(ht.len());
-    for (key, next, v) in ht.arena_entries() {
+    for (key, v) in ht.iter() {
         w.put_u64(key);
-        w.put_u32(next);
         enc(w, v);
     }
 }
 
+/// Decode a hash-table image. A depth whose directory would have more
+/// slots than `max(2, entries)` is rejected before anything is allocated:
+/// no table the engine builds has one, so it can only be a forged image.
 fn decode_ht<V>(
     r: &mut Reader<'_>,
     dec: impl Fn(&mut Reader<'_>) -> DecodeResult<V>,
@@ -571,40 +566,29 @@ fn decode_ht<V>(
     let tuple_width = r.get_u64()? as usize;
     let global_depth = r.get_u8()?;
     let resizes = r.get_u64()? as usize;
-    let distinct_keys = r.get_u64()? as usize;
-    let n_dir = r.get_count(4)?;
-    let mut directory = Vec::with_capacity(n_dir);
-    for _ in 0..n_dir {
-        directory.push(r.get_u32()?);
+    let n = r.get_count(8)?;
+    if global_depth > 1 && (global_depth >= 32 || 1usize << global_depth > n) {
+        return Err(format!(
+            "hash-table depth {global_depth} too large for {n} entries"
+        ));
     }
-    let mut depth = Vec::with_capacity(n_dir);
-    for _ in 0..n_dir {
-        depth.push(r.get_u8()?);
-    }
-    let n_arena = r.get_count(12)?;
-    let mut arena = Vec::with_capacity(n_arena);
-    for _ in 0..n_arena {
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
         let key = r.get_u64()?;
-        let next = r.get_u32()?;
-        arena.push((key, next, dec(r)?));
+        entries.push((key, dec(r)?));
     }
-    ExtendibleHashTable::from_layout(
+    Ok(ExtendibleHashTable::from_entries(
         tuple_width,
         global_depth,
         resizes,
-        distinct_keys,
-        directory,
-        depth,
-        arena,
-    )
-    .ok_or_else(|| "inconsistent hash-table layout".to_string())
+        entries,
+    ))
 }
 
-/// Encode a cached table: a hash table tagged and with its physical layout
-/// — a join or grouping table's payload as its typed columns after the
-/// index — and a temp table as its untagged rows (a snapshot entry's kind
-/// byte tells [`decode_stored_ht`]'s hash tables from [`decode_rows`]' temp
-/// tables).
+/// Encode a cached table: a hash table as a tag byte and its image — a join
+/// or grouping table's payload as its typed columns after the index — and
+/// a temp table as its untagged rows (a snapshot entry's kind byte tells
+/// [`decode_stored_ht`]'s hash tables from [`decode_rows`]' temp tables).
 pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
     match ht {
         StoredHt::Rows(t) => {
@@ -872,19 +856,18 @@ mod tests {
             let row = Row::new(vec![Value::Int(i as i64), Value::str("p")]);
             ht.insert(i % 7, &row).unwrap();
         }
-        // The image is the header, the directory (4 B head + 1 B depth per
-        // slot), per entry its key and chain link, then the payload as
-        // typed columns: 8 B per int, a 4 B code per string, and the
-        // dictionary ("p") once — no per-value tag, no query tag.
-        let dir = ht.index().layout().directory.len();
+        // The image is the header (width, depth, resizes), per entry its
+        // key, then the payload as typed columns: 8 B per int, a 4 B code
+        // per string, and the dictionary ("p") once — no directory, no
+        // chain links, no per-value tag.
         let columns = 4 + (1 + 4 + 64 * 8) + (1 + 4 + (4 + 1) + 4 + 64 * 4);
         let stored = StoredHt::Rows(ht);
         let mut w = Writer::new();
         encode_stored_ht(&mut w, &stored);
-        assert_eq!(w.len(), 1 + 25 + 4 + dir * 5 + 4 + 64 * 12 + columns);
+        assert_eq!(w.len(), 1 + 17 + 4 + 64 * 8 + columns);
         let out = roundtrip(&stored, encode_stored_ht, decode_stored_ht);
         match (&stored, &out) {
-            (StoredHt::Rows(a), StoredHt::Rows(b)) => assert!(a.layout_eq(b)),
+            (StoredHt::Rows(a), StoredHt::Rows(b)) => assert!(a == b),
             _ => panic!("kind preserved"),
         }
         assert_eq!(out.logical_bytes(), stored.logical_bytes());
@@ -910,7 +893,7 @@ mod tests {
         let stored = StoredHt::Agg(ht);
         let out = roundtrip(&stored, encode_stored_ht, decode_stored_ht);
         match (&stored, &out) {
-            (StoredHt::Agg(a), StoredHt::Agg(b)) => assert!(a.layout_eq(b)),
+            (StoredHt::Agg(a), StoredHt::Agg(b)) => assert!(a == b),
             _ => panic!("kind preserved"),
         }
     }

@@ -4,20 +4,21 @@
 //! # On-disk format
 //!
 //! ```text
-//! [magic "HSSNAP03"][body][crc32(body): u32 LE]
+//! [magic "HSSNAP04"][body][crc32(body): u32 LE]
 //! ```
 //!
 //! The body is: catalog table count + tables, then cache-entry count +
 //! entries. Each entry carries its lineage fingerprint, schema, use count,
 //! byte footprint, its benefit score ([`benefit_score`]) and the payload
-//! (a cached hash table with exact physical layout, or materialized
-//! temp-table rows). Entries are written least recently used first, so
-//! re-publishing them in file order restores the cache's LRU order. Version
-//! `03` stores a join or grouping table's payload as typed columns after
-//! its index; `02` stored one row of tagged values per entry, and `01` also
-//! an 8-byte query tag per row and a tag-flag byte per fingerprint. Files
-//! of an earlier format are rejected by the magic check like any other
-//! invalid snapshot.
+//! (a cached hash table's image — its arena and directory depth — or
+//! materialized temp-table rows). Entries are written least recently used
+//! first, so re-publishing them in file order restores the cache's LRU
+//! order. Version `04` stores a hash table as its arena `(key, value)`
+//! sequence behind the width, depth and resize count; `03` also stored the
+//! directory heads, lazy-split depths and chain links, `02` one row of
+//! tagged values per join-table entry, and `01` also an 8-byte query tag
+//! per row and a tag-flag byte per fingerprint. Files of an earlier format
+//! are rejected by the magic check like any other invalid snapshot.
 //! A first-boot snapshot is the same format with zero cache entries.
 //!
 //! # Atomicity
@@ -47,7 +48,7 @@ use crate::codec::{
 use crate::crc::crc32;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP03";
+pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP04";
 
 /// Whether a snapshot reaches the disk before its write returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,7 +106,7 @@ pub struct PersistedEntry {
     /// The [`benefit_score`] the entry was admitted with.
     pub score: f64,
     /// The payload: the cache's own handle, encoded without a copy. A hash
-    /// table keeps its exact physical layout.
+    /// table comes back `==` to what was written.
     pub payload: Arc<StoredHt>,
 }
 
@@ -316,37 +317,32 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A snapshot whose checksum is good but whose table image has one
-    /// chain link flipped into a cycle is discarded whole (recovery falls
-    /// back exactly as for a CRC mismatch) — not rehydrated into a table
-    /// the first probe spins on.
+    /// A snapshot whose checksum is good but whose table image claims a
+    /// directory far larger than its entries is discarded whole (recovery
+    /// falls back exactly as for a CRC mismatch) — before the directory is
+    /// allocated, so a forged depth cannot demand gigabytes.
     #[test]
-    fn cyclic_chain_snapshot_rejected() {
-        let path = tmp("cyclic.snap");
-        let (cat, mut entries) = sample();
-        let Some(StoredHt::Rows(ht)) = Arc::get_mut(&mut entries[0].payload) else {
-            panic!("sample holds a join table");
-        };
-        // A second entry under key 1, chained onto the first.
-        ht.insert(1, &Row::new(vec![Value::Int(1)])).unwrap();
+    fn forged_depth_snapshot_rejected() {
+        let path = tmp("forged-depth.snap");
+        let (cat, entries) = sample();
         write_snapshot(&path, &cat, &entries, false).unwrap();
         assert!(read_snapshot(&path).is_ok());
 
-        // The older entry `(key 1, next NIL)` ends the chain; point it back
-        // at the newer one and re-seal the file.
+        // The join table's image opens with its width (8), its depth (1)
+        // and its resize count (0): raise the depth to 31.
         let mut bytes = std::fs::read(&path).unwrap();
-        let tail: Vec<u8> = [1u64.to_le_bytes().as_slice(), &u32::MAX.to_le_bytes()].concat();
+        let header: Vec<u8> = [8u64.to_le_bytes().as_slice(), &[1], &0u64.to_le_bytes()].concat();
         let at = bytes
-            .windows(tail.len())
-            .position(|w| w == tail)
-            .expect("chain tail in the image");
-        bytes[at + 8..at + 12].copy_from_slice(&1u32.to_le_bytes());
+            .windows(header.len())
+            .position(|w| w == header)
+            .expect("table header in the image");
+        bytes[at + 8] = 31;
         let body_end = bytes.len() - 4;
         let crc = crc32(&bytes[SNAP_MAGIC.len()..body_end]);
         bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let err = read_snapshot(&path).expect_err("cyclic image must be discarded");
-        assert!(err.contains("inconsistent hash-table layout"), "{err}");
+        let err = read_snapshot(&path).expect_err("forged depth must be discarded");
+        assert!(err.contains("depth 31 too large for 1 entries"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -369,11 +365,11 @@ mod tests {
 
     /// The byte format is pinned: a snapshot holding one table of each kind
     /// (a join table, an aggregate table and a temp table — the two-store
-    /// cache's fixture, re-encoded with typed payload columns) loads, and
-    /// re-encoding what it decodes reproduces it byte for byte.
+    /// cache's fixture, re-encoded as table images) loads, and re-encoding
+    /// what it decodes reproduces it byte for byte.
     #[test]
     fn two_store_snapshot_still_loads_byte_for_byte() {
-        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap03.snap");
+        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap04.snap");
         let path = tmp("two-store.snap");
         std::fs::write(&path, EARLIER).unwrap();
         let snap = read_snapshot(&path).unwrap();

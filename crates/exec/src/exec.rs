@@ -16,11 +16,11 @@
 //! bucket / key rather than by morsel: insertion order defines the
 //! collision-chain order that probe output (and the cached table's layout)
 //! depends on, so workers compute disjoint partitions of the serial chain
-//! structure and a serial stitch reproduces it exactly — parallel-built
-//! tables are bit-identical to serially built ones, and publish into the
-//! reuse cache with identical fingerprints and footprints. Mutating-reuse
-//! delta inserts stay serial (they extend existing chain history); the cost
-//! model prices both regimes.
+//! structure and a serial stitch installs it — parallel-built tables are
+//! `==` to serially built ones, and publish into the reuse cache with
+//! identical fingerprints and footprints. Mutating-reuse delta inserts stay
+//! serial (they append to an existing table); the cost model prices both
+//! regimes.
 //!
 //! A join table is a [`ColumnHt`]: the hash table holds the keys, and the
 //! payload sits beside it as typed columns in arena order, which a build
@@ -1304,11 +1304,11 @@ impl<'m> RowTable<'m> {
 /// order: each payload column is gathered straight from the source (a
 /// batch's base columns, or the rows' values), so no row is built. With
 /// `partitioned` (fresh tables only) key extraction fans out over morsels
-/// and chain construction over bucket ranges; the stitched table is
-/// bit-identical to the serial loop (same chains, layout and stats), so
-/// probe output, fingerprints and publish dedup do not depend on the worker
-/// count. The serial loop is also the only path for mutating-reuse deltas,
-/// which extend a table with existing chain history.
+/// and chain construction over bucket ranges; the stitched table is `==`
+/// to the serial loop's (same arena, chains and stats), so probe output,
+/// fingerprints and publish dedup do not depend on the worker count. The
+/// serial loop is also the only path for mutating-reuse deltas, which
+/// append to an existing table.
 fn insert_tuples<T: Tuples>(
     sched: Scheduler<'_>,
     table: &mut ColumnHt,
@@ -1775,10 +1775,11 @@ fn run_hash_agg(
 ///
 /// With `parallel_build`, hashing fans out over morsels and folding over
 /// key partitions (each group's accumulators are updated in global input
-/// order, so even floating-point sums are bitwise serial); the structural
-/// history is then replayed serially — one `touch` (lazy-split freshen)
-/// per tuple, one `insert` per group-creating tuple — which is exactly
-/// what the serial `upsert_where` loop does to the table.
+/// order, so even floating-point sums are bitwise serial); the merged
+/// groups are then inserted in first-tuple order. The serial
+/// `upsert_where` loop inserts the same groups in the same order, and
+/// chain order does not depend on when buckets split, so the two tables
+/// are `==`.
 pub(crate) fn fold_tuples<T: Tuples>(
     sched: Scheduler<'_>,
     ht: &mut ExtendibleHashTable<AggPayload>,
@@ -1824,14 +1825,9 @@ pub(crate) fn fold_tuples<T: Tuples>(
         keys
     });
     let gb = build_grouped_partitioned(sched, &keys, matches, init, update);
-    let mut merged = gb.groups.into_iter().peekable();
-    for (i, &key) in keys.iter().enumerate() {
-        ht.touch(key);
-        if let Some(g) = merged.next_if(|g| g.first_row == i) {
-            ht.insert(g.key, g.payload);
-        }
+    for g in gb.groups {
+        ht.insert(g.key, g.payload);
     }
-    debug_assert!(merged.peek().is_none(), "all groups replayed");
     (gb.inserts, gb.updates)
 }
 
@@ -2592,7 +2588,16 @@ mod tests {
         })
     }
 
-    /// The generic fold builds the same table — layout, accumulator bits
+    /// Whether every key's chain lists its entries in descending arena
+    /// position.
+    fn descending_chains<V>(ht: &ExtendibleHashTable<V>) -> bool {
+        ht.keys().all(|key| {
+            let at: Vec<usize> = ht.probe_positions(key).collect();
+            at.windows(2).all(|w| w[0] > w[1])
+        })
+    }
+
+    /// The generic fold builds the same table — arena, accumulator bits
     /// and counts — from either tuple source, serial or partitioned.
     #[test]
     fn fold_is_tuple_source_invariant() {
@@ -2626,7 +2631,8 @@ mod tests {
             ("batch, serial", folded(serial, &from_batch, false)),
             ("batch, partitioned", folded(pooled, &from_batch, true)),
         ] {
-            assert!(got.layout_eq(&want), "{label}");
+            assert!(got == want, "{label}");
+            assert!(descending_chains(&got), "{label}");
             assert_eq!(counts, want_counts, "{label}");
         }
     }

@@ -43,9 +43,11 @@
 //! **by bucket**: [`build_multimap_partitioned`] has workers compute the
 //! chains of disjoint bucket ranges from the row-order key sequence and
 //! stitches them serially, and [`build_grouped_partitioned`] partitions
-//! aggregate folding by key and replays the structural history — both
-//! bit-identical to the serial build at any worker count (pinned by
-//! `tests/build_equivalence.rs` and `tests/parallel_determinism.rs`).
+//! aggregate folding by key and hands back the groups in first-row order
+//! for one insert each. Chains list entries newest first however the
+//! directory got split, so both tables are `==` to the serial build at any
+//! worker count (pinned by `tests/build_equivalence.rs` and
+//! `tests/parallel_determinism.rs`).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -243,7 +245,7 @@ where
 pub const MIN_PARALLEL_BUILD_ROWS: usize = MORSEL_ROWS * 4;
 
 /// Build a multimap hash table from parallel `keys`/`values` columns in row
-/// order, **bit-identically** to the serial `reserve(n)` + [`insert`] loop,
+/// order, `==` to the table the serial `reserve(n)` + [`insert`] loop builds,
 /// fanning the chain computation out over per-worker bucket-range
 /// partitions. (Columns rather than pairs: call sites compute the keys in a
 /// morsel-parallel pass and would otherwise zip and immediately un-zip.)
@@ -253,9 +255,9 @@ pub const MIN_PARALLEL_BUILD_ROWS: usize = MORSEL_ROWS * 4;
 /// chains its buckets would have after a serial build (same newest-first
 /// order, same distinct-key bookkeeping). A single serial stitch pass then
 /// installs chains and values — arena order is row order either way, so the
-/// result is byte-identical to the serial build at any worker count,
-/// including the lazy-split depth state and the resize counter. With
-/// `parallelism <= 1` this *is* the serial loop.
+/// result equals the serial build at any worker count: same arena,
+/// directory, chains and resize counter. With `parallelism <= 1` this *is*
+/// the serial loop.
 ///
 /// `table` must be empty (fresh build). Mutating-reuse delta inserts keep
 /// the plain serial loop: they extend a table with existing history.
@@ -359,14 +361,11 @@ type PreHashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PreHashed>>
 /// * the merged group list is ordered by first-occurrence row, which is the
 ///   arena order of a serial `upsert` loop.
 ///
-/// The caller replays the structural history into a real table (one
-/// [`touch`] per row, one [`insert`] per group-creating row — see
-/// [`ExtendibleHashTable::touch`]) to obtain a table bit-identical to the
-/// serial build. With `parallelism <= 1` the single partition still uses
-/// this code path; callers that want the serial fast path keep their own
-/// loop.
+/// The caller [`insert`]s the groups in that order to obtain a table `==`
+/// to the serial build. With `parallelism <= 1` the single partition still
+/// uses this code path; callers that want the serial fast path keep their
+/// own loop.
 ///
-/// [`touch`]: ExtendibleHashTable::touch
 /// [`insert`]: ExtendibleHashTable::insert
 pub fn build_grouped_partitioned<P, M, I, U>(
     sched: Scheduler<'_>,
@@ -601,7 +600,7 @@ mod tests {
         for workers in [2, 3, 4, 8] {
             let mut par = ExtendibleHashTable::new(16);
             build_multimap_partitioned(on(&pool, workers), &mut par, keys.clone(), values());
-            assert!(par.layout_eq(&serial), "{workers} workers");
+            assert!(par == serial, "{workers} workers");
         }
     }
 

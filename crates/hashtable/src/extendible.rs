@@ -10,7 +10,7 @@
 //!                                   chain was last rebuilt at
 //!                       bits 5..16  tags: one bit per chained key, picked
 //!                                   by a multiplicative mix of the key
-//! arena: Vec<Entry<V>>  contiguous; u32 next-links
+//! arena: Vec<Entry<V>>  contiguous, append-only; u32 next-links
 //! ```
 //!
 //! A key hashes to bucket `key & (2^g - 1)`. When the average chain length
@@ -24,6 +24,18 @@
 //! needs to get resized and entries can be assigned to the new buckets
 //! lazily."
 //!
+//! # Canonical chains
+//!
+//! Every chain lists its entries in descending arena position: an insert
+//! links the newest entry at the head, and a split reverses the detached
+//! family chain before re-linking it head-first, so each member's chain
+//! keeps that order. When a split happens is therefore invisible: probe
+//! order, iteration order and every statistic are a function of the arena's
+//! `(key, value)` sequence and the directory depth alone. That is what
+//! [`PartialEq`] compares, what a snapshot stores, and what
+//! [`from_entries`](ExtendibleHashTable::from_entries) rebuilds a table
+//! from. The arena is append-only: no operation removes an entry.
+//!
 //! # Lookup
 //!
 //! Every lookup — `probe`, `probe_readonly`, `get_mut`, `upsert_where` and
@@ -35,9 +47,8 @@
 //! the same word says at which depth, so of which family root — and walks
 //! the chain comparing full keys; a stale bucket mirrors its root's tags,
 //! the union over the un-split chain. The tags are derived state: `insert`,
-//! `freshen`, `retain` and the partitioned fill keep them exact,
-//! `from_layout` rebuilds them, and neither [`HtLayout`] nor `layout_eq`
-//! sees them.
+//! `freshen`, the partitioned fill and `from_entries` keep them exact, and
+//! equality does not see them.
 
 const NIL: u32 = u32::MAX;
 
@@ -114,12 +125,15 @@ pub struct HtStats {
 /// * Join build sides insert duplicates ([`insert`](Self::insert)) and scan
 ///   matches with [`probe`](Self::probe).
 /// * Aggregations keep one entry per key via [`upsert`](Self::upsert).
-/// * Fine-grained GC prunes entries in place with
-///   [`retain`](Self::retain).
 ///
 /// The `u64` key is a *hash key*: callers that need exact key semantics embed
 /// the full key in `V` and verify on probe (the engine's operators do this
 /// for string keys; integer/date keys are injective into `u64`).
+///
+/// Two tables are equal when their arenas hold the same `(key, value)`
+/// sequence and they agree on depth, resize count and tuple width — which
+/// buckets have been split since the last doubling is not compared, since
+/// no probe or statistic can tell.
 #[derive(Debug, Clone)]
 pub struct ExtendibleHashTable<V> {
     heads: Vec<u32>,
@@ -255,6 +269,14 @@ impl<V> ExtendibleHashTable<V> {
         None
     }
 
+    /// Bring `key`'s bucket up to the current global depth — the lazy split
+    /// every `&mut self` lookup performs first.
+    #[inline]
+    fn touch(&mut self, key: u64) {
+        let b = self.bucket_of(key);
+        self.freshen(b);
+    }
+
     /// Bring bucket `i`'s chain up to the current global depth by splitting
     /// its family root. Amortized O(1) per entry per doubling.
     fn freshen(&mut self, i: usize) {
@@ -263,8 +285,17 @@ impl<V> ExtendibleHashTable<V> {
             return;
         }
         let root = i & Self::mask(d) as usize;
-        // Detach the family chain from the root.
+        // Detach the family chain from the root and reverse it in place, so
+        // the head-first re-linking below leaves every member's chain in
+        // descending arena position, as the family chain was.
         let mut node = std::mem::replace(&mut self.heads[root], NIL);
+        let mut ascending = NIL;
+        while node != NIL {
+            let next = std::mem::replace(&mut self.arena[node as usize].next, ascending);
+            ascending = node;
+            node = next;
+        }
+        let mut node = ascending;
         // Mark the whole family fresh, with no tags yet (stale members only
         // mirrored the root's). Family members are root + k*2^d.
         let family = 1usize << (self.global_depth - d);
@@ -437,23 +468,6 @@ impl<V> ExtendibleHashTable<V> {
         self.arena[range].iter().map(|e| (e.key, &e.value))
     }
 
-    /// Keep only entries whose `(key, value)` satisfies the predicate.
-    ///
-    /// Rebuilds the arena, all chains and their tags; used by the
-    /// fine-grained GC mode and by tests. O(n).
-    pub fn retain(&mut self, mut pred: impl FnMut(u64, &V) -> bool) {
-        let old = std::mem::take(&mut self.arena);
-        self.heads.fill(NIL);
-        self.meta.fill(Meta(self.global_depth.into()));
-        self.distinct_keys = 0;
-        for e in old {
-            if pred(e.key, &e.value) {
-                // No growth check: the directory is already large enough.
-                self.link(e.key, e.value);
-            }
-        }
-    }
-
     /// Pre-size the directory so `additional` more entries fit without a
     /// doubling. This is the explicit `c_resize` step of the reuse-aware
     /// operators: pay the directory growth once, up front.
@@ -470,39 +484,17 @@ impl<V> ExtendibleHashTable<V> {
         self.arena.shrink_to_fit();
     }
 
-    /// The structural half of a lookup: bring `key`'s bucket up to the
-    /// current global depth, without reading or writing any entry.
-    ///
-    /// [`upsert`](Self::upsert)-style operations freshen the key's bucket on
-    /// *every* row, hit or miss — so a stale bucket's lazy split (and the
-    /// chain redistribution it performs) happens at a deterministic point in
-    /// the input sequence. The partitioned parallel build replays exactly
-    /// that freshen history: `touch` for every input row, plus
-    /// [`insert`](Self::insert) for the rows that created a group. Skipping
-    /// the touches would leave different lazy-split state (and therefore
-    /// different chain order after later splits) than the serial build.
-    #[inline]
-    pub fn touch(&mut self, key: u64) {
-        let b = self.bucket_of(key);
-        self.freshen(b);
-    }
-
     /// Install the chains computed by a partitioned build
     /// ([`partition_chains`](crate::partitioned::partition_chains)) and the
     /// corresponding key/value columns into this **empty** table, producing
-    /// the same table a serial `reserve(n)` + row-order
-    /// [`insert`](Self::insert) loop would have produced.
+    /// the table a serial `reserve(n)` + row-order [`insert`](Self::insert)
+    /// loop would have produced.
     ///
     /// Requirements (checked): the table is empty and already sized so that
-    /// no directory growth happens during `pairs.len()` inserts (call
+    /// no directory growth happens during `keys.len()` inserts (call
     /// [`reserve`](Self::reserve) first), the partitions tile the directory
-    /// contiguously, and every row is owned by exactly one partition.
-    ///
-    /// The serial build freshens the bucket of every inserted row; on an
-    /// empty table a freshen moves no entries, it only performs the
-    /// lazy-split depth bookkeeping. Replaying it per populated bucket (the
-    /// set of buckets a serial build would have freshened) reproduces that
-    /// bookkeeping exactly, order-independently.
+    /// contiguously, and every row is owned by exactly one partition. The
+    /// empty directory is marked fresh as a whole before the chains go in.
     pub fn fill_from_partitions(
         &mut self,
         keys: &[u64],
@@ -521,33 +513,33 @@ impl<V> ExtendibleHashTable<V> {
             keys.len()
         );
         let mut next_tile = 0usize;
-        let owned: usize = parts.iter().map(|p| p.len()).sum();
+        let owned: usize = parts.iter().map(|p| p.rows.len()).sum();
         assert_eq!(
             owned,
             keys.len(),
             "every row owned by exactly one partition"
         );
-        // Per-row next links in arena terms (arena index == row index).
-        let mut next_global = vec![NIL; keys.len()];
+        self.meta.fill(Meta(self.global_depth.into()));
+        self.arena
+            .extend(keys.iter().zip(values).map(|(&key, value)| Entry {
+                key,
+                next: NIL,
+                value,
+            }));
         for part in &parts {
             assert_eq!(part.buckets.start, next_tile, "partitions must tile");
             next_tile = part.buckets.end;
-            for (pos, &row) in part.rows.iter().enumerate() {
-                let link = part.links[pos];
-                next_global[row as usize] = if link == PART_NIL {
-                    NIL
-                } else {
-                    part.rows[link as usize]
-                };
+            // Links in arena terms (arena index == row index).
+            for (&row, &link) in part.rows.iter().zip(&part.links) {
+                if link != PART_NIL {
+                    self.arena[row as usize].next = part.rows[link as usize];
+                }
             }
             for (off, (&head, &tags)) in part.heads.iter().zip(&part.tags).enumerate() {
                 if head == PART_NIL {
                     continue;
                 }
                 let bucket = part.buckets.start + off;
-                // Replay the serial build's insert-time freshen (empty-table
-                // bookkeeping only), then install the chain and its tags.
-                self.freshen(bucket);
                 self.heads[bucket] = part.rows[head as usize];
                 self.meta[bucket].0 |= tags;
             }
@@ -558,166 +550,54 @@ impl<V> ExtendibleHashTable<V> {
             self.heads.len(),
             "partitions must cover the directory"
         );
-        for (i, (&key, value)) in keys.iter().zip(values).enumerate() {
-            self.arena.push(Entry {
-                key,
-                next: next_global[i],
-                value,
-            });
-        }
     }
 
-    /// Borrowed byte-exact structural view for persistence.
+    /// Rebuild a table from its image: the tuple width, the directory depth,
+    /// the resize count and the arena's `(key, value)` sequence (what
+    /// [`iter`](Self::iter) yields). Every bucket starts fresh and the
+    /// entries are linked in arena order, so the result is `==` to the
+    /// table the image was taken from and answers every probe in its order.
     ///
-    /// Together with [`from_layout`](Self::from_layout) this round-trips a
-    /// table *including* its physical layout: a serialized-then-restored
-    /// table is [`layout_eq`](Self::layout_eq) to the original, so probes
-    /// answer in the same order and the footprint statistics match.
-    pub fn layout(&self) -> HtLayout<'_> {
-        HtLayout {
-            tuple_width: self.tuple_width,
-            global_depth: self.global_depth,
-            resizes: self.resizes,
-            distinct_keys: self.distinct_keys,
-            directory: &self.heads,
-            meta: &self.meta,
-        }
-    }
-
-    /// Arena entries in physical order as `(key, next_link, value)`. The
-    /// next-link is the arena index of the next chain node (or `u32::MAX`
-    /// for end-of-chain) — opaque to callers, but required to restore the
-    /// exact chain structure via [`from_layout`](Self::from_layout).
-    pub fn arena_entries(&self) -> impl Iterator<Item = (u64, u32, &V)> {
-        self.arena.iter().map(|e| (e.key, e.next, &e.value))
-    }
-
-    /// Rebuild a table from a previously exported layout, tag filter
-    /// included (it is recomputed from the chains, never stored).
+    /// # Panics
     ///
-    /// Returns `None` if the parts are structurally inconsistent: directory
-    /// and depth length must equal `2^global_depth`; local depths must not
-    /// exceed the global depth and must agree across each lazy-split family,
-    /// whose chain hangs off the family root alone; every chain link must
-    /// stay inside the arena; and the chains must reach every arena entry
-    /// exactly once (no cycle, no shared tail, no orphan). A corrupt or torn
-    /// persisted image must never produce a table that panics or spins on
-    /// probe.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_layout(
+    /// If `global_depth` does not fit a directory (`>= 32`). A decoder of
+    /// untrusted images also bounds it by the entry count first: no engine
+    /// path grows a directory past `max(2, entries)` slots.
+    pub fn from_entries(
         tuple_width: usize,
         global_depth: u8,
         resizes: usize,
-        distinct_keys: usize,
-        directory: Vec<u32>,
-        depth: Vec<u8>,
-        arena: Vec<(u64, u32, V)>,
-    ) -> Option<Self> {
-        if global_depth as u32 >= u32::BITS {
-            return None;
-        }
+        entries: Vec<(u64, V)>,
+    ) -> Self {
+        assert!(u32::from(global_depth) < u32::BITS, "directory overflow");
         let buckets = 1usize << global_depth;
-        if directory.len() != buckets || depth.len() != buckets {
-            return None;
-        }
-        if !depth.iter().all(|&d| d <= global_depth) || distinct_keys > arena.len() {
-            return None;
-        }
-        let arena: Vec<Entry<V>> = arena
-            .into_iter()
-            .map(|(key, next, value)| Entry { key, next, value })
-            .collect();
-        // Walk every chain once: rebuilds the tags and proves termination.
-        let mut meta: Vec<Meta> = Vec::with_capacity(buckets);
-        let mut reached = vec![false; arena.len()];
-        let mut family_slots = 0usize;
-        for (i, (&head, &d)) in directory.iter().zip(&depth).enumerate() {
-            let root = i & Self::mask(d) as usize;
-            if root != i {
-                // A stale member: chained at its root (already rebuilt,
-                // root < i), whose depth it shares and whose tags it mirrors.
-                if head != NIL || meta[root].depth() != d {
-                    return None;
-                }
-                meta.push(meta[root]);
-                continue;
-            }
-            family_slots += 1usize << (global_depth - d);
-            let mut tags = 0;
-            let mut node = head;
-            while node != NIL {
-                let e = arena.get(node as usize)?;
-                if std::mem::replace(&mut reached[node as usize], true) {
-                    return None;
-                }
-                tags |= tag_bit(e.key);
-                node = e.next;
-            }
-            meta.push(Meta(tags | u16::from(d)));
-        }
-        // Families that exactly tile the directory are disjoint: every slot
-        // agreed with its root above.
-        if reached.contains(&false) || family_slots != buckets {
-            return None;
-        }
-        Some(ExtendibleHashTable {
-            heads: directory,
-            meta,
-            arena,
+        let mut ht = ExtendibleHashTable {
+            heads: vec![NIL; buckets],
+            meta: vec![Meta(global_depth.into()); buckets],
+            arena: Vec::with_capacity(entries.len()),
             global_depth,
-            distinct_keys,
+            distinct_keys: 0,
             tuple_width,
             resizes,
-        })
+        };
+        for (key, value) in entries {
+            ht.link(key, value);
+        }
+        ht
     }
+}
 
-    /// Structural equality down to the physical layout: directory heads,
-    /// per-bucket lazy-split depths, arena order, chain links, and all
-    /// statistics. Two tables that are `layout_eq` answer every probe in the
-    /// same order, report the same footprint, and serialize identically —
-    /// the equivalence the parallel-build determinism tests pin.
-    pub fn layout_eq(&self, other: &Self) -> bool
-    where
-        V: PartialEq,
-    {
+impl<V: PartialEq> PartialEq for ExtendibleHashTable<V> {
+    fn eq(&self, other: &Self) -> bool {
         self.global_depth == other.global_depth
-            && self.distinct_keys == other.distinct_keys
-            && self.tuple_width == other.tuple_width
             && self.resizes == other.resizes
-            && self.heads == other.heads
-            && self.layout().depths().eq(other.layout().depths())
+            && self.tuple_width == other.tuple_width
             && self.arena.len() == other.arena.len()
             && self
                 .arena
                 .iter()
                 .zip(&other.arena)
-                .all(|(a, b)| a.key == b.key && a.next == b.next && a.value == b.value)
-    }
-}
-
-/// Borrowed structural view of an [`ExtendibleHashTable`] for persistence
-/// (see [`ExtendibleHashTable::layout`]). Arena entries are exported
-/// separately via [`ExtendibleHashTable::arena_entries`] so callers can
-/// stream values through their own codec.
-#[derive(Debug, Clone, Copy)]
-pub struct HtLayout<'a> {
-    /// Logical tuple width in bytes.
-    pub tuple_width: usize,
-    /// Directory depth (`2^global_depth` slots).
-    pub global_depth: u8,
-    /// Directory doublings performed so far.
-    pub resizes: usize,
-    /// Distinct keys currently stored.
-    pub distinct_keys: usize,
-    /// Directory: bucket heads as arena indices (`u32::MAX` = empty).
-    pub directory: &'a [u32],
-    meta: &'a [Meta],
-}
-
-impl<'a> HtLayout<'a> {
-    /// Per-bucket lazy-split local depths, one per directory slot.
-    pub fn depths(&self) -> impl ExactSizeIterator<Item = u8> + 'a {
-        self.meta.iter().map(|m| m.depth())
+                .all(|(a, b)| a.key == b.key && a.value == b.value)
     }
 }
 
@@ -873,19 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_filters_and_rebuilds() {
-        let mut ht = ExtendibleHashTable::new(8);
-        for i in 0..100u64 {
-            ht.insert(i, i);
-        }
-        ht.retain(|k, _| k % 2 == 0);
-        assert_eq!(ht.len(), 50);
-        assert_eq!(ht.distinct_keys(), 50);
-        assert!(ht.probe(1).next().is_none());
-        assert_eq!(ht.probe(2).copied().collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
     fn with_capacity_avoids_resizes() {
         let mut ht = ExtendibleHashTable::with_capacity(8, 10_000);
         for i in 0..10_000u64 {
@@ -947,19 +814,11 @@ mod tests {
         assert_eq!(s.bytes, ht.logical_bytes());
     }
 
-    /// `layout()` → `from_layout`.
-    fn relayout<V: Copy>(ht: &ExtendibleHashTable<V>) -> ExtendibleHashTable<V> {
-        let l = ht.layout();
-        ExtendibleHashTable::from_layout(
-            l.tuple_width,
-            l.global_depth,
-            l.resizes,
-            l.distinct_keys,
-            l.directory.to_vec(),
-            l.depths().collect(),
-            ht.arena_entries().map(|(k, n, v)| (k, n, *v)).collect(),
-        )
-        .expect("exported layout is consistent")
+    /// The table rebuilt from its image.
+    fn rebuilt<V: Clone>(ht: &ExtendibleHashTable<V>) -> ExtendibleHashTable<V> {
+        let s = ht.stats();
+        let entries = ht.iter().map(|(k, v)| (k, v.clone())).collect();
+        ExtendibleHashTable::from_entries(s.tuple_width, ht.global_depth, s.resizes, entries)
     }
 
     #[test]
@@ -968,74 +827,38 @@ mod tests {
         for i in 0..100u64 {
             ht.insert(i % 37, i as u32);
         }
-        let rebuilt = relayout(&ht);
-        assert!(ht.layout_eq(&rebuilt));
-        assert_eq!(
-            rebuilt.probe_readonly(5).copied().collect::<Vec<_>>(),
-            ht.probe_readonly(5).copied().collect::<Vec<_>>()
-        );
+        // Stale buckets in the original, none in the copy.
+        ht.reserve(1000);
+        ht.insert(5, 1000);
+        let copy = rebuilt(&ht);
+        assert!(ht == copy);
+        assert_eq!(copy.stats(), ht.stats());
+        for k in 0..40 {
+            assert_eq!(
+                copy.probe_readonly(k).collect::<Vec<_>>(),
+                ht.probe_readonly(k).collect::<Vec<_>>()
+            );
+        }
+        let mut other = copy.clone();
+        other.insert(5, 1001);
+        assert!(other != copy);
     }
 
+    /// A split keeps each chain in descending arena position, so probe
+    /// order does not depend on when the split happened.
     #[test]
-    fn from_layout_rejects_corrupt_parts() {
-        // Directory length must be 2^global_depth.
-        assert!(ExtendibleHashTable::<u32>::from_layout(
-            8,
-            2,
-            0,
-            0,
-            vec![NIL; 3],
-            vec![2; 3],
-            Vec::new()
-        )
-        .is_none());
-        // Chain links must stay inside the arena.
-        assert!(ExtendibleHashTable::<u32>::from_layout(
-            8,
-            1,
-            0,
-            1,
-            vec![7, NIL],
-            vec![1, 1],
-            vec![(0, NIL, 1u32)]
-        )
-        .is_none());
-        // Local depths must not exceed the global depth.
-        assert!(ExtendibleHashTable::<u32>::from_layout(
-            8,
-            1,
-            0,
-            0,
-            vec![NIL, NIL],
-            vec![1, 2],
-            Vec::new()
-        )
-        .is_none());
-    }
-
-    /// Links that are in range but do not form terminating, disjoint chains
-    /// covering the arena would make `probe` spin (or lose entries).
-    #[test]
-    fn from_layout_rejects_chains_that_do_not_tile_the_arena() {
-        let build = |directory: Vec<u32>, depth: Vec<u8>, links: [u32; 3]| {
-            let arena = vec![(0u64, links[0], 0u32), (2, links[1], 1), (4, links[2], 2)];
-            ExtendibleHashTable::from_layout(8, 1, 0, 3, directory, depth, arena)
-        };
-        let mut ok = build(vec![2, NIL], vec![1, 1], [NIL, 0, 1]).expect("one sound chain");
-        assert_eq!(ok.probe(2).copied().collect::<Vec<_>>(), vec![1]);
-        assert!(ok.probe(6).next().is_none());
-        // An entry linked to itself.
-        assert!(build(vec![2, NIL], vec![1, 1], [0, 0, 1]).is_none());
-        // A longer cycle.
-        assert!(build(vec![2, NIL], vec![1, 1], [2, 0, 1]).is_none());
-        // Two heads sharing a tail.
-        assert!(build(vec![2, 1], vec![1, 1], [NIL, 0, 0]).is_none());
-        // An entry no chain reaches.
-        assert!(build(vec![1, NIL], vec![1, 1], [NIL, 0, NIL]).is_none());
-        // A chain hanging off a stale non-root slot: probes would never see it.
-        assert!(build(vec![1, 2], vec![0, 0], [NIL, 0, NIL]).is_none());
-        // A slot that disowns the lazy-split family its root claims.
-        assert!(build(vec![2, NIL], vec![0, 1], [NIL, 0, 1]).is_none());
+    fn splits_keep_chains_in_descending_arena_order() {
+        let mut ht = ExtendibleHashTable::new(8);
+        for v in 0..4u32 {
+            ht.insert(0, v);
+            ht.insert(4, v);
+        }
+        ht.reserve(64);
+        let unsplit: Vec<usize> = ht.probe_positions(0).collect();
+        assert_eq!(unsplit, [6, 4, 2, 0]);
+        assert_eq!(ht.probe(0).copied().collect::<Vec<_>>(), [3, 2, 1, 0]);
+        assert_eq!(ht.probe_positions(0).collect::<Vec<_>>(), unsplit);
+        assert_eq!(ht.probe_positions(4).collect::<Vec<_>>(), [7, 5, 3, 1]);
     }
 
     /// The tags are exact — a pure function of the chains — however the
@@ -1064,10 +887,7 @@ mod tests {
             }
         }
         assert_exact(&ht, "incremental inserts");
-        let rebuilt = relayout(&ht);
-        assert_exact(&rebuilt, "from_layout");
-        ht.retain(|k, _| k % 3 != 0);
-        assert_exact(&ht, "retain");
+        assert_exact(&rebuilt(&ht), "from_entries");
 
         let mut filled = ExtendibleHashTable::new(8);
         filled.reserve(keys.len());

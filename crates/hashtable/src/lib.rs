@@ -8,12 +8,14 @@
 //! * [`ExtendibleHashTable`] — extendible hashing with linked-list collision
 //!   chains (paper §3.2.1). Resizing doubles only the bucket directory;
 //!   chains are redistributed *lazily* the next time a stale bucket is
-//!   touched, so a resize never rehashes the whole table at once.
+//!   touched, so a resize never rehashes the whole table at once. Every
+//!   chain lists its entries newest first, whenever the splits happened, so
+//!   a table is a function of its arena's `(key, value)` sequence and its
+//!   directory depth.
 //! * [`partitioned`] — bucket-partitioned build primitives: per-partition
-//!   chain computation plus a serial stitch that reproduces the serial
-//!   build's layout byte for byte, so executors can parallelize the build
-//!   phase without changing collision-chain (and therefore probe output)
-//!   order.
+//!   chain computation plus a serial stitch that yields the table the
+//!   serial build yields, so executors can parallelize the build phase
+//!   without changing collision-chain (and therefore probe output) order.
 //! * [`prefilter`] — [`KeyBitmap`], an exact candidate filter over the
 //!   keys of a table probed on integer keys, for probes where the tag
 //!   filter admits too many misses.
@@ -32,6 +34,6 @@ pub mod partitioned;
 pub mod prefilter;
 
 pub use calibration::{CalibrationPoint, Calibrator, CostGrid};
-pub use extendible::{ExtendibleHashTable, HtLayout, HtStats, Positions};
+pub use extendible::{ExtendibleHashTable, HtStats, Positions};
 pub use partitioned::{bucket_ranges, partition_chains, ChainPartition};
 pub use prefilter::KeyBitmap;

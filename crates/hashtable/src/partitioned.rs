@@ -16,10 +16,11 @@
 //!    ([`ExtendibleHashTable::fill_from_partitions`](crate::ExtendibleHashTable::fill_from_partitions)).
 //!
 //! Because every bucket is owned by exactly one partition and each partition
-//! observes rows in row order, the assembled chains are *identical* to the
-//! serial build's — same arena order, same next-links, same directory heads
-//! and tag filters, same lazy-split bookkeeping — for any partition count. The test battery
-//! (`tests/build_equivalence.rs`) pins this byte for byte.
+//! observes rows in row order, every assembled chain lists its rows newest
+//! first, as the serial build's does: the table is `==` to the serial
+//! build's — same arena, same directory, same chains and statistics — for
+//! any partition count. The test battery (`tests/build_equivalence.rs`)
+//! pins this.
 
 use std::ops::Range;
 
@@ -50,18 +51,6 @@ pub struct ChainPartition {
     /// Keys in this partition that were new on first insertion (the
     /// serial build's distinct-key bookkeeping, computed bucket-locally).
     pub(crate) distinct: usize,
-}
-
-impl ChainPartition {
-    /// Number of rows owned by this partition.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the partition owns no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 /// Compute the collision chains a serial build of `keys` would create inside
@@ -163,7 +152,7 @@ mod tests {
         let mut distinct = 0;
         for r in bucket_ranges(dir_len, 4) {
             let p = partition_chains(&keys, dir_len, r);
-            total += p.len();
+            total += p.rows.len();
             distinct += p.distinct;
         }
         assert_eq!(total, keys.len());

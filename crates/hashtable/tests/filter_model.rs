@@ -1,26 +1,24 @@
-//! Model-based property test of the directory-slot tag filter.
+//! Model-based property test of the directory-slot tag filter and of the
+//! canonical chain order.
 //!
-//! Random operation sequences run against a `BTreeMap<u64, Vec<u64>>` model.
-//! After every step, for every key of a small domain — present and absent,
-//! on fresh buckets and on buckets a directory doubling just left stale —
-//! `probe_readonly` and `probe` must return exactly what a *tag-less* walk
-//! of the key's chain returns, in the same order, and that must be the
-//! model's values. The reference walk reads only the exported layout
-//! (`layout()` + `arena_entries()`), which does not contain the tags: a
-//! filter false negative shows up as a missing value, a stale or leaked tag
-//! as nothing at all (false positives only cost a chain walk).
+//! Random operation sequences run against a model of the arena: the
+//! `(key, value)` sequence in insertion order, updated in place by an
+//! upsert. After every step, for every key of a small domain — present and
+//! absent, on fresh buckets and on buckets a directory doubling just left
+//! stale — the key's `probe_positions` must be exactly the model positions
+//! holding it, newest first (so strictly descending), and `probe_readonly`
+//! and `probe` must yield the values at those positions. The model holds no
+//! tags and no chains: a filter false negative shows up as a missing value,
+//! a split that reorders a chain as a wrong order.
 //!
 //! Case count: `PROPTEST_CASES` (CI raises it in a release run).
-
-use std::collections::BTreeMap;
 
 use hashstash_hashtable::{bucket_ranges, partition_chains, ExtendibleHashTable};
 use proptest::prelude::*;
 
 type Table = ExtendibleHashTable<u64>;
-type Model = BTreeMap<u64, Vec<u64>>;
-
-const NIL: u32 = u32::MAX;
+/// The arena as it should be: `(key, value)` per entry, in arena order.
+type Model = Vec<(u64, u64)>;
 
 /// Three key shapes over 32 values each: small integers (the bucket index
 /// *is* the key), keys that agree on their low six bits (one bucket of a
@@ -44,13 +42,12 @@ enum Op {
     Insert(u64),
     /// Update the `n`-th value under the key if there is one, else insert.
     UpsertWhere(u64, usize),
-    Touch(u64),
+    /// A freshening probe: splits the key's bucket if it is stale.
+    Probe(u64),
     Reserve(usize),
-    /// Drop the values with `v % m == r`.
-    Retain(u64, u64),
     Clone,
-    /// `layout()` → `from_layout`.
-    Relayout,
+    /// Rebuild from the table's image (`from_entries`).
+    Rebuild,
     /// Rebuild from the entries in arena order with this many partitions.
     PartitionedRebuild(usize),
 }
@@ -62,114 +59,72 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         key().prop_map(Op::Insert),
         key().prop_map(Op::Insert),
         (key(), 0usize..4).prop_map(|(k, n)| Op::UpsertWhere(k, n)),
-        key().prop_map(Op::Touch),
+        key().prop_map(Op::Probe),
         (0usize..160).prop_map(Op::Reserve),
-        (2u64..5, 0u64..2).prop_map(|(m, r)| Op::Retain(m, r)),
         Just(Op::Clone),
-        Just(Op::Relayout),
+        Just(Op::Rebuild),
         (1usize..5).prop_map(Op::PartitionedRebuild),
     ]
 }
 
-/// The table's chains as exported for persistence — no tags in sight.
-struct ChainView {
-    global_depth: u8,
-    heads: Vec<u32>,
-    depths: Vec<u8>,
-    arena: Vec<(u64, u32, u64)>,
-}
-
-impl ChainView {
-    fn of(ht: &Table) -> Self {
-        let l = ht.layout();
-        ChainView {
-            global_depth: l.global_depth,
-            heads: l.directory.to_vec(),
-            depths: l.depths().collect(),
-            arena: ht.arena_entries().map(|(k, n, v)| (k, n, *v)).collect(),
-        }
-    }
-
-    /// The values under `key`, in chain order from the bucket's family root.
-    fn walk(&self, key: u64) -> Vec<u64> {
-        let bucket = (key & ((1 << self.global_depth) - 1)) as usize;
-        let root = bucket & ((1 << self.depths[bucket]) - 1);
-        let mut out = Vec::new();
-        let mut node = self.heads[root];
-        while node != NIL {
-            let (k, next, v) = self.arena[node as usize];
-            if k == key {
-                out.push(v);
-            }
-            node = next;
-        }
-        out
-    }
-
-    fn stale_buckets(&self) -> usize {
-        let g = self.global_depth;
-        self.depths.iter().filter(|&&d| d < g).count()
-    }
-}
-
-fn sorted(mut v: Vec<u64>) -> Vec<u64> {
-    v.sort_unstable();
-    v
+/// The model positions holding `key`, newest first.
+fn positions(model: &Model, key: u64) -> Vec<usize> {
+    (0..model.len())
+        .rev()
+        .filter(|&at| model[at].0 == key)
+        .collect()
 }
 
 fn check(ht: &Table, model: &Model, step: &str) {
     let keys = domain();
-    let expect = |key: u64| sorted(model.get(&key).cloned().unwrap_or_default());
-    let view = ChainView::of(ht);
     for &key in &keys {
-        let got: Vec<u64> = ht.probe_readonly(key).copied().collect();
-        assert_eq!(got, view.walk(key), "{step}: probe_readonly({key:#x})");
-        assert_eq!(sorted(got), expect(key), "{step}: model under {key:#x}");
+        let want = positions(model, key);
+        let got: Vec<usize> = ht.probe_positions(key).collect();
+        assert!(
+            got.windows(2).all(|w| w[0] > w[1]),
+            "{step}: chain of {key:#x} not descending: {got:?}"
+        );
+        assert_eq!(got, want, "{step}: probe_positions({key:#x})");
+        let values: Vec<u64> = want.iter().map(|&at| model[at].1).collect();
+        let read: Vec<u64> = ht.probe_readonly(key).copied().collect();
+        assert_eq!(read, values, "{step}: probe_readonly({key:#x})");
     }
     // The batch prologue admits (at least) every present key, in order.
     let mut admitted = Vec::new();
     ht.filter_keys(&keys, &mut admitted);
     assert!(admitted.windows(2).all(|w| w[0] < w[1]), "{step}: order");
     for (pos, key) in keys.iter().enumerate() {
-        if model.contains_key(key) {
+        if model.iter().any(|&(k, _)| k == *key) {
             assert!(
                 admitted.contains(&(pos as u32)),
                 "{step}: {key:#x} filtered out"
             );
         }
     }
-    // `probe` freshens first; a fresh bucket's chain no longer changes, so
-    // one view taken after all the probes is the reference for each.
+    // `probe` freshens first; it must answer as the read-only walk did.
     let mut fresh = ht.clone();
-    let probed: Vec<Vec<u64>> = keys
-        .iter()
-        .map(|&key| fresh.probe(key).copied().collect())
-        .collect();
-    let view = ChainView::of(&fresh);
-    for (&key, got) in keys.iter().zip(probed) {
-        assert_eq!(got, view.walk(key), "{step}: probe({key:#x})");
-        assert_eq!(sorted(got), expect(key), "{step}: model under {key:#x}");
+    for &key in &keys {
+        let got: Vec<u64> = fresh.probe(key).copied().collect();
+        let want: Vec<u64> = positions(model, key)
+            .iter()
+            .map(|&at| model[at].1)
+            .collect();
+        assert_eq!(got, want, "{step}: probe({key:#x})");
     }
-    assert_eq!(
-        ht.len(),
-        model.values().map(Vec::len).sum::<usize>(),
-        "{step}"
-    );
-    assert_eq!(ht.distinct_keys(), model.len(), "{step}");
+    assert!(fresh == *ht, "{step}: freshening is invisible to ==");
+    let arena: Model = ht.iter().map(|(k, v)| (k, *v)).collect();
+    assert_eq!(&arena, model, "{step}: arena order");
+    let mut distinct: Vec<u64> = model.iter().map(|&(k, _)| k).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(ht.distinct_keys(), distinct.len(), "{step}");
 }
 
-fn relayout(ht: &Table) -> Table {
-    let l = ht.layout();
-    Table::from_layout(
-        l.tuple_width,
-        l.global_depth,
-        l.resizes,
-        l.distinct_keys,
-        l.directory.to_vec(),
-        l.depths().collect(),
-        ht.arena_entries().map(|(k, n, v)| (k, n, *v)).collect(),
-    )
-    .expect("an exported layout is consistent")
+fn rebuild(ht: &Table) -> Table {
+    let s = ht.stats();
+    let depth = ht.bucket_count().trailing_zeros() as u8;
+    let entries = ht.iter().map(|(k, v)| (k, *v)).collect();
+    Table::from_entries(s.tuple_width, depth, s.resizes, entries)
 }
 
 fn partitioned_rebuild(ht: &Table, parts: usize) -> Table {
@@ -187,10 +142,7 @@ fn partitioned_rebuild(ht: &Table, parts: usize) -> Table {
         .map(|range| partition_chains(&keys, dir_len, range))
         .collect();
     built.fill_from_partitions(&keys, values, chains);
-    assert!(
-        built.layout_eq(&serial),
-        "partitioned build == serial build"
-    );
+    assert!(built == serial, "partitioned build == serial build");
     built
 }
 
@@ -204,17 +156,17 @@ proptest! {
             next_value += 1;
             next_value
         };
-        let mut stale_checks = 0usize;
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 Op::Insert(k) => {
                     let v = fresh_value();
                     let new_key = ht.insert(k, v);
-                    prop_assert_eq!(new_key, !model.contains_key(&k));
-                    model.entry(k).or_default().push(v);
+                    prop_assert_eq!(new_key, !model.iter().any(|&(mk, _)| mk == k));
+                    model.push((k, v));
                 }
                 Op::UpsertWhere(k, n) => {
-                    let target = model.get(&k).and_then(|vs| vs.get(n)).copied();
+                    // The n-th value under `k` in arena order, if any.
+                    let target = model.iter().filter(|&&(mk, _)| mk == k).nth(n).map(|&(_, v)| v);
                     let (inserted, bumped) = (fresh_value(), fresh_value());
                     let created = ht.upsert_where(
                         k,
@@ -223,36 +175,27 @@ proptest! {
                         |v| *v = bumped,
                     );
                     prop_assert_eq!(created, target.is_none());
-                    let vs = model.entry(k).or_default();
-                    match vs.iter_mut().find(|v| Some(**v) == target) {
-                        Some(v) => *v = bumped,
-                        None => vs.push(inserted),
+                    match model.iter_mut().find(|(mk, v)| *mk == k && Some(*v) == target) {
+                        Some(entry) => entry.1 = bumped,
+                        None => model.push((k, inserted)),
                     }
                 }
-                Op::Touch(k) => ht.touch(k),
-                Op::Reserve(n) => ht.reserve(n),
-                Op::Retain(m, r) => {
-                    ht.retain(|_, v| v % m != r);
-                    model.retain(|_, vs| {
-                        vs.retain(|v| v % m != r);
-                        !vs.is_empty()
-                    });
+                Op::Probe(k) => {
+                    let got: Vec<u64> = ht.probe(k).copied().collect();
+                    let want: Vec<u64> =
+                        positions(&model, k).iter().map(|&at| model[at].1).collect();
+                    prop_assert_eq!(got, want);
                 }
+                Op::Reserve(n) => ht.reserve(n),
                 Op::Clone => ht = ht.clone(),
-                Op::Relayout => {
-                    let rebuilt = relayout(&ht);
-                    prop_assert!(rebuilt.layout_eq(&ht));
+                Op::Rebuild => {
+                    let rebuilt = rebuild(&ht);
+                    prop_assert!(rebuilt == ht);
                     ht = rebuilt;
                 }
                 Op::PartitionedRebuild(parts) => ht = partitioned_rebuild(&ht, parts),
             }
-            stale_checks += usize::from(ChainView::of(&ht).stale_buckets() > 0 && !ht.is_empty());
             check(&ht, &model, &format!("step {i} {op:?}"));
-        }
-        // Long sequences must have exercised non-empty tables with stale
-        // buckets (a `Reserve` doubling with nothing touched since).
-        if ops.len() >= 100 {
-            prop_assert!(stale_checks > 0, "no stale-bucket state in {} steps", ops.len());
         }
     }
 }

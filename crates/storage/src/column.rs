@@ -309,25 +309,6 @@ impl Column {
         true
     }
 
-    /// Keep exactly the rows whose position is `true` in `keep`; rows
-    /// beyond `keep.len()` are dropped. A string column keeps its whole
-    /// dictionary.
-    pub fn retain_mask(&mut self, keep: &[bool]) {
-        fn retain<T>(v: &mut Vec<T>, keep: &[bool]) {
-            let mut i = 0;
-            v.retain(|_| {
-                i += 1;
-                keep.get(i - 1).copied().unwrap_or(false)
-            });
-        }
-        match self {
-            Column::Int(v) => retain(v, keep),
-            Column::Float(v) => retain(v, keep),
-            Column::Date(v) => retain(v, keep),
-            Column::Str { codes, .. } => retain(codes, keep),
-        }
-    }
-
     /// Drop every row from position `len` on (the dictionary stays).
     pub fn truncate(&mut self, len: usize) {
         match self {

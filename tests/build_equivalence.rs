@@ -1,7 +1,7 @@
 //! Build-equivalence battery: a partitioned parallel build must produce a
-//! table **byte-identical** to the serial build — same arena order, same
-//! collision-chain links, same directory heads and lazy-split depths, same
-//! footprint bytes and statistics — at any worker count, for random row
+//! table `==` to the serial build — same arena order, same directory depth
+//! and resize count, same footprint bytes and statistics — with every chain
+//! in descending arena position, at any worker count, for random row
 //! counts, key distributions, and tuple widths. Cached hash tables are the
 //! reuse currency: if any of this drifted, every downstream exact/subsuming/
 //! mutating reuse decision (fingerprint dedup, footprint accounting, probe
@@ -31,8 +31,17 @@ fn on(pool: &WorkerPool, parallelism: usize) -> Scheduler<'_> {
     }
 }
 
+/// Whether every key's chain lists its entries in descending arena
+/// position — the order that makes a table a function of its arena.
+fn descending_chains<V>(ht: &ExtendibleHashTable<V>) -> bool {
+    ht.keys().all(|key| {
+        let at: Vec<usize> = ht.probe_positions(key).collect();
+        at.windows(2).all(|w| w[0] > w[1])
+    })
+}
+
 /// Random key sequences covering the shapes that stress different parts of
-/// the layout machinery: dense distinct keys, heavy duplicates (long
+/// the table machinery: dense distinct keys, heavy duplicates (long
 /// chains), clustered low bits (bucket skew + stale-family splits), hashed
 /// spread, and a single all-equal chain.
 fn key_vecs() -> BoxedStrategy<Vec<u64>> {
@@ -54,9 +63,8 @@ fn values_of(keys: &[u64]) -> Vec<u64> {
     (0..keys.len() as u64).collect()
 }
 
+// Case count: `PROPTEST_CASES` (CI raises it in a release run), else 64.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
     // Join-build path (`exec.rs`): `new` + `reserve` + row-order inserts
     // vs. the partitioned build at 2/4/8 workers.
     #[test]
@@ -71,19 +79,21 @@ proptest! {
             let mut par = ExtendibleHashTable::new(width);
             build_multimap_partitioned(on(&pool, workers), &mut par, keys.clone(), values_of(&keys));
             prop_assert!(
-                par.layout_eq(&serial),
+                par == serial,
                 "join build diverged at {} workers (n={}, width={}, serial stats {:?} vs {:?})",
                 workers, keys.len(), width, serial.stats(), par.stats()
             );
+            prop_assert!(descending_chains(&par), "{} workers", workers);
         }
+        prop_assert!(descending_chains(&serial));
     }
 
     // Aggregate-build path (`exec.rs`): the serial `upsert_where` loop —
     // incremental directory growth, lookup-triggered lazy splits, per-group
     // floating-point folds in row order — vs. the key-partitioned grouped
-    // build plus structural replay (`touch` per row, `insert` per
-    // group-creating row). Group keys deliberately collide on the 64-bit
-    // hash (`key = gid % collide`) so `matches` disambiguation is covered.
+    // build with one `insert` per group in first-row order. Group keys
+    // deliberately collide on the 64-bit hash (`key = gid % collide`) so
+    // `matches` disambiguation is covered.
     #[test]
     fn agg_build_partitioned_is_byte_identical(
         shape in (0usize..3000, 1u64..200, 1u64..16),
@@ -136,22 +146,16 @@ proptest! {
             prop_assert_eq!(gb.inserts, serial_inserts, "{} workers", workers);
             prop_assert_eq!(gb.updates, serial_updates, "{} workers", workers);
             let mut par = ExtendibleHashTable::new(width);
-            let mut merged = gb.groups.into_iter().peekable();
-            for (i, &key) in keys.iter().enumerate() {
-                if merged.peek().is_some_and(|g| g.first_row == i) {
-                    let g = merged.next().expect("peeked");
-                    par.touch(g.key);
-                    par.insert(g.key, g.payload);
-                } else {
-                    par.touch(key);
-                }
+            for g in gb.groups {
+                par.insert(g.key, g.payload);
             }
-            prop_assert!(merged.peek().is_none(), "all groups replayed");
             prop_assert!(
-                par.layout_eq(&serial),
+                par == serial,
                 "agg build diverged at {} workers (n={}, groups={}, collide={}, width={})",
                 workers, n, groups, collide, width
             );
+            prop_assert!(descending_chains(&par), "{} workers", workers);
         }
+        prop_assert!(descending_chains(&serial));
     }
 }

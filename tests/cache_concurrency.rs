@@ -15,7 +15,7 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use hashstash_cache::{ColumnHt, EvictionPolicy, GcConfig, HtManager, StoredHt};
+use hashstash_cache::{ColumnHt, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{execute, ExecContext};
 use hashstash_hashtable::ExtendibleHashTable;
@@ -236,7 +236,6 @@ fn shard_contention_stress_no_lost_bytes() {
     let htm = Arc::new(HtManager::with_shards(
         GcConfig {
             budget_bytes: Some(budget),
-            policy: EvictionPolicy::Lru,
             ..GcConfig::default()
         },
         8,

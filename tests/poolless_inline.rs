@@ -5,6 +5,8 @@
 //! in its binary so the OS thread count it samples from `/proc/self/task`
 //! (Linux) is not perturbed by sibling tests.
 
+use std::time::{Duration, Instant};
+
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ScanSpec};
 use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool, MIN_PARALLEL_BUILD_ROWS};
@@ -16,6 +18,22 @@ use hashstash_types::Row;
 /// Threads in this process, per the kernel (`None` off Linux).
 fn os_thread_count() -> Option<usize> {
     std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
+}
+
+/// The thread count once it has held still for 10 ms (waiting at most
+/// 1 s): a harness thread that started or ended around the test's start
+/// may still be coming or going in `/proc/self/task`.
+fn settled_thread_count() -> Option<usize> {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut last = os_thread_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = os_thread_count();
+        if now == last || Instant::now() >= deadline {
+            return now;
+        }
+        last = now;
+    }
 }
 
 /// A fresh join and a fresh aggregate, both over inputs large enough that
@@ -62,7 +80,7 @@ fn pool_less_context_runs_inline_with_pooled_output() {
     let cat = generate(TpchConfig::new(0.03, 11));
     assert!(cat.get("customer").unwrap().row_count() >= MIN_PARALLEL_BUILD_ROWS);
 
-    let before = os_thread_count();
+    let before = settled_thread_count();
     let inline = run_all(&cat, None);
     assert_eq!(
         os_thread_count(),
@@ -74,7 +92,16 @@ fn pool_less_context_runs_inline_with_pooled_output() {
     let pooled = run_all(&cat, Some(&pool));
     assert!(pool.jobs_dispatched() > 0, "the pooled run fanned out");
     drop(pool);
-    assert_eq!(os_thread_count(), before, "the explicit pool joined");
+    // `WorkerPool::drop` joins its workers, but the kernel lists a joined
+    // thread until it reaps the task, so poll for at most a second; a
+    // detached worker never leaves and still fails.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut after = os_thread_count();
+    while after != before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        after = os_thread_count();
+    }
+    assert_eq!(after, before, "the explicit pool joined");
 
     assert_eq!(inline, pooled, "rows (order included) and metrics");
 }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use hashstash_cache::payload::row_bytes;
-use hashstash_cache::{ColumnHt, EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
+use hashstash_cache::{ColumnHt, GcConfig, HtManager, StoredHt, TenantId};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
 use hashstash_types::{DataType, Field, HtId, Row, Schema, Value};
 
@@ -55,7 +55,6 @@ fn schema() -> Schema {
 fn lru(budget_bytes: usize) -> HtManager {
     HtManager::new(GcConfig {
         budget_bytes: Some(budget_bytes),
-        policy: EvictionPolicy::Lru,
         ..GcConfig::default()
     })
 }

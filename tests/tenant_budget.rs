@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hashstash_cache::{ColumnHt, EvictionPolicy, GcConfig, HtManager, StoredHt, TenantId};
+use hashstash_cache::{ColumnHt, GcConfig, HtManager, StoredHt, TenantId};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
 
@@ -47,7 +47,6 @@ fn tenant_floor_protects_the_quiet_tenant() {
 
     let htm = HtManager::new(GcConfig {
         budget_bytes: None,
-        policy: EvictionPolicy::Lru,
         ..GcConfig::default()
     });
     // The quiet tenant stages a small working set first (oldest under LRU,
@@ -68,7 +67,6 @@ fn tenant_floor_protects_the_quiet_tenant() {
     // enough room for the quiet tenant's protected footprint.
     htm.set_gc_config(GcConfig {
         budget_bytes: Some(total - quiet_bytes),
-        policy: EvictionPolicy::Lru,
         ..GcConfig::default()
     });
     let evicted = htm.enforce_budget();
@@ -94,7 +92,6 @@ fn tenant_floor_protects_the_quiet_tenant() {
     assert_eq!(htm.tenant_floor(QUIET), 0);
     htm.set_gc_config(GcConfig {
         budget_bytes: Some(quiet_bytes.saturating_sub(1)),
-        policy: EvictionPolicy::Lru,
         ..GcConfig::default()
     });
     htm.enforce_budget();
