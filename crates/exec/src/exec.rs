@@ -21,18 +21,6 @@
 //! identical fingerprints and footprints. Mutating-reuse delta inserts stay
 //! serial (they append to an existing table); the cost model prices both
 //! regimes.
-//!
-//! A join table is a [`ColumnHt`]: the hash table holds the keys, and the
-//! payload sits beside it as typed columns in arena order, which a build
-//! gathers straight from its input (a batch's base columns, a join's match
-//! pairs, or rows' values) without building a row. The probe does not
-//! build rows either: it emits `(probe position, arena position)` match
-//! pairs, after filtering each chunk's keys into candidates through the
-//! directory's tag filter — or, for an `Int` or `Date` probe key over a
-//! table whose key span a bitmap covers cheaply, through the exact key
-//! pre-filter ([`KeyBitmap`]). A consumer reads the pairs in place
-//! (`JoinTuples`): an aggregate folds them, a build side appends their
-//! cells, and only a consumer that needs rows builds each once.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -44,13 +32,14 @@ use hashstash_types::{
 };
 
 use hashstash_cache::{AggPayload, CheckedOut, ColumnHt, HtManager, StoredHt, TenantId};
-use hashstash_hashtable::{ExtendibleHashTable, KeyBitmap};
+use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::PredBox;
 use hashstash_storage::{Catalog, Column, RangeKernel, Table};
 
+use crate::join::{run_hash_join, with_join_tuples, Joined};
 use crate::parallel::{
-    build_grouped_partitioned, build_multimap_partitioned, collect_morsels, default_parallelism,
-    morsel_count, Scheduler, MIN_PARALLEL_BUILD_ROWS, MORSEL_ROWS,
+    build_grouped_partitioned, collect_morsels, default_parallelism, morsel_count, Scheduler,
+    MIN_PARALLEL_BUILD_ROWS,
 };
 use crate::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use crate::pool::WorkerPool;
@@ -314,7 +303,10 @@ fn checkout_spec<'m>(htm: &'m HtManager, spec: &ReuseSpec) -> Result<CheckedOut<
 /// with a `CacheError` — handled by the session as an ordinary re-plan —
 /// when the request region is not a single box or constrains an attribute
 /// the stored payload lacks (then no in-place filter can compensate).
-fn widened_recovery_filter(spec: &ReuseSpec, co: &CheckedOut<'_>) -> Result<Option<PredBox>> {
+pub(crate) fn widened_recovery_filter(
+    spec: &ReuseSpec,
+    co: &CheckedOut<'_>,
+) -> Result<Option<PredBox>> {
     if co.fingerprint.region.set_eq(&spec.cached_region) {
         return Ok(None);
     }
@@ -358,7 +350,7 @@ fn run_rows(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, V
 /// filters and projections over such scans. Every other operator (and
 /// every lowering failure) produces materialized rows exactly as the row
 /// interpreter does.
-fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
+pub(crate) fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
     match plan {
         PhysicalPlan::Scan(spec) => run_scan(spec, ctx),
         PhysicalPlan::Filter { input, predicate } => run_filter(input, predicate, ctx),
@@ -456,20 +448,20 @@ fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)>
 /// A sub-plan's output as a pipeline breaker (a build side or an
 /// aggregate fold) consumes it: a pipe, or a hash join's match pairs read
 /// in place, so the join's output is never materialized.
-enum Input<'m> {
+pub(crate) enum Input<'m> {
     Pipe(Schema, Pipe),
     Join(Box<Joined<'m>>),
 }
 
 impl Input<'_> {
-    fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         match self {
             Input::Pipe(schema, _) => schema,
             Input::Join(joined) => &joined.schema,
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Input::Pipe(_, pipe) => pipe.len(),
             Input::Join(joined) => joined.len(),
@@ -479,7 +471,7 @@ impl Input<'_> {
 
 /// Run a sub-plan for a breaker: a hash join (under any projections)
 /// stops at its match pairs; everything else runs as [`run`] does.
-fn run_input<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> Result<Input<'m>> {
+pub(crate) fn run_input<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> Result<Input<'m>> {
     match plan {
         PhysicalPlan::HashJoin {
             probe,
@@ -734,14 +726,14 @@ impl Tuples for RowTuples<'_> {
 /// A columnar batch read in place: keys come off the key columns through
 /// monomorphized kernels, cells compare against stored values without
 /// boxing, and a row materializes only when a consumer asks for one.
-struct BatchTuples<'a> {
+pub(crate) struct BatchTuples<'a> {
     batch: &'a ColumnarBatch,
     key_cols: &'a [usize],
     kernels: Vec<KeyKernel<'a>>,
 }
 
 impl<'a> BatchTuples<'a> {
-    fn new(batch: &'a ColumnarBatch, key_cols: &'a [usize]) -> Self {
+    pub(crate) fn new(batch: &'a ColumnarBatch, key_cols: &'a [usize]) -> Self {
         let kernels = key_cols
             .iter()
             .map(|&c| vector::key_kernel(batch.table.column(batch.proj[c])))
@@ -804,90 +796,6 @@ impl Tuples for BatchTuples<'_> {
 
     fn append_column(&self, col: usize, dst: &mut Column) -> bool {
         dst.extend_from(self.column(col), (0..self.len()).map(|i| self.rid(i)))
-    }
-}
-
-/// A hash join's output read in place: tuple `i` is match pair `pairs[i]`,
-/// and its column `c` is column `cols[c]` of the probe tuple's columns
-/// followed by the build entry's payload columns. The aggregate fold and a
-/// build side read a join this way, so no `probe ++ build` row is ever
-/// built for them.
-struct JoinTuples<'a, P> {
-    probe: &'a P,
-    /// Number of probe-side columns: columns from here on are the table's.
-    probe_width: usize,
-    table: &'a ColumnHt,
-    pairs: &'a [(u32, u32)],
-    cols: &'a [usize],
-    key_cols: &'a [usize],
-}
-
-/// Where a join output column comes from.
-enum Side<'a> {
-    Probe(usize),
-    Build(&'a Column),
-}
-
-impl<P: Tuples> JoinTuples<'_, P> {
-    #[inline]
-    fn side(&self, col: usize) -> Side<'_> {
-        let c = self.cols[col];
-        match c.checked_sub(self.probe_width) {
-            Some(b) => Side::Build(&self.table.columns()[b]),
-            None => Side::Probe(c),
-        }
-    }
-
-    #[inline]
-    fn pair(&self, i: usize) -> (usize, usize) {
-        let (p, at) = self.pairs[i];
-        (p as usize, at as usize)
-    }
-
-    /// Tuple `i` as a row.
-    fn row(&self, i: usize) -> Row {
-        Row::new(
-            (0..self.cols.len())
-                .map(|c| self.cell(i, c).into_owned())
-                .collect(),
-        )
-    }
-}
-
-impl<P: Tuples> Tuples for JoinTuples<'_, P> {
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn key_cols(&self) -> &[usize] {
-        self.key_cols
-    }
-
-    #[inline]
-    fn cell_key64(&self, i: usize, col: usize) -> u64 {
-        let (p, at) = self.pair(i);
-        match self.side(col) {
-            Side::Build(c) => c.key64(at),
-            Side::Probe(c) => self.probe.cell_key64(p, c),
-        }
-    }
-
-    #[inline]
-    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        let (p, at) = self.pair(i);
-        match self.side(col) {
-            Side::Build(c) => c.cmp_row(at, v) == Some(std::cmp::Ordering::Equal),
-            Side::Probe(c) => self.probe.cell_eq(p, c, v),
-        }
-    }
-
-    #[inline]
-    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        let (p, at) = self.pair(i);
-        match self.side(col) {
-            Side::Build(c) => Cow::Owned(c.get(at)),
-            Side::Probe(c) => self.probe.cell(p, c),
-        }
     }
 }
 
@@ -1210,403 +1118,6 @@ fn index_hits<'t>(
         .index_on(name)
         .ok_or_else(|| HsError::ExecError(format!("index on {name} vanished")))?;
     Ok(index.range(iv.lo().as_ref(), iv.hi().as_ref()))
-}
-
-// ---------------------------------------------------------------------------
-// Hash join
-// ---------------------------------------------------------------------------
-
-/// A row table — the build side of a hash join, or a shared plan's
-/// grouping table: either a freshly built local table or an RAII guard over
-/// a reused cached table (shared snapshot for read-only reuse,
-/// copy-on-write for delta insertion).
-pub(crate) enum RowTable<'m> {
-    Fresh(ColumnHt),
-    Reused(CheckedOut<'m>),
-    /// A mutating reuse that has already been checked back in: the writer
-    /// pin is released and readers see this immutable snapshot.
-    Snapshot(Arc<StoredHt>),
-}
-
-impl<'m> RowTable<'m> {
-    /// An empty table for tuples of `schema`.
-    pub(crate) fn fresh(schema: &Schema) -> Self {
-        let types: Vec<DataType> = schema.fields().iter().map(|f| f.dtype).collect();
-        RowTable::Fresh(ColumnHt::new(schema.tuple_width(), &types))
-    }
-
-    /// Check out the table a reuse directive names, verifying it holds rows.
-    pub(crate) fn checkout(ctx: &mut ExecContext<'m>, spec: &ReuseSpec) -> Result<CheckedOut<'m>> {
-        let co = ctx.checkout_for(spec)?;
-        ctx.metrics.reused_tables += 1;
-        if !matches!(co.table(), StoredHt::Rows(_)) {
-            return Err(HsError::ExecError(format!(
-                "{} is not a row hash table",
-                spec.id
-            )));
-        }
-        Ok(co)
-    }
-
-    pub(crate) fn read_table(&self) -> &ColumnHt {
-        let stored = match self {
-            RowTable::Fresh(t) => return t,
-            RowTable::Reused(co) => co.table(),
-            RowTable::Snapshot(s) => s,
-        };
-        match stored {
-            StoredHt::Rows(t) => t,
-            _ => unreachable!("kind verified at checkout"),
-        }
-    }
-
-    pub(crate) fn write_table(&mut self) -> Result<&mut ColumnHt> {
-        match self {
-            RowTable::Fresh(t) => Ok(t),
-            RowTable::Reused(co) => match co.table_mut()? {
-                StoredHt::Rows(t) => Ok(t),
-                _ => unreachable!("kind verified at checkout"),
-            },
-            RowTable::Snapshot(_) => unreachable!("mutation precedes check-in"),
-        }
-    }
-
-    /// Hand the table back to the manager: a fresh table is published under
-    /// `publish` (if any); dropping a read-only guard releases its pin, and
-    /// a mutating reuse was already checked in.
-    pub(crate) fn finish(
-        self,
-        ctx: &ExecContext<'_>,
-        publish: Option<&hashstash_plan::HtFingerprint>,
-        schema: Schema,
-    ) {
-        if let (RowTable::Fresh(ht), Some(fp)) = (self, publish) {
-            ctx.htm
-                .publish_as(ctx.tenant, fp.clone(), schema, StoredHt::Rows(ht));
-        }
-    }
-
-    /// After a mutating reuse inserted its delta: publish the new version
-    /// (widened lineage) right away so the writer pin is not held while the
-    /// table is read, and keep a cheap snapshot of it. Other states pass
-    /// through unchanged.
-    pub(crate) fn checked_in(self, spec: &ReuseSpec) -> Result<Self> {
-        match self {
-            RowTable::Reused(co) if spec.case.needs_delta() => Ok(RowTable::Snapshot(
-                co.checkin_widened(&spec.request_region)?,
-            )),
-            other => Ok(other),
-        }
-    }
-}
-
-/// Append `input`'s tuples to `table`, keyed on its key columns, in input
-/// order: each payload column is gathered straight from the source (a
-/// batch's base columns, or the rows' values), so no row is built. With
-/// `partitioned` (fresh tables only) key extraction fans out over morsels
-/// and chain construction over bucket ranges; the stitched table is `==`
-/// to the serial loop's (same arena, chains and stats), so probe output,
-/// fingerprints and publish dedup do not depend on the worker count. The
-/// serial loop is also the only path for mutating-reuse deltas, which
-/// append to an existing table.
-fn insert_tuples<T: Tuples>(
-    sched: Scheduler<'_>,
-    table: &mut ColumnHt,
-    input: &T,
-    partitioned: bool,
-) -> Result<()> {
-    let n = input.len();
-    let keys: Vec<u64> = collect_morsels(sched, n, |range| {
-        let mut keys = Vec::with_capacity(range.len());
-        input.keys_into(range, &mut keys);
-        keys
-    });
-    table.append(
-        n,
-        |c, col| input.append_column(c, col),
-        |index| {
-            if partitioned {
-                build_multimap_partitioned(sched, index, keys, vec![(); n]);
-            } else {
-                index.reserve(n);
-                for key in keys {
-                    index.insert(key, ());
-                }
-            }
-        },
-    )?;
-    table.shrink_to_fit();
-    Ok(())
-}
-
-/// A hash join whose probe has run: the probe side's tuples, the table
-/// they were probed against, and the match pairs — everything a consumer
-/// needs to read the output without it being materialized.
-pub(crate) struct Joined<'m> {
-    /// Output schema: `cols` of the probe side's columns, then the table's.
-    pub(crate) schema: Schema,
-    /// Output column `c` is column `cols[c]` of the unprojected join.
-    cols: Vec<usize>,
-    probe: Pipe,
-    probe_width: usize,
-    table: RowTable<'m>,
-    table_schema: Schema,
-    /// `(probe position, arena position)` per match, in output order.
-    pairs: Vec<(u32, u32)>,
-    publish: Option<hashstash_plan::HtFingerprint>,
-}
-
-/// Run `$body` with `$t` bound to the [`JoinTuples`] view of `$joined`,
-/// hashed over `$key_cols` — one monomorphized copy per probe-pipe arm.
-macro_rules! with_join_tuples {
-    ($joined:expr, $key_cols:expr, |$t:ident| $body:expr) => {{
-        let joined = $joined;
-        let table = joined.table.read_table();
-        match &joined.probe {
-            Pipe::Rows(rows) => {
-                let probe = &RowTuples {
-                    rows,
-                    key_cols: &[],
-                };
-                let $t = &JoinTuples {
-                    probe,
-                    probe_width: joined.probe_width,
-                    table,
-                    pairs: &joined.pairs,
-                    cols: &joined.cols,
-                    key_cols: $key_cols,
-                };
-                $body
-            }
-            Pipe::Columnar(batch) => {
-                let probe = &BatchTuples::new(batch, &[]);
-                let $t = &JoinTuples {
-                    probe,
-                    probe_width: joined.probe_width,
-                    table,
-                    pairs: &joined.pairs,
-                    cols: &joined.cols,
-                    key_cols: $key_cols,
-                };
-                $body
-            }
-        }
-    }};
-}
-
-impl Joined<'_> {
-    /// Number of output tuples.
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// The output as rows, each built once from its pair.
-    fn rows(&self, sched: Scheduler<'_>) -> Vec<Row> {
-        with_join_tuples!(self, &[], |t| {
-            collect_morsels(sched, t.len(), |range| range.map(|i| t.row(i)).collect())
-        })
-    }
-
-    /// Hand the join's table back (publishing a fresh one).
-    fn finish(self, ctx: &ExecContext<'_>) {
-        self.table
-            .finish(ctx, self.publish.as_ref(), self.table_schema);
-    }
-}
-
-/// Build (or check out and extend) a hash join's table and probe it,
-/// returning the match pairs; the table is handed back by
-/// [`Joined::finish`] once the consumer has read the output.
-#[allow(clippy::too_many_arguments)]
-fn run_hash_join<'m>(
-    ctx: &mut ExecContext<'m>,
-    probe: &PhysicalPlan,
-    build: &Option<Box<PhysicalPlan>>,
-    probe_key: &Arc<str>,
-    build_key: &Arc<str>,
-    reuse: &Option<crate::plan::ReuseSpec>,
-    publish: &Option<hashstash_plan::HtFingerprint>,
-) -> Result<Joined<'m>> {
-    // --- Build phase -------------------------------------------------------
-    let mut recovery_filter: Option<PredBox> = None;
-    let (build_schema, mut source) = match reuse {
-        Some(spec) => {
-            let co = RowTable::checkout(ctx, spec)?;
-            if !spec.case.needs_delta() {
-                recovery_filter = widened_recovery_filter(spec, &co)?;
-            }
-            (co.schema.clone(), RowTable::Reused(co))
-        }
-        None => {
-            let build_plan = build.as_ref().ok_or_else(|| {
-                HsError::ExecError("hash join without build plan or reuse".into())
-            })?;
-            let schema = build_plan.schema(ctx.catalog)?;
-            let table = RowTable::fresh(&schema);
-            (schema, table)
-        }
-    };
-    let build_key_idx = build_schema.index_of(build_key)?;
-
-    // Insert the build sub-plan's tuples: all of them for a fresh table,
-    // only the delta for partial/overlapping reuse (copy-on-write on the
-    // checked-out handle).
-    if let Some(build_plan) = build {
-        if reuse.is_none() || reuse.as_ref().is_some_and(|r| r.case.needs_delta()) {
-            let input = run_input(build_plan, ctx)?;
-            if input.schema() != &build_schema {
-                return Err(HsError::ExecError(format!(
-                    "build schema mismatch: expected {build_schema:?}, got {:?}",
-                    input.schema()
-                )));
-            }
-            ctx.metrics.ht_inserts += input.len() as u64;
-            let partitioned =
-                reuse.is_none() && ctx.parallelism > 1 && input.len() >= MIN_PARALLEL_BUILD_ROWS;
-            let sched = ctx.sched();
-            let target = source.write_table()?;
-            let key_cols = &[build_key_idx];
-            match &input {
-                Input::Pipe(_, Pipe::Rows(rows)) => {
-                    insert_tuples(sched, target, &RowTuples { rows, key_cols }, partitioned)?
-                }
-                Input::Pipe(_, Pipe::Columnar(batch)) => {
-                    let input = BatchTuples::new(batch, key_cols);
-                    insert_tuples(sched, target, &input, partitioned)?
-                }
-                Input::Join(joined) => with_join_tuples!(joined, key_cols, |t| {
-                    insert_tuples(sched, target, t, partitioned)?
-                }),
-            }
-            if let Input::Join(joined) = input {
-                joined.finish(ctx);
-            }
-            if reuse.is_none() {
-                ctx.metrics.built_tables += 1;
-            }
-        }
-    } else if reuse.is_none() {
-        return Err(HsError::ExecError(
-            "hash join with neither build plan nor reuse".into(),
-        ));
-    }
-
-    // A mutating reuse is complete once the delta is inserted.
-    if let Some(spec) = reuse {
-        source = source.checked_in(spec)?;
-    }
-
-    // --- Probe phase (read-only: no lock, shared with other sessions) ------
-    let (probe_schema, probe_pipe) = run(probe, ctx)?;
-    let probe_key_idx = probe_schema.index_of(probe_key)?;
-    // Planned post-filter (subsuming/overlapping reuse) plus the recovery
-    // filter compensating for a concurrently widened cached table.
-    let mut post_filters: Vec<BoxEval> = Vec::new();
-    if let Some(pf) = reuse.as_ref().and_then(|r| r.post_filter.as_ref()) {
-        post_filters.push(BoxEval::bind(pf, &build_schema)?);
-    }
-    if let Some(rf) = &recovery_filter {
-        post_filters.push(BoxEval::bind(rf, &build_schema)?);
-    }
-    ctx.metrics.ht_probes += probe_pipe.len() as u64;
-    let table = source.read_table();
-    let exact = exact_prefilter(
-        table,
-        probe_schema.field_at(probe_key_idx).dtype,
-        probe_pipe.len(),
-    );
-    let probe = Probe {
-        table,
-        build_key_idx,
-        post_filters: &post_filters,
-        exact: exact.as_ref(),
-    };
-    let key_cols = &[probe_key_idx];
-    let pairs = match &probe_pipe {
-        Pipe::Rows(rows) => probe.pairs(ctx.sched(), &RowTuples { rows, key_cols }),
-        Pipe::Columnar(batch) => {
-            ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
-            probe.pairs(ctx.sched(), &BatchTuples::new(batch, key_cols))
-        }
-    };
-
-    Ok(Joined {
-        schema: probe_schema.concat(&build_schema),
-        cols: (0..probe_schema.len() + build_schema.len()).collect(),
-        probe_width: probe_schema.len(),
-        probe: probe_pipe,
-        table: source,
-        table_schema: build_schema,
-        pairs,
-        publish: publish.clone(),
-    })
-}
-
-/// The exact key pre-filter for a probe of `probe_tuples` tuples on a key
-/// of type `key_type`: a bitmap over `[min, max]` of the table's keys
-/// ([`KeyBitmap`]), worth building once per probe phase when the key is an
-/// integer or a date (its own hash key), the probe has at least as many
-/// tuples as the table has entries, and the bitmap needs no more words than
-/// the probe has tuples. Otherwise `None`: the tag filter decides.
-fn exact_prefilter(table: &ColumnHt, key_type: DataType, probe_tuples: usize) -> Option<KeyBitmap> {
-    let integer = matches!(key_type, DataType::Int | DataType::Date);
-    if !integer || probe_tuples < table.len() {
-        return None;
-    }
-    table.index().key_bitmap(probe_tuples)
-}
-
-/// One probe phase against a join table: what decides a match.
-pub(crate) struct Probe<'a> {
-    pub(crate) table: &'a ColumnHt,
-    pub(crate) build_key_idx: usize,
-    pub(crate) post_filters: &'a [BoxEval],
-    /// The exact pre-filter, when one was built; else the tag filter.
-    pub(crate) exact: Option<&'a KeyBitmap>,
-}
-
-impl Probe<'_> {
-    /// Probe with every input tuple on its (single) key column,
-    /// morsel-parallel, emitting `(probe position, arena position)` match
-    /// pairs in output order: input order, and chain order within a tuple.
-    /// Per morsel-sized chunk: gather the keys (one typed loop for a
-    /// columnar source), filter them into a candidate list — exactly, with
-    /// the pre-filter, or through the directory's tag filter (one 2-byte
-    /// load per key) — then walk chains for the candidates only, comparing
-    /// the actual key cells (hash keys of strings may collide).
-    pub(crate) fn pairs<T: Tuples>(&self, sched: Scheduler<'_>, input: &T) -> Vec<(u32, u32)> {
-        let probe_key_idx = input.key_cols()[0];
-        let index = self.table.index();
-        let key_col = &self.table.columns()[self.build_key_idx];
-        collect_morsels(sched, input.len(), |range| {
-            let mut buf = Vec::new();
-            let mut keys: Vec<u64> = Vec::with_capacity(MORSEL_ROWS);
-            let mut candidates: Vec<u32> = Vec::with_capacity(MORSEL_ROWS);
-            for start in range.clone().step_by(MORSEL_ROWS) {
-                keys.clear();
-                candidates.clear();
-                input.keys_into(start..(start + MORSEL_ROWS).min(range.end), &mut keys);
-                match self.exact {
-                    Some(bitmap) => bitmap.filter_keys(&keys, &mut candidates),
-                    None => index.filter_keys(&keys, &mut candidates),
-                }
-                for &c in &candidates {
-                    let i = start + c as usize;
-                    for at in index.probe_positions(keys[c as usize]) {
-                        if input.cell_eq_at(i, probe_key_idx, key_col, at)
-                            && self
-                                .post_filters
-                                .iter()
-                                .all(|pf| pf.eval_at(self.table, at))
-                        {
-                            buf.push((i as u32, at as u32));
-                        }
-                    }
-                }
-            }
-            buf
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1986,8 +1497,10 @@ fn finalize_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::{exact_prefilter, Probe};
     use crate::plan::ReuseSpec;
     use hashstash_cache::GcConfig;
+    use hashstash_hashtable::KeyBitmap;
     use hashstash_plan::{AggExpr, AggFunc, HtFingerprint, HtKind, Interval, Region, ReuseCase};
     use hashstash_storage::tpch::{generate, TpchConfig};
 

@@ -36,6 +36,7 @@
 //!   qualification, the SRHA grouping phase and per-query aggregation.
 
 pub mod exec;
+mod join;
 pub mod parallel;
 pub mod plan;
 pub mod pool;

@@ -31,9 +31,8 @@ use hashstash_cache::ColumnHt;
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{AggExpr, HtFingerprint, QuerySpec, Region, ReuseCase};
 
-use crate::exec::{
-    fold_tuples, produce_agg_output, AggSource, BoxEval, EntryTuples, ExecContext, RowTable,
-};
+use crate::exec::{fold_tuples, produce_agg_output, AggSource, BoxEval, EntryTuples, ExecContext};
+use crate::join::RowTable;
 use crate::parallel::{collect_morsels, MIN_PARALLEL_BUILD_ROWS};
 use crate::plan::{lookup_attr_type, OutputAgg, PhysicalPlan, ReuseSpec};
 
