@@ -130,7 +130,7 @@ pub struct ExecContext<'a> {
     /// Differential-test hook: send every scan down the row-at-a-time
     /// fallback arm (see [`ExecContext::with_row_oracle`]).
     #[cfg(any(test, feature = "oracle"))]
-    row_oracle: bool,
+    pub(crate) row_oracle: bool,
     /// The tenant this execution publishes on behalf of: every hash table
     /// or temp table materialized by the plan is owned by this tenant in
     /// the reuse cache ([`TenantId::DEFAULT`] for single-tenant

@@ -24,8 +24,8 @@ use hashstash_plan::PredBox;
 use hashstash_storage::Column;
 
 use crate::exec::{
-    run, run_input, widened_recovery_filter, BatchTuples, BoxEval, ExecContext, Input, Pipe,
-    RowTuples, Tuples,
+    run_input, widened_recovery_filter, BatchTuples, BoxEval, ExecContext, Input, Pipe, RowTuples,
+    Tuples,
 };
 use crate::parallel::{
     build_multimap_partitioned, collect_morsels, morsel_count, Scheduler, MIN_PARALLEL_BUILD_ROWS,
@@ -33,41 +33,57 @@ use crate::parallel::{
 };
 use crate::plan::{PhysicalPlan, ReuseSpec};
 
-/// A hash join's output read in place: tuple `i` is match pair `pairs[i]`,
-/// and its column `c` is column `cols[c]` of the probe tuple's columns
-/// followed by the build entry's payload columns. The aggregate fold and a
-/// build side read a join this way, so no `probe ++ build` row is ever
+/// A join chain's output read in place: column `c` of tuple `i` is read at
+/// position `i` of the position column of the source `c` comes from — the
+/// base pipe's tuples, or one table's arena. The aggregate fold, a build
+/// side, an outer probe and [`Joined::rows`] read a chain this way, at any
+/// depth through a single indirection, so no `probe ++ build` row is ever
 /// built for them.
 pub(crate) struct JoinTuples<'a, P> {
-    pub(crate) probe: &'a P,
-    /// Number of probe-side columns: columns from here on are the table's.
-    pub(crate) probe_width: usize,
-    pub(crate) table: &'a ColumnHt,
-    pub(crate) pairs: &'a [(u32, u32)],
-    pub(crate) cols: &'a [usize],
-    pub(crate) key_cols: &'a [usize],
+    base: &'a P,
+    len: usize,
+    /// Per output column: the positions it is read at, and where.
+    cols: Vec<(&'a [u32], Side<'a>)>,
+    key_cols: &'a [usize],
 }
 
 /// Where a join output column comes from.
 enum Side<'a> {
-    Probe(usize),
-    Build(&'a Column),
+    /// A column of the base pipe's tuples.
+    Base(usize),
+    /// A payload column of one of the chain's tables.
+    Table(&'a Column),
 }
 
-impl<P: Tuples> JoinTuples<'_, P> {
-    #[inline]
-    fn side(&self, col: usize) -> Side<'_> {
-        let c = self.cols[col];
-        match c.checked_sub(self.probe_width) {
-            Some(b) => Side::Build(&self.table.columns()[b]),
-            None => Side::Probe(c),
+impl<'a, P: Tuples> JoinTuples<'a, P> {
+    /// `joined`'s output over its base pipe's tuples `base`, hashed over
+    /// `key_cols`.
+    pub(crate) fn new(joined: &'a Joined<'_>, base: &'a P, key_cols: &'a [usize]) -> Self {
+        let cols = joined
+            .cols
+            .iter()
+            .map(|&(source, c)| {
+                let side = match source.checked_sub(1) {
+                    None => Side::Base(c),
+                    Some(t) => Side::Table(&joined.tables[t].table.read_table().columns()[c]),
+                };
+                (joined.pos[source].as_slice(), side)
+            })
+            .collect();
+        JoinTuples {
+            base,
+            len: joined.len(),
+            cols,
+            key_cols,
         }
     }
 
+    /// Where column `col` of tuple `i` is: a position in its source, and
+    /// the source.
     #[inline]
-    fn pair(&self, i: usize) -> (usize, usize) {
-        let (p, at) = self.pairs[i];
-        (p as usize, at as usize)
+    fn at(&self, i: usize, col: usize) -> (usize, &Side<'a>) {
+        let (pos, side) = &self.cols[col];
+        (pos[i] as usize, side)
     }
 
     /// Tuple `i` as a row.
@@ -82,7 +98,7 @@ impl<P: Tuples> JoinTuples<'_, P> {
 
 impl<P: Tuples> Tuples for JoinTuples<'_, P> {
     fn len(&self) -> usize {
-        self.pairs.len()
+        self.len
     }
 
     fn key_cols(&self) -> &[usize] {
@@ -91,28 +107,33 @@ impl<P: Tuples> Tuples for JoinTuples<'_, P> {
 
     #[inline]
     fn cell_key64(&self, i: usize, col: usize) -> u64 {
-        let (p, at) = self.pair(i);
-        match self.side(col) {
-            Side::Build(c) => c.key64(at),
-            Side::Probe(c) => self.probe.cell_key64(p, c),
+        match self.at(i, col) {
+            (at, Side::Table(c)) => c.key64(at),
+            (p, Side::Base(c)) => self.base.cell_key64(p, *c),
         }
     }
 
     #[inline]
     fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        let (p, at) = self.pair(i);
-        match self.side(col) {
-            Side::Build(c) => c.cmp_row(at, v) == Some(std::cmp::Ordering::Equal),
-            Side::Probe(c) => self.probe.cell_eq(p, c, v),
+        match self.at(i, col) {
+            (at, Side::Table(c)) => c.cmp_row(at, v) == Some(std::cmp::Ordering::Equal),
+            (p, Side::Base(c)) => self.base.cell_eq(p, *c, v),
+        }
+    }
+
+    #[inline]
+    fn cell_eq_at(&self, i: usize, col: usize, other: &Column, other_at: usize) -> bool {
+        match self.at(i, col) {
+            (at, Side::Table(c)) => c.eq_at(at, other, other_at),
+            (p, Side::Base(c)) => self.base.cell_eq_at(p, *c, other, other_at),
         }
     }
 
     #[inline]
     fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        let (p, at) = self.pair(i);
-        match self.side(col) {
-            Side::Build(c) => Cow::Owned(c.get(at)),
-            Side::Probe(c) => self.probe.cell(p, c),
+        match self.at(i, col) {
+            (at, Side::Table(c)) => Cow::Owned(c.get(at)),
+            (p, Side::Base(c)) => self.base.cell(p, *c),
         }
     }
 }
@@ -240,55 +261,51 @@ fn insert_tuples<T: Tuples>(
     Ok(())
 }
 
-/// A hash join whose probe has run: the probe side's tuples, the table
-/// they were probed against, and the match pairs — everything a consumer
-/// needs to read the output without it being materialized.
-pub(crate) struct Joined<'m> {
-    /// Output schema: `cols` of the probe side's columns, then the table's.
-    pub(crate) schema: Schema,
-    /// Output column `c` is column `cols[c]` of the unprojected join.
-    pub(crate) cols: Vec<usize>,
-    pub(crate) probe: Pipe,
-    pub(crate) probe_width: usize,
-    pub(crate) table: RowTable<'m>,
-    table_schema: Schema,
-    /// `(probe position, arena position)` per match, in output order.
-    pub(crate) pairs: Vec<(u32, u32)>,
+/// One table of a join chain, and what handing it back needs.
+pub(crate) struct ChainTable<'m> {
+    table: RowTable<'m>,
+    schema: Schema,
     publish: Option<hashstash_plan::HtFingerprint>,
 }
 
+/// A chain of hash joins whose probes have run: the innermost join's probe
+/// side (the base pipe), the tables each join probed, and per output tuple
+/// one position in every source — everything a consumer needs to read the
+/// output without it being materialized. An outer join probes the chain in
+/// place and extends it by one table and one position column.
+pub(crate) struct Joined<'m> {
+    /// Output schema.
+    pub(crate) schema: Schema,
+    /// Output column `c` is column `cols[c].1` of source `cols[c].0`:
+    /// source 0 is the base pipe, source `1 + t` is `tables[t]`.
+    pub(crate) cols: Vec<(usize, usize)>,
+    /// The innermost join's probe-side tuples.
+    pub(crate) base: Pipe,
+    /// The chain's tables, innermost first.
+    tables: Vec<ChainTable<'m>>,
+    /// One position column per source, each with one entry per output
+    /// tuple, in output order: base tuple positions, then arena positions
+    /// in each table.
+    pos: Vec<Vec<u32>>,
+}
+
 /// Run `$body` with `$t` bound to the [`JoinTuples`] view of `$joined`,
-/// hashed over `$key_cols` — one monomorphized copy per probe-pipe arm.
+/// hashed over `$key_cols` — one monomorphized copy per base-pipe arm.
 macro_rules! with_join_tuples {
     ($joined:expr, $key_cols:expr, |$t:ident| $body:expr) => {{
         let joined = $joined;
-        let table = joined.table.read_table();
-        match &joined.probe {
+        match &joined.base {
             $crate::exec::Pipe::Rows(rows) => {
-                let probe = &$crate::exec::RowTuples {
+                let base = &$crate::exec::RowTuples {
                     rows,
                     key_cols: &[],
                 };
-                let $t = &$crate::join::JoinTuples {
-                    probe,
-                    probe_width: joined.probe_width,
-                    table,
-                    pairs: &joined.pairs,
-                    cols: &joined.cols,
-                    key_cols: $key_cols,
-                };
+                let $t = &$crate::join::JoinTuples::new(joined, base, $key_cols);
                 $body
             }
             $crate::exec::Pipe::Columnar(batch) => {
-                let probe = &$crate::exec::BatchTuples::new(batch, &[]);
-                let $t = &$crate::join::JoinTuples {
-                    probe,
-                    probe_width: joined.probe_width,
-                    table,
-                    pairs: &joined.pairs,
-                    cols: &joined.cols,
-                    key_cols: $key_cols,
-                };
+                let base = &$crate::exec::BatchTuples::new(batch, &[]);
+                let $t = &$crate::join::JoinTuples::new(joined, base, $key_cols);
                 $body
             }
         }
@@ -296,23 +313,63 @@ macro_rules! with_join_tuples {
 }
 pub(crate) use with_join_tuples;
 
-impl Joined<'_> {
-    /// Number of output tuples.
-    pub(crate) fn len(&self) -> usize {
-        self.pairs.len()
+impl<'m> Joined<'m> {
+    /// The join of `input` with `table`, from the probe's match pairs
+    /// `(input position, arena position)` in output order. A pipe becomes
+    /// the base of a new chain; a chain composes its positions through the
+    /// pairs and takes `table` as its outermost.
+    fn probed(input: Input<'m>, pairs: Vec<(u32, u32)>, table: ChainTable<'m>) -> Self {
+        let (mut joined, arena) = match input {
+            Input::Pipe(schema, base) => {
+                let (at_base, arena) = pairs.into_iter().unzip();
+                let joined = Joined {
+                    cols: (0..schema.len()).map(|c| (0, c)).collect(),
+                    schema,
+                    base,
+                    tables: Vec::new(),
+                    pos: vec![at_base],
+                };
+                (joined, arena)
+            }
+            Input::Join(inner) => {
+                let mut joined = *inner;
+                joined.pos = joined
+                    .pos
+                    .iter()
+                    .map(|pos| pairs.iter().map(|&(i, _)| pos[i as usize]).collect())
+                    .collect();
+                (joined, pairs.iter().map(|&(_, at)| at).collect())
+            }
+        };
+        let source = joined.pos.len();
+        joined
+            .cols
+            .extend((0..table.schema.len()).map(|c| (source, c)));
+        joined.schema = joined.schema.concat(&table.schema);
+        joined.pos.push(arena);
+        joined.tables.push(table);
+        joined
     }
 
-    /// The output as rows, each built once from its pair.
+    /// Number of output tuples.
+    pub(crate) fn len(&self) -> usize {
+        self.pos[0].len()
+    }
+
+    /// The output as rows, each built once from its positions.
     pub(crate) fn rows(&self, sched: Scheduler<'_>) -> Vec<Row> {
         with_join_tuples!(self, &[], |t| {
             collect_morsels(sched, t.len(), |range| range.map(|i| t.row(i)).collect())
         })
     }
 
-    /// Hand the join's table back (publishing a fresh one).
+    /// Hand every table of the chain back, innermost first (publishing the
+    /// fresh ones): the order in which the joins would have finished one by
+    /// one, since probes publish nothing.
     pub(crate) fn finish(self, ctx: &ExecContext<'_>) {
-        self.table
-            .finish(ctx, self.publish.as_ref(), self.table_schema);
+        for t in self.tables {
+            t.table.finish(ctx, t.publish.as_ref(), t.schema);
+        }
     }
 }
 
@@ -399,8 +456,10 @@ pub(crate) fn run_hash_join<'m>(
     }
 
     // --- Probe phase (read-only: no lock, shared with other sessions) ------
-    let (probe_schema, probe_pipe) = run(probe, ctx)?;
+    let probe_input = run_probe_side(probe, ctx)?;
+    let probe_schema = probe_input.schema();
     let probe_key_idx = probe_schema.index_of(probe_key)?;
+    let key_type = probe_schema.field_at(probe_key_idx).dtype;
     // Planned post-filter (subsuming/overlapping reuse) plus the recovery
     // filter compensating for a concurrently widened cached table.
     let mut post_filters: Vec<BoxEval> = Vec::new();
@@ -410,13 +469,9 @@ pub(crate) fn run_hash_join<'m>(
     if let Some(rf) = &recovery_filter {
         post_filters.push(BoxEval::bind(rf, &build_schema)?);
     }
-    ctx.metrics.ht_probes += probe_pipe.len() as u64;
+    ctx.metrics.ht_probes += probe_input.len() as u64;
     let table = source.read_table();
-    let exact = exact_prefilter(
-        table,
-        probe_schema.field_at(probe_key_idx).dtype,
-        probe_pipe.len(),
-    );
+    let exact = exact_prefilter(table, key_type, probe_input.len());
     let probe = Probe {
         table,
         build_key_idx,
@@ -424,24 +479,36 @@ pub(crate) fn run_hash_join<'m>(
         exact: exact.as_ref(),
     };
     let key_cols = &[probe_key_idx];
-    let pairs = match &probe_pipe {
-        Pipe::Rows(rows) => probe.pairs(ctx.sched(), &RowTuples { rows, key_cols }),
-        Pipe::Columnar(batch) => {
+    let sched = ctx.sched();
+    let pairs = match &probe_input {
+        Input::Pipe(_, Pipe::Rows(rows)) => probe.pairs(sched, &RowTuples { rows, key_cols }),
+        Input::Pipe(_, Pipe::Columnar(batch)) => {
             ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
-            probe.pairs(ctx.sched(), &BatchTuples::new(batch, key_cols))
+            probe.pairs(sched, &BatchTuples::new(batch, key_cols))
         }
+        // Like a row probe, a chain probe counts no batches.
+        Input::Join(inner) => with_join_tuples!(inner, key_cols, |t| probe.pairs(sched, t)),
     };
 
-    Ok(Joined {
-        schema: probe_schema.concat(&build_schema),
-        cols: (0..probe_schema.len() + build_schema.len()).collect(),
-        probe_width: probe_schema.len(),
-        probe: probe_pipe,
+    let table = ChainTable {
         table: source,
-        table_schema: build_schema,
-        pairs,
+        schema: build_schema,
         publish: publish.clone(),
-    })
+    };
+    Ok(Joined::probed(probe_input, pairs, table))
+}
+
+/// Run a join's probe side: a join there arrives as its chain, which the
+/// join probes in place. The row oracle instead probes the join's rows,
+/// the way every join did before chains, so differential tests compare the
+/// two.
+fn run_probe_side<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> Result<Input<'m>> {
+    #[cfg(any(test, feature = "oracle"))]
+    if ctx.row_oracle {
+        let (schema, pipe) = crate::exec::run(plan, ctx)?;
+        return Ok(Input::Pipe(schema, pipe));
+    }
+    run_input(plan, ctx)
 }
 
 /// The exact key pre-filter for a probe of `probe_tuples` tuples on a key
