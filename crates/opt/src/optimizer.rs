@@ -16,7 +16,10 @@
 //! wins. The [`EngineStrategy`] decides what is matched, what is admitted
 //! and whether reuse is preferred greedily.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use hashstash_types::{HsError, Result};
@@ -49,6 +52,59 @@ pub struct OptimizedQuery {
 /// A reuse-free pipeline: `(plan, cost, rows)`.
 type FreshPlan = (PhysicalPlan, f64, f64);
 
+/// The fresh-plan memo's key: a join mask, a predicate box and the
+/// attributes kept in flight.
+#[derive(PartialEq, Eq)]
+struct FreshKey {
+    mask: u64,
+    pred: PredBox,
+    attrs: Vec<Arc<str>>,
+}
+
+/// A [`FreshKey`]'s parts by reference: the memo is looked up through
+/// this view, so a lookup builds no key.
+trait FreshKeyView {
+    fn parts(&self) -> (u64, &PredBox, &[Arc<str>]);
+}
+
+impl FreshKeyView for FreshKey {
+    fn parts(&self) -> (u64, &PredBox, &[Arc<str>]) {
+        (self.mask, &self.pred, &self.attrs)
+    }
+}
+
+impl FreshKeyView for (u64, &PredBox, &[Arc<str>]) {
+    fn parts(&self) -> (u64, &PredBox, &[Arc<str>]) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn FreshKeyView + 'a> for FreshKey {
+    fn borrow(&self) -> &(dyn FreshKeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for FreshKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl Hash for dyn FreshKeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn FreshKeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn FreshKeyView + '_ {}
+
 #[derive(Debug, Clone)]
 struct PlanInfo {
     plan: PhysicalPlan,
@@ -68,7 +124,7 @@ pub struct Optimizer<'a> {
     /// Per-optimize memo for reuse-free delta pipelines, keyed by
     /// `(mask, predicate, needed attrs)`. Delta plans are enumerated once
     /// per candidate otherwise — quadratic in cache size without this.
-    fresh_memo: std::cell::RefCell<HashMap<(u64, String, String), FreshPlan>>,
+    fresh_memo: std::cell::RefCell<HashMap<FreshKey, Rc<FreshPlan>>>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -353,10 +409,10 @@ impl<'a> Optimizer<'a> {
         let mut inputs = Vec::new();
         let mut cost = 0.0;
         for b in delta_region.boxes() {
-            let (plan, box_cost, _) = self.fresh_plan(q, graph, mask, b, attrs)?;
-            cost += box_cost;
+            let fresh = self.fresh_plan(q, graph, mask, b, attrs)?;
+            cost += fresh.1;
             inputs.push(PhysicalPlan::Project {
-                input: Box::new(plan),
+                input: Box::new(fresh.0.clone()),
                 attrs: attrs.to_vec(),
             });
         }
@@ -376,21 +432,18 @@ impl<'a> Optimizer<'a> {
         mask: u64,
         pred: &PredBox,
         needed_attrs: &[Arc<str>],
-    ) -> Result<FreshPlan> {
-        let key = (
-            mask,
-            pred.to_string(),
-            needed_attrs
-                .iter()
-                .map(|a| a.as_ref())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        if let Some(hit) = self.fresh_memo.borrow().get(&key) {
-            return Ok(hit.clone());
+    ) -> Result<Rc<FreshPlan>> {
+        let view = (mask, pred, needed_attrs);
+        if let Some(hit) = self.fresh_memo.borrow().get(&view as &dyn FreshKeyView) {
+            return Ok(Rc::clone(hit));
         }
-        let out = self.fresh_plan_uncached(q, graph, mask, pred, needed_attrs)?;
-        self.fresh_memo.borrow_mut().insert(key, out.clone());
+        let out = Rc::new(self.fresh_plan_uncached(q, graph, mask, pred, needed_attrs)?);
+        let key = FreshKey {
+            mask,
+            pred: pred.clone(),
+            attrs: needed_attrs.to_vec(),
+        };
+        self.fresh_memo.borrow_mut().insert(key, Rc::clone(&out));
         Ok(out)
     }
 
@@ -429,14 +482,14 @@ impl<'a> Optimizer<'a> {
                 let Some((probe_key, build_key)) = join_keys(graph, probe_mask, build_mask) else {
                     continue;
                 };
-                let (pp, pc, pr) = self.fresh_plan(q, graph, probe_mask, pred, needed_attrs)?;
-                let (bp, bc, br) = self.fresh_plan(q, graph, build_mask, pred, needed_attrs)?;
+                let (pp, pc, pr) = &*self.fresh_plan(q, graph, probe_mask, pred, needed_attrs)?;
+                let (bp, bc, br) = &*self.fresh_plan(q, graph, build_mask, pred, needed_attrs)?;
                 // Delta pipelines are priced at a flat 16-byte payload.
-                let cost = pc + bc + self.cost.rhj_fresh(br.max(1.0), 16.0, pr);
+                let cost = pc + bc + self.cost.rhj_fresh(br.max(1.0), 16.0, *pr);
                 if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
                     let plan = PhysicalPlan::HashJoin {
-                        probe: Box::new(pp),
-                        build: Some(Box::new(bp)),
+                        probe: Box::new(pp.clone()),
+                        build: Some(Box::new(bp.clone())),
                         probe_key,
                         build_key,
                         reuse: None,

@@ -26,7 +26,7 @@ use crate::interval::Interval;
 
 /// A conjunction of per-attribute intervals. Attributes are qualified
 /// (`lineitem.l_shipdate`); an absent attribute is unconstrained.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PredBox {
     intervals: BTreeMap<Arc<str>, Interval>,
 }
