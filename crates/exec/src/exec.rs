@@ -21,6 +21,13 @@
 //! identical fingerprints and footprints. Mutating-reuse delta inserts stay
 //! serial (they append to an existing table); the cost model prices both
 //! regimes.
+//!
+//! Between operators, data flows as a `Pipe` (rows, or a columnar
+//! selection over a base table) or, out of a hash join, as a join chain
+//! (see the `join` module) that the next join's probe, a build side or an
+//! aggregate fold reads in place. Rows are built at three edges only: a
+//! union's inputs, a join that feeds the reply or a `Materialize`, and an
+//! aggregate's output.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -338,7 +345,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema
     Ok((schema, ResultRows::new(pipe)))
 }
 
-/// Run a sub-plan whose consumer needs rows: build sides, unions and the
+/// Run a sub-plan whose consumer needs rows: unions and the
 /// materialization baseline's temp tables.
 fn run_rows(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Row>)> {
     let (schema, pipe) = run(plan, ctx)?;
@@ -349,7 +356,10 @@ fn run_rows(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, V
 /// allows: scans whose constraints all lower to [`RangeKernel`]s, and
 /// filters and projections over such scans. Every other operator (and
 /// every lowering failure) produces materialized rows exactly as the row
-/// interpreter does.
+/// interpreter does. A join reaches this only when rows are what its
+/// consumer needs (the reply, a union, a filter or a `Materialize`); a
+/// join feeding another join's probe, a build side or an aggregate fold
+/// runs through [`run_input`] and is read in place.
 pub(crate) fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
     match plan {
         PhysicalPlan::Scan(spec) => run_scan(spec, ctx),
@@ -412,7 +422,7 @@ pub(crate) fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Sch
             match run_input(plan, ctx)? {
                 Input::Pipe(schema, pipe) => Ok((schema, pipe)),
                 // The join's consumer needs rows: build each once, from its
-                // pair, then hand the join's table back.
+                // positions, then hand the chain's tables back.
                 Input::Join(joined) => {
                     let rows = joined.rows(ctx.sched());
                     let schema = joined.schema.clone();
@@ -445,9 +455,9 @@ pub(crate) fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Sch
     }
 }
 
-/// A sub-plan's output as a pipeline breaker (a build side or an
-/// aggregate fold) consumes it: a pipe, or a hash join's match pairs read
-/// in place, so the join's output is never materialized.
+/// A sub-plan's output as a join's probe, a build side or an aggregate
+/// fold consumes it: a pipe, or a join chain read in place through its
+/// position columns, so the join's output is never materialized.
 pub(crate) enum Input<'m> {
     Pipe(Schema, Pipe),
     Join(Box<Joined<'m>>),
@@ -469,8 +479,9 @@ impl Input<'_> {
     }
 }
 
-/// Run a sub-plan for a breaker: a hash join (under any projections)
-/// stops at its match pairs; everything else runs as [`run`] does.
+/// Run a sub-plan for a probe or a breaker: a hash join (under any
+/// projections) stops at its join chain; everything else runs as [`run`]
+/// does.
 pub(crate) fn run_input<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> Result<Input<'m>> {
     match plan {
         PhysicalPlan::HashJoin {

@@ -1,17 +1,24 @@
-//! Hash joins: the build side's table, the probe, and the join output a
+//! Hash joins: the build side's table, the probe, and the join chain a
 //! consumer reads in place.
 //!
 //! A join table is a [`ColumnHt`]: the hash table holds the keys, and the
 //! payload sits beside it as typed columns in arena order, which a build
-//! gathers straight from its input (a batch's base columns, a join's match
-//! pairs, or rows' values) without building a row. The probe does not
+//! gathers straight from its input (a batch's base columns, a join chain's
+//! positions, or rows' values) without building a row. The probe does not
 //! build rows either: it emits `(probe position, arena position)` match
 //! pairs, after filtering each chunk's keys into candidates through the
 //! directory's tag filter — or, for an `Int` or `Date` probe key over a
 //! table whose key span a bitmap covers cheaply, through the exact key
-//! pre-filter ([`KeyBitmap`]). A consumer reads the pairs in place
-//! (`JoinTuples`): an aggregate folds them, a build side appends their
-//! cells, and only a consumer that needs rows builds each once.
+//! pre-filter ([`KeyBitmap`]).
+//!
+//! The pairs turn the join's output into a join chain ([`Joined`]): the
+//! innermost join's probe-side pipe, the chain's tables innermost first,
+//! and one position column per source. A join whose probe side is a join
+//! probes that chain and extends it by one table and one position column,
+//! so a multi-way join builds no row between pipeline breakers. A consumer
+//! reads the chain in place (`JoinTuples`): an outer probe hashes its key
+//! cells, an aggregate folds it, a build side appends its cells, and only a
+//! consumer that needs rows builds each once.
 
 use std::borrow::Cow;
 use std::sync::Arc;

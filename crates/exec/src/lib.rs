@@ -17,6 +17,10 @@
 //! * [`exec`] — the interpreter plus [`exec::ExecMetrics`] (tuples scanned,
 //!   hash-table inserts/probes/updates, bytes materialized) used to validate
 //!   cost models.
+//! * `join` — hash joins: build, probe, and the join chain a multi-way
+//!   join's output stays as until a consumer needs rows (one position
+//!   column per source, read in place by the next probe, a build side or
+//!   an aggregate fold).
 //! * [`parallel`] — the morsel scheduler: phases over an atomic claim
 //!   space, per-participant output buffers concatenated in morsel-index
 //!   order.
