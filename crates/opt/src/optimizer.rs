@@ -16,13 +16,12 @@
 //! wins. The [`EngineStrategy`] decides what is matched, what is admitted
 //! and whether reuse is preferred greedily.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use hashstash_types::{HsError, Result};
+use hashstash_types::{HsError, Result, StableHasher};
 
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ScanSpec};
@@ -52,58 +51,14 @@ pub struct OptimizedQuery {
 /// A reuse-free pipeline: `(plan, cost, rows)`.
 type FreshPlan = (PhysicalPlan, f64, f64);
 
-/// The fresh-plan memo's key: a join mask, a predicate box and the
-/// attributes kept in flight.
-#[derive(PartialEq, Eq)]
-struct FreshKey {
+/// One entry of the fresh-plan memo: its key — a join mask, a predicate box
+/// and the attributes kept in flight — and the pipeline.
+struct FreshEntry {
     mask: u64,
     pred: PredBox,
     attrs: Vec<Arc<str>>,
+    plan: Rc<FreshPlan>,
 }
-
-/// A [`FreshKey`]'s parts by reference: the memo is looked up through
-/// this view, so a lookup builds no key.
-trait FreshKeyView {
-    fn parts(&self) -> (u64, &PredBox, &[Arc<str>]);
-}
-
-impl FreshKeyView for FreshKey {
-    fn parts(&self) -> (u64, &PredBox, &[Arc<str>]) {
-        (self.mask, &self.pred, &self.attrs)
-    }
-}
-
-impl FreshKeyView for (u64, &PredBox, &[Arc<str>]) {
-    fn parts(&self) -> (u64, &PredBox, &[Arc<str>]) {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn FreshKeyView + 'a> for FreshKey {
-    fn borrow(&self) -> &(dyn FreshKeyView + 'a) {
-        self
-    }
-}
-
-impl Hash for FreshKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
-    }
-}
-
-impl Hash for dyn FreshKeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
-    }
-}
-
-impl PartialEq for dyn FreshKeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn FreshKeyView + '_ {}
 
 #[derive(Debug, Clone)]
 struct PlanInfo {
@@ -121,10 +76,11 @@ pub struct Optimizer<'a> {
     pub(crate) stats: &'a DbStats,
     pub(crate) cost: &'a CostModel,
     pub(crate) strategy: EngineStrategy,
-    /// Per-optimize memo for reuse-free delta pipelines, keyed by
-    /// `(mask, predicate, needed attrs)`. Delta plans are enumerated once
-    /// per candidate otherwise — quadratic in cache size without this.
-    fresh_memo: std::cell::RefCell<HashMap<FreshKey, Rc<FreshPlan>>>,
+    /// Per-optimize memo for reuse-free delta pipelines, bucketed by the
+    /// hash of their `(mask, predicate, needed attrs)` key, so a lookup
+    /// builds no key. Delta plans are enumerated once per candidate
+    /// otherwise — quadratic in cache size without this.
+    fresh_memo: std::cell::RefCell<HashMap<u64, Vec<FreshEntry>>>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -433,18 +389,31 @@ impl<'a> Optimizer<'a> {
         pred: &PredBox,
         needed_attrs: &[Arc<str>],
     ) -> Result<Rc<FreshPlan>> {
-        let view = (mask, pred, needed_attrs);
-        if let Some(hit) = self.fresh_memo.borrow().get(&view as &dyn FreshKeyView) {
-            return Ok(Rc::clone(hit));
+        let mut h = StableHasher::new();
+        (mask, pred, needed_attrs).hash(&mut h);
+        let hash = h.finish();
+        let hit = self.fresh_memo.borrow().get(&hash).and_then(|bucket| {
+            bucket
+                .iter()
+                .find(|e| e.mask == mask && e.pred == *pred && e.attrs == needed_attrs)
+                .map(|e| Rc::clone(&e.plan))
+        });
+        if let Some(hit) = hit {
+            return Ok(hit);
         }
-        let out = Rc::new(self.fresh_plan_uncached(q, graph, mask, pred, needed_attrs)?);
-        let key = FreshKey {
+        let plan = Rc::new(self.fresh_plan_uncached(q, graph, mask, pred, needed_attrs)?);
+        let entry = FreshEntry {
             mask,
             pred: pred.clone(),
             attrs: needed_attrs.to_vec(),
+            plan: Rc::clone(&plan),
         };
-        self.fresh_memo.borrow_mut().insert(key, Rc::clone(&out));
-        Ok(out)
+        self.fresh_memo
+            .borrow_mut()
+            .entry(hash)
+            .or_default()
+            .push(entry);
+        Ok(plan)
     }
 
     fn fresh_plan_uncached(
