@@ -13,9 +13,9 @@
 //!    post-filter, or partially with a delta build. An outer probe reads its
 //!    key from the base or from the previous table, and an inner join may
 //!    sit under a reordering projection. The chain feeds an aggregate fold,
-//!    a build side, a union or the reply. Rows (bit for bit), `semantic()`
-//!    counts and the whole cache afterwards must equal the oracle's, at 1
-//!    and 4 workers.
+//!    a build side, a union or the reply. Rows (bit for bit, through a
+//!    digest), `semantic()` counts and the whole cache afterwards must equal
+//!    the oracle's, at 1 and 4 workers.
 //! 2. The paper's traces under a tight budget. After every query the cache
 //!    (ids, lineage, footprints, use counts, LRU order, tables) and its
 //!    statistics must equal the oracle's. Ids are handed out at publish and
@@ -23,13 +23,16 @@
 //!    chain hands its tables back in the order the joins finished one by
 //!    one.
 
+use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use hashstash_cache::{GcConfig, HtManager, StoredHt};
+use hashstash_cache::{CacheStats, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
-use hashstash_exec::{execute, min_parallel_morsels, ExecContext, WorkerPool, MORSEL_ROWS};
+use hashstash_exec::{
+    execute, min_parallel_morsels, ExecContext, ExecMetrics, WorkerPool, MORSEL_ROWS,
+};
 use hashstash_hashtable::CostGrid;
 use hashstash_opt::{CostModel, CostParams, DbStats, EngineStrategy, Optimizer};
 use hashstash_plan::{
@@ -37,7 +40,7 @@ use hashstash_plan::{
 };
 use hashstash_storage::tpch::{generate, TpchConfig};
 use hashstash_storage::{Catalog, TableBuilder};
-use hashstash_types::{DataType, Value};
+use hashstash_types::{DataType, Row, Schema, StableHasher, Value};
 use hashstash_workload::trace::{generate_trace, ReusePotential, TraceConfig};
 
 /// Dimension tables, one per join of the longest chain.
@@ -422,18 +425,62 @@ fn main_plan(case: &Case, htm: &HtManager) -> PhysicalPlan {
     }
 }
 
+/// Feed `row` to `h` bit for bit: a float feeds its bits, so `-0.0` and
+/// `0.0` (equal as values) differ here, and so do NaN payloads.
+fn hash_row(h: &mut StableHasher, row: &Row) {
+    h.write_usize(row.values().len());
+    for v in row.values() {
+        match v {
+            Value::Int(i) => {
+                h.write_u8(0);
+                h.write_i64(*i);
+            }
+            Value::Float(f) => {
+                h.write_u8(1);
+                h.write_u64(f.0.to_bits());
+            }
+            Value::Str(s) => {
+                h.write_u8(2);
+                h.write_usize(s.len());
+                h.write(s.as_bytes());
+            }
+            Value::Date(d) => {
+                h.write_u8(3);
+                h.write_i32(*d);
+            }
+        }
+    }
+}
+
+/// Rows, in order, as a bit-exact digest.
+fn digest(rows: &[Row]) -> u64 {
+    let mut h = StableHasher::new();
+    for row in rows {
+        hash_row(&mut h, row);
+    }
+    h.finish()
+}
+
 /// Every cached entry in LRU order, with its id, lineage, schema,
-/// footprint, use count and table, rendered: equal images mean the two
-/// caches saw the same publishes, check-outs and evictions in the same
-/// order, and hold equal tables.
+/// footprint, use count and table (its `(key, row)` arena digested bit for
+/// bit, or an aggregate's groups and accumulators rendered): equal images
+/// mean the two caches saw the same publishes, check-outs and evictions in
+/// the same order, and hold equal tables.
 fn cache_image(htm: &HtManager) -> Vec<String> {
     htm.snapshot_entries()
         .into_iter()
         .map(|e| {
             let table = match &*e.payload {
-                StoredHt::Rows(t) => format!("{:?}", t.iter().collect::<Vec<_>>()),
+                StoredHt::Rows(t) => {
+                    let mut h = StableHasher::new();
+                    for (key, row) in t.iter() {
+                        h.write_u64(key);
+                        hash_row(&mut h, &row);
+                    }
+                    format!("{} entries {:#x}", t.len(), h.finish())
+                }
                 StoredHt::Agg(t) => format!("{:?}", t.iter().collect::<Vec<_>>()),
-                StoredHt::Materialized(rows) => format!("{:?}", rows.rows()),
+                StoredHt::Materialized(rows) => format!("{:#x}", digest(rows.rows())),
             };
             format!(
                 "{} {:?} {:?} {} {} {table}",
@@ -446,13 +493,13 @@ fn cache_image(htm: &HtManager) -> Vec<String> {
 /// What one run of a case observes.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    /// Schema and rows, rendered: `Debug` tells every float bit pattern
-    /// apart, `-0.0` from `0.0` included.
-    output: String,
-    /// `ExecMetrics::semantic()`, rendered.
-    semantic: String,
+    schema: Schema,
+    rows: usize,
+    /// [`digest`] of the rows.
+    digest: u64,
+    semantic: ExecMetrics,
     cache: Vec<String>,
-    stats: String,
+    stats: CacheStats,
 }
 
 fn observe(case: &Case, oracle: bool, workers: usize) -> Observed {
@@ -475,10 +522,12 @@ fn observe(case: &Case, oracle: bool, workers: usize) -> Observed {
     let mut ctx = context();
     let (schema, rows) = execute(&plan, &mut ctx).expect("chain executes");
     Observed {
-        output: format!("{schema:?} {:?}", &rows[..]),
-        semantic: format!("{:?}", ctx.metrics.semantic()),
+        schema,
+        rows: rows.len(),
+        digest: digest(&rows),
+        semantic: ctx.metrics.semantic(),
         cache: cache_image(&htm),
-        stats: format!("{:?}", htm.stats()),
+        stats: htm.stats(),
     }
 }
 
