@@ -170,7 +170,7 @@ fn scan_g() -> PhysicalPlan {
 }
 
 /// How one join of the chain gets its table.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum TableCase {
     Fresh { publish: bool },
     Exact,
@@ -206,7 +206,7 @@ impl JoinCase {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum Consumer {
     Reply,
     Aggregate,
