@@ -466,6 +466,10 @@ pub struct HtManager {
     tenant_stats: Mutex<HashMap<TenantId, TenantCounters>>,
     /// Logical clock behind every `last_used` stamp.
     clock: AtomicU64,
+    /// Persistence generation: bumped under the shard lock by every change
+    /// to what [`HtManager::snapshot_entries`] returns (see
+    /// [`HtManager::generation`]).
+    generation: AtomicU64,
     next_id: AtomicU64,
     publishes: AtomicU64,
     publish_dedups: AtomicU64,
@@ -498,6 +502,7 @@ impl HtManager {
             tenant_floors: Mutex::new(HashMap::new()),
             tenant_stats: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
             publishes: AtomicU64::new(0),
             publish_dedups: AtomicU64::new(0),
@@ -558,6 +563,27 @@ impl HtManager {
 
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Record a change to what [`HtManager::snapshot_entries`] returns.
+    /// Call with the shard lock that guards the change held.
+    fn bump_generation(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The persistence generation: a counter bumped, under the shard lock,
+    /// by every change to what [`HtManager::snapshot_entries`] returns — a
+    /// publish or a dedup's LRU stamp, a checkout, an exclusive check-in or
+    /// abandon, an eviction and a drop. Read it *before* taking the
+    /// entries: if a later read returns the same value, a fresh
+    /// `snapshot_entries` would return the same entries in the same order,
+    /// with the same use counts, lineages and payload handles. A change
+    /// racing the read bumps after it, so the next read differs; a bump
+    /// the read observes was made under a shard lock the snapshot takes
+    /// afterwards, so the snapshot sees that change. Shared check-ins,
+    /// lookups and statistics leave the counter alone.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
     }
 
     fn lock_shard(&self, idx: usize) -> LockGuard<'_, ShardState> {
@@ -667,6 +693,7 @@ impl HtManager {
                     id
                 })
             });
+            self.bump_generation();
             if let Some(id) = duplicate {
                 self.publish_dedups.fetch_add(1, Ordering::Relaxed);
                 self.tenant_mut(tenant, |c| c.publish_dedups += 1);
@@ -866,6 +893,7 @@ impl HtManager {
         }
         entry.last_used = now;
         entry.use_count += 1;
+        self.bump_generation();
         if fine {
             // Fine-grained bookkeeping: re-stamp every element. This is the
             // per-entry monitoring overhead the paper measured and rejected.
@@ -954,6 +982,7 @@ impl HtManager {
                 }
                 (Some(entry), CheckoutMode::Exclusive) => {
                     entry.writer = false;
+                    self.bump_generation();
                     if in_place && matches!(entry.slot, Slot::InPlace) {
                         state.entries.remove(&id)
                     } else {
@@ -1003,6 +1032,7 @@ impl HtManager {
             entry.slot = Slot::Present(payload);
             entry.last_used = now;
             entry.writer = false;
+            self.bump_generation();
             // Byte delta while still holding the shard lock: once it drops
             // the entry is evictable, and a concurrent eviction subtracting
             // the new size against a counter still holding the old one
@@ -1036,7 +1066,10 @@ impl HtManager {
                 hash_map::Entry::Occupied(e) if e.get().pinned() => {
                     return Err(HsError::CacheError(format!("{id} is checked out")))
                 }
-                hash_map::Entry::Occupied(e) => e.remove(),
+                hash_map::Entry::Occupied(e) => {
+                    self.bump_generation();
+                    e.remove()
+                }
             }
         };
         self.account_removed(id, &entry);
@@ -1108,7 +1141,10 @@ impl HtManager {
         let removed = {
             let mut state = self.lock_shard(self.shard_of_id(id));
             match state.entries.get(&id) {
-                Some(e) if !e.pinned() => state.entries.remove(&id),
+                Some(e) if !e.pinned() => {
+                    self.bump_generation();
+                    state.entries.remove(&id)
+                }
                 _ => None,
             }
         };

@@ -280,6 +280,7 @@ impl EngineBuilder {
             tenants: Mutex::new(Vec::new()),
             flush_error: FlushErrorSlot::default(),
             durability,
+            flushed: Mutex::new(None),
         });
         for (name, floor) in self.tenants {
             let t = db.register_tenant(&name);
@@ -350,6 +351,11 @@ pub struct Database {
     /// Most recent flush failure (shared so it outlives the database).
     flush_error: FlushErrorSlot,
     durability: Option<Durability>,
+    /// The cache generation ([`HtManager::generation`]) read before the
+    /// entries of the last successful flush; `None` until one succeeds.
+    /// Held across a whole flush, so concurrent flushes install in order.
+    // lock-order: 10 (flush; held across snapshot_entries and the install)
+    flushed: Mutex<Option<u64>>,
 }
 
 /// Map a durability I/O error into the engine's error type.
@@ -497,6 +503,15 @@ impl Database {
     /// delete the older snapshots. No-op (returns `Ok`) for in-memory
     /// databases.
     ///
+    /// A flush with nothing new writes nothing: when the cache's
+    /// [`HtManager::generation`] still equals the one read before the
+    /// entries of the last successful flush, the snapshot on disk already
+    /// holds exactly what a new one would (the catalog is immutable), so
+    /// the call returns `Ok` without touching the directory. The first
+    /// flush after an open always writes, and a failed flush records
+    /// nothing, so the next one writes again. The snapshot format is the
+    /// same either way.
+    ///
     /// # Clean-exit contract
     ///
     /// After a successful `flush` the data directory contains exactly one
@@ -535,6 +550,13 @@ impl Database {
         let Some(d) = &self.durability else {
             return Ok(());
         };
+        let mut flushed = self.flushed.lock().unwrap_or_else(PoisonError::into_inner);
+        // Read before the entries: a change racing the snapshot bumps the
+        // generation past this value, so the next flush writes again.
+        let generation = self.htm.generation();
+        if *flushed == Some(generation) {
+            return Ok(());
+        }
         let entries: Vec<PersistedEntry> = self
             .htm
             .snapshot_entries()
@@ -548,7 +570,9 @@ impl Database {
                 payload: e.payload,
             })
             .collect();
-        d.flush_snapshot(&self.catalog, &entries).map_err(dur_err)
+        d.flush_snapshot(&self.catalog, &entries).map_err(dur_err)?;
+        *flushed = Some(generation);
+        Ok(())
     }
 
     /// The plan a session runs for `q` under `strategy`: the reuse-aware
@@ -574,7 +598,9 @@ impl Database {
 impl Drop for Database {
     /// Best-effort flush on clean exit, so simply letting the last handle
     /// go out of scope leaves exactly one snapshot, holding the catalog and
-    /// the whole cache. A failed final snapshot would silently lose the
+    /// the whole cache. Right after a successful [`Database::flush`] with
+    /// no cache change since, this flush is a no-op and writes nothing.
+    /// A failed final snapshot would silently lose the
     /// warm-restart cache, so an error here is logged to stderr and
     /// recorded in the flush-error slot (readable after the drop via a
     /// pre-cloned [`Database::flush_error_slot`]); `Drop` itself must stay
@@ -1141,7 +1167,7 @@ mod tests {
             session.execute(&q3(2, "1996-01-01")).unwrap();
             assert!(db.cache_stats().publishes > 0);
             db.flush().unwrap();
-        } // Drop flushes again, harmlessly.
+        } // Drop writes nothing: the flush saw every change.
         let db = Database::builder(Catalog::new()).data_dir(&dir).build();
         assert_eq!(db.catalog().len(), catalog().len(), "catalog recovered");
         assert!(

@@ -20,6 +20,18 @@
 //! per row and a tag-flag byte per fingerprint. Files of an earlier format
 //! are rejected by the magic check like any other invalid snapshot.
 //! A first-boot snapshot is the same format with zero cache entries.
+//! The CRC is computed slice-by-16 ([`crate::crc`]) and typed columns are
+//! decoded in bulk ([`crate::codec`]); both read and write exactly the
+//! bytes the format always had.
+//!
+//! # No-op flushes
+//!
+//! The engine's flush skips [`write_snapshot`] altogether when the cache
+//! has not changed since its last successful flush (the cache's
+//! generation counter is where that flush read it): the file on disk
+//! already holds what a new one would. So a flush followed by a clean
+//! shutdown installs one snapshot, not two. This is the engine's
+//! decision, not this module's — every call here writes a file.
 //!
 //! # Atomicity
 //!

@@ -1,7 +1,7 @@
 //! Table and attribute statistics for selectivity and cardinality
 //! estimation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use hashstash_types::Value;
 
@@ -147,6 +147,32 @@ impl DbStats {
     }
 }
 
+/// Number of distinct values of `values` under an injective `key` (a float
+/// counts by its bits, so `-0.0`, `0.0` and each NaN pattern are distinct).
+/// A bitmap over the keys' `[min, max]` when it takes at most about a byte
+/// per value, else sort + dedup of a copy of the keys.
+fn distinct_count<T: Copy>(values: &[T], key: impl Fn(T) -> u64) -> u64 {
+    let keys = || values.iter().map(|&v| key(v));
+    let (Some(lo), Some(hi)) = (keys().min(), keys().max()) else {
+        return 0;
+    };
+    if (hi - lo) / 8 <= values.len() as u64 {
+        let mut seen = vec![0u64; ((hi - lo) / 64 + 1) as usize];
+        let mut distinct = 0;
+        for k in keys() {
+            let (word, bit) = (((k - lo) / 64) as usize, 1u64 << ((k - lo) % 64));
+            distinct += u64::from(seen[word] & bit == 0);
+            seen[word] |= bit;
+        }
+        distinct
+    } else {
+        let mut sorted: Vec<u64> = keys().collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len() as u64
+    }
+}
+
 fn column_stats(col: &Column) -> Option<AttrStats> {
     if col.is_empty() {
         return None;
@@ -155,7 +181,7 @@ fn column_stats(col: &Column) -> Option<AttrStats> {
         Column::Int(v) => {
             let lo = *v.iter().min()?;
             let hi = *v.iter().max()?;
-            let distinct = v.iter().collect::<HashSet<_>>().len() as u64;
+            let distinct = distinct_count(v, |x| x as u64);
             Some(AttrStats {
                 lo: Value::Int(lo),
                 hi: Value::Int(hi),
@@ -165,7 +191,7 @@ fn column_stats(col: &Column) -> Option<AttrStats> {
         Column::Date(v) => {
             let lo = *v.iter().min()?;
             let hi = *v.iter().max()?;
-            let distinct = v.iter().collect::<HashSet<_>>().len() as u64;
+            let distinct = distinct_count(v, |x| x as u32 as u64);
             Some(AttrStats {
                 lo: Value::Date(lo),
                 hi: Value::Date(hi),
@@ -175,7 +201,7 @@ fn column_stats(col: &Column) -> Option<AttrStats> {
         Column::Float(v) => {
             let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let distinct = v.iter().map(|x| x.to_bits()).collect::<HashSet<_>>().len() as u64;
+            let distinct = distinct_count(v, f64::to_bits);
             Some(AttrStats {
                 lo: Value::float(lo),
                 hi: Value::float(hi),
@@ -185,7 +211,7 @@ fn column_stats(col: &Column) -> Option<AttrStats> {
         Column::Str { dict, codes } => {
             let lo = dict.iter().min()?.clone();
             let hi = dict.iter().max()?.clone();
-            let distinct = codes.iter().collect::<HashSet<_>>().len() as u64;
+            let distinct = distinct_count(codes, u64::from);
             Some(AttrStats {
                 lo: Value::Str(lo),
                 hi: Value::Str(hi),

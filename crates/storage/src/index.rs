@@ -7,7 +7,7 @@
 
 use std::ops::Bound;
 
-use hashstash_types::Value;
+use hashstash_types::{f64_order_key, Value};
 
 use crate::column::Column;
 
@@ -23,15 +23,37 @@ pub struct SortedIndex {
 
 impl SortedIndex {
     /// Build an index over a column.
+    ///
+    /// Rows are sorted by their typed key with the row id as the
+    /// tie-break: the order of `Value`'s `Ord` (floats through
+    /// [`f64_order_key`]: NaN greatest, `-0.0 == 0.0`; strings by content)
+    /// without building a `Value` per comparison. Every sort key is
+    /// unique, so an unstable sort gives the one order there is.
     pub fn build(column: &Column) -> Self {
         let n = column.len();
         let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by(|&a, &b| {
-            column
-                .get(a as usize)
-                .cmp(&column.get(b as usize))
-                .then(a.cmp(&b))
-        });
+        match column {
+            Column::Int(v) => perm.sort_unstable_by_key(|&r| (v[r as usize], r)),
+            Column::Date(v) => perm.sort_unstable_by_key(|&r| (v[r as usize], r)),
+            Column::Float(v) => perm.sort_unstable_by_key(|&r| (f64_order_key(v[r as usize]), r)),
+            Column::Str { dict, codes } => {
+                // Rank the dictionary once (equal strings share a rank),
+                // then sort rows by (rank, row id) packed into one word.
+                let mut by_str: Vec<u32> = (0..dict.len() as u32).collect();
+                by_str.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
+                let mut rank = vec![0u32; dict.len()];
+                let mut r = 0;
+                for (i, pair) in by_str.windows(2).enumerate() {
+                    if dict[pair[0] as usize] != dict[pair[1] as usize] {
+                        r = i as u32 + 1;
+                    }
+                    rank[pair[1] as usize] = r;
+                }
+                perm.sort_unstable_by_key(|&row| {
+                    (u64::from(rank[codes[row as usize] as usize]) << 32) | u64::from(row)
+                });
+            }
+        }
         let keys = perm.iter().map(|&r| column.get(r as usize)).collect();
         SortedIndex { perm, keys }
     }
@@ -71,6 +93,12 @@ impl SortedIndex {
     /// Row ids with key exactly equal to `v`.
     pub fn equals(&self, v: &Value) -> &[u32] {
         self.range(Bound::Included(v), Bound::Included(v))
+    }
+
+    /// The indexed keys in index order, aligned with the row ids
+    /// [`SortedIndex::range`] returns.
+    pub fn keys(&self) -> &[Value] {
+        &self.keys
     }
 
     /// Approximate heap footprint in bytes.

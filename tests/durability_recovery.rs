@@ -300,6 +300,60 @@ fn clean_shutdown_leaves_exactly_one_snapshot() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A flush with nothing new writes nothing: `flush(); drop(db)` installs
+/// one snapshot, not two (every install takes the next sequence number, so
+/// the surviving file's name counts the writes). A reuse hit after the
+/// flush changes the entries' use counts and LRU stamps, so the drop must
+/// write again.
+#[test]
+fn flush_then_drop_writes_one_snapshot() {
+    let dir = fresh_dir("noop-flush");
+    {
+        let db = Database::builder(catalog()).data_dir(&dir).build();
+        assert_eq!(dir_files(&dir), ["snap-000000.snap"], "first boot");
+        db.session().execute(&q3(1, "1996-06-01")).unwrap();
+        db.flush().unwrap();
+        assert_eq!(dir_files(&dir), ["snap-000001.snap"]);
+        db.flush().unwrap();
+        assert_eq!(dir_files(&dir), ["snap-000001.snap"], "second flush");
+    }
+    assert_eq!(dir_files(&dir), ["snap-000001.snap"], "drop after flush");
+
+    // Recovery re-publishes the entries, and the first flush after an open
+    // always writes.
+    let (flushed, reused) = {
+        let db = Database::builder(Catalog::new()).data_dir(&dir).build();
+        db.flush().unwrap();
+        assert_eq!(dir_files(&dir), ["snap-000002.snap"], "first flush");
+        let r = db.session().execute(&q3(2, "1996-06-01")).unwrap();
+        assert!(
+            r.decisions.iter().any(|(_, c)| c.is_some()),
+            "the query reuses a rehydrated table: {:?}",
+            r.decisions
+        );
+        let snap = read_snapshot(&dir.join("snap-000002.snap")).unwrap();
+        let flushed: u64 = snap.entries.iter().map(|e| e.use_count).sum();
+        let reused: u64 = db
+            .cache()
+            .snapshot_entries()
+            .iter()
+            .map(|e| e.use_count)
+            .sum();
+        (flushed, reused)
+    };
+    assert!(
+        reused > flushed,
+        "the reuse hit counted: {reused} > {flushed}"
+    );
+    assert_eq!(dir_files(&dir), ["snap-000003.snap"], "drop after a hit");
+    let snap = read_snapshot(&dir.join("snap-000003.snap")).unwrap();
+    assert_eq!(
+        snap.entries.iter().map(|e| e.use_count).sum::<u64>(),
+        reused
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The materialized baseline's temp tables persist and rehydrate the same
 /// way hash tables do.
 #[test]
