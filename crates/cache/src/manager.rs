@@ -596,7 +596,12 @@ impl HtManager {
     /// same shard in every process, which the durability layer's golden
     /// shard-routing test pins for warm restarts.
     fn shard_of_shape(&self, fp: &HtFingerprint) -> usize {
-        (ShapeKey::of(fp).stable_hash() as usize) % self.shards.len()
+        self.shard_of_key(&ShapeKey::of(fp))
+    }
+
+    /// Home shard of a shape.
+    fn shard_of_key(&self, shape: &ShapeKey) -> usize {
+        (shape.stable_hash() as usize) % self.shards.len()
     }
 
     /// Shard an id was homed in at publish time (encoded in the id).
@@ -747,55 +752,70 @@ impl HtManager {
     /// Materialized temp tables are never candidates.
     pub fn candidates(&self, request: &HtFingerprint) -> Vec<Candidate> {
         self.candidate_lookups.fetch_add(1, Ordering::Relaxed);
-        self.lookup(request, false)
+        self.lookup(request, false, |_| true)
+    }
+
+    /// The [`HtManager::candidates`] whose lineage region is not disjoint
+    /// from the request's — the only ones a reuse can serve. A disjoint
+    /// entry is passed over before anything of it is copied.
+    pub fn overlapping_candidates(&self, request: &HtFingerprint) -> Vec<Candidate> {
+        self.candidate_lookups.fetch_add(1, Ordering::Relaxed);
+        self.lookup(request, false, |fp| !request.region.is_disjoint(&fp.region))
     }
 
     /// Available entries of one kind (`materialized` or hash tables) in
-    /// the request's shape bucket of the recycle graph.
-    pub(crate) fn lookup(&self, request: &HtFingerprint, materialized: bool) -> Vec<Candidate> {
-        let push_candidate = |out: &mut Vec<Candidate>, state: &ShardState, id: HtId| {
-            let Some(e) = state.entries.get(&id) else {
-                return; // evicted between graph probe and entry lookup
+    /// the request's shape bucket of the recycle graph whose fingerprint
+    /// passes `keep`.
+    pub(crate) fn lookup(
+        &self,
+        request: &HtFingerprint,
+        materialized: bool,
+        keep: impl Fn(&HtFingerprint) -> bool,
+    ) -> Vec<Candidate> {
+        let push_candidate =
+            |out: &mut Vec<Candidate>, entries: &HashMap<HtId, Entry>, id: HtId| {
+                let Some(e) = entries.get(&id) else {
+                    return; // evicted between graph probe and entry lookup
+                };
+                let Slot::Present(payload) = &e.slot else {
+                    return; // held for in-place mutation
+                };
+                if e.writer || e.materialized != materialized || !keep(&e.fingerprint) {
+                    return;
+                }
+                out.push(Candidate {
+                    id,
+                    fingerprint: e.fingerprint.clone(),
+                    schema: e.schema.clone(),
+                    entries: payload.len(),
+                    distinct_keys: payload.distinct_keys(),
+                    tuple_width: payload.tuple_width(),
+                    bytes: payload.logical_bytes(),
+                });
             };
-            let Slot::Present(payload) = &e.slot else {
-                return; // held for in-place mutation
-            };
-            if e.writer || e.materialized != materialized {
-                return;
-            }
-            out.push(Candidate {
-                id,
-                fingerprint: e.fingerprint.clone(),
-                schema: e.schema.clone(),
-                entries: payload.len(),
-                distinct_keys: payload.distinct_keys(),
-                tuple_width: payload.tuple_width(),
-                bytes: payload.logical_bytes(),
-            });
-        };
 
-        let shape_shard = self.shard_of_shape(request);
+        let shape = ShapeKey::of(request);
+        let shape_shard = self.shard_of_key(&shape);
         let mut out = Vec::new();
         // Entries of this shape home in the shape's shard, so serve them
         // under the single lock we already hold for the graph probe. Only
         // ids re-homed by a shape-changing checkin (not produced by any
         // current code path) need another shard's lock.
-        let foreign: Vec<HtId> = {
+        let mut foreign: Vec<HtId> = Vec::new();
+        {
             let mut state = self.lock_shard(shape_shard);
-            let ids = state.recycle.candidates(request);
-            let mut foreign = Vec::new();
-            for id in ids {
+            let ShardState { entries, recycle } = &mut *state;
+            for &id in recycle.candidates_of(&shape) {
                 if self.shard_of_id(id) == shape_shard {
-                    push_candidate(&mut out, &state, id);
+                    push_candidate(&mut out, entries, id);
                 } else {
                     foreign.push(id);
                 }
             }
-            foreign
-        };
+        }
         for id in foreign {
             let state = self.lock_shard(self.shard_of_id(id));
-            push_candidate(&mut out, &state, id);
+            push_candidate(&mut out, &state.entries, id);
         }
         out
     }

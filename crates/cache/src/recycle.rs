@@ -140,12 +140,17 @@ impl RecycleGraph {
     /// identical to the requesting fingerprint. This is the §3.3 pruning:
     /// only nodes referring to cached hash tables are visited.
     pub fn candidates(&mut self, request: &HtFingerprint) -> Vec<HtId> {
-        match self.nodes.get_mut(&ShapeKey::of(request)) {
+        self.candidates_of(&ShapeKey::of(request)).to_vec()
+    }
+
+    /// [`RecycleGraph::candidates`] of a shape key computed by the caller.
+    pub fn candidates_of(&mut self, shape: &ShapeKey) -> &[HtId] {
+        match self.nodes.get_mut(shape) {
             Some(node) => {
                 node.lookups += 1;
-                node.hts.clone()
+                &node.hts
             }
-            None => Vec::new(),
+            None => &[],
         }
     }
 

@@ -37,7 +37,7 @@ impl HtManager {
     /// the baseline checks shape, payload and region itself. Unlike
     /// [`HtManager::candidates`] this is not counted as a candidate lookup.
     pub fn temp_candidates(&self, request: &HtFingerprint) -> Vec<Candidate> {
-        self.lookup(request, true)
+        self.lookup(request, true, |_| true)
     }
 
     /// Read a temp table: an `Arc` snapshot of its rows — no copy of the

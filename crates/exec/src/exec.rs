@@ -41,7 +41,7 @@ use hashstash_types::{
 use hashstash_cache::{AggPayload, CheckedOut, ColumnHt, HtManager, StoredHt, TenantId};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::PredBox;
-use hashstash_storage::{Catalog, Column, RangeKernel, Table};
+use hashstash_storage::{Catalog, Column, RangeKernel, Table, ZoneMap};
 
 use crate::join::{run_hash_join, with_join_tuples, Joined};
 use crate::parallel::{
@@ -683,6 +683,21 @@ pub(crate) trait Tuples: Sync {
             .collect();
         dst.extend_values(&cells)
     }
+    /// Append column `col` of the tuples at `positions`, in that order, to
+    /// `dst`; `false` on a type mismatch.
+    fn append_column_at(&self, col: usize, positions: &[u32], dst: &mut Column) -> bool {
+        let cells: Vec<Value> = positions
+            .iter()
+            .map(|&i| self.cell(i as usize, col).into_owned())
+            .collect();
+        dst.extend_values(&cells)
+    }
+    /// The zone map of column `col` when tuple `i` is row `i` of a base
+    /// table (a dense batch), so block `b` of the map covers the tuples
+    /// `b * ZoneMap::BLOCK_ROWS ..`; `None` otherwise.
+    fn zone_map(&self, _col: usize) -> Option<&ZoneMap> {
+        None
+    }
 }
 
 /// The hash key over `cols`, from each column's key — `Row::key64`'s
@@ -731,6 +746,10 @@ impl Tuples for RowTuples<'_> {
 
     fn append_column(&self, col: usize, dst: &mut Column) -> bool {
         dst.extend_values(self.rows.iter().map(|r| r.get(col)))
+    }
+
+    fn append_column_at(&self, col: usize, positions: &[u32], dst: &mut Column) -> bool {
+        dst.extend_values(positions.iter().map(|&i| self.rows[i as usize].get(col)))
     }
 }
 
@@ -808,6 +827,18 @@ impl Tuples for BatchTuples<'_> {
     fn append_column(&self, col: usize, dst: &mut Column) -> bool {
         dst.extend_from(self.column(col), (0..self.len()).map(|i| self.rid(i)))
     }
+
+    fn append_column_at(&self, col: usize, positions: &[u32], dst: &mut Column) -> bool {
+        let rids = positions.iter().map(|&i| self.rid(i as usize));
+        dst.extend_from(self.column(col), rids)
+    }
+
+    fn zone_map(&self, col: usize) -> Option<&ZoneMap> {
+        match self.batch.sel {
+            Selection::Dense(_) => self.batch.table.zone_map(self.batch.proj[col]),
+            Selection::Rows(_) => None,
+        }
+    }
 }
 
 /// The entries of a cached table at positions `sel`, in that order.
@@ -846,6 +877,11 @@ impl Tuples for EntryTuples<'_> {
     #[inline]
     fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
         Cow::Owned(self.table.columns()[col].get(self.at(i)))
+    }
+
+    fn append_column(&self, col: usize, dst: &mut Column) -> bool {
+        let at = self.sel.iter().map(|&i| i as usize);
+        dst.extend_from(&self.table.columns()[col], at)
     }
 }
 
@@ -1128,7 +1164,7 @@ fn index_hits<'t>(
     let index = table
         .index_on(name)
         .ok_or_else(|| HsError::ExecError(format!("index on {name} vanished")))?;
-    Ok(index.range(iv.lo().as_ref(), iv.hi().as_ref()))
+    Ok(index.range(table.column(*col), iv.lo().as_ref(), iv.hi().as_ref()))
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 //! consumer that needs rows builds each once.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use hashstash_types::{DataType, HsError, Result, Row, Schema, Value};
@@ -28,7 +29,7 @@ use hashstash_types::{DataType, HsError, Result, Row, Schema, Value};
 use hashstash_cache::{CheckedOut, ColumnHt, StoredHt};
 use hashstash_hashtable::KeyBitmap;
 use hashstash_plan::PredBox;
-use hashstash_storage::Column;
+use hashstash_storage::{Column, ZoneMap};
 
 use crate::exec::{
     run_input, widened_recovery_filter, BatchTuples, BoxEval, ExecContext, Input, Pipe, RowTuples,
@@ -141,6 +142,15 @@ impl<P: Tuples> Tuples for JoinTuples<'_, P> {
         match self.at(i, col) {
             (at, Side::Table(c)) => Cow::Owned(c.get(at)),
             (p, Side::Base(c)) => self.base.cell(p, *c),
+        }
+    }
+
+    /// Gathered per source: a table's column through the chain's positions
+    /// in its arena, a base column through the base positions.
+    fn append_column(&self, col: usize, dst: &mut Column) -> bool {
+        match &self.cols[col] {
+            (pos, Side::Table(c)) => dst.extend_from(c, pos.iter().map(|&at| at as usize)),
+            (pos, Side::Base(c)) => self.base.append_column_at(*c, pos, dst),
         }
     }
 }
@@ -554,37 +564,112 @@ impl Probe<'_> {
     /// the pre-filter, or through the directory's tag filter (one 2-byte
     /// load per key) — then walk chains for the candidates only, comparing
     /// the actual key cells (hash keys of strings may collide).
+    ///
+    /// A dense base-table input with the exact pre-filter first lists,
+    /// serially, the blocks of its key column's zone map whose `[min, max]`
+    /// holds a key of the table, and runs the phase over those blocks'
+    /// tuples only: no other tuple can match, so the pairs are the same,
+    /// and the phase's size — which decides whether it fans out — is the
+    /// work left after skipping.
     pub(crate) fn pairs<T: Tuples>(&self, sched: Scheduler<'_>, input: &T) -> Vec<(u32, u32)> {
+        let probe_key_idx = input.key_cols()[0];
+        let live = self
+            .exact
+            .zip(input.zone_map(probe_key_idx))
+            .map(|(bitmap, zones)| {
+                zones.live_blocks(|lo, hi| {
+                    // A block whose keys spread over more than `SPAN_WORDS`
+                    // words of the bitmap is probed unchecked: bounds the cost
+                    // of listing a shuffled column.
+                    const SPAN_WORDS: u64 = 16;
+                    hi.abs_diff(lo) >= SPAN_WORDS * 64 || bitmap.any_in(lo, hi)
+                })
+            });
+        let Some(blocks) = live else {
+            return collect_morsels(sched, input.len(), |range| {
+                let mut chunk = ProbeChunk::new();
+                for start in range.clone().step_by(MORSEL_ROWS) {
+                    self.probe_rows(
+                        input,
+                        start..(start + MORSEL_ROWS).min(range.end),
+                        &mut chunk,
+                    );
+                }
+                chunk.pairs
+            });
+        };
+        // The phase runs over `BLOCK` tuples per live block: morsels are
+        // whole blocks, and runs of adjacent live blocks probe as one chunk.
+        const BLOCK: usize = ZoneMap::BLOCK_ROWS;
+        collect_morsels(sched, blocks.len() * BLOCK, |range| {
+            let mut chunk = ProbeChunk::new();
+            let blocks = &blocks[range.start / BLOCK..range.end.div_ceil(BLOCK)];
+            let mut run = 0;
+            while run < blocks.len() {
+                let mut end = run + 1;
+                while end < blocks.len()
+                    && blocks[end] == blocks[end - 1] + 1
+                    && (end - run) * BLOCK < MORSEL_ROWS
+                {
+                    end += 1;
+                }
+                let first = blocks[run] as usize * BLOCK;
+                let last = (blocks[end - 1] as usize + 1) * BLOCK;
+                self.probe_rows(input, first..last.min(input.len()), &mut chunk);
+                run = end;
+            }
+            chunk.pairs
+        })
+    }
+
+    /// Probe the tuples `rows` of `input`, appending their match pairs to
+    /// `chunk.pairs` in order.
+    fn probe_rows<T: Tuples>(&self, input: &T, rows: Range<usize>, chunk: &mut ProbeChunk) {
         let probe_key_idx = input.key_cols()[0];
         let index = self.table.index();
         let key_col = &self.table.columns()[self.build_key_idx];
-        collect_morsels(sched, input.len(), |range| {
-            let mut buf = Vec::new();
-            let mut keys: Vec<u64> = Vec::with_capacity(MORSEL_ROWS);
-            let mut candidates: Vec<u32> = Vec::with_capacity(MORSEL_ROWS);
-            for start in range.clone().step_by(MORSEL_ROWS) {
-                keys.clear();
-                candidates.clear();
-                input.keys_into(start..(start + MORSEL_ROWS).min(range.end), &mut keys);
-                match self.exact {
-                    Some(bitmap) => bitmap.filter_keys(&keys, &mut candidates),
-                    None => index.filter_keys(&keys, &mut candidates),
-                }
-                for &c in &candidates {
-                    let i = start + c as usize;
-                    for at in index.probe_positions(keys[c as usize]) {
-                        if input.cell_eq_at(i, probe_key_idx, key_col, at)
-                            && self
-                                .post_filters
-                                .iter()
-                                .all(|pf| pf.eval_at(self.table, at))
-                        {
-                            buf.push((i as u32, at as u32));
-                        }
-                    }
+        let ProbeChunk {
+            keys,
+            candidates,
+            pairs,
+        } = chunk;
+        keys.clear();
+        candidates.clear();
+        input.keys_into(rows.clone(), keys);
+        match self.exact {
+            Some(bitmap) => bitmap.filter_keys(keys, candidates),
+            None => index.filter_keys(keys, candidates),
+        }
+        for &c in candidates.iter() {
+            let i = rows.start + c as usize;
+            for at in index.probe_positions(keys[c as usize]) {
+                if input.cell_eq_at(i, probe_key_idx, key_col, at)
+                    && self
+                        .post_filters
+                        .iter()
+                        .all(|pf| pf.eval_at(self.table, at))
+                {
+                    pairs.push((i as u32, at as u32));
                 }
             }
-            buf
-        })
+        }
+    }
+}
+
+/// One participant's buffers for [`Probe::probe_rows`]: a chunk's keys and
+/// candidates, and the pairs found so far.
+struct ProbeChunk {
+    keys: Vec<u64>,
+    candidates: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl ProbeChunk {
+    fn new() -> Self {
+        ProbeChunk {
+            keys: Vec::with_capacity(MORSEL_ROWS),
+            candidates: Vec::with_capacity(MORSEL_ROWS),
+            pairs: Vec::new(),
+        }
     }
 }

@@ -24,9 +24,12 @@
 //! Inputs smaller than [`min_parallel_morsels`] morsels never cross a
 //! thread boundary — tiny operators keep their serial fast path and zero
 //! dispatch overhead, so unit tests and low-selectivity deltas are
-//! unaffected by the engine-level parallelism default. The threshold is
-//! *derived* from the measured per-phase dispatch cost
-//! ([`PHASE_DISPATCH_NS`]), which the cost model also prices
+//! unaffected by the engine-level parallelism default. A phase's size is
+//! the work it runs, not its input: a probe that skips the zone-map blocks
+//! no build key can hit (`join::Probe::pairs`) sizes its phase by the rows
+//! of its live blocks, so a selective probe of a large fact table stays
+//! inline. The threshold is *derived* from the measured per-phase dispatch
+//! cost ([`PHASE_DISPATCH_NS`]), which the cost model also prices
 //! (`CostParams::parallel_dispatch_ns`). In the other direction the
 //! fan-out width is clamped to the machine's core count
 //! ([`effective_parallelism`], floor two): CPU-bound morsels gain nothing

@@ -54,6 +54,32 @@ impl KeyBitmap {
         off < self.span && self.words[(off >> 6) as usize] >> (off & 63) & 1 != 0
     }
 
+    /// Whether any key of the set lies in `[lo, hi]` (keys read as `i64`):
+    /// the test a probe puts to a block of its key column, given the
+    /// block's smallest and largest key. One word load per 64 values of
+    /// the range's overlap with `[min, max]`, stopping at the first key.
+    pub fn any_in(&self, lo: i64, hi: i64) -> bool {
+        let min = self.min as i64;
+        // `span` is below 2^63, so `max` does not overflow.
+        let max = min + (self.span - 1) as i64;
+        let (lo, hi) = (lo.max(min), hi.min(max));
+        if lo > hi {
+            return false;
+        }
+        let (first, last) = (lo.abs_diff(min), hi.abs_diff(min));
+        let (first_word, last_word) = ((first >> 6) as usize, (last >> 6) as usize);
+        let head = !0u64 << (first & 63);
+        let tail = !0u64 >> (63 - (last & 63));
+        if first_word == last_word {
+            return self.words[first_word] & head & tail != 0;
+        }
+        self.words[first_word] & head != 0
+            || self.words[first_word + 1..last_word]
+                .iter()
+                .any(|&w| w != 0)
+            || self.words[last_word] & tail != 0
+    }
+
     /// Append to `out` the positions in `keys` of the keys in the set, in
     /// order: the exact counterpart of the tag filter's candidate list.
     /// One predictable branch per key — the filter serves probes most of
@@ -89,6 +115,15 @@ mod tests {
         }
         assert!(!bm.contains(i64::MIN as u64) && !bm.contains(i64::MAX as u64));
         assert!(KeyBitmap::new(keys.iter().map(|&k| k as u64), 2).is_none());
+    }
+
+    #[test]
+    fn any_in_clamps_to_the_span() {
+        let bm = KeyBitmap::new([-5i64, 60, 200].iter().map(|&k| k as u64), 8).expect("4 words");
+        assert!(bm.any_in(i64::MIN, i64::MAX));
+        assert!(bm.any_in(-5, -5) && bm.any_in(59, 61) && bm.any_in(199, i64::MAX));
+        assert!(!bm.any_in(-4, 59) && !bm.any_in(61, 199) && !bm.any_in(201, i64::MAX));
+        assert!(!bm.any_in(i64::MIN, -6) && !bm.any_in(60, 59));
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property test of the exact key pre-filter ([`KeyBitmap`]).
 //!
+//! `any_in`, the block test of a skipping probe, is checked exhaustively:
+//! every range between points around a drawn key set against a scan.
+//!
 //! A probe filters its keys into candidates, then walks the chains of the
 //! candidates only. With the pre-filter, the `(probe position, arena
 //! position)` pairs must be exactly the pairs the tag filter yields — and
@@ -103,5 +106,26 @@ proptest! {
         }
         let direct = KeyBitmap::new(table_keys.iter().map(|&k| k as u64), words);
         prop_assert_eq!(direct.is_some(), fits(&table_keys, words));
+    }
+
+    #[test]
+    fn any_in_matches_a_scan_of_every_range(
+        anchor in key_strategy(),
+        offsets in proptest::collection::vec(0i64..150, 1..12),
+    ) {
+        // Keys within 150 of an anchor at any point of `i64`, so the bitmap
+        // is built; every range around them is checked, ends past both
+        // extremes of the key set included.
+        let anchor = anchor.clamp(i64::MIN + 200, i64::MAX - 200);
+        let keys: Vec<i64> = offsets.iter().map(|&o| anchor + o).collect();
+        let bitmap = KeyBitmap::new(keys.iter().map(|&k| k as u64), 8).expect("a span of 150");
+        let mut ends: Vec<i64> = (-3..154).map(|o| anchor + o).collect();
+        ends.extend([i64::MIN, i64::MAX]);
+        for &lo in &ends {
+            for &hi in &ends {
+                let scan = keys.iter().any(|&k| lo <= k && k <= hi);
+                prop_assert_eq!(bitmap.any_in(lo, hi), scan, "[{}, {}]", lo, hi);
+            }
+        }
     }
 }

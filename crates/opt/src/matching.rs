@@ -51,7 +51,7 @@ pub fn find_matches(
     request_box: &PredBox,
     stats: &DbStats,
 ) -> Vec<MatchRewrite> {
-    htm.candidates(request)
+    htm.overlapping_candidates(request)
         .into_iter()
         .filter_map(|candidate| try_match(candidate, request, request_box, stats))
         .collect()
@@ -122,7 +122,8 @@ fn try_match(
     if !fp.payload_covers(request.payload_attrs.iter().map(|a| a.as_ref())) {
         return None;
     }
-    // Region classification.
+    // Region classification (the lookup already passed over disjoint
+    // lineage without copying it).
     let case = ReuseCase::classify(&request.region, &fp.region);
     if case == ReuseCase::Disjoint {
         return None;

@@ -16,6 +16,7 @@
 //! wins. The [`EngineStrategy`] decides what is matched, what is admitted
 //! and whether reuse is preferred greedily.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -26,7 +27,7 @@ use hashstash_types::{HsError, Result, StableHasher};
 use hashstash_cache::HtManager;
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ScanSpec};
 use hashstash_plan::{
-    AggExpr, AggFunc, HtFingerprint, HtKind, JoinGraph, PredBox, QuerySpec, Region,
+    is_attr_of, AggExpr, AggFunc, HtFingerprint, HtKind, JoinGraph, PredBox, QuerySpec, Region,
 };
 use hashstash_storage::Catalog;
 
@@ -60,14 +61,65 @@ struct FreshEntry {
     plan: Rc<FreshPlan>,
 }
 
-#[derive(Debug, Clone)]
+/// A priced alternative: what the search compares and memoizes per join
+/// mask. It holds no plan — only the choice that builds one, once the
+/// search is over ([`Optimizer::build`]).
+#[derive(Debug, Clone, Copy)]
 struct PlanInfo {
-    plan: PhysicalPlan,
     cost: f64,
     rows: f64,
     reused: bool,
     /// Future-benefit score for the §3.4 join-order preference.
     benefit: f64,
+    choice: Choice,
+}
+
+/// How a priced alternative is built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Choice {
+    /// A scan of the mask's one table.
+    Scan,
+    /// A hash join probing the `probe` mask's plan against a table over the
+    /// `build` mask, as `Search::requests[request]` describes it: built
+    /// fresh, or reusing the request's `reuse`-th match.
+    Join {
+        probe: u64,
+        build: u64,
+        request: usize,
+        reuse: Option<usize>,
+    },
+    /// The root aggregate: fresh over the join, or reusing the `reuse`-th
+    /// priced cached table.
+    Aggregate { reuse: Option<usize> },
+}
+
+/// A hash table over one build mask keyed on one attribute, as the query
+/// asks for it. Every partition and orientation that builds it shares one
+/// request, so its fingerprint, estimates and cache lookup are made once per
+/// query.
+struct BuildRequest {
+    mask: u64,
+    key: Arc<str>,
+    /// What a fresh build would publish.
+    fp: HtFingerprint,
+    /// Rows the request's region selects.
+    rows: f64,
+    payload_width: f64,
+    /// Every viable reuse, with the cost of its delta pipeline (`0` when it
+    /// needs none).
+    matches: Vec<(MatchRewrite, f64)>,
+}
+
+/// The state of one query's search.
+struct Search<'q> {
+    q: &'q QuerySpec,
+    graph: JoinGraph,
+    htm: &'q HtManager,
+    /// `q.region()`, computed once if needed.
+    region: OnceCell<Region>,
+    /// The best alternative per join mask.
+    memo: HashMap<u64, PlanInfo>,
+    requests: Vec<BuildRequest>,
 }
 
 /// The reuse-aware optimizer.
@@ -103,18 +155,25 @@ impl<'a> Optimizer<'a> {
 
     /// Optimize a query into a reuse-aware physical plan.
     pub fn optimize(&self, q: &QuerySpec, htm: &HtManager) -> Result<OptimizedQuery> {
-        let graph = JoinGraph::of_query(q);
-        let mut memo: HashMap<u64, PlanInfo> = HashMap::new();
         self.fresh_memo.borrow_mut().clear();
-        let join_info = self.best_plan(q, &graph, graph.all(), htm, &mut memo)?;
+        let mut s = Search {
+            q,
+            graph: JoinGraph::of_query(q),
+            htm,
+            region: OnceCell::new(),
+            memo: HashMap::new(),
+            requests: Vec::new(),
+        };
+        let all = s.graph.all();
+        let join_info = self.best_plan(&mut s, all)?;
 
         let (plan, est_cost_ns) = if q.is_aggregate() {
-            self.plan_aggregate(q, &graph, join_info, htm)?
+            self.plan_aggregate(&mut s, join_info)?
         } else if q.projection.is_empty() {
-            (join_info.plan, join_info.cost)
+            (self.build(&s, all)?, join_info.cost)
         } else {
             let plan = PhysicalPlan::Project {
-                input: Box::new(join_info.plan),
+                input: Box::new(self.build(&s, all)?),
                 attrs: q.projection.clone(),
             };
             (plan, join_info.cost + self.cost.output(join_info.rows))
@@ -126,43 +185,38 @@ impl<'a> Optimizer<'a> {
     // Join enumeration (Algorithm 1)
     // -----------------------------------------------------------------
 
-    fn best_plan(
-        &self,
-        q: &QuerySpec,
-        graph: &JoinGraph,
-        mask: u64,
-        htm: &HtManager,
-        memo: &mut HashMap<u64, PlanInfo>,
-    ) -> Result<PlanInfo> {
-        if let Some(hit) = memo.get(&mask) {
-            return Ok(hit.clone());
+    fn best_plan(&self, s: &mut Search<'_>, mask: u64) -> Result<PlanInfo> {
+        if let Some(&hit) = s.memo.get(&mask) {
+            return Ok(hit);
         }
         let info = if mask.count_ones() == 1 {
-            let table = only_table(graph, mask)?;
-            let projection = required_attrs(&[q], &table);
-            let (plan, cost, rows) = self.table_scan(table, &q.predicates, projection)?;
+            let table = only_table(&s.graph, mask)?;
+            let (_, cost, rows) = self.scan_region(&table, &s.q.predicates)?;
             PlanInfo {
-                plan,
                 cost,
                 rows,
                 reused: false,
                 benefit: 0.0,
+                choice: Choice::Scan,
             }
         } else {
+            // Every partition of `mask` joins the same tables.
+            let out_rows = self.stats.join_rows(
+                s.graph.tables_of_mask(mask).iter().map(|t| t.as_ref()),
+                &s.graph.edges_within_mask(mask),
+                s.region.get_or_init(|| s.q.region()),
+            );
             let mut best: Option<PlanInfo> = None;
-            for (l, r) in graph.connected_partitions(mask) {
+            for (l, r) in s.graph.connected_partitions(mask) {
                 for (probe_mask, build_mask) in [(l, r), (r, l)] {
-                    let options = self.join_options(q, graph, probe_mask, build_mask, htm, memo)?;
-                    for opt in options {
-                        best = Some(self.pick(best.take(), opt));
-                    }
+                    self.join_options(s, probe_mask, build_mask, out_rows, &mut best)?;
                 }
             }
             best.ok_or_else(|| {
                 HsError::PlanError(format!("no connected partition for mask {mask:#b}"))
             })?
         };
-        memo.insert(mask, info.clone());
+        s.memo.insert(mask, info);
         Ok(info)
     }
 
@@ -204,17 +258,23 @@ impl<'a> Optimizer<'a> {
         pred: &PredBox,
         projection: Vec<Arc<str>>,
     ) -> Result<FreshPlan> {
-        let table_pred = pred.project_table(&table);
-        let constrained = table_pred.attrs();
-        let region = Region::from_box(table_pred);
-        let rows = self.stats.filtered_rows(&table, &region);
-        let cost = self.scan_cost(&table, &constrained, rows)?;
+        let (region, cost, rows) = self.scan_region(&table, pred)?;
         let plan = PhysicalPlan::Scan(ScanSpec {
             table,
             region,
             projection,
         });
         Ok((plan, cost, rows))
+    }
+
+    /// The region a scan of `table` under `pred` reads, its cost and its
+    /// rows.
+    fn scan_region(&self, table: &str, pred: &PredBox) -> Result<(Region, f64, f64)> {
+        let table_pred = pred.project_table(table);
+        let indexed = self.any_indexed(table, table_pred.constrained().map(|(a, _)| a))?;
+        let region = Region::from_box(table_pred);
+        let rows = self.stats.filtered_rows(table, &region);
+        Ok((region, self.scan_price(table, indexed, rows), rows))
     }
 
     /// Price of reading the `rows` qualifying tuples of `table`: through an
@@ -226,134 +286,210 @@ impl<'a> Optimizer<'a> {
         constrained: &[Arc<str>],
         rows: f64,
     ) -> Result<f64> {
-        let table_ref = self.catalog.get(table)?;
+        let indexed = self.any_indexed(table, constrained)?;
+        Ok(self.scan_price(table, indexed, rows))
+    }
+
+    /// [`Optimizer::scan_cost`], given whether an index serves the scan.
+    fn scan_price(&self, table: &str, indexed: bool, rows: f64) -> f64 {
         let full = self.cost.scan(self.stats.table_rows(table) as f64);
-        let indexed = constrained.iter().any(|attr| {
-            attr.split('.')
-                .nth(1)
-                .is_some_and(|col| table_ref.index_on(col).is_some())
-        });
-        Ok(if indexed {
+        if indexed {
             self.cost.index_scan(rows).min(full)
         } else {
             full
-        })
+        }
     }
 
-    /// All alternatives for joining `probe_mask` with a hash table over
-    /// `build_mask`: one fresh build plus every matched reuse.
+    /// Whether one of the `constrained` attributes of `table` has an index.
+    fn any_indexed<'c>(
+        &self,
+        table: &str,
+        constrained: impl IntoIterator<Item = &'c Arc<str>>,
+    ) -> Result<bool> {
+        let table_ref = self.catalog.get(table)?;
+        Ok(constrained.into_iter().any(|attr| {
+            attr.split('.')
+                .nth(1)
+                .is_some_and(|col| table_ref.index_on(col).is_some())
+        }))
+    }
+
+    /// Offer `best` every alternative for joining `probe_mask` with a hash
+    /// table over `build_mask`, in order: one fresh build, then every
+    /// matched reuse. `out_rows` is the join's output estimate.
     fn join_options(
         &self,
-        q: &QuerySpec,
-        graph: &JoinGraph,
+        s: &mut Search<'_>,
         probe_mask: u64,
         build_mask: u64,
-        htm: &HtManager,
-        memo: &mut HashMap<u64, PlanInfo>,
-    ) -> Result<Vec<PlanInfo>> {
-        let (probe_key, build_key) = join_keys(graph, probe_mask, build_mask)
+        out_rows: f64,
+        best: &mut Option<PlanInfo>,
+    ) -> Result<()> {
+        let (_, build_key) = join_keys(&s.graph, probe_mask, build_mask)
             .ok_or_else(|| HsError::PlanError("partition without cross edge".into()))?;
-        let build_tables = graph.tables_of_mask(build_mask);
-
-        let probe_info = self.best_plan(q, graph, probe_mask, htm, memo)?;
-        let out_rows = self.stats.join_rows(
-            graph
-                .tables_of_mask(probe_mask | build_mask)
-                .iter()
-                .map(|t| t.as_ref()),
-            &graph.edges_within_mask(probe_mask | build_mask),
-            &q.region(),
-        );
-
-        // Request fingerprint describing what a build-side table looks like.
-        let request_box = restrict_to_tables(&q.predicates, &build_tables);
-        let request_fp = self.build_fingerprint(q, graph, build_mask, &build_key, &request_box);
-        let build_rows = self.stats.join_rows(
-            build_tables.iter().map(|t| t.as_ref()),
-            &graph.edges_within_mask(build_mask),
-            &request_fp.region,
-        );
-        let payload_width = self.payload_width(&request_fp.payload_attrs);
-
-        let mut options = Vec::new();
+        let probe_info = self.best_plan(s, probe_mask)?;
+        let request = self.build_request(s, build_mask, build_key)?;
+        let build_info = self.best_plan(s, build_mask)?;
+        let req = &s.requests[request];
+        let join = |reuse| Choice::Join {
+            probe: probe_mask,
+            build: build_mask,
+            request,
+            reuse,
+        };
 
         // --- Fresh build (always an option; AlwaysShare falls back to it
         // when no candidate matches) ---------------------------------------
-        {
-            let build_info = self.best_plan(q, graph, build_mask, htm, memo)?;
-            let join_cost =
-                self.cost
-                    .rhj_fresh(build_info.rows.max(1.0), payload_width, probe_info.rows);
-            let cost = probe_info.cost + build_info.cost + join_cost + self.cost.output(out_rows);
-            // Benefit-scored admission: the strategy sees what a future
-            // exact reuse of this build would save per byte of footprint.
-            let score = self
-                .cost
-                .join_benefit_per_byte(build_info.rows.max(1.0), payload_width);
-            options.push(PlanInfo {
-                plan: PhysicalPlan::HashJoin {
-                    probe: Box::new(probe_info.plan.clone()),
-                    build: Some(Box::new(build_info.plan.clone())),
-                    probe_key: probe_key.clone(),
-                    build_key: build_key.clone(),
-                    reuse: None,
-                    publish: self
-                        .strategy
-                        .admits(Some(score))
-                        .then(|| request_fp.clone()),
-                },
-                cost,
-                rows: out_rows,
-                reused: probe_info.reused || build_info.reused,
-                benefit: probe_info.benefit + build_info.benefit + build_info.rows,
-            });
-        }
+        let join_cost =
+            self.cost
+                .rhj_fresh(build_info.rows.max(1.0), req.payload_width, probe_info.rows);
+        let fresh = PlanInfo {
+            cost: probe_info.cost + build_info.cost + join_cost + self.cost.output(out_rows),
+            rows: out_rows,
+            reused: probe_info.reused || build_info.reused,
+            benefit: probe_info.benefit + build_info.benefit + build_info.rows,
+            choice: join(None),
+        };
+        *best = Some(self.pick(best.take(), fresh));
 
         // --- Reuse candidates --------------------------------------------
-        for m in self.candidates(htm, &request_fp, &request_box) {
+        for (i, (m, delta_cost)) in req.matches.iter().enumerate() {
             let mut cost = probe_info.cost
                 + self
                     .cost
-                    .rhj_reuse(&m.shape(), build_rows, probe_info.rows, out_rows)
+                    .rhj_reuse(&m.shape(), req.rows, probe_info.rows, out_rows)
                 + self.cost.output(out_rows);
-            let build = if m.case.needs_delta() {
-                // The delta lands in the cached table, in its schema order.
-                let attrs: Vec<Arc<str>> = m
-                    .candidate
-                    .schema
-                    .fields()
-                    .iter()
-                    .map(|f| Arc::from(f.name.as_str()))
-                    .collect();
-                let (delta_plan, delta_cost) =
-                    self.delta_plan(q, graph, build_mask, &m.delta_region, &attrs)?;
+            if m.case.needs_delta() {
                 cost += delta_cost;
-                delta_plan.map(Box::new)
-            } else {
-                None
-            };
-            options.push(PlanInfo {
-                plan: PhysicalPlan::HashJoin {
-                    probe: Box::new(probe_info.plan.clone()),
-                    build,
-                    probe_key: probe_key.clone(),
-                    build_key: build_key.clone(),
-                    reuse: Some(m.reuse_spec(&request_fp.region)),
-                    publish: None,
-                },
+            }
+            let reuse = PlanInfo {
                 cost,
                 rows: out_rows,
                 reused: true,
                 benefit: probe_info.benefit + m.candidate.entries as f64,
-            });
+                choice: join(Some(i)),
+            };
+            *best = Some(self.pick(best.take(), reuse));
         }
-        Ok(options)
+        Ok(())
+    }
+
+    /// The index in `s.requests` of the request for a table over `mask`
+    /// keyed on `key`, made (and matched against the cache) on first use.
+    fn build_request(&self, s: &mut Search<'_>, mask: u64, key: Arc<str>) -> Result<usize> {
+        if let Some(i) = s
+            .requests
+            .iter()
+            .position(|r| r.mask == mask && r.key == key)
+        {
+            return Ok(i);
+        }
+        let tables = s.graph.tables_of_mask(mask);
+        let request_box = restrict_to_tables(&s.q.predicates, &tables);
+        let fp = self.build_fingerprint(s.q, &s.graph, mask, &key, &request_box);
+        let rows = self.stats.join_rows(
+            tables.iter().map(|t| t.as_ref()),
+            &s.graph.edges_within_mask(mask),
+            &fp.region,
+        );
+        let payload_width = self.payload_width(&fp.payload_attrs);
+        let mut matches = Vec::new();
+        for m in self.candidates(s.htm, &fp, &request_box) {
+            let delta_cost = if m.case.needs_delta() {
+                self.delta_plan(
+                    s.q,
+                    &s.graph,
+                    mask,
+                    &m.delta_region,
+                    &delta_attrs(&m),
+                    false,
+                )?
+                .1
+            } else {
+                0.0
+            };
+            matches.push((m, delta_cost));
+        }
+        s.requests.push(BuildRequest {
+            mask,
+            key,
+            fp,
+            rows,
+            payload_width,
+            matches,
+        });
+        Ok(s.requests.len() - 1)
+    }
+
+    /// The plan the search chose for `mask`, built from the memo.
+    fn build(&self, s: &Search<'_>, mask: u64) -> Result<PhysicalPlan> {
+        let info = s
+            .memo
+            .get(&mask)
+            .ok_or_else(|| HsError::PlanError(format!("mask {mask:#b} was not planned")))?;
+        let Choice::Join {
+            probe,
+            build,
+            request,
+            reuse,
+        } = info.choice
+        else {
+            let table = only_table(&s.graph, mask)?;
+            return Ok(PhysicalPlan::Scan(ScanSpec {
+                region: Region::from_box(s.q.predicates.project_table(&table)),
+                projection: required_attrs(&[s.q], &table),
+                table,
+            }));
+        };
+        let (probe_key, build_key) = join_keys(&s.graph, probe, build)
+            .ok_or_else(|| HsError::PlanError("partition without cross edge".into()))?;
+        let req = &s.requests[request];
+        let probe = Box::new(self.build(s, probe)?);
+        Ok(match reuse {
+            None => {
+                // Benefit-scored admission: the strategy sees what a future
+                // exact reuse of this build would save per byte of footprint.
+                let build_rows = s.memo.get(&build).map_or(0.0, |b| b.rows);
+                let score = self
+                    .cost
+                    .join_benefit_per_byte(build_rows.max(1.0), req.payload_width);
+                PhysicalPlan::HashJoin {
+                    probe,
+                    build: Some(Box::new(self.build(s, build)?)),
+                    probe_key,
+                    build_key,
+                    reuse: None,
+                    publish: self.strategy.admits(Some(score)).then(|| req.fp.clone()),
+                }
+            }
+            Some(i) => {
+                let m = &req.matches[i].0;
+                // The delta lands in the cached table, in its schema order.
+                let delta = if m.case.needs_delta() {
+                    let attrs = delta_attrs(m);
+                    self.delta_plan(s.q, &s.graph, build, &m.delta_region, &attrs, true)?
+                        .0
+                        .map(Box::new)
+                } else {
+                    None
+                };
+                PhysicalPlan::HashJoin {
+                    probe,
+                    build: delta,
+                    probe_key,
+                    build_key,
+                    reuse: Some(m.reuse_spec(&req.fp.region)),
+                    publish: None,
+                }
+            }
+        })
     }
 
     /// Delta sub-plan producing the rows of `delta_region` over the
     /// sub-graph `mask`, projected onto `attrs`: one fresh (reuse-free)
     /// pipeline per disjoint box, concatenated by a union. Returns
-    /// `(plan, cost)`, with no plan for an empty delta.
+    /// `(plan, cost)`, with no plan for an empty delta, or without `build`
+    /// (pricing only).
     fn delta_plan(
         &self,
         q: &QuerySpec,
@@ -361,16 +497,19 @@ impl<'a> Optimizer<'a> {
         mask: u64,
         delta_region: &Region,
         attrs: &[Arc<str>],
+        build: bool,
     ) -> Result<(Option<PhysicalPlan>, f64)> {
         let mut inputs = Vec::new();
         let mut cost = 0.0;
         for b in delta_region.boxes() {
             let fresh = self.fresh_plan(q, graph, mask, b, attrs)?;
             cost += fresh.1;
-            inputs.push(PhysicalPlan::Project {
-                input: Box::new(fresh.0.clone()),
-                attrs: attrs.to_vec(),
-            });
+            if build {
+                inputs.push(PhysicalPlan::Project {
+                    input: Box::new(fresh.0.clone()),
+                    attrs: attrs.to_vec(),
+                });
+            }
         }
         let plan = match inputs.len() {
             0 | 1 => inputs.pop(),
@@ -427,10 +566,9 @@ impl<'a> Optimizer<'a> {
         if mask.count_ones() == 1 {
             let table = only_table(graph, mask)?;
             // Projection: needed attrs of this table plus its join keys.
-            let prefix = format!("{table}.");
             let mut projection: Vec<Arc<str>> = needed_attrs
                 .iter()
-                .filter(|a| a.starts_with(&prefix))
+                .filter(|a| is_attr_of(a, &table))
                 .chain(q.joins.iter().filter_map(|e| e.col_of(&table)))
                 .cloned()
                 .collect();
@@ -477,18 +615,17 @@ impl<'a> Optimizer<'a> {
 
     fn plan_aggregate(
         &self,
-        q: &QuerySpec,
-        graph: &JoinGraph,
+        s: &mut Search<'_>,
         join_info: PlanInfo,
-        htm: &HtManager,
     ) -> Result<(PhysicalPlan, f64)> {
+        let q = s.q;
         let storage_aggs = storage_aggs(q);
         let output_aggs = map_output_aggs(&q.aggregates, &storage_aggs)?;
         let request_fp = HtFingerprint {
             kind: HtKind::Aggregate,
             tables: q.tables.clone(),
             edges: sorted_edges(q),
-            region: q.region(),
+            region: s.region.take().unwrap_or_else(|| q.region()),
             key_attrs: q.group_by.clone(),
             payload_attrs: q.group_by.clone(),
             aggregates: storage_aggs.clone(),
@@ -502,39 +639,51 @@ impl<'a> Optimizer<'a> {
         let fresh_cost = join_info.cost
             + self.cost.rha_fresh(join_info.rows, groups, state_width)
             + self.cost.output(groups);
-        // Benefit-scored admission (see join_options): cycles a future
-        // exact reuse of the grouped table would save, per byte kept.
-        let agg_score = self
-            .cost
-            .agg_benefit_per_byte(join_info.rows, groups, state_width);
         let mut best = PlanInfo {
-            plan: PhysicalPlan::HashAggregate {
-                input: Some(Box::new(join_info.plan.clone())),
-                group_by: q.group_by.clone(),
-                aggs: storage_aggs,
-                output_aggs,
-                reuse: None,
-                publish: self
-                    .strategy
-                    .admits(Some(agg_score))
-                    .then(|| request_fp.clone()),
-                post_group_by: None,
-            },
             cost: fresh_cost,
             rows: groups,
             reused: join_info.reused,
             benefit: join_info.benefit + groups,
+            choice: Choice::Aggregate { reuse: None },
         };
 
         // --- Reuse candidates ---------------------------------------------
-        for m in self.candidates(htm, &request_fp, &q.predicates) {
-            if let Some(opt) = self.reuse_agg_option(q, graph, &request_fp, groups, &m)? {
+        let mut reuse_plans = Vec::new();
+        for m in self.candidates(s.htm, &request_fp, &q.predicates) {
+            if let Some((mut opt, plan)) =
+                self.reuse_agg_option(q, &s.graph, &request_fp, groups, &m)?
+            {
+                opt.choice = Choice::Aggregate {
+                    reuse: Some(reuse_plans.len()),
+                };
+                reuse_plans.push(plan);
                 best = self.pick(Some(best), opt);
             }
         }
-        Ok((best.plan, best.cost))
+        let plan = match best.choice {
+            Choice::Aggregate { reuse: Some(i) } => reuse_plans.swap_remove(i),
+            _ => {
+                // Benefit-scored admission (see `build`): cycles a future
+                // exact reuse of the grouped table would save, per byte kept.
+                let agg_score = self
+                    .cost
+                    .agg_benefit_per_byte(join_info.rows, groups, state_width);
+                PhysicalPlan::HashAggregate {
+                    input: Some(Box::new(self.build(s, s.graph.all())?)),
+                    group_by: q.group_by.clone(),
+                    aggs: storage_aggs,
+                    output_aggs,
+                    reuse: None,
+                    publish: self.strategy.admits(Some(agg_score)).then_some(request_fp),
+                    post_group_by: None,
+                }
+            }
+        };
+        Ok((plan, best.cost))
     }
 
+    /// The reuse of the cached aggregate `m`, priced, with its plan; `None`
+    /// when the cached table cannot answer the query.
     fn reuse_agg_option(
         &self,
         q: &QuerySpec,
@@ -542,7 +691,7 @@ impl<'a> Optimizer<'a> {
         request_fp: &HtFingerprint,
         groups: f64,
         m: &MatchRewrite,
-    ) -> Result<Option<PlanInfo>> {
+    ) -> Result<Option<(PlanInfo, PhysicalPlan)>> {
         // Output mapping against the *cached* table's stored aggregates.
         let cached = &m.candidate.fingerprint;
         let Ok(output_aggs) = map_output_aggs(&q.aggregates, &cached.aggregates) else {
@@ -576,7 +725,7 @@ impl<'a> Optimizer<'a> {
             attrs.sort();
             attrs.dedup();
             let (delta_plan, delta_cost) =
-                self.delta_plan(q, graph, graph.all(), &m.delta_region, &attrs)?;
+                self.delta_plan(q, graph, graph.all(), &m.delta_region, &attrs, true)?;
             let delta_rows = m
                 .delta_region
                 .boxes()
@@ -605,13 +754,14 @@ impl<'a> Optimizer<'a> {
             publish: None,
             post_group_by: m.needs_post_group.then(|| q.group_by.clone()),
         };
-        Ok(Some(PlanInfo {
-            plan,
+        let info = PlanInfo {
             cost,
             rows: groups,
             reused: true,
             benefit: m.candidate.entries as f64,
-        }))
+            choice: Choice::Aggregate { reuse: None },
+        };
+        Ok(Some((info, plan)))
     }
 
     // -----------------------------------------------------------------
@@ -683,6 +833,17 @@ fn only_table(graph: &JoinGraph, mask: u64) -> Result<Arc<str>> {
         .ok_or_else(|| HsError::PlanError("empty scan mask".into()))
 }
 
+/// The attributes a delta for the cached join table `m` carries: the
+/// table's schema, in its order.
+fn delta_attrs(m: &MatchRewrite) -> Vec<Arc<str>> {
+    m.candidate
+        .schema
+        .fields()
+        .iter()
+        .map(|f| Arc::from(f.name.as_str()))
+        .collect()
+}
+
 /// `(probe key, build key)` of the first join edge between `probe_mask`
 /// and `build_mask`, if they are joined at all.
 fn join_keys(graph: &JoinGraph, probe_mask: u64, build_mask: u64) -> Option<(Arc<str>, Arc<str>)> {
@@ -703,7 +864,6 @@ fn join_keys(graph: &JoinGraph, probe_mask: u64, build_mask: u64) -> Option<(Arc
 /// outputs, and the selection attributes per-query qualification and
 /// (benefit-oriented) future post-filters read. Sorted, deduplicated.
 pub(crate) fn required_attrs(queries: &[&QuerySpec], table: &str) -> Vec<Arc<str>> {
-    let prefix = format!("{table}.");
     let mut out: Vec<Arc<str>> = Vec::new();
     for q in queries {
         out.extend(q.joins.iter().filter_map(|e| e.col_of(table)).cloned());
@@ -713,7 +873,7 @@ pub(crate) fn required_attrs(queries: &[&QuerySpec], table: &str) -> Vec<Arc<str
             .chain(&q.group_by)
             .chain(q.aggregates.iter().map(|a| &a.attr))
             .chain(q.predicates.constrained().map(|(a, _)| a));
-        out.extend(used.filter(|a| a.starts_with(&prefix)).cloned());
+        out.extend(used.filter(|a| is_attr_of(a, table)).cloned());
     }
     out.sort();
     out.dedup();
@@ -819,7 +979,7 @@ mod tests {
     /// matter to it.
     fn alternative(cost: f64, reused: bool, benefit: f64) -> PlanInfo {
         PlanInfo {
-            plan: PhysicalPlan::Scan(ScanSpec::full("customer")),
+            choice: Choice::Scan,
             cost,
             rows: 1.0,
             reused,
@@ -833,11 +993,11 @@ mod tests {
         let reusing = alternative(1_000.0, true, 0.0);
         let fresh = alternative(10.0, false, 0.0);
         let greedy = Optimizer::new(&cat, &stats, &cost, EngineStrategy::AlwaysShare);
-        assert!(greedy.pick(Some(reusing.clone()), fresh.clone()).reused);
-        assert!(greedy.pick(Some(fresh.clone()), reusing.clone()).reused);
+        assert!(greedy.pick(Some(reusing), fresh).reused);
+        assert!(greedy.pick(Some(fresh), reusing).reused);
         // The cost model takes the cheaper one either way round.
         let costed = Optimizer::new(&cat, &stats, &cost, EngineStrategy::HashStash);
-        assert!(!costed.pick(Some(reusing.clone()), fresh.clone()).reused);
+        assert!(!costed.pick(Some(reusing), fresh).reused);
         assert!(!costed.pick(Some(fresh), reusing).reused);
     }
 
@@ -849,7 +1009,7 @@ mod tests {
         let cheap = alternative(100.0, false, 1.0);
         let beneficial = alternative(105.0, false, 5.0);
         assert_eq!(
-            opt.pick(Some(cheap.clone()), beneficial.clone()).cost,
+            opt.pick(Some(cheap), beneficial).cost,
             105.0
         );
         assert_eq!(opt.pick(Some(beneficial), cheap).cost, 105.0);
@@ -863,7 +1023,7 @@ mod tests {
         let cheap = alternative(100.0, false, 1.0);
         let beneficial = alternative(120.0, false, 50.0);
         assert_eq!(
-            opt.pick(Some(cheap.clone()), beneficial.clone()).cost,
+            opt.pick(Some(cheap), beneficial).cost,
             100.0
         );
         assert_eq!(opt.pick(Some(beneficial), cheap).cost, 100.0);

@@ -30,7 +30,7 @@ pub use agg::{AggExpr, AggFunc};
 pub use fingerprint::{HtFingerprint, HtKind};
 pub use interval::Interval;
 pub use joingraph::JoinGraph;
-pub use query::{JoinEdge, QueryBuilder, QuerySpec};
+pub use query::{is_attr_of, JoinEdge, QueryBuilder, QuerySpec};
 pub use region::{PredBox, Region, ReuseCase};
 
 #[cfg(test)]

@@ -14,6 +14,13 @@ use crate::agg::AggExpr;
 use crate::interval::Interval;
 use crate::region::{PredBox, Region};
 
+/// Whether the qualified attribute `attr` (`table.column`) belongs to
+/// `table`.
+pub fn is_attr_of(attr: &str, table: &str) -> bool {
+    attr.strip_prefix(table)
+        .is_some_and(|column| column.starts_with('.'))
+}
+
 /// An equi-join between two tables on one column each.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JoinEdge {

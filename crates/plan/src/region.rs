@@ -117,9 +117,17 @@ impl PredBox {
             .all(|(attr, o_iv)| self.interval(attr).is_subset(o_iv))
     }
 
-    /// Whether the two boxes share at least one point.
+    /// Whether the two boxes share at least one point: both are non-empty
+    /// and every attribute both constrain keeps a non-empty intersection.
+    /// (Without building the intersection box.)
     pub fn intersects(&self, other: &PredBox) -> bool {
-        !self.is_empty() && !other.is_empty() && !self.intersect(other).is_empty()
+        !self.is_empty()
+            && !other.is_empty()
+            && other.intervals.iter().all(|(attr, o_iv)| {
+                self.intervals
+                    .get(attr)
+                    .is_none_or(|iv| !iv.intersect(o_iv).is_empty())
+            })
     }
 
     /// `self \ other` as a set of pairwise-disjoint boxes.
@@ -155,12 +163,11 @@ impl PredBox {
     /// Restrict the box to attributes belonging to the given table
     /// (attributes are qualified as `table.column`).
     pub fn project_table(&self, table: &str) -> PredBox {
-        let prefix = format!("{table}.");
         PredBox {
             intervals: self
                 .intervals
                 .iter()
-                .filter(|(attr, _)| attr.starts_with(&prefix))
+                .filter(|(attr, _)| crate::is_attr_of(attr, table))
                 .map(|(a, i)| (a.clone(), i.clone()))
                 .collect(),
         }
@@ -249,6 +256,14 @@ impl Region {
     /// Whether the regions denote the same set.
     pub fn set_eq(&self, other: &Region) -> bool {
         self.is_subset(other) && other.is_subset(self)
+    }
+
+    /// Whether the regions are disjoint: neither is empty and no box of one
+    /// meets a box of the other. This is `ReuseCase::classify(self, other)
+    /// == ReuseCase::Disjoint`, decided without allocating.
+    pub fn is_disjoint(&self, other: &Region) -> bool {
+        let has_point = |r: &Region| r.boxes.iter().any(|b| !b.is_empty());
+        has_point(self) && has_point(other) && !self.intersects(other)
     }
 
     /// Whether the regions share at least one point.

@@ -5,20 +5,20 @@
 //! tuples (`r ∧ ¬c`), which is a small range delta — exactly the access
 //! pattern a sorted index serves well.
 
+use std::cmp::Ordering;
 use std::ops::Bound;
 
-use hashstash_types::{f64_order_key, Value};
+use hashstash_types::{f64_order_key, DataType, Value};
 
 use crate::column::Column;
 
-/// A permutation of row ids sorted by the indexed column's values.
+/// A permutation of row ids sorted by the indexed column's values. The
+/// index holds no copy of the keys: a range lookup binary-searches the
+/// column through the permutation.
 #[derive(Debug, Clone)]
 pub struct SortedIndex {
     /// Row ids ordered by column value (ties in row order).
     perm: Vec<u32>,
-    /// Sorted copy of the keys aligned with `perm`, so range lookups do not
-    /// chase back into the column (one contiguous binary-searchable array).
-    keys: Vec<Value>,
 }
 
 impl SortedIndex {
@@ -54,8 +54,7 @@ impl SortedIndex {
                 });
             }
         }
-        let keys = perm.iter().map(|&r| column.get(r as usize)).collect();
-        SortedIndex { perm, keys }
+        SortedIndex { perm }
     }
 
     /// Number of indexed rows.
@@ -68,20 +67,27 @@ impl SortedIndex {
         self.perm.is_empty()
     }
 
-    /// Row ids whose key lies within the given bounds.
+    /// Row ids whose key in `column` (the indexed column) lies within the
+    /// given bounds, in index order.
     ///
-    /// Bounds follow `std::ops::Bound` semantics; `Unbounded` on both sides
-    /// returns every row (in key order).
-    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> &[u32] {
+    /// Bounds follow `std::ops::Bound` semantics and `Value`'s order, a
+    /// bound of another type included (every `Int` sorts before every
+    /// `Float`, and so on); `Unbounded` on both sides returns every row.
+    pub fn range(&self, column: &Column, lo: Bound<&Value>, hi: Bound<&Value>) -> &[u32] {
+        // The first position whose key is not `before` the bound.
+        let point = |v: &Value, before: fn(Ordering) -> bool| {
+            self.perm
+                .partition_point(|&r| before(cmp_key(column, r as usize, v)))
+        };
         let start = match lo {
             Bound::Unbounded => 0,
-            Bound::Included(v) => self.keys.partition_point(|k| k < v),
-            Bound::Excluded(v) => self.keys.partition_point(|k| k <= v),
+            Bound::Included(v) => point(v, Ordering::is_lt),
+            Bound::Excluded(v) => point(v, Ordering::is_le),
         };
         let end = match hi {
-            Bound::Unbounded => self.keys.len(),
-            Bound::Included(v) => self.keys.partition_point(|k| k <= v),
-            Bound::Excluded(v) => self.keys.partition_point(|k| k < v),
+            Bound::Unbounded => self.perm.len(),
+            Bound::Included(v) => point(v, Ordering::is_le),
+            Bound::Excluded(v) => point(v, Ordering::is_lt),
         };
         if start >= end {
             &[]
@@ -90,21 +96,30 @@ impl SortedIndex {
         }
     }
 
-    /// Row ids with key exactly equal to `v`.
-    pub fn equals(&self, v: &Value) -> &[u32] {
-        self.range(Bound::Included(v), Bound::Included(v))
-    }
-
-    /// The indexed keys in index order, aligned with the row ids
-    /// [`SortedIndex::range`] returns.
-    pub fn keys(&self) -> &[Value] {
-        &self.keys
+    /// Row ids whose key in `column` (the indexed column) equals `v`.
+    pub fn equals(&self, column: &Column, v: &Value) -> &[u32] {
+        self.range(column, Bound::Included(v), Bound::Included(v))
     }
 
     /// Approximate heap footprint in bytes.
     pub fn bytes(&self) -> usize {
-        self.perm.len() * 4 + self.keys.len() * std::mem::size_of::<Value>()
+        self.perm.len() * 4
     }
+}
+
+/// Row `row` of `column` against `v` in `Value`'s order: by value within a
+/// type, else by the type's position among `Value`'s variants, which its
+/// derived `Ord` compares first.
+fn cmp_key(column: &Column, row: usize, v: &Value) -> Ordering {
+    column.cmp_row(row, v).unwrap_or_else(|| {
+        let variant = |t: DataType| match t {
+            DataType::Int => 0,
+            DataType::Float => 1,
+            DataType::Str => 2,
+            DataType::Date => 3,
+        };
+        variant(column.data_type()).cmp(&variant(v.data_type()))
+    })
 }
 
 #[cfg(test)]
@@ -126,7 +141,7 @@ mod tests {
     #[test]
     fn full_range_returns_all_in_order() {
         let (c, idx) = date_index();
-        let rows = idx.range(Bound::Unbounded, Bound::Unbounded);
+        let rows = idx.range(&c, Bound::Unbounded, Bound::Unbounded);
         assert_eq!(rows.len(), 5);
         let mut prev = None;
         for &r in rows {
@@ -140,29 +155,29 @@ mod tests {
 
     #[test]
     fn inclusive_and_exclusive_bounds() {
-        let (_, idx) = date_index();
+        let (c, idx) = date_index();
         let v10 = Value::Date(10);
         let v40 = Value::Date(40);
-        let incl = idx.range(Bound::Included(&v10), Bound::Included(&v40));
+        let incl = idx.range(&c, Bound::Included(&v10), Bound::Included(&v40));
         assert_eq!(incl.len(), 4); // 10,10,30,40
-        let excl = idx.range(Bound::Excluded(&v10), Bound::Excluded(&v40));
+        let excl = idx.range(&c, Bound::Excluded(&v10), Bound::Excluded(&v40));
         assert_eq!(excl.len(), 1); // 30
     }
 
     #[test]
     fn equals_handles_duplicates_and_misses() {
-        let (_, idx) = date_index();
-        assert_eq!(idx.equals(&Value::Date(10)).len(), 2);
-        assert_eq!(idx.equals(&Value::Date(99)).len(), 0);
+        let (c, idx) = date_index();
+        assert_eq!(idx.equals(&c, &Value::Date(10)).len(), 2);
+        assert_eq!(idx.equals(&c, &Value::Date(99)).len(), 0);
     }
 
     #[test]
     fn empty_range_when_inverted() {
-        let (_, idx) = date_index();
+        let (c, idx) = date_index();
         let lo = Value::Date(45);
         let hi = Value::Date(20);
         assert!(idx
-            .range(Bound::Included(&lo), Bound::Included(&hi))
+            .range(&c, Bound::Included(&lo), Bound::Included(&hi))
             .is_empty());
     }
 
@@ -176,9 +191,9 @@ mod tests {
         let idx = SortedIndex::build(&c);
         let lo = Value::str("Brand#11");
         let hi = Value::str("Brand#22");
-        let rows = idx.range(Bound::Included(&lo), Bound::Included(&hi));
+        let rows = idx.range(&c, Bound::Included(&lo), Bound::Included(&hi));
         assert_eq!(rows.len(), 2);
-        assert!(idx.equals(&Value::str("Brand#33")).len() == 1);
+        assert!(idx.equals(&c, &Value::str("Brand#33")).len() == 1);
     }
 
     #[test]
@@ -186,6 +201,6 @@ mod tests {
         let c = Column::new(DataType::Int);
         let idx = SortedIndex::build(&c);
         assert!(idx.is_empty());
-        assert!(idx.range(Bound::Unbounded, Bound::Unbounded).is_empty());
+        assert!(idx.range(&c, Bound::Unbounded, Bound::Unbounded).is_empty());
     }
 }

@@ -9,6 +9,8 @@
 //! * [`Table`] — a named schema plus columns, with row materialization.
 //! * [`SortedIndex`] — an order-preserving secondary index answering range
 //!   scans (the delta scans of partial/overlapping reuse hit these).
+//! * [`ZoneMap`] — per-block `[min, max]` of an integer or date column,
+//!   built on first use, which lets a probe skip blocks no key can hit.
 //! * [`Catalog`] — name → table registry shared by planner and executor.
 //! * [`tpch`] — deterministic generator for REGION, NATION, SUPPLIER,
 //!   CUSTOMER (extended with the paper's `c_age`), PART, ORDERS, LINEITEM.
@@ -18,8 +20,10 @@ pub mod column;
 pub mod index;
 pub mod table;
 pub mod tpch;
+pub mod zone;
 
 pub use catalog::Catalog;
 pub use column::{Column, ColumnBuilder, RangeKernel};
 pub use index::SortedIndex;
 pub use table::{Table, TableBuilder};
+pub use zone::ZoneMap;

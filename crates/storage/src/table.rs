@@ -1,11 +1,13 @@
 //! Tables: a schema plus columns plus optional secondary indexes.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use hashstash_types::{DataType, Field, HsError, Result, Row, Schema, Value};
 
 use crate::column::{Column, ColumnBuilder};
 use crate::index::SortedIndex;
+use crate::zone::ZoneMap;
 
 /// An immutable in-memory table.
 ///
@@ -19,9 +21,24 @@ pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
     indexes: HashMap<usize, SortedIndex>,
+    /// Per column, its zone map once a probe asked for it (`None` inside
+    /// for a column that has none).
+    zone_maps: Box<[OnceLock<Option<ZoneMap>>]>,
 }
 
 impl Table {
+    /// A table without indexes; its zone maps are built on first use.
+    fn assemble(name: String, schema: Schema, columns: Vec<Column>) -> Table {
+        let zone_maps = columns.iter().map(|_| OnceLock::new()).collect();
+        Table {
+            name,
+            schema,
+            columns,
+            indexes: HashMap::new(),
+            zone_maps,
+        }
+    }
+
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -95,12 +112,8 @@ impl Table {
                 });
             }
         }
-        let mut table = Table {
-            name,
-            schema,
-            columns,
-            indexes: HashMap::with_capacity(indexed.len()),
-        };
+        let mut table = Table::assemble(name, schema, columns);
+        table.indexes.reserve(indexed.len());
         check_rectangular(&table)?;
         for &col in indexed {
             if col >= table.schema.len() {
@@ -136,6 +149,14 @@ impl Table {
     pub fn index_on(&self, column: &str) -> Option<&SortedIndex> {
         let idx = self.schema.index_of(column).ok()?;
         self.indexes.get(&idx)
+    }
+
+    /// The zone map of column `col`, built the first time it is asked for;
+    /// `None` for a column that is neither `Int` nor `Date`.
+    pub fn zone_map(&self, col: usize) -> Option<&ZoneMap> {
+        self.zone_maps[col]
+            .get_or_init(|| ZoneMap::build(&self.columns[col]))
+            .as_ref()
     }
 
     /// Whether an index exists on the given column position.
@@ -204,16 +225,12 @@ impl TableBuilder {
 
     /// Finish, building sorted indexes on the named columns.
     pub fn finish_with_indexes(self, indexed: &[&str]) -> Result<Table> {
-        let mut table = Table {
-            name: self.name,
-            schema: self.schema,
-            columns: self
-                .builders
-                .into_iter()
-                .map(ColumnBuilder::finish)
-                .collect(),
-            indexes: HashMap::new(),
-        };
+        let columns = self
+            .builders
+            .into_iter()
+            .map(ColumnBuilder::finish)
+            .collect();
+        let mut table = Table::assemble(self.name, self.schema, columns);
         for col in indexed {
             table.create_index(col)?;
         }

@@ -3,6 +3,9 @@
 //!
 //! - `SortedIndex::build` sorts by the typed key; the reference sorts by
 //!   `Value`'s order. Row order and keys must be identical.
+//! - `SortedIndex::range` binary-searches the column through the
+//!   permutation; the reference searches a sorted `Value` copy of the keys.
+//!   Both must return the same rows, for bounds of every type.
 //! - `DbStats`' distinct counts (bitmap or sort + dedup) against a
 //!   `HashSet` of the column's values.
 //! - The cache's persistence generation: over random publish / checkout /
@@ -108,6 +111,70 @@ fn reference_index(column: &Column) -> (Vec<u32>, Vec<Value>) {
     (perm, keys)
 }
 
+/// The range search the index made over a sorted copy of its keys as
+/// `Value`s, before it searched the column through its permutation.
+fn reference_range<'p>(
+    perm: &'p [u32],
+    keys: &[Value],
+    lo: Bound<&Value>,
+    hi: Bound<&Value>,
+) -> &'p [u32] {
+    let start = match lo {
+        Bound::Unbounded => 0,
+        Bound::Included(v) => keys.partition_point(|k| k < v),
+        Bound::Excluded(v) => keys.partition_point(|k| k <= v),
+    };
+    let end = match hi {
+        Bound::Unbounded => keys.len(),
+        Bound::Included(v) => keys.partition_point(|k| k <= v),
+        Bound::Excluded(v) => keys.partition_point(|k| k < v),
+    };
+    if start >= end {
+        &[]
+    } else {
+        &perm[start..end]
+    }
+}
+
+/// One end of a drawn range: unbounded, or a bound on a drawn value, or on
+/// one of the column's own values (`own` picks the row).
+#[derive(Debug, Clone)]
+struct DrawnBound {
+    kind: u8,
+    value: Value,
+    own: Option<u32>,
+}
+
+impl DrawnBound {
+    fn pick(&self, column: &Column) -> Bound<Value> {
+        let value = match self.own {
+            Some(row) if !column.is_empty() => column.get(row as usize % column.len()),
+            _ => self.value.clone(),
+        };
+        match self.kind {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(value),
+            _ => Bound::Excluded(value),
+        }
+    }
+}
+
+/// Bounds of every type, so cross-type bounds (which order by type) are
+/// drawn as well as same-type ones.
+fn bounds() -> impl Strategy<Value = DrawnBound> {
+    let values = prop_oneof![
+        ints().prop_map(Value::Int),
+        dates().prop_map(Value::Date),
+        floats().prop_map(Value::float),
+        (0u8..8).prop_map(|w| str_column(vec![w], false, vec![0]).get(0)),
+    ];
+    (0u8..3, values, proptest::option::of(any::<u32>())).prop_map(|(kind, value, own)| DrawnBound {
+        kind,
+        value,
+        own,
+    })
+}
+
 /// A float key compared by its bits, not `F64`'s canonical equality.
 fn bits(keys: &[Value]) -> Vec<String> {
     keys.iter()
@@ -134,8 +201,23 @@ proptest! {
     fn typed_index_build_matches_value_sort(column in columns()) {
         let index = SortedIndex::build(&column);
         let (perm, keys) = reference_index(&column);
-        prop_assert_eq!(index.range(Bound::Unbounded, Bound::Unbounded), &perm[..]);
-        prop_assert_eq!(bits(index.keys()), bits(&keys));
+        let rows = index.range(&column, Bound::Unbounded, Bound::Unbounded);
+        prop_assert_eq!(rows, &perm[..]);
+        let indexed: Vec<Value> = rows.iter().map(|&r| column.get(r as usize)).collect();
+        prop_assert_eq!(bits(&indexed), bits(&keys));
+    }
+
+    #[test]
+    fn typed_range_matches_value_search(
+        column in columns(),
+        lo in bounds(),
+        hi in bounds(),
+    ) {
+        let index = SortedIndex::build(&column);
+        let (perm, keys) = reference_index(&column);
+        let (lo, hi) = (lo.pick(&column), hi.pick(&column));
+        let expected = reference_range(&perm, &keys, lo.as_ref(), hi.as_ref());
+        prop_assert_eq!(index.range(&column, lo.as_ref(), hi.as_ref()), expected);
     }
 
     #[test]

@@ -127,6 +127,17 @@ proptest! {
     }
 
     #[test]
+    fn disjointness_test_agrees_with_the_classifier(
+        r in prop_oneof![region_strategy(), Just(Region::empty())],
+        c in prop_oneof![region_strategy(), Just(Region::empty())],
+    ) {
+        prop_assert_eq!(
+            r.is_disjoint(&c),
+            ReuseCase::classify(&r, &c) == ReuseCase::Disjoint
+        );
+    }
+
+    #[test]
     fn coalesce_preserves_semantics(a in region_strategy()) {
         let coalesced = a.clone().coalesced();
         for x in (0..100).step_by(5) {

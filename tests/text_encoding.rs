@@ -150,7 +150,8 @@ fn batch(tuples: &[Tuple], proj: Vec<usize>, shape: Shape) -> ColumnarBatch {
         ),
         Shape::IndexOrder { keep, salt } => {
             let index = table.index_on("i").expect("index on i");
-            let hits = index.range(Bound::Unbounded, Bound::Unbounded);
+            let column = table.column_by_name("i").expect("column i");
+            let hits = index.range(column, Bound::Unbounded, Bound::Unbounded);
             Selection::Rows(
                 hits.iter()
                     .copied()
