@@ -75,7 +75,7 @@ struct PlanInfo {
 }
 
 /// How a priced alternative is built.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum Choice {
     /// A scan of the mask's one table.
     Scan,
@@ -1008,10 +1008,7 @@ mod tests {
         // 105 is within 10 % of 100: benefit decides, whichever is cheaper.
         let cheap = alternative(100.0, false, 1.0);
         let beneficial = alternative(105.0, false, 5.0);
-        assert_eq!(
-            opt.pick(Some(cheap), beneficial).cost,
-            105.0
-        );
+        assert_eq!(opt.pick(Some(cheap), beneficial).cost, 105.0);
         assert_eq!(opt.pick(Some(beneficial), cheap).cost, 105.0);
     }
 
@@ -1022,10 +1019,7 @@ mod tests {
         // 120 is more than 10 % above 100: cost decides, benefit is ignored.
         let cheap = alternative(100.0, false, 1.0);
         let beneficial = alternative(120.0, false, 50.0);
-        assert_eq!(
-            opt.pick(Some(cheap), beneficial).cost,
-            100.0
-        );
+        assert_eq!(opt.pick(Some(cheap), beneficial).cost, 100.0);
         assert_eq!(opt.pick(Some(beneficial), cheap).cost, 100.0);
     }
 

@@ -200,7 +200,9 @@ fn live_share(probe: &Column, keys: &[i64]) -> f64 {
 fn a_one_percent_key_set_leaves_a_quarter_of_a_sorted_column_live() {
     // 60 000 rows, four per value, as `lineitem.l_orderkey` holds its orders.
     let probe = Column::Int((0..60_000).map(|i| i / 4).collect());
-    let keys: Vec<i64> = (0..15_000).filter(|&v| mix(v as u64).is_multiple_of(100)).collect();
+    let keys: Vec<i64> = (0..15_000)
+        .filter(|&v| mix(v as u64).is_multiple_of(100))
+        .collect();
     assert!((100..200).contains(&keys.len()), "≈ 1 % of 15 000 values");
     let share = live_share(&probe, &keys);
     assert!(share <= 0.25, "{:.1} % of blocks live", share * 100.0);
