@@ -423,16 +423,12 @@ impl<'a> Optimizer<'a> {
 
     /// The plan the search chose for `mask`, built from the memo.
     fn build(&self, s: &Search<'_>, mask: u64) -> Result<PhysicalPlan> {
-        let info = s
-            .memo
-            .get(&mask)
-            .ok_or_else(|| HsError::PlanError(format!("mask {mask:#b} was not planned")))?;
         let Choice::Join {
             probe,
             build,
             request,
             reuse,
-        } = info.choice
+        } = chosen(s, mask)?.choice
         else {
             let table = only_table(&s.graph, mask)?;
             return Ok(PhysicalPlan::Scan(ScanSpec {
@@ -449,7 +445,7 @@ impl<'a> Optimizer<'a> {
             None => {
                 // Benefit-scored admission: the strategy sees what a future
                 // exact reuse of this build would save per byte of footprint.
-                let build_rows = s.memo.get(&build).map_or(0.0, |b| b.rows);
+                let build_rows = chosen(s, build)?.rows;
                 let score = self
                     .cost
                     .join_benefit_per_byte(build_rows.max(1.0), req.payload_width);
@@ -822,6 +818,14 @@ impl<'a> Optimizer<'a> {
             })
             .sum::<usize>() as f64
     }
+}
+
+/// The alternative the search chose for `mask`.
+fn chosen(s: &Search<'_>, mask: u64) -> Result<PlanInfo> {
+    s.memo
+        .get(&mask)
+        .copied()
+        .ok_or_else(|| HsError::PlanError(format!("mask {mask:#b} was not planned")))
 }
 
 /// The one table of a single-table mask.
