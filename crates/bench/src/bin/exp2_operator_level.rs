@@ -15,12 +15,11 @@ use std::time::Instant;
 
 use hashstash::{Database, EngineStrategy};
 use hashstash_bench::common::{header, ms};
-use hashstash_cache::{AggPayload, ColumnHt, StoredHt};
-use hashstash_hashtable::ExtendibleHashTable;
+use hashstash_cache::{AggHt, ColumnHt, StoredHt};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, QueryBuilder, QuerySpec, Region,
 };
-use hashstash_storage::{Catalog, TableBuilder};
+use hashstash_storage::{Catalog, Column, TableBuilder};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
 
 /// Required build-side rows (the paper uses a 16MB build side; scale with
@@ -158,18 +157,26 @@ fn seed_agg_cache(db: &Database, c: f64) {
         Field::new("buildt.bt_sel", DataType::Int),
         Field::new("buildt.bt_key", DataType::Int),
     ]);
-    let mut ht = ExtendibleHashTable::with_capacity(24, (keep * 2) as usize);
-    // Matches the generator: rows (i, sel=1, pos=i) and (h+i, sel=0, pos=i).
-    for sel in [1i64, 0] {
+    // Matches the generator: rows (i, sel=1, pos=i) and (h+i, sel=0, pos=i),
+    // folded as the executor folds them: group and argument columns, then
+    // one `SUM` state per group.
+    let (mut sel, mut key, mut pos) = (Vec::new(), Vec::new(), Vec::new());
+    for s in [1i64, 0] {
         for i in 0..keep {
-            let key_attr = if sel == 1 { i } else { h + i };
-            let group = Row::new(vec![Value::Int(sel), Value::Int(key_attr)]);
-            let mut p = AggPayload::new(group.clone(), &aggs);
-            p.accums[0].update(&Value::Int(i));
-            let key = group.key64(&[0, 1]);
-            ht.insert(key, p);
+            sel.push(s);
+            key.push(if s == 1 { i } else { h + i });
+            pos.push(i);
         }
     }
+    let keys: Vec<u64> = sel
+        .iter()
+        .zip(&key)
+        .map(|(&s, &k)| Row::new(vec![Value::Int(s), Value::Int(k)]).key64(&[0, 1]))
+        .collect();
+    let groups = [Column::Int(sel), Column::Int(key)];
+    let mut ht = AggHt::new(24, &[DataType::Int; 2], &[(AggFunc::Sum, DataType::Int)]);
+    ht.fold(&keys, &groups, &[Some(&Column::Int(pos))], None)
+        .expect("the columns fit the table");
     let fp = HtFingerprint {
         kind: HtKind::Aggregate,
         tables: std::iter::once(Arc::from("buildt")).collect(),

@@ -17,9 +17,11 @@
 //!   error paths and panics release the table instead of leaking it.
 //! * [`payload`] — [`payload::StoredHt`]: a [`ColumnHt`] (join build sides
 //!   and the raw grouped rows of shared aggregates, stored as typed
-//!   columns), aggregate accumulator states, or a temp table of the
-//!   materialization baseline.
+//!   columns), an [`AggHt`] (aggregate groups and accumulator states, as
+//!   typed columns), or a temp table of the materialization baseline.
 //! * [`column_ht`] — [`ColumnHt`]: a key index with typed payload columns.
+//! * [`agg_ht`] — [`AggHt`]: a key index with typed group-key and
+//!   accumulator-state columns.
 //! * [`temp`] — the baseline's access to its temp tables, kept apart from
 //!   hash-table lookups.
 //! * [`recycle`] — the recycle-graph-style lineage index: candidate lookup
@@ -28,6 +30,7 @@
 //! * [`manager::GcConfig`] — coarse-grained eviction of whole tables (paper
 //!   §5), with optional alternative policies and fine-grained bookkeeping.
 
+pub mod agg_ht;
 #[cfg(feature = "analysis")]
 pub mod analysis;
 pub mod column_ht;
@@ -36,9 +39,10 @@ pub mod payload;
 pub mod recycle;
 pub mod temp;
 
+pub use agg_ht::{AggHt, AggState, Grouping};
 pub use column_ht::ColumnHt;
 pub use manager::{
     CacheStats, Candidate, CheckedOut, GcConfig, HtManager, SnapshotEntry, TenantId, DEFAULT_SHARDS,
 };
-pub use payload::{AggAccum, AggPayload, MaterializedRows, StoredHt};
+pub use payload::{AggAccum, MaterializedRows, StoredHt};
 pub use recycle::RecycleGraph;

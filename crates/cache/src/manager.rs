@@ -213,8 +213,10 @@ enum Slot {
 
 #[derive(Debug)]
 struct Entry {
-    fingerprint: HtFingerprint,
-    schema: Schema,
+    /// Shared with the entry's checkout guards, so a checkout copies no
+    /// lineage.
+    fingerprint: Arc<HtFingerprint>,
+    schema: Arc<Schema>,
     slot: Slot,
     /// Whether the payload is materialized rows (the baseline's temp
     /// table) rather than a hash table. Fixed at publish.
@@ -284,11 +286,12 @@ pub struct CheckedOut<'m> {
     htm: &'m HtManager,
     /// Identity in the cache.
     pub id: HtId,
-    /// Lineage at checkout time. Mutating reuses (partial/overlapping)
-    /// widen the region before [`CheckedOut::checkin`].
-    pub fingerprint: HtFingerprint,
+    /// Lineage at checkout time (shared with the cache entry). Mutating
+    /// reuses (partial/overlapping) widen the region — a copy-on-write of
+    /// this handle — before [`CheckedOut::checkin`].
+    pub fingerprint: Arc<HtFingerprint>,
     /// Payload schema (qualified attribute names → types).
-    pub schema: Schema,
+    pub schema: Arc<Schema>,
     payload: Arc<StoredHt>,
     mode: CheckoutMode,
     /// Whether this guard took the entry's handle for in-place mutation.
@@ -358,7 +361,8 @@ impl CheckedOut<'_> {
         mut self,
         request_region: &hashstash_plan::Region,
     ) -> Result<Arc<StoredHt>> {
-        self.fingerprint.region = self.fingerprint.region.union(request_region);
+        let widened = self.fingerprint.region.union(request_region);
+        Arc::make_mut(&mut self.fingerprint).region = widened;
         let snapshot = self.snapshot();
         self.checkin()?;
         Ok(snapshot)
@@ -376,8 +380,8 @@ impl CheckedOut<'_> {
             }
             CheckoutMode::Exclusive => self.htm.commit_checkin(
                 self.id,
-                self.fingerprint.clone(),
-                self.schema.clone(),
+                Arc::clone(&self.fingerprint),
+                Arc::clone(&self.schema),
                 Arc::clone(&self.payload),
             ),
         }
@@ -713,8 +717,8 @@ impl HtManager {
             state.entries.insert(
                 id,
                 Entry {
-                    fingerprint,
-                    schema,
+                    fingerprint: Arc::new(fingerprint),
+                    schema: Arc::new(schema),
                     slot: Slot::Present(Arc::new(ht)),
                     materialized,
                     tenant,
@@ -785,8 +789,8 @@ impl HtManager {
                 }
                 out.push(Candidate {
                     id,
-                    fingerprint: e.fingerprint.clone(),
-                    schema: e.schema.clone(),
+                    fingerprint: (*e.fingerprint).clone(),
+                    schema: (*e.schema).clone(),
                     entries: payload.len(),
                     distinct_keys: payload.distinct_keys(),
                     tuple_width: payload.tuple_width(),
@@ -846,8 +850,8 @@ impl HtManager {
                 }
                 let entry = SnapshotEntry {
                     id,
-                    fingerprint: e.fingerprint.clone(),
-                    schema: e.schema.clone(),
+                    fingerprint: (*e.fingerprint).clone(),
+                    schema: (*e.schema).clone(),
                     payload: Arc::clone(payload),
                     bytes: e.bytes,
                     use_count: e.use_count,
@@ -929,8 +933,8 @@ impl HtManager {
         Ok(CheckedOut {
             htm: self,
             id,
-            fingerprint: entry.fingerprint.clone(),
-            schema: entry.schema.clone(),
+            fingerprint: Arc::clone(&entry.fingerprint),
+            schema: Arc::clone(&entry.schema),
             payload,
             mode,
             in_place: false,
@@ -1023,8 +1027,8 @@ impl HtManager {
     fn commit_checkin(
         &self,
         id: HtId,
-        fingerprint: HtFingerprint,
-        schema: Schema,
+        fingerprint: Arc<HtFingerprint>,
+        schema: Arc<Schema>,
         payload: Arc<StoredHt>,
     ) -> Result<()> {
         // The guard is consumed whether or not the commit succeeds, so the
@@ -1040,14 +1044,14 @@ impl HtManager {
                 .get_mut(&id)
                 .ok_or_else(|| HsError::CacheError(format!("{id} not in cache")))?;
             debug_assert!(entry.writer, "checkin without an exclusive checkout");
-            let shape_change =
-                (!entry.fingerprint.same_shape(&fingerprint)).then(|| entry.fingerprint.clone());
+            let shape_change = (!entry.fingerprint.same_shape(&fingerprint))
+                .then(|| Arc::clone(&entry.fingerprint));
             let old_bytes = entry.bytes;
             entry.bytes = payload.logical_bytes();
             if fine {
                 entry.entry_stamps = Some(vec![now; payload.len()]);
             }
-            entry.fingerprint = fingerprint.clone();
+            entry.fingerprint = Arc::clone(&fingerprint);
             entry.schema = schema;
             entry.slot = Slot::Present(payload);
             entry.last_used = now;
@@ -1409,7 +1413,7 @@ mod tests {
         let planned = fp(20, 30).region;
         // A concurrent partial reuse widens the lineage to [10, 30].
         let mut w = m.checkout_mut(id).unwrap();
-        w.fingerprint.region = fp(10, 30).region;
+        Arc::make_mut(&mut w.fingerprint).region = fp(10, 30).region;
         w.checkin().unwrap();
         // Strict (mutating-reuse) validation fails…
         assert!(m.checkout_mut_expecting(id, &planned).is_err());
@@ -1474,7 +1478,7 @@ mod tests {
                 t.insert(i, &Row::new(vec![Value::Int(i as i64)])).unwrap();
             }
         }
-        writer.fingerprint.region = fp(10, 30).region;
+        Arc::make_mut(&mut writer.fingerprint).region = fp(10, 30).region;
         writer.checkin().unwrap();
         // The reader still sees the pre-mutation snapshot…
         assert_eq!(reader.table().len(), 10);
@@ -1502,7 +1506,7 @@ mod tests {
             };
             t.insert(500, &Row::new(vec![Value::Int(500)])).unwrap();
         }
-        writer.fingerprint.region = fp(10, 30).region;
+        Arc::make_mut(&mut writer.fingerprint).region = fp(10, 30).region;
         writer.checkin().unwrap();
         let after = m.checkout(id).unwrap();
         assert_eq!(after.table().len(), 11, "delta landed");
@@ -1575,7 +1579,7 @@ mod tests {
         let id = m.publish(fp(20, 30), schema(), table(10));
         let mut co = m.checkout_mut(id).unwrap();
         // Simulate a partial reuse that widened the region to [10, 30].
-        co.fingerprint.region = fp(10, 30).region;
+        Arc::make_mut(&mut co.fingerprint).region = fp(10, 30).region;
         co.checkin().unwrap();
         let cands = m.candidates(&fp(10, 30));
         assert!(cands[0].fingerprint.region.set_eq(&fp(10, 30).region));

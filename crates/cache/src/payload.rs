@@ -1,7 +1,8 @@
 //! What the Hash Table Manager caches: [`StoredHt`] — a hash table of
-//! tuples ([`ColumnHt`]: typed payload columns) or of aggregate states, or a
-//! temp table of [`MaterializedRows`] for the materialization baseline —
-//! and the value types stored inside.
+//! tuples ([`ColumnHt`]: typed payload columns) or of aggregate states
+//! ([`AggHt`]: typed group and state columns), or a temp table of
+//! [`MaterializedRows`] for the materialization baseline — and the value
+//! types stored inside.
 //!
 //! Cached tables hold plain tuples or aggregate states and nothing else: no
 //! per-entry query tag. Shared plans decide which query of a batch a stored
@@ -11,9 +12,9 @@
 
 use hashstash_types::{Row, Value};
 
-use hashstash_plan::{AggExpr, AggFunc};
+use hashstash_plan::AggFunc;
 
-use crate::ColumnHt;
+use crate::{AggHt, ColumnHt};
 
 /// One aggregate accumulator state.
 ///
@@ -124,26 +125,6 @@ impl AggAccum {
     }
 }
 
-/// One aggregate hash-table entry: the group key values plus one accumulator
-/// per aggregate expression (aligned with the fingerprint's `aggregates`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggPayload {
-    /// Group-by values, aligned with the fingerprint's `key_attrs`.
-    pub group: Row,
-    /// Accumulator states, aligned with the fingerprint's `aggregates`.
-    pub accums: Vec<AggAccum>,
-}
-
-impl AggPayload {
-    /// Fresh payload for a group with the given aggregate expressions.
-    pub fn new(group: Row, aggs: &[AggExpr]) -> Self {
-        AggPayload {
-            group,
-            accums: aggs.iter().map(|a| AggAccum::new(a.func)).collect(),
-        }
-    }
-}
-
 /// A cached table, typed by what it stores. Which operator produced it
 /// (join build, aggregate or shared grouping phase) is the fingerprint's
 /// `HtKind`.
@@ -153,8 +134,8 @@ pub enum StoredHt {
     /// phase (multi-map group-key → raw tuples), the tuples stored as
     /// typed columns.
     Rows(ColumnHt),
-    /// Aggregate: group-key → accumulator states.
-    Agg(hashstash_hashtable::ExtendibleHashTable<AggPayload>),
+    /// Aggregate: group-key → accumulator states, as typed columns.
+    Agg(AggHt),
     /// A temp table of the materialization baseline: an operator's output
     /// rows, no hash table. Only the baseline's lookups see these.
     Materialized(MaterializedRows),
@@ -253,6 +234,7 @@ impl std::ops::Deref for MaterializedRows {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hashstash_types::DataType;
 
     #[test]
     fn sum_count_update_finalize() {
@@ -312,20 +294,20 @@ mod tests {
     }
 
     #[test]
-    fn agg_payload_construction() {
-        let aggs = vec![
-            AggExpr::new(AggFunc::Sum, "l.q"),
-            AggExpr::new(AggFunc::Count, "l.q"),
+    fn stored_agg_ht_accessors() {
+        let aggs = [
+            (AggFunc::Sum, DataType::Int),
+            (AggFunc::Count, DataType::Int),
         ];
-        let p = AggPayload::new(Row::new(vec![Value::Int(1)]), &aggs);
-        assert_eq!(p.accums.len(), 2);
-        assert_eq!(p.accums[0].func(), AggFunc::Sum);
-        assert_eq!(p.accums[1].func(), AggFunc::Count);
+        let stored = StoredHt::Agg(crate::AggHt::new(24, &[DataType::Int], &aggs));
+        assert_eq!((stored.len(), stored.tuple_width()), (0, 24));
+        assert!(stored.is_empty());
+        assert_eq!(stored.logical_bytes(), 2 * 6);
     }
 
     #[test]
     fn stored_ht_accessors() {
-        let mut ht = ColumnHt::new(16, &[hashstash_types::DataType::Int]);
+        let mut ht = ColumnHt::new(16, &[DataType::Int]);
         ht.insert(1, &Row::new(vec![Value::Int(1)])).unwrap();
         ht.insert(1, &Row::new(vec![Value::Int(2)])).unwrap();
         let stored = StoredHt::Rows(ht);

@@ -48,7 +48,7 @@ impl HtManager {
         if !co.table().is_materialized() {
             return Err(HsError::CacheError(format!("{id} is not a temp table")));
         }
-        Ok((co.schema.clone(), co.snapshot()))
+        Ok(((*co.schema).clone(), co.snapshot()))
     }
 }
 

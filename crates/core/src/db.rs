@@ -846,7 +846,7 @@ impl Session {
                         results[index] = Some(QueryResult {
                             query: queries[index].id,
                             schema: r.schema.clone(),
-                            rows: ResultRows::from(r.rows.clone()),
+                            rows: r.rows.clone(),
                             wall_time: per_query_wall,
                             optimize_time,
                             est_cost_ns: est_cost_ns / indices.len() as f64,

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use hashstash_types::{DataType, Field, Row, Schema, Value};
 
-use hashstash_cache::{AggAccum, AggPayload, ColumnHt, MaterializedRows, StoredHt};
+use hashstash_cache::{AggHt, AggState, ColumnHt, MaterializedRows, StoredHt};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, JoinEdge, PredBox, Region,
@@ -507,76 +507,52 @@ pub fn decode_fingerprint(r: &mut Reader<'_>) -> DecodeResult<HtFingerprint> {
 
 // ---------------------------------------------------------------- payloads
 
-fn encode_accum(w: &mut Writer, a: &AggAccum) {
-    match a {
-        AggAccum::Sum(s) => {
-            w.put_u8(0);
-            w.put_f64(*s);
+fn encode_f64s(w: &mut Writer, v: &[f64]) {
+    w.put_count(v.len());
+    w.put_array(v, |x| x.to_bits().to_le_bytes());
+}
+
+fn encode_i64s(w: &mut Writer, v: &[i64]) {
+    w.put_count(v.len());
+    w.put_array(v, i64::to_le_bytes);
+}
+
+fn decode_f64s(r: &mut Reader<'_>) -> DecodeResult<Vec<f64>> {
+    let n = r.get_count(8)?;
+    r.get_array(n, |b| f64::from_bits(u64::from_le_bytes(b)))
+}
+
+fn decode_i64s(r: &mut Reader<'_>) -> DecodeResult<Vec<i64>> {
+    let n = r.get_count(8)?;
+    r.get_array(n, i64::from_le_bytes)
+}
+
+/// An aggregate's state column: its function's tag, then its values as a
+/// typed array (`AVG`: the sums, then the counts; `MIN`/`MAX`: a column).
+fn encode_state(w: &mut Writer, state: &AggState) {
+    w.put_u8(func_tag(state.func()));
+    match state {
+        AggState::Sum(v) => encode_f64s(w, v),
+        AggState::Count(v) => encode_i64s(w, v),
+        AggState::Avg { sum, count } => {
+            encode_f64s(w, sum);
+            encode_i64s(w, count);
         }
-        AggAccum::Count(c) => {
-            w.put_u8(1);
-            w.put_i64(*c);
-        }
-        AggAccum::Min(m) | AggAccum::Max(m) => {
-            w.put_u8(if matches!(a, AggAccum::Min(_)) { 2 } else { 3 });
-            match m {
-                Some(v) => {
-                    w.put_u8(1);
-                    encode_value(w, v);
-                }
-                None => w.put_u8(0),
-            }
-        }
-        AggAccum::Avg { sum, count } => {
-            w.put_u8(4);
-            w.put_f64(*sum);
-            w.put_i64(*count);
-        }
+        AggState::Min(c) | AggState::Max(c) => encode_column(w, c),
     }
 }
 
-fn decode_accum(r: &mut Reader<'_>) -> DecodeResult<AggAccum> {
-    Ok(match r.get_u8()? {
-        0 => AggAccum::Sum(r.get_f64()?),
-        1 => AggAccum::Count(r.get_i64()?),
-        tag @ (2 | 3) => {
-            let present = r.get_u8()? != 0;
-            let v = if present {
-                Some(decode_value(r)?)
-            } else {
-                None
-            };
-            if tag == 2 {
-                AggAccum::Min(v)
-            } else {
-                AggAccum::Max(v)
-            }
-        }
-        4 => {
-            let sum = r.get_f64()?;
-            let count = r.get_i64()?;
-            AggAccum::Avg { sum, count }
-        }
-        t => return Err(format!("unknown accumulator tag {t}")),
+fn decode_state(r: &mut Reader<'_>) -> DecodeResult<AggState> {
+    Ok(match func_of(r.get_u8()?)? {
+        AggFunc::Sum => AggState::Sum(decode_f64s(r)?),
+        AggFunc::Count => AggState::Count(decode_i64s(r)?),
+        AggFunc::Avg => AggState::Avg {
+            sum: decode_f64s(r)?,
+            count: decode_i64s(r)?,
+        },
+        AggFunc::Min => AggState::Min(decode_column(r)?),
+        AggFunc::Max => AggState::Max(decode_column(r)?),
     })
-}
-
-fn encode_agg_payload(w: &mut Writer, p: &AggPayload) {
-    encode_row(w, &p.group);
-    w.put_count(p.accums.len());
-    for a in &p.accums {
-        encode_accum(w, a);
-    }
-}
-
-fn decode_agg_payload(r: &mut Reader<'_>) -> DecodeResult<AggPayload> {
-    let group = decode_row(r)?;
-    let n = r.get_count(2)?;
-    let mut accums = Vec::with_capacity(n);
-    for _ in 0..n {
-        accums.push(decode_accum(r)?);
-    }
-    Ok(AggPayload { group, accums })
 }
 
 fn encode_ht<V>(w: &mut Writer, ht: &ExtendibleHashTable<V>, enc: impl Fn(&mut Writer, &V)) {
@@ -621,8 +597,9 @@ fn decode_ht<V>(
 }
 
 /// Encode a cached table: a hash table as a tag byte and its image — a join
-/// or grouping table's payload as its typed columns after the index — and
-/// a temp table as its untagged rows (a snapshot entry's kind byte tells
+/// or grouping table's payload as its typed columns after the index, an
+/// aggregate table's group-key columns and then its state columns — and a
+/// temp table as its untagged rows (a snapshot entry's kind byte tells
 /// [`decode_stored_ht`]'s hash tables from [`decode_rows`]' temp tables).
 pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
     match ht {
@@ -636,7 +613,15 @@ pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
         }
         StoredHt::Agg(t) => {
             w.put_u8(1);
-            encode_ht(w, t, encode_agg_payload);
+            encode_ht(w, t.index(), |_, ()| {});
+            w.put_count(t.groups().len());
+            for c in t.groups() {
+                encode_column(w, c);
+            }
+            w.put_count(t.states().len());
+            for s in t.states() {
+                encode_state(w, s);
+            }
         }
         StoredHt::Materialized(rows) => encode_rows(w, rows),
     }
@@ -655,7 +640,20 @@ pub fn decode_stored_ht(r: &mut Reader<'_>) -> DecodeResult<StoredHt> {
                 .ok_or("payload columns out of step with the arena")?;
             StoredHt::Rows(table)
         }
-        1 => StoredHt::Agg(decode_ht(r, decode_agg_payload)?),
+        1 => {
+            let index = decode_ht(r, |_| Ok(()))?;
+            let n = r.get_count(5)?;
+            let groups = (0..n)
+                .map(|_| decode_column(r))
+                .collect::<DecodeResult<Vec<_>>>()?;
+            let n = r.get_count(5)?;
+            let states = (0..n)
+                .map(|_| decode_state(r))
+                .collect::<DecodeResult<Vec<_>>>()?;
+            let table = AggHt::from_parts(index, groups, states)
+                .ok_or("aggregate columns out of step with the arena")?;
+            StoredHt::Agg(table)
+        }
         t => return Err(format!("unknown stored-ht tag {t}")),
     })
 }
@@ -886,26 +884,44 @@ mod tests {
 
     #[test]
     fn agg_ht_roundtrip() {
-        let mut ht = ExtendibleHashTable::new(24);
-        for i in 0..20u64 {
-            let group = Row::new(vec![Value::Int((i % 4) as i64)]);
-            ht.upsert(
-                i % 4,
-                || AggPayload {
-                    group: group.clone(),
-                    accums: vec![AggAccum::Sum(0.0), AggAccum::Avg { sum: 0.0, count: 0 }],
-                },
-                |p| {
-                    p.accums[0].update(&Value::Int(i as i64));
-                    p.accums[1].update(&Value::Int(i as i64));
-                },
-            );
-        }
+        // Every state kind, over an int and a string group key.
+        let funcs = [
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        let aggs: Vec<(AggFunc, DataType)> = funcs.iter().map(|&f| (f, DataType::Str)).collect();
+        let mut ht = AggHt::new(48, &[DataType::Int, DataType::Str], &aggs);
+        let groups = [
+            Column::Int((0..20).map(|i| i % 4).collect()),
+            Column::Str {
+                dict: vec!["x".into(), "y".into()],
+                codes: (0..20).map(|i| i % 2).collect(),
+            },
+        ];
+        let args = Column::Str {
+            dict: vec!["b".into(), "a".into(), "c".into()],
+            codes: (0..20).map(|i| i % 3).collect(),
+        };
+        let keys: Vec<u64> = (0..20).map(|i| i % 4).collect();
+        ht.fold(&keys, &groups, &[Some(&args); 5], None).unwrap();
+        assert_eq!(ht.len(), 4);
         let stored = StoredHt::Agg(ht);
         let out = roundtrip(&stored, encode_stored_ht, decode_stored_ht);
         match (&stored, &out) {
             (StoredHt::Agg(a), StoredHt::Agg(b)) => assert!(a == b),
             _ => panic!("kind preserved"),
+        }
+        assert_eq!(out.logical_bytes(), stored.logical_bytes());
+        // Every truncation is an error, never a short table.
+        let mut w = Writer::new();
+        encode_stored_ht(&mut w, &stored);
+        let bytes = w.into_inner();
+        for cut in 0..bytes.len() {
+            let mut r = Reader::new(&bytes[..cut]);
+            assert!(decode_stored_ht(&mut r).is_err(), "cut at {cut}");
         }
     }
 

@@ -284,7 +284,7 @@ mod tests {
         let snap = snap_path(&dir, 0);
         let mut bytes = fs::read(&snap).unwrap();
         assert_eq!(&bytes[..SNAP_MAGIC.len()], SNAP_MAGIC);
-        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP03");
+        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP04");
         fs::write(&snap, &bytes).unwrap();
         assert_eq!(read_snapshot(&snap).unwrap_err(), "bad snapshot magic");
         let (d, snap) = open(&dir);

@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use hashstash_types::Schema;
 
-use hashstash_cache::{MaterializedRows, StoredHt};
+use hashstash_cache::{AggState, MaterializedRows, StoredHt};
 use hashstash_plan::HtFingerprint;
 use hashstash_storage::{Catalog, Column, Table};
 
@@ -60,7 +60,7 @@ use crate::codec::{
 use crate::crc::crc32;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP04";
+pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP05";
 
 /// Whether a snapshot reaches the disk before its write returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,11 +229,24 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
             1 => StoredHt::Materialized(MaterializedRows::new(decode_rows(&mut r)?)),
             k => return Err(format!("unknown snapshot entry kind {k}")),
         };
-        // The executor reads a join table's columns by schema position.
-        if let StoredHt::Rows(t) = &payload {
-            let types = t.columns().iter().map(Column::data_type);
+        // The executor reads a join table's columns, and an aggregate
+        // table's group columns, by schema position.
+        let columns = match &payload {
+            StoredHt::Rows(t) => Some(("join-table", t.columns())),
+            StoredHt::Agg(t) => Some(("aggregate group", t.groups())),
+            StoredHt::Materialized(_) => None,
+        };
+        if let Some((what, columns)) = columns {
+            let types = columns.iter().map(Column::data_type);
             if !types.eq(schema.fields().iter().map(|f| f.dtype)) {
-                return Err("join-table columns do not match the entry's schema".to_string());
+                return Err(format!("{what} columns do not match the entry's schema"));
+            }
+        }
+        // ... and an aggregate table's states by the fingerprint's position.
+        if let StoredHt::Agg(t) = &payload {
+            let funcs = t.states().iter().map(AggState::func);
+            if !funcs.eq(fingerprint.aggregates.iter().map(|a| a.func)) {
+                return Err("aggregate states do not match the entry's aggregates".to_string());
             }
         }
         entries.push(PersistedEntry {
@@ -381,7 +394,7 @@ mod tests {
     /// what it decodes reproduces it byte for byte.
     #[test]
     fn two_store_snapshot_still_loads_byte_for_byte() {
-        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap04.snap");
+        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap05.snap");
         let path = tmp("two-store.snap");
         std::fs::write(&path, EARLIER).unwrap();
         let snap = read_snapshot(&path).unwrap();

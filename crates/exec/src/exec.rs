@@ -38,14 +38,13 @@ use hashstash_types::{
     f64_order_key, key64_combine, DataType, HsError, HtId, Result, Row, Schema, Value, KEY64_SEED,
 };
 
-use hashstash_cache::{AggPayload, CheckedOut, ColumnHt, HtManager, StoredHt, TenantId};
-use hashstash_hashtable::ExtendibleHashTable;
-use hashstash_plan::PredBox;
+use hashstash_cache::{AggHt, AggState, CheckedOut, ColumnHt, HtManager, StoredHt, TenantId};
+use hashstash_plan::{AggFunc, PredBox};
 use hashstash_storage::{Catalog, Column, RangeKernel, Table, ZoneMap};
 
 use crate::join::{run_hash_join, with_join_tuples, Joined};
 use crate::parallel::{
-    build_grouped_partitioned, collect_morsels, default_parallelism, morsel_count, Scheduler,
+    collect_morsels, default_parallelism, group_ids_partitioned, morsel_count, Scheduler,
     MIN_PARALLEL_BUILD_ROWS,
 };
 use crate::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
@@ -439,19 +438,16 @@ pub(crate) fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Sch
             reuse,
             publish,
             post_group_by,
-        } => {
-            let (schema, rows) = run_hash_agg(
-                ctx,
-                input,
-                group_by,
-                aggs,
-                output_aggs,
-                reuse,
-                publish,
-                post_group_by,
-            )?;
-            Ok((schema, Pipe::Rows(rows)))
-        }
+        } => run_hash_agg(
+            ctx,
+            input,
+            group_by,
+            aggs,
+            output_aggs,
+            reuse,
+            publish,
+            post_group_by,
+        ),
     }
 }
 
@@ -547,11 +543,12 @@ impl BoxEval {
             .all(|(idx, iv)| iv.contains_value(row.get(*idx)))
     }
 
-    /// [`eval`](Self::eval) on the entry at arena position `at` of `table`.
-    pub(crate) fn eval_at(&self, table: &ColumnHt, at: usize) -> bool {
+    /// [`eval`](Self::eval) on position `at` of `columns` (a cached
+    /// table's, in schema order).
+    pub(crate) fn eval_at(&self, columns: &[Column], at: usize) -> bool {
         self.checks
             .iter()
-            .all(|(idx, iv)| iv.contains_value(&table.columns()[*idx].get(at)))
+            .all(|(idx, iv)| iv.contains_value(&columns[*idx].get(at)))
     }
 }
 
@@ -662,19 +659,12 @@ pub(crate) trait Tuples: Sync {
     fn cell_key64(&self, i: usize, col: usize) -> u64 {
         self.cell(i, col).key64()
     }
-    /// Whether column `col` of tuple `i` equals `v` (values of different
-    /// types are never equal).
-    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool;
     /// Whether column `col` of tuple `i` equals row `at` of `other`.
     fn cell_eq_at(&self, i: usize, col: usize, other: &Column, at: usize) -> bool {
         other.cmp_row(at, &self.cell(i, col)) == Some(std::cmp::Ordering::Equal)
     }
     /// Column `col` of tuple `i`.
     fn cell(&self, i: usize, col: usize) -> Cow<'_, Value>;
-    /// Columns `cols` of tuple `i` as a row.
-    fn project(&self, i: usize, cols: &[usize]) -> Row {
-        Row::new(cols.iter().map(|&c| self.cell(i, c).into_owned()).collect())
-    }
     /// Append column `col` of every tuple, in order, to `dst`; `false` on
     /// a type mismatch.
     fn append_column(&self, col: usize, dst: &mut Column) -> bool {
@@ -732,11 +722,6 @@ impl Tuples for RowTuples<'_> {
     #[inline]
     fn key64(&self, i: usize) -> u64 {
         self.rows[i].key64(self.key_cols)
-    }
-
-    #[inline]
-    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        self.rows[i].get(col) == v
     }
 
     #[inline]
@@ -810,11 +795,6 @@ impl Tuples for BatchTuples<'_> {
     }
 
     #[inline]
-    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        self.column(col).cmp_row(self.rid(i), v) == Some(std::cmp::Ordering::Equal)
-    }
-
-    #[inline]
     fn cell_eq_at(&self, i: usize, col: usize, other: &Column, at: usize) -> bool {
         self.column(col).eq_at(self.rid(i), other, at)
     }
@@ -870,11 +850,6 @@ impl Tuples for EntryTuples<'_> {
     }
 
     #[inline]
-    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        self.table.columns()[col].cmp_row(self.at(i), v) == Some(std::cmp::Ordering::Equal)
-    }
-
-    #[inline]
     fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
         Cow::Owned(self.table.columns()[col].get(self.at(i)))
     }
@@ -892,25 +867,12 @@ impl Tuples for EntryTuples<'_> {
 fn run_scan(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
     let table = ctx.catalog.get(&spec.table)?;
     let qualified = table.qualified_schema();
-    let proj_indices: Vec<usize> = if spec.projection.is_empty() {
-        (0..qualified.len()).collect()
-    } else {
-        spec.projection
-            .iter()
-            .map(|a| qualified.index_of(a))
-            .collect::<Result<Vec<_>>>()?
-    };
-    let out_schema = if spec.projection.is_empty() {
-        qualified.clone()
-    } else {
-        let names: Vec<&str> = spec.projection.iter().map(|a| a.as_ref()).collect();
-        qualified.project(&names)?
-    };
+    let (out_schema, proj_indices) = crate::plan::project_scan(qualified, &spec.projection)?;
 
     if spec.region.is_empty() {
         return Ok((out_schema, Pipe::Rows(Vec::new())));
     }
-    let lowered = lower_region(&table, &qualified, spec)?;
+    let lowered = lower_region(&table, qualified, spec)?;
     // Differential tests take the row arm even where the region lowers.
     #[cfg(any(test, feature = "oracle"))]
     let lowered = lowered.filter(|_| !ctx.row_oracle);
@@ -960,7 +922,7 @@ fn run_scan(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)
         None => {
             let mut rows = Vec::new();
             for pbox in spec.region.boxes() {
-                scan_box(&table, &qualified, pbox, &proj_indices, ctx, &mut rows)?;
+                scan_box(&table, qualified, pbox, &proj_indices, ctx, &mut rows)?;
             }
             Ok((out_schema, Pipe::Rows(rows)))
         }
@@ -1171,36 +1133,37 @@ fn index_hits<'t>(
 // Hash aggregate
 // ---------------------------------------------------------------------------
 
-/// The state of a hash aggregate: fresh local table or reused guard.
+/// The state of a hash aggregate: fresh local table or reused guard, with
+/// the schema of the table's group columns.
 pub(crate) enum AggSource<'m> {
-    Fresh(ExtendibleHashTable<AggPayload>),
+    Fresh(AggHt, Schema),
     Reused(CheckedOut<'m>),
     /// A mutating reuse that has already been checked back in: the writer
     /// pin is released and the output phase reads this immutable snapshot.
-    Snapshot(Arc<StoredHt>),
+    Snapshot(Arc<StoredHt>, Arc<Schema>),
 }
 
 impl AggSource<'_> {
-    fn read_table(&self) -> &ExtendibleHashTable<AggPayload> {
-        let stored = match self {
-            AggSource::Fresh(t) => return t,
-            AggSource::Reused(co) => co.table(),
-            AggSource::Snapshot(s) => s,
+    fn read_table(&self) -> (&AggHt, &Schema) {
+        let (stored, schema) = match self {
+            AggSource::Fresh(t, schema) => return (t, schema),
+            AggSource::Reused(co) => (co.table(), &*co.schema),
+            AggSource::Snapshot(s, schema) => (&**s, &**schema),
         };
         match stored {
-            StoredHt::Agg(t) => t,
+            StoredHt::Agg(t) => (t, schema),
             _ => unreachable!("kind verified at checkout"),
         }
     }
 
-    fn write_table(&mut self) -> Result<&mut ExtendibleHashTable<AggPayload>> {
+    fn write_table(&mut self) -> Result<&mut AggHt> {
         match self {
-            AggSource::Fresh(t) => Ok(t),
+            AggSource::Fresh(t, _) => Ok(t),
             AggSource::Reused(co) => match co.table_mut()? {
                 StoredHt::Agg(t) => Ok(t),
                 _ => unreachable!("kind verified at checkout"),
             },
-            AggSource::Snapshot(_) => unreachable!("mutation precedes check-in"),
+            AggSource::Snapshot(..) => unreachable!("mutation precedes check-in"),
         }
     }
 }
@@ -1215,10 +1178,10 @@ fn run_hash_agg(
     reuse: &Option<crate::plan::ReuseSpec>,
     publish: &Option<hashstash_plan::HtFingerprint>,
     post_group_by: &Option<Vec<Arc<str>>>,
-) -> Result<(Schema, Vec<Row>)> {
+) -> Result<(Schema, Pipe)> {
     // --- Acquire the hash table --------------------------------------------
     let mut recovery_filter: Option<PredBox> = None;
-    let (group_schema, mut source) = match reuse {
+    let mut source = match reuse {
         Some(spec) => {
             let co = ctx.checkout_for(spec)?;
             ctx.metrics.reused_tables += 1;
@@ -1231,7 +1194,7 @@ fn run_hash_agg(
             if !spec.case.needs_delta() {
                 recovery_filter = widened_recovery_filter(spec, &co)?;
             }
-            (co.schema.clone(), AggSource::Reused(co))
+            AggSource::Reused(co)
         }
         None => {
             // Group attrs + one 8-byte accumulator per aggregate.
@@ -1242,9 +1205,23 @@ fn run_hash_agg(
                 width += dtype.payload_width();
                 fields.push(hashstash_types::Field::new(g.to_string(), dtype));
             }
-            (
+            let group_types: Vec<DataType> = fields.iter().map(|f| f.dtype).collect();
+            // Only a MIN or MAX keeps its argument's type.
+            let states = aggs
+                .iter()
+                .map(|a| {
+                    let arg = match a.func {
+                        AggFunc::Min | AggFunc::Max => {
+                            crate::plan::lookup_attr_type(ctx.catalog, &a.attr)?
+                        }
+                        _ => DataType::Float,
+                    };
+                    Ok((a.func, arg))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            AggSource::Fresh(
+                AggHt::new(width, &group_types, &states),
                 Schema::new(fields),
-                AggSource::Fresh(ExtendibleHashTable::new(width)),
             )
         }
     };
@@ -1272,21 +1249,26 @@ fn run_hash_agg(
             let (inserts, updates) = match &input {
                 // A join folds straight from its match pairs.
                 Input::Join(joined) => with_join_tuples!(joined, &group_idx, |t| {
-                    fold_tuples(sched, ht, t, &agg_idx, aggs, parallel_build)
+                    fold_tuples(sched, ht, t, in_schema, &agg_idx, parallel_build)?
                 }),
                 Input::Pipe(_, Pipe::Rows(rows)) => {
                     let input = RowTuples {
                         rows,
                         key_cols: &group_idx,
                     };
-                    fold_tuples(sched, ht, &input, &agg_idx, aggs, parallel_build)
+                    fold_tuples(sched, ht, &input, in_schema, &agg_idx, parallel_build)?
                 }
                 Input::Pipe(_, Pipe::Columnar(batch)) => {
                     ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
                     let input = BatchTuples::new(batch, &group_idx);
-                    fold_tuples(sched, ht, &input, &agg_idx, aggs, parallel_build)
+                    fold_tuples(sched, ht, &input, in_schema, &agg_idx, parallel_build)?
                 }
             };
+            if reuse.is_some() {
+                // A widened version goes back to the cache holding what
+                // it is charged for (a fresh table shrinks at publish).
+                ht.shrink_to_fit();
+            }
             ctx.metrics.ht_inserts += inserts;
             ctx.metrics.ht_updates += updates;
             // The join's table goes back after the fold, before the
@@ -1304,7 +1286,8 @@ fn run_hash_agg(
         if spec.case.needs_delta() {
             source = match source {
                 AggSource::Reused(co) => {
-                    AggSource::Snapshot(co.checkin_widened(&spec.request_region)?)
+                    let schema = Arc::clone(&co.schema);
+                    AggSource::Snapshot(co.checkin_widened(&spec.request_region)?, schema)
                 }
                 other => other,
             };
@@ -1315,9 +1298,7 @@ fn run_hash_agg(
         ctx,
         source,
         &recovery_filter,
-        group_schema,
         group_by,
-        aggs,
         output_aggs,
         reuse,
         publish,
@@ -1326,219 +1307,208 @@ fn run_hash_agg(
 }
 
 /// Fold the input tuples into the aggregate table, grouped on their key
-/// columns, in input order, and return the (insert, update) counts. Group membership compares cells
-/// against stored group rows in place and only the first tuple of each
-/// *group* projects a row (the hash-table payload — a pipeline edge), so
-/// no per-tuple row is allocated on either pipe arm.
+/// columns, in input order, and return the (insert, update) counts.
 ///
-/// With `parallel_build`, hashing fans out over morsels and folding over
-/// key partitions (each group's accumulators are updated in global input
-/// order, so even floating-point sums are bitwise serial); the merged
-/// groups are then inserted in first-tuple order. The serial
-/// `upsert_where` loop inserts the same groups in the same order, and
-/// chain order does not depend on when buckets split, so the two tables
-/// are `==`.
+/// The group-key columns and the aggregates' arguments are gathered once,
+/// as typed columns, through [`Tuples::append_column`] (a `COUNT` reads no
+/// argument, and an argument two aggregates share is gathered once), and
+/// the keys are hashed off the gathered columns. [`AggHt::fold`] then
+/// finds or opens each tuple's group through the table's index and runs
+/// one typed loop per accumulator.
+///
+/// With `parallel_build` (a fresh table), hashing fans out over morsels
+/// and grouping over key partitions ([`group_ids_partitioned`]), whose
+/// groups open in first-tuple order: the arena order of the serial fold,
+/// so the two tables are `==`. Each group's states still see its tuples in
+/// input order, so even floating-point sums are bitwise serial.
 pub(crate) fn fold_tuples<T: Tuples>(
     sched: Scheduler<'_>,
-    ht: &mut ExtendibleHashTable<AggPayload>,
+    ht: &mut AggHt,
     input: &T,
+    in_schema: &Schema,
     agg_idx: &[usize],
-    aggs: &[hashstash_plan::AggExpr],
     parallel_build: bool,
-) -> (u64, u64) {
-    let group_idx = input.key_cols();
-    let matches = |i: usize, p: &AggPayload| {
-        p.group.len() == group_idx.len()
-            && group_idx
-                .iter()
-                .enumerate()
-                .all(|(c, &gi)| input.cell_eq(i, gi, p.group.get(c)))
-    };
-    let update = |i: usize, p: &mut AggPayload| {
-        for (accum, &ai) in p.accums.iter_mut().zip(agg_idx) {
-            accum.update(&input.cell(i, ai));
+) -> Result<(u64, u64)> {
+    let n = input.len();
+    let gather = |col: usize, dtype: DataType| {
+        let mut cells = Column::new(dtype);
+        cells.reserve_exact(n);
+        if input.append_column(col, &mut cells) {
+            Ok(cells)
+        } else {
+            Err(HsError::ExecError(format!(
+                "input column {} does not fold as {dtype}",
+                in_schema.field_at(col).name
+            )))
         }
     };
-    let init = |i: usize| {
-        let mut p = AggPayload::new(input.project(i, group_idx), aggs);
-        update(i, &mut p);
-        p
-    };
-    if !parallel_build {
-        let mut inserts = 0u64;
-        for i in 0..input.len() {
-            let created = ht.upsert_where(
-                input.key64(i),
-                |p: &AggPayload| matches(i, p),
-                || init(i),
-                |p| update(i, p),
-            );
-            inserts += u64::from(created);
+    let groups = input
+        .key_cols()
+        .iter()
+        .zip(ht.groups())
+        .map(|(&c, g)| gather(c, g.data_type()))
+        .collect::<Result<Vec<_>>>()?;
+    let mut gathered: Vec<(usize, Column)> = Vec::new();
+    for (state, &c) in ht.states().iter().zip(agg_idx) {
+        if matches!(state, AggState::Count(_)) || gathered.iter().any(|(g, _)| *g == c) {
+            continue;
         }
-        return (inserts, input.len() as u64 - inserts);
+        let dtype = match state {
+            AggState::Min(kept) | AggState::Max(kept) => kept.data_type(),
+            _ => in_schema.field_at(c).dtype,
+        };
+        gathered.push((c, gather(c, dtype)?));
     }
-    let keys: Vec<u64> = collect_morsels(sched, input.len(), |range| {
+    let args: Vec<Option<&Column>> = ht
+        .states()
+        .iter()
+        .zip(agg_idx)
+        .map(|(state, c)| match state {
+            AggState::Count(_) => None,
+            _ => gathered.iter().find(|(g, _)| g == c).map(|(_, col)| col),
+        })
+        .collect();
+
+    let kernels: Vec<KeyKernel<'_>> = groups.iter().map(vector::key_kernel).collect();
+    let dense = Selection::Dense(n);
+    let hash = |range: Range<usize>| {
         let mut keys = Vec::with_capacity(range.len());
-        input.keys_into(range, &mut keys);
+        vector::gather_keys(&kernels, &dense, range, &mut keys);
         keys
-    });
-    let gb = build_grouped_partitioned(sched, &keys, matches, init, update);
-    for g in gb.groups {
-        ht.insert(g.key, g.payload);
-    }
-    (gb.inserts, gb.updates)
+    };
+    let (keys, grouping) = if parallel_build {
+        let keys = collect_morsels(sched, n, hash);
+        let same = |i: usize, j: usize| groups.iter().all(|c| c.eq_at(i, c, j));
+        let grouping = group_ids_partitioned(sched, &keys, same);
+        (keys, Some(grouping))
+    } else {
+        (hash(0..n), None)
+    };
+    let inserts = ht.fold(&keys, &groups, &args, grouping)?;
+    Ok((inserts, n as u64 - inserts))
 }
 
-/// The output phase of a hash aggregate: post-filter + finalize the stored
-/// groups (optionally re-grouping on a subset of the group-by attributes),
-/// assemble the output schema, and hand the table back to the manager.
+/// The output phase of a hash aggregate: post-filter and finalize the
+/// stored groups (optionally re-grouping on a subset of the group-by
+/// attributes) into a [`ColumnarBatch`] of the group columns and one
+/// column per output aggregate, and hand the table back to the manager.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn produce_agg_output(
     ctx: &mut ExecContext<'_>,
     source: AggSource<'_>,
     recovery_filter: &Option<PredBox>,
-    group_schema: Schema,
     group_by: &[Arc<str>],
-    aggs: &[hashstash_plan::AggExpr],
     output_aggs: &[OutputAgg],
     reuse: &Option<crate::plan::ReuseSpec>,
     publish: &Option<hashstash_plan::HtFingerprint>,
     post_group_by: &Option<Vec<Arc<str>>>,
-) -> Result<(Schema, Vec<Row>)> {
-    // --- Produce output ----------------------------------------------------
+) -> Result<(Schema, Pipe)> {
+    let (ht, group_schema) = source.read_table();
     // Planned post-filter (subsuming reuse) plus the recovery filter for a
     // concurrently widened cached table; both apply to group keys.
     let mut post_filters: Vec<BoxEval> = Vec::new();
     if let Some(pf) = reuse.as_ref().and_then(|r| r.post_filter.as_ref()) {
-        post_filters.push(BoxEval::bind(pf, &group_schema)?);
+        post_filters.push(BoxEval::bind(pf, group_schema)?);
     }
     if let Some(rf) = &recovery_filter {
-        post_filters.push(BoxEval::bind(rf, &group_schema)?);
+        post_filters.push(BoxEval::bind(rf, group_schema)?);
     }
 
-    let mut out_rows = Vec::new();
-    let ht = source.read_table();
-    match post_group_by {
-        None => {
-            // The post-filter + finalize pass over the stored groups — the
-            // entire output phase of exact/subsuming reuse — runs
-            // morsel-parallel over the arena.
-            let post_filters = &post_filters;
-            out_rows = collect_morsels(ctx.sched(), ht.len(), |range| {
-                let mut buf = Vec::new();
-                for (_, payload) in ht.iter_range(range) {
-                    if !post_filters.iter().all(|pf| pf.eval(&payload.group)) {
-                        continue;
-                    }
-                    buf.push(finalize_row(&payload.group, &payload.accums, output_aggs));
-                }
-                buf
-            });
-        }
+    // The groups that pass the filters, in arena order (`None`: all).
+    let passing: Option<Vec<u32>> = (!post_filters.is_empty()).then(|| {
+        (0..ht.len())
+            .filter(|&at| post_filters.iter().all(|pf| pf.eval_at(ht.groups(), at)))
+            .map(|at| at as u32)
+            .collect()
+    });
+    let regrouped;
+    let (groups, passing) = match post_group_by {
+        None => (ht, passing),
         Some(subset) => {
-            // Post-aggregation: re-group the cached table on a subset of its
-            // group-by attributes, merging accumulator states. Serial: the
-            // merge order into one accumulator table is order-sensitive.
-            let subset_idx: Vec<usize> = subset
+            // Post-aggregation: re-group the passing groups on a subset of
+            // the group-by attributes, merging their states in arena order.
+            let subset_idx = subset
                 .iter()
                 .map(|g| group_schema.index_of(g))
                 .collect::<Result<Vec<_>>>()?;
-            let mut regrouped: ExtendibleHashTable<AggPayload> =
-                ExtendibleHashTable::new(ht.tuple_width());
-            for (_, payload) in ht.iter() {
-                if !post_filters.iter().all(|pf| pf.eval(&payload.group)) {
-                    continue;
-                }
-                let gkey_row = payload.group.project(&subset_idx);
-                let key = gkey_row.key64(&(0..subset_idx.len()).collect::<Vec<_>>());
-                let created = regrouped.upsert_where(
-                    key,
-                    |p: &AggPayload| p.group == gkey_row,
-                    || AggPayload {
-                        group: gkey_row.clone(),
-                        accums: payload.accums.clone(),
-                    },
-                    |p| {
-                        for (a, b) in p.accums.iter_mut().zip(&payload.accums) {
-                            a.merge(b);
-                        }
-                    },
-                );
-                if created {
-                    ctx.metrics.ht_inserts += 1;
-                } else {
-                    ctx.metrics.ht_updates += 1;
-                }
-            }
-            for (_, payload) in regrouped.iter() {
-                out_rows.push(finalize_row(&payload.group, &payload.accums, output_aggs));
-            }
+            let (table, opened) = ht.regroup(&subset_idx, passing.as_deref(), ht.tuple_width())?;
+            let merged = passing.as_ref().map_or(ht.len(), Vec::len) as u64;
+            ctx.metrics.ht_inserts += opened;
+            ctx.metrics.ht_updates += merged - opened;
+            regrouped = table;
+            (&regrouped, None)
         }
-    }
+    };
 
-    // --- Output schema ------------------------------------------------------
+    // --- Output columns and schema -------------------------------------------
+    let rows = passing.as_deref();
     let out_group_attrs: &[Arc<str>] = post_group_by.as_deref().unwrap_or(group_by);
-    let mut fields = Vec::new();
-    for g in out_group_attrs {
-        fields.push(hashstash_types::Field::new(
-            g.to_string(),
-            group_schema.field(g)?.dtype,
-        ));
+    let mut columns: Vec<Column> = groups
+        .groups()
+        .iter()
+        .map(|g| match rows {
+            None => g.clone(),
+            Some(rows) => {
+                let mut col = Column::new(g.data_type());
+                col.extend_from(g, rows.iter().map(|&at| at as usize));
+                col
+            }
+        })
+        .collect();
+    let states = groups.states();
+    let n = rows.map_or(groups.len(), <[u32]>::len);
+    let at = |i: usize| rows.map_or(i, |rows| rows[i] as usize);
+    columns.reserve_exact(output_aggs.len());
+    for oa in output_aggs {
+        columns.push(match *oa {
+            OutputAgg::Direct(i) => states[i].finalize(rows),
+            OutputAgg::AvgOf { sum_idx, count_idx } => Column::Float(
+                (0..n)
+                    .map(|i| {
+                        let sum = states[sum_idx].finalized_f64(at(i));
+                        let count = states[count_idx].finalized_f64(at(i));
+                        if count == 0.0 {
+                            0.0
+                        } else {
+                            sum / count
+                        }
+                    })
+                    .collect(),
+            ),
+        });
     }
-    for (i, oa) in output_aggs.iter().enumerate() {
-        let dtype = match oa {
-            OutputAgg::Direct(idx) => match aggs.get(*idx).map(|a| a.func) {
-                Some(hashstash_plan::AggFunc::Count) => hashstash_types::DataType::Int,
-                Some(hashstash_plan::AggFunc::Min) | Some(hashstash_plan::AggFunc::Max) => aggs
-                    .get(*idx)
-                    .and_then(|a| crate::plan::lookup_attr_type(ctx.catalog, &a.attr).ok())
-                    .unwrap_or(hashstash_types::DataType::Float),
-                _ => hashstash_types::DataType::Float,
-            },
-            OutputAgg::AvgOf { .. } => hashstash_types::DataType::Float,
-        };
-        fields.push(hashstash_types::Field::new(format!("agg_{i}"), dtype));
-    }
+    let names = out_group_attrs
+        .iter()
+        .map(|g| g.to_string())
+        .chain((0..output_aggs.len()).map(|i| format!("agg_{i}")));
+    let fields = names
+        .zip(&columns)
+        .map(|(name, col)| hashstash_types::Field::new(name, col.data_type()))
+        .collect();
     let out_schema = Schema::new(fields);
+    let width = columns.len();
+    let table = Table::from_columns(out_schema.clone(), columns)?;
+    let batch = ColumnarBatch {
+        table: Arc::new(table),
+        proj: (0..width).collect(),
+        sel: Selection::Dense(n),
+    };
 
     // --- Hand the table back -------------------------------------------------
     match source {
         // Read-only reuse: the guard drop releases the shared pin.
         // Mutating reuse was already checked in before output production.
-        AggSource::Reused(_) | AggSource::Snapshot(_) => {}
-        AggSource::Fresh(ht) => {
+        AggSource::Reused(_) | AggSource::Snapshot(..) => {}
+        AggSource::Fresh(mut ht, group_schema) => {
             if let Some(fp) = publish {
+                ht.shrink_to_fit();
                 ctx.htm
                     .publish_as(ctx.tenant, fp.clone(), group_schema, StoredHt::Agg(ht));
             }
         }
     }
 
-    Ok((out_schema, out_rows))
-}
-
-/// Assemble an output row from group values and accumulator states.
-fn finalize_row(
-    group: &Row,
-    accums: &[hashstash_cache::AggAccum],
-    output_aggs: &[OutputAgg],
-) -> Row {
-    let mut values: Vec<Value> = group.values().to_vec();
-    for oa in output_aggs {
-        match oa {
-            OutputAgg::Direct(i) => values.push(accums[*i].finalize()),
-            OutputAgg::AvgOf { sum_idx, count_idx } => {
-                let sum = accums[*sum_idx].finalize().to_f64().unwrap_or(0.0);
-                let count = accums[*count_idx].finalize().to_f64().unwrap_or(0.0);
-                values.push(if count == 0.0 {
-                    Value::float(0.0)
-                } else {
-                    Value::float(sum / count)
-                });
-            }
-        }
-    }
-    Row::new(values)
+    Ok((out_schema, Pipe::Columnar(batch)))
 }
 
 #[cfg(test)]
@@ -2150,7 +2120,7 @@ mod tests {
 
     /// Whether every key's chain lists its entries in descending arena
     /// position.
-    fn descending_chains<V>(ht: &ExtendibleHashTable<V>) -> bool {
+    fn descending_chains<V>(ht: &hashstash_hashtable::ExtendibleHashTable<V>) -> bool {
         ht.keys().all(|key| {
             let at: Vec<usize> = ht.probe_positions(key).collect();
             at.windows(2).all(|w| w[0] > w[1])
@@ -2165,13 +2135,24 @@ mod tests {
             sched: Scheduler<'_>,
             input: &T,
             partitioned: bool,
-        ) -> (ExtendibleHashTable<AggPayload>, (u64, u64)) {
+        ) -> (AggHt, (u64, u64)) {
+            // The batch's projection: `t.s`, `t.f`, `t.k`, `t.d`.
+            let schema = Schema::new(
+                [
+                    ("t.s", DataType::Str),
+                    ("t.f", DataType::Float),
+                    ("t.k", DataType::Int),
+                    ("t.d", DataType::Date),
+                ]
+                .map(|(name, dtype)| hashstash_types::Field::new(name, dtype))
+                .to_vec(),
+            );
             let aggs = [
-                AggExpr::new(AggFunc::Sum, "t.f"),
-                AggExpr::new(AggFunc::Min, "t.d"),
+                (AggFunc::Sum, DataType::Float),
+                (AggFunc::Min, DataType::Date),
             ];
-            let mut ht = ExtendibleHashTable::new(24);
-            let counts = fold_tuples(sched, &mut ht, input, &[1, 3], &aggs, partitioned);
+            let mut ht = AggHt::new(24, &[DataType::Str, DataType::Int], &aggs);
+            let counts = fold_tuples(sched, &mut ht, input, &schema, &[1, 3], partitioned).unwrap();
             (ht, counts)
         }
         const GROUP: [usize; 2] = [0, 2];
@@ -2192,7 +2173,7 @@ mod tests {
             ("batch, partitioned", folded(pooled, &from_batch, true)),
         ] {
             assert!(got == want, "{label}");
-            assert!(descending_chains(&got), "{label}");
+            assert!(descending_chains(got.index()), "{label}");
             assert_eq!(counts, want_counts, "{label}");
         }
     }

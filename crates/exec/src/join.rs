@@ -122,14 +122,6 @@ impl<P: Tuples> Tuples for JoinTuples<'_, P> {
     }
 
     #[inline]
-    fn cell_eq(&self, i: usize, col: usize, v: &Value) -> bool {
-        match self.at(i, col) {
-            (at, Side::Table(c)) => c.cmp_row(at, v) == Some(std::cmp::Ordering::Equal),
-            (p, Side::Base(c)) => self.base.cell_eq(p, *c, v),
-        }
-    }
-
-    #[inline]
     fn cell_eq_at(&self, i: usize, col: usize, other: &Column, other_at: usize) -> bool {
         match self.at(i, col) {
             (at, Side::Table(c)) => c.eq_at(at, other, other_at),
@@ -411,7 +403,7 @@ pub(crate) fn run_hash_join<'m>(
             if !spec.case.needs_delta() {
                 recovery_filter = widened_recovery_filter(spec, &co)?;
             }
-            (co.schema.clone(), RowTable::Reused(co))
+            ((*co.schema).clone(), RowTable::Reused(co))
         }
         None => {
             let build_plan = build.as_ref().ok_or_else(|| {
@@ -647,7 +639,7 @@ impl Probe<'_> {
                     && self
                         .post_filters
                         .iter()
-                        .all(|pf| pf.eval_at(self.table, at))
+                        .all(|pf| pf.eval_at(self.table.columns(), at))
                 {
                     pairs.push((i as u32, at as u32));
                 }

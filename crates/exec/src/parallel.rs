@@ -45,8 +45,8 @@
 //! (and the cached table's layout) depends on. Fresh builds instead fan out
 //! **by bucket**: [`build_multimap_partitioned`] has workers compute the
 //! chains of disjoint bucket ranges from the row-order key sequence and
-//! stitches them serially, and [`build_grouped_partitioned`] partitions
-//! aggregate folding by key and hands back the groups in first-row order
+//! stitches them serially, and [`group_ids_partitioned`] partitions
+//! aggregate grouping by key and hands back the groups in first-row order
 //! for one insert each. Chains list entries newest first however the
 //! directory got split, so both tables are `==` to the serial build at any
 //! worker count (pinned by `tests/build_equivalence.rs` and
@@ -57,6 +57,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
+use hashstash_cache::Grouping;
 use hashstash_hashtable::{bucket_ranges, partition_chains, ExtendibleHashTable};
 
 use crate::pool::WorkerPool;
@@ -292,33 +293,6 @@ pub fn build_multimap_partitioned<V: Send>(
     table.fill_from_partitions(&keys, values, parts);
 }
 
-/// One group discovered by [`build_grouped_partitioned`], tagged with the
-/// row that created it.
-#[derive(Debug)]
-pub struct MergedGroup<P> {
-    /// Index of the first input row that hashed-and-matched this group —
-    /// the row whose serial `upsert` would have inserted it.
-    pub first_row: usize,
-    /// The group's 64-bit hash key.
-    pub key: u64,
-    /// The fully folded payload (all of the group's rows applied in global
-    /// row order).
-    pub payload: P,
-}
-
-/// Result of a partitioned grouped build: groups in first-occurrence order
-/// plus the insert/update counts the serial fold would have reported.
-#[derive(Debug)]
-pub struct GroupedBuild<P> {
-    /// Discovered groups, ascending by [`MergedGroup::first_row`] — exactly
-    /// the arena order a serial `upsert` loop produces.
-    pub groups: Vec<MergedGroup<P>>,
-    /// Rows that created a group (`c_insert` events).
-    pub inserts: u64,
-    /// Rows folded into an existing group (`c_update` events).
-    pub updates: u64,
-}
-
 /// Deterministic key → worker assignment for grouped builds. Any map works
 /// as long as equal keys agree (a group never spans workers); mixing the
 /// key decorrelates it from the table's bucket-index low bits.
@@ -354,121 +328,102 @@ impl std::hash::Hasher for PreHashed {
 
 type PreHashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PreHashed>>;
 
-/// Fold rows into groups in parallel, partitioned **by key**, such that the
-/// outcome is independent of the worker count:
-///
-/// * group identity (`matches`) and per-group fold order are key-local
-///   facts: each partition scans the full row sequence in row order and
-///   folds only the rows whose key it owns, so every group's `update` calls
-///   happen in global row order — floating-point accumulation included;
-/// * the merged group list is ordered by first-occurrence row, which is the
-///   arena order of a serial `upsert` loop.
-///
-/// The caller [`insert`]s the groups in that order to obtain a table `==`
-/// to the serial build. With `parallelism <= 1` the single partition still
+/// Group rows in parallel, partitioned **by key**, such that the outcome
+/// is independent of the worker count: row `i` has hash key `keys[i]`, and
+/// `same(i, j)` tells whether rows `i` and `j` of equal keys are one group
+/// (64-bit collisions disambiguated like the serial chain walk). Each
+/// partition scans the full key sequence in row order and groups only the
+/// rows whose key it owns, so group identity is a key-local fact; the
+/// merged groups are numbered by first row (`firsts` ascends): the arena
+/// order of a serial find-or-insert loop into an empty table, whose
+/// positions `gid` then holds. With `parallelism <= 1` the single partition still
 /// uses this code path; callers that want the serial fast path keep their
 /// own loop.
-///
-/// [`insert`]: ExtendibleHashTable::insert
-pub fn build_grouped_partitioned<P, M, I, U>(
-    sched: Scheduler<'_>,
-    keys: &[u64],
-    matches: M,
-    init: I,
-    update: U,
-) -> GroupedBuild<P>
+pub fn group_ids_partitioned<S>(sched: Scheduler<'_>, keys: &[u64], same: S) -> Grouping
 where
-    P: Send,
-    M: Fn(usize, &P) -> bool + Sync,
-    I: Fn(usize) -> P + Sync,
-    U: Fn(usize, &mut P) + Sync,
+    S: Fn(usize, usize) -> bool + Sync,
 {
     // Clamped like the multimap build: every partition scans (and
     // owner-filters) the full key column, and the merged result is
     // partition-count-invariant.
     let workers = effective_parallelism(sched.parallelism).max(1);
-    let fold_partition = |w: usize| {
-        let mut groups: Vec<MergedGroup<P>> = Vec::new();
-        // key → most recent group with that key; earlier same-key groups
-        // (64-bit collisions disambiguated by `matches`, like the serial
-        // chain walk) are linked through `prev`. At most one group matches,
-        // so walk order is irrelevant — and chaining through a side vector
+    let group_partition = |w: usize| {
+        // Per local group its first row; per owned row `(row, local group)`.
+        let mut firsts: Vec<u32> = Vec::new();
+        let mut members: Vec<(u32, u32)> = Vec::new();
+        // key → most recent local group with that key; earlier same-key
+        // groups are linked through `prev`. At most one group matches, so
+        // walk order is irrelevant — and chaining through a side vector
         // avoids a heap allocation per distinct key.
         const NO_PREV: u32 = u32::MAX;
         let mut index: PreHashedMap<u32> = PreHashedMap::default();
         let mut prev: Vec<u32> = Vec::new();
-        let mut inserts = 0u64;
-        let mut updates = 0u64;
         for (i, &key) in keys.iter().enumerate() {
             if workers > 1 && group_owner(key, workers) != w {
                 continue;
             }
-            let mut found = None;
             let slot = index.entry(key);
+            let mut found = None;
             if let std::collections::hash_map::Entry::Occupied(ref e) = slot {
                 let mut g = *e.get();
-                loop {
-                    if matches(i, &groups[g as usize].payload) {
+                while g != NO_PREV {
+                    if same(i, firsts[g as usize] as usize) {
                         found = Some(g);
                         break;
                     }
                     g = prev[g as usize];
-                    if g == NO_PREV {
-                        break;
-                    }
                 }
             }
-            match found {
-                Some(g) => {
-                    update(i, &mut groups[g as usize].payload);
-                    updates += 1;
-                }
-                None => {
-                    let next = groups.len() as u32;
-                    match slot {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            prev.push(*e.get());
-                            *e.get_mut() = next;
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            prev.push(NO_PREV);
-                            v.insert(next);
-                        }
+            let g = found.unwrap_or_else(|| {
+                let next = firsts.len() as u32;
+                match slot {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        prev.push(*e.get());
+                        *e.get_mut() = next;
                     }
-                    groups.push(MergedGroup {
-                        first_row: i,
-                        key,
-                        payload: init(i),
-                    });
-                    inserts += 1;
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        prev.push(NO_PREV);
+                        v.insert(next);
+                    }
                 }
-            }
+                firsts.push(i as u32);
+                next
+            });
+            members.push((i as u32, g));
         }
-        (groups, inserts, updates)
+        (firsts, members)
     };
-    let parts: Vec<(Vec<MergedGroup<P>>, u64, u64)> = if workers <= 1 {
-        vec![fold_partition(0)]
+    let parts = if workers <= 1 {
+        vec![group_partition(0)]
     } else {
-        run_indexed(sched, workers, fold_partition)
+        run_indexed(sched, workers, group_partition)
     };
-    let mut inserts = 0;
-    let mut updates = 0;
-    let mut groups = Vec::with_capacity(parts.iter().map(|(g, _, _)| g.len()).sum());
-    for (g, i, u) in parts {
-        groups.extend(g);
-        inserts += i;
-        updates += u;
+    // Number the groups by first row: a first row is unique to its group,
+    // so this is a total order, independent of the partitioning.
+    let mut order: Vec<(u32, u32, u32)> = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(w, (firsts, _))| {
+            firsts
+                .iter()
+                .enumerate()
+                .map(move |(g, &first)| (first, w as u32, g as u32))
+        })
+        .collect();
+    order.sort_unstable();
+    let mut global: Vec<Vec<u32>> = parts.iter().map(|(f, _)| vec![0; f.len()]).collect();
+    for (at, &(_, w, g)) in order.iter().enumerate() {
+        global[w as usize][g as usize] = at as u32;
     }
-    // first_row is unique (one creating row per group), so this is a total
-    // order — the serial arena order, independent of the partitioning. Each
-    // partition scanned in row order, so `groups` is a concatenation of
-    // `workers` already-sorted runs: the stable sort's natural-run merge
-    // makes this an O(n log workers) merge, not a full sort.
-    groups.sort_by_key(|g| g.first_row);
-    GroupedBuild {
-        groups,
-        inserts,
-        updates,
+    let mut gid = vec![0u32; keys.len()];
+    for ((_, members), global) in parts.iter().zip(&global) {
+        for &(i, g) in members {
+            gid[i as usize] = global[g as usize];
+        }
+    }
+    Grouping {
+        gid,
+        firsts: order.into_iter().map(|(first, _, _)| first).collect(),
     }
 }
 
@@ -609,41 +564,28 @@ mod tests {
 
     #[test]
     fn grouped_build_is_worker_count_invariant_bitwise() {
-        // The payload is a running f64 sum: any change in per-group fold
-        // order shows up as a bit difference.
-        let keys: Vec<u64> = (0..5000u64).map(|i| (i * i) % 13).collect();
+        // Rows `i` and `j` are one group when their values agree; keys
+        // collide across groups (`value % 13`), so `same` disambiguates.
+        let values: Vec<u64> = (0..5000u64).map(|i| (i * i) % 29).collect();
+        let keys: Vec<u64> = values.iter().map(|v| v % 13).collect();
         let pool = WorkerPool::new(7);
         let run = |workers: usize| {
-            build_grouped_partitioned(
-                on(&pool, workers),
-                &keys,
-                |_i, _p: &f64| true,
-                |i| (i as f64) * 0.1,
-                |i, p| *p += (i as f64) * 0.1,
-            )
+            group_ids_partitioned(on(&pool, workers), &keys, |i, j| values[i] == values[j])
         };
         let one = run(1);
         let distinct = {
-            let mut k: Vec<u64> = keys.clone();
-            k.sort_unstable();
-            k.dedup();
-            k.len()
+            let mut v = values.clone();
+            v.sort_unstable();
+            v.dedup();
+            v.len()
         };
-        assert_eq!(one.groups.len(), distinct);
-        assert_eq!(one.inserts as usize, distinct);
-        assert_eq!(one.updates as usize, keys.len() - distinct);
+        assert_eq!(one.firsts.len(), distinct);
+        assert!(one.firsts.windows(2).all(|w| w[0] < w[1]));
+        for (i, &g) in one.gid.iter().enumerate() {
+            assert_eq!(values[one.firsts[g as usize] as usize], values[i]);
+        }
         for workers in [2, 4, 8] {
-            let got = run(workers);
-            assert_eq!((got.inserts, got.updates), (one.inserts, one.updates));
-            assert_eq!(got.groups.len(), one.groups.len(), "{workers} workers");
-            for (a, b) in got.groups.iter().zip(&one.groups) {
-                assert_eq!((a.first_row, a.key), (b.first_row, b.key));
-                assert_eq!(
-                    a.payload.to_bits(),
-                    b.payload.to_bits(),
-                    "float fold order must be serial ({workers} workers)"
-                );
-            }
+            assert_eq!(run(workers), one, "{workers} workers");
         }
     }
 

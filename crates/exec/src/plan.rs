@@ -165,13 +165,7 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Scan(s) => {
                 let table = catalog.get(&s.table)?;
-                let qualified = table.qualified_schema();
-                if s.projection.is_empty() {
-                    Ok(qualified)
-                } else {
-                    let names: Vec<&str> = s.projection.iter().map(|a| a.as_ref()).collect();
-                    qualified.project(&names)
-                }
+                Ok(project_scan(table.qualified_schema(), &s.projection)?.0)
             }
             PhysicalPlan::Filter { input, .. } => input.schema(catalog),
             PhysicalPlan::Materialize { input, .. } => input.schema(catalog),
@@ -405,6 +399,23 @@ impl PhysicalPlan {
             }
         }
     }
+}
+
+/// A scan's output schema and the positions of its columns in the table:
+/// the qualified schema projected onto `projection` by position (all of
+/// it when `projection` is empty).
+pub(crate) fn project_scan(
+    qualified: &Schema,
+    projection: &[Arc<str>],
+) -> Result<(Schema, Vec<usize>)> {
+    if projection.is_empty() {
+        return Ok((qualified.clone(), (0..qualified.len()).collect()));
+    }
+    let positions = projection
+        .iter()
+        .map(|a| qualified.index_of(a))
+        .collect::<Result<Vec<_>>>()?;
+    Ok((qualified.project_at(&positions), positions))
 }
 
 /// Resolve a qualified attribute's type from the catalog.

@@ -25,16 +25,18 @@
 //! plain tuples (a [`ColumnHt`]'s typed columns), and never rewrites a
 //! cached table.
 
-use hashstash_types::{Field, QueryId, Result, Row, Schema};
+use hashstash_types::{DataType, Field, QueryId, Result, Row, Schema};
 
-use hashstash_cache::ColumnHt;
-use hashstash_hashtable::ExtendibleHashTable;
+use hashstash_cache::{AggHt, ColumnHt};
 use hashstash_plan::{AggExpr, HtFingerprint, QuerySpec, Region, ReuseCase};
 
-use crate::exec::{fold_tuples, produce_agg_output, AggSource, BoxEval, EntryTuples, ExecContext};
+use crate::exec::{
+    fold_tuples, produce_agg_output, AggSource, BoxEval, EntryTuples, ExecContext, Pipe,
+};
 use crate::join::RowTable;
 use crate::parallel::{collect_morsels, MIN_PARALLEL_BUILD_ROWS};
 use crate::plan::{lookup_attr_type, OutputAgg, PhysicalPlan, ReuseSpec};
+use crate::result::ResultRows;
 
 /// Output required by one query of the batch.
 #[derive(Debug, Clone)]
@@ -115,7 +117,7 @@ impl SharedPlanSpec {
 pub struct SharedQueryResult {
     pub query: QueryId,
     pub schema: Schema,
-    pub rows: Vec<Row>,
+    pub rows: ResultRows,
 }
 
 /// Execute a shared plan, returning per-query results in batch order.
@@ -156,7 +158,7 @@ pub fn execute_shared(
                         .map(|r| r.project(&idx))
                         .collect()
                 });
-                (pschema.project(&names)?, rows)
+                (pschema.project(&names)?, Pipe::Rows(rows))
             }
             SharedOutput::Aggregate { group_spec, aggs } => {
                 let (table, gschema) = &groups[*group_spec];
@@ -166,7 +168,7 @@ pub fn execute_shared(
         results.push(SharedQueryResult {
             query: q.id,
             schema,
-            rows,
+            rows: ResultRows::new(rows),
         });
     }
 
@@ -194,7 +196,7 @@ fn run_grouping_phase<'m>(
                 .case
                 .needs_delta()
                 .then(|| r.request_region.difference(&r.cached_region));
-            (co.schema.clone(), RowTable::Reused(co), need)
+            ((*co.schema).clone(), RowTable::Reused(co), need)
         }
         None => {
             let fields = g
@@ -256,11 +258,11 @@ fn aggregate_for_query(
     table: &ColumnHt,
     schema: &Schema,
     ctx: &mut ExecContext<'_>,
-) -> Result<(Schema, Vec<Row>)> {
+) -> Result<(Schema, Pipe)> {
     let qualifies = BoxEval::bind(&q.predicates, schema)?;
     let sel: Vec<u32> = collect_morsels(ctx.sched(), table.len(), |range| {
         range
-            .filter(|&at| qualifies.eval_at(table, at))
+            .filter(|&at| qualifies.eval_at(table.columns(), at))
             .map(|at| at as u32)
             .collect()
     });
@@ -279,17 +281,24 @@ fn aggregate_for_query(
         key_cols: &group_idx,
     };
     let parallel = ctx.parallelism > 1 && sel.len() >= MIN_PARALLEL_BUILD_ROWS;
-    let mut ht = ExtendibleHashTable::new(schema.tuple_width());
-    let (inserts, updates) = fold_tuples(ctx.sched(), &mut ht, &input, &agg_idx, aggs, parallel);
+    let group_types: Vec<DataType> = group_idx
+        .iter()
+        .map(|&c| schema.field_at(c).dtype)
+        .collect();
+    let states: Vec<_> = aggs
+        .iter()
+        .zip(&agg_idx)
+        .map(|(a, &c)| (a.func, schema.field_at(c).dtype))
+        .collect();
+    let mut ht = AggHt::new(schema.tuple_width(), &group_types, &states);
+    let (inserts, updates) = fold_tuples(ctx.sched(), &mut ht, &input, schema, &agg_idx, parallel)?;
     ctx.metrics.ht_updates += inserts + updates;
     let outputs: Vec<OutputAgg> = (0..aggs.len()).map(OutputAgg::Direct).collect();
     produce_agg_output(
         ctx,
-        AggSource::Fresh(ht),
+        AggSource::Fresh(ht, schema.clone()),
         &None,
-        schema.clone(),
         &q.group_by,
-        aggs,
         &outputs,
         &None,
         &None,
@@ -442,7 +451,7 @@ mod tests {
         let results = execute_shared(&spec, &mut ctx).unwrap();
         assert_eq!(results.len(), 3);
         for (q, res) in queries.iter().zip(&results) {
-            let mut got = res.rows.clone();
+            let mut got = res.rows.clone().into_vec();
             got.sort();
             let want = reference(q, &cat);
             assert_eq!(got, want, "query {} differs", q.id);
@@ -496,7 +505,7 @@ mod tests {
         assert_eq!(ctx2.metrics.reused_tables, 1);
         assert_eq!(ctx2.metrics.built_tables, 1, "only the grouping table");
         for (q, res) in batch2.iter().zip(&results) {
-            let mut got = res.rows.clone();
+            let mut got = res.rows.clone().into_vec();
             got.sort();
             assert_eq!(got, reference(q, &cat), "query {} differs", q.id);
         }

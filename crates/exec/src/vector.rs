@@ -302,11 +302,18 @@ fn write_two(out: &mut Vec<u8>, n: u32) {
 }
 
 /// Append a float exactly as `f64`'s `Display` renders it (shortest
-/// round-trip digits, no exponent, `NaN`, `inf`, `-0`).
+/// round-trip digits, no exponent, `NaN`, `inf`, `-0`). An integral value
+/// below 2^53 in magnitude, which `Display` prints as its integer digits,
+/// goes through [`write_int`].
 #[inline]
 pub fn write_float(out: &mut Vec<u8>, v: f64) {
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(out, "{v}");
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if v.fract() == 0.0 && v.abs() < EXACT && !(v == 0.0 && v.is_sign_negative()) {
+        write_int(out, v as i64);
+    } else {
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{v}");
+    }
 }
 
 /// Append a day count as `YYYY-MM-DD` (proleptic Gregorian), exactly as
@@ -348,6 +355,16 @@ impl<'a> TextKernel<'a> {
         }
     }
 
+    /// About how many bytes a cell takes as text: a guess for the one
+    /// reservation of the reply, not a bound.
+    fn width_guess(&self) -> usize {
+        match self {
+            TextKernel::Int(_) => 12,
+            TextKernel::Float(_) | TextKernel::Dict { .. } => 16,
+            TextKernel::Date(_) => 10,
+        }
+    }
+
     #[inline]
     fn write(&self, rid: usize, out: &mut Vec<u8>) {
         match self {
@@ -364,13 +381,15 @@ impl<'a> TextKernel<'a> {
 /// Append the batch as text: per selected row a `\n`, then its projected
 /// columns separated by `\t` — the reply body that follows a header line.
 /// Each column renders through its typed slice; dictionary strings are
-/// copied by code.
+/// copied by code. The output is reserved once, from a per-column guess.
 pub fn write_text(batch: &ColumnarBatch, out: &mut Vec<u8>) {
     let kernels: Vec<TextKernel<'_>> = batch
         .proj
         .iter()
         .map(|&c| TextKernel::of(batch.table.column(c)))
         .collect();
+    let line: usize = kernels.iter().map(|k| 1 + k.width_guess()).sum();
+    out.reserve(batch.sel.len() * line.max(1));
     let line = |rid: usize, out: &mut Vec<u8>| {
         out.push(b'\n');
         for (i, k) in kernels.iter().enumerate() {

@@ -460,14 +460,6 @@ impl<V> ExtendibleHashTable<V> {
         self.arena.iter().map(|e| (e.key, &e.value))
     }
 
-    /// Iterate over the `(key, value)` pairs stored in arena slots `range`,
-    /// in arena order — the row-range access path of morsel-parallel
-    /// consumers: workers each take a disjoint range, and concatenating the
-    /// ranges in order reproduces [`iter`](Self::iter) exactly.
-    pub fn iter_range(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = (u64, &V)> {
-        self.arena[range].iter().map(|e| (e.key, &e.value))
-    }
-
     /// Pre-size the directory so `additional` more entries fit without a
     /// doubling. This is the explicit `c_resize` step of the reuse-aware
     /// operators: pay the directory growth once, up front.
@@ -734,22 +726,6 @@ mod tests {
         assert_eq!(ht.get_mut(2), None);
         *ht.get_mut(1).unwrap() = 99;
         assert_eq!(ht.probe(1).copied().collect::<Vec<_>>(), vec![99]);
-    }
-
-    #[test]
-    fn iter_range_tiles_iter_exactly() {
-        let mut ht = ExtendibleHashTable::new(8);
-        for i in 0..1000u64 {
-            ht.insert(i, i * 3);
-        }
-        let serial: Vec<(u64, u64)> = ht.iter().map(|(k, v)| (k, *v)).collect();
-        let mut tiled = Vec::new();
-        for start in (0..ht.len()).step_by(128) {
-            let end = (start + 128).min(ht.len());
-            tiled.extend(ht.iter_range(start..end).map(|(k, v)| (k, *v)));
-        }
-        assert_eq!(tiled, serial);
-        assert_eq!(ht.iter_range(0..0).count(), 0);
     }
 
     #[test]

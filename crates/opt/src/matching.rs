@@ -201,10 +201,10 @@ pub(crate) fn restrict_to_tables(pred: &PredBox, tables: &BTreeSet<Arc<str>>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_cache::{ColumnHt, GcConfig, StoredHt};
-    use hashstash_hashtable::ExtendibleHashTable;
+    use hashstash_cache::{AggHt, ColumnHt, GcConfig, StoredHt};
     use hashstash_plan::{AggFunc, Interval};
     use hashstash_storage::tpch::{generate, TpchConfig};
+    use hashstash_storage::Column;
     use hashstash_types::{DataType, Field, Row, Schema, Value};
 
     fn stats() -> DbStats {
@@ -335,14 +335,14 @@ mod tests {
             ],
             aggregates: vec![AggExpr::new(AggFunc::Sum, "customer.c_acctbal")],
         };
-        let mut ht = ExtendibleHashTable::new(24);
-        ht.insert(
-            1,
-            hashstash_cache::AggPayload::new(
-                Row::new(vec![Value::Int(30), Value::Int(2)]),
-                &cached.aggregates,
-            ),
+        let mut ht = AggHt::new(
+            24,
+            &[DataType::Int, DataType::Int],
+            &[(AggFunc::Sum, DataType::Float)],
         );
+        let groups = [Column::Int(vec![30]), Column::Int(vec![2])];
+        let acctbal = Column::Float(vec![1.5]);
+        ht.fold(&[1], &groups, &[Some(&acctbal)], None).unwrap();
         htm.publish(
             cached.clone(),
             Schema::new(vec![
@@ -388,7 +388,7 @@ mod tests {
             payload_attrs: vec![Arc::from("customer.c_age")],
             aggregates: vec![AggExpr::new(AggFunc::Sum, "customer.c_acctbal")],
         };
-        let ht: ExtendibleHashTable<hashstash_cache::AggPayload> = ExtendibleHashTable::new(16);
+        let ht = AggHt::new(16, &[DataType::Int], &[(AggFunc::Sum, DataType::Float)]);
         htm.publish(
             cached.clone(),
             Schema::new(vec![Field::new("customer.c_age", DataType::Int)]),

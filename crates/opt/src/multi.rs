@@ -535,7 +535,7 @@ mod tests {
                         .into_iter()
                         .zip(execute_shared(&spec, &mut ctx).unwrap())
                     {
-                        out[i] = r.rows;
+                        out[i] = r.rows.into_vec();
                     }
                 }
             }
@@ -580,7 +580,7 @@ mod tests {
         assert_eq!(results.len(), 2);
         let expect = one_at_a_time(&queries, &cat);
         for (r, want) in results.into_iter().zip(expect) {
-            let mut got = r.rows;
+            let mut got = r.rows.into_vec();
             got.sort();
             assert_eq!(got, want);
         }

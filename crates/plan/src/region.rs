@@ -250,7 +250,10 @@ impl Region {
 
     /// Whether `self ⊆ other`. Exact: `A ⊆ B ⇔ A \ B = ∅`.
     pub fn is_subset(&self, other: &Region) -> bool {
-        self.difference(other).is_empty()
+        // A box inside one of `other`'s is covered without building the
+        // difference; only a box that straddles several needs it.
+        let inside = |b: &PredBox| b.is_empty() || other.boxes.iter().any(|o| b.is_subset(o));
+        self.boxes.iter().all(inside) || self.difference(other).is_empty()
     }
 
     /// Whether the regions denote the same set.

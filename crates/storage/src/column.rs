@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hashstash_types::{DataType, Value};
+use hashstash_types::{DataType, Value, F64};
 
 /// A typed column of values.
 ///
@@ -283,6 +283,59 @@ impl Column {
                         recode[s] = known.code_of(dict, &sd[s]);
                     }
                     codes.push(recode[s]);
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Fold rows of `src` into rows of this column, keeping an extreme:
+    /// for each `(at, rid)` of `pairs`, in order, row `at` takes row `rid`
+    /// of `src` when that compares as `wins` (`Less` keeps the minimum,
+    /// `Greater` the maximum) under `Value`'s order, so ties keep what is
+    /// there. Strings are re-coded into this column's dictionary. Returns
+    /// `false`, changing nothing, on a type mismatch.
+    pub fn fold_extreme(
+        &mut self,
+        src: &Column,
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+        wins: std::cmp::Ordering,
+    ) -> bool {
+        match (self, src) {
+            (Column::Int(a), Column::Int(b)) => pairs.into_iter().for_each(|(at, r)| {
+                if b[r].cmp(&a[at]) == wins {
+                    a[at] = b[r];
+                }
+            }),
+            (Column::Date(a), Column::Date(b)) => pairs.into_iter().for_each(|(at, r)| {
+                if b[r].cmp(&a[at]) == wins {
+                    a[at] = b[r];
+                }
+            }),
+            (Column::Float(a), Column::Float(b)) => pairs.into_iter().for_each(|(at, r)| {
+                if F64(b[r]).cmp(&F64(a[at])) == wins {
+                    a[at] = b[r];
+                }
+            }),
+            (
+                Column::Str { dict, codes },
+                Column::Str {
+                    dict: sd,
+                    codes: sc,
+                },
+            ) => {
+                const UNSET: u32 = u32::MAX;
+                let mut recode = vec![UNSET; sd.len()];
+                let mut known = DictIndex::default();
+                for (at, r) in pairs {
+                    let s = sc[r] as usize;
+                    if sd[s].as_ref().cmp(dict[codes[at] as usize].as_ref()) == wins {
+                        if recode[s] == UNSET {
+                            recode[s] = known.code_of(dict, &sd[s]);
+                        }
+                        codes[at] = recode[s];
+                    }
                 }
             }
             _ => return false,

@@ -24,6 +24,8 @@ pub struct Table {
     /// Per column, its zone map once a probe asked for it (`None` inside
     /// for a column that has none).
     zone_maps: Box<[OnceLock<Option<ZoneMap>>]>,
+    /// The schema qualified as `table.column`, built once, on first use.
+    qualified: OnceLock<Schema>,
 }
 
 impl Table {
@@ -36,7 +38,14 @@ impl Table {
             columns,
             indexes: HashMap::new(),
             zone_maps,
+            qualified: OnceLock::new(),
         }
+    }
+
+    /// An unnamed, unindexed table over `columns`, whose field names are
+    /// taken as they are: an operator's output held as columns.
+    pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Result<Table> {
+        Table::from_parts(String::new(), schema, columns, &[])
     }
 
     /// Table name.
@@ -49,15 +58,18 @@ impl Table {
         &self.schema
     }
 
-    /// Schema with every field qualified as `table.column`.
-    pub fn qualified_schema(&self) -> Schema {
-        Schema::new(
-            self.schema
-                .fields()
-                .iter()
-                .map(|f| Field::new(format!("{}.{}", self.name, f.name), f.dtype))
-                .collect(),
-        )
+    /// Schema with every field qualified as `table.column`, in column
+    /// order (built on the first call, then shared).
+    pub fn qualified_schema(&self) -> &Schema {
+        self.qualified.get_or_init(|| {
+            Schema::new(
+                self.schema
+                    .fields()
+                    .iter()
+                    .map(|f| Field::new(format!("{}.{}", self.name, f.name), f.dtype))
+                    .collect(),
+            )
+        })
     }
 
     /// Number of rows.

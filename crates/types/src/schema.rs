@@ -32,11 +32,7 @@ impl Schema {
     /// Build a schema from fields. Names must be unique.
     pub fn new(fields: Vec<Field>) -> Self {
         debug_assert!(
-            {
-                let mut names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                names.sort_unstable();
-                names.windows(2).all(|w| w[0] != w[1])
-            },
+            (1..fields.len()).all(|i| fields[..i].iter().all(|f| f.name != fields[i].name)),
             "duplicate field names in schema"
         );
         Schema { fields }
@@ -93,6 +89,11 @@ impl Schema {
             .map(|n| self.field(n).cloned())
             .collect::<Result<Vec<_>>>()?;
         Ok(Schema::new(fields))
+    }
+
+    /// Project the schema onto the columns at `positions`, in that order.
+    pub fn project_at(&self, positions: &[usize]) -> Schema {
+        Schema::new(positions.iter().map(|&i| self.fields[i].clone()).collect())
     }
 
     /// Total payload width in bytes of a tuple with this schema when stored

@@ -8,13 +8,18 @@
 //! output order) would silently change with the `PARALLELISM` knob.
 //!
 //! Serial references are built through the *real* serial code paths the
-//! executor uses (`reserve` + `insert` loop for joins, `upsert_where` loop
-//! for aggregates), not through the helper's own one-worker arm — so these
-//! properties pin the parallel helpers against the executor's ground truth.
+//! executor uses (`reserve` + `insert` loop for joins, `AggHt::fold`'s own
+//! find-or-insert loop for aggregates), not through the helper's own
+//! one-worker arm — so these properties pin the parallel helpers against
+//! the executor's ground truth.
 
-use hashstash_exec::parallel::{build_grouped_partitioned, build_multimap_partitioned};
+use hashstash_cache::AggHt;
+use hashstash_exec::parallel::{build_multimap_partitioned, group_ids_partitioned};
 use hashstash_exec::{Scheduler, WorkerPool};
 use hashstash_hashtable::ExtendibleHashTable;
+use hashstash_plan::AggFunc;
+use hashstash_storage::Column;
+use hashstash_types::DataType;
 use proptest::prelude::*;
 
 const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
@@ -88,12 +93,12 @@ proptest! {
         prop_assert!(descending_chains(&serial));
     }
 
-    // Aggregate-build path (`exec.rs`): the serial `upsert_where` loop —
-    // incremental directory growth, lookup-triggered lazy splits, per-group
-    // floating-point folds in row order — vs. the key-partitioned grouped
-    // build with one `insert` per group in first-row order. Group keys
-    // deliberately collide on the 64-bit hash (`key = gid % collide`) so
-    // `matches` disambiguation is covered.
+    // Aggregate-build path (`exec.rs`): `AggHt::fold`'s serial
+    // find-or-insert loop — incremental directory growth, lookup-triggered
+    // lazy splits, per-group floating-point folds in row order — vs. the
+    // key-partitioned grouping installed with one `insert` per group in
+    // first-row order. Group keys deliberately collide on the 64-bit hash
+    // (`key = gid % collide`) so group-column disambiguation is covered.
     #[test]
     fn agg_build_partitioned_is_byte_identical(
         shape in (0usize..3000, 1u64..200, 1u64..16),
@@ -102,60 +107,33 @@ proptest! {
         let (n, groups, collide) = shape;
         // (hash key, logical group id) per row; values fold as float sums,
         // which detect any deviation from the serial accumulation order.
-        let rows: Vec<(u64, u64)> = (0..n as u64)
-            .map(|i| {
-                let gid = i.wrapping_mul(0x9e37_79b9) % groups;
-                (gid % collide.min(groups), gid)
-            })
+        let gids: Vec<i64> = (0..n as u64)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) % groups) as i64)
             .collect();
-        let val = |i: usize| (i as f64) * 0.7 - 3.0;
+        let keys: Vec<u64> = gids.iter().map(|&g| g as u64 % collide.min(groups)).collect();
+        let group_cols = [Column::Int(gids.clone())];
+        let vals = Column::Float((0..n).map(|i| (i as f64) * 0.7 - 3.0).collect());
+        let aggs = [(AggFunc::Sum, DataType::Float), (AggFunc::Count, DataType::Float)];
+        let args = [Some(&vals), None];
+        let table = || AggHt::new(width, &[DataType::Int], &aggs);
 
-        let mut serial = ExtendibleHashTable::new(width);
-        let mut serial_inserts = 0u64;
-        let mut serial_updates = 0u64;
-        for (i, &(key, gid)) in rows.iter().enumerate() {
-            let created = serial.upsert_where(
-                key,
-                |p: &(u64, f64, u64)| p.0 == gid,
-                || (gid, val(i), 1),
-                |p| {
-                    p.1 += val(i);
-                    p.2 += 1;
-                },
-            );
-            if created {
-                serial_inserts += 1;
-            } else {
-                serial_updates += 1;
-            }
-        }
+        let mut serial = table();
+        let serial_inserts = serial.fold(&keys, &group_cols, &args, None).unwrap();
 
-        let keys: Vec<u64> = rows.iter().map(|&(k, _)| k).collect();
         let pool = pool();
         for workers in WORKER_COUNTS {
-            let gb = build_grouped_partitioned(
-                on(&pool, workers),
-                &keys,
-                |i: usize, p: &(u64, f64, u64)| p.0 == rows[i].1,
-                |i: usize| (rows[i].1, val(i), 1),
-                |i: usize, p: &mut (u64, f64, u64)| {
-                    p.1 += val(i);
-                    p.2 += 1;
-                },
-            );
-            prop_assert_eq!(gb.inserts, serial_inserts, "{} workers", workers);
-            prop_assert_eq!(gb.updates, serial_updates, "{} workers", workers);
-            let mut par = ExtendibleHashTable::new(width);
-            for g in gb.groups {
-                par.insert(g.key, g.payload);
-            }
+            let same = |i: usize, j: usize| gids[i] == gids[j];
+            let grouping = group_ids_partitioned(on(&pool, workers), &keys, same);
+            let mut par = table();
+            let inserts = par.fold(&keys, &group_cols, &args, Some(grouping)).unwrap();
+            prop_assert_eq!(inserts, serial_inserts, "{} workers", workers);
             prop_assert!(
                 par == serial,
                 "agg build diverged at {} workers (n={}, groups={}, collide={}, width={})",
                 workers, n, groups, collide, width
             );
-            prop_assert!(descending_chains(&par), "{} workers", workers);
+            prop_assert!(descending_chains(par.index()), "{} workers", workers);
         }
-        prop_assert!(descending_chains(&serial));
+        prop_assert!(descending_chains(serial.index()));
     }
 }

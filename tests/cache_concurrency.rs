@@ -18,7 +18,6 @@ use std::thread;
 use hashstash_cache::{ColumnHt, GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{execute, ExecContext};
-use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase};
 use hashstash_storage::tpch::{generate, TpchConfig};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
@@ -66,11 +65,9 @@ fn executor_error_path_returns_checked_out_table() {
 
     // An *aggregate* payload published under a join-build fingerprint: the
     // join operator checks it out, then errors on the kind mismatch.
-    let mut agg = ExtendibleHashTable::new(16);
-    agg.insert(
-        1,
-        hashstash_cache::AggPayload::new(Row::new(vec![Value::Int(1)]), &[]),
-    );
+    let mut agg = hashstash_cache::AggHt::new(16, &[DataType::Int], &[]);
+    let groups = [hashstash_storage::Column::Int(vec![1])];
+    agg.fold(&[1], &groups, &[], None).unwrap();
     let fp = customer_fp(0, 100);
     let id = htm.publish(fp.clone(), join_schema(), StoredHt::Agg(agg));
     let bytes_before = htm.stats().bytes;
@@ -267,7 +264,8 @@ fn shard_contention_stress_no_lost_bytes() {
                                         Row::new(vec![Value::Int(base as i64), Value::Int(30)]);
                                     tab.insert(base, &row).unwrap();
                                 }
-                                co.fingerprint.region = co.fingerprint.region.union(&fp.region);
+                                let widened = co.fingerprint.region.union(&fp.region);
+                                std::sync::Arc::make_mut(&mut co.fingerprint).region = widened;
                                 co.checkin().expect("entry is pinned, checkin succeeds");
                             }
                         } else {

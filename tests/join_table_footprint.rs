@@ -1,8 +1,9 @@
-//! Join tables store their payload as typed columns, and that changed what
-//! the heap holds, not what the cache charges: on the paper's high- and
-//! low-reuse traces every join table the cache ever holds reports the
-//! tuple width and logical footprint a table of rows reported (a fixed
-//! table, recorded from the row-payload engine), so budgets, eviction and
+//! Join and aggregate tables store their payload as typed columns, and that
+//! changed what the heap holds, not what the cache charges: on the paper's
+//! high- and low-reuse traces every join table and every aggregate table
+//! the cache ever holds reports the tuple width and logical footprint a
+//! table of rows (or of a group row plus accumulators) reported — fixed
+//! tables, recorded from the row-payload engine — so budgets, eviction and
 //! `cache_peak_mb` cannot move. And the heap now holds what is charged:
 //! within 1.2× of `logical_bytes()`, plus the string dictionaries, which a
 //! code stands in for.
@@ -111,9 +112,119 @@ const LOW: [(usize, usize); 86] = [
     (52, 115328),
 ];
 
-/// Replay trace 0 of `reuse` and return every join-table version the cache
-/// held after some query, checking each one's heap against its charge.
-fn join_table_versions(reuse: ReusePotential) -> Vec<(usize, usize)> {
+/// `(tuple_width, logical_bytes)` of every aggregate-table version the
+/// cache held during trace 0, in the order they appeared.
+const AGG_HIGH: [(usize, usize); 30] = [
+    (24, 3084),
+    (24, 3084),
+    (28, 58704),
+    (28, 68384),
+    (28, 75544),
+    (28, 62584),
+    (32, 65016),
+    (32, 44608),
+    (24, 3084),
+    (24, 3084),
+    (24, 3048),
+    (24, 2940),
+    (24, 3012),
+    (24, 3084),
+    (24, 3084),
+    (32, 66336),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+];
+
+const AGG_LOW: [(usize, usize); 64] = [
+    (24, 3084),
+    (24, 3084),
+    (28, 38792),
+    (36, 64704),
+    (36, 65856),
+    (36, 66048),
+    (28, 40952),
+    (28, 36952),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 2868),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3048),
+    (24, 3084),
+    (24, 3084),
+    (24, 3048),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3012),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+    (24, 3048),
+    (24, 3084),
+    (24, 3084),
+    (24, 3084),
+];
+
+/// The footprint of a cached table: `(tuple_width, logical_bytes,
+/// heap_bytes, dict_bytes)`.
+type Footprint = (usize, usize, usize, usize);
+
+/// Replay trace 0 of `reuse` and return every version of a table `kind`
+/// accepts that the cache held after some query, checking each one's heap
+/// against its charge.
+fn table_versions(
+    reuse: ReusePotential,
+    kind: fn(&StoredHt) -> Option<Footprint>,
+) -> Vec<(usize, usize)> {
     let db = Database::builder(generate(TpchConfig::new(0.01, 42)))
         .parallelism(2)
         .build();
@@ -122,34 +233,65 @@ fn join_table_versions(reuse: ReusePotential) -> Vec<(usize, usize)> {
     for tq in generate_trace(TraceConfig::paper(reuse, 0)) {
         session.execute(&tq.query).unwrap();
         for e in db.cache().snapshot_entries() {
-            let StoredHt::Rows(t) = &*e.payload else {
+            let Some((width, logical, heap, dicts)) = kind(&e.payload) else {
                 continue;
             };
-            let version = (e.id.0, t.tuple_width(), t.logical_bytes());
+            let version = (e.id.0, width, logical);
             if seen.contains(&version) {
                 continue;
             }
             seen.push(version);
-            let charged = t.logical_bytes() as f64 * 1.2 + t.dict_bytes() as f64;
+            let charged = logical as f64 * 1.2 + dicts as f64;
             assert!(
-                t.heap_bytes() as f64 <= charged,
-                "{:?}: {} heap bytes for {} logical + {} of dictionaries",
+                heap as f64 <= charged,
+                "{:?}: {heap} heap bytes for {logical} logical + {dicts} of dictionaries",
                 e.fingerprint.payload_attrs,
-                t.heap_bytes(),
-                t.logical_bytes(),
-                t.dict_bytes()
             );
         }
     }
     seen.into_iter().map(|(_, w, b)| (w, b)).collect()
 }
 
+fn join_table(t: &StoredHt) -> Option<Footprint> {
+    match t {
+        StoredHt::Rows(t) => Some((
+            t.tuple_width(),
+            t.logical_bytes(),
+            t.heap_bytes(),
+            t.dict_bytes(),
+        )),
+        _ => None,
+    }
+}
+
+fn agg_table(t: &StoredHt) -> Option<Footprint> {
+    match t {
+        StoredHt::Agg(t) => Some((
+            t.tuple_width(),
+            t.logical_bytes(),
+            t.heap_bytes(),
+            t.dict_bytes(),
+        )),
+        _ => None,
+    }
+}
+
 #[test]
 fn high_reuse_join_tables_keep_their_footprint() {
-    assert_eq!(join_table_versions(ReusePotential::High), HIGH);
+    assert_eq!(table_versions(ReusePotential::High, join_table), HIGH);
 }
 
 #[test]
 fn low_reuse_join_tables_keep_their_footprint() {
-    assert_eq!(join_table_versions(ReusePotential::Low), LOW);
+    assert_eq!(table_versions(ReusePotential::Low, join_table), LOW);
+}
+
+#[test]
+fn high_reuse_aggregate_tables_keep_their_footprint() {
+    assert_eq!(table_versions(ReusePotential::High, agg_table), AGG_HIGH);
+}
+
+#[test]
+fn low_reuse_aggregate_tables_keep_their_footprint() {
+    assert_eq!(table_versions(ReusePotential::Low, agg_table), AGG_LOW);
 }

@@ -14,6 +14,11 @@
 //! on the caller. Counts are exact: a change that moves one re-pins it here
 //! and says why. A decrease is the point of a planning change; an increase
 //! needs a reason.
+//!
+//! The same requests are pinned once more through `Session::execute` at
+//! one worker (planning, checkout, execution and publishing all run on the
+//! caller), from the same warm state: the churn request misses and builds,
+//! the hot ones hit the cache.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,9 +137,49 @@ fn counts(strategy: EngineStrategy) -> [u64; 4] {
 
 /// Before planning kept one priced choice per join mask and built the plan
 /// once, these read `[802, 64, 88, 19]` (HashStash) and `[418, 23, 31, 19]`
-/// (NoReuse).
-const HASHSTASH: [u64; 4] = [232, 44, 62, 17];
+/// (NoReuse); before `Region::is_subset` tried box-by-box containment
+/// ahead of building the difference, HashStash read `[232, 44, 62, 17]`.
+const HASHSTASH: [u64; 4] = [230, 42, 56, 17];
 const NO_REUSE: [u64; 4] = [175, 19, 26, 17];
+
+/// `Session::execute` allocations of `[churn, hot 0, hot 1, hot 2]` at one
+/// worker under HashStash, each run once after the warm-up of [`counts`].
+fn execute_counts() -> [u64; 4] {
+    let db = Database::builder(generate(TpchConfig::new(0.01, 42)))
+        .parallelism(1)
+        .build();
+    let mut session = db.session();
+    let windows: Vec<String> = (0..3).map(churn).collect();
+    for sql in HOT
+        .iter()
+        .copied()
+        .chain(windows.iter().map(String::as_str))
+    {
+        session
+            .execute(&spec(&db, sql))
+            .expect("warm-up query runs");
+    }
+    let churn = churn(3);
+    [churn.as_str(), HOT[0], HOT[1], HOT[2]].map(|sql| {
+        let q = spec(&db, sql);
+        let before = allocs();
+        session.execute(&q).expect("query runs");
+        allocs() - before
+    })
+}
+
+/// While aggregate tables held a `Row` and a `Vec` of accumulators per
+/// group, aggregates emitted rows and a checkout copied the table's
+/// lineage and schema, these read `[678, 142, 155, 42]`.
+const EXECUTE: [u64; 4] = [460, 59, 73, 32];
+
+#[test]
+fn execute_allocations_of_the_tenant_mix_are_pinned() {
+    let got = execute_counts();
+    // The hot COUNT and AVG hits allocate at most half of what they did.
+    assert!(got[1] <= 142 / 2 && got[2] <= 155 / 2, "{got:?}");
+    assert_eq!(got, EXECUTE, "[churn, hot 0, hot 1, hot 2]");
+}
 
 #[test]
 fn planning_allocations_of_the_tenant_mix_are_pinned() {

@@ -108,10 +108,11 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
                                         tab.insert(base, &Row::new(vec![Value::Int(base as i64)]))
                                             .unwrap();
                                     }
-                                    co.fingerprint.region = co
+                                    let widened = co
                                         .fingerprint
                                         .region
                                         .union(&fp(&table, lo, lo + 10).region);
+                                    std::sync::Arc::make_mut(&mut co.fingerprint).region = widened;
                                     co.checkin().expect("pinned entry checks in");
                                 }
                             } else if let Ok(co) = htm.checkout(c.id) {

@@ -51,6 +51,10 @@ fn ints() -> impl Strategy<Value = i64> {
     ]
 }
 
+/// 2^53: the first power of two whose neighbours are not all integers
+/// apart, and where integral floats stop rendering through `write_int`.
+const TWO_53: f64 = 9_007_199_254_740_992.0;
+
 fn floats() -> impl Strategy<Value = f64> {
     prop_oneof![
         Just(-0.0f64),
@@ -63,7 +67,17 @@ fn floats() -> impl Strategy<Value = f64> {
         Just(5e-324f64),
         Just(3.0f64),
         Just(f64::MAX),
+        Just(TWO_53),
+        Just(-TWO_53),
+        Just(TWO_53 - 1.0),
+        Just(TWO_53 + 2.0),
+        Just(1e15f64),
+        Just(1e16f64),
+        Just(-1e17f64),
         (-1_000_000i64..1_000_000).prop_map(|x| x as f64),
+        // Integral values around 2^53, where the integer fast path ends.
+        (-4i64..5).prop_map(|d| TWO_53 + (d * 2) as f64),
+        (0i64..1 << 20).prop_map(|x| (TWO_53 as i64 - x) as f64),
         (-1_000_000i64..1_000_000).prop_map(|x| x as f64 / 1000.0),
         // Every bit pattern: subnormals, huge exponents, NaN payloads.
         any::<u64>().prop_map(f64::from_bits),
@@ -231,6 +245,17 @@ fn edge_values_render_like_display() {
         row(Value::float(1e-7)),
         row(Value::float(5e-324)),
         row(Value::float(3.0)),
+        row(Value::float(TWO_53)),
+        row(Value::float(-TWO_53)),
+        row(Value::float(TWO_53 - 1.0)),
+        row(Value::float(-(TWO_53 - 1.0))),
+        // 2^53 + 1 is not a float: it rounds to 2^53.
+        row(Value::float(TWO_53 + 1.0)),
+        row(Value::float(TWO_53 + 2.0)),
+        row(Value::float(1e15)),
+        row(Value::float(1e16)),
+        row(Value::float(1e17)),
+        row(Value::float(-1e17)),
         row(Value::Date(days_from_ymd(1, 1, 1))),
         row(Value::Date(days_from_ymd(1992, 2, 29))),
         row(Value::Date(days_from_ymd(9999, 12, 31))),

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use hashstash::{Database, EngineStrategy};
-use hashstash_cache::{AggPayload, GcConfig, HtManager, StoredHt};
+use hashstash_cache::{GcConfig, HtManager, StoredHt};
 use hashstash_exec::plan::{OutputAgg, PhysicalPlan, ReuseSpec, ScanSpec};
 use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool};
 use hashstash_plan::{
@@ -263,8 +263,8 @@ fn run_all(cat: &Catalog, case: &Case, vectorize: bool, parallelism: usize) -> R
     let agg_co = htm.checkout(ac.id).unwrap();
     let agg_table = match agg_co.table() {
         StoredHt::Agg(ht) => {
-            let pairs: Vec<(u64, AggPayload)> = ht.iter().map(|(k, v)| (k, v.clone())).collect();
-            format!("{pairs:?}")
+            let groups: Vec<_> = ht.iter().collect();
+            format!("{groups:?}")
         }
         other => panic!("aggregate fingerprint stored {other:?}"),
     };
