@@ -44,5 +44,5 @@ pub use column_ht::ColumnHt;
 pub use manager::{
     CacheStats, Candidate, CheckedOut, GcConfig, HtManager, SnapshotEntry, TenantId, DEFAULT_SHARDS,
 };
-pub use payload::{AggAccum, MaterializedRows, StoredHt};
+pub use payload::{AggAccum, StoredHt, TempTable};
 pub use recycle::RecycleGraph;

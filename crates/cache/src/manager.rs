@@ -2,7 +2,7 @@
 //!
 //! It holds every cached intermediate — hash tables built by pipeline
 //! breakers and, for the materialization baseline, temp tables of
-//! materialized rows ([`StoredHt::Materialized`], see [`crate::temp`]) —
+//! materialized output ([`StoredHt::Materialized`], see [`crate::temp`]) —
 //! with their lineage, their statistics, the byte budget and the eviction
 //! loop. Both kinds share the budget, the logical clock and the victim
 //! search, but never each other's lookups: [`HtManager::candidates`] returns
@@ -218,7 +218,7 @@ struct Entry {
     fingerprint: Arc<HtFingerprint>,
     schema: Arc<Schema>,
     slot: Slot,
-    /// Whether the payload is materialized rows (the baseline's temp
+    /// Whether the payload is a materialized output (the baseline's temp
     /// table) rather than a hash table. Fixed at publish.
     materialized: bool,
     /// Owner: the tenant whose session published this entry. Eviction

@@ -1,8 +1,7 @@
 //! What the Hash Table Manager caches: [`StoredHt`] — a hash table of
 //! tuples ([`ColumnHt`]: typed payload columns) or of aggregate states
-//! ([`AggHt`]: typed group and state columns), or a temp table of
-//! [`MaterializedRows`] for the materialization baseline — and the value
-//! types stored inside.
+//! ([`AggHt`]: typed group and state columns), or a [`TempTable`] for the
+//! materialization baseline — and the value types stored inside.
 //!
 //! Cached tables hold plain tuples or aggregate states and nothing else: no
 //! per-entry query tag. Shared plans decide which query of a batch a stored
@@ -10,9 +9,12 @@
 //! (see `hashstash_exec::shared`), so a cached table never has to be
 //! rewritten before it is reused.
 
-use hashstash_types::{Row, Value};
+use std::sync::Arc;
+
+use hashstash_types::Value;
 
 use hashstash_plan::AggFunc;
+use hashstash_storage::{Column, Table};
 
 use crate::{AggHt, ColumnHt};
 
@@ -137,8 +139,8 @@ pub enum StoredHt {
     /// Aggregate: group-key → accumulator states, as typed columns.
     Agg(AggHt),
     /// A temp table of the materialization baseline: an operator's output
-    /// rows, no hash table. Only the baseline's lookups see these.
-    Materialized(MaterializedRows),
+    /// as columns, no hash table. Only the baseline's lookups see these.
+    Materialized(TempTable),
 }
 
 impl StoredHt {
@@ -147,7 +149,7 @@ impl StoredHt {
         match self {
             StoredHt::Rows(ht) => ht.logical_bytes(),
             StoredHt::Agg(ht) => ht.logical_bytes(),
-            StoredHt::Materialized(rows) => rows.bytes,
+            StoredHt::Materialized(t) => t.bytes,
         }
     }
 
@@ -156,7 +158,7 @@ impl StoredHt {
         match self {
             StoredHt::Rows(ht) => ht.len(),
             StoredHt::Agg(ht) => ht.len(),
-            StoredHt::Materialized(rows) => rows.len(),
+            StoredHt::Materialized(t) => t.len(),
         }
     }
 
@@ -170,7 +172,7 @@ impl StoredHt {
         match self {
             StoredHt::Rows(ht) => ht.distinct_keys(),
             StoredHt::Agg(ht) => ht.distinct_keys(),
-            StoredHt::Materialized(rows) => rows.len(),
+            StoredHt::Materialized(t) => t.len(),
         }
     }
 
@@ -179,7 +181,7 @@ impl StoredHt {
         match self {
             StoredHt::Rows(ht) => ht.tuple_width(),
             StoredHt::Agg(ht) => ht.tuple_width(),
-            StoredHt::Materialized(rows) => rows.bytes / rows.len().max(1),
+            StoredHt::Materialized(t) => t.bytes / t.len().max(1),
         }
     }
 
@@ -189,52 +191,108 @@ impl StoredHt {
     }
 }
 
-/// Approximate in-memory size of one materialized row (arrays of scalars).
-pub fn row_bytes(row: &Row) -> usize {
-    row.values()
-        .iter()
-        .map(|v| match v {
-            Value::Str(s) => 16 + s.len(),
-            _ => 8,
-        })
-        .sum::<usize>()
-        + 24
-}
-
-/// A materialized intermediate result: the temp table of the
-/// materialization baseline (plain row vectors, Nagel et al. style). Byte
-/// accounting is precomputed so budget checks never re-walk the rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaterializedRows {
-    rows: Vec<Row>,
+/// A temp table of the materialization baseline (Nagel et al. style): an
+/// operator's output held as typed columns, which every reader shares.
+///
+/// It is charged what the same tuples take as row vectors, so the budget
+/// sees the baseline's footprint as before it held columns: 24 bytes a
+/// row, 8 a value, and a string's 16 plus its length. The charge is
+/// computed once, so budget checks never re-walk the columns.
+#[derive(Debug, Clone)]
+pub struct TempTable {
+    table: Arc<Table>,
     bytes: usize,
 }
 
-impl MaterializedRows {
-    /// Wrap materialized rows, computing their footprint once.
-    pub fn new(rows: Vec<Row>) -> Self {
-        let bytes = rows.iter().map(row_bytes).sum();
-        MaterializedRows { rows, bytes }
+impl TempTable {
+    /// Hold `table`, computing its footprint once.
+    pub fn new(table: Arc<Table>) -> Self {
+        let rows = table.row_count();
+        let values: usize = table
+            .columns()
+            .iter()
+            .map(|c| match c {
+                Column::Str { dict, codes } => {
+                    codes.iter().map(|&at| 16 + dict[at as usize].len()).sum()
+                }
+                _ => 8 * rows,
+            })
+            .sum();
+        TempTable {
+            bytes: 24 * rows + values,
+            table,
+        }
     }
 
-    /// The materialized rows.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// The materialized output.
+    pub fn table(&self) -> &Arc<Table> {
+        &self.table
     }
-}
 
-impl std::ops::Deref for MaterializedRows {
-    type Target = [Row];
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.table.row_count()
+    }
 
-    fn deref(&self) -> &[Row] {
-        &self.rows
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashstash_types::DataType;
+    use hashstash_types::{DataType, Field, Row, Schema};
+
+    /// What a temp table was charged while it held `Vec<Row>`s.
+    fn row_bytes(row: &Row) -> usize {
+        row.values()
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => 16 + s.len(),
+                _ => 8,
+            })
+            .sum::<usize>()
+            + 24
+    }
+
+    /// A temp table is charged, byte for byte, what its rows were: every
+    /// column type, strings of every length (the empty one too), no rows.
+    #[test]
+    fn temp_table_charges_equal_the_row_charges() {
+        let words = ["", "a", "ash", "a longer string than sixteen bytes"];
+        for n in [0usize, 1, 7, 100] {
+            let mut b = hashstash_storage::TableBuilder::new(
+                "t",
+                vec![
+                    ("i", DataType::Int),
+                    ("f", DataType::Float),
+                    ("d", DataType::Date),
+                    ("s", DataType::Str),
+                ],
+            );
+            for i in 0..n {
+                b.push_row(vec![
+                    Value::Int(i as i64),
+                    Value::float(i as f64 / 3.0),
+                    Value::Date(i as i32),
+                    Value::str(words[i * 7 % words.len()]),
+                ]);
+            }
+            let table = b.finish();
+            let want: usize = (0..n).map(|i| row_bytes(&table.row(i))).sum();
+            let stored = StoredHt::Materialized(TempTable::new(Arc::new(table)));
+            assert_eq!(stored.logical_bytes(), want, "{n} rows");
+            assert_eq!((stored.len(), stored.is_materialized()), (n, true));
+        }
+        let empty = Table::from_columns(
+            Schema::new(vec![Field::new("t.s", DataType::Str)]),
+            vec![Column::new(DataType::Str)],
+        )
+        .unwrap();
+        assert_eq!(TempTable::new(Arc::new(empty)).bytes, 0);
+    }
 
     #[test]
     fn sum_count_update_finalize() {

@@ -1,8 +1,8 @@
 //! The materialization baseline's view of the Hash Table Manager (paper
 //! §6.1, after Nagel et al. ICDE'13).
 //!
-//! The baseline materializes operator *outputs* into temp tables of plain
-//! rows ([`StoredHt::Materialized`]) and reuses them for exact and
+//! The baseline materializes operator *outputs* into temp tables of typed
+//! columns ([`StoredHt::Materialized`]) and reuses them for exact and
 //! subsuming requests only. Temp tables live in the same cache as hash
 //! tables — one budget, one clock, one victim search, one snapshot — but
 //! only these methods reach them: [`HtManager::candidates`] never returns a
@@ -11,15 +11,16 @@
 
 use std::sync::Arc;
 
-use hashstash_types::{HsError, HtId, Result, Row, Schema};
+use hashstash_types::{HsError, HtId, Result, Schema};
 
 use hashstash_plan::HtFingerprint;
+use hashstash_storage::Table;
 
 use crate::manager::{Candidate, HtManager, TenantId};
-use crate::payload::{MaterializedRows, StoredHt};
+use crate::payload::{StoredHt, TempTable};
 
 impl HtManager {
-    /// Materialize `rows` under a fingerprint on behalf of `tenant`.
+    /// Materialize `table` under a fingerprint on behalf of `tenant`.
     /// Returns the temp table's id. Re-materializing an identical lineage
     /// (e.g. a re-planned retry) is deduplicated like any publish.
     pub fn publish_temp(
@@ -27,10 +28,10 @@ impl HtManager {
         tenant: TenantId,
         fingerprint: HtFingerprint,
         schema: Schema,
-        rows: Vec<Row>,
+        table: Arc<Table>,
     ) -> HtId {
-        let rows = StoredHt::Materialized(MaterializedRows::new(rows));
-        self.publish_as(tenant, fingerprint, schema, rows)
+        let temp = StoredHt::Materialized(TempTable::new(table));
+        self.publish_as(tenant, fingerprint, schema, temp)
     }
 
     /// Temp tables whose producing sub-plan has the request's shape key;
@@ -40,8 +41,8 @@ impl HtManager {
         self.lookup(request, true, |_| true)
     }
 
-    /// Read a temp table: an `Arc` snapshot of its rows — no copy of the
-    /// table, however large. Bumps LRU and reuse statistics. Fails if the
+    /// Read a temp table: an `Arc` snapshot of it — no copy of the table,
+    /// however large. Bumps LRU and reuse statistics. Fails if the
     /// entry is gone or holds a hash table.
     pub fn read_temp(&self, id: HtId) -> Result<(Schema, Arc<StoredHt>)> {
         let co = self.checkout(id)?;
@@ -56,9 +57,9 @@ impl HtManager {
 mod tests {
     use super::*;
     use crate::manager::GcConfig;
-    use crate::payload::row_bytes;
     use hashstash_plan::{HtKind, Interval, PredBox, Region};
-    use hashstash_types::{DataType, Field, Value};
+    use hashstash_storage::Column;
+    use hashstash_types::{DataType, Field, Row, Value};
 
     fn fp() -> HtFingerprint {
         fp_over(0)
@@ -80,14 +81,18 @@ mod tests {
         }
     }
 
-    fn rows(n: usize) -> Vec<Row> {
-        (0..n)
-            .map(|i| Row::new(vec![Value::Int(i as i64)]))
-            .collect()
-    }
-
     fn schema() -> Schema {
         Schema::new(vec![Field::new("t.k", DataType::Int)])
+    }
+
+    fn rows(n: usize) -> Arc<Table> {
+        let keys = Column::Int((0..n as i64).collect());
+        Arc::new(Table::from_columns(schema(), vec![keys]).unwrap())
+    }
+
+    /// What a temp table of `n` rows is charged.
+    fn bytes(n: usize) -> usize {
+        StoredHt::Materialized(TempTable::new(rows(n))).logical_bytes()
     }
 
     fn publish(c: &HtManager, fp: HtFingerprint, n: usize) -> HtId {
@@ -143,7 +148,7 @@ mod tests {
 
     #[test]
     fn lru_eviction() {
-        let bytes10 = rows(10).iter().map(row_bytes).sum::<usize>();
+        let bytes10 = bytes(10);
         let c = budgeted(bytes10 * 2 + 1);
         let a = publish(&c, fp_over(0), 10);
         let b = publish(&c, fp_over(1), 10);
@@ -189,7 +194,7 @@ mod tests {
 
     #[test]
     fn dedup_refreshes_lru_stamp() {
-        let bytes10 = rows(10).iter().map(row_bytes).sum::<usize>();
+        let bytes10 = bytes(10);
         let c = budgeted(bytes10 * 2 + 1);
         let a = publish(&c, fp_over(0), 10);
         let b = publish(&c, fp_over(1), 10);

@@ -61,9 +61,9 @@ pub struct QueryResult {
     pub query: QueryId,
     /// Output schema.
     pub schema: Schema,
-    /// Output rows: the plan root's column selection or its rows (see
-    /// [`ResultRows`]); `len` and `write_text` never materialize a
-    /// selection, deref materializes it once.
+    /// Output rows: the plan root's column selection (see
+    /// [`ResultRows`]); `len` and `write_text` never materialize it,
+    /// deref materializes it once.
     pub rows: ResultRows,
     /// Wall-clock execution time (excludes optimization).
     pub wall_time: Duration,

@@ -114,10 +114,6 @@ fn rewrite(plan: PhysicalPlan, q: &QuerySpec, htm: &HtManager) -> PhysicalPlan {
                 None => agg,
             }
         }
-        PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(rewrite(*input, q, htm)),
-            predicate,
-        },
         PhysicalPlan::Project { input, attrs } => PhysicalPlan::Project {
             input: Box::new(rewrite(*input, q, htm)),
             attrs,
@@ -146,7 +142,7 @@ fn find_temp(
         if !fp.provides_aggregates(&request.aggregates) {
             continue;
         }
-        // The materialized rows must carry every attribute the requesting
+        // The materialized output must carry every attribute the requesting
         // plan projects upward (e.g. a join key introduced by a later
         // drill-down is absent from older temp tables).
         if !fp.payload_covers(request.payload_attrs.iter().map(|a| a.as_ref())) {
@@ -155,7 +151,7 @@ fn find_temp(
         match ReuseCase::classify(&request.region, &fp.region) {
             ReuseCase::Exact => return Some((c.id, c.schema, None)),
             ReuseCase::Subsuming => {
-                // Post-filter needs its attributes in the materialized rows.
+                // Post-filter needs its attributes in the materialized output.
                 let restricted = restrict_to_payload(request_pred, &fp.payload_attrs);
                 let needed: Vec<Arc<str>> = {
                     let mut v = Vec::new();

@@ -21,9 +21,9 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use hashstash_types::{DataType, Field, Row, Schema, Value};
+use hashstash_types::{DataType, Field, Schema, Value};
 
-use hashstash_cache::{AggHt, AggState, ColumnHt, MaterializedRows, StoredHt};
+use hashstash_cache::{AggHt, AggState, ColumnHt, StoredHt};
 use hashstash_hashtable::ExtendibleHashTable;
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, JoinEdge, PredBox, Region,
@@ -269,24 +269,6 @@ pub fn decode_value(r: &mut Reader<'_>) -> DecodeResult<Value> {
         3 => Value::Date(r.get_i32()?),
         t => return Err(format!("unknown value tag {t}")),
     })
-}
-
-/// Encode a row as its value vector.
-pub fn encode_row(w: &mut Writer, row: &Row) {
-    w.put_count(row.len());
-    for v in row.values() {
-        encode_value(w, v);
-    }
-}
-
-/// Decode a row.
-pub fn decode_row(r: &mut Reader<'_>) -> DecodeResult<Row> {
-    let n = r.get_count(1)?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(decode_value(r)?);
-    }
-    Ok(Row::new(values))
 }
 
 /// Encode a schema (field names and types).
@@ -599,8 +581,9 @@ fn decode_ht<V>(
 /// Encode a cached table: a hash table as a tag byte and its image — a join
 /// or grouping table's payload as its typed columns after the index, an
 /// aggregate table's group-key columns and then its state columns — and a
-/// temp table as its untagged rows (a snapshot entry's kind byte tells
-/// [`decode_stored_ht`]'s hash tables from [`decode_rows`]' temp tables).
+/// temp table, untagged, as [`encode_table`] writes a table (a snapshot
+/// entry's kind byte tells [`decode_stored_ht`]'s hash tables from
+/// [`decode_table`]'s temp tables).
 pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
     match ht {
         StoredHt::Rows(t) => {
@@ -623,11 +606,11 @@ pub fn encode_stored_ht(w: &mut Writer, ht: &StoredHt) {
                 encode_state(w, s);
             }
         }
-        StoredHt::Materialized(rows) => encode_rows(w, rows),
+        StoredHt::Materialized(t) => encode_table(w, t.table()),
     }
 }
 
-/// Decode a cached hash table (a temp table is [`decode_rows`]).
+/// Decode a cached hash table (a temp table is [`decode_table`]).
 pub fn decode_stored_ht(r: &mut Reader<'_>) -> DecodeResult<StoredHt> {
     Ok(match r.get_u8()? {
         0 => {
@@ -656,24 +639,6 @@ pub fn decode_stored_ht(r: &mut Reader<'_>) -> DecodeResult<StoredHt> {
         }
         t => return Err(format!("unknown stored-ht tag {t}")),
     })
-}
-
-/// Encode materialized temp-table rows.
-pub fn encode_rows(w: &mut Writer, rows: &MaterializedRows) {
-    w.put_count(rows.rows().len());
-    for row in rows.rows() {
-        encode_row(w, row);
-    }
-}
-
-/// Decode materialized temp-table rows (footprint is recomputed).
-pub fn decode_rows(r: &mut Reader<'_>) -> DecodeResult<Vec<Row>> {
-    let n = r.get_count(4)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(decode_row(r)?);
-    }
-    Ok(rows)
 }
 
 // ---------------------------------------------------------------- storage
@@ -777,6 +742,7 @@ pub fn decode_table(r: &mut Reader<'_>) -> DecodeResult<Table> {
 mod tests {
     use super::*;
     use hashstash_storage::TableBuilder;
+    use hashstash_types::Row;
 
     fn roundtrip<T>(
         value: &T,
@@ -806,9 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn row_and_schema_roundtrip() {
-        let row = Row::new(vec![Value::Int(1), Value::str("x"), Value::float(0.5)]);
-        assert_eq!(roundtrip(&row, encode_row, decode_row), row);
+    fn schema_roundtrip() {
         let schema = Schema::new(vec![
             Field::new("a.x", DataType::Int),
             Field::new("a.y", DataType::Str),
@@ -993,8 +957,13 @@ mod tests {
         }
         // A wild count must be rejected by the remaining-bytes check.
         let mut evil = Writer::new();
+        evil.put_str("t");
+        encode_schema(
+            &mut evil,
+            &Schema::new(vec![Field::new("a", DataType::Int)]),
+        );
         evil.put_u32(u32::MAX);
         let evil = evil.into_inner();
-        assert!(decode_rows(&mut Reader::new(&evil)).is_err());
+        assert!(decode_table(&mut Reader::new(&evil)).is_err());
     }
 }

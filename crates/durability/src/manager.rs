@@ -271,9 +271,9 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A snapshot in the previous format (`HSSNAP03`: hash tables with
-    /// their directory and chain links) is skipped exactly like a corrupt
-    /// one — its checksum is intact, only the magic differs.
+    /// A snapshot in the previous format (`HSSNAP05`: temp tables as rows
+    /// of tagged values) is skipped exactly like a corrupt one — its
+    /// checksum is intact, only the magic differs.
     #[test]
     fn previous_format_snapshot_is_skipped() {
         let dir = fresh_dir("oldmagic");
@@ -284,7 +284,7 @@ mod tests {
         let snap = snap_path(&dir, 0);
         let mut bytes = fs::read(&snap).unwrap();
         assert_eq!(&bytes[..SNAP_MAGIC.len()], SNAP_MAGIC);
-        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP04");
+        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"HSSNAP05");
         fs::write(&snap, &bytes).unwrap();
         assert_eq!(read_snapshot(&snap).unwrap_err(), "bad snapshot magic");
         let (d, snap) = open(&dir);

@@ -4,17 +4,20 @@
 //! # On-disk format
 //!
 //! ```text
-//! [magic "HSSNAP04"][body][crc32(body): u32 LE]
+//! [magic "HSSNAP06"][body][crc32(body): u32 LE]
 //! ```
 //!
 //! The body is: catalog table count + tables, then cache-entry count +
 //! entries. Each entry carries its lineage fingerprint, schema, use count,
 //! byte footprint, its benefit score ([`benefit_score`]) and the payload
-//! (a cached hash table's image — its arena and directory depth — or
-//! materialized temp-table rows). Entries are written least recently used
-//! first, so re-publishing them in file order restores the cache's LRU
-//! order. Version `04` stores a hash table as its arena `(key, value)`
-//! sequence behind the width, depth and resize count; `03` also stored the
+//! (a cached hash table's image — its arena and directory depth — or a
+//! temp table's columns, written as a catalog table is). Entries are
+//! written least recently used first, so re-publishing them in file order
+//! restores the cache's LRU order. Version `06` writes a temp table as
+//! typed columns, where `05` wrote one row of tagged values per tuple; a
+//! hash table is its arena `(key, value)` sequence behind the width, depth
+//! and resize count, and an aggregate table's groups and states follow as
+//! columns (since `05`); `03` also stored the
 //! directory heads, lazy-split depths and chain links, `02` one row of
 //! tagged values per join-table entry, and `01` also an 8-byte query tag
 //! per row and a tag-flag byte per fingerprint. Files of an earlier format
@@ -49,18 +52,18 @@ use std::sync::Arc;
 
 use hashstash_types::Schema;
 
-use hashstash_cache::{AggState, MaterializedRows, StoredHt};
+use hashstash_cache::{AggState, StoredHt, TempTable};
 use hashstash_plan::HtFingerprint;
 use hashstash_storage::{Catalog, Column, Table};
 
 use crate::codec::{
-    decode_fingerprint, decode_rows, decode_schema, decode_stored_ht, decode_table,
-    encode_fingerprint, encode_schema, encode_stored_ht, encode_table, Reader, Writer,
+    decode_fingerprint, decode_schema, decode_stored_ht, decode_table, encode_fingerprint,
+    encode_schema, encode_stored_ht, encode_table, Reader, Writer,
 };
 use crate::crc::crc32;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP05";
+pub const SNAP_MAGIC: &[u8; 8] = b"HSSNAP06";
 
 /// Whether a snapshot reaches the disk before its write returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -226,15 +229,15 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
         let score = r.get_f64()?;
         let payload = match kind {
             0 => decode_stored_ht(&mut r)?,
-            1 => StoredHt::Materialized(MaterializedRows::new(decode_rows(&mut r)?)),
+            1 => StoredHt::Materialized(TempTable::new(Arc::new(decode_table(&mut r)?))),
             k => return Err(format!("unknown snapshot entry kind {k}")),
         };
-        // The executor reads a join table's columns, and an aggregate
-        // table's group columns, by schema position.
+        // The executor reads a join table's columns, an aggregate table's
+        // group columns and a temp table's columns by schema position.
         let columns = match &payload {
             StoredHt::Rows(t) => Some(("join-table", t.columns())),
             StoredHt::Agg(t) => Some(("aggregate group", t.groups())),
-            StoredHt::Materialized(_) => None,
+            StoredHt::Materialized(t) => Some(("temp-table", t.table().columns())),
         };
         if let Some((what, columns)) = columns {
             let types = columns.iter().map(Column::data_type);
@@ -394,7 +397,7 @@ mod tests {
     /// what it decodes reproduces it byte for byte.
     #[test]
     fn two_store_snapshot_still_loads_byte_for_byte() {
-        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap05.snap");
+        const EARLIER: &[u8] = include_bytes!("../fixtures/hssnap06.snap");
         let path = tmp("two-store.snap");
         std::fs::write(&path, EARLIER).unwrap();
         let snap = read_snapshot(&path).unwrap();
@@ -405,7 +408,7 @@ mod tests {
             .map(|e| match &*e.payload {
                 StoredHt::Rows(t) => ("rows", t.len()),
                 StoredHt::Agg(t) => ("agg", t.len()),
-                StoredHt::Materialized(rows) => ("temp", rows.len()),
+                StoredHt::Materialized(t) => ("temp", t.len()),
             })
             .collect();
         assert_eq!(kinds, [("rows", 3), ("agg", 2), ("temp", 3)]);

@@ -22,27 +22,28 @@
 //! serial (they append to an existing table); the cost model prices both
 //! regimes.
 //!
-//! Between operators, data flows as a `Pipe` (rows, or a columnar
-//! selection over a base table) or, out of a hash join, as a join chain
-//! (see the `join` module) that the next join's probe, a build side or an
-//! aggregate fold reads in place. Rows are built at three edges only: a
-//! union's inputs, a join that feeds the reply or a `Materialize`, and an
-//! aggregate's output.
+//! Between operators, data flows as a [`ColumnarBatch`] (a selection over
+//! a table's columns) or, out of a hash join, as a join chain (see the
+//! `join` module) that the next join's probe, a build side or an aggregate
+//! fold reads in place. No operator builds a `Row`: a consumer that needs
+//! a whole result — a union, a join that feeds the reply or a
+//! `Materialize` — gathers its typed columns into one table, and an
+//! aggregate emits its groups as columns. Rows exist only at the
+//! in-process edge, when a caller derefs a [`ResultRows`].
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use hashstash_types::{
-    f64_order_key, key64_combine, DataType, HsError, HtId, Result, Row, Schema, Value, KEY64_SEED,
+    f64_order_key, key64_combine, DataType, HsError, HtId, Result, Schema, Value, KEY64_SEED,
 };
 
 use hashstash_cache::{AggHt, AggState, CheckedOut, ColumnHt, HtManager, StoredHt, TenantId};
-use hashstash_plan::{AggFunc, PredBox};
-use hashstash_storage::{Catalog, Column, RangeKernel, Table, ZoneMap};
+use hashstash_plan::{AggFunc, Interval, PredBox};
+use hashstash_storage::{cross_type_order, Catalog, Column, RangeKernel, Table, ZoneMap};
 
-use crate::join::{run_hash_join, with_join_tuples, Joined};
+use crate::join::{run_hash_join, JoinTuples, Joined};
 use crate::parallel::{
     collect_morsels, default_parallelism, group_ids_partitioned, morsel_count, Scheduler,
     MIN_PARALLEL_BUILD_ROWS,
@@ -75,13 +76,13 @@ pub struct ExecMetrics {
     pub reused_tables: u64,
     /// Hash tables built from scratch.
     pub built_tables: u64,
-    /// Selection-vector batches processed by the columnar paths (one per
-    /// morsel of a vectorized scan, filter, probe, or aggregate fold).
-    /// Always a pure function of the input sizes — never of the worker
-    /// count — so parallel runs stay metric-identical to serial ones.
+    /// Selection-vector batches processed (one per morsel of a scan, or of
+    /// a probe or aggregate fold over a batch; a probe or fold over a join
+    /// chain counts none). Always a pure function of the input sizes —
+    /// never of the worker count — so parallel runs stay metric-identical
+    /// to serial ones.
     pub batches_processed: u64,
-    /// Rows removed by vectorized selection (scan kernels + columnar
-    /// filter refinement); the row interpreter counts nothing here.
+    /// Rows removed by a scan's selection kernels.
     pub rows_filtered_vectorized: u64,
 }
 
@@ -99,19 +100,6 @@ impl ExecMetrics {
         self.built_tables += other.built_tables;
         self.batches_processed += other.batches_processed;
         self.rows_filtered_vectorized += other.rows_filtered_vectorized;
-    }
-
-    /// The counters that do not depend on which arm a scan took:
-    /// everything except the two columnar-only counters (which are
-    /// definitionally zero on the row-at-a-time fallback). Differential
-    /// tests compare `semantic()` against the row oracle; within one arm
-    /// the full struct is still worker-count-invariant.
-    pub fn semantic(&self) -> ExecMetrics {
-        ExecMetrics {
-            batches_processed: 0,
-            rows_filtered_vectorized: 0,
-            ..*self
-        }
     }
 }
 
@@ -133,10 +121,6 @@ pub struct ExecContext<'a> {
     /// Engines pass their `Database`-owned pool (shared across sessions);
     /// without one, every phase runs inline on the calling thread.
     pool: Option<&'a WorkerPool>,
-    /// Differential-test hook: send every scan down the row-at-a-time
-    /// fallback arm (see [`ExecContext::with_row_oracle`]).
-    #[cfg(any(test, feature = "oracle"))]
-    pub(crate) row_oracle: bool,
     /// The tenant this execution publishes on behalf of: every hash table
     /// or temp table materialized by the plan is owned by this tenant in
     /// the reuse cache ([`TenantId::DEFAULT`] for single-tenant
@@ -161,8 +145,6 @@ impl<'a> ExecContext<'a> {
             metrics: ExecMetrics::default(),
             parallelism: default_parallelism(),
             pool: None,
-            #[cfg(any(test, feature = "oracle"))]
-            row_oracle: false,
             tenant: TenantId::DEFAULT,
             checkouts: HashMap::new(),
         }
@@ -171,19 +153,6 @@ impl<'a> ExecContext<'a> {
     /// Set the morsel-parallel worker count (`1` = serial).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Force every scan onto the row-at-a-time arm — the executor's live
-    /// fallback for cross-type bounds and operator outputs — so downstream
-    /// filters, probes and folds all see materialized rows (an index
-    /// access path walks its hits row by row). Output, `semantic()`
-    /// metrics and published tables are identical to the columnar arm by
-    /// construction; the differential tests hold them to it. Test builds
-    /// only.
-    #[cfg(any(test, feature = "oracle"))]
-    pub fn with_row_oracle(mut self) -> Self {
-        self.row_oracle = true;
         self
     }
 
@@ -334,99 +303,80 @@ pub(crate) fn widened_recovery_filter(
     Ok(Some(request_box.clone()))
 }
 
-/// Execute a plan, returning its output schema and rows. A scan, filter or
-/// projection root hands back the column selection it computed — nothing
-/// is materialized here; [`ResultRows`] writes it as text from the columns
-/// or materializes it on first use.
+/// Execute a plan, returning its output schema and rows. The output stays
+/// a column selection — a scan's, an aggregate's groups, or a whole
+/// result gathered into one table — which [`ResultRows`] writes as text
+/// from the columns, or materializes as rows on first use.
 pub fn execute(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, ResultRows)> {
-    let (schema, pipe) = run(plan, ctx)?;
-    ctx.metrics.rows_output += pipe.len() as u64;
-    Ok((schema, ResultRows::new(pipe)))
+    let (schema, batch) = run(plan, ctx)?;
+    ctx.metrics.rows_output += batch.sel.len() as u64;
+    Ok((schema, ResultRows::from(batch)))
 }
 
-/// Run a sub-plan whose consumer needs rows: unions and the
-/// materialization baseline's temp tables.
-fn run_rows(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Vec<Row>)> {
-    let (schema, pipe) = run(plan, ctx)?;
-    Ok((schema, pipe.into_rows(ctx.sched())))
-}
-
-/// Run a sub-plan keeping its output columnar where the operator chain
-/// allows: scans whose constraints all lower to [`RangeKernel`]s, and
-/// filters and projections over such scans. Every other operator (and
-/// every lowering failure) produces materialized rows exactly as the row
-/// interpreter does. A join reaches this only when rows are what its
-/// consumer needs (the reply, a union, a filter or a `Materialize`); a
-/// join feeding another join's probe, a build side or an aggregate fold
-/// runs through [`run_input`] and is read in place.
-pub(crate) fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
+/// Run a sub-plan to a batch. A join reaches this only when its consumer
+/// needs the whole result (the reply, a union or a `Materialize`), which
+/// gathers the chain's columns into one table; a join feeding another
+/// join's probe, a build side or an aggregate fold runs through
+/// [`run_input`] and is read in place.
+pub(crate) fn run(
+    plan: &PhysicalPlan,
+    ctx: &mut ExecContext<'_>,
+) -> Result<(Schema, ColumnarBatch)> {
     match plan {
         PhysicalPlan::Scan(spec) => run_scan(spec, ctx),
-        PhysicalPlan::Filter { input, predicate } => run_filter(input, predicate, ctx),
         PhysicalPlan::Materialize { input, fingerprint } => {
-            let (schema, rows) = run_rows(input, ctx)?;
+            let (schema, table) = gather(std::slice::from_ref(&**input), ctx)?;
             // The baseline's materialization cost: one extra copy of every
             // tuple out of the pipeline into a temp table.
-            ctx.metrics.materialized_rows += rows.len() as u64;
+            ctx.metrics.materialized_rows += table.row_count() as u64;
             ctx.htm.publish_temp(
                 ctx.tenant,
                 fingerprint.clone(),
                 schema.clone(),
-                rows.clone(),
+                Arc::clone(&table),
             );
-            Ok((schema, Pipe::Rows(rows)))
+            Ok((schema, ColumnarBatch::dense(table)))
         }
         PhysicalPlan::TempScan {
             id,
             schema: _,
             post_filter,
         } => {
-            // `read_temp` hands back an `Arc` snapshot of the cached rows —
-            // no per-reuse copy of the whole table. Only the rows that
-            // survive the post-filter are cloned into the pipeline (the
-            // unfiltered exact-reuse path still pays the re-read the
-            // baseline is priced for).
-            let (schema, table) = ctx.htm.read_temp(*id)?;
-            let StoredHt::Materialized(rows) = &*table else {
+            // `read_temp` hands back an `Arc` snapshot of the cached table:
+            // no per-reuse copy, only a selection of the rows that pass the
+            // post-filter.
+            let (schema, temp) = ctx.htm.read_temp(*id)?;
+            let StoredHt::Materialized(temp) = &*temp else {
                 unreachable!("read_temp returns temp tables only")
             };
-            ctx.metrics.rows_scanned += rows.len() as u64;
-            let rows = match post_filter {
+            let table = Arc::clone(temp.table());
+            let n = table.row_count();
+            ctx.metrics.rows_scanned += n as u64;
+            let sel = match post_filter {
                 Some(pf) => {
                     let evaluator = BoxEval::bind(pf, &schema)?;
-                    rows.iter().filter(|r| evaluator.eval(r)).cloned().collect()
+                    let columns = table.columns();
+                    let passing = (0..n).filter(|&at| evaluator.eval_at(columns, at));
+                    Selection::Rows(passing.map(|at| at as u32).collect())
                 }
-                None => rows.rows().to_vec(),
+                None => Selection::Dense(n),
             };
-            Ok((schema, Pipe::Rows(rows)))
+            let proj = (0..schema.len()).collect();
+            Ok((schema, ColumnarBatch { table, proj, sel }))
         }
         PhysicalPlan::Union { inputs } => {
-            let mut schema = None;
-            let mut rows = Vec::new();
-            for i in inputs {
-                let (s, mut r) = run_rows(i, ctx)?;
-                if let Some(prev) = &schema {
-                    if prev != &s {
-                        return Err(HsError::ExecError("union schema mismatch".into()));
-                    }
-                } else {
-                    schema = Some(s);
-                }
-                rows.append(&mut r);
-            }
-            let schema = schema.ok_or_else(|| HsError::ExecError("empty union".into()))?;
-            Ok((schema, Pipe::Rows(rows)))
+            let (schema, table) = gather(inputs, ctx)?;
+            Ok((schema, ColumnarBatch::dense(table)))
         }
         PhysicalPlan::Project { .. } | PhysicalPlan::HashJoin { .. } => {
             match run_input(plan, ctx)? {
-                Input::Pipe(schema, pipe) => Ok((schema, pipe)),
-                // The join's consumer needs rows: build each once, from its
-                // positions, then hand the chain's tables back.
-                Input::Join(joined) => {
-                    let rows = joined.rows(ctx.sched());
-                    let schema = joined.schema.clone();
-                    joined.finish(ctx);
-                    Ok((schema, Pipe::Rows(rows)))
+                Input::Batch(schema, batch) => Ok((schema, batch)),
+                joined @ Input::Join(_) => {
+                    let schema = joined.schema().clone();
+                    let mut columns = empty_columns(&schema);
+                    joined.append_to(&mut columns, ctx)?;
+                    let table = Table::from_columns(schema.clone(), columns)?;
+                    Ok((schema, ColumnarBatch::dense(Arc::new(table))))
                 }
             }
         }
@@ -451,26 +401,84 @@ pub(crate) fn run(plan: &PhysicalPlan, ctx: &mut ExecContext<'_>) -> Result<(Sch
     }
 }
 
+/// Run `inputs` (one, or a union's) and gather their output, in order,
+/// into one table of typed columns: every input's columns are appended
+/// per source, a join chain's through its positions, so no row is built.
+fn gather(inputs: &[PhysicalPlan], ctx: &mut ExecContext<'_>) -> Result<(Schema, Arc<Table>)> {
+    let mut out: Option<(Schema, Vec<Column>)> = None;
+    for plan in inputs {
+        let input = run_input(plan, ctx)?;
+        let (schema, columns) = out.get_or_insert_with(|| {
+            let schema = input.schema().clone();
+            let columns = empty_columns(&schema);
+            (schema, columns)
+        });
+        if input.schema() != schema {
+            return Err(HsError::ExecError("union schema mismatch".into()));
+        }
+        input.append_to(columns, ctx)?;
+    }
+    let (schema, columns) = out.ok_or_else(|| HsError::ExecError("empty union".into()))?;
+    let table = Table::from_columns(schema.clone(), columns)?;
+    Ok((schema, Arc::new(table)))
+}
+
+/// One empty column per field of `schema`.
+fn empty_columns(schema: &Schema) -> Vec<Column> {
+    schema
+        .fields()
+        .iter()
+        .map(|f| Column::new(f.dtype))
+        .collect()
+}
+
 /// A sub-plan's output as a join's probe, a build side or an aggregate
-/// fold consumes it: a pipe, or a join chain read in place through its
+/// fold consumes it: a batch, or a join chain read in place through its
 /// position columns, so the join's output is never materialized.
 pub(crate) enum Input<'m> {
-    Pipe(Schema, Pipe),
+    Batch(Schema, ColumnarBatch),
     Join(Box<Joined<'m>>),
 }
 
 impl Input<'_> {
     pub(crate) fn schema(&self) -> &Schema {
         match self {
-            Input::Pipe(schema, _) => schema,
+            Input::Batch(schema, _) => schema,
             Input::Join(joined) => &joined.schema,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
-            Input::Pipe(_, pipe) => pipe.len(),
+            Input::Batch(_, batch) => batch.sel.len(),
             Input::Join(joined) => joined.len(),
+        }
+    }
+
+    /// Append every output column, in output order, to `columns` (one
+    /// per output column); a join chain's tables are handed back once
+    /// read.
+    fn append_to(self, columns: &mut [Column], ctx: &ExecContext<'_>) -> Result<()> {
+        let mut cols = columns.iter_mut().enumerate();
+        let appended = match &self {
+            Input::Batch(_, batch) => {
+                let tuples = BatchTuples::new(batch, &[]);
+                cols.all(|(c, dst)| tuples.append_column(c, dst))
+            }
+            Input::Join(joined) => {
+                let tuples = JoinTuples::new(joined, &[]);
+                cols.all(|(c, dst)| tuples.append_column(c, dst))
+            }
+        };
+        if let Input::Join(joined) = self {
+            joined.finish(ctx);
+        }
+        if appended {
+            Ok(())
+        } else {
+            Err(HsError::ExecError(
+                "a column does not match its schema".into(),
+            ))
         }
     }
 }
@@ -498,16 +506,12 @@ pub(crate) fn run_input<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> R
                 .collect::<Result<Vec<_>>>()?;
             let names: Vec<&str> = attrs.iter().map(|a| a.as_ref()).collect();
             let out_schema = input.schema().project(&names)?;
+            // A projection is a different view of the same columns:
+            // nothing is copied.
             Ok(match input {
-                Input::Pipe(_, Pipe::Rows(rows)) => Input::Pipe(
-                    out_schema,
-                    Pipe::Rows(rows.into_iter().map(|r| r.project(&indices)).collect()),
-                ),
-                // A projection of a batch or of a join is a different view
-                // of the same columns: nothing is copied.
-                Input::Pipe(_, Pipe::Columnar(mut batch)) => {
+                Input::Batch(_, mut batch) => {
                     batch.proj = indices.iter().map(|&i| batch.proj[i]).collect();
-                    Input::Pipe(out_schema, Pipe::Columnar(batch))
+                    Input::Batch(out_schema, batch)
                 }
                 Input::Join(mut joined) => {
                     joined.cols = indices.iter().map(|&i| joined.cols[i]).collect();
@@ -517,15 +521,15 @@ pub(crate) fn run_input<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> R
             })
         }
         plan => {
-            let (schema, pipe) = run(plan, ctx)?;
-            Ok(Input::Pipe(schema, pipe))
+            let (schema, batch) = run(plan, ctx)?;
+            Ok(Input::Batch(schema, batch))
         }
     }
 }
 
-/// A predicate box bound to row indices for fast per-row evaluation.
+/// A predicate box bound to column positions.
 pub(crate) struct BoxEval {
-    checks: Vec<(usize, hashstash_plan::Interval)>,
+    checks: Vec<(usize, Interval)>,
 }
 
 impl BoxEval {
@@ -537,14 +541,8 @@ impl BoxEval {
         Ok(BoxEval { checks })
     }
 
-    pub(crate) fn eval(&self, row: &Row) -> bool {
-        self.checks
-            .iter()
-            .all(|(idx, iv)| iv.contains_value(row.get(*idx)))
-    }
-
-    /// [`eval`](Self::eval) on position `at` of `columns` (a cached
-    /// table's, in schema order).
+    /// Whether position `at` of `columns` (in the bound schema's order)
+    /// lies in the box.
     pub(crate) fn eval_at(&self, columns: &[Column], at: usize) -> bool {
         self.checks
             .iter()
@@ -552,94 +550,12 @@ impl BoxEval {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Columnar batches
-// ---------------------------------------------------------------------------
-
-/// Data flowing up from a sub-plan: materialized rows, or — on the
-/// vectorized scan → filter → project spine — a columnar selection-vector
-/// batch that consumers (probe, aggregate fold, the reply encoder) read in
-/// place and edges materialize.
-#[derive(Clone)]
-pub(crate) enum Pipe {
-    Rows(Vec<Row>),
-    Columnar(ColumnarBatch),
-}
-
-impl Pipe {
-    /// Number of tuples the pipe carries.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Pipe::Rows(rows) => rows.len(),
-            Pipe::Columnar(batch) => batch.sel.len(),
-        }
-    }
-
-    /// Materialize into rows — the pipeline edge.
-    fn into_rows(self, sched: Scheduler<'_>) -> Vec<Row> {
-        match self {
-            Pipe::Rows(rows) => rows,
-            Pipe::Columnar(batch) => batch_rows(&batch, sched),
-        }
-    }
-}
-
-/// A batch's projected rows, morsel-parallel, in selection order — which
-/// is the row interpreter's output order by construction.
-pub(crate) fn batch_rows(batch: &ColumnarBatch, sched: Scheduler<'_>) -> Vec<Row> {
-    let (table, proj, sel) = (&batch.table, &batch.proj, &batch.sel);
-    collect_morsels(sched, sel.len(), |range| {
-        range
-            .map(|i| table.row_projected(sel.rid(i), proj))
-            .collect()
-    })
-}
-
-/// A filter: refines a batch's selection in place when every constraint
-/// lowers onto the batch's base columns, otherwise evaluates the whole
-/// predicate row-at-a-time, exactly like the row interpreter.
-fn run_filter(
-    input: &PhysicalPlan,
-    predicate: &PredBox,
-    ctx: &mut ExecContext<'_>,
-) -> Result<(Schema, Pipe)> {
-    let (schema, pipe) = run(input, ctx)?;
-    let lowered = match &pipe {
-        Pipe::Columnar(batch) => predicate
-            .constrained()
-            .map(|(attr, iv)| {
-                let col = batch.proj[schema.index_of(attr)?];
-                Ok(lower_check(iv, batch.table.column(col)).map(|kernel| (col, kernel)))
-            })
-            .collect::<Result<Option<Vec<_>>>>()?,
-        Pipe::Rows(_) => None,
-    };
-    match (pipe, lowered) {
-        (Pipe::Columnar(ColumnarBatch { table, proj, sel }), Some(lowered)) => {
-            let mut sel = sel.into_rows();
-            for (col, kernel) in &lowered {
-                ctx.metrics.batches_processed += morsel_count(sel.len()) as u64;
-                ctx.metrics.rows_filtered_vectorized +=
-                    vector::refine_selection(ctx.sched(), &table, *col, kernel, &mut sel);
-            }
-            let sel = Selection::Rows(sel);
-            Ok((schema, Pipe::Columnar(ColumnarBatch { table, proj, sel })))
-        }
-        (pipe, _) => {
-            let evaluator = BoxEval::bind(predicate, &schema)?;
-            let rows = pipe.into_rows(ctx.sched());
-            let rows = rows.into_iter().filter(|r| evaluator.eval(r)).collect();
-            Ok((schema, Pipe::Rows(rows)))
-        }
-    }
-}
-
 /// What the probe, the build and the aggregate fold need from their input
-/// tuples, bound to the key columns they hash. Implemented for materialized
-/// rows, a columnar batch, a join's match pairs and a cached table's
-/// entries; the consumers are generic over it (static dispatch — nothing
-/// dynamic in the per-tuple loops), so every source builds bit-identical
-/// tables and output by construction.
+/// tuples, bound to the key columns they hash. Implemented for a columnar
+/// batch, a join's match pairs and a cached table's entries; the consumers
+/// are generic over it (static dispatch — nothing dynamic in the per-tuple
+/// loops), so every source builds bit-identical tables and output by
+/// construction.
 ///
 /// `col` arguments are positions in the source's output schema.
 pub(crate) trait Tuples: Sync {
@@ -656,32 +572,12 @@ pub(crate) trait Tuples: Sync {
         out.extend(range.map(|i| self.key64(i)));
     }
     /// The `Value::key64` of column `col` of tuple `i`.
-    fn cell_key64(&self, i: usize, col: usize) -> u64 {
-        self.cell(i, col).key64()
-    }
+    fn cell_key64(&self, i: usize, col: usize) -> u64;
     /// Whether column `col` of tuple `i` equals row `at` of `other`.
-    fn cell_eq_at(&self, i: usize, col: usize, other: &Column, at: usize) -> bool {
-        other.cmp_row(at, &self.cell(i, col)) == Some(std::cmp::Ordering::Equal)
-    }
-    /// Column `col` of tuple `i`.
-    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value>;
+    fn cell_eq_at(&self, i: usize, col: usize, other: &Column, at: usize) -> bool;
     /// Append column `col` of every tuple, in order, to `dst`; `false` on
     /// a type mismatch.
-    fn append_column(&self, col: usize, dst: &mut Column) -> bool {
-        let cells: Vec<Value> = (0..self.len())
-            .map(|i| self.cell(i, col).into_owned())
-            .collect();
-        dst.extend_values(&cells)
-    }
-    /// Append column `col` of the tuples at `positions`, in that order, to
-    /// `dst`; `false` on a type mismatch.
-    fn append_column_at(&self, col: usize, positions: &[u32], dst: &mut Column) -> bool {
-        let cells: Vec<Value> = positions
-            .iter()
-            .map(|&i| self.cell(i as usize, col).into_owned())
-            .collect();
-        dst.extend_values(&cells)
-    }
+    fn append_column(&self, col: usize, dst: &mut Column) -> bool;
     /// The zone map of column `col` when tuple `i` is row `i` of a base
     /// table (a dense batch), so block `b` of the map covers the tuples
     /// `b * ZoneMap::BLOCK_ROWS ..`; `None` otherwise.
@@ -694,7 +590,7 @@ pub(crate) trait Tuples: Sync {
 /// combination: no columns hash to the constant empty key, one column is
 /// its own key, several mix in column order.
 #[inline]
-fn composite_key64(cols: &[usize], key_of: impl Fn(usize) -> u64) -> u64 {
+pub(crate) fn composite_key64(cols: &[usize], key_of: impl Fn(usize) -> u64) -> u64 {
     match cols {
         [] => 0,
         [c] => key_of(*c),
@@ -704,43 +600,9 @@ fn composite_key64(cols: &[usize], key_of: impl Fn(usize) -> u64) -> u64 {
     }
 }
 
-/// Materialized rows, hashed over `key_cols`.
-pub(crate) struct RowTuples<'a> {
-    pub(crate) rows: &'a [Row],
-    pub(crate) key_cols: &'a [usize],
-}
-
-impl Tuples for RowTuples<'_> {
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn key_cols(&self) -> &[usize] {
-        self.key_cols
-    }
-
-    #[inline]
-    fn key64(&self, i: usize) -> u64 {
-        self.rows[i].key64(self.key_cols)
-    }
-
-    #[inline]
-    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        Cow::Borrowed(self.rows[i].get(col))
-    }
-
-    fn append_column(&self, col: usize, dst: &mut Column) -> bool {
-        dst.extend_values(self.rows.iter().map(|r| r.get(col)))
-    }
-
-    fn append_column_at(&self, col: usize, positions: &[u32], dst: &mut Column) -> bool {
-        dst.extend_values(positions.iter().map(|&i| self.rows[i as usize].get(col)))
-    }
-}
-
 /// A columnar batch read in place: keys come off the key columns through
-/// monomorphized kernels, cells compare against stored values without
-/// boxing, and a row materializes only when a consumer asks for one.
+/// monomorphized kernels and cells compare against stored values without
+/// boxing.
 pub(crate) struct BatchTuples<'a> {
     batch: &'a ColumnarBatch,
     key_cols: &'a [usize],
@@ -768,6 +630,13 @@ impl<'a> BatchTuples<'a> {
     #[inline]
     fn column(&self, col: usize) -> &Column {
         self.batch.table.column(self.batch.proj[col])
+    }
+
+    /// Append column `col` of the tuples at `positions`, in that order, to
+    /// `dst`; `false` on a type mismatch.
+    pub(crate) fn append_column_at(&self, col: usize, positions: &[u32], dst: &mut Column) -> bool {
+        let rids = positions.iter().map(|&i| self.rid(i as usize));
+        dst.extend_from(self.column(col), rids)
     }
 }
 
@@ -799,18 +668,13 @@ impl Tuples for BatchTuples<'_> {
         self.column(col).eq_at(self.rid(i), other, at)
     }
 
-    #[inline]
-    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        Cow::Owned(self.column(col).get(self.rid(i)))
-    }
-
     fn append_column(&self, col: usize, dst: &mut Column) -> bool {
-        dst.extend_from(self.column(col), (0..self.len()).map(|i| self.rid(i)))
-    }
-
-    fn append_column_at(&self, col: usize, positions: &[u32], dst: &mut Column) -> bool {
-        let rids = positions.iter().map(|&i| self.rid(i as usize));
-        dst.extend_from(self.column(col), rids)
+        match self.batch.sel {
+            Selection::Dense(n) => dst.extend_from(self.column(col), 0..n),
+            Selection::Rows(ref rows) => {
+                dst.extend_from(self.column(col), rows.iter().map(|&r| r as usize))
+            }
+        }
     }
 
     fn zone_map(&self, col: usize) -> Option<&ZoneMap> {
@@ -850,8 +714,8 @@ impl Tuples for EntryTuples<'_> {
     }
 
     #[inline]
-    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        Cow::Owned(self.table.columns()[col].get(self.at(i)))
+    fn cell_eq_at(&self, i: usize, col: usize, other: &Column, at: usize) -> bool {
+        self.table.columns()[col].eq_at(self.at(i), other, at)
     }
 
     fn append_column(&self, col: usize, dst: &mut Column) -> bool {
@@ -864,72 +728,47 @@ impl Tuples for EntryTuples<'_> {
 // Scans
 // ---------------------------------------------------------------------------
 
-fn run_scan(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema, Pipe)> {
+fn run_scan(spec: &ScanSpec, ctx: &mut ExecContext<'_>) -> Result<(Schema, ColumnarBatch)> {
     let table = ctx.catalog.get(&spec.table)?;
     let qualified = table.qualified_schema();
-    let (out_schema, proj_indices) = crate::plan::project_scan(qualified, &spec.projection)?;
-
-    if spec.region.is_empty() {
-        return Ok((out_schema, Pipe::Rows(Vec::new())));
-    }
-    let lowered = lower_region(&table, qualified, spec)?;
-    // Differential tests take the row arm even where the region lowers.
-    #[cfg(any(test, feature = "oracle"))]
-    let lowered = lowered.filter(|_| !ctx.row_oracle);
-    match lowered {
-        Some(per_box) => {
-            let sel = match per_box.as_slice() {
-                // One unconstrained box: every row survives, in order. The
-                // consumers read the dense range; no selection pass runs.
-                [b] if b.hits.is_none() && b.checks.is_empty() => {
-                    let n = table.row_count();
-                    ctx.metrics.rows_scanned += n as u64;
-                    ctx.metrics.batches_processed += morsel_count(n) as u64;
-                    Selection::Dense(n)
-                }
-                _ => {
-                    let mut sel: Vec<u32> = Vec::new();
-                    for b in &per_box {
-                        // The index hits, or every row, are the candidates.
-                        let (n, mut box_sel) = match b.hits {
-                            Some(ids) => {
-                                ctx.metrics.index_rows += ids.len() as u64;
-                                let sel = vector::select_ids(ctx.sched(), &table, ids, &b.checks);
-                                (ids.len(), sel)
-                            }
-                            None => {
-                                let n = table.row_count();
-                                (n, vector::select_rows(ctx.sched(), &table, &b.checks, n))
-                            }
-                        };
-                        ctx.metrics.rows_scanned += n as u64;
-                        ctx.metrics.batches_processed += morsel_count(n) as u64;
-                        ctx.metrics.rows_filtered_vectorized += (n - box_sel.len()) as u64;
-                        sel.append(&mut box_sel);
+    let (out_schema, proj) = crate::plan::project_scan(qualified, &spec.projection)?;
+    let per_box = lower_region(&table, qualified, spec)?;
+    let sel = match per_box.as_slice() {
+        // One unconstrained box: every row survives, in order. The
+        // consumers read the dense range; no selection pass runs.
+        [b] if b.hits.is_none() && b.checks.is_empty() => {
+            let n = table.row_count();
+            ctx.metrics.rows_scanned += n as u64;
+            ctx.metrics.batches_processed += morsel_count(n) as u64;
+            Selection::Dense(n)
+        }
+        _ => {
+            let mut sel: Vec<u32> = Vec::new();
+            for b in &per_box {
+                // The index hits, or every row, are the candidates.
+                let (n, mut box_sel) = match b.hits {
+                    Some(ids) => {
+                        ctx.metrics.index_rows += ids.len() as u64;
+                        let sel = vector::select_ids(ctx.sched(), &table, ids, &b.checks);
+                        (ids.len(), sel)
                     }
-                    Selection::Rows(sel)
-                }
-            };
-            Ok((
-                out_schema,
-                Pipe::Columnar(ColumnarBatch {
-                    table,
-                    proj: proj_indices,
-                    sel,
-                }),
-            ))
-        }
-        None => {
-            let mut rows = Vec::new();
-            for pbox in spec.region.boxes() {
-                scan_box(&table, qualified, pbox, &proj_indices, ctx, &mut rows)?;
+                    None => {
+                        let n = table.row_count();
+                        (n, vector::select_rows(ctx.sched(), &table, &b.checks, n))
+                    }
+                };
+                ctx.metrics.rows_scanned += n as u64;
+                ctx.metrics.batches_processed += morsel_count(n) as u64;
+                ctx.metrics.rows_filtered_vectorized += (n - box_sel.len()) as u64;
+                sel.append(&mut box_sel);
             }
-            Ok((out_schema, Pipe::Rows(rows)))
+            Selection::Rows(sel)
         }
-    }
+    };
+    Ok((out_schema, ColumnarBatch { table, proj, sel }))
 }
 
-/// One region box lowered for the columnar arm.
+/// One region box lowered onto the table's columns.
 struct LoweredBox<'t> {
     /// The hits of the box's index access path, in index order: they
     /// replace the row-id range as the candidates.
@@ -940,28 +779,25 @@ struct LoweredBox<'t> {
 }
 
 /// Lower every box of a scan's region onto per-column [`RangeKernel`]s,
-/// taking the same index access path [`scan_box`] would. Returns `None` —
-/// the whole scan takes the row-at-a-time arm — when any box carries a
-/// constraint that cannot lower (cross-type bounds), so access-path choice
-/// and metrics never depend on which arm ran.
+/// taking as index access path the first constraint on an indexed column
+/// with at least one bound. An empty region lowers to no box.
 fn lower_region<'t>(
     table: &'t Table,
     qualified: &Schema,
     spec: &ScanSpec,
-) -> Result<Option<Vec<LoweredBox<'t>>>> {
+) -> Result<Vec<LoweredBox<'t>>> {
     let mut per_box = Vec::new();
     for pbox in spec.region.boxes() {
         let checks = BoxEval::bind(pbox, qualified)?.checks;
-        let via_index = index_access_path(table, &checks);
-        let mut lowered = Vec::with_capacity(checks.len());
-        for (pos, (col, iv)) in checks.iter().enumerate() {
-            let Some(kernel) = lower_check(iv, table.column(*col)) else {
-                return Ok(None);
-            };
-            if Some(pos) != via_index {
-                lowered.push((*col, kernel));
-            }
-        }
+        let via_index = checks
+            .iter()
+            .position(|(col, iv)| table.has_index(*col) && !iv.is_all());
+        let lowered = checks
+            .iter()
+            .enumerate()
+            .filter(|&(pos, _)| Some(pos) != via_index)
+            .map(|(_, (col, iv))| (*col, lower_check(iv, table.column(*col))))
+            .collect();
         let hits = match via_index {
             Some(pos) => Some(index_hits(table, &checks[pos])?),
             None => None,
@@ -971,157 +807,114 @@ fn lower_region<'t>(
             checks: lowered,
         });
     }
-    Ok(Some(per_box))
+    Ok(per_box)
 }
 
-/// Lower one interval constraint onto a typed column as a [`RangeKernel`],
-/// or `None` when a bound's type does not match the column (the row
-/// interpreter's cross-type comparison semantics are preserved by falling
-/// back). Discrete columns turn exclusive bounds into inclusive neighbours
-/// (an overflowing neighbour means the interval is empty: `lo > hi`
-/// matches nothing); floats compare through the order-preserving
-/// [`f64_order_key`] mapping, so every float interval becomes an inclusive
-/// `u64` range; dictionary strings evaluate the interval once per distinct
-/// entry and reduce the predicate to a code-mask lookup.
-fn lower_check(iv: &hashstash_plan::Interval, col: &Column) -> Option<RangeKernel> {
-    const EMPTY: RangeKernel = RangeKernel::Int { lo: 1, hi: 0 };
-    match col.data_type() {
-        DataType::Int => {
-            let lo = match iv.lo() {
-                Bound::Unbounded => i64::MIN,
-                Bound::Included(Value::Int(v)) => *v,
-                Bound::Excluded(Value::Int(v)) => match v.checked_add(1) {
-                    Some(x) => x,
-                    None => return Some(EMPTY),
-                },
-                _ => return None,
+/// Lower one interval constraint onto a typed column as a [`RangeKernel`]
+/// of the column's type, with `Value`'s semantics. Discrete columns turn
+/// exclusive bounds into inclusive neighbours (an overflowing neighbour
+/// means the interval is empty); floats compare through the
+/// order-preserving [`f64_order_key`] mapping, so every float interval
+/// becomes an inclusive `u64` range; dictionary strings evaluate the
+/// interval once per distinct entry and reduce the predicate to a
+/// code-mask lookup. A bound of another type than the column's holds for
+/// every value or for none, by [`cross_type_order`].
+fn lower_check(iv: &Interval, col: &Column) -> RangeKernel {
+    let dtype = col.data_type();
+    match col {
+        Column::Int(_) => {
+            let key = |v: &Value| match v {
+                Value::Int(x) => Some(*x),
+                _ => None,
             };
-            let hi = match iv.hi() {
-                Bound::Unbounded => i64::MAX,
-                Bound::Included(Value::Int(v)) => *v,
-                Bound::Excluded(Value::Int(v)) => match v.checked_sub(1) {
-                    Some(x) => x,
-                    None => return Some(EMPTY),
-                },
-                _ => return None,
-            };
-            Some(RangeKernel::Int { lo, hi })
+            let (lo, hi) = inclusive(iv, dtype, key, (i64::MIN, i64::MAX), |k, up| {
+                if up {
+                    k.checked_add(1)
+                } else {
+                    k.checked_sub(1)
+                }
+            });
+            RangeKernel::Int { lo, hi }
         }
-        DataType::Date => {
-            let lo = match iv.lo() {
-                Bound::Unbounded => i32::MIN,
-                Bound::Included(Value::Date(v)) => *v,
-                Bound::Excluded(Value::Date(v)) => match v.checked_add(1) {
-                    Some(x) => x,
-                    None => return Some(EMPTY),
-                },
-                _ => return None,
+        Column::Date(_) => {
+            let key = |v: &Value| match v {
+                Value::Date(x) => Some(*x),
+                _ => None,
             };
-            let hi = match iv.hi() {
-                Bound::Unbounded => i32::MAX,
-                Bound::Included(Value::Date(v)) => *v,
-                Bound::Excluded(Value::Date(v)) => match v.checked_sub(1) {
-                    Some(x) => x,
-                    None => return Some(EMPTY),
-                },
-                _ => return None,
-            };
-            Some(RangeKernel::Date { lo, hi })
+            let (lo, hi) = inclusive(iv, dtype, key, (i32::MIN, i32::MAX), |k, up| {
+                if up {
+                    k.checked_add(1)
+                } else {
+                    k.checked_sub(1)
+                }
+            });
+            RangeKernel::Date { lo, hi }
         }
-        DataType::Float => {
-            // `f64_order_key` is a monotone injection of the engine's F64
-            // total order into u64, so exclusive bounds shift by one key
-            // step. Canonical values never map to 0 or u64::MAX (the
-            // extremes are -inf and canonical NaN), so the shifts cannot
-            // wrap; the saturating guard is belt and braces.
-            let lo = match iv.lo() {
-                Bound::Unbounded => 0,
-                Bound::Included(Value::Float(f)) => f64_order_key(f.0),
-                Bound::Excluded(Value::Float(f)) => f64_order_key(f.0).saturating_add(1),
-                _ => return None,
+        // `f64_order_key` is a monotone injection of the engine's F64 total
+        // order into u64, so exclusive bounds shift by one key step.
+        Column::Float(_) => {
+            let key = |v: &Value| match v {
+                Value::Float(f) => Some(f64_order_key(f.0)),
+                _ => None,
             };
-            let hi = match iv.hi() {
-                Bound::Unbounded => u64::MAX,
-                Bound::Included(Value::Float(f)) => f64_order_key(f.0),
-                Bound::Excluded(Value::Float(f)) => match f64_order_key(f.0).checked_sub(1) {
-                    Some(x) => x,
-                    None => return Some(EMPTY),
-                },
-                _ => return None,
-            };
-            Some(RangeKernel::Float { lo, hi })
+            let (lo, hi) = inclusive(iv, dtype, key, (0, u64::MAX), |k, up| {
+                if up {
+                    k.checked_add(1)
+                } else {
+                    k.checked_sub(1)
+                }
+            });
+            RangeKernel::Float { lo, hi }
         }
-        DataType::Str => {
-            let (dict, _) = col.dict_parts()?;
-            // One boxed-comparison per *distinct* string, reusing the exact
-            // interval semantics (including cross-type bounds) verbatim.
-            let ok = dict
+        // One boxed comparison per *distinct* string, with the interval's
+        // own semantics (cross-type bounds included).
+        Column::Str { dict, .. } => RangeKernel::Dict {
+            ok: dict
                 .iter()
                 .map(|s| iv.contains_value(&Value::Str(s.clone())))
-                .collect();
-            Some(RangeKernel::Dict { ok })
-        }
+                .collect(),
+        },
     }
 }
 
-/// Scan one box of the region row-at-a-time — the arm of cross-type bounds
-/// and of the row oracle — using a secondary index when available. The
-/// residual filter + projection loop is morsel-parallel over row ids (or
-/// index hits); morsel-order concatenation keeps the output identical to a
-/// serial scan.
-fn scan_box(
-    table: &Table,
-    qualified: &Schema,
-    pbox: &PredBox,
-    proj: &[usize],
-    ctx: &mut ExecContext<'_>,
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    let checks = BoxEval::bind(pbox, qualified)?.checks;
-    // With an index access path its hits replace the row-id range, and the
-    // residual filter skips the constraint the index already answered.
-    let via_index = index_access_path(table, &checks);
-    let ids = match via_index {
-        Some(pos) => {
-            let ids = index_hits(table, &checks[pos])?;
-            ctx.metrics.index_rows += ids.len() as u64;
-            Some(ids)
-        }
-        None => None,
-    };
-    let n = ids.map_or(table.row_count(), <[u32]>::len);
-    ctx.metrics.rows_scanned += n as u64;
-    let checks = &checks;
-    let mut rows = collect_morsels(ctx.sched(), n, |range| {
-        let mut buf = Vec::new();
-        for i in range {
-            let rid = ids.map_or(i, |ids| ids[i] as usize);
-            if checks.iter().enumerate().all(|(c, (col, iv))| {
-                Some(c) == via_index || iv.contains_value(&table.column(*col).get(rid))
-            }) {
-                buf.push(table.row_projected(rid, proj));
+/// `iv` over a column of type `dtype` as an inclusive `(lo, hi)` range of
+/// keys, where `key` maps the column's values order-preservingly into
+/// `min..=max` (`None` for a value of another type) and `step(k, up)` is
+/// the next key above (`up`) or below `k`. No value lies in the interval
+/// when `lo > hi`: `(max, min)` stands for the empty range.
+fn inclusive<T: Copy + Ord>(
+    iv: &Interval,
+    dtype: DataType,
+    key: impl Fn(&Value) -> Option<T>,
+    (min, max): (T, T),
+    step: fn(T, bool) -> Option<T>,
+) -> (T, T) {
+    // The bound's key, or `open` when every value satisfies it; `None`
+    // when none does. `up` is the direction values must lie in from it.
+    let bound = |b: &Bound<Value>, open: T, up: bool| match b {
+        Bound::Unbounded => Some(open),
+        Bound::Included(v) | Bound::Excluded(v) => match key(v) {
+            Some(k) if matches!(b, Bound::Included(_)) => Some(k),
+            Some(k) => step(k, up),
+            None => {
+                let beyond = if up {
+                    std::cmp::Ordering::Greater
+                } else {
+                    std::cmp::Ordering::Less
+                };
+                (cross_type_order(dtype, v) == beyond).then_some(open)
             }
-        }
-        buf
-    });
-    out.append(&mut rows);
-    Ok(())
-}
-
-/// The constraint a box's scan would use as its index access path: the
-/// first one on an indexed column with at least one bound.
-fn index_access_path(table: &Table, checks: &[(usize, hashstash_plan::Interval)]) -> Option<usize> {
-    checks
-        .iter()
-        .position(|(col, iv)| table.has_index(*col) && !iv.is_all())
+        },
+    };
+    match (bound(iv.lo(), min, true), bound(iv.hi(), max, false)) {
+        (Some(lo), Some(hi)) => (lo, hi),
+        _ => (max, min),
+    }
 }
 
 /// The row ids an index access path hits, in index order (by key, ties by
 /// row id).
-fn index_hits<'t>(
-    table: &'t Table,
-    (col, iv): &(usize, hashstash_plan::Interval),
-) -> Result<&'t [u32]> {
+fn index_hits<'t>(table: &'t Table, (col, iv): &(usize, Interval)) -> Result<&'t [u32]> {
     let name = &table.schema().field_at(*col).name;
     let index = table
         .index_on(name)
@@ -1178,7 +971,7 @@ fn run_hash_agg(
     reuse: &Option<crate::plan::ReuseSpec>,
     publish: &Option<hashstash_plan::HtFingerprint>,
     post_group_by: &Option<Vec<Arc<str>>>,
-) -> Result<(Schema, Pipe)> {
+) -> Result<(Schema, ColumnarBatch)> {
     // --- Acquire the hash table --------------------------------------------
     let mut recovery_filter: Option<PredBox> = None;
     let mut source = match reuse {
@@ -1248,17 +1041,11 @@ fn run_hash_agg(
             let sched = ctx.sched();
             let (inserts, updates) = match &input {
                 // A join folds straight from its match pairs.
-                Input::Join(joined) => with_join_tuples!(joined, &group_idx, |t| {
-                    fold_tuples(sched, ht, t, in_schema, &agg_idx, parallel_build)?
-                }),
-                Input::Pipe(_, Pipe::Rows(rows)) => {
-                    let input = RowTuples {
-                        rows,
-                        key_cols: &group_idx,
-                    };
+                Input::Join(joined) => {
+                    let input = JoinTuples::new(joined, &group_idx);
                     fold_tuples(sched, ht, &input, in_schema, &agg_idx, parallel_build)?
                 }
-                Input::Pipe(_, Pipe::Columnar(batch)) => {
+                Input::Batch(_, batch) => {
                     ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
                     let input = BatchTuples::new(batch, &group_idx);
                     fold_tuples(sched, ht, &input, in_schema, &agg_idx, parallel_build)?
@@ -1402,7 +1189,7 @@ pub(crate) fn produce_agg_output(
     reuse: &Option<crate::plan::ReuseSpec>,
     publish: &Option<hashstash_plan::HtFingerprint>,
     post_group_by: &Option<Vec<Arc<str>>>,
-) -> Result<(Schema, Pipe)> {
+) -> Result<(Schema, ColumnarBatch)> {
     let (ht, group_schema) = source.read_table();
     // Planned post-filter (subsuming reuse) plus the recovery filter for a
     // concurrently widened cached table; both apply to group keys.
@@ -1486,13 +1273,8 @@ pub(crate) fn produce_agg_output(
         .map(|(name, col)| hashstash_types::Field::new(name, col.data_type()))
         .collect();
     let out_schema = Schema::new(fields);
-    let width = columns.len();
     let table = Table::from_columns(out_schema.clone(), columns)?;
-    let batch = ColumnarBatch {
-        table: Arc::new(table),
-        proj: (0..width).collect(),
-        sel: Selection::Dense(n),
-    };
+    let batch = ColumnarBatch::dense(Arc::new(table));
 
     // --- Hand the table back -------------------------------------------------
     match source {
@@ -1508,7 +1290,7 @@ pub(crate) fn produce_agg_output(
         }
     }
 
-    Ok((out_schema, Pipe::Columnar(batch)))
+    Ok((out_schema, batch))
 }
 
 #[cfg(test)]
@@ -1520,6 +1302,7 @@ mod tests {
     use hashstash_hashtable::KeyBitmap;
     use hashstash_plan::{AggExpr, AggFunc, HtFingerprint, HtKind, Interval, Region, ReuseCase};
     use hashstash_storage::tpch::{generate, TpchConfig};
+    use hashstash_types::Row;
 
     fn setup() -> (Catalog, HtManager) {
         (
@@ -2073,10 +1856,12 @@ mod tests {
         ));
     }
 
-    /// The same tuples as both pipe arms: a strided selection of a
-    /// synthetic table (large enough that the morsel fan-out engages) under
-    /// a column-reordering projection. Output schema: `s, f, k, d`.
-    fn both_arms() -> (Vec<Row>, ColumnarBatch) {
+    /// The same tuples twice: a strided selection of a synthetic table
+    /// (large enough that the morsel fan-out engages) under a
+    /// column-reordering projection, and those tuples gathered into a
+    /// table of their own, as a union gathers its inputs. Output schema:
+    /// `s, f, k, d`.
+    fn both_arms() -> (ColumnarBatch, ColumnarBatch) {
         let n = crate::MORSEL_ROWS * (crate::min_parallel_morsels() + 2) + 5;
         let mut t = hashstash_storage::TableBuilder::with_capacity(
             "t",
@@ -2100,7 +1885,22 @@ mod tests {
         let proj = vec![3, 1, 0, 2];
         let sel = Selection::Rows((0..n as u32).filter(|r| r % 3 != 1).collect());
         let batch = ColumnarBatch { table, proj, sel };
-        (batch_rows(&batch), batch)
+        let gathered = gathered(&batch);
+        (batch, gathered)
+    }
+
+    /// `batch`'s tuples gathered into a table of their own.
+    fn gathered(batch: &ColumnarBatch) -> ColumnarBatch {
+        let schema = Schema::new(
+            ["t.s", "t.f", "t.k", "t.d"]
+                .iter()
+                .zip(&batch.proj)
+                .map(|(name, &c)| {
+                    hashstash_types::Field::new(*name, batch.table.column(c).data_type())
+                })
+                .collect(),
+        );
+        ColumnarBatch::dense(batch.clone().into_table(&schema).unwrap())
     }
 
     /// The batch's tuples as materialized rows.
@@ -2128,7 +1928,8 @@ mod tests {
     }
 
     /// The generic fold builds the same table — arena, accumulator bits
-    /// and counts — from either tuple source, serial or partitioned.
+    /// and counts — from a selection or from its tuples gathered into a
+    /// table, serial or partitioned.
     #[test]
     fn fold_is_tuple_source_invariant() {
         fn folded<T: Tuples>(
@@ -2156,19 +1957,19 @@ mod tests {
             (ht, counts)
         }
         const GROUP: [usize; 2] = [0, 2];
-        let (rows, batch) = both_arms();
-        let from_rows = RowTuples {
-            rows: &rows,
-            key_cols: &GROUP,
-        };
-        let from_batch = BatchTuples::new(&batch, &GROUP);
+        let (strided, gathered) = both_arms();
+        let from_gathered = BatchTuples::new(&gathered, &GROUP);
+        let from_batch = BatchTuples::new(&strided, &GROUP);
         let pool = WorkerPool::new(3);
         let [serial, pooled] = serial_and_pooled(&pool);
-        let (want, want_counts) = folded(serial, &from_rows, false);
+        let (want, want_counts) = folded(serial, &from_gathered, false);
         assert_eq!(want_counts.0 as usize, want.len());
-        assert_eq!((want_counts.0 + want_counts.1) as usize, rows.len());
+        assert_eq!((want_counts.0 + want_counts.1) as usize, strided.sel.len());
         for (label, (got, counts)) in [
-            ("rows, partitioned", folded(pooled, &from_rows, true)),
+            (
+                "gathered, partitioned",
+                folded(pooled, &from_gathered, true),
+            ),
             ("batch, serial", folded(serial, &from_batch, false)),
             ("batch, partitioned", folded(pooled, &from_batch, true)),
         ] {
@@ -2178,18 +1979,20 @@ mod tests {
         }
     }
 
-    /// The generic probe emits the same rows in the same order from either
-    /// tuple source, serial or morsel-parallel, on an int and on a
-    /// dictionary-string key — for a strided selection and for the dense
-    /// range an unfiltered scan hands on, and against a build side that
-    /// ≈ 1 % of the tuples hit (the tag filter rejects most of the rest
-    /// before any chain walk). On the int keys the exact pre-filter, which
-    /// the probe builds there, answers as the tag filter does.
+    /// The generic probe emits the same rows in the same order from a
+    /// selection or from its tuples gathered into a table, serial or
+    /// morsel-parallel, on an int and on a dictionary-string key — for a
+    /// strided selection and for the dense range an unfiltered scan hands
+    /// on, and against a build side that ≈ 1 % of the tuples hit (the tag
+    /// filter rejects most of the rest before any chain walk). On the int
+    /// keys the exact pre-filter, which the probe builds there, answers as
+    /// the tag filter does.
     #[test]
     fn probe_is_tuple_source_invariant() {
-        fn probed<T: Tuples>(
+        fn probed(
             sched: Scheduler<'_>,
-            input: &T,
+            batch: &ColumnarBatch,
+            key_cols: &[usize],
             table: &ColumnHt,
             exact: Option<&KeyBitmap>,
         ) -> Vec<Row> {
@@ -2199,17 +2002,16 @@ mod tests {
                 post_filters: &[],
                 exact,
             };
-            // Tuples of the test's batches have four columns.
             let row = |&(i, at): &(u32, u32)| {
-                let mut values: Vec<Value> = (0..4)
-                    .map(|c| input.cell(i as usize, c).into_owned())
-                    .collect();
+                let rid = batch.sel.rid(i as usize);
+                let mut values = batch.table.row_projected(rid, &batch.proj).into_values();
                 values.extend(table.columns().iter().map(|c| c.get(at as usize)));
                 Row::new(values)
             };
-            probe.pairs(sched, input).iter().map(row).collect()
+            let input = BatchTuples::new(batch, key_cols);
+            probe.pairs(sched, &input).iter().map(row).collect()
         }
-        let (_, strided) = both_arms();
+        let (strided, _) = both_arms();
         let dense = ColumnarBatch {
             sel: Selection::Dense(strided.table.row_count()),
             ..strided.clone()
@@ -2218,6 +2020,7 @@ mod tests {
         let [serial, pooled] = serial_and_pooled(&pool);
         for (batch, shape) in [(&strided, "strided"), (&dense, "dense")] {
             let rows = batch_rows(batch);
+            let copy = gathered(batch);
             // Build sides of `(key, d)` rows. The first 60 tuples on the int
             // key (60 of its 701 values) and on the string key (all 5
             // values, so chains hold several matches per key); and, twice
@@ -2252,12 +2055,7 @@ mod tests {
                     "build side {b}"
                 );
                 let key_cols = [*probe_key];
-                let from_rows = RowTuples {
-                    rows: &rows,
-                    key_cols: &key_cols,
-                };
-                let from_batch = BatchTuples::new(batch, &key_cols);
-                let want = probed(serial, &from_rows, &table, None);
+                let want = probed(serial, &copy, &key_cols, &table, None);
                 assert!(!want.is_empty() && want.len() != rows.len());
                 if b == 2 {
                     // Every hit key is in the build side twice.
@@ -2266,13 +2064,71 @@ mod tests {
                 }
                 for exact in [None, exact.as_ref()] {
                     for (label, got) in [
-                        ("rows, pooled", probed(pooled, &from_rows, &table, exact)),
-                        ("batch, serial", probed(serial, &from_batch, &table, exact)),
-                        ("batch, pooled", probed(pooled, &from_batch, &table, exact)),
+                        (
+                            "gathered, pooled",
+                            probed(pooled, &copy, &key_cols, &table, exact),
+                        ),
+                        (
+                            "batch, serial",
+                            probed(serial, batch, &key_cols, &table, exact),
+                        ),
+                        (
+                            "batch, pooled",
+                            probed(pooled, batch, &key_cols, &table, exact),
+                        ),
                     ] {
                         let filter = if exact.is_some() { "exact" } else { "tags" };
                         assert_eq!(got, want, "{label}, {shape}, build side {b}, {filter}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Lowering keeps exactly the rows the interval contains, on every
+    /// column type, under bounds of every type (a bound of another type
+    /// holds for every value or for none), inclusive and exclusive, at
+    /// either end of each domain.
+    #[test]
+    fn lowered_checks_keep_what_the_interval_contains() {
+        let mut words = Column::new(DataType::Str);
+        assert!(words.extend_values(&[Value::str("ash"), Value::str("m"), Value::str("oak")]));
+        let columns = [
+            Column::Int(vec![i64::MIN, -3, 0, 5, i64::MAX]),
+            Column::Date(vec![i32::MIN, -1, 0, 7, i32::MAX]),
+            Column::Float(vec![f64::NEG_INFINITY, -0.0, 0.0, 2.5, f64::NAN]),
+            words,
+        ];
+        let values = [
+            Value::Int(i64::MIN),
+            Value::Int(0),
+            Value::Int(i64::MAX),
+            Value::float(f64::NEG_INFINITY),
+            Value::float(-0.0),
+            Value::float(2.5),
+            Value::float(f64::NAN),
+            Value::str("m"),
+            Value::Date(i32::MIN),
+            Value::Date(0),
+            Value::Date(i32::MAX),
+        ];
+        let bounds = || {
+            std::iter::once(Bound::Unbounded).chain(
+                values
+                    .iter()
+                    .flat_map(|v| [Bound::Included(v.clone()), Bound::Excluded(v.clone())]),
+            )
+        };
+        for col in &columns {
+            for lo in bounds() {
+                for hi in bounds() {
+                    let iv = Interval::new(lo.clone(), hi);
+                    let mut sel = Vec::new();
+                    assert!(col.select_range(0..col.len(), &lower_check(&iv, col), &mut sel));
+                    let want: Vec<u32> = (0..col.len() as u32)
+                        .filter(|&i| iv.contains_value(&col.get(i as usize)))
+                        .collect();
+                    assert_eq!(sel, want, "{:?} in {iv:?}", col.data_type());
                 }
             }
         }

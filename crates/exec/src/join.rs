@@ -3,8 +3,8 @@
 //!
 //! A join table is a [`ColumnHt`]: the hash table holds the keys, and the
 //! payload sits beside it as typed columns in arena order, which a build
-//! gathers straight from its input (a batch's base columns, a join chain's
-//! positions, or rows' values) without building a row. The probe does not
+//! gathers straight from its input (a batch's columns, or a join chain's
+//! positions) without building a row. The probe does not
 //! build rows either: it emits `(probe position, arena position)` match
 //! pairs, after filtering each chunk's keys into candidates through the
 //! directory's tag filter — or, for an `Int` or `Date` probe key over a
@@ -12,19 +12,18 @@
 //! pre-filter ([`KeyBitmap`]).
 //!
 //! The pairs turn the join's output into a join chain ([`Joined`]): the
-//! innermost join's probe-side pipe, the chain's tables innermost first,
+//! innermost join's probe-side batch, the chain's tables innermost first,
 //! and one position column per source. A join whose probe side is a join
 //! probes that chain and extends it by one table and one position column,
 //! so a multi-way join builds no row between pipeline breakers. A consumer
 //! reads the chain in place (`JoinTuples`): an outer probe hashes its key
-//! cells, an aggregate folds it, a build side appends its cells, and only a
-//! consumer that needs rows builds each once.
+//! cells, an aggregate folds it, and a build side, a union or the reply
+//! gathers its columns.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-use hashstash_types::{DataType, HsError, Result, Row, Schema, Value};
+use hashstash_types::{DataType, HsError, Result, Schema};
 
 use hashstash_cache::{CheckedOut, ColumnHt, StoredHt};
 use hashstash_hashtable::KeyBitmap;
@@ -32,23 +31,23 @@ use hashstash_plan::PredBox;
 use hashstash_storage::{Column, ZoneMap};
 
 use crate::exec::{
-    run_input, widened_recovery_filter, BatchTuples, BoxEval, ExecContext, Input, Pipe, RowTuples,
-    Tuples,
+    run_input, widened_recovery_filter, BatchTuples, BoxEval, ExecContext, Input, Tuples,
 };
 use crate::parallel::{
     build_multimap_partitioned, collect_morsels, morsel_count, Scheduler, MIN_PARALLEL_BUILD_ROWS,
     MORSEL_ROWS,
 };
 use crate::plan::{PhysicalPlan, ReuseSpec};
+use crate::vector::ColumnarBatch;
 
 /// A join chain's output read in place: column `c` of tuple `i` is read at
 /// position `i` of the position column of the source `c` comes from — the
-/// base pipe's tuples, or one table's arena. The aggregate fold, a build
-/// side, an outer probe and [`Joined::rows`] read a chain this way, at any
-/// depth through a single indirection, so no `probe ++ build` row is ever
-/// built for them.
-pub(crate) struct JoinTuples<'a, P> {
-    base: &'a P,
+/// base batch's tuples, or one table's arena. The aggregate fold, a build
+/// side, an outer probe and a gather into one table read a chain this way,
+/// at any depth through a single indirection, so no `probe ++ build` row
+/// is ever built for them.
+pub(crate) struct JoinTuples<'a> {
+    base: BatchTuples<'a>,
     len: usize,
     /// Per output column: the positions it is read at, and where.
     cols: Vec<(&'a [u32], Side<'a>)>,
@@ -57,16 +56,15 @@ pub(crate) struct JoinTuples<'a, P> {
 
 /// Where a join output column comes from.
 enum Side<'a> {
-    /// A column of the base pipe's tuples.
+    /// A column of the base batch's tuples.
     Base(usize),
     /// A payload column of one of the chain's tables.
     Table(&'a Column),
 }
 
-impl<'a, P: Tuples> JoinTuples<'a, P> {
-    /// `joined`'s output over its base pipe's tuples `base`, hashed over
-    /// `key_cols`.
-    pub(crate) fn new(joined: &'a Joined<'_>, base: &'a P, key_cols: &'a [usize]) -> Self {
+impl<'a> JoinTuples<'a> {
+    /// `joined`'s output, hashed over `key_cols`.
+    pub(crate) fn new(joined: &'a Joined<'_>, key_cols: &'a [usize]) -> Self {
         let cols = joined
             .cols
             .iter()
@@ -79,7 +77,7 @@ impl<'a, P: Tuples> JoinTuples<'a, P> {
             })
             .collect();
         JoinTuples {
-            base,
+            base: BatchTuples::new(&joined.base, &[]),
             len: joined.len(),
             cols,
             key_cols,
@@ -93,18 +91,9 @@ impl<'a, P: Tuples> JoinTuples<'a, P> {
         let (pos, side) = &self.cols[col];
         (pos[i] as usize, side)
     }
-
-    /// Tuple `i` as a row.
-    fn row(&self, i: usize) -> Row {
-        Row::new(
-            (0..self.cols.len())
-                .map(|c| self.cell(i, c).into_owned())
-                .collect(),
-        )
-    }
 }
 
-impl<P: Tuples> Tuples for JoinTuples<'_, P> {
+impl Tuples for JoinTuples<'_> {
     fn len(&self) -> usize {
         self.len
     }
@@ -126,14 +115,6 @@ impl<P: Tuples> Tuples for JoinTuples<'_, P> {
         match self.at(i, col) {
             (at, Side::Table(c)) => c.eq_at(at, other, other_at),
             (p, Side::Base(c)) => self.base.cell_eq_at(p, *c, other, other_at),
-        }
-    }
-
-    #[inline]
-    fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
-        match self.at(i, col) {
-            (at, Side::Table(c)) => Cow::Owned(c.get(at)),
-            (p, Side::Base(c)) => self.base.cell(p, *c),
         }
     }
 
@@ -233,7 +214,7 @@ impl<'m> RowTable<'m> {
 
 /// Append `input`'s tuples to `table`, keyed on its key columns, in input
 /// order: each payload column is gathered straight from the source (a
-/// batch's base columns, or the rows' values), so no row is built. With
+/// batch's columns, or a chain's positions), so no row is built. With
 /// `partitioned` (fresh tables only) key extraction fans out over morsels
 /// and chain construction over bucket ranges; the stitched table is `==`
 /// to the serial loop's (same arena, chains and stats), so probe output,
@@ -278,7 +259,7 @@ pub(crate) struct ChainTable<'m> {
 }
 
 /// A chain of hash joins whose probes have run: the innermost join's probe
-/// side (the base pipe), the tables each join probed, and per output tuple
+/// side (the base batch), the tables each join probed, and per output tuple
 /// one position in every source — everything a consumer needs to read the
 /// output without it being materialized. An outer join probes the chain in
 /// place and extends it by one table and one position column.
@@ -286,10 +267,10 @@ pub(crate) struct Joined<'m> {
     /// Output schema.
     pub(crate) schema: Schema,
     /// Output column `c` is column `cols[c].1` of source `cols[c].0`:
-    /// source 0 is the base pipe, source `1 + t` is `tables[t]`.
+    /// source 0 is the base batch, source `1 + t` is `tables[t]`.
     pub(crate) cols: Vec<(usize, usize)>,
     /// The innermost join's probe-side tuples.
-    pub(crate) base: Pipe,
+    pub(crate) base: ColumnarBatch,
     /// The chain's tables, innermost first.
     tables: Vec<ChainTable<'m>>,
     /// One position column per source, each with one entry per output
@@ -298,38 +279,14 @@ pub(crate) struct Joined<'m> {
     pos: Vec<Vec<u32>>,
 }
 
-/// Run `$body` with `$t` bound to the [`JoinTuples`] view of `$joined`,
-/// hashed over `$key_cols` — one monomorphized copy per base-pipe arm.
-macro_rules! with_join_tuples {
-    ($joined:expr, $key_cols:expr, |$t:ident| $body:expr) => {{
-        let joined = $joined;
-        match &joined.base {
-            $crate::exec::Pipe::Rows(rows) => {
-                let base = &$crate::exec::RowTuples {
-                    rows,
-                    key_cols: &[],
-                };
-                let $t = &$crate::join::JoinTuples::new(joined, base, $key_cols);
-                $body
-            }
-            $crate::exec::Pipe::Columnar(batch) => {
-                let base = &$crate::exec::BatchTuples::new(batch, &[]);
-                let $t = &$crate::join::JoinTuples::new(joined, base, $key_cols);
-                $body
-            }
-        }
-    }};
-}
-pub(crate) use with_join_tuples;
-
 impl<'m> Joined<'m> {
     /// The join of `input` with `table`, from the probe's match pairs
-    /// `(input position, arena position)` in output order. A pipe becomes
+    /// `(input position, arena position)` in output order. A batch becomes
     /// the base of a new chain; a chain composes its positions through the
     /// pairs and takes `table` as its outermost.
     fn probed(input: Input<'m>, pairs: Vec<(u32, u32)>, table: ChainTable<'m>) -> Self {
         let (mut joined, arena) = match input {
-            Input::Pipe(schema, base) => {
+            Input::Batch(schema, base) => {
                 let (at_base, arena) = pairs.into_iter().unzip();
                 let joined = Joined {
                     cols: (0..schema.len()).map(|c| (0, c)).collect(),
@@ -363,13 +320,6 @@ impl<'m> Joined<'m> {
     /// Number of output tuples.
     pub(crate) fn len(&self) -> usize {
         self.pos[0].len()
-    }
-
-    /// The output as rows, each built once from its positions.
-    pub(crate) fn rows(&self, sched: Scheduler<'_>) -> Vec<Row> {
-        with_join_tuples!(self, &[], |t| {
-            collect_morsels(sched, t.len(), |range| range.map(|i| t.row(i)).collect())
-        })
     }
 
     /// Hand every table of the chain back, innermost first (publishing the
@@ -435,16 +385,14 @@ pub(crate) fn run_hash_join<'m>(
             let target = source.write_table()?;
             let key_cols = &[build_key_idx];
             match &input {
-                Input::Pipe(_, Pipe::Rows(rows)) => {
-                    insert_tuples(sched, target, &RowTuples { rows, key_cols }, partitioned)?
-                }
-                Input::Pipe(_, Pipe::Columnar(batch)) => {
+                Input::Batch(_, batch) => {
                     let input = BatchTuples::new(batch, key_cols);
                     insert_tuples(sched, target, &input, partitioned)?
                 }
-                Input::Join(joined) => with_join_tuples!(joined, key_cols, |t| {
-                    insert_tuples(sched, target, t, partitioned)?
-                }),
+                Input::Join(joined) => {
+                    let input = JoinTuples::new(joined, key_cols);
+                    insert_tuples(sched, target, &input, partitioned)?
+                }
             }
             if let Input::Join(joined) = input {
                 joined.finish(ctx);
@@ -465,7 +413,7 @@ pub(crate) fn run_hash_join<'m>(
     }
 
     // --- Probe phase (read-only: no lock, shared with other sessions) ------
-    let probe_input = run_probe_side(probe, ctx)?;
+    let probe_input = run_input(probe, ctx)?;
     let probe_schema = probe_input.schema();
     let probe_key_idx = probe_schema.index_of(probe_key)?;
     let key_type = probe_schema.field_at(probe_key_idx).dtype;
@@ -490,13 +438,12 @@ pub(crate) fn run_hash_join<'m>(
     let key_cols = &[probe_key_idx];
     let sched = ctx.sched();
     let pairs = match &probe_input {
-        Input::Pipe(_, Pipe::Rows(rows)) => probe.pairs(sched, &RowTuples { rows, key_cols }),
-        Input::Pipe(_, Pipe::Columnar(batch)) => {
+        Input::Batch(_, batch) => {
             ctx.metrics.batches_processed += morsel_count(batch.sel.len()) as u64;
             probe.pairs(sched, &BatchTuples::new(batch, key_cols))
         }
-        // Like a row probe, a chain probe counts no batches.
-        Input::Join(inner) => with_join_tuples!(inner, key_cols, |t| probe.pairs(sched, t)),
+        // A chain probe counts no batches.
+        Input::Join(inner) => probe.pairs(sched, &JoinTuples::new(inner, key_cols)),
     };
 
     let table = ChainTable {
@@ -505,19 +452,6 @@ pub(crate) fn run_hash_join<'m>(
         publish: publish.clone(),
     };
     Ok(Joined::probed(probe_input, pairs, table))
-}
-
-/// Run a join's probe side: a join there arrives as its chain, which the
-/// join probes in place. The row oracle instead probes the join's rows,
-/// the way every join did before chains, so differential tests compare the
-/// two.
-fn run_probe_side<'m>(plan: &PhysicalPlan, ctx: &mut ExecContext<'m>) -> Result<Input<'m>> {
-    #[cfg(any(test, feature = "oracle"))]
-    if ctx.row_oracle {
-        let (schema, pipe) = crate::exec::run(plan, ctx)?;
-        return Ok(Input::Pipe(schema, pipe));
-    }
-    run_input(plan, ctx)
 }
 
 /// The exact key pre-filter for a probe of `probe_tuples` tuples on a key

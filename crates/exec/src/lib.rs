@@ -12,29 +12,31 @@
 //! themselves) deterministically equal to the serial interpreter.
 //!
 //! * [`plan`] — the physical plan tree: scans (with region predicates and
-//!   index support), filter/project, hash join and hash aggregate with
-//!   optional [`plan::ReuseSpec`] / publish directives.
+//!   index support), projections, unions, hash join and hash aggregate
+//!   with optional [`plan::ReuseSpec`] / publish directives, and the
+//!   materialization baseline's temp tables.
+//!
+//! Between operators, tuples are a [`vector::ColumnarBatch`] (a selection
+//! over a table's columns) or a join chain; no operator builds a `Row`.
 //! * [`exec`] — the interpreter plus [`exec::ExecMetrics`] (tuples scanned,
 //!   hash-table inserts/probes/updates, bytes materialized) used to validate
 //!   cost models.
 //! * `join` — hash joins: build, probe, and the join chain a multi-way
-//!   join's output stays as until a consumer needs rows (one position
-//!   column per source, read in place by the next probe, a build side or
-//!   an aggregate fold).
+//!   join's output stays as (one position column per source, read in
+//!   place by the next probe, a build side or an aggregate fold, and
+//!   gathered into one table by a consumer that needs the whole result).
 //! * [`parallel`] — the morsel scheduler: phases over an atomic claim
 //!   space, per-participant output buffers concatenated in morsel-index
 //!   order.
 //! * [`pool`] — the persistent [`pool::WorkerPool`] those phases run on:
 //!   spawned once per `Database`, shared across phases, queries, and
 //!   sessions, joined on drop.
-//! * [`vector`] — selection-vector kernels for the columnar hot paths:
-//!   vectorized scans (index access paths included), filters, probe key
-//!   extraction, aggregate folds and reply text that run over `Column`
-//!   slices and materialize rows only at pipeline edges, bit-identical to
-//!   the row-at-a-time fallback.
+//! * [`vector`] — selection-vector kernels: scans (index access paths
+//!   included), probe key extraction, aggregate folds and reply text run
+//!   over `Column` slices, without boxing a scalar.
 //! * [`result`] — [`ResultRows`], a query's output as it leaves the
-//!   executor: the root's column selection or its rows, written as reply
-//!   text without materializing, or materialized once on first use.
+//!   executor: the root's column selection, written as reply text without
+//!   materializing, or materialized as rows once on first use.
 //! * [`shared`] — reuse-aware shared plans (paper §4): the batch's joins
 //!   run as an ordinary plan through [`exec`]; the module adds per-query
 //!   qualification, the SRHA grouping phase and per-query aggregation.

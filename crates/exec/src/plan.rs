@@ -92,11 +92,6 @@ pub enum OutputAgg {
 pub enum PhysicalPlan {
     /// Leaf scan.
     Scan(ScanSpec),
-    /// Row-level filter (used for residual predicates).
-    Filter {
-        input: Box<PhysicalPlan>,
-        predicate: PredBox,
-    },
     /// Column projection.
     Project {
         input: Box<PhysicalPlan>,
@@ -167,7 +162,6 @@ impl PhysicalPlan {
                 let table = catalog.get(&s.table)?;
                 Ok(project_scan(table.qualified_schema(), &s.projection)?.0)
             }
-            PhysicalPlan::Filter { input, .. } => input.schema(catalog),
             PhysicalPlan::Materialize { input, .. } => input.schema(catalog),
             PhysicalPlan::Union { inputs } => inputs
                 .first()
@@ -299,9 +293,9 @@ impl PhysicalPlan {
     pub fn node_count(&self) -> usize {
         match self {
             PhysicalPlan::Scan(_) | PhysicalPlan::TempScan { .. } => 1,
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Materialize { input, .. } => 1 + input.node_count(),
+            PhysicalPlan::Project { input, .. } | PhysicalPlan::Materialize { input, .. } => {
+                1 + input.node_count()
+            }
             PhysicalPlan::Union { inputs } => {
                 1 + inputs.iter().map(PhysicalPlan::node_count).sum::<usize>()
             }
@@ -334,9 +328,9 @@ impl PhysicalPlan {
     fn collect_reuse_specs<'p>(&'p self, out: &mut Vec<&'p ReuseSpec>) {
         match self {
             PhysicalPlan::Scan(_) | PhysicalPlan::TempScan { .. } => {}
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Materialize { input, .. } => input.collect_reuse_specs(out),
+            PhysicalPlan::Project { input, .. } | PhysicalPlan::Materialize { input, .. } => {
+                input.collect_reuse_specs(out)
+            }
             PhysicalPlan::Union { inputs } => {
                 for i in inputs {
                     i.collect_reuse_specs(out);
@@ -370,9 +364,9 @@ impl PhysicalPlan {
     fn collect_decisions(&self, out: &mut Vec<(String, Option<ReuseCase>)>) {
         match self {
             PhysicalPlan::Scan(_) | PhysicalPlan::TempScan { .. } => {}
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Materialize { input, .. } => input.collect_decisions(out),
+            PhysicalPlan::Project { input, .. } | PhysicalPlan::Materialize { input, .. } => {
+                input.collect_decisions(out)
+            }
             PhysicalPlan::Union { inputs } => {
                 for i in inputs {
                     i.collect_decisions(out);
@@ -481,9 +475,9 @@ mod tests {
 
     #[test]
     fn node_count_counts() {
-        let plan = PhysicalPlan::Filter {
+        let plan = PhysicalPlan::Project {
             input: Box::new(PhysicalPlan::Scan(ScanSpec::full("customer"))),
-            predicate: PredBox::all(),
+            attrs: vec!["customer.c_age".into()],
         };
         assert_eq!(plan.node_count(), 2);
     }

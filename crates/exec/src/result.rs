@@ -1,46 +1,36 @@
 //! A query's output as it leaves the executor.
 //!
-//! A plan whose root is a scan, filter or projection ends in a column
-//! selection, not in rows: [`ResultRows`] keeps that selection and renders
-//! it as reply text straight from the columns ([`ResultRows::write_text`]).
-//! Every other root (joins, aggregates, unions, temp scans) produces rows,
-//! which it keeps as they are. In-process callers that want rows deref to
-//! `[Row]`; a selection materializes then, once.
+//! Every plan ends in a column selection — a scan's, an aggregate's
+//! groups, or a whole result gathered into one table — and [`ResultRows`]
+//! keeps it as it is: it renders reply text straight from the columns
+//! ([`ResultRows::write_text`]). In-process callers that want rows deref
+//! to `[Row]`; the selection materializes then, once. That is the only
+//! place the executor's output becomes rows.
 
 use std::fmt;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
-use hashstash_types::{Row, Value};
+use hashstash_types::Row;
 
-use crate::exec::{batch_rows, Pipe};
-use crate::parallel::Scheduler;
 use crate::vector::{self, ColumnarBatch};
 
-/// The output rows of one query: a column selection or materialized rows.
+/// The output rows of one query, as a column selection.
 ///
-/// `len` never materializes; `Deref<Target = [Row]>` materializes a
+/// `len` never materializes; `Deref<Target = [Row]>` materializes the
 /// selection on first use and keeps the rows, so every later access sees
-/// the same rows in the same order (selection order, which is the row
-/// interpreter's output order).
+/// the same rows in the same order (selection order).
 #[derive(Clone)]
 pub struct ResultRows {
-    pipe: Pipe,
-    /// The rows of a selection, once something asked for them.
+    batch: ColumnarBatch,
+    /// The selection's rows, once something asked for them.
     rows: OnceLock<Vec<Row>>,
 }
 
 impl ResultRows {
-    pub(crate) fn new(pipe: Pipe) -> Self {
-        ResultRows {
-            pipe,
-            rows: OnceLock::new(),
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.pipe.len()
+        self.batch.sel.len()
     }
 
     /// Whether there are no rows.
@@ -50,60 +40,34 @@ impl ResultRows {
 
     /// Append the rows as text: per row a `\n`, then its values separated
     /// by `\t`, each rendered byte for byte as `Value`'s `Display` renders
-    /// it — the body of a `QUERY` reply, following its header line. A
-    /// selection is written column by column type from the stored columns;
-    /// rows are written value by value through the same writers.
+    /// it — the body of a `QUERY` reply, following its header line —
+    /// column by column type from the stored columns.
     pub fn write_text(&self, out: &mut Vec<u8>) {
-        let rows = match &self.pipe {
-            Pipe::Columnar(batch) => return vector::write_text(batch, out),
-            Pipe::Rows(rows) => rows,
-        };
-        for row in rows {
-            out.push(b'\n');
-            for (i, v) in row.values().iter().enumerate() {
-                if i > 0 {
-                    out.push(b'\t');
-                }
-                match v {
-                    Value::Int(x) => vector::write_int(out, *x),
-                    Value::Float(f) => vector::write_float(out, f.0),
-                    Value::Str(s) => out.extend_from_slice(s.as_bytes()),
-                    Value::Date(d) => vector::write_date(out, *d),
-                }
-            }
-        }
+        vector::write_text(&self.batch, out)
     }
 
     /// The rows, by value.
     pub fn into_vec(self) -> Vec<Row> {
-        match self.pipe {
-            Pipe::Rows(rows) => rows,
-            Pipe::Columnar(batch) => self
-                .rows
-                .into_inner()
-                .unwrap_or_else(|| materialize(&batch)),
-        }
+        let batch = self.batch;
+        self.rows
+            .into_inner()
+            .unwrap_or_else(|| materialize(&batch))
     }
 }
 
-/// A selection's rows, on the calling thread: a result outlives the
-/// execution context and its pool.
+/// A selection's rows, in selection order.
 fn materialize(batch: &ColumnarBatch) -> Vec<Row> {
-    let serial = Scheduler {
-        parallelism: 1,
-        pool: None,
-    };
-    batch_rows(batch, serial)
+    let (table, proj, sel) = (&batch.table, &batch.proj, &batch.sel);
+    (0..sel.len())
+        .map(|i| table.row_projected(sel.rid(i), proj))
+        .collect()
 }
 
 impl Deref for ResultRows {
     type Target = [Row];
 
     fn deref(&self) -> &[Row] {
-        match &self.pipe {
-            Pipe::Rows(rows) => rows,
-            Pipe::Columnar(batch) => self.rows.get_or_init(|| materialize(batch)),
-        }
+        self.rows.get_or_init(|| materialize(&self.batch))
     }
 }
 
@@ -116,15 +80,12 @@ impl<'a> IntoIterator for &'a ResultRows {
     }
 }
 
-impl From<Vec<Row>> for ResultRows {
-    fn from(rows: Vec<Row>) -> Self {
-        ResultRows::new(Pipe::Rows(rows))
-    }
-}
-
 impl From<ColumnarBatch> for ResultRows {
     fn from(batch: ColumnarBatch) -> Self {
-        ResultRows::new(Pipe::Columnar(batch))
+        ResultRows {
+            batch,
+            rows: OnceLock::new(),
+        }
     }
 }
 

@@ -10,8 +10,9 @@
 //!
 //! What is shared-specific lives here:
 //!
-//! * **Per-query qualification.** Each query's predicate box is bound once
-//!   to the schema it reads and evaluated per row, when the row is read.
+//! * **Per-query qualification.** The join's output is gathered into one
+//!   table of typed columns; each query's predicate box is bound once to
+//!   its schema and evaluated per tuple, when the tuple is read.
 //! * **The SRHA grouping phase.** Queries with identical group-by share one
 //!   table of *raw* rows grouped by key, which is why a cached grouping table
 //!   can later serve a different aggregate function. Reusing it is
@@ -25,18 +26,23 @@
 //! plain tuples (a [`ColumnHt`]'s typed columns), and never rewrites a
 //! cached table.
 
-use hashstash_types::{DataType, Field, QueryId, Result, Row, Schema};
+use std::sync::Arc;
+
+use hashstash_types::{DataType, Field, QueryId, Result, Schema};
 
 use hashstash_cache::{AggHt, ColumnHt};
 use hashstash_plan::{AggExpr, HtFingerprint, QuerySpec, Region, ReuseCase};
+use hashstash_storage::Table;
 
 use crate::exec::{
-    fold_tuples, produce_agg_output, AggSource, BoxEval, EntryTuples, ExecContext, Pipe,
+    composite_key64, fold_tuples, produce_agg_output, run, AggSource, BoxEval, EntryTuples,
+    ExecContext,
 };
 use crate::join::RowTable;
 use crate::parallel::{collect_morsels, MIN_PARALLEL_BUILD_ROWS};
 use crate::plan::{lookup_attr_type, OutputAgg, PhysicalPlan, ReuseSpec};
 use crate::result::ResultRows;
+use crate::vector::{ColumnarBatch, Selection};
 
 /// Output required by one query of the batch.
 #[derive(Debug, Clone)]
@@ -125,12 +131,21 @@ pub fn execute_shared(
     spec: &SharedPlanSpec,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Vec<SharedQueryResult>> {
-    let (pschema, prows) = match &spec.join {
+    // The join's output as one table, its columns in schema order.
+    let (pschema, ptable) = match &spec.join {
         Some(plan) => {
-            let (schema, rows) = crate::exec::execute(plan, ctx)?;
-            (schema, rows.into_vec())
+            let (schema, batch) = run(plan, ctx)?;
+            ctx.metrics.rows_output += batch.sel.len() as u64;
+            let table = batch.into_table(&schema)?;
+            (schema, table)
         }
-        None => (Schema::new(Vec::new()), Vec::new()),
+        None => {
+            let schema = Schema::new(Vec::new());
+            (
+                schema.clone(),
+                Arc::new(Table::from_columns(schema, Vec::new())?),
+            )
+        }
     };
     let union = spec
         .queries
@@ -138,27 +153,29 @@ pub fn execute_shared(
         .fold(Region::empty(), |acc, q| acc.union(&q.region()));
     let mut groups = Vec::with_capacity(spec.group_specs.len());
     for g in &spec.group_specs {
-        groups.push(run_grouping_phase(g, &union, &pschema, &prows, ctx)?);
+        groups.push(run_grouping_phase(g, &union, &pschema, &ptable, ctx)?);
     }
 
     let mut results = Vec::with_capacity(spec.queries.len());
     for (q, output) in spec.queries.iter().zip(&spec.outputs) {
-        let (schema, rows) = match output {
+        let (schema, batch) = match output {
             SharedOutput::Projection(attrs) => {
                 let qualifies = BoxEval::bind(&q.predicates, &pschema)?;
-                let idx = attrs
+                let proj = attrs
                     .iter()
                     .map(|a| pschema.index_of(a))
                     .collect::<Result<Vec<_>>>()?;
                 let names: Vec<&str> = attrs.iter().map(|a| a.as_ref()).collect();
-                let rows = collect_morsels(ctx.sched(), prows.len(), |range| {
-                    prows[range]
-                        .iter()
-                        .filter(|r| qualifies.eval(r))
-                        .map(|r| r.project(&idx))
+                let columns = ptable.columns();
+                let sel = collect_morsels(ctx.sched(), ptable.row_count(), |range| {
+                    range
+                        .filter(|&at| qualifies.eval_at(columns, at))
+                        .map(|at| at as u32)
                         .collect()
                 });
-                (pschema.project(&names)?, Pipe::Rows(rows))
+                let table = Arc::clone(&ptable);
+                let sel = Selection::Rows(sel);
+                (pschema.project(&names)?, ColumnarBatch { table, proj, sel })
             }
             SharedOutput::Aggregate { group_spec, aggs } => {
                 let (table, gschema) = &groups[*group_spec];
@@ -168,7 +185,7 @@ pub fn execute_shared(
         results.push(SharedQueryResult {
             query: q.id,
             schema,
-            rows: ResultRows::new(rows),
+            rows: ResultRows::from(batch),
         });
     }
 
@@ -179,14 +196,14 @@ pub fn execute_shared(
 }
 
 /// Acquire (fresh or reused) the grouping table of one phase and fold in
-/// the pipeline rows it still lacks: the batch's whole union region for a
+/// the pipeline tuples it still lacks: the batch's whole union region for a
 /// fresh table, the delta region for partial/overlapping reuse, nothing for
 /// exact/subsuming reuse (a read-only checkout).
 fn run_grouping_phase<'m>(
     g: &SharedGroupSpec,
     union: &Region,
     pschema: &Schema,
-    prows: &[Row],
+    ptable: &Table,
     ctx: &mut ExecContext<'m>,
 ) -> Result<(RowTable<'m>, Schema)> {
     let (schema, mut table, need) = match &g.reuse {
@@ -211,7 +228,7 @@ fn run_grouping_phase<'m>(
         }
     };
     if let Some(need) = need {
-        // Store rows in the table's own layout, keyed on its group-by.
+        // Store tuples in the table's own layout, keyed on its group-by.
         let stored_idx = schema
             .fields()
             .iter()
@@ -227,17 +244,17 @@ fn run_grouping_phase<'m>(
             .iter()
             .map(|b| BoxEval::bind(b, pschema))
             .collect::<Result<Vec<_>>>()?;
-        let rows: Vec<&Row> = prows
-            .iter()
-            .filter(|r| need.iter().any(|b| b.eval(r)))
+        let columns = ptable.columns();
+        let rows: Vec<usize> = (0..ptable.row_count())
+            .filter(|&at| need.iter().any(|b| b.eval_at(columns, at)))
             .collect();
         let key_idx: Vec<usize> = key_idx.iter().map(|&k| stored_idx[k]).collect();
         table.write_table()?.append(
             rows.len(),
-            |c, col| col.extend_values(rows.iter().map(|r| r.get(stored_idx[c]))),
+            |c, col| col.extend_from(&columns[stored_idx[c]], rows.iter().copied()),
             |index| {
-                for r in &rows {
-                    index.insert(r.key64(&key_idx), ());
+                for &at in &rows {
+                    index.insert(composite_key64(&key_idx, |c| columns[c].key64(at)), ());
                 }
             },
         )?;
@@ -258,7 +275,7 @@ fn aggregate_for_query(
     table: &ColumnHt,
     schema: &Schema,
     ctx: &mut ExecContext<'_>,
-) -> Result<(Schema, Pipe)> {
+) -> Result<(Schema, ColumnarBatch)> {
     let qualifies = BoxEval::bind(&q.predicates, schema)?;
     let sel: Vec<u32> = collect_morsels(ctx.sched(), table.len(), |range| {
         range
@@ -314,8 +331,7 @@ mod tests {
     use hashstash_plan::{AggFunc, HtKind, Interval, PredBox, QueryBuilder};
     use hashstash_storage::tpch::{generate, TpchConfig};
     use hashstash_storage::Catalog;
-    use hashstash_types::Value;
-    use std::sync::Arc;
+    use hashstash_types::{Row, Value};
 
     fn setup() -> (Catalog, HtManager) {
         (generate(TpchConfig::new(0.002, 11)), HtManager::unbounded())

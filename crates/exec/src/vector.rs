@@ -1,18 +1,16 @@
 //! Selection-vector kernels for the columnar hot paths.
 //!
-//! The scan / probe / aggregate inner loops of [`crate::exec`] can run
-//! directly over [`Column`] slices: a scan produces a *selection vector* of
-//! surviving row ids per morsel instead of materialized rows, filters refine
-//! that vector in place, and the probe / aggregate key extraction reads the
-//! key column through a monomorphized [`KeyKernel`] — no per-row scalar
-//! boxing anywhere in the loop. A scan with nothing to check hands on a
-//! dense [`Selection`] (a row count, no vector at all), a scan with an index
-//! access path starts from the index hits ([`select_ids`]), and the probe
-//! gathers a whole morsel's keys in one typed loop ([`gather_keys`]) before
-//! it touches the hash table. Rows are materialized only at pipeline edges
-//! (operator outputs, hash-table payloads); a query whose root is a scan,
-//! filter or projection leaves the executor as a batch, and the server
-//! writes its reply text straight from the columns ([`write_text`]).
+//! The scan / probe / aggregate inner loops of [`crate::exec`] run directly
+//! over [`Column`] slices: a scan produces a *selection vector* of
+//! surviving row ids per morsel instead of materialized rows, and the probe
+//! / aggregate key extraction reads the key column through a monomorphized
+//! [`KeyKernel`] — no per-row scalar boxing anywhere in the loop. A scan
+//! with nothing to check hands on a dense [`Selection`] (a row count, no
+//! vector at all), a scan with an index access path starts from the index
+//! hits ([`select_ids`]), and the probe gathers a whole morsel's keys in one
+//! typed loop ([`gather_keys`]) before it touches the hash table. Every
+//! query leaves the executor as a batch, and the server writes its reply
+//! text straight from the columns ([`write_text`]).
 //!
 //! Everything here is deliberately scalar-free: this module never touches
 //! the boxed scalar type, only typed slices and the `key64_*` primitives of
@@ -23,10 +21,8 @@
 //! Determinism: selection vectors are built with [`collect_morsels`], so
 //! row-id order — scan order per region box, or index order on the index
 //! access path — and therefore every downstream row order, accumulator fold
-//! order, and published hash-table layout is identical to the serial
-//! row-at-a-time fallback (cross-type bounds, operator outputs) at any
-//! worker count — which is what lets the tests force that fallback
-//! everywhere and use it as the differential oracle.
+//! order, and published hash-table layout is the serial scan's at any
+//! worker count.
 
 use std::io::Write as _;
 use std::ops::Range;
@@ -34,7 +30,9 @@ use std::sync::Arc;
 
 use hashstash_storage::{Column, RangeKernel, Table};
 use hashstash_types::date::ymd_from_days;
-use hashstash_types::{key64_combine, key64_date, key64_float, key64_int, key64_str, KEY64_SEED};
+use hashstash_types::{
+    key64_combine, key64_date, key64_float, key64_int, key64_str, Result, Schema, KEY64_SEED,
+};
 
 use crate::parallel::{collect_morsels, Scheduler};
 
@@ -73,22 +71,12 @@ impl Selection {
             Selection::Rows(rows) => rows[i] as usize,
         }
     }
-
-    /// The explicit row-id vector, for refinement; a dense range is
-    /// written out.
-    pub fn into_rows(self) -> Vec<u32> {
-        match self {
-            Selection::Dense(n) => (0..n as u32).collect(),
-            Selection::Rows(rows) => rows,
-        }
-    }
 }
 
-/// A batch flowing between columnar operators: a base table plus the
-/// projection the consumer sees and the row ids that survived filtering so
-/// far. This is the *only* intermediate representation on the vectorized
-/// scan → filter → probe/aggregate spine; rows are materialized from it at
-/// pipeline edges via `Table::row_projected`.
+/// A batch flowing between operators: a table (a base table, or an
+/// operator's output gathered as columns) plus the projection the consumer
+/// sees and the row ids that survived filtering so far. This is the *only*
+/// representation of tuples between operators besides a join chain.
 #[derive(Debug, Clone)]
 pub struct ColumnarBatch {
     /// The base table the row ids index into.
@@ -99,9 +87,49 @@ pub struct ColumnarBatch {
     pub sel: Selection,
 }
 
+impl ColumnarBatch {
+    /// Every row of `table`, every column, in order: an operator's output
+    /// gathered into one table.
+    pub fn dense(table: Arc<Table>) -> Self {
+        let n = table.row_count();
+        let proj = (0..table.schema().len()).collect();
+        ColumnarBatch {
+            table,
+            proj,
+            sel: Selection::Dense(n),
+        }
+    }
+
+    /// The batch as one table of its projected columns' selected rows,
+    /// under `schema`: the batch's own table when it is already that
+    /// (every row and every column, in order), else a gathered copy.
+    pub fn into_table(self, schema: &Schema) -> Result<Arc<Table>> {
+        let n = self.table.row_count();
+        let identity = self.proj.iter().copied().eq(0..self.table.schema().len());
+        if identity && self.sel == Selection::Dense(n) {
+            return Ok(self.table);
+        }
+        let columns = self
+            .proj
+            .iter()
+            .map(|&c| {
+                let src = self.table.column(c);
+                let mut column = Column::new(src.data_type());
+                match &self.sel {
+                    Selection::Dense(n) => column.extend_from(src, 0..*n),
+                    Selection::Rows(rows) => {
+                        column.extend_from(src, rows.iter().map(|&r| r as usize))
+                    }
+                };
+                column
+            })
+            .collect();
+        Ok(Arc::new(Table::from_columns(schema.clone(), columns)?))
+    }
+}
+
 /// A monomorphized key-extraction kernel over one column: `key64(rid)`
-/// reproduces exactly what the row interpreter's per-row key extraction
-/// computes, without materializing the scalar. Dictionary columns hash each
+/// reproduces exactly what `Value::key64` of the cell computes, without materializing the scalar. Dictionary columns hash each
 /// distinct string once up front and look keys up by code.
 pub enum KeyKernel<'a> {
     Int(&'a [i64]),
@@ -114,8 +142,8 @@ pub enum KeyKernel<'a> {
 }
 
 impl KeyKernel<'_> {
-    /// The 64-bit hash key of row `rid`, identical to the row-at-a-time
-    /// `key64` of the same cell.
+    /// The 64-bit hash key of row `rid`, identical to `Value::key64` of
+    /// the same cell.
     #[inline]
     pub fn key64(&self, rid: usize) -> u64 {
         match self {
@@ -159,8 +187,8 @@ pub fn key_kernel(col: &Column) -> KeyKernel<'_> {
     }
 }
 
-/// Composite group key over several kernels, mirroring the row
-/// interpreter's multi-column combiner: no columns hash to the constant
+/// Composite group key over several kernels, mirroring `Row::key64`'s
+/// multi-column combiner: no columns hash to the constant
 /// empty key, one column is its own key, several mix with the FNV-style
 /// combiner in column order.
 #[inline]
@@ -200,8 +228,8 @@ pub fn gather_keys(
 /// serial filter loop). The first check scans its column range directly;
 /// the remaining checks refine the morsel's vector in place.
 ///
-/// Panics (debug) if a kernel's type does not match its column — lowering
-/// in `exec.rs` checks types before constructing kernels.
+/// Lowering in `exec.rs` builds every kernel of its column's type, so the
+/// kernels always match.
 pub fn select_rows(
     sched: Scheduler<'_>,
     table: &Table,
@@ -214,37 +242,15 @@ pub fn select_rows(
             None => sel.extend(range.map(|i| i as u32)),
             Some(((col, kernel), rest)) => {
                 let matched = table.column(*col).select_range(range, kernel, &mut sel);
-                debug_assert!(matched, "kernel type checked at lowering");
+                debug_assert!(matched, "lowering types each kernel as its column");
                 for (col, kernel) in rest {
                     let matched = table.column(*col).refine_range(kernel, &mut sel);
-                    debug_assert!(matched, "kernel type checked at lowering");
+                    debug_assert!(matched, "lowering types each kernel as its column");
                 }
             }
         }
         sel
     })
-}
-
-/// Refine an existing selection vector with one more lowered check,
-/// morsel-parallel over the vector itself. Returns the number of row ids
-/// filtered out.
-pub fn refine_selection(
-    sched: Scheduler<'_>,
-    table: &Table,
-    col: usize,
-    kernel: &RangeKernel,
-    sel: &mut Vec<u32>,
-) -> u64 {
-    let before = sel.len();
-    let sel_ref: &[u32] = sel;
-    let refined = collect_morsels(sched, sel_ref.len(), |range: Range<usize>| {
-        let mut chunk = sel_ref[range].to_vec();
-        let matched = table.column(col).refine_range(kernel, &mut chunk);
-        debug_assert!(matched, "kernel type checked at lowering");
-        chunk
-    });
-    *sel = refined;
-    (before - sel.len()) as u64
 }
 
 /// The selection of an index access path: the index hits `ids`, in index
@@ -264,7 +270,7 @@ pub fn select_ids(
         let mut sel = ids[range].to_vec();
         for (col, kernel) in checks {
             let matched = table.column(*col).refine_range(kernel, &mut sel);
-            debug_assert!(matched, "kernel type checked at lowering");
+            debug_assert!(matched, "lowering types each kernel as its column");
         }
         sel
     })
@@ -488,7 +494,6 @@ mod tests {
     fn dense_selection_materializes_the_identity() {
         let sel = Selection::Dense(4);
         assert_eq!((sel.len(), sel.rid(3)), (4, 3));
-        assert_eq!(sel.into_rows(), vec![0, 1, 2, 3]);
         assert!(Selection::Dense(0).is_empty());
     }
 
@@ -509,15 +514,6 @@ mod tests {
         // No checks: everything survives in order.
         let all = select_rows(SERIAL, &t, &[], t.row_count());
         assert_eq!(all, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn refine_selection_counts_filtered_rows() {
-        let t = sample_table();
-        let mut sel: Vec<u32> = (0..10).collect();
-        let dropped = refine_selection(SERIAL, &t, 0, &RangeKernel::Int { lo: 5, hi: 7 }, &mut sel);
-        assert_eq!(sel, vec![5, 6, 7]);
-        assert_eq!(dropped, 7);
     }
 
     #[test]

@@ -142,8 +142,8 @@ impl Column {
     /// Selection-vector filter kernel: append to `sel` the row ids in
     /// `range` whose value passes `kernel`, in ascending order. Returns
     /// `false` (leaving `sel` untouched) when the kernel's type does not
-    /// match the column — the caller falls back to row-at-a-time
-    /// evaluation. Each arm is a tight loop over the typed slice; no
+    /// match the column; the executor's lowering types every kernel as its
+    /// column, so it never sees `false`. Each arm is a tight loop over the typed slice; no
     /// per-row `Value` is materialized.
     pub fn select_range(
         &self,

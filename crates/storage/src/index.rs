@@ -108,18 +108,25 @@ impl SortedIndex {
 }
 
 /// Row `row` of `column` against `v` in `Value`'s order: by value within a
-/// type, else by the type's position among `Value`'s variants, which its
-/// derived `Ord` compares first.
+/// type, else by [`cross_type_order`].
 fn cmp_key(column: &Column, row: usize, v: &Value) -> Ordering {
-    column.cmp_row(row, v).unwrap_or_else(|| {
-        let variant = |t: DataType| match t {
-            DataType::Int => 0,
-            DataType::Float => 1,
-            DataType::Str => 2,
-            DataType::Date => 3,
-        };
-        variant(column.data_type()).cmp(&variant(v.data_type()))
-    })
+    column
+        .cmp_row(row, v)
+        .unwrap_or_else(|| cross_type_order(column.data_type(), v))
+}
+
+/// How every value of type `dtype` compares with `v`, a value of another
+/// type, in `Value`'s order: by the types' positions among `Value`'s
+/// variants, which its derived `Ord` compares first (every `Int` sorts
+/// before every `Float`, and so on).
+pub fn cross_type_order(dtype: DataType, v: &Value) -> Ordering {
+    let variant = |t: DataType| match t {
+        DataType::Int => 0,
+        DataType::Float => 1,
+        DataType::Str => 2,
+        DataType::Date => 3,
+    };
+    variant(dtype).cmp(&variant(v.data_type()))
 }
 
 #[cfg(test)]

@@ -24,6 +24,6 @@ pub mod zone;
 
 pub use catalog::Catalog;
 pub use column::{Column, ColumnBuilder, RangeKernel};
-pub use index::SortedIndex;
+pub use index::{cross_type_order, SortedIndex};
 pub use table::{Table, TableBuilder};
 pub use zone::ZoneMap;

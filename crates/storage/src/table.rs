@@ -82,6 +82,11 @@ impl Table {
         &self.columns[i]
     }
 
+    /// Every column, in schema order.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
     /// Column by (unqualified) name.
     pub fn column_by_name(&self, name: &str) -> Result<&Column> {
         Ok(&self.columns[self.schema.index_of(name)?])

@@ -4,10 +4,14 @@
 //! group-key columns and one state column per accumulator — through typed
 //! kernels over columns gathered once per source. This battery holds it to
 //! the plain definition: a `BTreeMap` fold over the input's rows, one
-//! `AggAccum` per aggregate, groups in first-occurrence order.
+//! `AggAccum` per aggregate, groups in first-occurrence order. The fresh
+//! output must also be the reference evaluator's answer
+//! (`hashstash-reference`, which scans, joins and groups outside the
+//! engine) as a multiset, sums and averages within its tolerance.
 //!
-//! Inputs are a scan's batch (dense, or a selection), the same scan's rows
-//! (the row arm) and a join chain; group keys are an `Int`, `Float` (with
+//! Inputs are a scan's batch (dense, or a selection), the same scan
+//! gathered into a table by a union, and a join chain; group keys are an
+//! `Int`, `Float` (with
 //! `NaN`, `-0.0` and `+0.0`), `Date` or `Str` column beside a small `Int`
 //! one; every function folds an argument of a drawn type; inputs hold
 //! 0–10 000 tuples, so the partitioned build runs too. At one, two and four
@@ -26,6 +30,7 @@ use hashstash_exec::{execute, ExecContext, WorkerPool};
 use hashstash_plan::{
     AggExpr, AggFunc, HtFingerprint, HtKind, Interval, PredBox, Region, ReuseCase,
 };
+use hashstash_reference::{Answer, Relation};
 use hashstash_storage::{Catalog, Column, Table};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
 use proptest::prelude::*;
@@ -102,8 +107,8 @@ enum Source {
     Dense,
     /// A scan under `t.h <= 1`: a selection.
     Selection,
-    /// The scan's rows, through the row arm.
-    Rows,
+    /// The scan's output gathered into one table by a union.
+    Union,
     /// `t ⋈ u` on `t.j = u.j`: a join chain.
     Chain,
 }
@@ -115,7 +120,7 @@ fn cases() -> impl Strategy<Value = Case> {
     let input = prop_oneof![
         Just(Source::Dense),
         Just(Source::Selection),
-        Just(Source::Rows),
+        Just(Source::Union),
         Just(Source::Chain),
     ];
     (rows, key, args, input, any::<u64>()).prop_map(|(rows, (k, domain), a, input, seed)| Case {
@@ -219,8 +224,26 @@ fn input(case: &Case) -> PhysicalPlan {
             reuse: None,
             publish: None,
         },
+        Source::Union => PhysicalPlan::Union { inputs: vec![scan] },
         _ => scan,
     }
+}
+
+/// The reference's answer to the fresh aggregate: its outputs, with the
+/// rebuilt `AVG` as the `AVG` of the `SUM`'s argument (the `COUNT` counts
+/// every tuple).
+fn reference_answer(cat: &Catalog, case: &Case) -> Answer {
+    let t = Relation::scan(cat, "t", &region(case)).unwrap();
+    let input = match case.input {
+        Source::Chain => {
+            let u = Relation::scan(cat, "u", &Region::all()).unwrap();
+            t.join("t.j", &u, "u.j").unwrap()
+        }
+        _ => t,
+    };
+    let mut aggs = aggs();
+    aggs.push(AggExpr::new(AggFunc::Avg, "t.a0"));
+    input.aggregate(&GROUP_BY, &aggs).unwrap()
 }
 
 fn fingerprint(case: &Case) -> HtFingerprint {
@@ -344,14 +367,9 @@ fn check(case: &Case) {
         let htm = HtManager::unbounded();
         let pool = WorkerPool::new(workers - 1);
         let context = || {
-            let ctx = ExecContext::new(&cat, &htm)
+            ExecContext::new(&cat, &htm)
                 .with_parallelism(workers)
-                .with_pool(&pool);
-            if case.input == Source::Rows {
-                ctx.with_row_oracle()
-            } else {
-                ctx
-            }
+                .with_pool(&pool)
         };
         let what = format!("{case:?} at {workers} workers");
 
@@ -372,7 +390,10 @@ fn check(case: &Case) {
         // Fresh: fold, publish, emit.
         let fresh = aggregate(Some(input(case)), None, Some(fp.clone()), None);
         let mut ctx = context();
-        let (_, rows) = execute(&fresh, &mut ctx).unwrap();
+        let (schema, rows) = execute(&fresh, &mut ctx).unwrap();
+        if let Err(e) = reference_answer(&cat, case).check(&schema, &rows) {
+            panic!("{what}, fresh, against the reference: {e}");
+        }
         // Beside the join build's inserts, one insert per group and one
         // update per other tuple.
         let inserts = ctx.metrics.ht_inserts - joined.ht_inserts;

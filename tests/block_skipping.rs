@@ -5,7 +5,9 @@
 //! Skipping must not change a pair: the join's output rows, in order, must
 //! equal the unskipped probe's — the same scan under an always-true filter,
 //! which hands the probe a row selection instead of the dense range — at
-//! one, two and four workers, and the row oracle's. Probe columns are
+//! one, two and four workers, and be the reference evaluator's join
+//! (`hashstash-reference`, a `BTreeMap` join outside the engine) as a
+//! multiset. Probe columns are
 //! sorted (a fact table's foreign key, each value repeated), shuffled or
 //! constant, of `Int` or `Date` type, around negative and positive bases,
 //! with ragged tails; build key sets take 0–100 % of the probe's values,
@@ -22,6 +24,7 @@ use hashstash_exec::plan::{PhysicalPlan, ScanSpec};
 use hashstash_exec::{execute, ExecContext, ExecMetrics, WorkerPool};
 use hashstash_hashtable::KeyBitmap;
 use hashstash_plan::{Interval, PredBox, Region};
+use hashstash_reference::Relation;
 use hashstash_storage::{Catalog, Column, Table, ZoneMap};
 use hashstash_types::{DataType, Field, Row, Schema, Value};
 use proptest::prelude::*;
@@ -133,18 +136,15 @@ fn join(region: Region) -> PhysicalPlan {
     }
 }
 
-fn run(cat: &Catalog, plan: &PhysicalPlan, workers: usize, oracle: bool) -> (Vec<Row>, u64) {
+fn run(cat: &Catalog, plan: &PhysicalPlan, workers: usize) -> (Vec<Row>, u64, Schema) {
     let htm = HtManager::unbounded();
     let pool = WorkerPool::new(workers - 1);
     let mut ctx = ExecContext::new(cat, &htm)
         .with_parallelism(workers)
         .with_pool(&pool);
-    if oracle {
-        ctx = ctx.with_row_oracle();
-    }
-    let (_, rows) = execute(plan, &mut ctx).expect("the join runs");
+    let (schema, rows) = execute(plan, &mut ctx).expect("the join runs");
     let ExecMetrics { ht_probes, .. } = ctx.metrics;
-    (rows.into_vec(), ht_probes)
+    (rows.into_vec(), ht_probes, schema)
 }
 
 fn shapes() -> impl Strategy<Value = Shape> {
@@ -176,15 +176,24 @@ proptest! {
             "f.row",
             Interval::at_least(Value::Int(i64::MIN)),
         )));
-        let (expected, probes) = run(&cat, &every_row, 1, false);
+        let (expected, probes, schema) = run(&cat, &every_row, 1);
         prop_assert_eq!(probes, rows as u64);
         for workers in [1, 2, 4] {
-            let skipped = run(&cat, &dense, workers, false);
+            let skipped = run(&cat, &dense, workers);
             prop_assert_eq!(&skipped.0, &expected, "{} workers", workers);
             prop_assert_eq!(skipped.1, probes, "probes count the tuples offered");
-            prop_assert_eq!(&run(&cat, &every_row, workers, false).0, &expected);
+            prop_assert_eq!(&run(&cat, &every_row, workers).0, &expected);
         }
-        prop_assert_eq!(&run(&cat, &dense, 1, true).0, &expected, "row oracle");
+        let scan = |table: &str, attrs: &[&str]| {
+            Relation::scan(&cat, table, &Region::all())
+                .and_then(|r| r.project(attrs))
+                .unwrap()
+        };
+        let answer = scan("f", &["f.k", "f.row"])
+            .join("f.k", &scan("d", &["d.k", "d.row"]), "d.k")
+            .unwrap()
+            .answer();
+        prop_assert_eq!(answer.check(&schema, &expected), Ok(()), "the reference join");
     }
 }
 

@@ -18,16 +18,20 @@
 //! The same requests are pinned once more through `Session::execute` at
 //! one worker (planning, checkout, execution and publishing all run on the
 //! caller), from the same warm state: the churn request misses and builds,
-//! the hot ones hit the cache.
+//! the hot ones hit the cache. So is the first query of the paper's
+//! high-reuse traces that runs a two-box delta `Union`, whose inputs are
+//! gathered into one table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use hashstash::{Database, EngineStrategy, Session};
+use hashstash_exec::PhysicalPlan;
 use hashstash_plan::QuerySpec;
 use hashstash_server::CatalogSchema;
 use hashstash_storage::tpch::{generate, TpchConfig};
+use hashstash_workload::trace::{generate_trace, ReusePotential, TraceConfig};
 
 struct Counting;
 
@@ -170,8 +174,9 @@ fn execute_counts() -> [u64; 4] {
 
 /// While aggregate tables held a `Row` and a `Vec` of accumulators per
 /// group, aggregates emitted rows and a checkout copied the table's
-/// lineage and schema, these read `[678, 142, 155, 42]`.
-const EXECUTE: [u64; 4] = [460, 59, 73, 32];
+/// lineage and schema, these read `[678, 142, 155, 42]`; while the
+/// executor kept a row path beside the columnar one, `[460, 59, 73, 32]`.
+const EXECUTE: [u64; 4] = [459, 59, 73, 31];
 
 #[test]
 fn execute_allocations_of_the_tenant_mix_are_pinned() {
@@ -193,4 +198,58 @@ fn planning_allocations_of_the_tenant_mix_are_pinned() {
         "HashStash [churn, hot 0, hot 1, hot 2]"
     );
     assert_eq!(noreuse, NO_REUSE, "NoReuse [churn, hot 0, hot 1, hot 2]");
+}
+
+/// Whether `plan` holds a `Union`: the two-box delta of a partial or
+/// overlapping reuse, whose inputs are gathered into one table.
+fn has_union(plan: &PhysicalPlan) -> bool {
+    match plan {
+        PhysicalPlan::Union { .. } => true,
+        PhysicalPlan::Scan(_) | PhysicalPlan::TempScan { .. } => false,
+        PhysicalPlan::Project { input, .. } | PhysicalPlan::Materialize { input, .. } => {
+            has_union(input)
+        }
+        PhysicalPlan::HashJoin { probe, build, .. } => {
+            has_union(probe) || build.as_deref().is_some_and(has_union)
+        }
+        PhysicalPlan::HashAggregate { input, .. } => input.as_deref().is_some_and(has_union),
+    }
+}
+
+/// The first query of `paper(High, seed)` whose HashStash plan holds a
+/// `Union`, for the smallest seed that has one: `(seed, query index,
+/// Session::execute allocations)` at one worker, after the queries before
+/// it ran on the same session.
+fn first_union_execute() -> (u64, usize, u64) {
+    for seed in 0..8 {
+        let db = Database::builder(generate(TpchConfig::new(0.01, 42)))
+            .parallelism(1)
+            .build();
+        let mut session = db.session();
+        for (i, tq) in generate_trace(TraceConfig::paper(ReusePotential::High, seed))
+            .iter()
+            .enumerate()
+        {
+            let planned = session.plan_only(&tq.query).expect("query plans");
+            if has_union(&planned.plan) {
+                let before = allocs();
+                session.execute(&tq.query).expect("query runs");
+                return (seed, i, allocs() - before);
+            }
+            session.execute(&tq.query).expect("query runs");
+        }
+    }
+    panic!("no paper(High, 0..8) trace plans a union");
+}
+
+/// While a union built one `Row` per input tuple (and its consumer read
+/// them through a row source), this read `(0, 25, 18_926)`.
+const UNION_EXECUTE: (u64, usize, u64) = (0, 25, 12_107);
+
+#[test]
+fn execute_allocations_of_the_first_union_are_pinned() {
+    let got = first_union_execute();
+    // A union gathers its inputs' typed columns: no allocation per tuple.
+    assert!(got.2 < 18_926, "{got:?}");
+    assert_eq!(got, UNION_EXECUTE, "(seed, query, allocations)");
 }

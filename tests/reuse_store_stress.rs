@@ -6,9 +6,9 @@ use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use hashstash_cache::payload::row_bytes;
-use hashstash_cache::{ColumnHt, GcConfig, HtManager, StoredHt, TenantId};
+use hashstash_cache::{ColumnHt, GcConfig, HtManager, StoredHt, TempTable, TenantId};
 use hashstash_plan::{HtFingerprint, HtKind, Interval, PredBox, Region};
+use hashstash_storage::{Column, Table};
 use hashstash_types::{DataType, Field, HtId, Row, Schema, Value};
 
 /// Hash tables and temp tables are published under different tenants, so
@@ -42,14 +42,18 @@ fn ht(n: u64) -> StoredHt {
     StoredHt::Rows(t)
 }
 
-fn rows(n: usize) -> Vec<Row> {
-    (0..n)
-        .map(|i| Row::new(vec![Value::Int(i as i64)]))
-        .collect()
-}
-
 fn schema() -> Schema {
     Schema::new(vec![Field::new("t.k", DataType::Int)])
+}
+
+fn rows(n: usize) -> Arc<Table> {
+    let keys = Column::Int((0..n as i64).collect());
+    Arc::new(Table::from_columns(schema(), vec![keys]).unwrap())
+}
+
+/// What a temp table of `n` rows is charged.
+fn temp_bytes(n: usize) -> usize {
+    StoredHt::Materialized(TempTable::new(rows(n))).logical_bytes()
 }
 
 fn lru(budget_bytes: usize) -> HtManager {
@@ -77,7 +81,7 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
     const OPS: usize = 60;
 
     let ht_bytes = ht(64).logical_bytes();
-    let row_bytes_100 = rows(100).iter().map(row_bytes).sum::<usize>();
+    let row_bytes_100 = temp_bytes(100);
     // Budget fits a handful of either kind — every thread's publishes race
     // the others' evictions.
     let budget_bytes = ht_bytes * 3 + row_bytes_100 * 3;
@@ -185,7 +189,7 @@ fn mixed_payload_stress_audit_clean_under_shared_budget() {
 #[test]
 fn unified_eviction_ranks_both_payload_kinds_by_recency() {
     let ht_bytes = ht(64).logical_bytes();
-    let temp_bytes = rows(100).iter().map(row_bytes).sum::<usize>();
+    let temp_bytes = temp_bytes(100);
     // Room for one of each, not a third entry.
     let htm = lru(ht_bytes + temp_bytes + ht_bytes / 2);
     let old_ht = htm.publish(fp("h", 0, 10), schema(), ht(64));

@@ -1,9 +1,9 @@
 //! `ResultRows::write_text` against the rendering it replaces: every value
 //! through `Value`'s `Display`, values joined by `\t`, each row introduced
 //! by `\n`. The two must agree byte for byte — `hsbench` digests every
-//! reply against exactly that rendering — from both sources a result can
-//! have: a column selection (dense, sparse and index-ordered) and
-//! materialized rows.
+//! reply against exactly that rendering — for every shape a result has: a
+//! column selection (dense, sparse and index-ordered) of a base table or
+//! of an operator's output gathered into a table.
 //!
 //! `PROPTEST_CASES=2000 cargo test --release --test text_encoding` is the
 //! deep run.
@@ -15,9 +15,9 @@ use proptest::prelude::*;
 
 use hashstash::ResultRows;
 use hashstash_exec::{ColumnarBatch, Selection};
-use hashstash_storage::TableBuilder;
+use hashstash_storage::{Column, Table, TableBuilder};
 use hashstash_types::date::days_from_ymd;
-use hashstash_types::{DataType, Row, Value};
+use hashstash_types::{DataType, Field, Row, Schema, Value};
 
 /// The reply body as the server rendered it before `write_text`.
 fn display_text(rows: &[Row]) -> Vec<u8> {
@@ -202,30 +202,6 @@ proptest! {
         prop_assert_eq!(text_of(text[2..].to_vec()), text_of(display_text(&rows)));
         prop_assert_eq!(&result[..], &rows[..]);
     }
-
-    // From materialized rows: the same writers, matched per value.
-    #[test]
-    fn row_text_matches_display(tuples in tuples(), width in 0usize..5) {
-        let rows: Vec<Row> = tuples
-            .iter()
-            .map(|&(i, f, d, s)| {
-                let all = [
-                    Value::Int(i),
-                    Value::float(f),
-                    Value::Date(d),
-                    Value::str(STRS[s]),
-                ];
-                // Rotate so every type appears in every position.
-                let first = i.rem_euclid(4) as usize;
-                Row::new((0..width).map(|c| all[(first + c) % 4].clone()).collect())
-            })
-            .collect();
-        let want = display_text(&rows);
-        let result = ResultRows::from(rows);
-        let mut text = Vec::new();
-        result.write_text(&mut text);
-        prop_assert_eq!(text_of(text), text_of(want));
-    }
 }
 
 /// The named edge values, once each, outside the random draw.
@@ -265,7 +241,29 @@ fn edge_values_render_like_display() {
         row(Value::str("日本語")),
         Row::new(vec![]),
     ];
+    // Each value as a one-row table of its type; the empty row as a
+    // selection of no column.
     let mut text = Vec::new();
-    ResultRows::from(rows.clone()).write_text(&mut text);
+    for row in &rows {
+        let schema = Schema::new(
+            row.values()
+                .iter()
+                .map(|v| Field::new("v", v.data_type()))
+                .collect(),
+        );
+        let columns = row
+            .values()
+            .iter()
+            .map(|v| {
+                let mut column = Column::new(v.data_type());
+                assert!(column.extend_values([v]));
+                column
+            })
+            .collect();
+        let table = Arc::new(Table::from_columns(schema, columns).unwrap());
+        let sel = Selection::Dense(1);
+        let proj = (0..row.len()).collect();
+        ResultRows::from(ColumnarBatch { table, proj, sel }).write_text(&mut text);
+    }
     assert_eq!(text_of(text), text_of(display_text(&rows)));
 }
