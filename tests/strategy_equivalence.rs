@@ -4,12 +4,19 @@
 //! deterministic: two independently built databases replay a trace with
 //! identical rows, reuse decisions and cache statistics. (These tests
 //! absorbed the coverage of the deleted pre-0.2 `Engine` shim, which used
-//! to be checked against the facade decision-for-decision.)
+//! to be checked against the facade decision-for-decision.) The paper's
+//! Fig. 7 traces are also replayed under every strategy against the
+//! reference evaluator (`hashstash-reference`), which answers each query
+//! outside the engine: that holds the reuse cases the traces reach —
+//! partial and overlapping reuse with their two-box delta unions included
+//! — to recomputation, not to another plan of the same engine.
 
 use std::collections::HashMap;
 
 use hashstash::{BatchMode, Database, EngineStrategy};
 use hashstash_cache::{GcConfig, HtManager};
+use hashstash_plan::ReuseCase;
+use hashstash_reference::evaluate;
 use hashstash_storage::tpch::{generate, TpchConfig};
 use hashstash_types::{HtId, Row};
 use hashstash_workload::session::exp2_session;
@@ -67,6 +74,46 @@ fn full_session_equivalence_across_strategies() {
         for (i, tq) in trace.iter().enumerate() {
             let got = normalized(session.execute(&tq.query).unwrap().rows.into_vec());
             assert_eq!(got, reference[i], "{strategy:?} diverges at query {i}");
+        }
+    }
+}
+
+/// Fig. 7's high- and low-reuse traces under every strategy: each answer is
+/// the reference's. The high-reuse replay reaches partial or overlapping
+/// reuse, whose delta scans run as unions of boxes.
+#[test]
+fn fig7_traces_answer_like_the_reference() {
+    let cat = catalog();
+    for level in [ReusePotential::High, ReusePotential::Low] {
+        let trace = generate_trace(TraceConfig::paper(level, 0));
+        let answers: Vec<_> = trace
+            .iter()
+            .map(|tq| evaluate(&cat, &tq.query).unwrap())
+            .collect();
+        for strategy in [
+            EngineStrategy::NoReuse,
+            EngineStrategy::HashStash,
+            EngineStrategy::Materialized,
+            EngineStrategy::AlwaysShare,
+            EngineStrategy::BenefitScored,
+        ] {
+            let db = Database::builder(catalog()).strategy(strategy).build();
+            let mut session = db.session();
+            let mut deltas = 0;
+            for (i, (tq, answer)) in trace.iter().zip(&answers).enumerate() {
+                let got = session.execute(&tq.query).unwrap();
+                if let Err(e) = answer.check(&got.schema, &got.rows) {
+                    panic!("{strategy:?} {level:?} query {i}: {e}");
+                }
+                deltas += got
+                    .decisions
+                    .iter()
+                    .filter(|(_, case)| case.is_some_and(ReuseCase::needs_delta))
+                    .count();
+            }
+            if strategy == EngineStrategy::HashStash && level == ReusePotential::High {
+                assert!(deltas > 0, "the high-reuse replay reaches no delta reuse");
+            }
         }
     }
 }
