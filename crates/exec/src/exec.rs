@@ -404,7 +404,10 @@ pub(crate) fn run(
 /// Run `inputs` (one, or a union's) and gather their output, in order,
 /// into one table of typed columns: every input's columns are appended
 /// per source, a join chain's through its positions, so no row is built.
-fn gather(inputs: &[PhysicalPlan], ctx: &mut ExecContext<'_>) -> Result<(Schema, Arc<Table>)> {
+pub(crate) fn gather(
+    inputs: &[PhysicalPlan],
+    ctx: &mut ExecContext<'_>,
+) -> Result<(Schema, Arc<Table>)> {
     let mut out: Option<(Schema, Vec<Column>)> = None;
     for plan in inputs {
         let input = run_input(plan, ctx)?;
@@ -821,50 +824,36 @@ fn lower_region<'t>(
 /// every value or for none, by [`cross_type_order`].
 fn lower_check(iv: &Interval, col: &Column) -> RangeKernel {
     let dtype = col.data_type();
+    let key = |v: &Value| match v {
+        Value::Int(x) if dtype == DataType::Int => Some(i128::from(*x)),
+        Value::Date(x) if dtype == DataType::Date => Some(i128::from(*x)),
+        Value::Float(f) if dtype == DataType::Float => Some(i128::from(f64_order_key(f.0))),
+        _ => None,
+    };
+    let range = |min: i128, max: i128| inclusive(iv, dtype, key, min, max);
     match col {
         Column::Int(_) => {
-            let key = |v: &Value| match v {
-                Value::Int(x) => Some(*x),
-                _ => None,
-            };
-            let (lo, hi) = inclusive(iv, dtype, key, (i64::MIN, i64::MAX), |k, up| {
-                if up {
-                    k.checked_add(1)
-                } else {
-                    k.checked_sub(1)
-                }
-            });
-            RangeKernel::Int { lo, hi }
+            let (lo, hi) = range(i64::MIN.into(), i64::MAX.into());
+            RangeKernel::Int {
+                lo: lo as i64,
+                hi: hi as i64,
+            }
         }
         Column::Date(_) => {
-            let key = |v: &Value| match v {
-                Value::Date(x) => Some(*x),
-                _ => None,
-            };
-            let (lo, hi) = inclusive(iv, dtype, key, (i32::MIN, i32::MAX), |k, up| {
-                if up {
-                    k.checked_add(1)
-                } else {
-                    k.checked_sub(1)
-                }
-            });
-            RangeKernel::Date { lo, hi }
+            let (lo, hi) = range(i32::MIN.into(), i32::MAX.into());
+            RangeKernel::Date {
+                lo: lo as i32,
+                hi: hi as i32,
+            }
         }
         // `f64_order_key` is a monotone injection of the engine's F64 total
         // order into u64, so exclusive bounds shift by one key step.
         Column::Float(_) => {
-            let key = |v: &Value| match v {
-                Value::Float(f) => Some(f64_order_key(f.0)),
-                _ => None,
-            };
-            let (lo, hi) = inclusive(iv, dtype, key, (0, u64::MAX), |k, up| {
-                if up {
-                    k.checked_add(1)
-                } else {
-                    k.checked_sub(1)
-                }
-            });
-            RangeKernel::Float { lo, hi }
+            let (lo, hi) = range(0, u64::MAX.into());
+            RangeKernel::Float {
+                lo: lo as u64,
+                hi: hi as u64,
+            }
         }
         // One boxed comparison per *distinct* string, with the interval's
         // own semantics (cross-type bounds included).
@@ -877,27 +866,27 @@ fn lower_check(iv: &Interval, col: &Column) -> RangeKernel {
     }
 }
 
-/// `iv` over a column of type `dtype` as an inclusive `(lo, hi)` range of
-/// keys, where `key` maps the column's values order-preservingly into
-/// `min..=max` (`None` for a value of another type) and `step(k, up)` is
-/// the next key above (`up`) or below `k`. No value lies in the interval
-/// when `lo > hi`: `(max, min)` stands for the empty range.
-fn inclusive<T: Copy + Ord>(
+/// `iv` over a column of type `dtype` as an inclusive range of keys, where
+/// `key` maps the column's values order-preservingly into `min..=max`
+/// (`None` for a value of another type). An empty interval is `(1, 0)`,
+/// so a non-empty range always lies within `min..=max`.
+fn inclusive(
     iv: &Interval,
     dtype: DataType,
-    key: impl Fn(&Value) -> Option<T>,
-    (min, max): (T, T),
-    step: fn(T, bool) -> Option<T>,
-) -> (T, T) {
-    // The bound's key, or `open` when every value satisfies it; `None`
-    // when none does. `up` is the direction values must lie in from it.
-    let bound = |b: &Bound<Value>, open: T, up: bool| match b {
+    key: impl Fn(&Value) -> Option<i128>,
+    min: i128,
+    max: i128,
+) -> (i128, i128) {
+    // The bound's first key inside the interval, seen from `open` (the
+    // end of the domain it bounds away from): `open` itself when every
+    // value satisfies the bound, `None` when none does.
+    let bound = |b: &Bound<Value>, open: i128, step: i128| match b {
         Bound::Unbounded => Some(open),
         Bound::Included(v) | Bound::Excluded(v) => match key(v) {
             Some(k) if matches!(b, Bound::Included(_)) => Some(k),
-            Some(k) => step(k, up),
+            Some(k) => Some(k + step),
             None => {
-                let beyond = if up {
+                let beyond = if step > 0 {
                     std::cmp::Ordering::Greater
                 } else {
                     std::cmp::Ordering::Less
@@ -906,9 +895,9 @@ fn inclusive<T: Copy + Ord>(
             }
         },
     };
-    match (bound(iv.lo(), min, true), bound(iv.hi(), max, false)) {
-        (Some(lo), Some(hi)) => (lo, hi),
-        _ => (max, min),
+    match (bound(iv.lo(), min, 1), bound(iv.hi(), max, -1)) {
+        (Some(lo), Some(hi)) if lo <= hi => (lo, hi),
+        _ => (1, 0),
     }
 }
 
@@ -1900,7 +1889,18 @@ mod tests {
                 })
                 .collect(),
         );
-        ColumnarBatch::dense(batch.clone().into_table(&schema).unwrap())
+        let tuples = BatchTuples::new(batch, &[]);
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let mut column = Column::new(f.dtype);
+                assert!(tuples.append_column(c, &mut column));
+                column
+            })
+            .collect();
+        ColumnarBatch::dense(Arc::new(Table::from_columns(schema, columns).unwrap()))
     }
 
     /// The batch's tuples as materialized rows.

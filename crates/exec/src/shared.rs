@@ -35,7 +35,7 @@ use hashstash_plan::{AggExpr, HtFingerprint, QuerySpec, Region, ReuseCase};
 use hashstash_storage::Table;
 
 use crate::exec::{
-    composite_key64, fold_tuples, produce_agg_output, run, AggSource, BoxEval, EntryTuples,
+    composite_key64, fold_tuples, gather, produce_agg_output, AggSource, BoxEval, EntryTuples,
     ExecContext,
 };
 use crate::join::RowTable;
@@ -134,9 +134,8 @@ pub fn execute_shared(
     // The join's output as one table, its columns in schema order.
     let (pschema, ptable) = match &spec.join {
         Some(plan) => {
-            let (schema, batch) = run(plan, ctx)?;
-            ctx.metrics.rows_output += batch.sel.len() as u64;
-            let table = batch.into_table(&schema)?;
+            let (schema, table) = gather(std::slice::from_ref(plan), ctx)?;
+            ctx.metrics.rows_output += table.row_count() as u64;
             (schema, table)
         }
         None => {

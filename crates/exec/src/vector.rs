@@ -30,9 +30,7 @@ use std::sync::Arc;
 
 use hashstash_storage::{Column, RangeKernel, Table};
 use hashstash_types::date::ymd_from_days;
-use hashstash_types::{
-    key64_combine, key64_date, key64_float, key64_int, key64_str, Result, Schema, KEY64_SEED,
-};
+use hashstash_types::{key64_combine, key64_date, key64_float, key64_int, key64_str, KEY64_SEED};
 
 use crate::parallel::{collect_morsels, Scheduler};
 
@@ -99,38 +97,12 @@ impl ColumnarBatch {
             sel: Selection::Dense(n),
         }
     }
-
-    /// The batch as one table of its projected columns' selected rows,
-    /// under `schema`: the batch's own table when it is already that
-    /// (every row and every column, in order), else a gathered copy.
-    pub fn into_table(self, schema: &Schema) -> Result<Arc<Table>> {
-        let n = self.table.row_count();
-        let identity = self.proj.iter().copied().eq(0..self.table.schema().len());
-        if identity && self.sel == Selection::Dense(n) {
-            return Ok(self.table);
-        }
-        let columns = self
-            .proj
-            .iter()
-            .map(|&c| {
-                let src = self.table.column(c);
-                let mut column = Column::new(src.data_type());
-                match &self.sel {
-                    Selection::Dense(n) => column.extend_from(src, 0..*n),
-                    Selection::Rows(rows) => {
-                        column.extend_from(src, rows.iter().map(|&r| r as usize))
-                    }
-                };
-                column
-            })
-            .collect();
-        Ok(Arc::new(Table::from_columns(schema.clone(), columns)?))
-    }
 }
 
 /// A monomorphized key-extraction kernel over one column: `key64(rid)`
-/// reproduces exactly what `Value::key64` of the cell computes, without materializing the scalar. Dictionary columns hash each
-/// distinct string once up front and look keys up by code.
+/// reproduces exactly what `Value::key64` of the cell computes, without
+/// materializing the scalar. Dictionary columns hash each distinct string
+/// once up front and look keys up by code.
 pub enum KeyKernel<'a> {
     Int(&'a [i64]),
     Float(&'a [f64]),

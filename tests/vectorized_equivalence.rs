@@ -409,8 +409,6 @@ fn t_rows() -> impl Strategy<Value = Vec<TRow>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
     // Every predicate op × column type, and the index access path, on
     // random data, through all four plan shapes, against the reference,
     // and at 4 and 8 workers against the serial run.
